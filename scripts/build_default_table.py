@@ -4,7 +4,8 @@
 Solves the horizon-5 decision for every cell of the default
 100 (throughput) x 100 (buffer) x 13 (previous rung) binning: 130,000
 entries. This is the offline step of the table-driven policy; expect
-minutes of wall time on one core.
+minutes of wall time on one core. ``--jobs N`` solves the throughput
+bins in N processes; the artifact is the same for any N.
 
 Usage: python scripts/build_default_table.py [out.bin] [--jobs N]
 """
@@ -12,29 +13,12 @@ Usage: python scripts/build_default_table.py [out.bin] [--jobs N]
 import argparse
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from abrbench.abr import MpcObjectiveParams, TableBinning, build_mpc_table, save_table
-from abrbench.abr import LookupTable, _table_block, _stall_free_threshold  # worker internals
 from abrbench.media import ladder_default
-
-
-def _tput_slice(args):
-    ti, tput, params, binning, ladder_kbps, seg = args
-    threshold = _stall_free_threshold(ladder_kbps, seg, params, tput)
-    centers = binning.buffer_centers()
-    needy = centers < threshold
-    out = np.empty((binning.buffer_bins, len(ladder_kbps)), dtype=np.uint8)
-    if needy.any():
-        out[needy, :] = _table_block(ladder_kbps, seg, params, tput, centers[needy])
-    if (~needy).any():
-        out[~needy, :] = _table_block(ladder_kbps, seg, params, tput, centers[~needy][:1])[0]
-    return ti, out
 
 
 def main():
@@ -43,44 +27,18 @@ def main():
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
-    params = MpcObjectiveParams()
     binning = TableBinning()
     ladder = ladder_default()
-    ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
     print(f"cells: {binning.tput_bins * binning.buffer_bins * len(ladder)} "
           f"({binning.tput_bins}x{binning.buffer_bins}x{len(ladder)})")
 
     start = time.time()
-    if args.jobs > 1:
-        entries = np.empty((binning.tput_bins, binning.buffer_bins, len(ladder)), dtype=np.uint8)
-        work = [
-            (ti, float(t), params, binning, ladder_kbps, 4.0)
-            for ti, t in enumerate(binning.tput_centers())
-        ]
-        done = 0
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for ti, block in pool.map(_tput_slice, work):
-                entries[ti] = block
-                done += 1
-                if done % 10 == 0:
-                    print(f"  {done}/{binning.tput_bins} throughput bins ({time.time() - start:.0f} s)")
-        table = LookupTable(
-            tput_edges=binning.tput_edges(),
-            buffer_edges=binning.buffer_edges(),
-            entries=entries,
-            ladder_kbps=ladder_kbps,
-            segment_duration_s=4.0,
-            params=params,
-        )
-    else:
-        table = build_mpc_table(
-            params,
-            binning,
-            ladder=ladder,
-            progress=lambda i, n: print(f"  {i}/{n} throughput bins ({time.time() - start:.0f} s)")
-            if i % 10 == 0
-            else None,
-        )
+
+    def progress(done, total):
+        if done % 10 == 0:
+            print(f"  {done}/{total} throughput bins ({time.time() - start:.0f} s)")
+
+    table = build_mpc_table(MpcObjectiveParams(), binning, ladder, progress=progress, jobs=args.jobs)
     save_table(table, args.out)
     print(f"wrote {args.out} in {time.time() - start:.0f} s")
     return 0

@@ -51,7 +51,6 @@ from .abr import (
     build_mpc_table,
     harmonic_mean_predict,
     make_policy,
-    mpc_objective,
     mpc_select_exact,
     mpc_select_table,
     rate_based_select,

@@ -9,26 +9,34 @@ Four families are provided:
 * receding-horizon MPC over a bitrate objective, both as exact
   per-decision enumeration and as an offline lookup table indexed by
   (throughput bin, buffer bin, previous rung);
-* RDOS: the same enumeration machinery driven by a perceptual
-  (KSQI-style) objective minus a bitrate-saving term.
+* RDOS: the same enumeration driven by a perceptual (KSQI-style)
+  objective minus a bitrate-saving term.
 
-All enumeration paths accumulate floating-point terms in one canonical
-order so that the per-state selector, the batched table builder, and
-any straight re-implementation of the formula produce bit-identical
-objective values (and therefore identical argmax decisions).
+One kernel, ``_enumerate``, scores every rung sequence over the
+horizon for all three enumerating uses: it grows the sequence tree one
+position at a time, runs the buffer recursion, and leaves the objective
+to a per-step function (bitrate/switch/stall terms for MPC, quality,
+adaptation and stall penalties for RDOS). The table builder batches
+starting buffers through the same kernel. Every sequence accumulates
+its terms in position order, so a straight re-implementation of either
+formula produces bit-identical objective values (and therefore
+identical argmax decisions).
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import functools
 import json
+import multiprocessing
 import subprocess
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .media import Manifest
+from .media import Manifest, ladder_default
 from .qoe import KsqiParams
-from .simulator import buffer_step
 
 
 @dataclass(frozen=True)
@@ -150,97 +158,68 @@ def _horizon_sizes(state: AbrState, h: int, params) -> list[list[float]]:
     return [nominal] * h
 
 
-def mpc_objective(choices, state: AbrState, predicted_tput: float, params: MpcObjectiveParams) -> float:
-    """Bitrate objective of one candidate choice sequence.
+def _enumerate(buffer0, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step) -> tuple:
+    """Objective accumulators of every choice sequence over the horizon.
 
-    Sum of chosen bitrates (Mb/s), minus ``lambda_switch`` times the
-    magnitude of every bitrate switch (including the step from the
-    previously downloaded chunk), minus ``mu_rebuf`` times the stall
-    seconds predicted by the buffer recursion with download time
-    size/predicted_tput + rtt.
+    The single enumeration kernel behind MPC, RDOS and the lookup table.
+    ``dt_by_pos[k][c]`` is the download time of choice ``c`` at horizon
+    position ``k``. ``buffer0`` and the arrays in ``acc`` hold one entry
+    per sequence prefix on their last axis (a single root prefix on
+    entry); leading axes batch independent starting buffers. Each level
+    repeats every prefix once per choice, appends the choices, runs the
+    buffer recursion and passes the stall seconds to
+    ``step(k, choice, stall, acc)``, which returns the extended
+    accumulators. The first position varies slowest, so the result is in
+    lexicographic order and ``np.argmax`` ties land on the lowest first
+    choice.
     """
-    ladder = state.manifest.ladder
-    seg = state.manifest.segment_duration_s
-    sizes = _horizon_sizes(state, len(choices), params)
-    rate_acc = 0.0
-    sw_inner = 0.0
-    stall_acc = 0.0
-    buf = state.buffer_s
-    prev_rate = None
-    for k, rep in enumerate(choices):
-        rate = ladder[rep - 1].bitrate_kbps / 1000.0
-        dt = sizes[k][rep - 1] / (predicted_tput * 1000.0) + params.rtt_s
-        buf, stall, _ = buffer_step(buf, dt, seg, params.max_buffer_s)
+    n, h = len(dt_by_pos[0]), len(dt_by_pos)
+    if n**h > 6_000_000:
+        raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
+    buf = buffer0
+    for k, dt_k in enumerate(dt_by_pos):
+        choice = np.tile(np.arange(n), buf.shape[-1])
+        buf = np.repeat(buf, n, axis=-1)
+        acc = tuple(np.repeat(a, n, axis=-1) for a in acc)
+        dt = dt_k[choice]
+        stall = np.maximum(dt - buf, 0.0)
+        if k + 1 < h:  # the buffer after the last position is never read
+            buf = np.minimum(buf - np.minimum(buf, dt) + seg, max_buffer_s)
+        acc = step(k, choice, stall, acc)
+    return acc
+
+
+def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams) -> np.ndarray:
+    """Best first rung (1-based) for every starting buffer and previous rung.
+
+    Entry [i, p] of the (len(buffers), n_reps) result is the decision
+    from buffer ``buffers[i]`` after rung ``p + 1``. The objective is the
+    sum of chosen bitrates (Mb/s), minus ``lambda_switch`` times the
+    magnitude of every bitrate switch, minus ``mu_rebuf`` times the
+    predicted stall seconds. The switch from the previous rung is
+    constant within a first-rung block, so it is subtracted after the
+    per-block max; IEEE rounding is monotone, so the decisions are the
+    ones a full per-sequence score would give.
+    """
+
+    def step(k, choice, stall, acc):
+        stall_acc, rate_acc, sw_inner, prev_rate = acc
+        rate = rates[choice]
         stall_acc += stall
         rate_acc += rate
         if k > 0:
-            sw_inner += abs(rate - prev_rate)
-        prev_rate = rate
-    first_rate = ladder[choices[0] - 1].bitrate_kbps / 1000.0
-    last_rate = ladder[state.last_rep - 1].bitrate_kbps / 1000.0
-    return (
-        rate_acc
-        - params.lambda_switch * sw_inner
-        - params.mu_rebuf * stall_acc
-    ) - params.lambda_switch * abs(first_rate - last_rate)
-
-
-_DIGIT_CACHE: dict[tuple[int, int], list[np.ndarray]] = {}
-
-
-def _sequence_digits(n_reps: int, horizon: int) -> list[np.ndarray]:
-    """Digit arrays enumerating all n_reps**horizon sequences.
-
-    The first position varies slowest, so the enumeration order is
-    lexicographic and ``np.argmax`` tie-breaking lands on the lowest
-    first element.
-    """
-    key = (n_reps, horizon)
-    if key not in _DIGIT_CACHE:
-        count = n_reps**horizon
-        if count > 6_000_000:
-            raise ValueError(f"{n_reps} reps x horizon {horizon} enumerates {count} sequences; too many")
-        idx = np.arange(count)
-        _DIGIT_CACHE[key] = [(idx // n_reps ** (horizon - 1 - k)) % n_reps for k in range(horizon)]
-    return _DIGIT_CACHE[key]
-
-
-def _mpc_scores(
-    rates_mbps: np.ndarray,
-    dt_by_pos: list[np.ndarray],
-    buffer0,
-    seg: float,
-    params: MpcObjectiveParams,
-    horizon: int,
-) -> np.ndarray:
-    """Objective minus the previous-chunk switch term for every sequence.
-
-    ``buffer0`` may be a scalar (one state) or a vector of initial
-    buffer levels (batched table construction); the result has shape
-    (len(buffer0), n_sequences). The previous-chunk switch term is
-    constant within a first-element block and is applied by the caller;
-    IEEE rounding is monotone, so subtracting it after the per-block max
-    yields bit-identical decisions.
-    """
-    n_reps = len(rates_mbps)
-    digits = _sequence_digits(n_reps, horizon)
-    b0 = np.atleast_1d(np.asarray(buffer0, dtype=np.float64))
-    n = n_reps**horizon
-    buf = np.broadcast_to(b0[:, None], (len(b0), n)).copy()
-    stall_acc = np.zeros((len(b0), n))
-    rate_acc = np.zeros(n)
-    sw_inner = np.zeros(n)
-    prev_rate = None
-    for k in range(horizon):
-        rate = rates_mbps[digits[k]]
-        dt = dt_by_pos[k][digits[k]]
-        stall_acc += np.maximum(dt - buf, 0.0)
-        buf = np.minimum(buf - np.minimum(buf, dt) + seg, params.max_buffer_s)
-        rate_acc += rate
-        if k > 0:
             sw_inner += np.abs(rate - prev_rate)
-        prev_rate = rate
-    return (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
+        return stall_acc, rate_acc, sw_inner, rate
+
+    b0 = np.asarray(buffers, dtype=np.float64)[:, None]
+    zero = np.zeros(1)
+    stall_acc, rate_acc, sw_inner, _ = _enumerate(
+        b0, dt_by_pos, seg, params.max_buffer_s, (np.zeros_like(b0), zero, zero, zero), step
+    )
+    scores = (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
+    best = scores.reshape(len(b0), len(rates), -1).max(axis=2)
+    switch = params.lambda_switch * np.abs(rates[None, :] - rates[:, None])  # [prev, first]
+    return np.argmax(best[:, None, :] - switch, axis=2) + 1
 
 
 def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput: float | None = None) -> int:
@@ -250,24 +229,18 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     under the harmonic-mean throughput prediction (or an externally
     supplied one, e.g. a clairvoyant value) and returns the first
     element of the best sequence, ties broken toward the lower rung.
+    Download times are size/predicted_tput + rtt.
     """
-    ladder = state.manifest.ladder
-    seg = state.manifest.segment_duration_s
     h = min(params.horizon, state.remaining_chunks)
     tput = (
         predicted_tput
         if predicted_tput is not None
         else harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
     )
-    rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
-    sizes = _horizon_sizes(state, h, params)
-    dt_by_pos = [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
-    scores = _mpc_scores(rates, dt_by_pos, state.buffer_s, seg, params, h)[0]
-    n_reps = len(ladder)
-    block = scores.reshape(n_reps, n_reps ** (h - 1)).max(axis=1)
-    last_rate = rates[state.last_rep - 1]
-    final = block - params.lambda_switch * np.abs(rates - last_rate)
-    return int(np.argmax(final)) + 1
+    rates = np.array([r.bitrate_kbps / 1000.0 for r in state.manifest.ladder])
+    dt_by_pos = [np.array(row) / (tput * 1000.0) + params.rtt_s for row in _horizon_sizes(state, h, params)]
+    best = _mpc_decisions(rates, dt_by_pos, [state.buffer_s], state.manifest.segment_duration_s, params)
+    return int(best[0, state.last_rep - 1])
 
 
 @dataclass(frozen=True)
@@ -331,38 +304,28 @@ def _bin_index(edges: np.ndarray, value: float) -> int:
     return min(max(i, 0), len(edges) - 2)
 
 
-def _table_block(ladder_kbps, seg, params, tput_value, buffer_values, max_rows: int = 24) -> np.ndarray:
+_SLAB_ROWS = 8  # buffer rows enumerated together; each (rows x 13^5) float array is ~24 MB
+
+
+def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float, buffers) -> np.ndarray:
     """Best first rung for every (buffer, prev_rep) cell at one throughput.
 
-    Returns a (len(buffer_values), n_reps) uint8 array. Shares the
-    canonical accumulation order with :func:`mpc_select_exact`. Buffer
-    rows are processed in slabs of ``max_rows`` to bound memory.
+    Returns a (len(buffers), n_reps) uint8 array. No sequence can stall
+    from a buffer at or above the worst cumulative deficit
+    k*dt_max - (k-1)*seg, which peaks at either end of the horizon, so
+    those rows score alike and share one enumeration; the others are
+    enumerated in slabs of ``_SLAB_ROWS``.
     """
-    n_reps = len(ladder_kbps)
-    rates = np.array([r / 1000.0 for r in ladder_kbps])
-    sizes = np.array([r * 1000.0 * seg for r in ladder_kbps])
-    dt = sizes / (tput_value * 1000.0) + params.rtt_s
     h = params.horizon
-    values = np.asarray(buffer_values, dtype=np.float64)
-    out = np.empty((len(values), n_reps), dtype=np.uint8)
-    for lo in range(0, len(values), max_rows):
-        rows = values[lo : lo + max_rows]
-        scores = _mpc_scores(rates, [dt] * h, rows, seg, params, h)
-        block = scores.reshape(len(rows), n_reps, n_reps ** (h - 1)).max(axis=2)
-        for prev in range(n_reps):
-            final = block - params.lambda_switch * np.abs(rates - rates[prev])
-            out[lo : lo + max_rows, prev] = np.argmax(final, axis=1) + 1
-    return out
-
-
-def _stall_free_threshold(ladder_kbps, seg, params, tput_value) -> float:
-    """Initial buffer above which no candidate sequence can stall.
-
-    The worst cumulative deficit over k steps is k*dt_max - (k-1)*seg,
-    maximized at either endpoint of the horizon.
-    """
-    dt_max = ladder_kbps[-1] * 1000.0 * seg / (tput_value * 1000.0) + params.rtt_s
-    return max(dt_max, params.horizon * dt_max - (params.horizon - 1) * seg)
+    rates = np.array([r / 1000.0 for r in ladder_kbps])
+    dt = np.array([r * 1000.0 * seg for r in ladder_kbps]) / (tput * 1000.0) + params.rtt_s
+    threshold = max(dt.max(), h * dt.max() - (h - 1) * seg)
+    buffers = np.asarray(buffers, dtype=np.float64)
+    needy = buffers < threshold
+    rows = np.concatenate([buffers[needy], buffers[~needy][:1]])
+    slabs = [rows[lo : lo + _SLAB_ROWS] for lo in range(0, len(rows), _SLAB_ROWS)]
+    solved = np.concatenate([_mpc_decisions(rates, [dt] * h, slab, seg, params) for slab in slabs]).astype(np.uint8)
+    return solved[np.where(needy, np.cumsum(needy) - 1, len(rows) - 1)]
 
 
 def build_mpc_table(
@@ -371,38 +334,33 @@ def build_mpc_table(
     ladder=None,
     segment_duration_s: float = 4.0,
     progress=None,
+    jobs: int = 1,
 ) -> LookupTable:
     """Solve the MPC decision offline for every (tput, buffer, prev) cell.
 
     Future chunk sizes are the nominal ladder bitrate times the segment
-    duration. Cells whose buffer representative exceeds the worst-case
-    stall-free threshold reuse a single stall-free evaluation; the rest
-    run the batched enumeration. The default 100x100x13 binning takes
-    minutes; see ``mpc_table_cells`` for spot computation.
+    duration. Throughput bins are independent; ``jobs`` > 1 solves them
+    in a pool of that many processes, with identical entries.
+    ``progress(done, total)`` is called once per throughput bin, in
+    order. The default 100x100x13 binning takes minutes; see
+    ``mpc_table_cells`` for spot computation.
     """
-    from .media import ladder_default
-
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if ladder is None:
         ladder = ladder_default()
     ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
-    n_reps = len(ladder_kbps)
-    tput_centers = binning.tput_centers()
-    buffer_centers = binning.buffer_centers()
-    entries = np.empty((binning.tput_bins, binning.buffer_bins, n_reps), dtype=np.uint8)
-    for ti, tput in enumerate(tput_centers):
-        threshold = _stall_free_threshold(ladder_kbps, segment_duration_s, params, tput)
-        needy = buffer_centers < threshold
-        if needy.any():
-            entries[ti, needy, :] = _table_block(
-                ladder_kbps, segment_duration_s, params, tput, buffer_centers[needy]
-            )
-        if (~needy).any():
-            free_row = _table_block(
-                ladder_kbps, segment_duration_s, params, tput, buffer_centers[~needy][:1]
-            )
-            entries[ti, ~needy, :] = free_row[0]
-        if progress is not None:
-            progress(ti + 1, binning.tput_bins)
+    solve = functools.partial(_table_bin, ladder_kbps, segment_duration_s, params, buffers=binning.buffer_centers())
+    entries = np.empty((binning.tput_bins, binning.buffer_bins, len(ladder_kbps)), dtype=np.uint8)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1:  # spawned, not forked: fork is unsafe in a process that has threads
+            spawn = multiprocessing.get_context("spawn")
+            mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(jobs, mp_context=spawn)).map
+        for ti, rows in enumerate(mapper(solve, binning.tput_centers())):
+            entries[ti] = rows
+            if progress is not None:
+                progress(ti + 1, binning.tput_bins)
     return LookupTable(
         tput_edges=binning.tput_edges(),
         buffer_edges=binning.buffer_edges(),
@@ -427,8 +385,6 @@ def mpc_table_cells(
     proportionally less; used to audit a table against the exact
     per-state decision.
     """
-    from .media import ladder_default
-
     if ladder is None:
         ladder = ladder_default()
     ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
@@ -437,16 +393,12 @@ def mpc_table_cells(
     by_tput: dict[int, set[int]] = {}
     for ti, bi, _ in cells:
         by_tput.setdefault(ti, set()).add(bi)
-    out: dict[tuple[int, int, int], int] = {}
-    for ti, bis in sorted(by_tput.items()):
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    for ti, bis in by_tput.items():
         bis_sorted = sorted(bis)
-        block = _table_block(
-            ladder_kbps, segment_duration_s, params, tput_centers[ti], buffer_centers[bis_sorted]
-        )
-        for row, bi in enumerate(bis_sorted):
-            for prev in range(len(ladder_kbps)):
-                out[(ti, bi, prev + 1)] = int(block[row, prev])
-    return {cell: out[cell] for cell in cells}
+        block = _table_bin(ladder_kbps, segment_duration_s, params, tput_centers[ti], buffer_centers[bis_sorted])
+        rows.update(((ti, bi), row) for bi, row in zip(bis_sorted, block))
+    return {(ti, bi, prev): int(rows[(ti, bi)][prev - 1]) for ti, bi, prev in cells}
 
 
 def mpc_select_table(state: AbrState, table: LookupTable) -> int:
@@ -542,9 +494,11 @@ class RdosParams:
             raise ValueError("horizon must be >= 1")
 
 
-def rdos_objective(choices, state: AbrState, predicted_tput: float, params: RdosParams) -> float:
-    """KSQI-style horizon score of a choice sequence minus the bitrate term.
+def rdos_select(state: AbrState, params: RdosParams) -> int:
+    """Exhaustive perceptual-objective decision, ties toward the lower rung.
 
+    The objective is the mean KSQI-style quality over the horizon minus
+    the mean penalty, minus ``gamma_rate`` per Mb/s of chosen bitrate.
     Stalls are predicted with the same buffer recursion as MPC; each
     stall is charged against the quality on screen when it hits, and
     every quality switch (including the one from the previously played
@@ -552,72 +506,32 @@ def rdos_objective(choices, state: AbrState, predicted_tput: float, params: Rdos
     """
     manifest = state.manifest
     ladder = manifest.ladder
-    seg = manifest.segment_duration_s
     kp = params.ksqi
-    h = len(choices)
-    first = state.chunk_index - 1
-    sizes = _horizon_sizes(state, h, params)
-    prev_chunk = max(first - 1, 0)
-    q_prev = manifest.quality(prev_chunk, state.last_rep)
-
-    q_acc = 0.0
-    pen_acc = 0.0
-    rate_acc = 0.0
-    buf = state.buffer_s
-    for k, rep in enumerate(choices):
-        q = manifest.quality(first + k, rep)
-        dt = sizes[k][rep - 1] / (predicted_tput * 1000.0) + params.rtt_s
-        buf, stall, _ = buffer_step(buf, dt, seg, params.max_buffer_s)
-        if stall > 0:
-            pen_acc += kp.c0 * np.log1p(stall) * (kp.c1 + kp.c2 * (100.0 - q_prev))
-        delta = q - q_prev
-        pen_acc += kp.beta_neg * max(-delta, 0.0) + kp.beta_pos * max(delta, 0.0)
-        q_acc += q
-        rate_acc += ladder[rep - 1].bitrate_kbps / 1000.0
-        q_prev = q
-    return q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
-
-
-def rdos_select(state: AbrState, params: RdosParams) -> int:
-    """Exhaustive perceptual-objective decision, ties toward the lower rung."""
-    manifest = state.manifest
-    ladder = manifest.ladder
-    seg = manifest.segment_duration_s
-    kp = params.ksqi
-    n_reps = len(ladder)
     h = min(params.horizon, state.remaining_chunks)
     tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
     first = state.chunk_index - 1
-    sizes = _horizon_sizes(state, h, params)
-    dt_by_pos = [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
+    dt_by_pos = [np.array(row) / (tput * 1000.0) + params.rtt_s for row in _horizon_sizes(state, h, params)]
     q_by_pos = [np.array([manifest.quality(first + k, r.index) for r in ladder]) for k in range(h)]
     rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
-    prev_chunk = max(first - 1, 0)
-    q_start = manifest.quality(prev_chunk, state.last_rep)
 
-    digits = _sequence_digits(n_reps, h)
-    n = n_reps**h
-    buf = np.full(n, state.buffer_s)
-    q_acc = np.zeros(n)
-    pen_acc = np.zeros(n)
-    rate_acc = np.zeros(n)
-    q_prev = np.full(n, q_start)
-    for k in range(h):
-        q = q_by_pos[k][digits[k]]
-        dt = dt_by_pos[k][digits[k]]
-        stall = np.maximum(dt - buf, 0.0)
-        buf = np.minimum(buf - np.minimum(buf, dt) + seg, params.max_buffer_s)
-        pen_acc += np.where(
-            stall > 0, kp.c0 * np.log1p(stall) * (kp.c1 + kp.c2 * (100.0 - q_prev)), 0.0
-        )
+    def step(k, choice, stall, acc):
+        q_acc, pen_acc, rate_acc, q_prev = acc
+        q = q_by_pos[k][choice]
+        pen_acc += np.where(stall > 0, kp.c0 * np.log1p(stall) * (kp.c1 + kp.c2 * (100.0 - q_prev)), 0.0)
         delta = q - q_prev
         pen_acc += kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0)
         q_acc += q
-        rate_acc += rates[digits[k]]
-        q_prev = q
+        rate_acc += rates[choice]
+        return q_acc, pen_acc, rate_acc, q
+
+    zero = np.zeros(1)
+    q_start = np.array([manifest.quality(max(first - 1, 0), state.last_rep)])
+    q_acc, pen_acc, rate_acc, _ = _enumerate(
+        np.array([state.buffer_s]), dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
+        (zero, zero, zero, q_start), step,
+    )
     scores = q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
-    best = int(np.argmax(scores))
-    return int(digits[0][best]) + 1
+    return int(np.argmax(scores)) // len(ladder) ** (h - 1) + 1
 
 
 class FixedPolicy:

@@ -9,7 +9,7 @@ Subcommands::
     stats       correlation criteria and significance matrices
     traces      ingest/window/filter raw bandwidth traces
 
-Every command is deterministic given (config, seed) and overwrites its
+Every command is deterministic given the config and overwrites its
 outputs atomically. Grid cells fail in isolation; the exit code is 0
 only when every cell succeeded.
 """
@@ -214,6 +214,7 @@ def cmd_mpc_table(config: dict, args) -> int:
         binning,
         ladder=ladder,
         segment_duration_s=float(block.get("segment_duration_s", 4.0)),
+        jobs=args.jobs,
     )
     out_dir = Path(args.out or config.get("out_dir", "out"))
     out_path = out_dir / "mpc_table.bin"
@@ -404,15 +405,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="abrbench", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel grid cells or table throughput bins")
     parser.add_argument("--out", default=None, help="override the config output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
         return COMMANDS[args.command](config, args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"abrbench {args.command}: {exc}", file=sys.stderr)

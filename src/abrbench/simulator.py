@@ -112,7 +112,7 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
     view of the player. Deterministic: identical inputs produce an
     identical log.
     """
-    from .abr import AbrState  # local import: abr depends on simulator's buffer_step
+    from .abr import AbrState  # local import: abr imports qoe, which imports simulator
 
     n = manifest.segment_count
     seg = manifest.segment_duration_s

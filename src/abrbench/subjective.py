@@ -490,7 +490,7 @@ def sensitivity_report_to_csv(report: SensitivityReport) -> str:
     lines = ["subject_id,s_r,s_q,s_a,n_r_bar,n_r,n_q,n_q_bar,n_a,n_a_bar"]
     for row in report.rows:
         def fmt(x):
-            return "" if x is None else repr(x)
+            return "" if x is None else repr(float(x))
         sizes = row.set_sizes
         lines.append(
             f"{row.subject},{fmt(row.s_r)},{fmt(row.s_q)},{fmt(row.s_a)},"

@@ -72,6 +72,75 @@ def buffer_walk(buffer_s, dts, seg, cap):
     return b, stalls
 
 
+def _horizon_sizes(state, h, params):
+    """Per-position, per-rung chunk sizes (bits): manifest or nominal rate x duration."""
+    manifest = state.manifest
+    if params.use_manifest_sizes:
+        first = state.chunk_index - 1
+        return [[manifest.size_bits(first + k, r.index) for r in manifest.ladder] for k in range(h)]
+    nominal = [r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in manifest.ladder]
+    return [nominal] * h
+
+
+def _stalls(choices, state, predicted_tput, params):
+    """Stall seconds of each position of a 1-based choice sequence, by :func:`buffer_walk`."""
+    sizes = _horizon_sizes(state, len(choices), params)
+    dts = [sizes[k][c - 1] / (predicted_tput * 1000.0) + params.rtt_s for k, c in enumerate(choices)]
+    return buffer_walk(state.buffer_s, dts, state.manifest.segment_duration_s, params.max_buffer_s)[1]
+
+
+def mpc_objective(choices, state, predicted_tput, params):
+    """Bitrate objective of one 1-based choice sequence.
+
+    Sum of chosen bitrates (Mb/s), minus ``lambda_switch`` times the
+    magnitude of every bitrate switch (including the step from the
+    previously downloaded chunk), minus ``mu_rebuf`` times the stall
+    seconds predicted with download time size/predicted_tput + rtt.
+    """
+    ladder = state.manifest.ladder
+    rates = [ladder[c - 1].bitrate_kbps / 1000.0 for c in choices]
+    stalls = _stalls(choices, state, predicted_tput, params)
+    rate_acc = 0.0
+    sw_inner = 0.0
+    stall_acc = 0.0
+    for k, rate in enumerate(rates):
+        stall_acc += stalls[k]
+        rate_acc += rate
+        if k > 0:
+            sw_inner += abs(rate - rates[k - 1])
+    last_rate = ladder[state.last_rep - 1].bitrate_kbps / 1000.0
+    score = (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
+    return score - params.lambda_switch * abs(rates[0] - last_rate)
+
+
+def rdos_objective(choices, state, predicted_tput, params):
+    """KSQI-style horizon score of a 1-based choice sequence minus the bitrate term.
+
+    Each stall is charged against the quality on screen when it hits;
+    every quality switch (including the one from the previously played
+    chunk) pays the asymmetric adaptation penalty.
+    """
+    manifest = state.manifest
+    kp = params.ksqi
+    h = len(choices)
+    first = state.chunk_index - 1
+    stalls = _stalls(choices, state, predicted_tput, params)
+    q_prev = manifest.quality(max(first - 1, 0), state.last_rep)
+    q_acc = 0.0
+    pen = 0.0
+    rate_acc = 0.0
+    for k, c in enumerate(choices):
+        q = manifest.quality(first + k, c)
+        if stalls[k] > 0:
+            pen += kp.c0 * np.log1p(stalls[k]) * (kp.c1 + kp.c2 * (100.0 - q_prev))
+        delta = q - q_prev
+        pen += kp.beta_neg * max(-delta, 0.0) + kp.beta_pos * max(delta, 0.0)
+        q_acc += q
+        rate_acc += manifest.ladder[c - 1].bitrate_kbps / 1000.0
+        q_prev = q
+    return q_acc / h - pen / h - params.gamma_rate * rate_acc
+
+
 def mpc_enumerate(state, params, predicted_tput):
     """Exhaustive MPC: best first rung by scanning every sequence.
 

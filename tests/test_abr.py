@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -18,7 +19,6 @@ from abrbench.abr import (
     harmonic_mean_predict,
     load_table,
     make_policy,
-    mpc_objective,
     mpc_select_exact,
     mpc_select_table,
     mpc_table_cells,
@@ -29,7 +29,7 @@ from abrbench.abr import (
 from abrbench.media import Manifest, Representation, SegmentInfo
 from abrbench.qoe import KsqiParams
 
-from oracles import mpc_enumerate, rdos_enumerate
+from oracles import buffer_walk, mpc_enumerate, mpc_objective, rdos_enumerate, rdos_objective
 
 
 def toy_manifest(n_reps=3, segments=10, seed=0, quality_jitter=0.0):
@@ -248,6 +248,75 @@ def test_mpc_select_matches_enumeration_full_ladder():
     assert mpc_select_exact(st_, params) == expect
 
 
+def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
+    # every sequence comes out in lexicographic order and carries the
+    # stall seconds of the oracle's buffer walk, bit for bit; a small
+    # buffer cap makes both stalls and capping frequent
+    rng = random.Random(21)
+    for _ in range(30):
+        n, h = rng.randint(2, 4), rng.randint(1, 4)
+        seg = 4.0
+        cap = rng.uniform(seg, 3 * seg)
+        dt_by_pos = [np.array([rng.uniform(0.1, 3 * seg) for _ in range(n)]) for _ in range(h)]
+        buffers = np.array([rng.uniform(0.0, cap) for _ in range(3)])
+
+        def step(k, choice, stall, acc):
+            code, stall_acc = acc
+            return code * n + choice, stall_acc + stall
+
+        code, stall_acc = abr._enumerate(
+            buffers[:, None], dt_by_pos, seg, cap, (np.zeros(1), np.zeros((len(buffers), 1))), step
+        )
+        assert code.tolist() == list(range(n**h))
+        for i, b0 in enumerate(buffers):
+            for j, seq in enumerate(itertools.product(range(n), repeat=h)):
+                _, stalls = buffer_walk(b0, [dt_by_pos[k][c] for k, c in enumerate(seq)], seg, cap)
+                expect = 0.0
+                for x in stalls:
+                    expect += x
+                assert stall_acc[i, j] == expect
+
+
+@st.composite
+def random_ladder_states(draw):
+    """A state on a random 2-5-rung ladder with jittered sizes and arbitrary qualities."""
+    n_reps = draw(st.integers(min_value=2, max_value=5))
+    rates = sorted(draw(st.lists(st.floats(100.0, 20000.0), min_size=n_reps, max_size=n_reps, unique=True)))
+    segments = draw(st.integers(min_value=1, max_value=10))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ladder = tuple(Representation(i + 1, 320 * (i + 1), 180 * (i + 1), r) for i, r in enumerate(rates))
+    rows = tuple(
+        tuple(SegmentInfo(size_bits=r * 4000.0 * rng.uniform(0.8, 1.2), quality=rng.uniform(0.0, 100.0)) for r in rates)
+        for _ in range(segments)
+    )
+    return state_for(
+        Manifest(4.0, ladder, rows),
+        chunk_index=draw(st.integers(min_value=1, max_value=segments)),
+        buffer_s=draw(st.floats(0.0, 60.0)),
+        last_rep=draw(st.integers(min_value=1, max_value=n_reps)),
+        history=draw(st.lists(st.floats(50.0, 30000.0), min_size=1, max_size=6)),
+    )
+
+
+@given(
+    random_ladder_states(),
+    st.integers(min_value=1, max_value=4),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 1.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_enumeration_kernel_matches_oracles(state, horizon, lambda_switch, mu_rebuf, gamma_rate):
+    tput = harmonic_mean_predict(state.throughput_history_kbps, 5)
+    for manifest_sizes in (False, True):
+        params = MpcObjectiveParams(
+            lambda_switch=lambda_switch, mu_rebuf=mu_rebuf, horizon=horizon, use_manifest_sizes=manifest_sizes
+        )
+        assert mpc_select_exact(state, params) == mpc_enumerate(state, params, tput)[0]
+    rdos = RdosParams(gamma_rate=gamma_rate, horizon=horizon)
+    assert rdos_select(state, rdos) == rdos_enumerate(state, rdos, tput)[0]
+
+
 def test_table_extreme_cells():
     params = MpcObjectiveParams()
     rich = build_mpc_table(params, TableBinning(tput_bins=10, buffer_bins=10, tput_max_kbps=20000.0))
@@ -318,7 +387,36 @@ def test_table_save_load_bit_exact(tmp_path):
     assert (tmp_path / "table.bin").read_bytes() == (tmp_path / "table2.bin").read_bytes()
 
 
+def test_table_parallel_build_matches_serial():
+    binning = TableBinning(tput_bins=5, buffer_bins=6, tput_max_kbps=9000.0)
+    params = MpcObjectiveParams(horizon=2)
+    serial = build_mpc_table(params, binning)
+    calls = []
+    parallel = build_mpc_table(params, binning, progress=lambda done, total: calls.append((done, total)), jobs=2)
+    assert np.array_equal(parallel.entries, serial.entries)
+    assert calls == [(i, 5) for i in range(1, 6)]
+    with pytest.raises(ValueError):
+        build_mpc_table(params, binning, jobs=0)
+
+
 # --- RDOS --------------------------------------------------------------------
+
+def test_rdos_objective_hand_value():
+    ladder = (Representation(1, 320, 180, 500.0), Representation(2, 640, 360, 2000.0))
+    rows = tuple((SegmentInfo(500.0 * 4000.0, 40.0), SegmentInfo(2000.0 * 4000.0, 80.0)) for _ in range(6))
+    m = Manifest(4.0, ladder, rows)
+    kp = KsqiParams()
+    params = RdosParams(gamma_rate=0.1, horizon=3)
+    # ample buffer: up 40, flat, down 40; no stall
+    st_ = state_for(m, chunk_index=2, buffer_s=50.0, last_rep=1, history=[2000.0])
+    expect = 200.0 / 3 - (kp.beta_pos * 40.0 + kp.beta_neg * 40.0) / 3 - 0.1 * 4.5
+    assert rdos_objective([2, 2, 1], st_, 2000.0, params) == pytest.approx(expect)
+    # empty buffer: a 4.08 s stall charged against the 40-quality chunk on screen
+    empty = state_for(m, chunk_index=2, buffer_s=0.0, last_rep=1, history=[2000.0])
+    stall = 2000.0 * 4000.0 / 2e6 + params.rtt_s
+    penalty = kp.c0 * np.log1p(stall) * (kp.c1 + kp.c2 * 60.0) + kp.beta_pos * 40.0
+    assert rdos_objective([2], empty, 2000.0, params) == pytest.approx(80.0 - penalty - 0.1 * 2.0)
+
 
 def test_rdos_degenerate_objective_prefers_lowest():
     # equal qualities everywhere and no bitrate term: every sequence

@@ -124,6 +124,9 @@ def test_mpc_table_build_and_reload(tmp_path):
     first = path.read_bytes()
     assert run(["mpc-table", "--config", cfg]) == 0
     assert path.read_bytes() == first
+    # throughput bins solved in two worker processes: same bytes
+    assert run(["mpc-table", "--config", cfg, "--jobs", "2"]) == 0
+    assert path.read_bytes() == first
 
 
 def test_mpc_table_default_geometry_reported(tmp_path, capsys):

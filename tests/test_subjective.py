@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import numpy as np
@@ -288,6 +290,22 @@ def test_sensitivity_report_handles_missing_sets():
     assert all(row.s_r is None for row in report.rows)  # sets far too small
     report2 = build_sensitivity_report(m, parts, min_set=1)
     assert all(row.s_a is None for row in report2.rows)  # no varying videos at all
+
+
+def test_sensitivity_csv_cells_are_plain_floats():
+    rng = np.random.default_rng(1)
+    m = simple_matrix(rng.uniform(20, 90, size=(2, 12)))
+    parts = {
+        "q_r_bar": ["v0", "v1", "v2"], "q_r": ["v3", "v4", "v5"],
+        "q_q": ["v6", "v7", "v8"], "q_q_bar": ["v9", "v10", "v11"],
+        "q_a": ["v0", "v2", "v4"], "q_a_bar": ["v1", "v3", "v5"],
+    }
+    text = subjective.sensitivity_report_to_csv(build_sensitivity_report(m, parts, min_set=3))
+    rows = list(csv.DictReader(io.StringIO(text)))
+    cells = [row[k] for row in rows for k in ("s_r", "s_q", "s_a")]
+    assert len(cells) == 6 and all(cells)
+    for cell in cells:
+        assert repr(float(cell)) == cell
 
 
 def test_personal_mean_cdf_single_subject():
