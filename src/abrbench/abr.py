@@ -642,9 +642,11 @@ class ExternalPolicy:
         return int(line.strip())
 
     def close(self):
-        if self._proc.poll() is None:
+        """Close both pipes and reap the child, which may already have exited."""
+        with contextlib.suppress(BrokenPipeError):  # unflushed input to a dead child
             self._proc.stdin.close()
-            self._proc.wait(timeout=10)
+        self._proc.stdout.close()
+        self._proc.wait(timeout=10)
 
     def __enter__(self):
         return self

@@ -410,6 +410,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         config = _load_config(args.config)
         return COMMANDS[args.command](config, args)
     except (FileNotFoundError, ValueError) as exc:

@@ -13,6 +13,7 @@ single unit against kb/s bandwidth values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -42,8 +43,8 @@ class SegmentInfo:
     quality: float  # perceptual score in [0, 100], device-adapted
 
     def __post_init__(self):
-        if not (self.size_bits > 0):
-            raise ValueError(f"non-positive segment size {self.size_bits}")
+        if not 0 < self.size_bits < math.inf:
+            raise ValueError(f"segment size must be finite and > 0, got {self.size_bits!r}")
         if not (0.0 <= self.quality <= 100.0):
             raise ValueError(f"quality {self.quality} outside [0, 100]")
 

@@ -6,6 +6,10 @@ round-trip latency charged once per request before any bits flow. This
 replaces packet-level emulation with the chunk-granularity timing that
 ABR logic actually consumes.
 
+Each trace derives its timeline (interval edges, rates in bit/s, bits
+per loop) once, on first use, and every reader shares it. A download is
+one walk over that timeline; on wrapping it skips whole loops.
+
 Supported on-disk formats (bit-exact definitions in
 docs/file_formats.md):
 
@@ -18,8 +22,10 @@ docs/file_formats.md):
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 TRACE_FORMATS = ("granular_5s", "granular_1s", "pairs")
 
@@ -36,8 +42,8 @@ class ChannelConfig:
     loop_trace: bool = True  # wrap the trace when a session outlasts it
 
     def __post_init__(self):
-        if self.rtt_s < 0:
-            raise ValueError("rtt_s must be >= 0")
+        if not 0 <= self.rtt_s < math.inf:
+            raise ValueError(f"rtt_s must be finite and >= 0, got {self.rtt_s!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ class Trace:
     ``samples[i] = (start_time_s, bandwidth_kbps)``: the i-th value
     holds from its start time until the next start (or ``duration_s``
     for the last sample). Start times are strictly increasing and begin
-    at 0.
+    at 0; bandwidths are finite and >= 0; ``duration_s`` is finite and
+    > 0.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -58,29 +65,44 @@ class Trace:
             raise ValueError("empty trace")
         if self.samples[0][0] != 0.0:
             raise ValueError("first sample must start at time 0")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s!r}")
         prev = -1.0
         for t, bw in self.samples:
-            if t <= prev:
+            if not t > prev:
                 raise ValueError("sample start times must be strictly increasing")
-            if bw < 0:
-                raise ValueError(f"negative bandwidth {bw}")
+            if not 0 <= bw < math.inf:
+                raise ValueError(f"bandwidth must be finite and >= 0, got {bw!r}")
             prev = t
-        if self.duration_s < self.samples[-1][0]:
+        if self.duration_s < prev:
             raise ValueError("duration_s shorter than last sample start")
+
+    @cached_property
+    def timeline(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        """``(edges, rates, loop_bits)``, derived once per trace.
+
+        Sample ``i`` holds over ``[edges[i], edges[i + 1])`` (the last
+        edge is ``duration_s``) at ``rates[i]`` bit/s; ``loop_bits`` is
+        what one full pass of the trace carries.
+        """
+        edges = tuple(s for s, _ in self.samples) + (self.duration_s,)
+        rates = tuple(bw * 1000.0 for _, bw in self.samples)
+        loop_bits = 0.0
+        for i, rate in enumerate(rates):
+            loop_bits += rate * (edges[i + 1] - edges[i])
+        return edges, rates, loop_bits
+
+    def _index_at(self, t: float) -> int:
+        """Index of the sample in effect at local time ``t``."""
+        return max(bisect_right(self.timeline[0], t, 0, len(self.samples)) - 1, 0)
 
     def bandwidth_at(self, t: float) -> float:
         """Bandwidth (kb/s) in effect at local time ``t`` in [0, duration)."""
-        starts = [s for s, _ in self.samples]
-        i = bisect_right(starts, t) - 1
-        return self.samples[max(i, 0)][1]
+        return self.samples[self._index_at(t)][1]
 
     def mean_kbps(self) -> float:
         """Time-weighted mean bandwidth over the full duration."""
-        total = 0.0
-        for i, (t, bw) in enumerate(self.samples):
-            end = self.samples[i + 1][0] if i + 1 < len(self.samples) else self.duration_s
-            total += bw * (end - t)
-        return total / self.duration_s
+        return self.timeline[2] / 1000.0 / self.duration_s
 
 
 def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trace:
@@ -103,8 +125,8 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
         samples = []
         for k, ln in enumerate(lines):
             bw = float(ln)
-            if bw < 0:
-                raise ValueError(f"negative bandwidth {bw!r} on line {k + 1}")
+            if not 0 <= bw < math.inf:
+                raise ValueError(f"bandwidth {bw!r} on line {k + 1} is not finite and >= 0")
             samples.append((k * step, bw))
         return Trace(samples=tuple(samples), duration_s=duration_s if duration_s is not None else len(lines) * step)
 
@@ -115,8 +137,8 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
         if len(parts) != 2:
             raise ValueError(f"malformed pair on line {k + 1}: {ln!r}")
         t, bw = float(parts[0]), float(parts[1])
-        if bw < 0:
-            raise ValueError(f"negative bandwidth {bw!r} on line {k + 1}")
+        if not 0 <= bw < math.inf:
+            raise ValueError(f"bandwidth {bw!r} on line {k + 1} is not finite and >= 0")
         samples.append((t, bw))
     if duration_s is None:
         if len(samples) >= 2:
@@ -138,17 +160,16 @@ def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) 
     Each output window is re-origined to time 0 and preserves the
     time-weighted mean bandwidth of the span it covers.
     """
-    if stride_s <= 0:
+    if not stride_s > 0:
         raise ValueError("stride_s must be > 0")
-    if window_s <= 0:
+    if not window_s > 0:
         raise ValueError("window_s must be > 0")
     if window_s > trace.duration_s:
         raise ValueError(f"window {window_s}s longer than trace ({trace.duration_s}s)")
-    starts = [s for s, _ in trace.samples]
     out = []
     t0 = 0.0
     while t0 + window_s <= trace.duration_s + 1e-12:
-        i = max(bisect_right(starts, t0) - 1, 0)
+        i = trace._index_at(t0)
         samples = [(0.0, trace.samples[i][1])]
         for s, bw in trace.samples[i + 1:]:
             if s >= t0 + window_s:
@@ -178,70 +199,45 @@ def download_time(trace: Trace, channel: ChannelConfig, start_time_s: float, siz
     wall time. With ``loop_trace`` the timeline wraps modulo the trace
     duration; otherwise running out of trace raises
     :class:`TraceExhaustedError`.
+
+    One walk over the trace's cached timeline from the interval the
+    bits start in. On wrapping past the trace end it skips the whole
+    loops outstanding, so it walks about two passes at most.
     """
-    if size_bits < 0:
-        raise ValueError("size_bits must be >= 0")
-    if start_time_s < 0:
-        raise ValueError("start_time_s must be >= 0")
+    if not 0 <= size_bits < math.inf:
+        raise ValueError(f"size_bits must be finite and >= 0, got {size_bits!r}")
+    if not 0 <= start_time_s < math.inf:
+        raise ValueError(f"start_time_s must be finite and >= 0, got {start_time_s!r}")
     if size_bits == 0:
         return channel.rtt_s
 
-    starts = [s for s, _ in trace.samples]
-    rates = [bw * 1000.0 for _, bw in trace.samples]  # bits per second
-    n = len(starts)
+    edges, rates, loop_bits = trace.timeline
     duration = trace.duration_s
-
     t = start_time_s + channel.rtt_s
     if not channel.loop_trace and t >= duration:
         raise TraceExhaustedError(f"request at {start_time_s}s lands beyond trace end ({duration}s)")
-
-    # bits available in one full pass of the trace
-    loop_bits = 0.0
-    for i in range(n):
-        end = starts[i + 1] if i + 1 < n else duration
-        loop_bits += rates[i] * (end - starts[i])
+    if channel.loop_trace and loop_bits <= 0.0:
+        raise TraceExhaustedError("trace carries zero bandwidth over a full loop")
 
     remaining = size_bits
     elapsed = 0.0
     local = t % duration if channel.loop_trace else t
-
-    if channel.loop_trace and loop_bits <= 0.0:
-        raise TraceExhaustedError("trace carries zero bandwidth over a full loop")
-    if channel.loop_trace and remaining > loop_bits:
-        # skip whole loops analytically; finish within the last partial pass
-        head_bits = 0.0
-        i = max(bisect_right(starts, local) - 1, 0)
-        pos = local
-        while pos < duration:
-            end = starts[i + 1] if i + 1 < n else duration
-            head_bits += rates[i] * (end - pos)
-            pos = end
-            i += 1
-        if remaining > head_bits:
-            whole = (remaining - head_bits) // loop_bits
-            elapsed += (duration - local) + whole * duration
-            remaining -= head_bits + whole * loop_bits
-            local = 0.0
-            if remaining <= 0.0:  # landed exactly on a loop boundary
-                remaining = 0.0
-
-    while remaining > 0.0:
-        if not channel.loop_trace and local >= duration:
-            raise TraceExhaustedError(
-                f"trace exhausted with {remaining:.0f} bits remaining (loop_trace=False)"
-            )
-        i = max(bisect_right(starts, local) - 1, 0)
-        end = starts[i + 1] if i + 1 < n else duration
+    i = trace._index_at(local)
+    while True:
         rate = rates[i]
-        span = end - local
+        span = edges[i + 1] - local
         if rate > 0 and remaining <= rate * span:
-            elapsed += remaining / rate
-            remaining = 0.0
-        else:
-            remaining -= rate * span
-            elapsed += span
-            local = end
-            if channel.loop_trace and local >= duration:
-                local = 0.0
-
-    return channel.rtt_s + elapsed
+            return channel.rtt_s + (elapsed + remaining / rate)
+        remaining -= rate * span
+        elapsed += span
+        i += 1
+        local = edges[i]
+        if i == len(rates):
+            if not channel.loop_trace:
+                raise TraceExhaustedError(f"trace exhausted with {remaining:.0f} bits remaining (loop_trace=False)")
+            whole = remaining // loop_bits
+            if whole * loop_bits >= remaining:  # finish inside a loop, not at its very start
+                whole -= 1
+            remaining -= whole * loop_bits
+            elapsed += whole * duration
+            i, local = 0, 0.0

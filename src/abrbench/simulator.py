@@ -143,9 +143,10 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
             throughput_history_kbps=tuple(history),
             manifest=manifest,
         )
-        rep = int(policy.select(state))
-        if not 1 <= rep <= len(manifest.ladder):
-            raise ValueError(f"policy returned invalid representation index {rep}")
+        choice = policy.select(state)
+        if not (float(choice).is_integer() and 1 <= choice <= len(manifest.ladder)):
+            raise ValueError(f"policy returned invalid representation index {choice!r}")
+        rep = int(choice)
         size = manifest.size_bits(k - 1, rep)
         dt = download_time(trace, config.channel, wall, size)
         new_buffer, stall, idle = buffer_step(buffer, dt, seg, config.max_buffer_s)

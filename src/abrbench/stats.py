@@ -195,6 +195,8 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_limit: int = 25) -> tu
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired samples must be equal-length vectors")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired samples must be finite")
     diff = a - b
     diff = diff[diff != 0.0]
     n = len(diff)

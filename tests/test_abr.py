@@ -517,6 +517,12 @@ def test_external_policy_round_trip(tmp_path):
         assert pol.select(st_) == 4
         st2 = state_for(m, last_rep=13, history=[1000.0])
         assert pol.select(st2) == 13
+    assert pol._proc.stdin.closed and pol._proc.stdout.closed
+    # a child that has already exited still gets both pipes closed
+    gone = ExternalPolicy([sys.executable, "-c", "pass"])
+    gone._proc.wait(timeout=10)
+    gone.close()
+    assert gone._proc.stdin.closed and gone._proc.stdout.closed
 
 
 def test_external_policy_drives_a_session(tmp_path):

@@ -86,7 +86,7 @@ def test_simulate_cells_fail_in_isolation(tmp_path):
     assert statuses == ["error", "ok"]
 
 
-def test_simulate_parallel_matches_serial(tmp_path):
+def test_simulate_parallel_matches_serial(tmp_path, capsys):
     manifests, traces = write_inputs(tmp_path, n_traces=2)
     config = {
         "manifests": manifests,
@@ -102,6 +102,10 @@ def test_simulate_parallel_matches_serial(tmp_path):
     cfg2.write_text(json.dumps(config))
     assert run(["simulate", "--config", cfg2, "--jobs", 2]) == 0
     assert (tmp_path / "serial" / "summary.csv").read_text() == (tmp_path / "parallel" / "summary.csv").read_text()
+    # a worker count below one is refused for every command, not run serially
+    for command, jobs in (("simulate", 0), ("simulate", -3), ("stats", 0)):
+        assert run([command, "--config", cfg2, "--jobs", jobs]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_mpc_table_build_and_reload(tmp_path):

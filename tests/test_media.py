@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,3 +132,9 @@ def test_nominal_size():
     m = media.synthetic_manifest(segments=2)
     assert m.nominal_size_bits(1) == pytest.approx(235.0 * 1000 * 4.0)
     assert m.nominal_size_bits(13) == pytest.approx(16800.0 * 1000 * 4.0)
+
+
+def test_non_finite_segment_size_rejected():
+    for size in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="segment size"):
+            media.SegmentInfo(size_bits=size, quality=50.0)

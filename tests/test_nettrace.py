@@ -1,13 +1,15 @@
+import math
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from abrbench import nettrace
 from abrbench.nettrace import ChannelConfig, Trace, TraceExhaustedError
 
 from conftest import random_trace
-from oracles import download_time_ms_steps
+from oracles import download_time_ms_numpy, download_time_ms_steps
 
 
 def test_parse_granular_5s():
@@ -33,6 +35,10 @@ def test_parse_negative_bandwidth_rejected():
         nettrace.parse_trace("-3", "granular_5s")
     with pytest.raises(ValueError):
         nettrace.parse_trace("0,-1", "pairs")
+    with pytest.raises(ValueError, match="line 2"):
+        nettrace.parse_trace("100\nnan", "granular_1s")
+    with pytest.raises(ValueError, match="line 1"):
+        nettrace.parse_trace("0,inf", "pairs")
 
 
 def test_parse_unordered_or_empty_rejected():
@@ -160,6 +166,9 @@ def test_download_rejects_bad_args(flat_trace):
         nettrace.download_time(flat_trace, ChannelConfig(), -1.0, 10.0)
     with pytest.raises(ValueError):
         nettrace.download_time(flat_trace, ChannelConfig(), 0.0, -10.0)
+    for start, size in ((0.0, math.nan), (0.0, math.inf), (math.nan, 10.0), (math.inf, 10.0)):
+        with pytest.raises(ValueError, match="size_bits|start_time_s"):
+            nettrace.download_time(flat_trace, ChannelConfig(), start, size)
 
 
 @given(st.integers(0, 10_000_000), st.integers(0, 10_000_000))
@@ -190,3 +199,100 @@ def test_download_matches_integrator_on_random_cases():
         analytic = nettrace.download_time(trace, ch, start, size)
         stepped = download_time_ms_steps(trace, ch, start, size)
         assert analytic == pytest.approx(stepped, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "samples, duration_s",
+    [
+        (((0.0, 100.0),), 0.0),
+        (((0.0, 100.0),), -1.0),
+        (((0.0, 100.0),), math.nan),
+        (((0.0, 100.0),), math.inf),
+        (((0.0, math.nan),), 10.0),
+        (((0.0, math.inf),), 10.0),
+        (((0.0, 100.0), (math.nan, 100.0)), 10.0),
+    ],
+)
+def test_trace_rejects_non_finite_or_non_positive_values(samples, duration_s):
+    with pytest.raises(ValueError, match="duration_s|bandwidth|start times"):
+        Trace(samples=samples, duration_s=duration_s)
+
+
+def test_channel_rejects_non_finite_rtt():
+    for rtt in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="rtt_s"):
+            ChannelConfig(rtt_s=rtt)
+
+
+def test_download_ending_on_a_loop_boundary():
+    ch = ChannelConfig(rtt_s=0.0)
+    # bits flow only in [1, 2) of each 2 s loop: 2 Mbit are in at t=4,
+    # not one zero-bandwidth second later
+    lead = Trace(samples=((0.0, 0.0), (1.0, 1000.0)), duration_s=2.0)
+    assert nettrace.download_time(lead, ch, 0.0, 2_000_000.0) == 4.0
+    # bits flow only in [0, 1): 2 Mbit are in at t=3, before the zero span
+    trail = Trace(samples=((0.0, 1000.0), (1.0, 0.0)), duration_s=2.0)
+    assert nettrace.download_time(trail, ch, 0.0, 2_000_000.0) == 3.0
+
+
+def test_bandwidth_at_reads_the_interval_in_effect():
+    t = Trace(samples=((0.0, 100.0), (2.0, 0.0), (3.5, 900.0)), duration_s=5.0)
+    assert [t.bandwidth_at(x) for x in (0.0, 1.999, 2.0, 3.4, 3.5, 4.99, 5.0)] == [
+        100.0, 100.0, 0.0, 0.0, 900.0, 900.0, 900.0
+    ]
+
+
+def test_cached_timeline_survives_pickle():
+    fresh = Trace(samples=((0.0, 500.0), (2.0, 0.0), (3.5, 1200.0)), duration_s=5.0)
+    used = Trace(samples=fresh.samples, duration_s=fresh.duration_s)
+    ch = ChannelConfig()
+    before = nettrace.download_time(used, ch, 1.0, 4_000_000.0)
+    assert "timeline" in vars(used)  # derived once, on first use
+    again = pickle.loads(pickle.dumps(used))
+    assert again == fresh and hash(again) == hash(fresh)
+    assert again.timeline == fresh.timeline
+    assert nettrace.download_time(again, ch, 1.0, 4_000_000.0) == before
+
+
+@st.composite
+def ms_traces(draw):
+    """Traces on a 1 ms grid with integer kb/s values (so the oracle's
+    per-millisecond sums are exact), zero-bandwidth spans included."""
+    spans_ms = draw(st.lists(st.integers(1, 1500), min_size=1, max_size=6))
+    rates = [draw(st.just(0) | st.integers(50, 20_000)) for _ in spans_ms]
+    starts = [sum(spans_ms[:k]) / 1000.0 for k in range(len(spans_ms))]
+    samples = tuple((s, float(r)) for s, r in zip(starts, rates))
+    return Trace(samples=samples, duration_s=sum(spans_ms) / 1000.0), spans_ms, rates
+
+
+@given(ms_traces(), st.booleans(), st.integers(0, 200), st.data())
+@settings(max_examples=150, deadline=None)
+def test_download_matches_numpy_oracle_across_loops(drawn, loop, rtt_ms, data):
+    trace, spans_ms, rates = drawn
+    duration_ms = sum(spans_ms)
+    loop_bits = float(sum(r * s for r, s in zip(rates, spans_ms)))  # kb/s x ms = bits
+    start_ms = data.draw(st.integers(0, 4 * duration_ms), label="start_ms")
+    # up to five loops' bits (1 Mbit when the trace carries none), so the walk wraps
+    # and skips whole loops; exact multiples of a loop are included
+    size = data.draw(st.integers(0, 5000), label="size_permille") * (loop_bits or 1e6) / 1000.0
+    ch = ChannelConfig(rtt_s=rtt_ms / 1000.0, loop_trace=loop)
+    start = start_ms / 1000.0
+
+    def oracle(bits):
+        try:
+            return download_time_ms_numpy(trace, ch, start, bits)
+        except ValueError:
+            return None
+
+    expected = oracle(size)
+    # Where the completion time jumps (the bits run out just as a zero-bandwidth
+    # span or the end of a non-looping trace begins) the answer is not
+    # continuous in size; both sides are exact to the bit, so skip those sizes.
+    for nearby in (oracle(size * (1 - 1e-9)), oracle(size * (1 + 1e-9))):
+        assume((nearby is None) == (expected is None))
+        assume(expected is None or abs(nearby - expected) < 1e-4)
+    if expected is None:
+        with pytest.raises(TraceExhaustedError):
+            nettrace.download_time(trace, ch, start, size)
+    else:
+        assert nettrace.download_time(trace, ch, start, size) == pytest.approx(expected, abs=1e-6)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -207,9 +208,16 @@ def test_invalid_policy_output_rejected():
     m = media.synthetic_manifest(segments=3)
     tr = nettrace.parse_trace("0,700", "pairs", duration_s=1000.0)
 
-    class Bad:
-        def select(self, state):
-            return 99
+    class Returns:
+        def __init__(self, value):
+            self.value = value
 
-    with pytest.raises(ValueError):
-        run_session(m, tr, Bad(), PlayerConfig())
+        def select(self, state):
+            return self.value
+
+    for bad in (99, 2.7):  # out of the ladder, or not integral (never truncated)
+        with pytest.raises(ValueError, match=str(bad)):
+            run_session(m, tr, Returns(bad), PlayerConfig())
+    for integral in (3.0, np.int64(3)):
+        assert run_session(m, tr, Returns(integral), PlayerConfig()).choices == (1, 3, 3)
+

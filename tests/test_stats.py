@@ -366,3 +366,13 @@ def test_matrix_invariants_enforced():
             cells=((INDISTINGUISHABLE, ROW_BETTER), (ROW_BETTER, INDISTINGUISHABLE)),
             p_values=((1.0, 0.01), (0.01, 1.0)),
         )
+
+
+def test_wilcoxon_rejects_non_finite_samples():
+    a = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
+    b = [9.0, 9.5, 10.0, 11.0, 12.0, 13.0, 14.0]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(a[:-1] + [bad], b)
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(a, b[:-1] + [bad])
