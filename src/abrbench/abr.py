@@ -21,6 +21,9 @@ starting buffers through the same kernel. Every sequence accumulates
 its terms in position order, so a straight re-implementation of either
 formula produces bit-identical objective values (and therefore
 identical argmax decisions).
+
+Predictors and ``ExternalPolicy`` check the throughput samples they read
+through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import concurrent.futures
 import contextlib
 import functools
 import json
+import math
 import multiprocessing
 import subprocess
 from dataclasses import dataclass, field
@@ -41,7 +45,7 @@ from .qoe import KsqiParams
 
 @dataclass(frozen=True)
 class AbrState:
-    """Decision inputs exposed to a policy before each chunk download."""
+    """Decision inputs before each chunk download; samples are checked where read (``_recent``)."""
 
     chunk_index: int  # 1-based ordinal of the chunk about to be requested
     buffer_s: float
@@ -50,35 +54,38 @@ class AbrState:
     manifest: Manifest
 
     def __post_init__(self):
-        if self.buffer_s < 0:
-            raise ValueError("buffer_s must be >= 0")
+        if not 0.0 <= self.buffer_s < math.inf:
+            raise ValueError(f"buffer_s must be finite and >= 0, got {self.buffer_s!r}")
         if not 1 <= self.last_rep <= len(self.manifest.ladder):
             raise ValueError(f"last_rep {self.last_rep} not in ladder")
-        if any(t <= 0 for t in self.throughput_history_kbps):
-            raise ValueError("throughput samples must be > 0")
 
     @property
     def remaining_chunks(self) -> int:
         return self.manifest.segment_count - self.chunk_index + 1
 
 
+def _recent(history, window: int):
+    """The last ``window`` throughput samples (kb/s), each checked finite and > 0."""
+    tail = history[-window:]
+    if not tail:
+        raise ValueError("empty throughput history")
+    for x in tail:
+        if not 0.0 < x < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"throughput samples must be finite and > 0, got {x!r}")
+    return tail
+
+
 def arithmetic_mean_predict(history, window: int = 5) -> float:
     """Mean of the last ``window`` throughput samples (kb/s)."""
-    if not history:
-        raise ValueError("empty throughput history")
-    tail = list(history)[-window:]
+    tail = _recent(history, window)
     return sum(tail) / len(tail)
 
 
 def harmonic_mean_predict(history, window: int = 5) -> float:
     """Harmonic mean of the last ``window`` throughput samples (kb/s)."""
-    if not history:
-        raise ValueError("empty throughput history")
-    tail = list(history)[-window:]
+    tail = _recent(history, window)
     acc = 0.0
     for x in tail:
-        if x <= 0:
-            raise ValueError("throughput samples must be > 0")
         acc += 1.0 / x
     return len(tail) / acc
 
@@ -146,16 +153,16 @@ class MpcObjectiveParams:
             raise ValueError("horizon must be >= 1")
 
 
-def _horizon_sizes(state: AbrState, h: int, params) -> list[list[float]]:
-    """Per-position, per-rep chunk sizes (bits) for the lookahead."""
+def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> list[np.ndarray]:
+    """Per-position, per-rep download times (s) over the lookahead at ``tput`` kb/s."""
     manifest = state.manifest
     ladder = manifest.ladder
-    seg = manifest.segment_duration_s
-    if getattr(params, "use_manifest_sizes", False):
+    if params.use_manifest_sizes:
         first = state.chunk_index - 1
-        return [[manifest.size_bits(first + k, r.index) for r in ladder] for k in range(h)]
-    nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
-    return [nominal] * h
+        sizes = [[manifest.size_bits(first + k, r.index) for r in ladder] for k in range(h)]
+    else:
+        sizes = [[r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in ladder]] * h
+    return [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
 
 
 def _enumerate(buffer0, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step) -> tuple:
@@ -238,7 +245,7 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
         else harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
     )
     rates = np.array([r.bitrate_kbps / 1000.0 for r in state.manifest.ladder])
-    dt_by_pos = [np.array(row) / (tput * 1000.0) + params.rtt_s for row in _horizon_sizes(state, h, params)]
+    dt_by_pos = _horizon_download_times(state, h, params, tput)
     best = _mpc_decisions(rates, dt_by_pos, [state.buffer_s], state.manifest.segment_duration_s, params)
     return int(best[0, state.last_rep - 1])
 
@@ -510,7 +517,7 @@ def rdos_select(state: AbrState, params: RdosParams) -> int:
     h = min(params.horizon, state.remaining_chunks)
     tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
     first = state.chunk_index - 1
-    dt_by_pos = [np.array(row) / (tput * 1000.0) + params.rtt_s for row in _horizon_sizes(state, h, params)]
+    dt_by_pos = _horizon_download_times(state, h, params, tput)
     q_by_pos = [np.array([manifest.quality(first + k, r.index) for r in ladder]) for k in range(h)]
     rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
 
@@ -624,7 +631,7 @@ class ExternalPolicy:
             "chunk_index": state.chunk_index,
             "buffer_s": state.buffer_s,
             "last_rep": state.last_rep,
-            "throughput_history_kbps": list(state.throughput_history_kbps),
+            "throughput_history_kbps": list(_recent(state.throughput_history_kbps, len(state.throughput_history_kbps))),
             "segment_duration_s": manifest.segment_duration_s,
             "ladder_kbps": [r.bitrate_kbps for r in manifest.ladder],
             "future_sizes_bits": [

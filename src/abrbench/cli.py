@@ -230,9 +230,6 @@ def cmd_qoe(config: dict, args) -> int:
     if not records_dir.exists():
         raise FileNotFoundError(f"records directory not found: {records_dir}")
     models = config.get("qoe_models", [{"id": mid} for mid in sorted(qoe.MODELS)])
-    for spec in models:
-        if spec.get("command"):
-            qoe.register_external_model(spec["id"], spec["command"])
     rows = []
     failed = 0
     for path in sorted(records_dir.glob("*.record.json")):
@@ -241,7 +238,10 @@ def cmd_qoe(config: dict, args) -> int:
         for spec in models:
             params = {k: v for k, v in spec.items() if k not in ("id", "command", "name")}
             try:
-                score = qoe.evaluate(spec["id"], record, params or None)
+                if spec.get("command"):
+                    score = qoe.evaluate_external(spec["id"], record, spec["command"])
+                else:
+                    score = qoe.evaluate(spec["id"], record, params or None)
                 rows.append((video_id, spec["id"], score.value))
             except Exception as exc:
                 failed += 1

@@ -4,7 +4,7 @@ Nine knowledge-driven models are registered under ``evaluate``; each is
 a pure function of the record and its coefficient set. The default
 coefficients are recorded in docs/model_parameters.md. Learned models
 (feature-regression or standardized bitstream models) are supported
-only through the external-command stub.
+only through an external command, ``evaluate_external``.
 
 Bitrates enter the linear models in Mb/s; quality scores are the 0-100
 per-segment values carried by the record.
@@ -262,26 +262,18 @@ MODELS = {
     "ksqi": qoe_ksqi,
 }
 
-_EXTERNAL: dict[str, list[str]] = {}
 
+def evaluate_external(model_id: str, record: SessionRecord, command) -> QoeScore:
+    """Score ``record`` under a model that lives outside this package, as ``model_id``.
 
-def register_external_model(model_id: str, command) -> None:
-    """Register a model scored by an external command.
-
-    The command receives one SessionRecord JSON document on stdin and
-    must print a single scalar. Used for learned or standardized models
-    whose implementations live outside this package.
+    ``command`` reads one SessionRecord JSON document on stdin and prints a single scalar.
     """
-    _EXTERNAL[model_id] = list(command)
+    proc = subprocess.run(list(command), input=record_to_json(record), capture_output=True, text=True, check=True)
+    return QoeScore(value=float(proc.stdout.strip().splitlines()[-1]), model_id=model_id)
 
 
 def evaluate(model_id: str, record: SessionRecord, params: dict | KsqiParams | None = None) -> QoeScore:
-    """Score ``record`` under the registered model ``model_id``."""
-    if model_id in _EXTERNAL:
-        proc = subprocess.run(
-            _EXTERNAL[model_id], input=record_to_json(record), capture_output=True, text=True, check=True
-        )
-        return QoeScore(value=float(proc.stdout.strip().splitlines()[-1]), model_id=model_id)
+    """Score ``record`` under the built-in model ``model_id``."""
     if model_id not in MODELS:
         raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
     fn = MODELS[model_id]
@@ -295,10 +287,6 @@ def evaluate(model_id: str, record: SessionRecord, params: dict | KsqiParams | N
     else:
         value = fn(record, **(params or {}))
     return QoeScore(value=float(value), model_id=model_id)
-
-
-def model_ids() -> list[str]:
-    return sorted(set(MODELS) | set(_EXTERNAL))
 
 
 # Parameter names exposed to the calibration entry point, per model.

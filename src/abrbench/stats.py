@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.special import betainc
 
 ROW_BETTER = "row_better"
 ROW_WORSE = "row_worse"
@@ -25,11 +23,18 @@ INDISTINGUISHABLE = "indistinguishable"
 _GLYPH = {ROW_BETTER: "1", ROW_WORSE: "0", INDISTINGUISHABLE: "-"}
 
 
-def _clean_pair(x, y, min_len: int):
+def _finite_vector(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("inputs must be equal-length 1-D vectors")
+    if x.ndim != 1 or not np.isfinite(x).all():
+        raise ValueError("inputs must be finite 1-D vectors")
+    return x
+
+
+def _clean_pair(x, y, min_len: int):
+    x = _finite_vector(x)
+    y = _finite_vector(y)
+    if x.shape != y.shape:
+        raise ValueError("inputs must be equal-length vectors")
     if len(x) < min_len:
         raise ValueError(f"need at least {min_len} samples, got {len(x)}")
     return x, y
@@ -123,6 +128,8 @@ def fit_logistic(objective_scores, mos, max_nfev: int = 2000) -> LogisticFit:
     when the optimizer hit its budget; the best iterate is still
     returned.
     """
+    from scipy.optimize import least_squares
+
     s, m = _clean_pair(objective_scores, mos, 5)
     std = s.std()
     if std == 0.0:
@@ -191,12 +198,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_limit: int = 25) -> tu
     identical: (indistinguishable, p = 1). Fewer than 6 nonzero
     differences cannot reach significance and raise instead.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("paired samples must be equal-length vectors")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("paired samples must be finite")
+    a, b = _clean_pair(a, b, 0)
     diff = a - b
     diff = diff[diff != 0.0]
     n = len(diff)
@@ -217,6 +219,8 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_limit: int = 25) -> tu
 
 def f_cdf(x: float, d1: float, d2: float) -> float:
     """CDF of the F distribution via the regularized incomplete beta."""
+    from scipy.special import betainc
+
     if x <= 0:
         return 0.0
     return float(betainc(d1 / 2.0, d2 / 2.0, d1 * x / (d1 * x + d2)))
@@ -224,8 +228,8 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
 
 def f_test_variance(residuals_a, residuals_b, alpha: float = 0.05) -> tuple[str, float]:
     """Two-sided variance-ratio test; the smaller-variance side is better."""
-    a = np.asarray(residuals_a, dtype=float)
-    b = np.asarray(residuals_b, dtype=float)
+    a = _finite_vector(residuals_a)
+    b = _finite_vector(residuals_b)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least 2 samples per side")
     var_a = float(a.var(ddof=1))
@@ -242,7 +246,7 @@ def f_test_variance(residuals_a, residuals_b, alpha: float = 0.05) -> tuple[str,
 
 def one_way_anova(groups) -> tuple[float, float]:
     """Classical one-way ANOVA: between/within mean-square ratio and p-value."""
-    groups = [np.asarray(g, dtype=float) for g in groups]
+    groups = [_finite_vector(g) for g in groups]
     if len(groups) < 2 or any(len(g) < 2 for g in groups):
         raise ValueError("need at least 2 groups of at least 2 samples")
     n_total = sum(len(g) for g in groups)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 
@@ -74,10 +75,16 @@ def test_harmonic_mean_cases():
 
 
 def test_predictors_reject_bad_input():
-    with pytest.raises(ValueError):
-        arithmetic_mean_predict([])
-    with pytest.raises(ValueError):
-        harmonic_mean_predict([100.0, 0.0])
+    for predict in (arithmetic_mean_predict, harmonic_mean_predict):
+        with pytest.raises(ValueError, match="empty"):
+            predict([])
+        for bad in (0.0, -3000.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                predict([1000.0, bad])
+            with pytest.raises(ValueError, match="finite and > 0"):
+                predict((bad, 1000.0, 2000.0), window=3)
+            # only the window is read, so only the window is checked
+            assert predict([bad, 1000.0, 1000.0], window=2) == 1000.0
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=12))
@@ -541,6 +548,37 @@ def test_external_policy_drives_a_session(tmp_path):
     with ExternalPolicy([sys.executable, str(script)]) as pol:
         log = run_session(m, tr, pol, PlayerConfig())
     assert log.choices == (1, 3, 3, 3, 3)
+
+
+def test_policies_reject_non_finite_samples_in_their_window(tmp_path):
+    m = media.synthetic_manifest(segments=5)
+    table = build_mpc_table(MpcObjectiveParams(horizon=2), TableBinning(tput_bins=2, buffer_bins=2))
+    script = tmp_path / "rung1.py"
+    script.write_text("import sys\nfor line in sys.stdin:\n    print(1, flush=True)\n")
+    with ExternalPolicy([sys.executable, str(script)]) as external:
+        policies = [
+            abr.RateBasedPolicy(),
+            abr.MpcExactPolicy(MpcObjectiveParams(horizon=2)),
+            abr.MpcTablePolicy(table),
+            abr.RdosPolicy(RdosParams(horizon=2)),
+            external,
+        ]
+        for bad in (math.nan, math.inf, -1000.0):
+            state = state_for(m, history=(1000.0, bad, 2000.0))
+            for policy in policies:
+                with pytest.raises(ValueError, match="finite and > 0"):
+                    policy.select(state)
+        assert external.select(state_for(m, history=(1000.0, 2000.0))) == 1
+
+
+def test_state_rejects_bad_buffer_or_rung():
+    m = media.synthetic_manifest(segments=5)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="buffer_s"):
+            state_for(m, buffer_s=bad)
+    for bad in (0, 14):
+        with pytest.raises(ValueError, match="last_rep"):
+            state_for(m, last_rep=bad)
 
 
 def test_make_policy_registry():

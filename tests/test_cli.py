@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,16 @@ def write_inputs(tmp_path, n_manifests=1, n_traces=1, segments=6):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the functions that fit or evaluate distributions, not at startup
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, abrbench.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_simulate_single_cell(tmp_path):
@@ -197,12 +210,42 @@ def test_qoe_external_stub_constant_column(tmp_path):
         "qoe_models": [{"id": "ext", "command": [sys.executable, str(stub)]}],
         "out_dir": str(out),
     }))
-    try:
-        assert run(["qoe", "--config", cfg2]) == 0
-    finally:
-        qoe._EXTERNAL.pop("ext", None)
+    assert run(["qoe", "--config", cfg2]) == 0
     rows = (out / "qoe_scores.csv").read_text().splitlines()[1:]
     assert all(row.endswith(",7.25") for row in rows)
+
+
+def test_qoe_external_command_does_not_leak_into_later_runs(tmp_path):
+    manifests, traces = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests, "traces": traces,
+        "policies": [{"id": "rate_based"}], "out_dir": str(out),
+    }))
+    assert run(["simulate", "--config", cfg]) == 0
+    stub = tmp_path / "stub.py"
+    stub.write_text("import sys, json\njson.load(sys.stdin)\nprint(-99.0)\n")
+    ext_cfg = tmp_path / "ext.json"
+    ext_cfg.write_text(json.dumps({
+        "records_dir": str(out / "records"),
+        "qoe_models": [{"id": "ksqi", "command": [sys.executable, str(stub)]}],
+        "out_dir": str(tmp_path / "ext"),
+    }))
+    builtin_cfg = tmp_path / "builtin.json"
+    builtin_cfg.write_text(json.dumps({
+        "records_dir": str(out / "records"),
+        "qoe_models": [{"id": "ksqi"}],
+        "out_dir": str(tmp_path / "builtin"),
+    }))
+    assert run(["qoe", "--config", ext_cfg]) == 0
+    assert run(["qoe", "--config", builtin_cfg]) == 0
+    ext_rows = (tmp_path / "ext" / "qoe_scores.csv").read_text().splitlines()[1:]
+    builtin_rows = (tmp_path / "builtin" / "qoe_scores.csv").read_text().splitlines()[1:]
+    assert ext_rows and all(row.endswith(",ksqi,-99.0") for row in ext_rows)
+    record_path = next((out / "records").glob("*.record.json"))
+    record = simulator.record_from_json(record_path.read_text())
+    assert builtin_rows == [f"{record_path.name[:-len('.record.json')]},ksqi,{qoe.qoe_ksqi(record)!r}"]
 
 
 def make_subjective_fixture(tmp_path):

@@ -266,13 +266,11 @@ def test_segment_duration_only_enters_time_ratio_models():
 def test_external_model_stub(tmp_path):
     script = tmp_path / "const_model.py"
     script.write_text("import sys, json\ndoc = json.load(sys.stdin)\nprint(41.5)\n")
-    qoe.register_external_model("stub_model", [sys.executable, str(script)])
-    try:
-        r = rec([50, 60])
-        assert evaluate("stub_model", r).value == 41.5
-        assert "stub_model" in qoe.model_ids()
-    finally:
-        qoe._EXTERNAL.pop("stub_model", None)
+    score = qoe.evaluate_external("stub_model", rec([50, 60]), [sys.executable, str(script)])
+    assert score == qoe.QoeScore(value=41.5, model_id="stub_model")
+    # nothing is registered: the id stays unknown to evaluate
+    with pytest.raises(ValueError, match="unknown QoE model"):
+        evaluate("stub_model", rec([50, 60]))
 
 
 def test_calibration_recovers_structure():

@@ -368,11 +368,27 @@ def test_matrix_invariants_enforced():
         )
 
 
-def test_wilcoxon_rejects_non_finite_samples():
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        plcc,
+        srcc,
+        krcc,
+        fit_logistic,
+        wilcoxon_signed_rank,
+        f_test_variance,
+        lambda a, b: one_way_anova([a, b]),
+        lambda a, b: build_significance_matrix({"a": a, "b": b}, test="wilcoxon"),
+        lambda a, b: build_significance_matrix({"a": a, "b": b}, test="f_test", mos=b),
+    ],
+    ids=["plcc", "srcc", "krcc", "fit_logistic", "wilcoxon", "f_test", "anova", "matrix_wilcoxon", "matrix_f_test"],
+)
+def test_entry_points_reject_non_finite_samples(entry, bad):
     a = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
-    b = [9.0, 9.5, 10.0, 11.0, 12.0, 13.0, 14.0]
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            wilcoxon_signed_rank(a[:-1] + [bad], b)
-        with pytest.raises(ValueError, match="finite"):
-            wilcoxon_signed_rank(a, b[:-1] + [bad])
+    b = [9.0, 9.5, 10.0, 11.0, 12.0, 13.5, 14.0]
+    entry(a, b)  # the clean samples pass
+    with pytest.raises(ValueError, match="finite"):
+        entry(a[:-1] + [bad], b)
+    with pytest.raises(ValueError, match="finite"):
+        entry(a, b[:-1] + [bad])
