@@ -4,7 +4,7 @@
 Solves the horizon-5 decision for every cell of the default
 100 (throughput) x 100 (buffer) x 13 (previous rung) binning: 130,000
 entries. This is the offline step of the table-driven policy; expect
-minutes of wall time on one core. ``--jobs N`` solves the throughput
+~20-25 s of wall time on one core. ``--jobs N`` solves the throughput
 bins in N processes; the artifact is the same for any N.
 
 Usage: python scripts/build_default_table.py [out.bin] [--jobs N]

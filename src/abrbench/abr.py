@@ -13,14 +13,19 @@ Four families are provided:
   objective minus a bitrate-saving term.
 
 One kernel, ``_enumerate``, scores every rung sequence over the
-horizon for all three enumerating uses: it grows the sequence tree one
-position at a time, runs the buffer recursion, and leaves the objective
-to a per-step function (bitrate/switch/stall terms for MPC, quality,
-adaptation and stall penalties for RDOS). The table builder batches
-starting buffers through the same kernel. Every sequence accumulates
-its terms in position order, so a straight re-implementation of either
-formula produces bit-identical objective values (and therefore
-identical argmax decisions).
+horizon for all three enumerating uses and returns the best score per
+(starting buffer, first rung). It grows the prefix tree by broadcasting
+up to the last position, folds the last position in one rung at a time,
+runs the buffer recursion, and leaves the objective to a per-step and a
+score function (bitrate/switch/stall terms for MPC, quality, adaptation
+and stall penalties for RDOS); terms of the previous and the next rung
+are read from small per-position tables. No array holds more than one
+entry per prefix of h-1 positions, 13^4 for the default ladder and
+horizon. The table builder batches starting buffers through the same
+kernel. Every sequence accumulates its terms in position order, so a
+straight re-implementation of either formula produces bit-identical
+objective values, and ties go to the lowest first rung, as in a
+lexicographic scan (so the decisions are identical too).
 
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
@@ -34,6 +39,7 @@ import functools
 import json
 import math
 import multiprocessing
+import numbers
 import subprocess
 from dataclasses import dataclass, field
 
@@ -64,11 +70,28 @@ class AbrState:
         return self.manifest.segment_count - self.chunk_index + 1
 
 
+def _require_nonnegative(name: str, value) -> None:
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def _require_positive(name: str, value) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _require_count(name: str, value) -> None:
+    # the exact-int test first: ``_recent`` runs per decision and the ABC check costs ~1 us
+    if not ((type(value) is int or isinstance(value, numbers.Integral)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _recent(history, window: int):
     """The last ``window`` throughput samples (kb/s), each checked finite and > 0."""
-    tail = history[-window:]
-    if not tail:
+    if not history:
         raise ValueError("empty throughput history")
+    _require_count("window", window)
+    tail = history[-window:]
     for x in tail:
         if not 0.0 < x < math.inf:  # NaN fails both comparisons
             raise ValueError(f"throughput samples must be finite and > 0, got {x!r}")
@@ -135,7 +158,9 @@ class MpcObjectiveParams:
     """Weights of the bitrate-centric MPC objective.
 
     ``mu_rebuf`` defaults to the top ladder rate in Mb/s so a second of
-    stalling can never be bought by one chunk of extra bitrate.
+    stalling can never be bought by one chunk of extra bitrate. Weights
+    and ``rtt_s`` must be finite and >= 0, ``max_buffer_s`` finite and
+    > 0, ``horizon`` and ``prediction_window`` integers >= 1.
     """
 
     lambda_switch: float = 1.0
@@ -147,10 +172,17 @@ class MpcObjectiveParams:
     prediction_window: int = 5
 
     def __post_init__(self):
-        if self.lambda_switch < 0 or self.mu_rebuf < 0:
-            raise ValueError("objective weights must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _require_nonnegative("lambda_switch", self.lambda_switch)
+        _require_nonnegative("mu_rebuf", self.mu_rebuf)
+        _check_horizon_params(self)
+
+
+def _check_horizon_params(params) -> None:
+    """Checks shared by the MPC and RDOS parameter sets."""
+    _require_count("horizon", params.horizon)
+    _require_nonnegative("rtt_s", params.rtt_s)
+    _require_positive("max_buffer_s", params.max_buffer_s)
+    _require_count("prediction_window", params.prediction_window)
 
 
 def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> list[np.ndarray]:
@@ -165,35 +197,55 @@ def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> lis
     return [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
 
 
-def _enumerate(buffer0, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step) -> tuple:
-    """Objective accumulators of every choice sequence over the horizon.
+def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
+    """Best score over every choice sequence, per (starting buffer, first choice).
 
     The single enumeration kernel behind MPC, RDOS and the lookup table.
     ``dt_by_pos[k][c]`` is the download time of choice ``c`` at horizon
-    position ``k``. ``buffer0`` and the arrays in ``acc`` hold one entry
-    per sequence prefix on their last axis (a single root prefix on
-    entry); leading axes batch independent starting buffers. Each level
-    repeats every prefix once per choice, appends the choices, runs the
-    buffer recursion and passes the stall seconds to
-    ``step(k, choice, stall, acc)``, which returns the extended
-    accumulators. The first position varies slowest, so the result is in
-    lexicographic order and ``np.argmax`` ties land on the lowest first
-    choice.
+    position ``k``; ``buffers`` holds independent starting buffers (rows).
+    Arrays hold one entry per sequence prefix on their last axis, in
+    lexicographic order (the first position varies slowest); their
+    leading axis has one entry per row, or one for all rows when the term
+    does not depend on the buffer (``acc`` starts with one root prefix).
+
+    Positions 0..h-2 grow the prefixes by broadcasting. At each one the
+    kernel runs the buffer recursion and calls ``step(k, c, stall, acc)``
+    with ``c`` a slice of all choices, ``acc`` viewed as (rows, prefix,
+    previous choice, 1) and ``stall`` as (rows, prefix, previous choice,
+    choice); ``step`` returns the extended accumulators. The previous
+    choice axis lets a term of the previous and the next choice be read
+    from a table ``t[prev, c]`` (with one row at k = 0, where the axis
+    has length 1). The last position is folded one choice ``c`` (an int)
+    at a time, with the choice axis dropped: ``score(step(h - 1, c, stall,
+    acc))`` scores the n^(h-1) sequences that end in ``c``, and a running
+    maximum keeps each row's best per first choice. No array grows beyond
+    rows x n^(h-1) entries. Each sequence still adds its terms in position
+    order, so its score is that of a per-sequence loop, bit for bit, and
+    the lowest first choice that reaches a row's maximum is the first
+    choice of the lexicographically first best sequence.
     """
     n, h = len(dt_by_pos[0]), len(dt_by_pos)
     if n**h > 6_000_000:
         raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
-    buf = buffer0
-    for k, dt_k in enumerate(dt_by_pos):
-        choice = np.tile(np.arange(n), buf.shape[-1])
-        buf = np.repeat(buf, n, axis=-1)
-        acc = tuple(np.repeat(a, n, axis=-1) for a in acc)
-        dt = dt_k[choice]
-        stall = np.maximum(dt - buf, 0.0)
-        if k + 1 < h:  # the buffer after the last position is never read
-            buf = np.minimum(buf - np.minimum(buf, dt) + seg, max_buffer_s)
-        acc = step(k, choice, stall, acc)
-    return acc
+    buf = np.asarray(buffers, dtype=np.float64)[:, None]
+    rows = len(buf)
+    for k, dt in enumerate(dt_by_pos[:-1]):
+        prev = n if k else 1
+        b = buf.reshape(rows, -1, prev, 1)
+        acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc))
+        acc = tuple(a.reshape(len(a), -1) for a in acc)
+        buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s).reshape(rows, -1)
+    prev = n if h > 1 else 1
+    b = buf.reshape(rows, -1, prev)
+    acc = tuple(a.reshape(len(a), -1, prev) for a in acc)
+    best = np.full((rows, n), -np.inf)
+    for c, dt in enumerate(dt_by_pos[-1]):
+        scores = score(step(h - 1, c, np.maximum(dt - b, 0.0), acc))
+        if h == 1:  # the last choice is the first
+            best[:, c] = scores.reshape(rows)
+        else:
+            np.maximum(best, scores.reshape(rows, n, -1).max(axis=2), out=best)
+    return best
 
 
 def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams) -> np.ndarray:
@@ -208,25 +260,20 @@ def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectivePa
     per-block max; IEEE rounding is monotone, so the decisions are the
     ones a full per-sequence score would give.
     """
+    moves = np.abs(rates[None, :] - rates[:, None])  # |rate step| by [previous, next] choice
+    switch_by_pos = [np.zeros((1, len(rates)))] + [moves] * (len(dt_by_pos) - 1)  # none at the first position
 
-    def step(k, choice, stall, acc):
-        stall_acc, rate_acc, sw_inner, prev_rate = acc
-        rate = rates[choice]
-        stall_acc += stall
-        rate_acc += rate
-        if k > 0:
-            sw_inner += np.abs(rate - prev_rate)
-        return stall_acc, rate_acc, sw_inner, rate
+    def step(k, c, stall, acc):
+        stall_acc, rate_acc, sw_inner = acc
+        return stall_acc + stall, rate_acc + rates[c], sw_inner + switch_by_pos[k][:, c]
 
-    b0 = np.asarray(buffers, dtype=np.float64)[:, None]
-    zero = np.zeros(1)
-    stall_acc, rate_acc, sw_inner, _ = _enumerate(
-        b0, dt_by_pos, seg, params.max_buffer_s, (np.zeros_like(b0), zero, zero, zero), step
-    )
-    scores = (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
-    best = scores.reshape(len(b0), len(rates), -1).max(axis=2)
-    switch = params.lambda_switch * np.abs(rates[None, :] - rates[:, None])  # [prev, first]
-    return np.argmax(best[:, None, :] - switch, axis=2) + 1
+    def score(acc):
+        stall_acc, rate_acc, sw_inner = acc
+        return (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
+
+    zero = np.zeros((1, 1))
+    best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score)
+    return np.argmax(best[:, None, :] - params.lambda_switch * moves, axis=2) + 1
 
 
 def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput: float | None = None) -> int:
@@ -260,10 +307,10 @@ class TableBinning:
     max_buffer_s: float = 60.0
 
     def __post_init__(self):
-        if self.tput_bins < 1 or self.buffer_bins < 1:
-            raise ValueError("bin counts must be >= 1")
-        if self.tput_max_kbps <= 0 or self.max_buffer_s <= 0:
-            raise ValueError("bin ranges must be > 0")
+        _require_count("tput_bins", self.tput_bins)
+        _require_count("buffer_bins", self.buffer_bins)
+        _require_positive("tput_max_kbps", self.tput_max_kbps)
+        _require_positive("max_buffer_s", self.max_buffer_s)
 
     def tput_edges(self) -> np.ndarray:
         return np.linspace(0.0, self.tput_max_kbps, self.tput_bins + 1)
@@ -311,7 +358,9 @@ def _bin_index(edges: np.ndarray, value: float) -> int:
     return min(max(i, 0), len(edges) - 2)
 
 
-_SLAB_ROWS = 8  # buffer rows enumerated together; each (rows x 13^5) float array is ~24 MB
+# buffer rows enumerated together; each (rows x 13^4) float array is ~1.8 MB and a
+# slab peaks at ~12 MiB, where a whole 100-row bin would peak at ~130 MiB
+_SLAB_ROWS = 8
 
 
 def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float, buffers) -> np.ndarray:
@@ -319,9 +368,11 @@ def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float,
 
     Returns a (len(buffers), n_reps) uint8 array. No sequence can stall
     from a buffer at or above the worst cumulative deficit
-    k*dt_max - (k-1)*seg, which peaks at either end of the horizon, so
-    those rows score alike and share one enumeration; the others are
-    enumerated in slabs of ``_SLAB_ROWS``.
+    k*dt_max - (k-1)*seg, which peaks at either end of the horizon (when
+    the buffer cap is below dt_max, every such row instead sits at the
+    cap after a stall-free first download), so those rows score alike
+    and share one enumeration; the others are enumerated in slabs of
+    ``_SLAB_ROWS``.
     """
     h = params.horizon
     rates = np.array([r / 1000.0 for r in ladder_kbps])
@@ -349,7 +400,7 @@ def build_mpc_table(
     duration. Throughput bins are independent; ``jobs`` > 1 solves them
     in a pool of that many processes, with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
-    order. The default 100x100x13 binning takes minutes; see
+    order. The default 100x100x13 binning takes ~20 s on one core; see
     ``mpc_table_cells`` for spot computation.
     """
     if jobs < 1:
@@ -483,7 +534,8 @@ class RdosParams:
     The objective is the KSQI-style horizon score minus ``gamma_rate``
     per Mb/s of chosen bitrate, encouraging bitrate saving. Chunk sizes
     and qualities come from the manifest attributes by default since
-    the manifest embeds both per chunk.
+    the manifest embeds both per chunk. Fields are checked as in
+    ``MpcObjectiveParams``.
     """
 
     ksqi: KsqiParams = field(default_factory=KsqiParams)
@@ -495,10 +547,8 @@ class RdosParams:
     prediction_window: int = 5
 
     def __post_init__(self):
-        if self.gamma_rate < 0:
-            raise ValueError("gamma_rate must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _require_nonnegative("gamma_rate", self.gamma_rate)
+        _check_horizon_params(self)
 
 
 def rdos_select(state: AbrState, params: RdosParams) -> int:
@@ -519,26 +569,31 @@ def rdos_select(state: AbrState, params: RdosParams) -> int:
     first = state.chunk_index - 1
     dt_by_pos = _horizon_download_times(state, h, params, tput)
     q_by_pos = [np.array([manifest.quality(first + k, r.index) for r in ladder]) for k in range(h)]
-    rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
-
-    def step(k, choice, stall, acc):
-        q_acc, pen_acc, rate_acc, q_prev = acc
-        q = q_by_pos[k][choice]
-        pen_acc += np.where(stall > 0, kp.c0 * np.log1p(stall) * (kp.c1 + kp.c2 * (100.0 - q_prev)), 0.0)
-        delta = q - q_prev
-        pen_acc += kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0)
-        q_acc += q
-        rate_acc += rates[choice]
-        return q_acc, pen_acc, rate_acc, q
-
-    zero = np.zeros(1)
     q_start = np.array([manifest.quality(max(first - 1, 0), state.last_rep)])
-    q_acc, pen_acc, rate_acc, _ = _enumerate(
-        np.array([state.buffer_s]), dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
-        (zero, zero, zero, q_start), step,
+    rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
+    # terms of the [previous, next] choice per position; position 0 follows the played chunk
+    stall_weight, adaptation = [], []
+    for q, q_prev in zip(q_by_pos, [q_start] + q_by_pos[:-1]):
+        delta = q[None, :] - q_prev[:, None]
+        adaptation.append(kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0))
+        stall_weight.append(np.broadcast_to((kp.c1 + kp.c2 * (100.0 - q_prev))[:, None], delta.shape))
+
+    def step(k, c, stall, acc):
+        q_acc, pen_acc, rate_acc = acc
+        # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
+        pen_acc = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k][:, c]
+        pen_acc += adaptation[k][:, c]
+        return q_acc + q_by_pos[k][c], pen_acc, rate_acc + rates[c]
+
+    def score(acc):
+        q_acc, pen_acc, rate_acc = acc
+        return q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
+
+    zero = np.zeros((1, 1))
+    best = _enumerate(
+        [state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s, (zero, zero, zero), step, score
     )
-    scores = q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
-    return int(np.argmax(scores)) // len(ladder) ** (h - 1) + 1
+    return int(np.argmax(best[0])) + 1
 
 
 class FixedPolicy:

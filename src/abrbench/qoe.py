@@ -37,7 +37,7 @@ class KsqiParams:
     """Coefficients of the KSQI-style model.
 
     Negative adaptations must cost at least as much as positive ones
-    (beta_neg >= beta_pos >= 0); all stall-penalty coefficients are
+    (beta_neg >= beta_pos); every coefficient is finite and
     nonnegative. Optional penalty tables (bilinearly interpolated)
     replace the parametric forms when supplied, so trained surfaces can
     drop in.
@@ -52,10 +52,12 @@ class KsqiParams:
     switch_table: "PenaltyTable | None" = None
 
     def __post_init__(self):
-        if not (self.beta_neg >= self.beta_pos >= 0.0):
+        for name in ("c0", "c1", "c2", "beta_neg", "beta_pos"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not self.beta_neg >= self.beta_pos:
             raise ValueError("adaptation weights must satisfy beta_neg >= beta_pos >= 0")
-        if self.c0 < 0 or self.c1 < 0 or self.c2 < 0:
-            raise ValueError("stall penalty coefficients must be >= 0")
 
 
 @dataclass(frozen=True)

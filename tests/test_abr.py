@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ def test_predictors_reject_bad_input():
                 predict((bad, 1000.0, 2000.0), window=3)
             # only the window is read, so only the window is checked
             assert predict([bad, 1000.0, 1000.0], window=2) == 1000.0
+
+
+def test_prediction_window_must_be_a_count():
+    # history[-0:] is the whole history and history[--1:] drops the oldest sample
+    m = media.synthetic_manifest(segments=4)
+    for bad in (0, -1, 2.5, math.nan):
+        for predict in (arithmetic_mean_predict, harmonic_mean_predict):
+            with pytest.raises(ValueError, match="window must be an integer >= 1"):
+                predict([1000.0, 2000.0, 3000.0], window=bad)
+        with pytest.raises(ValueError, match="window must be an integer >= 1"):
+            rate_based_select(state_for(m, history=[3000.0]), window=bad)
+    assert harmonic_mean_predict([1000.0, 2000.0], window=np.int64(1)) == 2000.0
 
 
 @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=12))
@@ -256,9 +269,11 @@ def test_mpc_select_matches_enumeration_full_ladder():
 
 
 def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
-    # every sequence comes out in lexicographic order and carries the
-    # stall seconds of the oracle's buffer walk, bit for bit; a small
-    # buffer cap makes both stalls and capping frequent
+    # the score function sees every sequence once, in lexicographic
+    # order, with the stall total of the oracle's buffer walk, bit for
+    # bit; each (row, first choice) result is the maximum over that
+    # block of the oracle's scan. A small buffer cap makes both stalls
+    # and capping frequent; coarse scores make ties common.
     rng = random.Random(21)
     for _ in range(30):
         n, h = rng.randint(2, 4), rng.randint(1, 4)
@@ -266,22 +281,50 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
         cap = rng.uniform(seg, 3 * seg)
         dt_by_pos = [np.array([rng.uniform(0.1, 3 * seg) for _ in range(n)]) for _ in range(h)]
         buffers = np.array([rng.uniform(0.0, cap) for _ in range(3)])
+        values = np.array([float(rng.randint(0, 3)) for _ in range(n**h)])
+        seen = {}
 
-        def step(k, choice, stall, acc):
+        def step(k, c, stall, acc):
             code, stall_acc = acc
-            return code * n + choice, stall_acc + stall
+            return code * n + np.arange(n)[c], stall_acc + stall
 
-        code, stall_acc = abr._enumerate(
-            buffers[:, None], dt_by_pos, seg, cap, (np.zeros(1), np.zeros((len(buffers), 1))), step
-        )
-        assert code.tolist() == list(range(n**h))
+        def score(acc):
+            code, stall_acc = acc
+            code = code.reshape(-1).astype(int)
+            assert code.tolist() == [j * n + code[0] % n for j in range(n ** (h - 1))]
+            for i in range(len(buffers)):
+                seen.update(((i, j), x) for j, x in zip(code, stall_acc[i].reshape(-1)))
+            return values[code] - stall_acc.reshape(len(buffers), -1)
+
+        zero = np.zeros((1, 1))
+        best = abr._enumerate(buffers, dt_by_pos, seg, cap, (zero, zero), step, score)
+        assert len(seen) == len(buffers) * n**h
         for i, b0 in enumerate(buffers):
+            expect = [-math.inf] * n
             for j, seq in enumerate(itertools.product(range(n), repeat=h)):
                 _, stalls = buffer_walk(b0, [dt_by_pos[k][c] for k, c in enumerate(seq)], seg, cap)
-                expect = 0.0
+                total = 0.0
                 for x in stalls:
-                    expect += x
-                assert stall_acc[i, j] == expect
+                    total += x
+                assert seen[(i, j)] == total
+                expect[seq[0]] = max(expect[seq[0]], values[j] - total)
+            assert best[i].tolist() == expect
+
+
+def test_exact_decisions_never_hold_a_full_tree_array():
+    # one float64 per 13^5 sequence is the array size whose allocation and
+    # page faults used to cost as much as the arithmetic
+    m = media.synthetic_manifest(segments=10)
+    st_ = state_for(m, chunk_index=3, buffer_s=9.5, last_rep=6, history=[2500.0, 4000.0])
+    for decide in (lambda: mpc_select_exact(st_, MpcObjectiveParams()), lambda: rdos_select(st_, RdosParams())):
+        decide()
+        tracemalloc.start()
+        try:
+            decide()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 13**5
 
 
 @st.composite
@@ -366,6 +409,43 @@ def test_table_cells_agree_with_full_build():
     got = mpc_table_cells(params, binning, cells)
     for (ti, bi, prev), rep in got.items():
         assert rep == int(table.entries[ti, bi, prev - 1])
+
+
+@given(
+    st.lists(st.floats(100.0, 20000.0), min_size=2, max_size=5, unique=True),
+    st.integers(min_value=1, max_value=4),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 0.5),
+    st.floats(0.1, 4.0),
+    st.floats(1.0, 80.0),
+    st.floats(1.5, 3.5),
+    st.integers(min_value=2, max_value=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_cells_match_per_state_enumeration(
+    rates, horizon, lambda_switch, mu_rebuf, rtt_s, tput_scale, cap, span, buffer_bins
+):
+    # the batched path (buffer rows enumerated in slabs, stall-free rows
+    # sharing one enumeration) against one exhaustive scan per state;
+    # the buffer bins straddle the stall-free threshold, and the buffer
+    # cap of the objective is drawn apart from the binned buffer range
+    seg = 4.0
+    ladder = tuple(Representation(i + 1, 16, 9, r) for i, r in enumerate(sorted(rates)))
+    params = MpcObjectiveParams(lambda_switch, mu_rebuf, horizon, rtt_s, max_buffer_s=cap)
+    tput = ladder[-1].bitrate_kbps * tput_scale
+    dt_max = ladder[-1].bitrate_kbps * 1000.0 * seg / (tput * 1000.0) + rtt_s
+    threshold = max(dt_max, horizon * dt_max - (horizon - 1) * seg)
+    binning = TableBinning(tput_bins=1, buffer_bins=buffer_bins, tput_max_kbps=2 * tput, max_buffer_s=span * threshold)
+    buffers = binning.buffer_centers()
+    assert buffers[0] < threshold <= buffers[-1]
+    cells = [(0, bi, prev) for bi in range(buffer_bins) for prev in range(1, len(ladder) + 1)]
+    got = mpc_table_cells(params, binning, cells, ladder, seg)
+    nominal = tuple(SegmentInfo(r.bitrate_kbps * 1000.0 * seg, 50.0) for r in ladder)
+    manifest = Manifest(seg, ladder, (nominal,) * horizon)
+    for ti, bi, prev in cells:
+        state = state_for(manifest, chunk_index=1, buffer_s=float(buffers[bi]), last_rep=prev, history=[tput])
+        assert got[(ti, bi, prev)] == mpc_enumerate(state, params, float(binning.tput_centers()[ti]))[0]
 
 
 def test_table_lookup_clamps(tmp_path):
@@ -602,3 +682,39 @@ def test_params_invariants():
         RdosParams(gamma_rate=-0.1)
     with pytest.raises(ValueError):
         KsqiParams(beta_neg=0.1, beta_pos=0.5)
+
+
+_WEIGHT = (math.nan, math.inf, -1.0)
+_COUNT = (0, -1, 2.5)
+_POSITIVE = (math.nan, math.inf, 0.0, -1.0)
+_BAD_PARAMS = [  # (class, field, rejected values, an accepted value)
+    (MpcObjectiveParams, "lambda_switch", _WEIGHT, 0.0),
+    (MpcObjectiveParams, "mu_rebuf", _WEIGHT, 0.0),
+    (MpcObjectiveParams, "horizon", _COUNT, np.int64(3)),
+    (MpcObjectiveParams, "rtt_s", _WEIGHT, 0.0),
+    (MpcObjectiveParams, "max_buffer_s", _POSITIVE, 4.0),
+    (MpcObjectiveParams, "prediction_window", _COUNT, 1),
+    (RdosParams, "gamma_rate", _WEIGHT, 0.0),
+    (RdosParams, "horizon", _COUNT, 1),
+    (RdosParams, "rtt_s", _WEIGHT, 0.0),
+    (RdosParams, "max_buffer_s", _POSITIVE, 4.0),
+    (RdosParams, "prediction_window", _COUNT, 1),
+    (KsqiParams, "c0", _WEIGHT, 0.0),
+    (KsqiParams, "c1", _WEIGHT, 0.0),
+    (KsqiParams, "c2", _WEIGHT, 0.0),
+    (KsqiParams, "beta_neg", _WEIGHT, 2.0),
+    (KsqiParams, "beta_pos", _WEIGHT, 0.0),
+    (TableBinning, "tput_bins", _COUNT, 1),
+    (TableBinning, "buffer_bins", _COUNT, 1),
+    (TableBinning, "tput_max_kbps", _POSITIVE, 1.0),
+    (TableBinning, "max_buffer_s", _POSITIVE, 1.0),
+]
+
+
+@pytest.mark.parametrize("make, field, bads, good", _BAD_PARAMS, ids=[f"{c.__name__}.{f}" for c, f, *_ in _BAD_PARAMS])
+def test_params_reject_bad_values(make, field, bads, good):
+    # NaN weights used to pass and turn every score into NaN (rung 1 won)
+    for bad in bads:
+        with pytest.raises(ValueError, match=field):
+            make(**{field: bad})
+    make(**{field: good})
