@@ -41,6 +41,7 @@ import math
 import multiprocessing
 import numbers
 import subprocess
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +52,17 @@ from .qoe import KsqiParams
 
 @dataclass(frozen=True)
 class AbrState:
-    """Decision inputs before each chunk download; samples are checked where read (``_recent``)."""
+    """Decision inputs before each chunk download; samples are checked where read (``_recent``).
+
+    ``throughput_history_kbps``: one sample (kb/s) per earlier chunk, any float sequence.
+    ``run_session`` passes a read-only ``memoryview`` of its sample buffer, not a copy, its length
+    fixed at construction; ``len``, indexing, negative slices, iteration and truth act as on a tuple.
+    """
 
     chunk_index: int  # 1-based ordinal of the chunk about to be requested
     buffer_s: float
     last_rep: int
-    throughput_history_kbps: tuple[float, ...]
+    throughput_history_kbps: Sequence[float]
     manifest: Manifest
 
     def __post_init__(self):

@@ -80,16 +80,10 @@ def _load_traces(entries) -> list[tuple[str, nettrace.Trace]]:
 
 
 def _player_config(block: dict) -> simulator.PlayerConfig:
-    channel = nettrace.ChannelConfig(
-        rtt_s=float(block.get("rtt_s", 0.08)),
-        loop_trace=bool(block.get("loop_trace", True)),
-    )
-    return simulator.PlayerConfig(
-        max_buffer_s=float(block.get("max_buffer_s", 60.0)),
-        initial_rep=int(block.get("initial_rep", 1)),
-        drop_first_chunk=bool(block.get("drop_first_chunk", True)),
-        channel=channel,
-    )
+    """Keys left out take the config classes' defaults; the classes check every value."""
+    channel = nettrace.ChannelConfig(**{k: block[k] for k in ("rtt_s", "loop_trace") if k in block})
+    player_keys = ("max_buffer_s", "initial_rep", "drop_first_chunk")
+    return simulator.PlayerConfig(channel=channel, **{k: block[k] for k in player_keys if k in block})
 
 
 def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, policy_spec: dict, player: simulator.PlayerConfig):
@@ -117,10 +111,12 @@ def cmd_simulate(config: dict, args) -> int:
     if not manifests or not traces or not policies:
         raise ValueError("simulate needs manifests, traces and policies in the config")
 
-    cells = []
+    cells = []  # built in full, and every policy entry checked, before any cell runs
     for m_name, manifest in manifests:
         for t_name, trace in traces:
             for p_idx, spec in enumerate(policies):
+                if not (isinstance(spec, dict) and "id" in spec):
+                    raise ValueError(f"policies[{p_idx}] must be an object with an 'id', got {spec!r}")
                 p_name = spec.get("name") or f"{spec['id']}{p_idx}"
                 cells.append((m_name, manifest, t_name, trace, p_name, spec))
 
@@ -315,10 +311,9 @@ def cmd_subjective(config: dict, args) -> int:
 
 
 def _load_scores_csv(text: str) -> tuple[dict[str, dict[str, float]], list[str]]:
-    reader = csv.DictReader(io.StringIO(text))
     by_method: dict[str, dict[str, float]] = {}
     items: list[str] = []
-    for row in reader:
+    for row in subjective.csv_rows(text, ("item_id", "method", "score"), "scores"):
         by_method.setdefault(row["method"], {})[row["item_id"]] = float(row["score"])
         if row["item_id"] not in items:
             items.append(row["item_id"])
@@ -332,7 +327,7 @@ def cmd_stats(config: dict, args) -> int:
         if key not in block:
             raise ValueError(f"stats block needs {key}")
     by_method, items = _load_scores_csv(_read_text(block["scores_csv"], "scores"))
-    mos_rows = list(csv.DictReader(io.StringIO(_read_text(block["mos_csv"], "mos"))))
+    mos_rows = subjective.csv_rows(_read_text(block["mos_csv"], "mos"), ("item_id", "mos"), "mos")
     mos_by_item = {r["item_id"]: float(r["mos"]) for r in mos_rows}
     items = [i for i in items if i in mos_by_item]
     mos = np.array([mos_by_item[i] for i in items])

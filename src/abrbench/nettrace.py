@@ -23,6 +23,7 @@ docs/file_formats.md):
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,8 +43,10 @@ class ChannelConfig:
     loop_trace: bool = True  # wrap the trace when a session outlasts it
 
     def __post_init__(self):
-        if not 0 <= self.rtt_s < math.inf:
+        if not (isinstance(self.rtt_s, numbers.Real) and 0 <= self.rtt_s < math.inf):
             raise ValueError(f"rtt_s must be finite and >= 0, got {self.rtt_s!r}")
+        if not isinstance(self.loop_trace, bool):
+            raise ValueError(f"loop_trace must be true or false, got {self.loop_trace!r}")
 
 
 @dataclass(frozen=True)

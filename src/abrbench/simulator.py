@@ -10,6 +10,9 @@ continues (idle time).
 from __future__ import annotations
 
 import json
+import math
+import numbers
+from array import array
 from dataclasses import dataclass, field
 
 from .media import Manifest
@@ -24,10 +27,12 @@ class PlayerConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
     def __post_init__(self):
-        if self.initial_rep < 1:
-            raise ValueError("initial_rep must be a valid 1-based ladder index")
-        if self.max_buffer_s <= 0:
-            raise ValueError("max_buffer_s must be > 0")
+        if not (isinstance(self.max_buffer_s, numbers.Real) and 0.0 < self.max_buffer_s < math.inf):
+            raise ValueError(f"max_buffer_s must be finite and > 0, got {self.max_buffer_s!r}")
+        if not (isinstance(self.initial_rep, numbers.Integral) and self.initial_rep >= 1):
+            raise ValueError(f"initial_rep must be an integer >= 1 (a 1-based ladder index), got {self.initial_rep!r}")
+        if not isinstance(self.drop_first_chunk, bool):
+            raise ValueError(f"drop_first_chunk must be true or false, got {self.drop_first_chunk!r}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,10 @@ def buffer_step(
 def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) -> SessionLog:
     """Play ``manifest`` over ``trace`` under ``policy``.
 
-    Chunk 1 always uses ``config.initial_rep``; later chunks are chosen
-    by ``policy.select(state)`` with an :class:`~abrbench.abr.AbrState`
-    view of the player. Deterministic: identical inputs produce an
-    identical log.
+    One loop plays chunks 1..n from an empty buffer: chunk 1 uses ``config.initial_rep`` and
+    its wait is the startup delay. Later chunks are chosen by ``policy.select(state)``; each
+    state reads a view of one sample buffer, so a session is linear in chunks.
+    Deterministic: identical inputs produce an identical log.
     """
     from .abr import AbrState  # local import: abr imports qoe, which imports simulator
 
@@ -124,47 +129,43 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
     choices: list[int] = []
     spans: list[tuple[float, float]] = []
     stalls: list[tuple[float, float]] = []
-    history: list[float] = []
+    samples = array("d", bytes(8 * n))
+    history = memoryview(samples).toreadonly()
+    wall = buffer = 0.0
+    rep = int(config.initial_rep)
 
-    rep = config.initial_rep
-    dt = download_time(trace, config.channel, 0.0, manifest.size_bits(0, rep))
-    choices.append(rep)
-    spans.append((0.0, dt))
-    history.append(manifest.size_bits(0, rep) / dt / 1000.0)
-    startup = dt
-    wall = dt
-    buffer = seg  # playback starts with exactly one chunk buffered
-
-    for k in range(2, n + 1):
-        state = AbrState(
-            chunk_index=k,
-            buffer_s=buffer,
-            last_rep=choices[-1],
-            throughput_history_kbps=tuple(history),
-            manifest=manifest,
-        )
-        choice = policy.select(state)
-        if not (float(choice).is_integer() and 1 <= choice <= len(manifest.ladder)):
-            raise ValueError(f"policy returned invalid representation index {choice!r}")
-        rep = int(choice)
+    for k in range(1, n + 1):
+        if k > 1:
+            choice = policy.select(
+                AbrState(
+                    chunk_index=k,
+                    buffer_s=buffer,
+                    last_rep=rep,
+                    throughput_history_kbps=history[: k - 1],
+                    manifest=manifest,
+                )
+            )
+            if not (float(choice).is_integer() and 1 <= choice <= len(manifest.ladder)):
+                raise ValueError(f"policy returned invalid representation index {choice!r}")
+            rep = int(choice)
         size = manifest.size_bits(k - 1, rep)
         dt = download_time(trace, config.channel, wall, size)
-        new_buffer, stall, idle = buffer_step(buffer, dt, seg, config.max_buffer_s)
-        if stall > 0:
+        buffer, stall, idle = buffer_step(buffer, dt, seg, config.max_buffer_s)
+        if k == 1:
+            startup = stall
+        elif stall > 0:
             stalls.append(((k - 1) * seg, stall))
         choices.append(rep)
         spans.append((wall, wall + dt))
-        history.append(size / dt / 1000.0)
+        samples[k - 1] = size / dt / 1000.0
         wall = wall + dt + idle
-        buffer = new_buffer
 
-    total = startup + n * seg + sum(d for _, d in stalls)
     return SessionLog(
         choices=tuple(choices),
         download_spans=tuple(spans),
         startup_delay_s=startup,
         stalls=tuple(stalls),
-        total_wall_time_s=total,
+        total_wall_time_s=startup + n * seg + sum(d for _, d in stalls),
     )
 
 
@@ -244,11 +245,3 @@ def record_from_json(text: str) -> SessionRecord:
         stalls=tuple((float(p), float(d)) for p, d in doc["stalls"]),
         startup_delay_s=float(doc["startup_delay_s"]),
     )
-
-
-def log_to_csv(log: SessionLog) -> str:
-    """Per-chunk CSV view of a log for spreadsheet analysis."""
-    lines = ["chunk,rep_index,request_s,finish_s"]
-    for i, (rep, (a, b)) in enumerate(zip(log.choices, log.download_spans), start=1):
-        lines.append(f"{i},{rep},{a!r},{b!r}")
-    return "\n".join(lines) + "\n"

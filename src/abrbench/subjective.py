@@ -406,19 +406,24 @@ def subset_matrix(matrix: RatingsMatrix, keep: np.ndarray) -> RatingsMatrix:
 # ---------------------------------------------------------------------------
 # CSV interfaces (column layouts in docs/file_formats.md)
 
+def csv_rows(text: str, columns: tuple[str, ...], kind: str) -> csv.DictReader:
+    """Rows of a CSV text as dicts, after checking its header carries ``columns``."""
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{kind} CSV lacks columns {missing}; it must carry {list(columns)}")
+    return reader
+
+
 def load_ratings_csv(text: str) -> RatingsMatrix:
     """Columns: subject_id,video_id,session_id,day,device,score."""
-    reader = csv.DictReader(io.StringIO(text))
-    needed = {"subject_id", "video_id", "session_id", "day", "device", "score"}
-    if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-        raise ValueError(f"ratings CSV must carry columns {sorted(needed)}")
     subjects: list[str] = []
     videos: list[str] = []
     session_of: dict[str, str] = {}
     day_of: dict[str, str] = {}
     device_of: dict[str, str] = {}
     cells: dict[tuple[str, str], float] = {}
-    for row in reader:
+    for row in csv_rows(text, ("subject_id", "video_id", "session_id", "day", "device", "score"), "ratings"):
         s, v = row["subject_id"], row["video_id"]
         if s not in subjects:
             subjects.append(s)
@@ -439,18 +444,17 @@ def load_ratings_csv(text: str) -> RatingsMatrix:
 
 def load_keystrokes_csv(text: str) -> dict[tuple[str, str], list[float]]:
     """Columns: subject_id,video_id,event_time_s."""
-    reader = csv.DictReader(io.StringIO(text))
     out: dict[tuple[str, str], list[float]] = {}
-    for row in reader:
+    for row in csv_rows(text, ("subject_id", "video_id", "event_time_s"), "keystrokes"):
         out.setdefault((row["subject_id"], row["video_id"]), []).append(float(row["event_time_s"]))
     return out
 
 
 def load_video_meta_csv(text: str) -> dict[str, VideoMeta]:
     """Columns: video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality."""
-    reader = csv.DictReader(io.StringIO(text))
+    columns = ("video_id", "mean_quality", "quality_std", "total_stall_s", "first_quality", "last_quality")
     out = {}
-    for row in reader:
+    for row in csv_rows(text, columns, "video meta"):
         out[row["video_id"]] = VideoMeta(
             mean_quality=float(row["mean_quality"]),
             quality_std=float(row["quality_std"]),
@@ -463,18 +467,16 @@ def load_video_meta_csv(text: str) -> dict[str, VideoMeta]:
 
 def load_stall_events_csv(text: str) -> dict[str, list[float]]:
     """Columns: video_id,position_s[,duration_s]; positions are stall onsets."""
-    reader = csv.DictReader(io.StringIO(text))
     out: dict[str, list[float]] = {}
-    for row in reader:
+    for row in csv_rows(text, ("video_id", "position_s"), "stall events"):
         out.setdefault(row["video_id"], []).append(float(row["position_s"]))
     return out
 
 
 def load_anchors_csv(text: str) -> dict[str, list[tuple[str, float]]]:
     """Columns: day,video_id,mos."""
-    reader = csv.DictReader(io.StringIO(text))
     out: dict[str, list[tuple[str, float]]] = {}
-    for row in reader:
+    for row in csv_rows(text, ("day", "video_id", "mos"), "anchors"):
         out.setdefault(row["day"], []).append((row["video_id"], float(row["mos"])))
     return out
 

@@ -115,10 +115,56 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
     cfg2.write_text(json.dumps(config))
     assert run(["simulate", "--config", cfg2, "--jobs", 2]) == 0
     assert (tmp_path / "serial" / "summary.csv").read_text() == (tmp_path / "parallel" / "summary.csv").read_text()
+    for sub in ("logs", "records"):
+        serial = {f.name: f.read_bytes() for f in (tmp_path / "serial" / sub).iterdir()}
+        parallel = {f.name: f.read_bytes() for f in (tmp_path / "parallel" / sub).iterdir()}
+        assert len(serial) == 4 and serial == parallel
     # a worker count below one is refused for every command, not run serially
     for command, jobs in (("simulate", 0), ("simulate", -3), ("stats", 0)):
         assert run([command, "--config", cfg2, "--jobs", jobs]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("initial_rep", 1.9),  # was truncated to rung 1
+        ("initial_rep", "2"),
+        ("loop_trace", "false"),  # was read as True
+        ("drop_first_chunk", "no"),
+        ("max_buffer_s", None),  # was a TypeError traceback
+        ("max_buffer_s", "60"),
+        ("rtt_s", None),
+    ],
+)
+def test_simulate_rejects_bad_player_values(tmp_path, capsys, key, value):
+    manifests, traces = write_inputs(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": [{"id": "rate_based"}],
+        "player": {key: value},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [{"name": "no_id"}, "rate_based", None])
+def test_simulate_rejects_policy_entries_without_id(tmp_path, capsys, bad):
+    manifests, traces = write_inputs(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": [{"id": "rate_based"}, bad],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    assert "policies[1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mpc_table_build_and_reload(tmp_path):
@@ -329,6 +375,41 @@ def test_stats_command_two_methods(tmp_path):
         name, p, s, k = line.split(",")
         by_method[name] = float(s)
     assert by_method["good"] > by_method["bad"]
+
+
+@pytest.mark.parametrize(
+    "command, key, header, missing",
+    [
+        ("subjective", "ratings_csv", "subject_id,video_id,session_id,day,device", "score"),
+        ("subjective", "video_meta_csv", "video_id,mean_quality,quality_std,total_stall_s,first_quality", "last_quality"),
+        ("subjective", "keystrokes_csv", "subject_id,video_id,time_s", "event_time_s"),
+        ("subjective", "stall_events_csv", "video_id,onset_s", "position_s"),
+        ("subjective", "anchors_csv", "day,video,mos", "video_id"),
+        ("stats", "scores_csv", "item,method,score", "item_id"),
+        ("stats", "mos_csv", "item_id,score", "mos"),
+    ],
+)
+def test_csv_reader_missing_column_exits_2(tmp_path, capsys, command, key, header, missing):
+    ratings, anchors = make_subjective_fixture(tmp_path)
+    files = {
+        "ratings_csv": ratings.read_text(),
+        "anchors_csv": anchors.read_text(),
+        "keystrokes_csv": "subject_id,video_id,event_time_s\n",
+        "stall_events_csv": "video_id,position_s\n",
+        "scores_csv": "item_id,method,score\n" + "".join(f"i{k},m,{k}\n" for k in range(5)),
+        "mos_csv": "item_id,mos\n" + "".join(f"i{k},{10 * k}\n" for k in range(5)),
+    }
+    files[key] = header + "\n" + ",".join(["x"] * len(header.split(","))) + "\n"
+    block = {}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        block[name] = str(path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({command: block, "out_dir": str(tmp_path / "out")}))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert missing in err and key[: -len("_csv")].replace("_", " ") in err
 
 
 def test_traces_command_windows_and_filters(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -187,13 +188,65 @@ def test_log_json_round_trip():
     assert simulator.record_from_json(simulator.record_to_json(rec)) == rec
 
 
-def test_csv_export_shape():
+def test_policy_states_keep_their_history_view():
+    # every state a policy keeps still shows the samples it was built with:
+    # read-only, never grown by later chunks
+    m = media.synthetic_manifest(segments=200, size_jitter=0.2, seed=3)
+    tr = nettrace.parse_trace("0,900\n7,4000\n19,2500", "pairs", duration_s=31.0)
+
+    kept = []
+
+    class Keeper(RateBasedPolicy):
+        def select(self, state):
+            kept.append((state, tuple(state.throughput_history_kbps)))
+            return super().select(state)
+
+    log = run_session(m, tr, Keeper(), PlayerConfig(max_buffer_s=20.0))
+    assert [s.chunk_index for s, _ in kept] == list(range(2, 201))
+    for state, snapshot in kept:
+        history = state.throughput_history_kbps
+        assert len(history) == state.chunk_index - 1
+        assert tuple(history) == snapshot and tuple(history[-3:]) == snapshot[-3:]
+        with pytest.raises(TypeError):
+            history[0] = 1.0
+    # the last state saw one sample per earlier download, in order
+    spans = log.download_spans[:-1]
+    sizes = [m.size_bits(k, rep) for k, rep in enumerate(log.choices[:-1])]
+    assert kept[-1][1] == pytest.approx([size / (b - a) / 1000.0 for size, (a, b) in zip(sizes, spans)])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_buffer_s": math.nan},  # ran with no buffer cap
+        {"max_buffer_s": math.inf},
+        {"max_buffer_s": 0.0},
+        {"max_buffer_s": None},
+        {"initial_rep": 1.5},  # failed later inside run_session
+        {"initial_rep": 0},
+        {"initial_rep": "1"},
+        {"drop_first_chunk": "no"},
+        {"drop_first_chunk": 1},
+        {"channel": {"loop_trace": "false"}},
+        {"channel": {"loop_trace": None}},
+        {"channel": {"rtt_s": None}},
+    ],
+)
+def test_player_config_rejects_bad_values(kwargs):
+    field = next(iter(kwargs.get("channel", kwargs)))
+    with pytest.raises(ValueError, match=field):
+        if "channel" in kwargs:
+            ChannelConfig(**kwargs["channel"])
+        else:
+            PlayerConfig(**kwargs)
+
+
+def test_numpy_initial_rep_gives_a_plain_log():
     m = media.synthetic_manifest(segments=3)
     tr = nettrace.parse_trace("0,700", "pairs", duration_s=1000.0)
-    log = run_session(m, tr, FixedPolicy(1), PlayerConfig())
-    lines = simulator.log_to_csv(log).strip().splitlines()
-    assert lines[0] == "chunk,rep_index,request_s,finish_s"
-    assert len(lines) == 4
+    log = run_session(m, tr, FixedPolicy(2), PlayerConfig(initial_rep=np.int64(3)))
+    assert log.choices == (3, 2, 2)
+    assert simulator.log_from_json(simulator.log_to_json(log)) == log
 
 
 def test_trace_exhaustion_propagates():
