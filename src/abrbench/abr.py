@@ -76,20 +76,31 @@ class AbrState:
         return self.manifest.segment_count - self.chunk_index + 1
 
 
+def _is_number(value) -> bool:
+    """A real number that is not a bool (``true`` is not a config number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_nonnegative(name: str, value) -> None:
-    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+    if not (_is_number(value) and 0.0 <= value < math.inf):  # NaN fails both comparisons
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def _require_positive(name: str, value) -> None:
-    if not 0.0 < value < math.inf:
+    if not (_is_number(value) and 0.0 < value < math.inf):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _require_count(name: str, value) -> None:
     # the exact-int test first: ``_recent`` runs per decision and the ABC check costs ~1 us
-    if not ((type(value) is int or isinstance(value, numbers.Integral)) and value >= 1):
+    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not (integral and value >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _require_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 def _recent(history, window: int):
@@ -189,6 +200,7 @@ def _check_horizon_params(params) -> None:
     _require_nonnegative("rtt_s", params.rtt_s)
     _require_positive("max_buffer_s", params.max_buffer_s)
     _require_count("prediction_window", params.prediction_window)
+    _require_bool("use_manifest_sizes", params.use_manifest_sizes)
 
 
 def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> list[np.ndarray]:
@@ -726,23 +738,60 @@ class ExternalPolicy:
 POLICY_IDS = ("fixed", "rate_based", "buffer_based", "mpc_exact", "mpc_table", "rdos", "external")
 
 
-def make_policy(spec: dict):
-    """Build a policy from a declarative config block (CLI plumbing)."""
+def policy_builder(spec: dict):
+    """Check a policy config block; return a zero-argument function that builds the policy.
+
+    Every option is checked for type and range, naming its key, before
+    anything is built, so a grid can check all its policy blocks before
+    any cell runs. Building an ``external`` policy starts its child and
+    building an ``mpc_table`` one reads its table.
+    """
     kind = spec.get("id")
-    opts = {k: v for k, v in spec.items() if k not in ("id", "name")}
     if kind == "fixed":
-        return FixedPolicy(int(opts.get("rep_index", 1)))
+        rep_index = spec.get("rep_index", 1)
+        _require_count("rep_index", rep_index)
+        return lambda: FixedPolicy(rep_index)
     if kind == "rate_based":
-        return RateBasedPolicy(int(opts.get("window", 5)), bool(opts.get("strict", True)))
+        window, strict = spec.get("window", 5), spec.get("strict", True)
+        _require_count("window", window)
+        _require_bool("strict", strict)
+        return lambda: RateBasedPolicy(window, strict)
     if kind == "buffer_based":
-        return BufferBasedPolicy(float(opts.get("reservoir_s", 5.0)), float(opts.get("cushion_s", 10.0)))
+        reservoir_s, cushion_s = spec.get("reservoir_s", 5.0), spec.get("cushion_s", 10.0)
+        _require_nonnegative("reservoir_s", reservoir_s)
+        _require_nonnegative("cushion_s", cushion_s)
+        return lambda: BufferBasedPolicy(reservoir_s, cushion_s)
     if kind == "mpc_exact":
-        return MpcExactPolicy(MpcObjectiveParams(**opts.get("params", {})))
+        params = _options_object(MpcObjectiveParams, "params", spec.get("params", {}))
+        return lambda: MpcExactPolicy(params)
     if kind == "mpc_table":
-        return MpcTablePolicy(load_table(opts["table"]))
+        path = spec.get("table")
+        if not isinstance(path, str):
+            raise ValueError(f"table must be the path of a table artifact, got {path!r}")
+        return lambda: MpcTablePolicy(load_table(path))
     if kind == "rdos":
-        ksqi = KsqiParams(**opts.pop("ksqi", {})) if "ksqi" in opts else KsqiParams()
-        return RdosPolicy(RdosParams(ksqi=ksqi, **opts.get("params", {})))
+        ksqi = _options_object(KsqiParams, "ksqi", spec.get("ksqi", {}))
+        params = _options_object(functools.partial(RdosParams, ksqi=ksqi), "params", spec.get("params", {}))
+        return lambda: RdosPolicy(params)
     if kind == "external":
-        return ExternalPolicy(opts["command"], int(opts.get("lookahead", 5)))
+        command, lookahead = spec.get("command"), spec.get("lookahead", 5)
+        if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):
+            raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
+        _require_count("lookahead", lookahead)
+        return lambda: ExternalPolicy(command, lookahead)
     raise ValueError(f"unknown policy id {kind!r}; expected one of {POLICY_IDS}")
+
+
+def _options_object(cls, key: str, block):
+    """``cls(**block)``; a block that is not an object, or an unknown key in it, is a ValueError."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{key} must be an object, got {block!r}")
+    try:
+        return cls(**block)
+    except TypeError as exc:  # an unknown keyword
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def make_policy(spec: dict):
+    """Build a policy from a declarative config block (CLI plumbing); see ``policy_builder``."""
+    return policy_builder(spec)()

@@ -49,9 +49,31 @@ def _atomic_write(path: Path, data: str | bytes) -> None:
 def _load_config(path: str) -> dict:
     text = _read_text(path, "config")
     try:
-        return json.loads(text)
+        config = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must be a JSON object")
+    return config
+
+
+def _block(config: dict, key: str) -> dict:
+    """A config block, checked to be a JSON object; a missing block is empty."""
+    block = config.get(key, {})
+    if not isinstance(block, dict):
+        raise ValueError(f"{key} must be a JSON object, got {block!r}")
+    return block
+
+
+def _number(value, key: str, integral: bool = False):
+    """A config value checked, not coerced: an int, or any JSON number.
+
+    Numbers come back as floats, so an int where a float is expected
+    behaves (and is written into artifacts) as the float would.
+    """
+    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+        raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return value if integral else float(value)
 
 
 def _stem(path: str) -> str:
@@ -99,7 +121,7 @@ def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, policy_spec: dict
 
 def cmd_simulate(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
-    player = _player_config(config.get("player", {}))
+    player = _player_config(_block(config, "player"))
     manifest_paths = config.get("manifests", [])
     manifest_names = _dedupe([_stem(p) for p in manifest_paths])
     manifests = [
@@ -117,6 +139,10 @@ def cmd_simulate(config: dict, args) -> int:
             for p_idx, spec in enumerate(policies):
                 if not (isinstance(spec, dict) and "id" in spec):
                     raise ValueError(f"policies[{p_idx}] must be an object with an 'id', got {spec!r}")
+                try:
+                    abr.policy_builder(spec)  # checks the options; each cell builds its own policy
+                except ValueError as exc:
+                    raise ValueError(f"policies[{p_idx}] ({spec['id']}): {exc}") from exc
                 p_name = spec.get("name") or f"{spec['id']}{p_idx}"
                 cells.append((m_name, manifest, t_name, trace, p_name, spec))
 
@@ -180,27 +206,31 @@ def cmd_simulate(config: dict, args) -> int:
 
 
 def cmd_mpc_table(config: dict, args) -> int:
-    block = config.get("mpc_table", {})
-    try:
-        binning = abr.TableBinning(
-            tput_bins=int(block.get("tput_bins", 100)),
-            buffer_bins=int(block.get("buffer_bins", 100)),
-            tput_max_kbps=float(block.get("tput_max_kbps", 20000.0)),
-            max_buffer_s=float(block.get("max_buffer_s", 60.0)),
-        )
-        params = abr.MpcObjectiveParams(
-            lambda_switch=float(block.get("lambda_switch", 1.0)),
-            mu_rebuf=float(block.get("mu_rebuf", 16.8)),
-            horizon=int(block.get("horizon", 5)),
-            rtt_s=float(block.get("rtt_s", 0.08)),
-            max_buffer_s=float(block.get("max_buffer_s", 60.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed mpc_table binning block: {exc}") from exc
+    block = _block(config, "mpc_table")
+
+    def option(key, default, integral=False):
+        return _number(block.get(key, default), key, integral)
+
+    max_buffer_s = option("max_buffer_s", 60.0)
+    binning = abr.TableBinning(
+        tput_bins=option("tput_bins", 100, integral=True),
+        buffer_bins=option("buffer_bins", 100, integral=True),
+        tput_max_kbps=option("tput_max_kbps", 20000.0),
+        max_buffer_s=max_buffer_s,
+    )
+    params = abr.MpcObjectiveParams(
+        lambda_switch=option("lambda_switch", 1.0),
+        mu_rebuf=option("mu_rebuf", 16.8),
+        horizon=option("horizon", 5, integral=True),
+        rtt_s=option("rtt_s", 0.08),
+        max_buffer_s=max_buffer_s,
+    )
     ladder = media.ladder_default()
     if "ladder_kbps" in block:
+        if not isinstance(block["ladder_kbps"], list):
+            raise ValueError(f"ladder_kbps must be a list of numbers, got {block['ladder_kbps']!r}")
         ladder = tuple(
-            media.Representation(index=i + 1, width=16, height=9, bitrate_kbps=float(r))
+            media.Representation(index=i + 1, width=16, height=9, bitrate_kbps=_number(r, f"ladder_kbps[{i}]"))
             for i, r in enumerate(block["ladder_kbps"])
         )
     cell_count = binning.tput_bins * binning.buffer_bins * len(ladder)
@@ -209,7 +239,7 @@ def cmd_mpc_table(config: dict, args) -> int:
         params,
         binning,
         ladder=ladder,
-        segment_duration_s=float(block.get("segment_duration_s", 4.0)),
+        segment_duration_s=option("segment_duration_s", 4.0),
         jobs=args.jobs,
     )
     out_dir = Path(args.out or config.get("out_dir", "out"))
@@ -254,10 +284,13 @@ def cmd_qoe(config: dict, args) -> int:
 
 def cmd_subjective(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
-    block = config.get("subjective", {})
+    block = _block(config, "subjective")
     if "ratings_csv" not in block:
         raise ValueError("subjective block needs ratings_csv")
-    matrix = subjective.load_ratings_csv(_read_text(block["ratings_csv"], "ratings"))
+    tol_s = _number(block.get("keystroke_tol_s", 2.0), "keystroke_tol_s")
+    threshold = _number(block.get("auxiliary_threshold", 0.10), "auxiliary_threshold")
+    min_set = _number(block.get("min_set", 30), "min_set", integral=True)
+    matrix = subjective.load_ratings_csv(_read_text(block["ratings_csv"], "ratings"), block["ratings_csv"])
 
     if "video_meta_csv" in block:
         matrix.video_meta = subjective.load_video_meta_csv(_read_text(block["video_meta_csv"], "video meta"))
@@ -268,13 +301,11 @@ def cmd_subjective(config: dict, args) -> int:
             s: [v for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])]
             for i, s in enumerate(matrix.subjects)
         }
-        matrix.keystroke_accuracy = subjective.keystroke_accuracy(
-            events, onsets, videos_of, tol_s=float(block.get("keystroke_tol_s", 2.0))
-        )
+        matrix.keystroke_accuracy = subjective.keystroke_accuracy(events, onsets, videos_of, tol_s=tol_s)
     else:
         matrix.keystroke_accuracy = {s: 1.0 for s in matrix.subjects}
 
-    keep = subjective.reject_auxiliary(matrix, threshold=float(block.get("auxiliary_threshold", 0.10)))
+    keep = subjective.reject_auxiliary(matrix, threshold=threshold)
     matrix = subjective.subset_matrix(matrix, keep)
     z = subjective.z_normalize(matrix)
     keep2 = subjective.reject_bt500(z)
@@ -293,7 +324,7 @@ def cmd_subjective(config: dict, args) -> int:
     if matrix.video_meta:
         partitions = subjective.partition_sessions(matrix.video_meta)
         report = subjective.build_sensitivity_report(
-            matrix, partitions, min_set=int(block.get("min_set", 30))
+            matrix, partitions, min_set=min_set
         )
         _atomic_write(out_dir / "sensitivity.csv", subjective.sensitivity_report_to_csv(report))
         outputs.append("sensitivity.csv")
@@ -310,43 +341,46 @@ def cmd_subjective(config: dict, args) -> int:
     return 0
 
 
-def _load_scores_csv(text: str) -> tuple[dict[str, dict[str, float]], list[str]]:
+def _load_scores_csv(text: str, source: str) -> tuple[dict[str, dict[str, float]], list[str]]:
+    """Scores per method per item, and the items in first-seen order."""
     by_method: dict[str, dict[str, float]] = {}
-    items: list[str] = []
-    for row in subjective.csv_rows(text, ("item_id", "method", "score"), "scores"):
-        by_method.setdefault(row["method"], {})[row["item_id"]] = float(row["score"])
-        if row["item_id"] not in items:
-            items.append(row["item_id"])
-    return by_method, items
+    items: dict[str, None] = {}  # an ordered set
+    rows = subjective.csv_rows(text, ("item_id", "method", "score"), "scores")
+    for row in rows:
+        by_method.setdefault(row["method"], {})[row["item_id"]] = subjective.csv_number(rows, row, "score", source)
+        items[row["item_id"]] = None
+    return by_method, list(items)
 
 
 def cmd_stats(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
-    block = config.get("stats", {})
+    block = _block(config, "stats")
     for key in ("scores_csv", "mos_csv"):
         if key not in block:
             raise ValueError(f"stats block needs {key}")
-    by_method, items = _load_scores_csv(_read_text(block["scores_csv"], "scores"))
+    test = block.get("test", "f_test")
+    alpha = _number(block.get("alpha", 0.05), "alpha")
+    by_method, items = _load_scores_csv(_read_text(block["scores_csv"], "scores"), block["scores_csv"])
     mos_rows = subjective.csv_rows(_read_text(block["mos_csv"], "mos"), ("item_id", "mos"), "mos")
-    mos_by_item = {r["item_id"]: float(r["mos"]) for r in mos_rows}
+    mos_by_item = {r["item_id"]: subjective.csv_number(mos_rows, r, "mos", block["mos_csv"]) for r in mos_rows}
     items = [i for i in items if i in mos_by_item]
     mos = np.array([mos_by_item[i] for i in items])
 
     corr_lines = ["method,plcc,srcc,krcc"]
-    samples = {}
+    samples = {}  # what the significance test compares, per method
     for method in sorted(by_method):
+        missing = [i for i in items if i not in by_method[method]]
+        if missing:
+            raise ValueError(f"{block['scores_csv']}: method {method} has no score for item {missing[0]}")
         scores = np.array([by_method[method][i] for i in items])
-        samples[method] = scores
-        fit = stats.fit_logistic(scores, mos)
+        fit = stats.fit_logistic(scores, mos)  # one fit per method, for PLCC and the F-test alike
+        samples[method] = fit.mapped - mos if test == "f_test" else scores
         corr_lines.append(
             f"{method},{stats.plcc(fit.mapped, mos)!r},{stats.srcc(scores, mos)!r},{stats.krcc(scores, mos)!r}"
         )
     _atomic_write(out_dir / "correlations.csv", "\n".join(corr_lines) + "\n")
 
-    test = block.get("test", "f_test")
-    matrix = stats.build_significance_matrix(
-        samples, test=test, mos=mos, alpha=float(block.get("alpha", 0.05))
-    )
+    matrix = stats.build_significance_matrix(samples, test=test, alpha=alpha)
     if args.format == "json":
         payload = {"labels": list(matrix.labels), "cells": [list(r) for r in matrix.cells]}
         _atomic_write(out_dir / "significance.json", json.dumps(payload, indent=1))
@@ -359,12 +393,12 @@ def cmd_stats(config: dict, args) -> int:
 
 def cmd_traces(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
-    block = config.get("traces_ingest", {})
+    block = _block(config, "traces_ingest")
     if "inputs" not in block:
         raise ValueError("traces_ingest block needs inputs")
-    window_s = float(block.get("window_s", 55.0))
-    stride_s = float(block.get("stride_s", window_s))
-    min_avg = float(block.get("min_avg_kbps", 200.0))
+    window_s = _number(block.get("window_s", 55.0), "window_s")
+    stride_s = _number(block.get("stride_s", window_s), "stride_s")
+    min_avg = _number(block.get("min_avg_kbps", 200.0), "min_avg_kbps")
     index_lines = ["trace_id,source,start_offset_s,mean_kbps,kept"]
     kept_count = 0
     for entry in block["inputs"]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import subprocess
 from dataclasses import dataclass
 
@@ -54,7 +55,8 @@ class KsqiParams:
     def __post_init__(self):
         for name in ("c0", "c1", "c2", "beta_neg", "beta_pos"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+            # NaN fails both comparisons; a bool or a string is not a coefficient
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not self.beta_neg >= self.beta_pos:
             raise ValueError("adaptation weights must satisfy beta_neg >= beta_pos >= 0")

@@ -415,29 +415,44 @@ def csv_rows(text: str, columns: tuple[str, ...], kind: str) -> csv.DictReader:
     return reader
 
 
-def load_ratings_csv(text: str) -> RatingsMatrix:
-    """Columns: subject_id,video_id,session_id,day,device,score."""
-    subjects: list[str] = []
-    videos: list[str] = []
+def csv_number(rows: csv.DictReader, row: dict, column: str, source: str) -> float:
+    """``row[column]`` as a finite float; the error names ``source`` and the row's line."""
+    text = row[column]
+    try:
+        value = float(text)
+    except (TypeError, ValueError):  # TypeError: a short row leaves the field None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{source} line {rows.line_num}: {column} must be a finite number, got {text!r}")
+    return value
+
+
+def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
+    """Columns: subject_id,video_id,session_id,day,device,score.
+
+    Subjects and videos keep their first-seen order, and a later row for
+    the same (subject, video) replaces the earlier score. A score that is
+    not a finite number is an error naming ``source`` and the line.
+    """
+    subject_index: dict[str, int] = {}
+    video_index: dict[str, int] = {}
     session_of: dict[str, str] = {}
     day_of: dict[str, str] = {}
     device_of: dict[str, str] = {}
-    cells: dict[tuple[str, str], float] = {}
-    for row in csv_rows(text, ("subject_id", "video_id", "session_id", "day", "device", "score"), "ratings"):
+    cells: dict[tuple[int, int], float] = {}
+    rows = csv_rows(text, ("subject_id", "video_id", "session_id", "day", "device", "score"), "ratings")
+    for row in rows:
         s, v = row["subject_id"], row["video_id"]
-        if s not in subjects:
-            subjects.append(s)
-        if v not in videos:
-            videos.append(v)
+        cell = (subject_index.setdefault(s, len(subject_index)), video_index.setdefault(v, len(video_index)))
         session_of[v] = row["session_id"]
         day_of[row["session_id"]] = row["day"]
         device_of[s] = row["device"]
-        cells[(s, v)] = float(row["score"])
-    raw = np.full((len(subjects), len(videos)), np.nan)
-    for (s, v), score in cells.items():
-        raw[subjects.index(s), videos.index(v)] = score
+        cells[cell] = csv_number(rows, row, "score", source)
+    raw = np.full((len(subject_index), len(video_index)), np.nan)
+    for (i, j), score in cells.items():
+        raw[i, j] = score
     return RatingsMatrix(
-        subjects=subjects, videos=videos, raw=raw,
+        subjects=list(subject_index), videos=list(video_index), raw=raw,
         session_of=session_of, day_of=day_of, device_of=device_of,
     )
 

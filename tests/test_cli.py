@@ -345,7 +345,8 @@ def test_subjective_missing_file_names_path(tmp_path, capsys):
     assert "nope.csv" in err
 
 
-def test_stats_command_two_methods(tmp_path):
+def write_stats_inputs(tmp_path):
+    """Two methods scored on 40 items, a good and a bad one; returns the config path."""
     rng = np.random.default_rng(3)
     items = [f"i{k}" for k in range(40)]
     mos = rng.uniform(10, 90, size=40)
@@ -357,12 +358,17 @@ def test_stats_command_two_methods(tmp_path):
     scores.write_text("\n".join(score_lines) + "\n")
     mos_path = tmp_path / "mos.csv"
     mos_path.write_text("\n".join(["item_id,mos"] + [f"{i},{m}" for i, m in zip(items, mos)]) + "\n")
-    out = tmp_path / "out"
     cfg = tmp_path / "stats.json"
     cfg.write_text(json.dumps({
         "stats": {"scores_csv": str(scores), "mos_csv": str(mos_path), "test": "f_test"},
-        "out_dir": str(out),
+        "out_dir": str(tmp_path / "out"),
     }))
+    return cfg
+
+
+def test_stats_command_two_methods(tmp_path):
+    cfg = write_stats_inputs(tmp_path)
+    out = tmp_path / "out"
     assert run(["stats", "--config", cfg]) == 0
     sig = (out / "significance.csv").read_text().splitlines()
     assert sig[0] == ",bad,good"
@@ -463,3 +469,168 @@ def test_simulate_deduplicates_same_stem_inputs(tmp_path):
     assert len(rows) == 2
     assert len({r.split(",")[0] for r in rows}) == 2  # distinct cell ids
     assert len(list((tmp_path / "out" / "logs").glob("*.log.json"))) == 2
+
+
+def test_stats_fits_each_method_once(tmp_path, monkeypatch):
+    # the F-test reuses the fits behind PLCC instead of fitting every method again
+    fitted = []
+    fit = stats.fit_logistic
+    monkeypatch.setattr(stats, "fit_logistic", lambda s, m: fitted.append(len(s)) or fit(s, m))
+    assert run(["stats", "--config", write_stats_inputs(tmp_path)]) == 0
+    assert fitted == [40, 40]
+
+
+def test_stats_method_missing_an_item_exits_2(tmp_path, capsys):
+    cfg = write_stats_inputs(tmp_path)
+    scores = tmp_path / "scores.csv"
+    kept = [line for line in scores.read_text().splitlines() if not line.startswith("i7,bad,")]
+    scores.write_text("\n".join(kept) + "\n")
+    assert run(["stats", "--config", cfg]) == 2
+    assert "method bad has no score for item i7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", ""])
+@pytest.mark.parametrize(
+    "command, key, column",
+    [("subjective", "ratings_csv", "score"), ("stats", "scores_csv", "score"), ("stats", "mos_csv", "mos")],
+)
+def test_number_parse_errors_name_file_and_line(tmp_path, capsys, command, key, column, bad):
+    # a non-number used to surface as "could not convert string to float", and a NaN rating as a missing one
+    if command == "subjective":
+        ratings, _ = make_subjective_fixture(tmp_path)
+        cfg = tmp_path / "subj.json"
+        cfg.write_text(json.dumps({"subjective": {"ratings_csv": str(ratings)}, "out_dir": str(tmp_path / "out")}))
+        path = ratings
+    else:
+        cfg = write_stats_inputs(tmp_path)
+        path = tmp_path / ("scores.csv" if key == "scores_csv" else "mos.csv")
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+    path.write_text("\n".join(lines) + "\n")
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} line 4: {column} must be a finite number, got {bad!r}" in err
+
+
+@pytest.mark.parametrize("player", [5, "fast", [60]])
+def test_simulate_rejects_a_player_block_that_is_not_an_object(tmp_path, capsys, player):
+    # "player": 5 used to end in a TypeError traceback
+    manifests, traces = write_inputs(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": [{"id": "rate_based"}],
+        "player": player,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    assert "player must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"id": "fixed", "rep_index": 1.9}, "rep_index"),  # ran at rung 1
+        ({"id": "fixed", "rep_index": True}, "rep_index"),
+        ({"id": "rate_based", "strict": "false"}, "strict"),  # ran as strict
+        ({"id": "rate_based", "window": 2.5}, "window"),
+        ({"id": "buffer_based", "reservoir_s": "5"}, "reservoir_s"),
+        ({"id": "buffer_based", "cushion_s": None}, "cushion_s"),
+        ({"id": "mpc_exact", "params": {"horizon": 2.0}}, "horizon"),
+        ({"id": "mpc_exact", "params": {"lambda_switch": "1"}}, "lambda_switch"),
+        ({"id": "mpc_exact", "params": {"use_manifest_sizes": "no"}}, "use_manifest_sizes"),
+        ({"id": "mpc_exact", "params": {"horizn": 3}}, "horizn"),
+        ({"id": "mpc_exact", "params": [3]}, "params"),
+        ({"id": "mpc_table"}, "table"),
+        ({"id": "rdos", "ksqi": {"c0": True}}, "c0"),
+        ({"id": "rdos", "params": {"gamma_rate": "0.1"}}, "gamma_rate"),
+        ({"id": "external", "command": "python policy.py"}, "command"),
+        ({"id": "external", "command": ["python"], "lookahead": 0}, "lookahead"),
+    ],
+)
+def test_simulate_rejects_mistyped_policy_options(tmp_path, capsys, spec, key):
+    manifests, traces = write_inputs(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": [{"id": "rate_based"}, spec],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"policies[1] ({spec['id']})" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_accepts_integers_where_numbers_are_expected(tmp_path):
+    manifests, traces = write_inputs(tmp_path)
+    policies = [
+        {"id": "fixed", "rep_index": 2},
+        {"id": "rate_based", "window": 3, "strict": False},
+        {"id": "buffer_based", "reservoir_s": 5, "cushion_s": 10},
+        {"id": "mpc_exact", "params": {"horizon": 2, "rtt_s": 0, "mu_rebuf": 17}},
+        {"id": "rdos", "ksqi": {"c0": 1, "beta_neg": 1}, "params": {"horizon": 2, "gamma_rate": 0}},
+    ]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": policies,
+        "player": {"max_buffer_s": 60, "initial_rep": 1, "rtt_s": 0},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tput_bins", 10.5),  # was truncated to 10
+        ("buffer_bins", "5"),
+        ("horizon", 2.0),
+        ("tput_max_kbps", "20000"),
+        ("rtt_s", None),
+        ("lambda_switch", True),
+        ("segment_duration_s", "4"),
+        ("ladder_kbps", [300, "900"]),
+        ("ladder_kbps", 300),
+    ],
+)
+def test_mpc_table_rejects_mistyped_values(tmp_path, capsys, key, value):
+    block = {"tput_bins": 2, "buffer_bins": 2, "horizon": 2, key: value}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mpc_table": block, "out_dir": str(tmp_path / "out")}))
+    assert run(["mpc-table", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mpc_table": [100, 100], "out_dir": str(tmp_path / "out")}))
+    assert run(["mpc-table", "--config", cfg]) == 2
+    assert "mpc_table must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("stats", "alpha", "0.05"), ("subjective", "min_set", 30.5), ("subjective", "keystroke_tol_s", None)],
+)
+def test_analysis_options_are_checked_before_any_output(tmp_path, capsys, command, key, value):
+    # a bad alpha used to surface only after correlations.csv was written, and min_set after mos.csv
+    if command == "stats":
+        cfg = write_stats_inputs(tmp_path)
+        config = json.loads(cfg.read_text())
+    else:
+        ratings, anchors = make_subjective_fixture(tmp_path)
+        block = {"ratings_csv": str(ratings), "anchors_csv": str(anchors)}
+        config = {"subjective": block, "out_dir": str(tmp_path / "out")}
+        cfg = tmp_path / "subj.json"
+    config[command][key] = value
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

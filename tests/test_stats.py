@@ -86,7 +86,42 @@ def test_rank_metrics_match_oracles_with_ties():
         if len(set(x)) < 2 or len(set(y)) < 2:
             continue
         assert srcc(x, y) == pytest.approx(spearman_reference(x, y), abs=1e-12)
-        assert krcc(x, y) == pytest.approx(kendall_reference(x, y), abs=1e-12)
+        assert krcc(x, y) == kendall_reference(x, y)
+
+
+# -0.0 and 0.0 are one value to both sides; the first k entries form an alphabet of k - 1 values
+_TAU_VALUES = (0.0, -0.0, 1.0, -3.5, 2.0, 1e300, -7.25, 5e-324)
+
+
+@st.composite
+def _tau_column(draw, n: int):
+    """n values from a small alphabet (many ties) or a permutation of n distinct floats (none)."""
+    k = draw(st.sampled_from((2, 3, 4, 6, len(_TAU_VALUES), None)))
+    if k is None:
+        scale = draw(st.sampled_from((1.0, -0.5, 1e-300, 1e300)))
+        return [scale * (v - n // 2) for v in draw(st.permutations(range(n)))]
+    return draw(st.lists(st.sampled_from(_TAU_VALUES[:k]), min_size=n, max_size=n))
+
+
+@st.composite
+def _tau_pair(draw):
+    # one draw in four reaches the large sizes, where the O(n^2) oracle costs ~0.1 s
+    # (sampled_from spreads the large sizes evenly; integers() would favour small ones)
+    n = draw(st.sampled_from(range(41, 601)) if draw(st.integers(0, 3)) == 0 else st.integers(3, 40))
+    return draw(_tau_column(n)), draw(_tau_column(n))
+
+
+@given(_tau_pair())
+@settings(max_examples=60, deadline=None)
+def test_krcc_equals_pair_count_oracle_exactly(pair):
+    x, y = pair
+    try:
+        expected = kendall_reference(x, y)
+    except ZeroDivisionError:  # every pair tied in x or in y: the oracle's denominator is 0
+        with pytest.raises(ValueError, match="all-tied"):
+            krcc(x, y)
+        return
+    assert krcc(x, y) == expected
 
 
 @given(
@@ -349,7 +384,8 @@ def test_matrix_f_test_route_uses_residuals():
         "sharp": (mos + rng.normal(0, 2.0, size=80)).tolist(),
         "noisy": (mos + rng.normal(0, 12.0, size=80)).tolist(),
     }
-    m = build_significance_matrix(samples, test="f_test", mos=mos)
+    residuals = {k: fit_logistic(v, mos).mapped - mos for k, v in samples.items()}
+    m = build_significance_matrix(residuals, test="f_test")
     i, j = m.labels.index("sharp"), m.labels.index("noisy")
     assert m.cells[i][j] == ROW_BETTER
 
@@ -380,7 +416,7 @@ def test_matrix_invariants_enforced():
         f_test_variance,
         lambda a, b: one_way_anova([a, b]),
         lambda a, b: build_significance_matrix({"a": a, "b": b}, test="wilcoxon"),
-        lambda a, b: build_significance_matrix({"a": a, "b": b}, test="f_test", mos=b),
+        lambda a, b: build_significance_matrix({"a": a, "b": b}, test="f_test"),
     ],
     ids=["plcc", "srcc", "krcc", "fit_logistic", "wilcoxon", "f_test", "anova", "matrix_wilcoxon", "matrix_f_test"],
 )

@@ -366,6 +366,30 @@ def test_csv_round_trips():
     assert "video_id,mos" in out and "55.5" in out
 
 
+def test_load_ratings_keeps_first_seen_order_and_the_last_duplicate():
+    text = (
+        "subject_id,video_id,session_id,day,device,score\n"
+        "s2,vB,A,D1,phone,10\n"
+        "s1,vA,A,D1,hdtv,20\n"
+        "s2,vA,A,D1,phone,30\n"
+        "s2,vB,A,D1,phone,50\n"  # a later row for (s2, vB) replaces the earlier score
+        "s3,vC,A,D1,tv,60\n"
+    )
+    m = subjective.load_ratings_csv(text)
+    assert m.subjects == ["s2", "s1", "s3"]
+    assert m.videos == ["vB", "vA", "vC"]
+    nan = np.nan
+    np.testing.assert_array_equal(m.raw, [[50.0, 30.0, nan], [nan, 20.0, nan], [nan, nan, 60.0]])
+    assert m.device_of == {"s2": "phone", "s1": "hdtv", "s3": "tv"}
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "-inf", ""])
+def test_load_ratings_rejects_non_finite_scores_naming_source_and_line(bad):
+    text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns0,v1,A,D1,tv," + bad + "\n"
+    with pytest.raises(ValueError, match=f"panel.csv line 3: score must be a finite number, got '{bad}'"):
+        subjective.load_ratings_csv(text, "panel.csv")
+
+
 def test_primacy_recency_effect_flagged_and_computed():
     rng = np.random.default_rng(6)
     raw = rng.uniform(30, 90, size=(3, 70))
