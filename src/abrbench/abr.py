@@ -29,6 +29,9 @@ lexicographic scan (so the decisions are identical too).
 
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
+Parameter sets and policy options are checked, not coerced, by the
+``checks`` vocabulary (reals are stored as floats), and a policy config
+key outside ``POLICY_OPTIONS`` is an error.
 """
 
 from __future__ import annotations
@@ -39,13 +42,13 @@ import functools
 import json
 import math
 import multiprocessing
-import numbers
 import subprocess
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import checks
 from .media import Manifest, ladder_default
 from .qoe import KsqiParams
 
@@ -76,38 +79,11 @@ class AbrState:
         return self.manifest.segment_count - self.chunk_index + 1
 
 
-def _is_number(value) -> bool:
-    """A real number that is not a bool (``true`` is not a config number)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _require_nonnegative(name: str, value) -> None:
-    if not (_is_number(value) and 0.0 <= value < math.inf):  # NaN fails both comparisons
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def _require_positive(name: str, value) -> None:
-    if not (_is_number(value) and 0.0 < value < math.inf):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-
-def _require_count(name: str, value) -> None:
-    # the exact-int test first: ``_recent`` runs per decision and the ABC check costs ~1 us
-    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
-    if not (integral and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _require_bool(name: str, value) -> None:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
 def _recent(history, window: int):
     """The last ``window`` throughput samples (kb/s), each checked finite and > 0."""
     if not history:
         raise ValueError("empty throughput history")
-    _require_count("window", window)
+    checks.count("window", window)
     tail = history[-window:]
     for x in tail:
         if not 0.0 < x < math.inf:  # NaN fails both comparisons
@@ -189,18 +165,16 @@ class MpcObjectiveParams:
     prediction_window: int = 5
 
     def __post_init__(self):
-        _require_nonnegative("lambda_switch", self.lambda_switch)
-        _require_nonnegative("mu_rebuf", self.mu_rebuf)
+        checks.attrs(self, checks.nonnegative, "lambda_switch", "mu_rebuf")
         _check_horizon_params(self)
 
 
 def _check_horizon_params(params) -> None:
     """Checks shared by the MPC and RDOS parameter sets."""
-    _require_count("horizon", params.horizon)
-    _require_nonnegative("rtt_s", params.rtt_s)
-    _require_positive("max_buffer_s", params.max_buffer_s)
-    _require_count("prediction_window", params.prediction_window)
-    _require_bool("use_manifest_sizes", params.use_manifest_sizes)
+    checks.attrs(params, checks.count, "horizon", "prediction_window")
+    checks.attrs(params, checks.nonnegative, "rtt_s")
+    checks.attrs(params, checks.positive, "max_buffer_s")
+    checks.attrs(params, checks.flag, "use_manifest_sizes")
 
 
 def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> list[np.ndarray]:
@@ -325,10 +299,8 @@ class TableBinning:
     max_buffer_s: float = 60.0
 
     def __post_init__(self):
-        _require_count("tput_bins", self.tput_bins)
-        _require_count("buffer_bins", self.buffer_bins)
-        _require_positive("tput_max_kbps", self.tput_max_kbps)
-        _require_positive("max_buffer_s", self.max_buffer_s)
+        checks.attrs(self, checks.count, "tput_bins", "buffer_bins")
+        checks.attrs(self, checks.positive, "tput_max_kbps", "max_buffer_s")
 
     def tput_edges(self) -> np.ndarray:
         return np.linspace(0.0, self.tput_max_kbps, self.tput_bins + 1)
@@ -421,8 +393,7 @@ def build_mpc_table(
     order. The default 100x100x13 binning takes ~20 s on one core; see
     ``mpc_table_cells`` for spot computation.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    checks.count("jobs", jobs)
     if ladder is None:
         ladder = ladder_default()
     ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
@@ -497,15 +468,7 @@ def save_table(table: LookupTable, path) -> None:
         "buffer_edges": [float(x) for x in table.buffer_edges],
         "ladder_kbps": list(table.ladder_kbps),
         "segment_duration_s": table.segment_duration_s,
-        "params": {
-            "lambda_switch": table.params.lambda_switch,
-            "mu_rebuf": table.params.mu_rebuf,
-            "horizon": table.params.horizon,
-            "rtt_s": table.params.rtt_s,
-            "max_buffer_s": table.params.max_buffer_s,
-            "use_manifest_sizes": table.params.use_manifest_sizes,
-            "prediction_window": table.params.prediction_window,
-        },
+        "params": asdict(table.params),  # in field order
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
@@ -526,15 +489,9 @@ def load_table(path) -> LookupTable:
     shape = (len(tput_edges) - 1, len(buffer_edges) - 1, len(ladder_kbps))
     entries = np.frombuffer(blob, dtype=np.uint8).reshape(shape).copy()
     p = header["params"]
-    params = MpcObjectiveParams(
-        lambda_switch=p["lambda_switch"],
-        mu_rebuf=p["mu_rebuf"],
-        horizon=p["horizon"],
-        rtt_s=p["rtt_s"],
-        max_buffer_s=p["max_buffer_s"],
-        use_manifest_sizes=p["use_manifest_sizes"],
-        prediction_window=p["prediction_window"],
-    )
+    if set(p) != {f.name for f in fields(MpcObjectiveParams)}:
+        raise ValueError(f"{path}: table params must be exactly the MpcObjectiveParams fields, got {sorted(p)}")
+    params = MpcObjectiveParams(**p)
     return LookupTable(
         tput_edges=tput_edges,
         buffer_edges=buffer_edges,
@@ -565,7 +522,7 @@ class RdosParams:
     prediction_window: int = 5
 
     def __post_init__(self):
-        _require_nonnegative("gamma_rate", self.gamma_rate)
+        checks.attrs(self, checks.nonnegative, "gamma_rate")
         _check_horizon_params(self)
 
 
@@ -735,7 +692,17 @@ class ExternalPolicy:
         self.close()
 
 
-POLICY_IDS = ("fixed", "rate_based", "buffer_based", "mpc_exact", "mpc_table", "rdos", "external")
+# the options each policy id takes, besides "id" and "name"
+POLICY_OPTIONS = {
+    "fixed": ("rep_index",),
+    "rate_based": ("window", "strict"),
+    "buffer_based": ("reservoir_s", "cushion_s"),
+    "mpc_exact": ("params",),
+    "mpc_table": ("table",),
+    "rdos": ("ksqi", "params"),
+    "external": ("command", "lookahead"),
+}
+POLICY_IDS = tuple(POLICY_OPTIONS)
 
 
 def policy_builder(spec: dict):
@@ -743,23 +710,24 @@ def policy_builder(spec: dict):
 
     Every option is checked for type and range, naming its key, before
     anything is built, so a grid can check all its policy blocks before
-    any cell runs. Building an ``external`` policy starts its child and
+    any cell runs; a key the policy does not take (``POLICY_OPTIONS``)
+    is an error. Building an ``external`` policy starts its child and
     building an ``mpc_table`` one reads its table.
     """
     kind = spec.get("id")
+    if kind not in POLICY_IDS:
+        raise ValueError(f"unknown policy id {kind!r}; expected one of {POLICY_IDS}")
+    checks.known_keys(f"policy {kind}", spec, ("id", "name") + POLICY_OPTIONS[kind])
     if kind == "fixed":
-        rep_index = spec.get("rep_index", 1)
-        _require_count("rep_index", rep_index)
+        rep_index = checks.count("rep_index", spec.get("rep_index", 1))
         return lambda: FixedPolicy(rep_index)
     if kind == "rate_based":
-        window, strict = spec.get("window", 5), spec.get("strict", True)
-        _require_count("window", window)
-        _require_bool("strict", strict)
+        window = checks.count("window", spec.get("window", 5))
+        strict = checks.flag("strict", spec.get("strict", True))
         return lambda: RateBasedPolicy(window, strict)
     if kind == "buffer_based":
-        reservoir_s, cushion_s = spec.get("reservoir_s", 5.0), spec.get("cushion_s", 10.0)
-        _require_nonnegative("reservoir_s", reservoir_s)
-        _require_nonnegative("cushion_s", cushion_s)
+        reservoir_s = checks.nonnegative("reservoir_s", spec.get("reservoir_s", 5.0))
+        cushion_s = checks.nonnegative("cushion_s", spec.get("cushion_s", 10.0))
         return lambda: BufferBasedPolicy(reservoir_s, cushion_s)
     if kind == "mpc_exact":
         params = _options_object(MpcObjectiveParams, "params", spec.get("params", {}))
@@ -773,13 +741,11 @@ def policy_builder(spec: dict):
         ksqi = _options_object(KsqiParams, "ksqi", spec.get("ksqi", {}))
         params = _options_object(functools.partial(RdosParams, ksqi=ksqi), "params", spec.get("params", {}))
         return lambda: RdosPolicy(params)
-    if kind == "external":
-        command, lookahead = spec.get("command"), spec.get("lookahead", 5)
-        if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):
-            raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
-        _require_count("lookahead", lookahead)
-        return lambda: ExternalPolicy(command, lookahead)
-    raise ValueError(f"unknown policy id {kind!r}; expected one of {POLICY_IDS}")
+    # external
+    command, lookahead = spec.get("command"), checks.count("lookahead", spec.get("lookahead", 5))
+    if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):
+        raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
+    return lambda: ExternalPolicy(command, lookahead)
 
 
 def _options_object(cls, key: str, block):

@@ -1,0 +1,65 @@
+"""What a valid parameter value is, decided once for every layer.
+
+Each check takes a value's name and the value, raises a ``ValueError``
+naming both when the value is not valid, and returns it. Reals come
+back as ``float``, so an integer where a real is expected behaves, and
+is written into artifacts, as the float would. A bool is never a
+number, although Python counts it as an int.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool (``true`` is not a config number)."""
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def nonnegative(name: str, value) -> float:
+    if not (is_number(value) and 0.0 <= value < math.inf):  # NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return float(value)
+
+
+def positive(name: str, value) -> float:
+    if not (is_number(value) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def between(name: str, value, low: float, high: float, exclusive: bool = False) -> float:
+    """A number in [low, high], or in (low, high) when ``exclusive``."""
+    if not (is_number(value) and ((low < value < high) if exclusive else (low <= value <= high))):
+        interval = f"({low}, {high})" if exclusive else f"[{low}, {high}]"
+        raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
+    return float(value)
+
+
+def count(name: str, value) -> int:
+    # the exact-int test first: ``abr._recent`` runs per decision and the ABC check costs ~1 us
+    integral = type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not (integral and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def attrs(obj, check, *names: str) -> None:
+    """Check the named attributes of a (frozen) dataclass instance, storing each checked value back."""
+    for name in names:
+        object.__setattr__(obj, name, check(name, getattr(obj, name)))
+
+
+def known_keys(where: str, block: dict, allowed) -> None:
+    """A config block holds only ``allowed`` keys; the error names the first other one."""
+    unknown = [key for key in block if key not in allowed]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}; expected one of {sorted(allowed)}")

@@ -12,6 +12,13 @@ Subcommands::
 Every command is deterministic given the config and overwrites its
 outputs atomically. Grid cells fail in isolation; the exit code is 0
 only when every cell succeeded.
+
+Config values are checked, not coerced, through ``checks`` and the
+config classes that use it; a key that a ``policies`` or ``qoe_models``
+entry, or the ``player`` or ``mpc_table`` block, does not take is an
+error. Each command checks its config before it runs any cell, bin
+or record and before it writes any output; a bad value, like a missing
+file, exits 2 with a message naming the key (or the file and line).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import abr, media, nettrace, qoe, simulator, stats, subjective
+from . import abr, checks, media, nettrace, qoe, simulator, stats, subjective
 
 
 def _read_text(path: str, what: str) -> str:
@@ -65,15 +72,9 @@ def _block(config: dict, key: str) -> dict:
     return block
 
 
-def _number(value, key: str, integral: bool = False):
-    """A config value checked, not coerced: an int, or any JSON number.
-
-    Numbers come back as floats, so an int where a float is expected
-    behaves (and is written into artifacts) as the float would.
-    """
-    if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-        raise ValueError(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return value if integral else float(value)
+def _pick(block: dict, keys) -> dict:
+    """The entries of ``block`` under ``keys``; the classes they are passed to check them."""
+    return {k: block[k] for k in keys if k in block}
 
 
 def _stem(path: str) -> str:
@@ -103,9 +104,10 @@ def _load_traces(entries) -> list[tuple[str, nettrace.Trace]]:
 
 def _player_config(block: dict) -> simulator.PlayerConfig:
     """Keys left out take the config classes' defaults; the classes check every value."""
-    channel = nettrace.ChannelConfig(**{k: block[k] for k in ("rtt_s", "loop_trace") if k in block})
-    player_keys = ("max_buffer_s", "initial_rep", "drop_first_chunk")
-    return simulator.PlayerConfig(channel=channel, **{k: block[k] for k in player_keys if k in block})
+    channel_keys, player_keys = ("rtt_s", "loop_trace"), ("max_buffer_s", "initial_rep", "drop_first_chunk")
+    checks.known_keys("player", block, channel_keys + player_keys)
+    channel = nettrace.ChannelConfig(**_pick(block, channel_keys))
+    return simulator.PlayerConfig(channel=channel, **_pick(block, player_keys))
 
 
 def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, policy_spec: dict, player: simulator.PlayerConfig):
@@ -207,30 +209,19 @@ def cmd_simulate(config: dict, args) -> int:
 
 def cmd_mpc_table(config: dict, args) -> int:
     block = _block(config, "mpc_table")
-
-    def option(key, default, integral=False):
-        return _number(block.get(key, default), key, integral)
-
-    max_buffer_s = option("max_buffer_s", 60.0)
-    binning = abr.TableBinning(
-        tput_bins=option("tput_bins", 100, integral=True),
-        buffer_bins=option("buffer_bins", 100, integral=True),
-        tput_max_kbps=option("tput_max_kbps", 20000.0),
-        max_buffer_s=max_buffer_s,
-    )
-    params = abr.MpcObjectiveParams(
-        lambda_switch=option("lambda_switch", 1.0),
-        mu_rebuf=option("mu_rebuf", 16.8),
-        horizon=option("horizon", 5, integral=True),
-        rtt_s=option("rtt_s", 0.08),
-        max_buffer_s=max_buffer_s,
-    )
+    # keys left out take the classes' defaults; max_buffer_s caps both the buffer axis and the objective
+    binning_keys = ("tput_bins", "buffer_bins", "tput_max_kbps", "max_buffer_s")
+    objective_keys = ("lambda_switch", "mu_rebuf", "horizon", "rtt_s", "max_buffer_s")
+    checks.known_keys("mpc_table", block, binning_keys + objective_keys + ("segment_duration_s", "ladder_kbps"))
+    binning = abr.TableBinning(**_pick(block, binning_keys))
+    params = abr.MpcObjectiveParams(**_pick(block, objective_keys))
+    segment_duration_s = checks.positive("segment_duration_s", block.get("segment_duration_s", 4.0))
     ladder = media.ladder_default()
     if "ladder_kbps" in block:
         if not isinstance(block["ladder_kbps"], list):
             raise ValueError(f"ladder_kbps must be a list of numbers, got {block['ladder_kbps']!r}")
         ladder = tuple(
-            media.Representation(index=i + 1, width=16, height=9, bitrate_kbps=_number(r, f"ladder_kbps[{i}]"))
+            media.Representation(i + 1, 16, 9, checks.positive(f"ladder_kbps[{i}]", r))
             for i, r in enumerate(block["ladder_kbps"])
         )
     cell_count = binning.tput_bins * binning.buffer_bins * len(ladder)
@@ -239,7 +230,7 @@ def cmd_mpc_table(config: dict, args) -> int:
         params,
         binning,
         ladder=ladder,
-        segment_duration_s=option("segment_duration_s", 4.0),
+        segment_duration_s=segment_duration_s,
         jobs=args.jobs,
     )
     out_dir = Path(args.out or config.get("out_dir", "out"))
@@ -255,19 +246,29 @@ def cmd_qoe(config: dict, args) -> int:
     records_dir = Path(config.get("records_dir", out_dir / "records"))
     if not records_dir.exists():
         raise FileNotFoundError(f"records directory not found: {records_dir}")
-    models = config.get("qoe_models", [{"id": mid} for mid in sorted(qoe.MODELS)])
+    models = []  # (entry, checked params, or None for an external model), all checked before any record is scored
+    for i, spec in enumerate(config.get("qoe_models", [{"id": mid} for mid in sorted(qoe.MODELS)])):
+        if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
+            raise ValueError(f"qoe_models[{i}] must be an object with a string 'id', got {spec!r}")
+        if spec.get("command"):
+            models.append((spec, None))
+            continue
+        params = {k: v for k, v in spec.items() if k not in ("id", "command", "name")}
+        try:
+            models.append((spec, qoe.model_params(spec["id"], params)))
+        except ValueError as exc:
+            raise ValueError(f"qoe_models[{i}] ({spec['id']}): {exc}") from exc
     rows = []
     failed = 0
     for path in sorted(records_dir.glob("*.record.json")):
         record = simulator.record_from_json(path.read_text())
         video_id = path.name[: -len(".record.json")]
-        for spec in models:
-            params = {k: v for k, v in spec.items() if k not in ("id", "command", "name")}
+        for spec, params in models:
             try:
-                if spec.get("command"):
+                if params is None:
                     score = qoe.evaluate_external(spec["id"], record, spec["command"])
                 else:
-                    score = qoe.evaluate(spec["id"], record, params or None)
+                    score = qoe.evaluate(spec["id"], record, params)
                 rows.append((video_id, spec["id"], score.value))
             except Exception as exc:
                 failed += 1
@@ -287,16 +288,19 @@ def cmd_subjective(config: dict, args) -> int:
     block = _block(config, "subjective")
     if "ratings_csv" not in block:
         raise ValueError("subjective block needs ratings_csv")
-    tol_s = _number(block.get("keystroke_tol_s", 2.0), "keystroke_tol_s")
-    threshold = _number(block.get("auxiliary_threshold", 0.10), "auxiliary_threshold")
-    min_set = _number(block.get("min_set", 30), "min_set", integral=True)
-    matrix = subjective.load_ratings_csv(_read_text(block["ratings_csv"], "ratings"), block["ratings_csv"])
+    tol_s = checks.nonnegative("keystroke_tol_s", block.get("keystroke_tol_s", 2.0))
+    threshold = checks.nonnegative("auxiliary_threshold", block.get("auxiliary_threshold", 0.10))
+    min_set = checks.count("min_set", block.get("min_set", 30))
 
+    def load(reader, key: str, what: str):
+        return reader(_read_text(block[key], what), block[key])  # errors name the file and line
+
+    matrix = load(subjective.load_ratings_csv, "ratings_csv", "ratings")
     if "video_meta_csv" in block:
-        matrix.video_meta = subjective.load_video_meta_csv(_read_text(block["video_meta_csv"], "video meta"))
+        matrix.video_meta = load(subjective.load_video_meta_csv, "video_meta_csv", "video meta")
     if "keystrokes_csv" in block and "stall_events_csv" in block:
-        events = subjective.load_keystrokes_csv(_read_text(block["keystrokes_csv"], "keystrokes"))
-        onsets = subjective.load_stall_events_csv(_read_text(block["stall_events_csv"], "stall events"))
+        events = load(subjective.load_keystrokes_csv, "keystrokes_csv", "keystrokes")
+        onsets = load(subjective.load_stall_events_csv, "stall_events_csv", "stall events")
         videos_of = {
             s: [v for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])]
             for i, s in enumerate(matrix.subjects)
@@ -304,6 +308,7 @@ def cmd_subjective(config: dict, args) -> int:
         matrix.keystroke_accuracy = subjective.keystroke_accuracy(events, onsets, videos_of, tol_s=tol_s)
     else:
         matrix.keystroke_accuracy = {s: 1.0 for s in matrix.subjects}
+    anchors = load(subjective.load_anchors_csv, "anchors_csv", "anchors") if "anchors_csv" in block else None
 
     keep = subjective.reject_auxiliary(matrix, threshold=threshold)
     matrix = subjective.subset_matrix(matrix, keep)
@@ -313,8 +318,7 @@ def cmd_subjective(config: dict, args) -> int:
     z = z[np.asarray(keep2, dtype=bool), :]
 
     outputs = []
-    if "anchors_csv" in block:
-        anchors = subjective.load_anchors_csv(_read_text(block["anchors_csv"], "anchors"))
+    if anchors is not None:
         mos, mappings = subjective.realign(matrix, z, anchors)
         _atomic_write(out_dir / "mos.csv", subjective.mos_to_csv(mos))
         lines = ["day,slope,intercept"] + [f"{d},{a!r},{b!r}" for d, (a, b) in sorted(mappings.items())]
@@ -359,7 +363,9 @@ def cmd_stats(config: dict, args) -> int:
         if key not in block:
             raise ValueError(f"stats block needs {key}")
     test = block.get("test", "f_test")
-    alpha = _number(block.get("alpha", 0.05), "alpha")
+    if test not in stats.TESTS:
+        raise ValueError(f"test must be one of {stats.TESTS}, got {test!r}")
+    alpha = checks.between("alpha", block.get("alpha", 0.05), 0.0, 1.0, exclusive=True)
     by_method, items = _load_scores_csv(_read_text(block["scores_csv"], "scores"), block["scores_csv"])
     mos_rows = subjective.csv_rows(_read_text(block["mos_csv"], "mos"), ("item_id", "mos"), "mos")
     mos_by_item = {r["item_id"]: subjective.csv_number(mos_rows, r, "mos", block["mos_csv"]) for r in mos_rows}
@@ -396,9 +402,9 @@ def cmd_traces(config: dict, args) -> int:
     block = _block(config, "traces_ingest")
     if "inputs" not in block:
         raise ValueError("traces_ingest block needs inputs")
-    window_s = _number(block.get("window_s", 55.0), "window_s")
-    stride_s = _number(block.get("stride_s", window_s), "stride_s")
-    min_avg = _number(block.get("min_avg_kbps", 200.0), "min_avg_kbps")
+    window_s = checks.positive("window_s", block.get("window_s", 55.0))
+    stride_s = checks.positive("stride_s", block.get("stride_s", window_s))
+    min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))
     index_lines = ["trace_id,source,start_offset_s,mean_kbps,kept"]
     kept_count = 0
     for entry in block["inputs"]:

@@ -13,8 +13,9 @@ single unit against kb/s bandwidth values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+
+from . import checks
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,8 @@ class Representation:
     bitrate_kbps: float
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError(f"representation index must be >= 1, got {self.index}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"non-positive resolution {self.width}x{self.height}")
-        if not (self.bitrate_kbps > 0):
-            raise ValueError(f"non-positive bitrate {self.bitrate_kbps}")
+        checks.attrs(self, checks.count, "index", "width", "height")
+        checks.attrs(self, checks.positive, "bitrate_kbps")
 
 
 @dataclass(frozen=True)
@@ -43,10 +40,12 @@ class SegmentInfo:
     quality: float  # perceptual score in [0, 100], device-adapted
 
     def __post_init__(self):
-        if not 0 < self.size_bits < math.inf:
-            raise ValueError(f"segment size must be finite and > 0, got {self.size_bits!r}")
-        if not (0.0 <= self.quality <= 100.0):
-            raise ValueError(f"quality {self.quality} outside [0, 100]")
+        size_bits = checks.positive("segment size_bits", self.size_bits)
+        quality = checks.between("quality", self.quality, 0.0, 100.0)
+        # stored back only when a check turned an int into a float: one manifest holds 10^4-10^5 cells
+        if size_bits is not self.size_bits or quality is not self.quality:
+            object.__setattr__(self, "size_bits", size_bits)
+            object.__setattr__(self, "quality", quality)
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ class Manifest:
     segments: tuple[tuple[SegmentInfo, ...], ...]
 
     def __post_init__(self):
-        if not (self.segment_duration_s > 0):
-            raise ValueError("segment_duration_s must be > 0")
+        checks.attrs(self, checks.positive, "segment_duration_s")
         if not self.ladder:
             raise ValueError("empty ladder")
         for pos, rep in enumerate(self.ladder, start=1):
@@ -126,8 +124,11 @@ def ladder_default() -> tuple[Representation, ...]:
 def parse_manifest(text: str) -> Manifest:
     """Parse the JSON manifest document (see docs/file_formats.md).
 
-    Raises ValueError on schema violations, non-increasing ladder
-    bitrates, a ragged segment matrix, or out-of-range quality scores.
+    Values are checked, not coerced: ``index``, ``width`` and ``height``
+    are integers >= 1, sizes, bitrates and the segment duration finite
+    numbers > 0, qualities numbers in [0, 100] (a bool is no number).
+    Raises ValueError, naming the field, on these and on schema
+    violations, non-increasing ladder bitrates or a ragged segment matrix.
     """
     try:
         doc = json.loads(text)
@@ -140,25 +141,15 @@ def parse_manifest(text: str) -> Manifest:
             raise ValueError(f"manifest missing required field {key!r}")
     try:
         ladder = tuple(
-            Representation(
-                index=int(entry["index"]),
-                width=int(entry["width"]),
-                height=int(entry["height"]),
-                bitrate_kbps=float(entry["bitrate_kbps"]),
-            )
+            Representation(entry["index"], entry["width"], entry["height"], entry["bitrate_kbps"])
             for entry in doc["ladder"]
         )
         segments = tuple(
-            tuple(SegmentInfo(size_bits=float(cell["size_bits"]), quality=float(cell["quality"])) for cell in row)
-            for row in doc["segments"]
+            tuple(SegmentInfo(cell["size_bits"], cell["quality"]) for cell in row) for row in doc["segments"]
         )
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed manifest entry: {exc}") from exc
-    return Manifest(
-        segment_duration_s=float(doc["segment_duration_s"]),
-        ladder=ladder,
-        segments=segments,
-    )
+    return Manifest(segment_duration_s=doc["segment_duration_s"], ladder=ladder, segments=segments)
 
 
 def serialize_manifest(manifest: Manifest) -> str:

@@ -23,10 +23,11 @@ docs/file_formats.md):
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+
+from . import checks
 
 TRACE_FORMATS = ("granular_5s", "granular_1s", "pairs")
 
@@ -43,10 +44,8 @@ class ChannelConfig:
     loop_trace: bool = True  # wrap the trace when a session outlasts it
 
     def __post_init__(self):
-        if not (isinstance(self.rtt_s, numbers.Real) and 0 <= self.rtt_s < math.inf):
-            raise ValueError(f"rtt_s must be finite and >= 0, got {self.rtt_s!r}")
-        if not isinstance(self.loop_trace, bool):
-            raise ValueError(f"loop_trace must be true or false, got {self.loop_trace!r}")
+        checks.attrs(self, checks.nonnegative, "rtt_s")
+        checks.attrs(self, checks.flag, "loop_trace")
 
 
 @dataclass(frozen=True)
@@ -163,10 +162,8 @@ def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) 
     Each output window is re-origined to time 0 and preserves the
     time-weighted mean bandwidth of the span it covers.
     """
-    if not stride_s > 0:
-        raise ValueError("stride_s must be > 0")
-    if not window_s > 0:
-        raise ValueError("window_s must be > 0")
+    stride_s = checks.positive("stride_s", stride_s)
+    window_s = checks.positive("window_s", window_s)
     if window_s > trace.duration_s:
         raise ValueError(f"window {window_s}s longer than trace ({trace.duration_s}s)")
     out = []

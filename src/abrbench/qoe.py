@@ -12,14 +12,15 @@ per-segment values carried by the record.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-import numbers
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import checks
 from .simulator import SessionRecord, record_to_json
 
 
@@ -53,11 +54,7 @@ class KsqiParams:
     switch_table: "PenaltyTable | None" = None
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c2", "beta_neg", "beta_pos"):
-            value = getattr(self, name)
-            # NaN fails both comparisons; a bool or a string is not a coefficient
-            if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        checks.attrs(self, checks.nonnegative, "c0", "c1", "c2", "beta_neg", "beta_pos")
         if not self.beta_neg >= self.beta_pos:
             raise ValueError("adaptation weights must satisfy beta_neg >= beta_pos >= 0")
 
@@ -100,7 +97,7 @@ class PenaltyTable:
         )
 
 
-def _require_segments(record: SessionRecord):
+def _check_segments(record: SessionRecord):
     if record.segment_count < 1:
         raise ValueError("empty session record")
 
@@ -121,7 +118,7 @@ def _quality_before(record: SessionRecord, position_s: float) -> float:
 
 def qoe_yin2015(record: SessionRecord, lam: float = 1.0, mu: float = 4.3, mu_s: float = 0.0) -> float:
     """Linear bitrate objective: sum of bitrates minus switch, stall and startup terms."""
-    _require_segments(record)
+    _check_segments(record)
     rates = _mbps(record)
     switching = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
     return sum(rates) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
@@ -129,7 +126,7 @@ def qoe_yin2015(record: SessionRecord, lam: float = 1.0, mu: float = 4.3, mu_s: 
 
 def qoe_bentaleb2016(record: SessionRecord, lam: float = 0.5, mu: float = 50.0, mu_s: float = 0.0) -> float:
     """Same linear form as yin2015 with per-segment quality in place of bitrate."""
-    _require_segments(record)
+    _check_segments(record)
     q = record.qualities
     switching = sum(abs(b - a) for a, b in zip(q, q[1:]))
     return sum(q) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
@@ -137,7 +134,7 @@ def qoe_bentaleb2016(record: SessionRecord, lam: float = 0.5, mu: float = 50.0, 
 
 def qoe_ftw(record: SessionRecord, a: float = 3.5, b_len: float = 0.15, b_cnt: float = 0.19, c: float = 1.5) -> float:
     """Exponential stall model on a 1-5 scale; no stalls scores a + c."""
-    _require_segments(record)
+    _check_segments(record)
     n = len(record.stalls)
     if n == 0:
         return a + c
@@ -165,7 +162,7 @@ def _ternary_level(value: float, bounds: tuple[float, float]) -> int:
 
 def qoe_mok2011(record: SessionRecord, coeffs=MOK2011_COEFFS, levels=None) -> float:
     """Level-based regression on startup delay, stall frequency, stall duration."""
-    _require_segments(record)
+    _check_segments(record)
     levels = levels or MOK2011_LEVELS
     base, w_init, w_freq, w_dur = coeffs
     content_min = record.segment_count * record.segment_duration_s / 60.0
@@ -179,7 +176,7 @@ def qoe_mok2011(record: SessionRecord, coeffs=MOK2011_COEFFS, levels=None) -> fl
 
 def qoe_liu2012(record: SessionRecord, c1: float = 4.0, c2: float = 1.0) -> float:
     """Mean bitrate reward against the rebuffering-time ratio."""
-    _require_segments(record)
+    _check_segments(record)
     rates = _mbps(record)
     content = record.segment_count * record.segment_duration_s
     stall = record.total_stall_s
@@ -193,14 +190,14 @@ def qoe_xue2014(record: SessionRecord, rho: float = 1.0, r_min_kbps: float = 235
     ``r_min_kbps`` is the ladder floor (the record itself does not carry
     the ladder); defaults to the reference ladder's lowest rung.
     """
-    _require_segments(record)
+    _check_segments(record)
     utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
     return utility - rho * record.total_stall_s
 
 
 def qoe_spiteri2016(record: SessionRecord, gamma: float = 2.0, r_min_kbps: float = 235.0) -> float:
     """BOLA-style utility: log-bitrate sum minus gamma times stall seconds."""
-    _require_segments(record)
+    _check_segments(record)
     utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
     return utility - gamma * record.total_stall_s
 
@@ -217,7 +214,7 @@ def qoe_sqi(
     exp(-position/tau); the default infinite memory constant disables
     the decay.
     """
-    _require_segments(record)
+    _check_segments(record)
     n = record.segment_count
     base = sum(record.qualities) / n
     penalty = 0.0
@@ -235,7 +232,7 @@ def qoe_ksqi(record: SessionRecord, params: KsqiParams = KsqiParams()) -> float:
     was when it hit; downward quality switches cost beta_neg per unit,
     upward beta_pos.
     """
-    _require_segments(record)
+    _check_segments(record)
     n = record.segment_count
     base = sum(record.qualities) / n
     penalty = 0.0
@@ -274,6 +271,21 @@ def evaluate_external(model_id: str, record: SessionRecord, command) -> QoeScore
     """
     proc = subprocess.run(list(command), input=record_to_json(record), capture_output=True, text=True, check=True)
     return QoeScore(value=float(proc.stdout.strip().splitlines()[-1]), model_id=model_id)
+
+
+def model_params(model_id: str, params: dict) -> dict | KsqiParams:
+    """Check ``params`` for the built-in model ``model_id``; return them as ``evaluate`` takes them.
+
+    An unknown model, or a name the model function does not take, is a ValueError. ksqi's
+    parameters come back as the ``KsqiParams`` they build, which checks their values.
+    """
+    if model_id not in MODELS:
+        raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
+    if model_id == "ksqi":
+        checks.known_keys(f"model {model_id}", params, [f.name for f in fields(KsqiParams)])
+        return KsqiParams(**params)
+    checks.known_keys(f"model {model_id}", params, list(inspect.signature(MODELS[model_id]).parameters)[1:])
+    return params
 
 
 def evaluate(model_id: str, record: SessionRecord, params: dict | KsqiParams | None = None) -> QoeScore:

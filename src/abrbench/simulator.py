@@ -10,11 +10,10 @@ continues (idle time).
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from array import array
 from dataclasses import dataclass, field
 
+from . import checks
 from .media import Manifest
 from .nettrace import ChannelConfig, Trace, download_time
 
@@ -27,12 +26,9 @@ class PlayerConfig:
     channel: ChannelConfig = field(default_factory=ChannelConfig)
 
     def __post_init__(self):
-        if not (isinstance(self.max_buffer_s, numbers.Real) and 0.0 < self.max_buffer_s < math.inf):
-            raise ValueError(f"max_buffer_s must be finite and > 0, got {self.max_buffer_s!r}")
-        if not (isinstance(self.initial_rep, numbers.Integral) and self.initial_rep >= 1):
-            raise ValueError(f"initial_rep must be an integer >= 1 (a 1-based ladder index), got {self.initial_rep!r}")
-        if not isinstance(self.drop_first_chunk, bool):
-            raise ValueError(f"drop_first_chunk must be true or false, got {self.drop_first_chunk!r}")
+        checks.attrs(self, checks.positive, "max_buffer_s")
+        checks.attrs(self, checks.count, "initial_rep")  # a 1-based ladder index
+        checks.attrs(self, checks.flag, "drop_first_chunk")
 
 
 @dataclass(frozen=True)

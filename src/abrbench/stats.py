@@ -300,6 +300,9 @@ def one_way_anova(groups) -> tuple[float, float]:
     return f, p
 
 
+TESTS = ("wilcoxon", "f_test")  # the pairwise tests of ``build_significance_matrix``
+
+
 @dataclass(frozen=True)
 class SignificanceMatrix:
     """Pairwise better/worse/indistinguishable decisions between methods."""
@@ -354,12 +357,9 @@ def build_significance_matrix(
     lengths = {len(v) for v in method_samples.values()}
     if len(lengths) != 1:
         raise ValueError("all methods must be sampled over the same items")
-    if test == "wilcoxon":
-        pair_fn = lambda x, y: wilcoxon_signed_rank(x, y, alpha)
-    elif test == "f_test":
-        pair_fn = lambda x, y: f_test_variance(x, y, alpha)
-    else:
-        raise ValueError(f"unknown test {test!r}; expected wilcoxon or f_test")
+    if test not in TESTS:
+        raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
+    pair_fn = wilcoxon_signed_rank if test == "wilcoxon" else f_test_variance
     data = {k: np.asarray(v, dtype=float) for k, v in method_samples.items()}
 
     n = len(labels)
@@ -368,7 +368,7 @@ def build_significance_matrix(
     flipped = {ROW_BETTER: ROW_WORSE, ROW_WORSE: ROW_BETTER, INDISTINGUISHABLE: INDISTINGUISHABLE}
     for i in range(n):
         for j in range(i + 1, n):
-            decision, p = pair_fn(data[labels[i]], data[labels[j]])
+            decision, p = pair_fn(data[labels[i]], data[labels[j]], alpha)
             cells[i][j] = decision
             cells[j][i] = flipped[decision]
             ps[i][j] = ps[j][i] = p

@@ -457,42 +457,37 @@ def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
     )
 
 
-def load_keystrokes_csv(text: str) -> dict[tuple[str, str], list[float]]:
+def load_keystrokes_csv(text: str, source: str = "keystrokes CSV") -> dict[tuple[str, str], list[float]]:
     """Columns: subject_id,video_id,event_time_s."""
     out: dict[tuple[str, str], list[float]] = {}
-    for row in csv_rows(text, ("subject_id", "video_id", "event_time_s"), "keystrokes"):
-        out.setdefault((row["subject_id"], row["video_id"]), []).append(float(row["event_time_s"]))
+    rows = csv_rows(text, ("subject_id", "video_id", "event_time_s"), "keystrokes")
+    for row in rows:
+        out.setdefault((row["subject_id"], row["video_id"]), []).append(csv_number(rows, row, "event_time_s", source))
     return out
 
 
-def load_video_meta_csv(text: str) -> dict[str, VideoMeta]:
+def load_video_meta_csv(text: str, source: str = "video meta CSV") -> dict[str, VideoMeta]:
     """Columns: video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality."""
     columns = ("video_id", "mean_quality", "quality_std", "total_stall_s", "first_quality", "last_quality")
-    out = {}
-    for row in csv_rows(text, columns, "video meta"):
-        out[row["video_id"]] = VideoMeta(
-            mean_quality=float(row["mean_quality"]),
-            quality_std=float(row["quality_std"]),
-            total_stall_s=float(row["total_stall_s"]),
-            first_quality=float(row["first_quality"]),
-            last_quality=float(row["last_quality"]),
-        )
-    return out
+    rows = csv_rows(text, columns, "video meta")
+    return {row["video_id"]: VideoMeta(*(csv_number(rows, row, c, source) for c in columns[1:])) for row in rows}
 
 
-def load_stall_events_csv(text: str) -> dict[str, list[float]]:
+def load_stall_events_csv(text: str, source: str = "stall events CSV") -> dict[str, list[float]]:
     """Columns: video_id,position_s[,duration_s]; positions are stall onsets."""
     out: dict[str, list[float]] = {}
-    for row in csv_rows(text, ("video_id", "position_s"), "stall events"):
-        out.setdefault(row["video_id"], []).append(float(row["position_s"]))
+    rows = csv_rows(text, ("video_id", "position_s"), "stall events")
+    for row in rows:
+        out.setdefault(row["video_id"], []).append(csv_number(rows, row, "position_s", source))
     return out
 
 
-def load_anchors_csv(text: str) -> dict[str, list[tuple[str, float]]]:
+def load_anchors_csv(text: str, source: str = "anchors CSV") -> dict[str, list[tuple[str, float]]]:
     """Columns: day,video_id,mos."""
     out: dict[str, list[tuple[str, float]]] = {}
-    for row in csv_rows(text, ("day", "video_id", "mos"), "anchors"):
-        out.setdefault(row["day"], []).append((row["video_id"], float(row["mos"])))
+    rows = csv_rows(text, ("day", "video_id", "mos"), "anchors")
+    for row in rows:
+        out.setdefault(row["day"], []).append((row["video_id"], csv_number(rows, row, "mos", source)))
     return out
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import sys
@@ -472,6 +473,22 @@ def test_table_save_load_bit_exact(tmp_path):
     assert again.params == table.params
     save_table(again, tmp_path / "table2.bin")
     assert (tmp_path / "table.bin").read_bytes() == (tmp_path / "table2.bin").read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_table_header_params_must_be_the_objective_fields(tmp_path, edit):
+    # a dropped param was a KeyError, an extra one was ignored
+    path = tmp_path / "table.bin"
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2)), path)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    if edit == "drop":
+        del doc["params"]["rtt_s"]
+    else:
+        doc["params"]["horizn"] = 3
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match=str(path)):
+        load_table(path)
 
 
 def test_table_parallel_build_matches_serial():

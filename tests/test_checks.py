@@ -1,0 +1,73 @@
+"""The parameter-value checks, and that no other module defines its own."""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from abrbench import checks
+
+MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "abrbench").glob("*.py"))
+
+
+def _own_checks(path):
+    """Names in ``path`` that define or reach for a scalar number, count or flag check."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("Real", "Integral"):
+            if isinstance(node.value, ast.Name) and node.value.id == "numbers":
+                yield f"numbers.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            yield from (f"numbers.{a.name}" for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "_number" or node.name.startswith("_require_"):
+                yield node.name
+
+
+def test_only_checks_module_defines_value_checks():
+    others = [path for path in MODULES if path.name != "checks.py"]
+    assert len(others) == len(MODULES) - 1 > 0
+    found = {path.name: list(_own_checks(path)) for path in others}
+    assert found == {path.name: [] for path in others}
+
+
+@pytest.mark.parametrize("check", [checks.nonnegative, checks.positive])
+def test_reals_come_back_as_floats(check):
+    for value in (60, np.int64(60), 60.0, np.float64(60.0)):
+        out = check("x", value)
+        assert type(out) is float and out == 60.0
+    for bad in (True, False, "60", None, math.nan, math.inf, -1.0, [60]):
+        with pytest.raises(ValueError, match="x must be finite"):
+            check("x", bad)
+    assert checks.nonnegative("x", 0) == 0.0
+    with pytest.raises(ValueError):
+        checks.positive("x", 0)
+
+
+def test_between_bounds():
+    assert checks.between("q", 0, 0.0, 100.0) == 0.0 and checks.between("q", 100, 0.0, 100.0) == 100.0
+    for bad in (-0.1, 100.5, math.nan, True, "50"):
+        with pytest.raises(ValueError, match=r"q must be a number in \[0.0, 100.0\]"):
+            checks.between("q", bad, 0.0, 100.0)
+    assert checks.between("alpha", 0.05, 0.0, 1.0, exclusive=True) == 0.05
+    for bad in (0, 1, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must be a number in \(0.0, 1.0\)"):
+            checks.between("alpha", bad, 0.0, 1.0, exclusive=True)
+
+
+def test_counts_and_flags():
+    assert checks.count("n", 3) == 3 and checks.count("n", np.int64(3)) == 3
+    for bad in (0, -1, 2.0, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            checks.count("n", bad)
+    assert checks.flag("f", True) is True and checks.flag("f", False) is False
+    for bad in (1, 0, "true", None):
+        with pytest.raises(ValueError, match="f must be true or false"):
+            checks.flag("f", bad)
+
+
+def test_known_keys_names_the_first_unknown_one():
+    checks.known_keys("block", {"a": 1}, ("a", "b"))
+    with pytest.raises(ValueError, match="unknown key 'c' in block; expected one of \\['a', 'b'\\]"):
+        checks.known_keys("block", {"a": 1, "c": 2, "d": 3}, ("a", "b"))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -135,6 +136,10 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
         ("max_buffer_s", None),  # was a TypeError traceback
         ("max_buffer_s", "60"),
         ("rtt_s", None),
+        ("initial_rep", True),  # ran at rung 1
+        ("max_buffer_s", True),
+        ("rtt_s", True),
+        ("max_bufer_s", 9),  # was ignored
     ],
 )
 def test_simulate_rejects_bad_player_values(tmp_path, capsys, key, value):
@@ -294,6 +299,33 @@ def test_qoe_external_command_does_not_leak_into_later_runs(tmp_path):
     assert builtin_rows == [f"{record_path.name[:-len('.record.json')]},ksqi,{qoe.qoe_ksqi(record)!r}"]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"id": "yin2015", "lamb": 2},  # failed once per record, then exit 1 with an empty qoe_scores.csv
+        {"id": "nonsense"},
+        {"id": "ksqi", "lam": 1.0},
+        {"id": "ksqi", "c0": -1.0},
+        {"id": "ksqi", "beta_pos": True},
+        {"name": "no_id"},
+        "ksqi",
+    ],
+)
+def test_qoe_models_are_checked_before_any_record_is_scored(tmp_path, capsys, bad):
+    manifests, traces = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests, "traces": traces,
+        "policies": [{"id": "rate_based"}], "out_dir": str(out),
+    }))
+    assert run(["simulate", "--config", cfg]) == 0
+    cfg.write_text(json.dumps({"qoe_models": [{"id": "ftw"}, bad], "out_dir": str(out)}))
+    assert run(["qoe", "--config", cfg]) == 2
+    assert "qoe_models[1]" in capsys.readouterr().err
+    assert not (out / "qoe_scores.csv").exists()
+
+
 def make_subjective_fixture(tmp_path):
     rng = np.random.default_rng(0)
     base = np.linspace(20, 80, 10)
@@ -441,6 +473,18 @@ def test_traces_command_windows_and_filters(tmp_path):
     assert window.mean_kbps() > 200.0
 
 
+@pytest.mark.parametrize("key, value", [("window_s", 0), ("stride_s", -55.0), ("min_avg_kbps", math.nan)])
+def test_traces_options_are_checked(tmp_path, capsys, key, value):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("1000\n" * 22)
+    cfg = tmp_path / "traces.json"
+    block = {"inputs": [{"path": str(raw), "format": "granular_5s"}], key: value}
+    cfg.write_text(json.dumps({"traces_ingest": block, "out_dir": str(tmp_path / "out")}))
+    assert run(["traces", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_file(tmp_path, capsys):
     assert run(["simulate", "--config", tmp_path / "missing.json"]) == 2
     assert "missing.json" in capsys.readouterr().err
@@ -489,18 +533,39 @@ def test_stats_method_missing_an_item_exits_2(tmp_path, capsys):
     assert "method bad has no score for item i7" in capsys.readouterr().err
 
 
+SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than three rows
+    "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
+    + "".join(f"v{j},80.0,5.0,0.0,78.0,82.0\n" for j in range(10)),
+    "keystrokes_csv": "subject_id,video_id,event_time_s\n"
+    + "".join(f"s{i},v{j},3.0\n" for i in range(5) for j in range(5, 10)),
+    "stall_events_csv": "video_id,position_s\n" + "".join(f"v{j},3.0\n" for j in range(5, 10)),
+}
+
+
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf", ""])
 @pytest.mark.parametrize(
     "command, key, column",
-    [("subjective", "ratings_csv", "score"), ("stats", "scores_csv", "score"), ("stats", "mos_csv", "mos")],
+    [
+        ("subjective", "ratings_csv", "score"),
+        ("stats", "scores_csv", "score"),
+        ("stats", "mos_csv", "mos"),
+        ("subjective", "anchors_csv", "mos"),  # a nan anchor turned every MOS of its day into nan
+        ("subjective", "video_meta_csv", "last_quality"),
+        ("subjective", "keystrokes_csv", "event_time_s"),
+        ("subjective", "stall_events_csv", "position_s"),
+    ],
 )
 def test_number_parse_errors_name_file_and_line(tmp_path, capsys, command, key, column, bad):
     # a non-number used to surface as "could not convert string to float", and a NaN rating as a missing one
     if command == "subjective":
-        ratings, _ = make_subjective_fixture(tmp_path)
+        ratings, anchors = make_subjective_fixture(tmp_path)
+        block = {"ratings_csv": str(ratings), "anchors_csv": str(anchors)}
+        for name, text in SUBJECTIVE_EXTRAS.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            block[name] = str(tmp_path / f"{name}.csv")
         cfg = tmp_path / "subj.json"
-        cfg.write_text(json.dumps({"subjective": {"ratings_csv": str(ratings)}, "out_dir": str(tmp_path / "out")}))
-        path = ratings
+        cfg.write_text(json.dumps({"subjective": block, "out_dir": str(tmp_path / "out")}))
+        path = Path(block[key])
     else:
         cfg = write_stats_inputs(tmp_path)
         path = tmp_path / ("scores.csv" if key == "scores_csv" else "mos.csv")
@@ -548,6 +613,9 @@ def test_simulate_rejects_a_player_block_that_is_not_an_object(tmp_path, capsys,
         ({"id": "rdos", "params": {"gamma_rate": "0.1"}}, "gamma_rate"),
         ({"id": "external", "command": "python policy.py"}, "command"),
         ({"id": "external", "command": ["python"], "lookahead": 0}, "lookahead"),
+        ({"id": "mpc_exact", "horizon": 3}, "horizon"),  # ran horizon 5
+        ({"id": "buffer_based", "reservoir": 3}, "reservoir"),  # kept 5.0
+        ({"id": "fixed", "window": 3}, "window"),
     ],
 )
 def test_simulate_rejects_mistyped_policy_options(tmp_path, capsys, spec, key):
@@ -597,6 +665,9 @@ def test_simulate_accepts_integers_where_numbers_are_expected(tmp_path):
         ("segment_duration_s", "4"),
         ("ladder_kbps", [300, "900"]),
         ("ladder_kbps", 300),
+        ("ladder_kbps", [300, -900]),
+        ("segment_duration_s", 0),
+        ("max_bufer_s", 9),  # was ignored
     ],
 )
 def test_mpc_table_rejects_mistyped_values(tmp_path, capsys, key, value):
@@ -608,6 +679,21 @@ def test_mpc_table_rejects_mistyped_values(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_mpc_table_integers_write_the_artifact_of_their_float_twin(tmp_path):
+    ints = {"tput_bins": 3, "buffer_bins": 2, "horizon": 2, "tput_max_kbps": 9000, "max_buffer_s": 30,
+            "lambda_switch": 1, "mu_rebuf": 17, "rtt_s": 0, "segment_duration_s": 2, "ladder_kbps": [300, 900, 2000]}
+    counts = ("tput_bins", "buffer_bins", "horizon")
+    floats = {k: v if k in counts else list(map(float, v)) if isinstance(v, list) else float(v) for k, v in ints.items()}
+    artifacts = []
+    for name, block in (("ints", ints), ("floats", floats)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"mpc_table": block, "out_dir": str(tmp_path / name)}))
+        assert run(["mpc-table", "--config", cfg]) == 0
+        artifacts.append((tmp_path / name / "mpc_table.bin").read_bytes())
+    assert artifacts[0] == artifacts[1]
+    assert b'"mu_rebuf": 17.0' in artifacts[0] and b'"ladder_kbps": [300.0, 900.0, 2000.0]' in artifacts[0]
+
+
 def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"mpc_table": [100, 100], "out_dir": str(tmp_path / "out")}))
@@ -617,7 +703,17 @@ def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, key, value",
-    [("stats", "alpha", "0.05"), ("subjective", "min_set", 30.5), ("subjective", "keystroke_tol_s", None)],
+    [
+        ("stats", "alpha", "0.05"),
+        ("subjective", "min_set", 30.5),
+        ("subjective", "keystroke_tol_s", None),
+        ("stats", "test", "ttest"),  # left correlations.csv behind
+        ("stats", "alpha", math.nan),  # marked every pair significant
+        ("stats", "alpha", 0),
+        ("stats", "alpha", 1),
+        ("subjective", "min_set", 0),
+        ("subjective", "auxiliary_threshold", -0.1),
+    ],
 )
 def test_analysis_options_are_checked_before_any_output(tmp_path, capsys, command, key, value):
     # a bad alpha used to surface only after correlations.csv was written, and min_set after mos.csv

@@ -138,3 +138,43 @@ def test_non_finite_segment_size_rejected():
     for size in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match="segment size"):
             media.SegmentInfo(size_bits=size, quality=50.0)
+
+
+def _minimal_doc():
+    return {
+        "segment_duration_s": 4.0,
+        "ladder": [{"index": 1, "width": 320, "height": 180, "bitrate_kbps": 235.0}],
+        "segments": [[{"size_bits": 940000.0, "quality": 20.0}]],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("ladder", 0, "index"), 1.9),  # was truncated to 1
+        (("segment_duration_s",), True),  # was read as 1.0
+        (("segment_duration_s",), math.inf),
+        (("ladder", 0, "bitrate_kbps"), "900"),  # was read as 900.0
+        (("ladder", 0, "width"), 0),
+        (("segments", 0, 0, "size_bits"), True),
+        (("segments", 0, 0, "quality"), math.nan),
+    ],
+)
+def test_manifest_values_are_checked_not_coerced(path, value):
+    doc = _minimal_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=path[-1]):
+        media.parse_manifest(json.dumps(doc))
+
+
+def test_integer_manifest_values_read_as_floats():
+    doc = _minimal_doc()
+    doc["segment_duration_s"] = 4
+    doc["ladder"][0]["bitrate_kbps"] = 235
+    doc["segments"][0][0].update(size_bits=940000, quality=20)
+    m = media.parse_manifest(json.dumps(doc))
+    assert m == media.parse_manifest(json.dumps(_minimal_doc()))
+    assert media.serialize_manifest(m) == media.serialize_manifest(media.parse_manifest(json.dumps(_minimal_doc())))

@@ -230,6 +230,9 @@ def test_policy_states_keep_their_history_view():
         {"channel": {"loop_trace": "false"}},
         {"channel": {"loop_trace": None}},
         {"channel": {"rtt_s": None}},
+        {"initial_rep": True},  # ran at rung 1
+        {"max_buffer_s": True},
+        {"channel": {"rtt_s": True}},
     ],
 )
 def test_player_config_rejects_bad_values(kwargs):
