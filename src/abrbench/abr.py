@@ -510,7 +510,8 @@ class RdosParams:
     per Mb/s of chosen bitrate, encouraging bitrate saving. Chunk sizes
     and qualities come from the manifest attributes by default since
     the manifest embeds both per chunk. Fields are checked as in
-    ``MpcObjectiveParams``.
+    ``MpcObjectiveParams``; ``ksqi`` may carry no penalty table, since
+    the objective uses only its parametric terms.
     """
 
     ksqi: KsqiParams = field(default_factory=KsqiParams)
@@ -524,6 +525,8 @@ class RdosParams:
     def __post_init__(self):
         checks.attrs(self, checks.nonnegative, "gamma_rate")
         _check_horizon_params(self)
+        if self.ksqi.stall_table is not None or self.ksqi.switch_table is not None:
+            raise ValueError("ksqi stall_table and switch_table are not used by rdos; give parametric terms only")
 
 
 def rdos_select(state: AbrState, params: RdosParams) -> int:
@@ -581,16 +584,6 @@ class FixedPolicy:
         return self.rep_index
 
 
-class ScriptedPolicy:
-    """Replays a fixed per-chunk choice sequence (1-based chunk ordinals)."""
-
-    def __init__(self, choices):
-        self.choices = list(choices)
-
-    def select(self, state: AbrState) -> int:
-        return self.choices[state.chunk_index - 1]
-
-
 class RateBasedPolicy:
     def __init__(self, window: int = 5, strict: bool = True):
         self.window = window
@@ -620,6 +613,10 @@ class MpcExactPolicy:
 class MpcTablePolicy:
     def __init__(self, table: LookupTable):
         self.table = table
+
+    @classmethod
+    def from_file(cls, path) -> MpcTablePolicy:
+        return cls(load_table(path))
 
     def select(self, state: AbrState) -> int:
         return mpc_select_table(state, self.table)
@@ -706,7 +703,7 @@ POLICY_IDS = tuple(POLICY_OPTIONS)
 
 
 def policy_builder(spec: dict):
-    """Check a policy config block; return a zero-argument function that builds the policy.
+    """Check a policy config block; return a picklable zero-argument function that builds the policy.
 
     Every option is checked for type and range, naming its key, before
     anything is built, so a grid can check all its policy blocks before
@@ -720,32 +717,32 @@ def policy_builder(spec: dict):
     checks.known_keys(f"policy {kind}", spec, ("id", "name") + POLICY_OPTIONS[kind])
     if kind == "fixed":
         rep_index = checks.count("rep_index", spec.get("rep_index", 1))
-        return lambda: FixedPolicy(rep_index)
+        return functools.partial(FixedPolicy, rep_index)
     if kind == "rate_based":
         window = checks.count("window", spec.get("window", 5))
         strict = checks.flag("strict", spec.get("strict", True))
-        return lambda: RateBasedPolicy(window, strict)
+        return functools.partial(RateBasedPolicy, window, strict)
     if kind == "buffer_based":
         reservoir_s = checks.nonnegative("reservoir_s", spec.get("reservoir_s", 5.0))
         cushion_s = checks.nonnegative("cushion_s", spec.get("cushion_s", 10.0))
-        return lambda: BufferBasedPolicy(reservoir_s, cushion_s)
+        return functools.partial(BufferBasedPolicy, reservoir_s, cushion_s)
     if kind == "mpc_exact":
         params = _options_object(MpcObjectiveParams, "params", spec.get("params", {}))
-        return lambda: MpcExactPolicy(params)
+        return functools.partial(MpcExactPolicy, params)
     if kind == "mpc_table":
         path = spec.get("table")
         if not isinstance(path, str):
             raise ValueError(f"table must be the path of a table artifact, got {path!r}")
-        return lambda: MpcTablePolicy(load_table(path))
+        return functools.partial(MpcTablePolicy.from_file, path)
     if kind == "rdos":
         ksqi = _options_object(KsqiParams, "ksqi", spec.get("ksqi", {}))
         params = _options_object(functools.partial(RdosParams, ksqi=ksqi), "params", spec.get("params", {}))
-        return lambda: RdosPolicy(params)
+        return functools.partial(RdosPolicy, params)
     # external
     command, lookahead = spec.get("command"), checks.count("lookahead", spec.get("lookahead", 5))
     if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):
         raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
-    return lambda: ExternalPolicy(command, lookahead)
+    return functools.partial(ExternalPolicy, command, lookahead)
 
 
 def _options_object(cls, key: str, block):

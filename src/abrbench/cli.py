@@ -10,15 +10,16 @@ Subcommands::
     traces      ingest/window/filter raw bandwidth traces
 
 Every command is deterministic given the config and overwrites its
-outputs atomically. Grid cells fail in isolation; the exit code is 0
-only when every cell succeeded.
+outputs atomically. Grid cells fail in isolation and run through one
+function, serially or with ``--jobs``, so both give the same bytes; the
+exit code is 0 only when every cell succeeded.
 
 Config values are checked, not coerced, through ``checks`` and the
-config classes that use it; a key that a ``policies`` or ``qoe_models``
-entry, or the ``player`` or ``mpc_table`` block, does not take is an
-error. Each command checks its config before it runs any cell, bin
-or record and before it writes any output; a bad value, like a missing
-file, exits 2 with a message naming the key (or the file and line).
+config classes that use it; a key that a config block or entry does not
+take is an error. Each command checks its config before it runs any
+cell, bin or record and before it writes any output; a bad value, like
+a missing file, exits 2 with a message naming the key (or the file and
+line).
 """
 
 from __future__ import annotations
@@ -77,29 +78,46 @@ def _pick(block: dict, keys) -> dict:
     return {k: block[k] for k in keys if k in block}
 
 
-def _stem(path: str) -> str:
-    return Path(path).stem
-
-
 def _dedupe(names: list[str]) -> list[str]:
-    """Disambiguate repeated stems so grid cells never collide on disk."""
-    seen: dict[str, int] = {}
-    out = []
+    """Distinct names, so grid cells never collide on disk: a repeat of ``n`` becomes ``n_2``, ``n_3``, ..."""
+    out: list[str] = []
+    taken: set[str] = set()
     for name in names:
-        seen[name] = seen.get(name, 0) + 1
-        out.append(name if seen[name] == 1 else f"{name}_{seen[name]}")
+        unique, k = name, 1
+        while unique in taken:  # also skips a suffixed name that an input already has
+            k += 1
+            unique = f"{name}_{k}"
+        taken.add(unique)
+        out.append(unique)
     return out
 
 
-def _load_traces(entries) -> list[tuple[str, nettrace.Trace]]:
-    parsed = []
-    for entry in entries:
-        if isinstance(entry, str):
-            entry = {"path": entry, "format": "pairs"}
+def _load_manifest(i: int, path) -> media.Manifest:
+    if not isinstance(path, str):
+        raise ValueError(f"manifests[{i}] must be a path, got {path!r}")
+    try:
+        return media.parse_manifest(_read_text(path, "manifest"))
+    except ValueError as exc:
+        raise ValueError(f"manifests[{i}] ({path}): {exc}") from exc
+
+
+def _load_traces(entries, key: str) -> list[tuple[str, str, nettrace.Trace]]:
+    """(distinct stem, path, trace) per entry of config list ``key``: a path, or a ``path`` and a ``format``."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{key} must be a list of trace entries, got {entries!r}")
+    loaded = []
+    for i, entry in enumerate(entries):
+        entry = {"path": entry} if isinstance(entry, str) else entry
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)):
+            raise ValueError(f"{key}[{i}] must be a path or an object with a string 'path', got {entry!r}")
+        checks.known_keys(f"{key}[{i}]", entry, ("path", "format"))
         text = _read_text(entry["path"], "trace")
-        parsed.append((_stem(entry["path"]), nettrace.parse_trace(text, entry.get("format", "pairs"))))
-    names = _dedupe([n for n, _ in parsed])
-    return [(n, t) for n, (_, t) in zip(names, parsed)]
+        try:
+            loaded.append((entry["path"], nettrace.parse_trace(text, entry.get("format", "pairs"))))
+        except ValueError as exc:
+            raise ValueError(f"{key}[{i}] ({entry['path']}): {exc}") from exc
+    names = _dedupe([Path(path).stem for path, _ in loaded])
+    return [(name, path, trace) for name, (path, trace) in zip(names, loaded)]
 
 
 def _player_config(block: dict) -> simulator.PlayerConfig:
@@ -110,70 +128,59 @@ def _player_config(block: dict) -> simulator.PlayerConfig:
     return simulator.PlayerConfig(channel=channel, **_pick(block, player_keys))
 
 
-def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, policy_spec: dict, player: simulator.PlayerConfig):
-    policy = abr.make_policy(policy_spec)
+def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, build, player: simulator.PlayerConfig):
+    """One grid cell: ``(log, record)``, or the cell's error text; ``build`` is a policy builder."""
     try:
-        log = simulator.run_session(manifest, trace, policy, player)
-    finally:
-        if hasattr(policy, "close"):
-            policy.close()
-    record = simulator.to_record(log, manifest, player)
-    return log, record
+        policy = build()
+        try:
+            log = simulator.run_session(manifest, trace, policy, player)
+        finally:
+            if hasattr(policy, "close"):
+                policy.close()
+        return log, simulator.to_record(log, manifest, player)
+    except Exception as exc:  # a cell fails in isolation
+        return str(exc)
 
 
 def cmd_simulate(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
     player = _player_config(_block(config, "player"))
     manifest_paths = config.get("manifests", [])
-    manifest_names = _dedupe([_stem(p) for p in manifest_paths])
-    manifests = [
-        (name, media.parse_manifest(_read_text(p, "manifest")))
-        for name, p in zip(manifest_names, manifest_paths)
-    ]
-    traces = _load_traces(config.get("traces", []))
-    policies = config.get("policies", [])
-    if not manifests or not traces or not policies:
+    manifests = [_load_manifest(i, p) for i, p in enumerate(manifest_paths)]
+    manifests = list(zip(_dedupe([Path(p).stem for p in manifest_paths]), manifests))
+    traces = _load_traces(config.get("traces", []), "traces")
+    builders, names = [], []  # every policy entry checked once, before any cell runs
+    for i, spec in enumerate(config.get("policies", [])):
+        if not (isinstance(spec, dict) and "id" in spec):
+            raise ValueError(f"policies[{i}] must be an object with an 'id', got {spec!r}")
+        try:
+            builders.append(abr.policy_builder(spec))  # each cell builds its own policy
+        except ValueError as exc:
+            raise ValueError(f"policies[{i}] ({spec['id']}): {exc}") from exc
+        name = spec.get("name") or f"{spec['id']}{i}"
+        if not (isinstance(name, str) and Path(name).name == name):  # a name is part of file names
+            raise ValueError(f"policies[{i}] ({spec['id']}): name must be a string without '/', got {name!r}")
+        names.append(name)
+    if not manifests or not traces or not builders:
         raise ValueError("simulate needs manifests, traces and policies in the config")
 
-    cells = []  # built in full, and every policy entry checked, before any cell runs
-    for m_name, manifest in manifests:
-        for t_name, trace in traces:
-            for p_idx, spec in enumerate(policies):
-                if not (isinstance(spec, dict) and "id" in spec):
-                    raise ValueError(f"policies[{p_idx}] must be an object with an 'id', got {spec!r}")
-                try:
-                    abr.policy_builder(spec)  # checks the options; each cell builds its own policy
-                except ValueError as exc:
-                    raise ValueError(f"policies[{p_idx}] ({spec['id']}): {exc}") from exc
-                p_name = spec.get("name") or f"{spec['id']}{p_idx}"
-                cells.append((m_name, manifest, t_name, trace, p_name, spec))
-
-    results = {}
+    cells = [(m, manifest, t, trace, p, build) for m, manifest in manifests
+             for t, _, trace in traces for p, build in zip(_dedupe(names), builders)]
+    work = [(manifest, trace, build, player) for _, manifest, _, trace, _, build in cells]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {
-                pool.submit(_run_cell, manifest, trace, spec, player): (m, t, p)
-                for m, manifest, t, trace, p, spec in cells
-            }
-            for fut, key in futures.items():
-                try:
-                    results[key] = ("ok", fut.result())
-                except Exception as exc:  # isolate cell failures
-                    results[key] = ("error", str(exc))
+            futures = [pool.submit(_run_cell, *w) for w in work]
+            # a worker that dies fails only the cells whose futures hold its error
+            outcomes = [f.result() if f.exception() is None else str(f.exception()) for f in futures]
     else:
-        for m, manifest, t, trace, p, spec in cells:
-            try:
-                results[(m, t, p)] = ("ok", _run_cell(manifest, trace, spec, player))
-            except Exception as exc:
-                results[(m, t, p)] = ("error", str(exc))
+        outcomes = [_run_cell(*w) for w in work]
 
     rows = []
     failed = 0
-    for m, manifest, t, trace, p, spec in cells:
+    for (m, _, t, _, p, _), outcome in zip(cells, outcomes):
         cell_id = f"{m}__{t}__{p}"
-        status, payload = results[(m, t, p)]
-        if status == "ok":
-            log, record = payload
+        if not isinstance(outcome, str):
+            log, record = outcome
             _atomic_write(out_dir / "logs" / f"{cell_id}.log.json", simulator.log_to_json(log))
             _atomic_write(out_dir / "records" / f"{cell_id}.record.json", simulator.record_to_json(record))
             rates = [b / 1000.0 for b in record.bitrates_kbps]
@@ -192,7 +199,7 @@ def cmd_simulate(config: dict, args) -> int:
             )
         else:
             failed += 1
-            rows.append([cell_id, m, t, p, "error", "", "", "", "", "", "", payload])
+            rows.append([cell_id, m, t, p, "error", "", "", "", "", "", "", outcome])
 
     header = (
         "cell_id,manifest,trace,policy,status,avg_bitrate_kbps,total_stall_s,"
@@ -286,6 +293,8 @@ def cmd_qoe(config: dict, args) -> int:
 def cmd_subjective(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
     block = _block(config, "subjective")
+    inputs = ("ratings_csv", "video_meta_csv", "keystrokes_csv", "stall_events_csv", "anchors_csv")
+    checks.known_keys("subjective", block, inputs + ("keystroke_tol_s", "auxiliary_threshold", "min_set"))
     if "ratings_csv" not in block:
         raise ValueError("subjective block needs ratings_csv")
     tol_s = checks.nonnegative("keystroke_tol_s", block.get("keystroke_tol_s", 2.0))
@@ -359,6 +368,7 @@ def _load_scores_csv(text: str, source: str) -> tuple[dict[str, dict[str, float]
 def cmd_stats(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
     block = _block(config, "stats")
+    checks.known_keys("stats", block, ("scores_csv", "mos_csv", "test", "alpha"))
     for key in ("scores_csv", "mos_csv"):
         if key not in block:
             raise ValueError(f"stats block needs {key}")
@@ -400,6 +410,7 @@ def cmd_stats(config: dict, args) -> int:
 def cmd_traces(config: dict, args) -> int:
     out_dir = Path(args.out or config.get("out_dir", "out"))
     block = _block(config, "traces_ingest")
+    checks.known_keys("traces_ingest", block, ("inputs", "window_s", "stride_s", "min_avg_kbps"))
     if "inputs" not in block:
         raise ValueError("traces_ingest block needs inputs")
     window_s = checks.positive("window_s", block.get("window_s", 55.0))
@@ -407,17 +418,13 @@ def cmd_traces(config: dict, args) -> int:
     min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))
     index_lines = ["trace_id,source,start_offset_s,mean_kbps,kept"]
     kept_count = 0
-    for entry in block["inputs"]:
-        text = _read_text(entry["path"], "trace")
-        trace = nettrace.parse_trace(text, entry.get("format", "pairs"))
+    for name, path, trace in _load_traces(block["inputs"], "inputs"):
         windows = nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)
         for w_idx, window in enumerate(windows):
             mean = window.mean_kbps()
             kept = mean > min_avg
-            trace_id = f"{_stem(entry['path'])}_w{w_idx:03d}"
-            index_lines.append(
-                f"{trace_id},{entry['path']},{w_idx * stride_s!r},{mean!r},{int(kept)}"
-            )
+            trace_id = f"{name}_w{w_idx:03d}"
+            index_lines.append(f"{trace_id},{path},{w_idx * stride_s!r},{mean!r},{int(kept)}")
             if kept:
                 kept_count += 1
                 _atomic_write(out_dir / "traces" / f"{trace_id}.csv", nettrace.serialize_trace(window))

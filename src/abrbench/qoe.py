@@ -40,9 +40,9 @@ class KsqiParams:
 
     Negative adaptations must cost at least as much as positive ones
     (beta_neg >= beta_pos); every coefficient is finite and
-    nonnegative. Optional penalty tables (bilinearly interpolated)
-    replace the parametric forms when supplied, so trained surfaces can
-    drop in.
+    nonnegative. Optional penalty tables (bilinearly interpolated
+    ``PenaltyTable`` objects) replace the parametric forms when supplied,
+    so trained surfaces can drop in.
     """
 
     c0: float = 1.0
@@ -57,6 +57,9 @@ class KsqiParams:
         checks.attrs(self, checks.nonnegative, "c0", "c1", "c2", "beta_neg", "beta_pos")
         if not self.beta_neg >= self.beta_pos:
             raise ValueError("adaptation weights must satisfy beta_neg >= beta_pos >= 0")
+        for name in ("stall_table", "switch_table"):
+            if not isinstance(getattr(self, name), (PenaltyTable, type(None))):
+                raise ValueError(f"{name} must be a PenaltyTable or None, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

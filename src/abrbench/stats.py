@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
+
 ROW_BETTER = "row_better"
 ROW_WORSE = "row_worse"
 INDISTINGUISHABLE = "indistinguishable"
@@ -235,7 +237,9 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_limit: int = 25) -> tu
     Zero differences are dropped first. If none remain the samples are
     identical: (indistinguishable, p = 1). Fewer than 6 nonzero
     differences cannot reach significance and raise instead.
+    ``alpha`` lies strictly between 0 and 1.
     """
+    alpha = checks.between("alpha", alpha, 0.0, 1.0, exclusive=True)
     a, b = _clean_pair(a, b, 0)
     diff = a - b
     diff = diff[diff != 0.0]
@@ -265,7 +269,8 @@ def f_cdf(x: float, d1: float, d2: float) -> float:
 
 
 def f_test_variance(residuals_a, residuals_b, alpha: float = 0.05) -> tuple[str, float]:
-    """Two-sided variance-ratio test; the smaller-variance side is better."""
+    """Two-sided variance-ratio test; the smaller-variance side is better; ``alpha`` in (0, 1)."""
+    alpha = checks.between("alpha", alpha, 0.0, 1.0, exclusive=True)
     a = _finite_vector(residuals_a)
     b = _finite_vector(residuals_b)
     if len(a) < 2 or len(b) < 2:
@@ -359,6 +364,7 @@ def build_significance_matrix(
         raise ValueError("all methods must be sampled over the same items")
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
+    alpha = checks.between("alpha", alpha, 0.0, 1.0, exclusive=True)  # also with one method and no pair
     pair_fn = wilcoxon_signed_rank if test == "wilcoxon" else f_test_variance
     data = {k: np.asarray(v, dtype=float) for k, v in method_samples.items()}
 

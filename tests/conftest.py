@@ -5,6 +5,16 @@ import pytest
 from abrbench import media, nettrace
 
 
+class ScriptedPolicy:
+    """Replays a fixed per-chunk choice sequence (1-based chunk ordinals)."""
+
+    def __init__(self, choices):
+        self.choices = list(choices)
+
+    def select(self, state) -> int:
+        return self.choices[state.chunk_index - 1]
+
+
 @pytest.fixture
 def default_manifest():
     return media.synthetic_manifest(segments=8)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import random
 import sys
 import tracemalloc
@@ -30,7 +31,7 @@ from abrbench.abr import (
     save_table,
 )
 from abrbench.media import Manifest, Representation, SegmentInfo
-from abrbench.qoe import KsqiParams
+from abrbench.qoe import KsqiParams, PenaltyTable
 
 from oracles import buffer_walk, mpc_enumerate, mpc_objective, rdos_enumerate, rdos_objective
 
@@ -688,6 +689,29 @@ def test_make_policy_registry():
     assert rdos.params.ksqi.beta_neg == 0.7
     with pytest.raises(ValueError):
         make_policy({"id": "nonsense"})
+
+
+
+def test_policy_builders_pickle():
+    # simulate --jobs sends each cell's policy builder, checked once, to a worker process
+    specs = [{"id": "fixed", "rep_index": 5}, {"id": "rate_based"}, {"id": "buffer_based"}, {"id": "rdos"},
+             {"id": "mpc_exact", "params": {"horizon": 3}}, {"id": "mpc_table", "table": "t.bin"},
+             {"id": "external", "command": ["policy"]}]
+    for spec in specs:
+        build = pickle.loads(pickle.dumps(abr.policy_builder(spec)))
+        if spec["id"] not in ("mpc_table", "external"):  # these read a file or start a child
+            assert vars(build()) == vars(make_policy(spec))
+
+
+def test_rdos_params_reject_ksqi_penalty_tables():
+    # rdos_select uses only the parametric KSQI terms, so a table was accepted and then ignored
+    table = PenaltyTable(x_grid=(0.0, 1.0), y_grid=(0.0, 1.0), values=((0.0, 1.0), (1.0, 2.0)))
+    for name in ("stall_table", "switch_table"):
+        assert getattr(KsqiParams(**{name: table}), name) is table
+        with pytest.raises(ValueError, match=name):
+            RdosParams(ksqi=KsqiParams(**{name: table}))
+        with pytest.raises(ValueError, match=name):
+            KsqiParams(**{name: {"x_grid": [0.0], "y_grid": [0.0], "values": [[1.0]]}})
 
 
 def test_params_invariants():

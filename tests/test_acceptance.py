@@ -29,9 +29,9 @@ from abrbench.abr import (
 from abrbench.media import Manifest, Representation, SegmentInfo
 from abrbench.nettrace import ChannelConfig, Trace, download_time
 from abrbench.simulator import PlayerConfig, buffer_step, run_session, to_record
-from abrbench.abr import AbrState, FixedPolicy, ScriptedPolicy
+from abrbench.abr import AbrState, FixedPolicy
 
-from conftest import random_trace
+from conftest import ScriptedPolicy, random_trace
 from oracles import (
     download_time_ms_numpy,
     f_cdf_quadrature,

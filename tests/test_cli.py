@@ -80,7 +80,8 @@ def test_simulate_grid_shape_and_determinism(tmp_path):
     assert [f.read_bytes() for f in sorted((tmp_path / "out" / "logs").glob("*.log.json"))] == first_logs
 
 
-def test_simulate_cells_fail_in_isolation(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_simulate_cells_fail_in_isolation(tmp_path, jobs):
     manifests, traces = write_inputs(tmp_path)
     dead = tmp_path / "dead_trace.csv"
     dead.write_text("0,500\n")  # duration 1 s, no loop -> exhaustion
@@ -93,7 +94,7 @@ def test_simulate_cells_fail_in_isolation(tmp_path):
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
-    rc = run(["simulate", "--config", cfg_path])
+    rc = run(["simulate", "--config", cfg_path, "--jobs", jobs])
     assert rc == 1
     rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
     statuses = sorted(r.split(",")[4] for r in rows)
@@ -309,6 +310,7 @@ def test_qoe_external_command_does_not_leak_into_later_runs(tmp_path):
         {"id": "ksqi", "beta_pos": True},
         {"name": "no_id"},
         "ksqi",
+        {"id": "ksqi", "stall_table": {"x_grid": [0, 1], "y_grid": [0, 1], "values": [[0, 1], [1, 2]]}},  # exit 1
     ],
 )
 def test_qoe_models_are_checked_before_any_record_is_scored(tmp_path, capsys, bad):
@@ -440,6 +442,8 @@ def test_csv_reader_missing_column_exits_2(tmp_path, capsys, command, key, heade
     files[key] = header + "\n" + ",".join(["x"] * len(header.split(","))) + "\n"
     block = {}
     for name, text in files.items():
+        if (name in ("scores_csv", "mos_csv")) != (command == "stats"):
+            continue  # a block takes only its own command's inputs
         path = tmp_path / f"{name}.csv"
         path.write_text(text)
         block[name] = str(path)
@@ -473,7 +477,9 @@ def test_traces_command_windows_and_filters(tmp_path):
     assert window.mean_kbps() > 200.0
 
 
-@pytest.mark.parametrize("key, value", [("window_s", 0), ("stride_s", -55.0), ("min_avg_kbps", math.nan)])
+@pytest.mark.parametrize(
+    "key, value", [("window_s", 0), ("stride_s", -55.0), ("min_avg_kbps", math.nan), ("window_len_s", 30.0)]
+)
 def test_traces_options_are_checked(tmp_path, capsys, key, value):
     raw = tmp_path / "raw.txt"
     raw.write_text("1000\n" * 22)
@@ -616,6 +622,9 @@ def test_simulate_rejects_a_player_block_that_is_not_an_object(tmp_path, capsys,
         ({"id": "mpc_exact", "horizon": 3}, "horizon"),  # ran horizon 5
         ({"id": "buffer_based", "reservoir": 3}, "reservoir"),  # kept 5.0
         ({"id": "fixed", "window": 3}, "window"),
+        ({"id": "rdos", "ksqi": {"switch_table": {"x_grid": [0], "y_grid": [0], "values": [[1]]}}}, "switch_table"),
+        ({"id": "fixed", "name": "../../x"}, "name"),  # wrote logs/x.log.json for cell m__t__../../x
+        ({"id": "fixed", "name": ["x"]}, "name"),  # a TypeError traceback
     ],
 )
 def test_simulate_rejects_mistyped_policy_options(tmp_path, capsys, spec, key):
@@ -713,6 +722,8 @@ def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
         ("stats", "alpha", 1),
         ("subjective", "min_set", 0),
         ("subjective", "auxiliary_threshold", -0.1),
+        ("subjective", "min_sett", 5),  # was ignored, and the default min_set used
+        ("stats", "alfa", 0.01),
     ],
 )
 def test_analysis_options_are_checked_before_any_output(tmp_path, capsys, command, key, value):
@@ -730,3 +741,119 @@ def test_analysis_options_are_checked_before_any_output(tmp_path, capsys, comman
     assert run([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_gives_same_named_policies_distinct_cells(tmp_path):
+    # two entries named "p" kept one result between them, with exit 0
+    manifests, traces = write_inputs(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": [{"id": "fixed", "rep_index": 1, "name": "p"}, {"id": "fixed", "rep_index": 9, "name": "p"},
+                     {"id": "rate_based", "name": "p_2"}],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    for jobs in (1, 2):
+        assert run(["simulate", "--config", cfg, "--jobs", jobs]) == 0
+        rows = [r.split(",") for r in (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["p", "p_2", "p_2_2"]
+        assert len({r[5] for r in rows}) == 3  # three sessions, three average bitrates
+        assert len(list((tmp_path / "out" / "records").glob("*.record.json"))) == 3
+
+
+def test_dedupe_never_returns_a_name_twice():
+    assert cli._dedupe(["p", "p", "p_2"]) == ["p", "p_2", "p_2_2"]  # was p, p_2, p_2
+    assert cli._dedupe(["p_2", "p", "p"]) == ["p_2", "p", "p_3"]
+    assert cli._dedupe(["a", "a", "b", "a"]) == ["a", "a_2", "b", "a_3"]
+
+
+def test_traces_gives_same_stem_inputs_distinct_windows(tmp_path):
+    # a/x.csv and b/x.csv wrote one x_w000.csv between them
+    inputs = []
+    for d, rate in (("a", 900.0), ("b", 4000.0)):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "x.csv").write_text(f"0,{rate}\n30,{rate}\n")
+        inputs.append(str(tmp_path / d / "x.csv"))
+    cfg = tmp_path / "traces.json"
+    cfg.write_text(json.dumps({
+        "traces_ingest": {"inputs": [inputs[0], {"path": inputs[1]}], "window_s": 60.0},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["traces", "--config", cfg]) == 0
+    index = [r.split(",") for r in (tmp_path / "out" / "trace_index.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in index] == [("x_w000", inputs[0]), ("x_2_w000", inputs[1])]
+    assert sorted(f.name for f in (tmp_path / "out" / "traces").iterdir()) == ["x_2_w000.csv", "x_w000.csv"]
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "traces"), ("traces", "inputs")])
+@pytest.mark.parametrize(
+    "entry",
+    [{"format": "pairs"}, {"path": 5}, 5, None, {"path": "t.csv", "fmt": "pairs"}],  # no path: a KeyError traceback
+    ids=["no_path", "path_not_a_string", "number", "null", "unknown_key"],
+)
+def test_trace_entries_are_checked(tmp_path, capsys, command, key, entry):
+    manifests, traces = write_inputs(tmp_path)
+    block = {"manifests": manifests, "traces": [traces[0], entry], "policies": [{"id": "rate_based"}]}
+    if command == "traces":
+        block = {"traces_ingest": {"inputs": [traces[0], entry], "window_s": 30.0}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**block, "out_dir": str(tmp_path / "out")}))
+    assert run([command, "--config", cfg]) == 2
+    assert f"{key}[1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("simulate", "traces"), ("traces", "inputs")])
+def test_trace_lists_are_checked(tmp_path, capsys, command, key):
+    # a single entry in place of the list was read as a list of its keys: "trace file not found: path"
+    manifests, traces = write_inputs(tmp_path)
+    block = {"manifests": manifests, "traces": traces[0], "policies": [{"id": "rate_based"}]}
+    if command == "traces":
+        block = {"traces_ingest": {"inputs": traces[0]}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**block, "out_dir": str(tmp_path / "out")}))
+    assert run([command, "--config", cfg]) == 2
+    assert f"{key} must be a list of trace entries" in capsys.readouterr().err
+
+
+def test_simulate_manifest_errors_name_the_file(tmp_path, capsys):
+    manifests, traces = write_inputs(tmp_path)
+    doc = json.loads(Path(manifests[0]).read_text())
+    doc["ladder"][0]["index"] = 1.9
+    Path(manifests[0]).write_text(json.dumps(doc))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}], "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    assert f"manifests[0] ({manifests[0]}): index must be an integer" in capsys.readouterr().err
+
+
+def test_qoe_json_holds_the_values_of_the_csv(tmp_path):
+    manifests, traces = write_inputs(tmp_path, n_traces=2)
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}],
+        "qoe_models": [{"id": "ksqi"}, {"id": "yin2015"}], "out_dir": str(out),
+    }))
+    assert run(["simulate", "--config", cfg]) == 0
+    assert run(["qoe", "--config", cfg]) == 0
+    assert run(["qoe", "--config", cfg, "--format", "json"]) == 0
+    csv_rows = [r.split(",") for r in (out / "qoe_scores.csv").read_text().splitlines()[1:]]
+    as_json = json.loads((out / "qoe_scores.json").read_text())
+    assert len(as_json) == 4
+    assert as_json == [{"video_id": v, "model_id": m, "score": float(s)} for v, m, s in csv_rows]
+
+
+def test_stats_json_holds_the_values_of_the_csv(tmp_path):
+    cfg = write_stats_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert run(["stats", "--config", cfg]) == 0
+    assert run(["stats", "--config", cfg, "--format", "json"]) == 0
+    header, *rows = [r.split(",") for r in (out / "significance.csv").read_text().splitlines()]
+    as_json = json.loads((out / "significance.json").read_text())
+    glyph = {stats.ROW_BETTER: "1", stats.ROW_WORSE: "0", stats.INDISTINGUISHABLE: "-"}
+    assert as_json["labels"] == header[1:] == [r[0] for r in rows] == ["bad", "good"]
+    assert [[glyph[c] for c in row] for row in as_json["cells"]] == [r[1:] for r in rows]

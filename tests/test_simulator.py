@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from abrbench import media, nettrace, simulator
-from abrbench.abr import BufferBasedPolicy, FixedPolicy, RateBasedPolicy, ScriptedPolicy
+from abrbench.abr import BufferBasedPolicy, FixedPolicy, RateBasedPolicy
 from abrbench.nettrace import ChannelConfig, Trace
 from abrbench.simulator import PlayerConfig, SessionLog, buffer_step, run_session, to_record
 
-from conftest import random_trace
+from conftest import ScriptedPolicy, random_trace
 
 
 def test_buffer_step_hand_cases():

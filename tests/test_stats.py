@@ -428,3 +428,23 @@ def test_entry_points_reject_non_finite_samples(entry, bad):
         entry(a[:-1] + [bad], b)
     with pytest.raises(ValueError, match="finite"):
         entry(a, b[:-1] + [bad])
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 0, 1, 7, True], ids=["nan", "zero", "one", "seven", "true"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        wilcoxon_signed_rank,
+        f_test_variance,
+        lambda a, b, alpha: build_significance_matrix({"a": a, "b": b}, test="wilcoxon", alpha=alpha),
+        lambda a, b, alpha: build_significance_matrix({"only": a}, test="f_test", alpha=alpha),  # tests no pair
+    ],
+    ids=["wilcoxon", "f_test", "matrix", "matrix_one_method"],
+)
+def test_entry_points_reject_alpha_outside_the_open_unit_interval(entry, alpha):
+    # alpha=nan made wilcoxon return row_worse, and alpha=7 made the F-test return row_better
+    a = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
+    b = [9.0, 9.5, 10.0, 11.0, 12.0, 13.5, 14.0]
+    entry(a, b, alpha=0.05)
+    with pytest.raises(ValueError, match="alpha"):
+        entry(a, b, alpha=alpha)
