@@ -166,6 +166,9 @@ def cmd_simulate(config: dict, args) -> int:
 
     cells = [(m, manifest, t, trace, p, build) for m, manifest in manifests
              for t, _, trace in traces for p, build in zip(_dedupe(names), builders)]
+    cell_ids = [f"{m}__{t}__{p}" for m, _, t, _, p, _ in cells]
+    if len(set(cell_ids)) < len(cells):  # names holding "__" can join into another cell's id
+        raise ValueError(f"two grid cells share the id {next(c for c in cell_ids if cell_ids.count(c) > 1)!r}")
     work = [(manifest, trace, build, player) for _, manifest, _, trace, _, build in cells]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -177,8 +180,7 @@ def cmd_simulate(config: dict, args) -> int:
 
     rows = []
     failed = 0
-    for (m, _, t, _, p, _), outcome in zip(cells, outcomes):
-        cell_id = f"{m}__{t}__{p}"
+    for cell_id, (m, _, t, _, p, _), outcome in zip(cell_ids, cells, outcomes):
         if not isinstance(outcome, str):
             log, record = outcome
             _atomic_write(out_dir / "logs" / f"{cell_id}.log.json", simulator.log_to_json(log))

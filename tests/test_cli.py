@@ -762,6 +762,24 @@ def test_simulate_gives_same_named_policies_distinct_cells(tmp_path):
         assert len(list((tmp_path / "out" / "records").glob("*.record.json"))) == 3
 
 
+def test_simulate_rejects_cells_that_share_an_id(tmp_path, capsys):
+    # manifest a__b with trace c, and manifest a with trace b__c, both wrote cell a__b__c__p: one log was lost
+    for name in ("a__b", "a"):
+        (tmp_path / f"{name}.json").write_text(media.serialize_manifest(media.synthetic_manifest(segments=4)))
+    for name in ("c", "b__c"):
+        (tmp_path / f"{name}.csv").write_text("0,900\n30,4000\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": [str(tmp_path / "a__b.json"), str(tmp_path / "a.json")],
+        "traces": [str(tmp_path / "c.csv"), str(tmp_path / "b__c.csv")],
+        "policies": [{"id": "fixed", "name": "p"}],
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    assert "two grid cells share the id 'a__b__c__p'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dedupe_never_returns_a_name_twice():
     assert cli._dedupe(["p", "p", "p_2"]) == ["p", "p_2", "p_2_2"]  # was p, p_2, p_2
     assert cli._dedupe(["p_2", "p", "p"]) == ["p_2", "p", "p_3"]
