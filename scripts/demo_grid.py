@@ -94,8 +94,9 @@ def main():
 
     matrix = stats.build_significance_matrix(samples, test="wilcoxon")
     print("\nWilcoxon significance matrix (1 = row beats column):")
-    print(matrix.to_markdown())
-    (workdir / "out" / "policy_significance.csv").write_text(matrix.to_csv())
+    report = matrix.to_markdown()
+    print(report)
+    (workdir / "out" / "policy_significance.md").write_text(report)
     print(f"artifacts in {workdir / 'out'}")
     return 0
 

@@ -477,29 +477,37 @@ def save_table(table: LookupTable, path) -> None:
 
 
 def load_table(path) -> LookupTable:
+    """Read a table artifact; a header that is not a table's, or entries of the wrong size, raise naming ``path``."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != "abrbench-mpc-table-v1":
-        raise ValueError(f"not a lookup-table artifact: {path}")
-    tput_edges = np.array(header["tput_edges"])
-    buffer_edges = np.array(header["buffer_edges"])
-    ladder_kbps = tuple(header["ladder_kbps"])
-    shape = (len(tput_edges) - 1, len(buffer_edges) - 1, len(ladder_kbps))
-    entries = np.frombuffer(blob, dtype=np.uint8).reshape(shape).copy()
-    p = header["params"]
-    if set(p) != {f.name for f in fields(MpcObjectiveParams)}:
-        raise ValueError(f"{path}: table params must be exactly the MpcObjectiveParams fields, got {sorted(p)}")
-    params = MpcObjectiveParams(**p)
-    return LookupTable(
-        tput_edges=tput_edges,
-        buffer_edges=buffer_edges,
-        entries=entries,
-        ladder_kbps=ladder_kbps,
-        segment_duration_s=header["segment_duration_s"],
-        params=params,
-    )
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+        if not isinstance(header, dict) or header.get("format") != "abrbench-mpc-table-v1":
+            raise ValueError("not a lookup-table artifact")
+        missing = [k for k in ("tput_edges", "buffer_edges", "ladder_kbps", "segment_duration_s", "params")
+                   if k not in header]
+        if missing:
+            raise ValueError(f"table header lacks {missing}")
+        tput_edges = np.array(header["tput_edges"])
+        buffer_edges = np.array(header["buffer_edges"])
+        ladder_kbps = tuple(header["ladder_kbps"])
+        shape = (len(tput_edges) - 1, len(buffer_edges) - 1, len(ladder_kbps))
+        if len(blob) != math.prod(shape):
+            raise ValueError(f"{len(blob)} entry bytes for a {shape[0]}x{shape[1]}x{shape[2]} table")
+        p = header["params"]
+        if not (isinstance(p, dict) and set(p) == {f.name for f in fields(MpcObjectiveParams)}):
+            raise ValueError(f"table params must be exactly the MpcObjectiveParams fields, got {p!r}")
+        return LookupTable(
+            tput_edges=tput_edges,
+            buffer_edges=buffer_edges,
+            entries=np.frombuffer(blob, dtype=np.uint8).reshape(shape).copy(),
+            ladder_kbps=ladder_kbps,
+            segment_duration_s=header["segment_duration_s"],
+            params=MpcObjectiveParams(**p),
+        )
+    except (TypeError, ValueError) as exc:  # TypeError: a header field of the wrong type
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -614,10 +622,6 @@ class MpcTablePolicy:
     def __init__(self, table: LookupTable):
         self.table = table
 
-    @classmethod
-    def from_file(cls, path) -> MpcTablePolicy:
-        return cls(load_table(path))
-
     def select(self, state: AbrState) -> int:
         return mpc_select_table(state, self.table)
 
@@ -708,8 +712,8 @@ def policy_builder(spec: dict):
     Every option is checked for type and range, naming its key, before
     anything is built, so a grid can check all its policy blocks before
     any cell runs; a key the policy does not take (``POLICY_OPTIONS``)
-    is an error. Building an ``external`` policy starts its child and
-    building an ``mpc_table`` one reads its table.
+    is an error. An ``mpc_table`` entry's table is read here, once;
+    building an ``external`` policy starts its child.
     """
     kind = spec.get("id")
     if kind not in POLICY_IDS:
@@ -733,7 +737,7 @@ def policy_builder(spec: dict):
         path = spec.get("table")
         if not isinstance(path, str):
             raise ValueError(f"table must be the path of a table artifact, got {path!r}")
-        return functools.partial(MpcTablePolicy.from_file, path)
+        return functools.partial(MpcTablePolicy, load_table(path))  # read once, shared by every cell
     if kind == "rdos":
         ksqi = _options_object(KsqiParams, "ksqi", spec.get("ksqi", {}))
         params = _options_object(functools.partial(RdosParams, ksqi=ksqi), "params", spec.get("params", {}))

@@ -9,6 +9,7 @@ number, although Python counts it as an int.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -50,6 +51,22 @@ def flag(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def each(check):
+    """A check of a list (or tuple) whose items all pass ``check``; it returns them as a tuple."""
+
+    def check_each(name: str, values) -> tuple:
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"{name} must be a list, got {values!r}")
+        try:
+            return tuple(map(check, itertools.repeat(name), values))
+        except ValueError:
+            for i, value in enumerate(values):
+                check(f"{name}[{i}]", value)  # the first bad item raises again, named by its index
+            raise
+
+    return check_each
 
 
 def attrs(obj, check, *names: str) -> None:

@@ -10,9 +10,11 @@ Subcommands::
     traces      ingest/window/filter raw bandwidth traces
 
 Every command is deterministic given the config and overwrites its
-outputs atomically. Grid cells fail in isolation and run through one
-function, serially or with ``--jobs``, so both give the same bytes; the
-exit code is 0 only when every cell succeeded.
+outputs atomically; every CSV table goes through ``_write_csv``, and
+library functions return values, not CSV text. Grid cells fail in
+isolation and run through one function, serially or with ``--jobs``,
+so both give the same bytes; the exit code is 0 only when every cell
+succeeded.
 
 Config values are checked, not coerced, through ``checks`` and the
 config classes that use it; a key that a config block or entry does not
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -45,13 +48,31 @@ def _read_text(path: str, what: str) -> str:
     return p.read_text()
 
 
-def _atomic_write(path: Path, data: str | bytes) -> None:
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A temporary path beside ``path``; it replaces ``path`` when the block ends, and is removed if the block fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
+    try:
+        yield tmp
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _atomic_write(path: Path, data: str | bytes) -> None:
+    with _replacing(path) as tmp, open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Every CSV table a command writes: minimal RFC 4180 quoting, floats in repr form, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def _load_config(path: str) -> dict:
@@ -155,7 +176,7 @@ def cmd_simulate(config: dict, args) -> int:
             raise ValueError(f"policies[{i}] must be an object with an 'id', got {spec!r}")
         try:
             builders.append(abr.policy_builder(spec))  # each cell builds its own policy
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:  # OSError: an mpc_table entry's table file
             raise ValueError(f"policies[{i}] ({spec['id']}): {exc}") from exc
         name = spec.get("name") or f"{spec['id']}{i}"
         if not (isinstance(name, str) and Path(name).name == name):  # a name is part of file names
@@ -187,31 +208,17 @@ def cmd_simulate(config: dict, args) -> int:
             _atomic_write(out_dir / "records" / f"{cell_id}.record.json", simulator.record_to_json(record))
             rates = [b / 1000.0 for b in record.bitrates_kbps]
             switch = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
-            rows.append(
-                [
-                    cell_id, m, t, p, "ok",
-                    repr(sum(record.bitrates_kbps) / len(record.bitrates_kbps)),
-                    repr(record.total_stall_s),
-                    str(len(record.stalls)),
-                    repr(switch),
-                    repr(log.startup_delay_s),
-                    repr(log.total_wall_time_s),
-                    "",
-                ]
-            )
+            rows.append((
+                cell_id, m, t, p, "ok", sum(record.bitrates_kbps) / len(record.bitrates_kbps),
+                record.total_stall_s, len(record.stalls), switch, log.startup_delay_s, log.total_wall_time_s, None,
+            ))
         else:
             failed += 1
-            rows.append([cell_id, m, t, p, "error", "", "", "", "", "", "", outcome])
+            rows.append((cell_id, m, t, p, "error", None, None, None, None, None, None, outcome))
 
-    header = (
-        "cell_id,manifest,trace,policy,status,avg_bitrate_kbps,total_stall_s,"
-        "stall_count,switch_magnitude_mbps,startup_delay_s,total_wall_time_s,error"
-    )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    writer.writerows(rows)
-    _atomic_write(out_dir / "summary.csv", buf.getvalue())
+    header = ("cell_id", "manifest", "trace", "policy", "status", "avg_bitrate_kbps", "total_stall_s",
+              "stall_count", "switch_magnitude_mbps", "startup_delay_s", "total_wall_time_s", "error")
+    _write_csv(out_dir / "summary.csv", header, rows)
     print(f"simulate: {len(cells) - failed}/{len(cells)} cells ok -> {out_dir}")
     return 1 if failed else 0
 
@@ -242,10 +249,9 @@ def cmd_mpc_table(config: dict, args) -> int:
         segment_duration_s=segment_duration_s,
         jobs=args.jobs,
     )
-    out_dir = Path(args.out or config.get("out_dir", "out"))
-    out_path = out_dir / "mpc_table.bin"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    abr.save_table(table, out_path)
+    out_path = Path(args.out or config.get("out_dir", "out")) / "mpc_table.bin"
+    with _replacing(out_path) as tmp:
+        abr.save_table(table, tmp)
     print(f"mpc-table: wrote {out_path}")
     return 0
 
@@ -267,11 +273,15 @@ def cmd_qoe(config: dict, args) -> int:
             models.append((spec, qoe.model_params(spec["id"], params)))
         except ValueError as exc:
             raise ValueError(f"qoe_models[{i}] ({spec['id']}): {exc}") from exc
+    records = []  # (video id, record): every record is read and checked before any is scored
+    for path in sorted(records_dir.glob("*.record.json")):
+        try:
+            records.append((path.name[: -len(".record.json")], simulator.record_from_json(path.read_text())))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     rows = []
     failed = 0
-    for path in sorted(records_dir.glob("*.record.json")):
-        record = simulator.record_from_json(path.read_text())
-        video_id = path.name[: -len(".record.json")]
+    for video_id, record in records:
         for spec, params in models:
             try:
                 if params is None:
@@ -286,8 +296,7 @@ def cmd_qoe(config: dict, args) -> int:
         payload = [{"video_id": v, "model_id": m, "score": s} for v, m, s in rows]
         _atomic_write(out_dir / "qoe_scores.json", json.dumps(payload, indent=1))
     else:
-        lines = ["video_id,model_id,score"] + [f"{v},{m},{s!r}" for v, m, s in rows]
-        _atomic_write(out_dir / "qoe_scores.csv", "\n".join(lines) + "\n")
+        _write_csv(out_dir / "qoe_scores.csv", ("video_id", "model_id", "score"), rows)
     print(f"qoe: scored {len(rows)} (record, model) pairs -> {out_dir}")
     return 1 if failed else 0
 
@@ -331,26 +340,23 @@ def cmd_subjective(config: dict, args) -> int:
     outputs = []
     if anchors is not None:
         mos, mappings = subjective.realign(matrix, z, anchors)
-        _atomic_write(out_dir / "mos.csv", subjective.mos_to_csv(mos))
-        lines = ["day,slope,intercept"] + [f"{d},{a!r},{b!r}" for d, (a, b) in sorted(mappings.items())]
-        _atomic_write(out_dir / "realign_mappings.csv", "\n".join(lines) + "\n")
+        _write_csv(out_dir / "mos.csv", ("video_id", "mos"), sorted(mos.items()))
+        _write_csv(out_dir / "realign_mappings.csv", ("day", "slope", "intercept"),
+                   [(d, a, b) for d, (a, b) in sorted(mappings.items())])
         outputs.append("mos.csv")
 
     if matrix.video_meta:
         partitions = subjective.partition_sessions(matrix.video_meta)
-        report = subjective.build_sensitivity_report(
-            matrix, partitions, min_set=min_set
-        )
-        _atomic_write(out_dir / "sensitivity.csv", subjective.sensitivity_report_to_csv(report))
+        report = subjective.build_sensitivity_report(matrix, partitions, min_set=min_set)
+        sets = ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
+        header = ("subject_id", "s_r", "s_q", "s_a", "n_r_bar", "n_r", "n_q", "n_q_bar", "n_a", "n_a_bar")
+        _write_csv(out_dir / "sensitivity.csv", header,
+                   [(r.subject, r.s_r, r.s_q, r.s_a, *(r.set_sizes[k] for k in sets)) for r in report.rows])
         outputs.append("sensitivity.csv")
 
     cdf = subjective.personal_mean_cdf(matrix)
-    lines = ["device,mean_rating,cdf"]
-    for device in sorted(cdf):
-        means, values = cdf[device]
-        for m, c in zip(means, values):
-            lines.append(f"{device},{float(m)!r},{float(c)!r}")
-    _atomic_write(out_dir / "personal_mean_cdf.csv", "\n".join(lines) + "\n")
+    _write_csv(out_dir / "personal_mean_cdf.csv", ("device", "mean_rating", "cdf"),
+               [(device, m, c) for device in sorted(cdf) for m, c in zip(*cdf[device])])
     outputs.append("personal_mean_cdf.csv")
     print(f"subjective: kept {len(matrix.subjects)} subjects -> {', '.join(outputs)} in {out_dir}")
     return 0
@@ -384,7 +390,7 @@ def cmd_stats(config: dict, args) -> int:
     items = [i for i in items if i in mos_by_item]
     mos = np.array([mos_by_item[i] for i in items])
 
-    corr_lines = ["method,plcc,srcc,krcc"]
+    correlations = []
     samples = {}  # what the significance test compares, per method
     for method in sorted(by_method):
         missing = [i for i in items if i not in by_method[method]]
@@ -393,17 +399,15 @@ def cmd_stats(config: dict, args) -> int:
         scores = np.array([by_method[method][i] for i in items])
         fit = stats.fit_logistic(scores, mos)  # one fit per method, for PLCC and the F-test alike
         samples[method] = fit.mapped - mos if test == "f_test" else scores
-        corr_lines.append(
-            f"{method},{stats.plcc(fit.mapped, mos)!r},{stats.srcc(scores, mos)!r},{stats.krcc(scores, mos)!r}"
-        )
-    _atomic_write(out_dir / "correlations.csv", "\n".join(corr_lines) + "\n")
+        correlations.append((method, stats.plcc(fit.mapped, mos), stats.srcc(scores, mos), stats.krcc(scores, mos)))
+    _write_csv(out_dir / "correlations.csv", ("method", "plcc", "srcc", "krcc"), correlations)
 
     matrix = stats.build_significance_matrix(samples, test=test, alpha=alpha)
     if args.format == "json":
         payload = {"labels": list(matrix.labels), "cells": [list(r) for r in matrix.cells]}
         _atomic_write(out_dir / "significance.json", json.dumps(payload, indent=1))
     else:
-        _atomic_write(out_dir / "significance.csv", matrix.to_csv())
+        _write_csv(out_dir / "significance.csv", ("", *matrix.labels), matrix.glyph_rows())
     _atomic_write(out_dir / "significance.md", matrix.to_markdown())
     print(f"stats: {len(samples)} methods over {len(items)} items -> {out_dir}")
     return 0
@@ -418,7 +422,7 @@ def cmd_traces(config: dict, args) -> int:
     window_s = checks.positive("window_s", block.get("window_s", 55.0))
     stride_s = checks.positive("stride_s", block.get("stride_s", window_s))
     min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))
-    index_lines = ["trace_id,source,start_offset_s,mean_kbps,kept"]
+    index = []
     kept_count = 0
     for name, path, trace in _load_traces(block["inputs"], "inputs"):
         windows = nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)
@@ -426,11 +430,11 @@ def cmd_traces(config: dict, args) -> int:
             mean = window.mean_kbps()
             kept = mean > min_avg
             trace_id = f"{name}_w{w_idx:03d}"
-            index_lines.append(f"{trace_id},{path},{w_idx * stride_s!r},{mean!r},{int(kept)}")
+            index.append((trace_id, path, w_idx * stride_s, mean, int(kept)))
             if kept:
                 kept_count += 1
                 _atomic_write(out_dir / "traces" / f"{trace_id}.csv", nettrace.serialize_trace(window))
-    _atomic_write(out_dir / "trace_index.csv", "\n".join(index_lines) + "\n")
+    _write_csv(out_dir / "trace_index.csv", ("trace_id", "source", "start_offset_s", "mean_kbps", "kept"), index)
     print(f"traces: kept {kept_count} windows -> {out_dir}")
     return 0
 

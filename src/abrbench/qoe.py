@@ -100,11 +100,6 @@ class PenaltyTable:
         )
 
 
-def _check_segments(record: SessionRecord):
-    if record.segment_count < 1:
-        raise ValueError("empty session record")
-
-
 def _mbps(record: SessionRecord) -> list[float]:
     return [b / 1000.0 for b in record.bitrates_kbps]
 
@@ -121,7 +116,6 @@ def _quality_before(record: SessionRecord, position_s: float) -> float:
 
 def qoe_yin2015(record: SessionRecord, lam: float = 1.0, mu: float = 4.3, mu_s: float = 0.0) -> float:
     """Linear bitrate objective: sum of bitrates minus switch, stall and startup terms."""
-    _check_segments(record)
     rates = _mbps(record)
     switching = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
     return sum(rates) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
@@ -129,7 +123,6 @@ def qoe_yin2015(record: SessionRecord, lam: float = 1.0, mu: float = 4.3, mu_s: 
 
 def qoe_bentaleb2016(record: SessionRecord, lam: float = 0.5, mu: float = 50.0, mu_s: float = 0.0) -> float:
     """Same linear form as yin2015 with per-segment quality in place of bitrate."""
-    _check_segments(record)
     q = record.qualities
     switching = sum(abs(b - a) for a, b in zip(q, q[1:]))
     return sum(q) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
@@ -137,7 +130,6 @@ def qoe_bentaleb2016(record: SessionRecord, lam: float = 0.5, mu: float = 50.0, 
 
 def qoe_ftw(record: SessionRecord, a: float = 3.5, b_len: float = 0.15, b_cnt: float = 0.19, c: float = 1.5) -> float:
     """Exponential stall model on a 1-5 scale; no stalls scores a + c."""
-    _check_segments(record)
     n = len(record.stalls)
     if n == 0:
         return a + c
@@ -165,7 +157,6 @@ def _ternary_level(value: float, bounds: tuple[float, float]) -> int:
 
 def qoe_mok2011(record: SessionRecord, coeffs=MOK2011_COEFFS, levels=None) -> float:
     """Level-based regression on startup delay, stall frequency, stall duration."""
-    _check_segments(record)
     levels = levels or MOK2011_LEVELS
     base, w_init, w_freq, w_dur = coeffs
     content_min = record.segment_count * record.segment_duration_s / 60.0
@@ -179,7 +170,6 @@ def qoe_mok2011(record: SessionRecord, coeffs=MOK2011_COEFFS, levels=None) -> fl
 
 def qoe_liu2012(record: SessionRecord, c1: float = 4.0, c2: float = 1.0) -> float:
     """Mean bitrate reward against the rebuffering-time ratio."""
-    _check_segments(record)
     rates = _mbps(record)
     content = record.segment_count * record.segment_duration_s
     stall = record.total_stall_s
@@ -193,14 +183,12 @@ def qoe_xue2014(record: SessionRecord, rho: float = 1.0, r_min_kbps: float = 235
     ``r_min_kbps`` is the ladder floor (the record itself does not carry
     the ladder); defaults to the reference ladder's lowest rung.
     """
-    _check_segments(record)
     utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
     return utility - rho * record.total_stall_s
 
 
 def qoe_spiteri2016(record: SessionRecord, gamma: float = 2.0, r_min_kbps: float = 235.0) -> float:
     """BOLA-style utility: log-bitrate sum minus gamma times stall seconds."""
-    _check_segments(record)
     utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
     return utility - gamma * record.total_stall_s
 
@@ -217,7 +205,6 @@ def qoe_sqi(
     exp(-position/tau); the default infinite memory constant disables
     the decay.
     """
-    _check_segments(record)
     n = record.segment_count
     base = sum(record.qualities) / n
     penalty = 0.0
@@ -235,7 +222,6 @@ def qoe_ksqi(record: SessionRecord, params: KsqiParams = KsqiParams()) -> float:
     was when it hit; downward quality switches cost beta_neg per unit,
     upward beta_pos.
     """
-    _check_segments(record)
     n = record.segment_count
     base = sum(record.qualities) / n
     penalty = 0.0

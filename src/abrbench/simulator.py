@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import checks
 from .media import Manifest
@@ -61,9 +61,25 @@ class SessionLog:
         return sum(d for _, d in self.stalls)
 
 
+def _quality(name: str, value) -> float:
+    return checks.between(name, value, 0.0, 100.0)
+
+
+def _stall(name: str, stall) -> tuple[float, float]:
+    if not (isinstance(stall, (list, tuple)) and len(stall) == 2):
+        raise ValueError(f"{name} must be a [position_s, duration_s] pair, got {stall!r}")
+    return checks.nonnegative(f"{name} position_s", stall[0]), checks.positive(f"{name} duration_s", stall[1])
+
+
 @dataclass(frozen=True)
 class SessionRecord:
-    """QoE-facing summary of a session: what the viewer experienced."""
+    """QoE-facing summary of a session: what the viewer experienced.
+
+    Values are checked, not coerced: at least one segment, a segment
+    duration and bitrates > 0, qualities in [0, 100], stalls as
+    (position >= 0, duration > 0) pairs and a startup delay >= 0, all
+    finite numbers (a bool is no number). Lists are stored as tuples.
+    """
 
     segment_duration_s: float
     qualities: tuple[float, ...]
@@ -72,11 +88,15 @@ class SessionRecord:
     startup_delay_s: float
 
     def __post_init__(self):
+        checks.attrs(self, checks.positive, "segment_duration_s")
+        checks.attrs(self, checks.each(_quality), "qualities")
+        checks.attrs(self, checks.each(checks.positive), "bitrates_kbps")
+        checks.attrs(self, checks.each(_stall), "stalls")
+        checks.attrs(self, checks.nonnegative, "startup_delay_s")
+        if not self.qualities:
+            raise ValueError("a session record needs at least one segment")
         if len(self.qualities) != len(self.bitrates_kbps):
             raise ValueError("qualities and bitrates_kbps must have equal length")
-        for q in self.qualities:
-            if not (0.0 <= q <= 100.0):
-                raise ValueError(f"quality {q} outside [0, 100]")
 
     @property
     def segment_count(self) -> int:
@@ -233,11 +253,9 @@ def record_to_json(record: SessionRecord) -> str:
 
 
 def record_from_json(text: str) -> SessionRecord:
+    """A record document's values go to ``SessionRecord`` as they are; it checks them."""
     doc = json.loads(text)
-    return SessionRecord(
-        segment_duration_s=float(doc["segment_duration_s"]),
-        qualities=tuple(float(q) for q in doc["qualities"]),
-        bitrates_kbps=tuple(float(b) for b in doc["bitrates_kbps"]),
-        stalls=tuple((float(p), float(d)) for p, d in doc["stalls"]),
-        startup_delay_s=float(doc["startup_delay_s"]),
-    )
+    keys = [f.name for f in fields(SessionRecord)]
+    if not (isinstance(doc, dict) and set(doc) == set(keys)):
+        raise ValueError(f"a session record must be an object with exactly the keys {keys}")
+    return SessionRecord(**doc)

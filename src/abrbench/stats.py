@@ -331,18 +331,14 @@ class SignificanceMatrix:
                 if not ok:
                     raise ValueError("matrix must be antisymmetric")
 
+    def glyph_rows(self) -> list[tuple[str, ...]]:
+        """One row per method: its label, then the glyph of each cell."""
+        return [(label, *(_GLYPH[c] for c in row)) for label, row in zip(self.labels, self.cells)]
+
     def to_markdown(self) -> str:
         head = "| | " + " | ".join(self.labels) + " |"
         sep = "|" + "---|" * (len(self.labels) + 1)
-        rows = [head, sep]
-        for label, row in zip(self.labels, self.cells):
-            rows.append("| " + label + " | " + " | ".join(_GLYPH[c] for c in row) + " |")
-        return "\n".join(rows) + "\n"
-
-    def to_csv(self) -> str:
-        rows = ["," + ",".join(self.labels)]
-        for label, row in zip(self.labels, self.cells):
-            rows.append(label + "," + ",".join(_GLYPH[c] for c in row))
+        rows = [head, sep] + ["| " + " | ".join(row) + " |" for row in self.glyph_rows()]
         return "\n".join(rows) + "\n"
 
 

@@ -490,22 +490,3 @@ def load_anchors_csv(text: str, source: str = "anchors CSV") -> dict[str, list[t
         out.setdefault(row["day"], []).append((row["video_id"], csv_number(rows, row, "mos", source)))
     return out
 
-
-def mos_to_csv(mos: dict[str, float]) -> str:
-    lines = ["video_id,mos"]
-    for video in sorted(mos):
-        lines.append(f"{video},{mos[video]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def sensitivity_report_to_csv(report: SensitivityReport) -> str:
-    lines = ["subject_id,s_r,s_q,s_a,n_r_bar,n_r,n_q,n_q_bar,n_a,n_a_bar"]
-    for row in report.rows:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
-        sizes = row.set_sizes
-        lines.append(
-            f"{row.subject},{fmt(row.s_r)},{fmt(row.s_q)},{fmt(row.s_a)},"
-            f"{sizes['q_r_bar']},{sizes['q_r']},{sizes['q_q']},{sizes['q_q_bar']},{sizes['q_a']},{sizes['q_a_bar']}"
-        )
-    return "\n".join(lines) + "\n"

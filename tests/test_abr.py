@@ -4,7 +4,9 @@ import math
 import pickle
 import random
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from abrbench import abr, media
 from abrbench.abr import (
     AbrState,
     ExternalPolicy,
+    LookupTable,
     MpcObjectiveParams,
     RdosParams,
     TableBinning,
@@ -492,6 +495,63 @@ def test_table_header_params_must_be_the_objective_fields(tmp_path, edit):
         load_table(path)
 
 
+@st.composite
+def lookup_tables(draw):
+    t, b, r = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ladder = tuple(sorted(draw(st.lists(st.floats(50.0, 50000.0), min_size=r, max_size=r, unique=True))))
+    binning = TableBinning(tput_bins=t, buffer_bins=b, tput_max_kbps=draw(st.floats(100.0, 1e5)),
+                           max_buffer_s=draw(st.floats(1.0, 120.0)))
+    entries = draw(st.lists(st.integers(1, r), min_size=t * b * r, max_size=t * b * r))
+    return LookupTable(
+        tput_edges=binning.tput_edges(),
+        buffer_edges=binning.buffer_edges(),
+        entries=np.array(entries, dtype=np.uint8).reshape(t, b, r),
+        ladder_kbps=ladder,
+        segment_duration_s=draw(st.floats(0.5, 10.0)),
+        params=MpcObjectiveParams(horizon=draw(st.integers(1, 5)), rtt_s=draw(st.floats(0.0, 1.0))),
+    )
+
+
+@settings(max_examples=60)
+@given(lookup_tables())
+def test_table_save_load_round_trip_property(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.bin"
+        save_table(table, path)
+        again = load_table(path)
+        for name in ("tput_edges", "buffer_edges", "entries"):
+            assert np.array_equal(getattr(again, name), getattr(table, name))
+        assert (again.ladder_kbps, again.segment_duration_s, again.params) == (
+            table.ladder_kbps, table.segment_duration_s, table.params)
+        save_table(again, Path(tmp) / "again.bin")
+        assert (Path(tmp) / "again.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda header, blob: b"[1, 2]\n" + blob, "not a lookup-table artifact"),
+        (lambda header, blob: b"not json\n" + blob, "Expecting value"),
+        (lambda header, blob: json.dumps({k: v for k, v in json.loads(header).items() if k != "ladder_kbps"}).encode()
+         + b"\n" + blob, "lacks ['ladder_kbps']"),
+        (lambda header, blob: header + b"\n" + blob[:-1], "35 entry bytes for a 2x2x9 table"),
+        (lambda header, blob: header + b"\n" + blob + b"\x01", "37 entry bytes"),
+        (lambda header, blob: json.dumps({**json.loads(header), "ladder_kbps": 5}).encode() + b"\n" + blob, "not iterable"),
+    ],
+    ids=["list_header", "not_json", "missing_field", "short_blob", "long_blob", "mistyped_field"],
+)
+def test_load_table_errors_name_the_path(tmp_path, edit, message):
+    path = tmp_path / "table.bin"
+    ladder = media.ladder_default()[:9]
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), ladder=ladder),
+               path)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(edit(header, blob))
+    with pytest.raises(ValueError, match=str(path)) as info:
+        load_table(path)
+    assert message in str(info.value)
+
+
 def test_table_parallel_build_matches_serial():
     binning = TableBinning(tput_bins=5, buffer_bins=6, tput_max_kbps=9000.0)
     params = MpcObjectiveParams(horizon=2)
@@ -692,14 +752,18 @@ def test_make_policy_registry():
 
 
 
-def test_policy_builders_pickle():
+def test_policy_builders_pickle(tmp_path):
     # simulate --jobs sends each cell's policy builder, checked once, to a worker process
+    table = tmp_path / "t.bin"
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2)), table)
     specs = [{"id": "fixed", "rep_index": 5}, {"id": "rate_based"}, {"id": "buffer_based"}, {"id": "rdos"},
-             {"id": "mpc_exact", "params": {"horizon": 3}}, {"id": "mpc_table", "table": "t.bin"},
+             {"id": "mpc_exact", "params": {"horizon": 3}}, {"id": "mpc_table", "table": str(table)},
              {"id": "external", "command": ["policy"]}]
     for spec in specs:
         build = pickle.loads(pickle.dumps(abr.policy_builder(spec)))
-        if spec["id"] not in ("mpc_table", "external"):  # these read a file or start a child
+        if spec["id"] == "mpc_table":  # the builder carries the table it read
+            assert np.array_equal(build().table.entries, load_table(table).entries)
+        elif spec["id"] != "external":  # building it starts a child
             assert vars(build()) == vars(make_policy(spec))
 
 

@@ -71,3 +71,13 @@ def test_known_keys_names_the_first_unknown_one():
     checks.known_keys("block", {"a": 1}, ("a", "b"))
     with pytest.raises(ValueError, match="unknown key 'c' in block; expected one of \\['a', 'b'\\]"):
         checks.known_keys("block", {"a": 1, "c": 2, "d": 3}, ("a", "b"))
+
+
+def test_each_checks_every_item_and_names_the_first_bad_one():
+    check = checks.each(checks.positive)
+    assert check("xs", [1, 2.5]) == (1.0, 2.5) and check("xs", ()) == ()
+    with pytest.raises(ValueError, match=r"xs\[2\] must be finite and > 0, got 0"):
+        check("xs", [1.0, 2.0, 0, -1.0])
+    for bad in ("12", 1.0, None, {1.0: 2.0}):
+        with pytest.raises(ValueError, match="xs must be a list"):
+            check("xs", bad)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -354,8 +355,12 @@ def test_subjective_pipeline_matches_library(tmp_path):
         "out_dir": str(out),
     }))
     assert run(["subjective", "--config", cfg]) == 0
-    mos_rows = (out / "mos.csv").read_text().splitlines()[1:]
-    got = {r.split(",")[0]: float(r.split(",")[1]) for r in mos_rows}
+    with open(out / "mos.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        mos_rows = list(reader)
+    assert reader.fieldnames == ["video_id", "mos"]
+    assert all(repr(float(r["mos"])) == r["mos"] for r in mos_rows)  # floats in repr form
+    got = {r["video_id"]: float(r["mos"]) for r in mos_rows}
 
     matrix = subjective.load_ratings_csv(ratings.read_text())
     matrix.keystroke_accuracy = {s: 1.0 for s in matrix.subjects}
@@ -369,6 +374,32 @@ def test_subjective_pipeline_matches_library(tmp_path):
     assert got.keys() == expected.keys()
     for v, m in expected.items():
         assert got[v] == pytest.approx(m)
+
+
+def test_sensitivity_csv_cells_are_plain_floats(tmp_path):
+    ratings, _ = make_subjective_fixture(tmp_path)
+    # (mean quality, quality std, stall s) of v0..v9: three videos in each of q_r_bar, q_r, q_q, q_a_bar,
+    # two in q_q_bar and q_a, so with min_set 3 s_r is a number and s_q, s_a are missing
+    meta = [(80, 2, 0)] * 3 + [(80, 2, 5)] * 3 + [(40, 2, 0)] * 2 + [(80, 20, 0)] * 2
+    meta_csv = tmp_path / "meta.csv"
+    meta_csv.write_text("video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
+                        + "".join(f"v{j},{m},{s},{st},{m},{m}\n" for j, (m, s, st) in enumerate(meta)))
+    out = tmp_path / "out"
+    cfg = tmp_path / "subj.json"
+    cfg.write_text(json.dumps({
+        "subjective": {"ratings_csv": str(ratings), "video_meta_csv": str(meta_csv), "min_set": 3},
+        "out_dir": str(out),
+    }))
+    assert run(["subjective", "--config", cfg]) == 0
+    with open(out / "sensitivity.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["subject_id", "s_r", "s_q", "s_a", "n_r_bar", "n_r", "n_q", "n_q_bar", "n_a", "n_a_bar"]
+    assert rows
+    for row in rows:
+        assert repr(float(row["s_r"])) == row["s_r"]  # a plain float, not np.float64(...)
+        assert row["s_q"] == row["s_a"] == ""  # a missing sensitivity is an empty field
+        assert [row[k] for k in reader.fieldnames[4:]] == ["3", "3", "3", "2", "2", "3"]
 
 
 def test_subjective_missing_file_names_path(tmp_path, capsys):
@@ -405,9 +436,7 @@ def test_stats_command_two_methods(tmp_path):
     out = tmp_path / "out"
     assert run(["stats", "--config", cfg]) == 0
     sig = (out / "significance.csv").read_text().splitlines()
-    assert sig[0] == ",bad,good"
-    assert sig[1].startswith("bad,-,")
-    assert sig[2].endswith(",-")
+    assert sig == [",bad,good", "bad,-,0", "good,1,-"]  # a label, then a glyph per column
     corr = (out / "correlations.csv").read_text().splitlines()
     assert corr[0] == "method,plcc,srcc,krcc"
     by_method = {}
@@ -875,3 +904,158 @@ def test_stats_json_holds_the_values_of_the_csv(tmp_path):
     glyph = {stats.ROW_BETTER: "1", stats.ROW_WORSE: "0", stats.INDISTINGUISHABLE: "-"}
     assert as_json["labels"] == header[1:] == [r[0] for r in rows] == ["bad", "good"]
     assert [[glyph[c] for c in row] for row in as_json["cells"]] == [r[1:] for r in rows]
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_csv_fields_with_commas_and_quotes_read_back(tmp_path):
+    # a comma in a record id or a trace path split its row into extra columns
+    odd = 'a,"b"'
+    records = tmp_path / "records"
+    records.mkdir()
+    record = simulator.SessionRecord(4.0, (50.0, 60.0), (1000.0, 2000.0), (), 0.0)
+    (records / f"{odd}.record.json").write_text(simulator.record_to_json(record))
+    raw = tmp_path / f"{odd}.txt"
+    raw.write_text("\n".join(["1000"] * 11) + "\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "records_dir": str(records), "qoe_models": [{"id": "yin2015"}],
+        "traces_ingest": {"inputs": [{"path": str(raw), "format": "granular_5s"}]}, "out_dir": str(out),
+    }))
+    assert run(["qoe", "--config", cfg]) == 0
+    assert run(["traces", "--config", cfg]) == 0
+    [score] = read_csv(out / "qoe_scores.csv")
+    assert score == {"video_id": odd, "model_id": "yin2015", "score": repr(qoe.evaluate("yin2015", record).value)}
+    [window] = read_csv(out / "trace_index.csv")
+    assert (window["trace_id"], window["source"], window["kept"]) == (f"{odd}_w000", str(raw), "1")
+
+
+def write_records(tmp_path, docs):
+    """Record files named r0, r1, ... holding ``docs`` (a str is written as it is); returns the config path."""
+    records = tmp_path / "records"
+    records.mkdir()
+    for i, doc in enumerate(docs):
+        (records / f"r{i}.record.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    cfg = tmp_path / "qoe.json"
+    cfg.write_text(json.dumps({"records_dir": str(records), "qoe_models": [{"id": "yin2015"}],
+                               "out_dir": str(tmp_path / "out")}))
+    return cfg
+
+
+GOOD_RECORD = {"segment_duration_s": 4.0, "qualities": [50.0, 60.0], "bitrates_kbps": [1000.0, 2000.0],
+               "stalls": [[4.0, 1.0]], "startup_delay_s": 0.0}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"stalls": [[4.0, -3.0]]}, "stalls[0] duration_s must be finite and > 0"),
+        ({"stalls": [[-4.0, 1.0]]}, "stalls[0] position_s must be finite and >= 0"),
+        ({"stalls": [[4.0]]}, "stalls[0] must be a [position_s, duration_s] pair"),
+        ({"qualities": ["50", True]}, "qualities[0] must be a number in [0.0, 100.0]"),
+        ({"qualities": [50.0, True]}, "qualities[1] must be a number in [0.0, 100.0]"),
+        ({"qualities": [50.0, 101.0]}, "qualities[1] must be a number in [0.0, 100.0]"),
+        ({"bitrates_kbps": [1000.0, 0.0]}, "bitrates_kbps[1] must be finite and > 0"),
+        ({"bitrates_kbps": 1000.0}, "bitrates_kbps must be a list"),
+        ({"segment_duration_s": 0}, "segment_duration_s must be finite and > 0"),
+        ({"startup_delay_s": -1.0}, "startup_delay_s must be finite and >= 0"),
+        ({"qualities": [], "bitrates_kbps": []}, "at least one segment"),
+        ({"qualities": [50.0]}, "equal length"),
+        ({"qualities": None}, "qualities must be a list"),
+        ({"extra": 1}, "exactly the keys"),
+    ],
+    ids=["stall_duration", "stall_position", "stall_pair", "quality_string", "quality_bool", "quality_range",
+         "bitrate", "bitrates_not_a_list", "segment_duration", "startup", "no_segments", "lengths",
+         "qualities_not_a_list", "unknown_key"],
+)
+def test_qoe_checks_every_record_before_scoring_any(tmp_path, capsys, edit, message):
+    cfg = write_records(tmp_path, [GOOD_RECORD, {**GOOD_RECORD, **edit}])
+    assert run(["qoe", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "r1.record.json" in err and message in err
+    assert not (tmp_path / "out").exists()  # the good record was not scored either
+
+
+@pytest.mark.parametrize(
+    "doc", ["{not json", "[]", json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "qualities"})],
+    ids=["not_json", "not_an_object", "no_qualities"],
+)
+def test_qoe_names_a_record_that_is_not_a_record(tmp_path, capsys, doc):
+    # a missing key was a KeyError traceback, and bad JSON did not name the file
+    cfg = write_records(tmp_path, [doc])
+    assert run(["qoe", "--config", cfg]) == 2
+    assert "r0.record.json" in capsys.readouterr().err
+
+
+def test_simulate_fails_a_cell_whose_record_would_be_empty(tmp_path):
+    # with drop_first_chunk a 1-segment session leaves no segment to score: the summary loop divided by zero
+    manifests, traces = write_inputs(tmp_path, segments=1)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}],
+                               "out_dir": str(tmp_path / "out")}))
+    assert run(["simulate", "--config", cfg]) == 1
+    [row] = read_csv(tmp_path / "out" / "summary.csv")
+    assert row["status"] == "error" and "at least one segment" in row["error"]
+
+
+def write_table_config(tmp_path, table, n_traces=1):
+    manifests, traces = write_inputs(tmp_path, n_traces=n_traces)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests, "traces": traces, "out_dir": str(tmp_path / "out"),
+        "policies": [{"id": "rate_based"}, {"id": "mpc_table", "table": str(table)}],
+    }))
+    return cfg
+
+
+def test_simulate_reads_an_mpc_table_once_before_any_cell(tmp_path, monkeypatch):
+    table = tmp_path / "t.bin"
+    abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(4, 4)), table)
+    cfg = write_table_config(tmp_path, table, n_traces=3)
+    reads = []
+    load = abr.load_table
+    monkeypatch.setattr(abr, "load_table", lambda path: reads.append(path) or load(path))
+    assert run(["simulate", "--config", cfg]) == 0
+    assert reads == [str(table)]
+
+
+@pytest.mark.parametrize(
+    "header", [None, b"[1, 2]\n", b'{"format": "abrbench-mpc-table-v1"}\n', "short"],
+    ids=["missing", "list_header", "no_fields", "short_blob"],
+)
+def test_simulate_rejects_a_bad_mpc_table_before_any_cell(tmp_path, capsys, header):
+    # a missing table failed every cell with exit 1; a list header failed each with an AttributeError
+    table = tmp_path / "t.bin"
+    if header == "short":
+        abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(2, 2)), table)
+        table.write_bytes(table.read_bytes()[:-1])
+    elif header is not None:
+        table.write_bytes(header)
+    cfg = write_table_config(tmp_path, table)
+    assert run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "policies[1] (mpc_table)" in err and str(table) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mpc_table_keeps_the_previous_artifact_when_saving_fails(tmp_path, monkeypatch):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mpc_table": {"tput_bins": 2, "buffer_bins": 2, "horizon": 1},
+                               "out_dir": str(tmp_path / "out")}))
+    assert run(["mpc-table", "--config", cfg]) == 0
+    path = tmp_path / "out" / "mpc_table.bin"
+    before = path.read_bytes()
+
+    def save_half(table, target):
+        Path(target).write_bytes(before[: len(before) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(abr, "save_table", save_half)
+    with pytest.raises(OSError, match="disk full"):
+        run(["mpc-table", "--config", cfg])
+    assert path.read_bytes() == before
+    assert list(path.parent.iterdir()) == [path]  # no temporary file left behind

@@ -277,3 +277,63 @@ def test_invalid_policy_output_rejected():
     for integral in (3.0, np.int64(3)):
         assert run_session(m, tr, Returns(integral), PlayerConfig()).choices == (1, 3, 3)
 
+
+
+finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def session_logs(draw):
+    n = draw(st.integers(1, 30))
+    starts = sorted(draw(st.lists(finite, min_size=n, max_size=n)))
+    spans = tuple((a, a + draw(positive)) for a in starts)
+    positions = sorted(draw(st.lists(finite, max_size=5)))
+    return SessionLog(
+        choices=tuple(draw(st.lists(st.integers(1, 13), min_size=n, max_size=n))),
+        download_spans=spans,
+        startup_delay_s=draw(finite),
+        stalls=tuple((p, draw(positive)) for p in positions),
+        total_wall_time_s=draw(finite),
+    )
+
+
+@st.composite
+def session_records(draw):
+    n = draw(st.integers(1, 30))
+    return simulator.SessionRecord(
+        segment_duration_s=draw(positive),
+        qualities=tuple(draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))),
+        bitrates_kbps=tuple(draw(st.lists(positive, min_size=n, max_size=n))),
+        stalls=tuple(draw(st.lists(st.tuples(finite, positive), max_size=5))),
+        startup_delay_s=draw(finite),
+    )
+
+
+@given(session_logs())
+def test_log_json_round_trip_property(log):
+    text = simulator.log_to_json(log)
+    again = simulator.log_from_json(text)
+    assert again == log
+    assert simulator.log_to_json(again) == text
+
+
+@given(session_records())
+def test_record_json_round_trip_property(record):
+    text = simulator.record_to_json(record)
+    again = simulator.record_from_json(text)
+    assert again == record
+    assert simulator.record_to_json(again) == text
+
+
+def test_record_values_are_checked_not_coerced():
+    good = dict(segment_duration_s=4.0, qualities=[50.0], bitrates_kbps=[900.0], stalls=[[4.0, 1.0]], startup_delay_s=0.0)
+    record = simulator.SessionRecord(**good)
+    assert record.qualities == (50.0,) and record.stalls == ((4.0, 1.0),)  # lists are stored as tuples
+    ints = simulator.SessionRecord(**{**good, "qualities": [50], "segment_duration_s": 4})
+    assert type(ints.qualities[0]) is float and type(ints.segment_duration_s) is float
+    for edit in ({"qualities": ["50"]}, {"qualities": [True]}, {"qualities": [math.nan]}, {"bitrates_kbps": [-1.0]},
+                 {"stalls": [[4.0, -3.0]]}, {"stalls": [[-0.5, 1.0]]}, {"stalls": [(1.0, 2.0, 3.0)]},
+                 {"startup_delay_s": math.inf}, {"segment_duration_s": True}, {"qualities": [], "bitrates_kbps": []}):
+        with pytest.raises(ValueError):
+            simulator.SessionRecord(**{**good, **edit})

@@ -350,7 +350,7 @@ def test_matrix_dominance_and_diagonal():
     assert m.cells[0][1] == ROW_BETTER
     assert m.cells[1][0] == ROW_WORSE
     assert "| strong | - | 1 |" in m.to_markdown()
-    assert m.to_csv().splitlines()[1] == "strong,-,1"
+    assert m.glyph_rows() == [("strong", "-", "1"), ("weak", "0", "-")]
 
 
 def test_matrix_three_methods_planted_ordering():
