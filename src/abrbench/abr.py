@@ -29,9 +29,9 @@ lexicographic scan (so the decisions are identical too).
 
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
-Parameter sets and policy options are checked, not coerced, by the
-``checks`` vocabulary (reals are stored as floats), and a policy config
-key outside ``POLICY_OPTIONS`` is an error.
+Parameter sets and policies check their own fields, not coercing them,
+through the ``checks`` vocabulary (reals are stored as floats); a
+policy's config options are its class's fields (``POLICIES``).
 """
 
 from __future__ import annotations
@@ -341,6 +341,13 @@ class LookupTable:
     def cell_count(self) -> int:
         return int(self.entries.size)
 
+    def check_fits(self, manifest: Manifest) -> None:
+        """A table decides only for the segment duration and ladder it was built for."""
+        built = (self.segment_duration_s, list(self.ladder_kbps))
+        given = (manifest.segment_duration_s, [r.bitrate_kbps for r in manifest.ladder])
+        if given != built:
+            raise ValueError("the table is for {} s segments, ladder {} kb/s, not {} s, {}".format(*built, *given))
+
 
 def _bin_index(edges: np.ndarray, value: float) -> int:
     """Bin of ``value``, clamping out-of-range values to the edge bins."""
@@ -582,77 +589,93 @@ def rdos_select(state: AbrState, params: RdosParams) -> int:
     return int(np.argmax(best[0])) + 1
 
 
+@dataclass(frozen=True)
 class FixedPolicy:
     """Always the same rung; useful as a control and for hand-checked runs."""
 
-    def __init__(self, rep_index: int = 1):
-        self.rep_index = rep_index
+    rep_index: int = 1
+
+    def __post_init__(self):
+        checks.attrs(self, checks.count, "rep_index")
 
     def select(self, state: AbrState) -> int:
         return self.rep_index
 
 
+@dataclass(frozen=True)
 class RateBasedPolicy:
-    def __init__(self, window: int = 5, strict: bool = True):
-        self.window = window
-        self.strict = strict
+    window: int = 5
+    strict: bool = True
+
+    def __post_init__(self):
+        checks.attrs(self, checks.count, "window")
+        checks.attrs(self, checks.flag, "strict")
 
     def select(self, state: AbrState) -> int:
         return rate_based_select(state, self.window, self.strict)
 
 
+@dataclass(frozen=True)
 class BufferBasedPolicy:
-    def __init__(self, reservoir_s: float = 5.0, cushion_s: float = 10.0):
-        self.reservoir_s = reservoir_s
-        self.cushion_s = cushion_s
+    reservoir_s: float = 5.0
+    cushion_s: float = 10.0
+
+    def __post_init__(self):
+        checks.attrs(self, checks.nonnegative, "reservoir_s", "cushion_s")
 
     def select(self, state: AbrState) -> int:
         return buffer_based_select(state.buffer_s, self.reservoir_s, self.cushion_s, state.manifest.ladder)
 
 
+@dataclass(frozen=True)
 class MpcExactPolicy:
-    def __init__(self, params: MpcObjectiveParams = MpcObjectiveParams()):
-        self.params = params
+    params: MpcObjectiveParams = MpcObjectiveParams()
 
     def select(self, state: AbrState) -> int:
         return mpc_select_exact(state, self.params)
 
 
+@dataclass(frozen=True)
 class MpcTablePolicy:
-    def __init__(self, table: LookupTable):
-        self.table = table
+    table: LookupTable
 
     def select(self, state: AbrState) -> int:
         return mpc_select_table(state, self.table)
 
 
+@dataclass(frozen=True)
 class RdosPolicy:
-    def __init__(self, params: RdosParams = RdosParams()):
-        self.params = params
+    params: RdosParams = RdosParams()
 
     def select(self, state: AbrState) -> int:
         return rdos_select(state, self.params)
 
 
-class ExternalPolicy:
+@dataclass(eq=False)
+class ExternalPolicyOptions:
+    """An external policy's options, checked; ``ExternalPolicy`` adds the child process."""
+
+    command: list[str]
+    lookahead: int = 5
+
+    def __post_init__(self):
+        if not (isinstance(self.command, list) and self.command and all(isinstance(a, str) for a in self.command)):
+            raise ValueError(f"command must be a non-empty list of strings, got {self.command!r}")
+        checks.attrs(self, checks.count, "lookahead")
+
+
+class ExternalPolicy(ExternalPolicyOptions):
     """Adapter for out-of-process policies (e.g. learned models).
 
     Speaks a line protocol on the child's stdin/stdout: one JSON object
     per decision in, one integer rung index out. The payload mirrors
     AbrState plus the manifest attributes of the next few chunks; see
-    docs/file_formats.md.
+    docs/file_formats.md. The options are checked before the child starts.
     """
 
-    def __init__(self, command, lookahead: int = 5):
-        self.command = list(command)
-        self.lookahead = lookahead
-        self._proc = subprocess.Popen(
-            self.command,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+    def __post_init__(self):
+        super().__post_init__()
+        self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
 
     def select(self, state: AbrState) -> int:
         manifest = state.manifest
@@ -693,60 +716,43 @@ class ExternalPolicy:
         self.close()
 
 
-# the options each policy id takes, besides "id" and "name"
-POLICY_OPTIONS = {
-    "fixed": ("rep_index",),
-    "rate_based": ("window", "strict"),
-    "buffer_based": ("reservoir_s", "cushion_s"),
-    "mpc_exact": ("params",),
-    "mpc_table": ("table",),
-    "rdos": ("ksqi", "params"),
-    "external": ("command", "lookahead"),
+# a policy's config options are its class's fields; rdos also takes the ksqi block of its params
+POLICIES = {
+    "fixed": FixedPolicy,
+    "rate_based": RateBasedPolicy,
+    "buffer_based": BufferBasedPolicy,
+    "mpc_exact": MpcExactPolicy,
+    "mpc_table": MpcTablePolicy,
+    "rdos": RdosPolicy,
+    "external": ExternalPolicy,
 }
-POLICY_IDS = tuple(POLICY_OPTIONS)
+POLICY_IDS = tuple(POLICIES)
 
 
 def policy_builder(spec: dict):
-    """Check a policy config block; return a picklable zero-argument function that builds the policy.
+    """Check a policy config block; return ``functools.partial(cls, **options)``, a picklable policy builder.
 
-    Every option is checked for type and range, naming its key, before
-    anything is built, so a grid can check all its policy blocks before
-    any cell runs; a key the policy does not take (``POLICY_OPTIONS``)
-    is an error. An ``mpc_table`` entry's table is read here, once;
-    building an ``external`` policy starts its child.
+    JSON objects and an ``mpc_table`` path become the values the class takes (the table is read
+    here, once); the class is built once to check them, an ``external`` one without its child.
     """
     kind = spec.get("id")
     if kind not in POLICY_IDS:
         raise ValueError(f"unknown policy id {kind!r}; expected one of {POLICY_IDS}")
-    checks.known_keys(f"policy {kind}", spec, ("id", "name") + POLICY_OPTIONS[kind])
-    if kind == "fixed":
-        rep_index = checks.count("rep_index", spec.get("rep_index", 1))
-        return functools.partial(FixedPolicy, rep_index)
-    if kind == "rate_based":
-        window = checks.count("window", spec.get("window", 5))
-        strict = checks.flag("strict", spec.get("strict", True))
-        return functools.partial(RateBasedPolicy, window, strict)
-    if kind == "buffer_based":
-        reservoir_s = checks.nonnegative("reservoir_s", spec.get("reservoir_s", 5.0))
-        cushion_s = checks.nonnegative("cushion_s", spec.get("cushion_s", 10.0))
-        return functools.partial(BufferBasedPolicy, reservoir_s, cushion_s)
-    if kind == "mpc_exact":
-        params = _options_object(MpcObjectiveParams, "params", spec.get("params", {}))
-        return functools.partial(MpcExactPolicy, params)
-    if kind == "mpc_table":
-        path = spec.get("table")
-        if not isinstance(path, str):
-            raise ValueError(f"table must be the path of a table artifact, got {path!r}")
-        return functools.partial(MpcTablePolicy, load_table(path))  # read once, shared by every cell
-    if kind == "rdos":
-        ksqi = _options_object(KsqiParams, "ksqi", spec.get("ksqi", {}))
-        params = _options_object(functools.partial(RdosParams, ksqi=ksqi), "params", spec.get("params", {}))
-        return functools.partial(RdosPolicy, params)
-    # external
-    command, lookahead = spec.get("command"), checks.count("lookahead", spec.get("lookahead", 5))
-    if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):
-        raise ValueError(f"command must be a non-empty list of strings, got {command!r}")
-    return functools.partial(ExternalPolicy, command, lookahead)
+    cls = POLICIES[kind]
+    keys = ["id", "name", *(f.name for f in fields(cls)), *(["ksqi"] if kind == "rdos" else [])]
+    checks.known_keys(f"policy {kind}", spec, keys)
+    options = {key: value for key, value in spec.items() if key not in ("id", "name")}
+    if kind == "mpc_exact" and "params" in options:
+        options["params"] = _options_object(MpcObjectiveParams, "params", options["params"])
+    elif kind == "rdos":
+        rdos = functools.partial(RdosParams, ksqi=_options_object(KsqiParams, "ksqi", options.pop("ksqi", {})))
+        options["params"] = _options_object(rdos, "params", options.get("params", {}))
+    elif kind == "mpc_table" and "table" in options:
+        if not isinstance(options["table"], str):
+            raise ValueError(f"table must be the path of a table artifact, got {options['table']!r}")
+        options["table"] = load_table(options["table"])  # shared by every cell
+    _options_object(ExternalPolicyOptions if cls is ExternalPolicy else cls, f"policy {kind}", options)
+    return functools.partial(cls, **options)
 
 
 def _options_object(cls, key: str, block):

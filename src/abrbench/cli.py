@@ -178,6 +178,13 @@ def cmd_simulate(config: dict, args) -> int:
             builders.append(abr.policy_builder(spec))  # each cell builds its own policy
         except (OSError, ValueError) as exc:  # OSError: an mpc_table entry's table file
             raise ValueError(f"policies[{i}] ({spec['id']}): {exc}") from exc
+        table = builders[-1].keywords.get("table")  # an mpc_table entry's table, read once
+        for j, (_, manifest) in enumerate(manifests if table is not None else ()):
+            try:
+                table.check_fits(manifest)
+            except ValueError as exc:
+                where = f"policies[{i}] ({spec['id']}) cannot play manifests[{j}] ({manifest_paths[j]})"
+                raise ValueError(f"{where}: {exc}") from exc
         name = spec.get("name") or f"{spec['id']}{i}"
         if not (isinstance(name, str) and Path(name).name == name):  # a name is part of file names
             raise ValueError(f"policies[{i}] ({spec['id']}): name must be a string without '/', got {name!r}")

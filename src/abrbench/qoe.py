@@ -155,16 +155,15 @@ def _ternary_level(value: float, bounds: tuple[float, float]) -> int:
     return 2
 
 
-def qoe_mok2011(record: SessionRecord, coeffs=MOK2011_COEFFS, levels=None) -> float:
-    """Level-based regression on startup delay, stall frequency, stall duration."""
-    levels = levels or MOK2011_LEVELS
-    base, w_init, w_freq, w_dur = coeffs
+def qoe_mok2011(record: SessionRecord) -> float:
+    """Level-based regression on startup delay, stall frequency, stall duration (constants above)."""
+    base, w_init, w_freq, w_dur = MOK2011_COEFFS
     content_min = record.segment_count * record.segment_duration_s / 60.0
     freq = len(record.stalls) / content_min if content_min > 0 else 0.0
     mean_stall = record.total_stall_s / len(record.stalls) if record.stalls else 0.0
-    l_init = _ternary_level(record.startup_delay_s, levels["startup_s"])
-    l_freq = _ternary_level(freq, levels["stall_freq_per_min"])
-    l_dur = _ternary_level(mean_stall, levels["mean_stall_s"])
+    l_init = _ternary_level(record.startup_delay_s, MOK2011_LEVELS["startup_s"])
+    l_freq = _ternary_level(freq, MOK2011_LEVELS["stall_freq_per_min"])
+    l_dur = _ternary_level(mean_stall, MOK2011_LEVELS["mean_stall_s"])
     return base - w_init * l_init - w_freq * l_freq - w_dur * l_dur
 
 
@@ -262,10 +261,20 @@ def evaluate_external(model_id: str, record: SessionRecord, command) -> QoeScore
     return QoeScore(value=float(proc.stdout.strip().splitlines()[-1]), model_id=model_id)
 
 
+def _memory_constant(name: str, value) -> float:
+    """sqi's ``tau_memory_s``: > 0, and infinite (no decay) as by default."""
+    return math.inf if value == math.inf else checks.positive(name, value)
+
+
+# every coefficient is finite and >= 0, the bounds ``calibrate`` searches in, except these two
+_VALUE_CHECKS = {"r_min_kbps": checks.positive, "tau_memory_s": _memory_constant}
+
+
 def model_params(model_id: str, params: dict) -> dict | KsqiParams:
     """Check ``params`` for the built-in model ``model_id``; return them as ``evaluate`` takes them.
 
-    An unknown model, or a name the model function does not take, is a ValueError. ksqi's
+    An unknown model, a name the model function does not take, or a value out of its range
+    (``_VALUE_CHECKS``) is a ValueError; ``evaluate`` checks nothing, so check once here. ksqi's
     parameters come back as the ``KsqiParams`` they build, which checks their values.
     """
     if model_id not in MODELS:
@@ -274,7 +283,7 @@ def model_params(model_id: str, params: dict) -> dict | KsqiParams:
         checks.known_keys(f"model {model_id}", params, [f.name for f in fields(KsqiParams)])
         return KsqiParams(**params)
     checks.known_keys(f"model {model_id}", params, list(inspect.signature(MODELS[model_id]).parameters)[1:])
-    return params
+    return {name: _VALUE_CHECKS.get(name, checks.nonnegative)(name, value) for name, value in params.items()}
 
 
 def evaluate(model_id: str, record: SessionRecord, params: dict | KsqiParams | None = None) -> QoeScore:

@@ -158,15 +158,18 @@ class LogisticFit:
         return logistic_5(np.asarray(s, dtype=float), self.beta)
 
 
-def fit_logistic(objective_scores, mos, max_nfev: int = 2000) -> LogisticFit:
+LOGISTIC_MAX_NFEV = 2000  # the optimizer's evaluation budget per logistic fit
+
+
+def fit_logistic(objective_scores, mos) -> LogisticFit:
     """Least-squares fit of the 5-parameter logistic from a deterministic start.
 
     Initialization: b3 = median score, |b1| = MOS range, b2 = 1/std of
     the scores, b4 = 0, b5 = mean MOS, with the sign of b1/b4 following
     the sign of the raw correlation. Sign bounds keep the fitted
     mapping monotone over the whole axis. Reports ``converged=False``
-    when the optimizer hit its budget; the best iterate is still
-    returned.
+    when the optimizer hit its budget (``LOGISTIC_MAX_NFEV``
+    evaluations); the best iterate is still returned.
     """
     from scipy.optimize import least_squares
 
@@ -188,7 +191,7 @@ def fit_logistic(objective_scores, mos, max_nfev: int = 2000) -> LogisticFit:
     def residuals(beta):
         return logistic_5(s, beta) - m
 
-    result = least_squares(residuals, x0, bounds=(lower, upper), max_nfev=max_nfev)
+    result = least_squares(residuals, x0, bounds=(lower, upper), max_nfev=LOGISTIC_MAX_NFEV)
     beta = tuple(float(v) for v in result.x)
     return LogisticFit(mapped=logistic_5(s, beta), beta=beta, converged=bool(result.status > 0))
 
@@ -231,7 +234,10 @@ def _normal_signed_rank_p(w_plus: float, ranks: np.ndarray) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_limit: int = 25) -> tuple[str, float]:
+EXACT_SIGNED_RANK_LIMIT = 25  # up to this many nonzero differences the p-value is exact, beyond it normal
+
+
+def wilcoxon_signed_rank(a, b, alpha: float = 0.05) -> tuple[str, float]:
     """Paired two-sided signed-rank test; direction from the rank sums.
 
     Zero differences are dropped first. If none remain the samples are
@@ -249,7 +255,7 @@ def wilcoxon_signed_rank(a, b, alpha: float = 0.05, exact_limit: int = 25) -> tu
     if n < 6:
         raise ValueError(f"only {n} nonzero differences; need at least 6")
     w_plus, ranks = _signed_rank_statistic(diff)
-    if n <= exact_limit:
+    if n <= EXACT_SIGNED_RANK_LIMIT:
         p = _exact_signed_rank_p(w_plus, ranks)
     else:
         p = _normal_signed_rank_p(w_plus, ranks)

@@ -138,20 +138,21 @@ def reject_auxiliary(matrix: RatingsMatrix, threshold: float = 0.10) -> np.ndarr
     return keep
 
 
-def reject_bt500(
-    z: np.ndarray,
-    outlier_fraction: float = 0.05,
-    balance: float = 0.3,
-    normal_sigma: float = 2.0,
-    heavy_sigma: float = math.sqrt(20.0),
-) -> np.ndarray:
+# BT.500 screening: a rating beyond mean +- k*std of its video is flagged, with k = 2 for a
+# normal-tailed column and sqrt(20) otherwise; a subject goes when over 5 % of their ratings
+# are flagged and the flags are not heavily one-sided (|P-Q|/(P+Q) < 0.3)
+BT500_NORMAL_SIGMA, BT500_HEAVY_SIGMA = 2.0, math.sqrt(20.0)
+BT500_OUTLIER_FRACTION, BT500_BALANCE = 0.05, 0.3
+
+
+def reject_bt500(z: np.ndarray) -> np.ndarray:
     """Single-pass BT.500-style screening; returns a keep-mask.
 
     Per video, ratings beyond mean +- k*std are counted against the
     subject, with k chosen by the column kurtosis (2..4 treated as
     normal-tailed). A subject is rejected when flagged ratings exceed
-    ``outlier_fraction`` of their total and the flags are not heavily
-    one-sided (|P-Q|/(P+Q) < balance).
+    ``BT500_OUTLIER_FRACTION`` of their total and the flags are not
+    heavily one-sided (|P-Q|/(P+Q) < ``BT500_BALANCE``).
     """
     n_subj, n_videos = z.shape
     if n_subj < 3:
@@ -171,7 +172,7 @@ def reject_bt500(
         m2 = ((vals - mean) ** 2).mean()
         m4 = ((vals - mean) ** 4).mean()
         beta2 = m4 / (m2 * m2) if m2 > 0 else 0.0
-        k = normal_sigma if 2.0 <= beta2 <= 4.0 else heavy_sigma
+        k = BT500_NORMAL_SIGMA if 2.0 <= beta2 <= 4.0 else BT500_HEAVY_SIGMA
         hi = mean + k * std
         lo = mean - k * std
         p[mask] += (vals >= hi).astype(float)
@@ -182,7 +183,7 @@ def reject_bt500(
         total = p[i] + q[i]
         if rated[i] == 0 or total == 0:
             continue
-        if total / rated[i] > outlier_fraction and abs(p[i] - q[i]) / total < balance:
+        if total / rated[i] > BT500_OUTLIER_FRACTION and abs(p[i] - q[i]) / total < BT500_BALANCE:
             keep[i] = False
     return keep
 
@@ -218,22 +219,13 @@ def realign(
     return mos, mappings
 
 
-@dataclass(frozen=True)
-class PartitionParams:
-    """Thresholds of the named video partitions (values from the study design)."""
-
-    quality_center: float = 80.0
-    quality_halfwidth: float = 10.0
-    variation_std: float = 10.0
-    stall_long_s: float = 1.0
-    quality_floor: float = 60.0
-    edge_quality: float = 70.0
-    edge_center: float = 85.0
+# thresholds of the named video partitions (values from the study design)
+QUALITY_CENTER, QUALITY_HALFWIDTH, QUALITY_FLOOR = 80.0, 10.0, 60.0
+VARIATION_STD, STALL_LONG_S = 10.0, 1.0
+EDGE_QUALITY, EDGE_CENTER = 70.0, 85.0
 
 
-def partition_sessions(
-    video_meta: dict[str, VideoMeta], params: PartitionParams = PartitionParams()
-) -> dict[str, list[str]]:
+def partition_sessions(video_meta: dict[str, VideoMeta]) -> dict[str, list[str]]:
     """Build the analysis partitions from per-video summaries.
 
     Rebuffering sets fix quality near the center and split on stalls;
@@ -241,7 +233,6 @@ def partition_sessions(
     adaptation sets exclude stalls and split on quality spread;
     primacy/recency sets flag a degraded first or last segment.
     """
-    p = params
     out: dict[str, list[str]] = {
         "q_r_bar": [], "q_r": [],
         "q_q": [], "q_q_bar": [],
@@ -249,21 +240,21 @@ def partition_sessions(
         "primacy": [], "recency": [],
     }
     for video, meta in video_meta.items():
-        near_center = abs(meta.mean_quality - p.quality_center) <= p.quality_halfwidth
-        steady = meta.quality_std <= p.variation_std
+        near_center = abs(meta.mean_quality - QUALITY_CENTER) <= QUALITY_HALFWIDTH
+        steady = meta.quality_std <= VARIATION_STD
         if near_center and steady:
             if meta.total_stall_s == 0.0:
                 out["q_r_bar"].append(video)
-            elif meta.total_stall_s > p.stall_long_s:
+            elif meta.total_stall_s > STALL_LONG_S:
                 out["q_r"].append(video)
-        if meta.total_stall_s <= p.stall_long_s and steady:
-            (out["q_q"] if meta.mean_quality > p.quality_floor else out["q_q_bar"]).append(video)
+        if meta.total_stall_s <= STALL_LONG_S and steady:
+            (out["q_q"] if meta.mean_quality > QUALITY_FLOOR else out["q_q_bar"]).append(video)
         if meta.total_stall_s == 0.0 and near_center:
-            (out["q_a"] if meta.quality_std > p.variation_std else out["q_a_bar"]).append(video)
-        if meta.total_stall_s == 0.0 and steady and abs(meta.mean_quality - p.edge_center) <= p.quality_halfwidth:
-            if meta.first_quality < p.edge_quality:
+            (out["q_a"] if meta.quality_std > VARIATION_STD else out["q_a_bar"]).append(video)
+        if meta.total_stall_s == 0.0 and steady and abs(meta.mean_quality - EDGE_CENTER) <= QUALITY_HALFWIDTH:
+            if meta.first_quality < EDGE_QUALITY:
                 out["primacy"].append(video)
-            if meta.last_quality < p.edge_quality:
+            if meta.last_quality < EDGE_QUALITY:
                 out["recency"].append(video)
     return out
 
@@ -306,25 +297,19 @@ class SensitivityRow:
 @dataclass(frozen=True)
 class SensitivityReport:
     rows: tuple[SensitivityRow, ...]
-    min_set: int
 
 
 def build_sensitivity_report(
-    matrix: RatingsMatrix,
-    partitions: dict[str, list[str]],
-    values: np.ndarray | None = None,
-    min_set: int = 30,
+    matrix: RatingsMatrix, partitions: dict[str, list[str]], min_set: int = 30
 ) -> SensitivityReport:
-    """Per-subject sensitivities over the named partitions.
+    """Per-subject sensitivities over the named partitions, from the raw ratings.
 
-    ``values`` defaults to the raw ratings (the difference form is
-    shift-invariant either way). Sensitivities whose sets are smaller
-    than ``min_set`` for a subject are reported as None.
+    Sensitivities whose sets are smaller than ``min_set`` for a subject
+    are reported as None.
     """
-    scores = matrix.raw if values is None else values
     rows = []
     for i, subject in enumerate(matrix.subjects):
-        ratings = {v: scores[i, j] for j, v in enumerate(matrix.videos) if not np.isnan(scores[i, j])}
+        ratings = {v: matrix.raw[i, j] for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])}
         sizes = {
             name: sum(1 for v in partitions.get(name, []) if v in ratings)
             for name in ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
@@ -343,7 +328,7 @@ def build_sensitivity_report(
                 set_sizes=sizes,
             )
         )
-    return SensitivityReport(rows=tuple(rows), min_set=min_set)
+    return SensitivityReport(rows=tuple(rows))
 
 
 def primacy_recency_effect(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -765,6 +766,43 @@ def test_policy_builders_pickle(tmp_path):
             assert np.array_equal(build().table.entries, load_table(table).entries)
         elif spec["id"] != "external":  # building it starts a child
             assert vars(build()) == vars(make_policy(spec))
+
+
+def test_policy_classes_check_their_own_fields():
+    # each ran as if valid: rung 1 for a whole session, rung 1, and strict
+    for build, key in (
+        (lambda: abr.BufferBasedPolicy(reservoir_s=math.nan), "reservoir_s"),
+        (lambda: abr.FixedPolicy(True), "rep_index"),
+        (lambda: abr.RateBasedPolicy(strict="no"), "strict"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            build()
+    # positional order and defaults are the config's; reals are stored as floats
+    assert abr.RateBasedPolicy(3, False) == make_policy({"id": "rate_based", "window": 3, "strict": False})
+    policy = abr.BufferBasedPolicy(4)
+    assert policy == make_policy({"id": "buffer_based", "reservoir_s": 4.0}) and type(policy.reservoir_s) is float
+    assert abr.FixedPolicy() == abr.FixedPolicy(1) and abr.MpcExactPolicy() == abr.MpcExactPolicy(MpcObjectiveParams())
+
+
+@pytest.mark.parametrize("kind", abr.POLICY_IDS)
+def test_policy_options_are_their_class_fields(kind):
+    with pytest.raises(ValueError, match="unknown key 'bogus'") as err:
+        abr.policy_builder({"id": kind, "bogus": 1})
+    keys = {"id", "name", *(f.name for f in dataclasses.fields(abr.POLICIES[kind]))}
+    keys |= {"ksqi"} if kind == "rdos" else set()  # the block of rdos's params
+    assert f"expected one of {sorted(keys)}" in str(err.value)
+
+
+def test_external_policy_options_are_checked_before_any_child_starts(monkeypatch):
+    started = []
+    monkeypatch.setattr(abr.subprocess, "Popen", lambda *a, **k: started.append(a))
+    with pytest.raises(ValueError, match="lookahead"):
+        ExternalPolicy(["policy"], lookahead=0)
+    with pytest.raises(ValueError, match="command"):
+        ExternalPolicy([])
+    build = abr.policy_builder({"id": "external", "command": ["policy"], "lookahead": 2})
+    assert started == []
+    assert build().lookahead == 2 and started == [(["policy"],)]
 
 
 def test_rdos_params_reject_ksqi_penalty_tables():

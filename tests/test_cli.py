@@ -312,6 +312,11 @@ def test_qoe_external_command_does_not_leak_into_later_runs(tmp_path):
         {"name": "no_id"},
         "ksqi",
         {"id": "ksqi", "stall_table": {"x_grid": [0, 1], "y_grid": [0, 1], "values": [[0, 1], [1, 2]]}},  # exit 1
+        {"id": "yin2015", "mu": True},  # scored with mu = 1
+        {"id": "yin2015", "lam": "2"},  # a TypeError on every record
+        {"id": "xue2014", "r_min_kbps": 0},  # ZeroDivisionError
+        {"id": "sqi", "tau_memory_s": -1},  # gave a score
+        {"id": "mok2011", "levels": {}},  # its coefficients and levels are constants
     ],
 )
 def test_qoe_models_are_checked_before_any_record_is_scored(tmp_path, capsys, bad):
@@ -629,33 +634,33 @@ def test_simulate_rejects_a_player_block_that_is_not_an_object(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "spec, key",
-    [
-        ({"id": "fixed", "rep_index": 1.9}, "rep_index"),  # ran at rung 1
-        ({"id": "fixed", "rep_index": True}, "rep_index"),
-        ({"id": "rate_based", "strict": "false"}, "strict"),  # ran as strict
-        ({"id": "rate_based", "window": 2.5}, "window"),
-        ({"id": "buffer_based", "reservoir_s": "5"}, "reservoir_s"),
-        ({"id": "buffer_based", "cushion_s": None}, "cushion_s"),
-        ({"id": "mpc_exact", "params": {"horizon": 2.0}}, "horizon"),
-        ({"id": "mpc_exact", "params": {"lambda_switch": "1"}}, "lambda_switch"),
-        ({"id": "mpc_exact", "params": {"use_manifest_sizes": "no"}}, "use_manifest_sizes"),
-        ({"id": "mpc_exact", "params": {"horizn": 3}}, "horizn"),
-        ({"id": "mpc_exact", "params": [3]}, "params"),
-        ({"id": "mpc_table"}, "table"),
-        ({"id": "rdos", "ksqi": {"c0": True}}, "c0"),
-        ({"id": "rdos", "params": {"gamma_rate": "0.1"}}, "gamma_rate"),
-        ({"id": "external", "command": "python policy.py"}, "command"),
-        ({"id": "external", "command": ["python"], "lookahead": 0}, "lookahead"),
-        ({"id": "mpc_exact", "horizon": 3}, "horizon"),  # ran horizon 5
-        ({"id": "buffer_based", "reservoir": 3}, "reservoir"),  # kept 5.0
-        ({"id": "fixed", "window": 3}, "window"),
-        ({"id": "rdos", "ksqi": {"switch_table": {"x_grid": [0], "y_grid": [0], "values": [[1]]}}}, "switch_table"),
-        ({"id": "fixed", "name": "../../x"}, "name"),  # wrote logs/x.log.json for cell m__t__../../x
-        ({"id": "fixed", "name": ["x"]}, "name"),  # a TypeError traceback
-    ],
-)
+MISTYPED_POLICY_OPTIONS = [
+    ({"id": "fixed", "rep_index": 1.9}, "rep_index"),  # ran at rung 1
+    ({"id": "fixed", "rep_index": True}, "rep_index"),
+    ({"id": "rate_based", "strict": "false"}, "strict"),  # ran as strict
+    ({"id": "rate_based", "window": 2.5}, "window"),
+    ({"id": "buffer_based", "reservoir_s": "5"}, "reservoir_s"),
+    ({"id": "buffer_based", "cushion_s": None}, "cushion_s"),
+    ({"id": "mpc_exact", "params": {"horizon": 2.0}}, "horizon"),
+    ({"id": "mpc_exact", "params": {"lambda_switch": "1"}}, "lambda_switch"),
+    ({"id": "mpc_exact", "params": {"use_manifest_sizes": "no"}}, "use_manifest_sizes"),
+    ({"id": "mpc_exact", "params": {"horizn": 3}}, "horizn"),
+    ({"id": "mpc_exact", "params": [3]}, "params"),
+    ({"id": "mpc_table"}, "table"),
+    ({"id": "rdos", "ksqi": {"c0": True}}, "c0"),
+    ({"id": "rdos", "params": {"gamma_rate": "0.1"}}, "gamma_rate"),
+    ({"id": "external", "command": "python policy.py"}, "command"),
+    ({"id": "external", "command": ["python"], "lookahead": 0}, "lookahead"),
+    ({"id": "mpc_exact", "horizon": 3}, "horizon"),  # ran horizon 5
+    ({"id": "buffer_based", "reservoir": 3}, "reservoir"),  # kept 5.0
+    ({"id": "fixed", "window": 3}, "window"),
+    ({"id": "rdos", "ksqi": {"switch_table": {"x_grid": [0], "y_grid": [0], "values": [[1]]}}}, "switch_table"),
+    ({"id": "fixed", "name": "../../x"}, "name"),  # wrote logs/x.log.json for cell m__t__../../x
+    ({"id": "fixed", "name": ["x"]}, "name"),  # a TypeError traceback
+]
+
+
+@pytest.mark.parametrize("spec, key", MISTYPED_POLICY_OPTIONS)
 def test_simulate_rejects_mistyped_policy_options(tmp_path, capsys, spec, key):
     manifests, traces = write_inputs(tmp_path)
     cfg = tmp_path / "config.json"
@@ -669,6 +674,19 @@ def test_simulate_rejects_mistyped_policy_options(tmp_path, capsys, spec, key):
     err = capsys.readouterr().err
     assert f"policies[1] ({spec['id']})" in err and key in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, key", MISTYPED_POLICY_OPTIONS)
+def test_policy_classes_reject_what_simulate_rejects(spec, key):
+    # the classes check their own fields: a policy built in Python, from the parameter sets its
+    # entry's JSON objects make, meets the checks the entry does in a config
+    options = {k: v for k, v in spec.items() if k != "id"}
+    with pytest.raises((TypeError, ValueError), match=key):  # TypeError: a keyword the class does not take
+        if spec["id"] == "mpc_exact" and "params" in options:
+            options["params"] = abr._options_object(abr.MpcObjectiveParams, "params", options["params"])
+        elif spec["id"] == "rdos":
+            options["params"] = abr.RdosParams(qoe.KsqiParams(**options.pop("ksqi", {})), **options.get("params", {}))
+        abr.POLICIES[spec["id"]](**options)  # an external policy's options are checked before its child starts
 
 
 def test_simulate_accepts_integers_where_numbers_are_expected(tmp_path):
@@ -1039,6 +1057,22 @@ def test_simulate_rejects_a_bad_mpc_table_before_any_cell(tmp_path, capsys, head
     assert run(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "policies[1] (mpc_table)" in err and str(table) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "segment_duration_s, rungs", [(1.0, 13), (4.0, 12)], ids=["segment_duration", "ladder"],
+)
+def test_simulate_rejects_an_mpc_table_built_for_other_manifests(tmp_path, capsys, segment_duration_s, rungs):
+    # a 1 s table drove the 4 s manifest with exit 0
+    table = tmp_path / "t.bin"
+    built = abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(2, 2),
+                                ladder=media.ladder_default()[:rungs], segment_duration_s=segment_duration_s)
+    abr.save_table(built, table)
+    cfg = write_table_config(tmp_path, table)
+    assert run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "policies[1] (mpc_table) cannot play manifests[0]" in err and "manifest0.json" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -93,6 +93,29 @@ def test_mok2011_levels_clamp():
     assert qoe.qoe_mok2011(desperate) == pytest.approx(2.3996)
 
 
+def test_model_params_check_values_once_and_return_floats():
+    assert qoe.model_params("yin2015", {"lam": 2, "mu": 0}) == {"lam": 2.0, "mu": 0.0}
+    assert type(qoe.model_params("ftw", {"a": 3})["a"]) is float
+    assert qoe.model_params("sqi", {"tau_memory_s": math.inf}) == {"tau_memory_s": math.inf}  # its default: no decay
+    assert qoe.model_params("sqi", {"tau_memory_s": 30}) == {"tau_memory_s": 30.0}
+    assert qoe.model_params("mok2011", {}) == {}
+    for model_id, params, key in (
+        ("yin2015", {"mu": True}, "mu"),
+        ("yin2015", {"lam": "2"}, "lam"),
+        ("bentaleb2016", {"mu": -1.0}, "mu"),
+        ("ftw", {"c": math.nan}, "c"),
+        ("liu2012", {"c1": math.inf}, "c1"),
+        ("xue2014", {"r_min_kbps": 0}, "r_min_kbps"),
+        ("spiteri2016", {"r_min_kbps": math.inf}, "r_min_kbps"),
+        ("sqi", {"tau_memory_s": -1}, "tau_memory_s"),
+        ("sqi", {"tau_memory_s": 0}, "tau_memory_s"),
+        ("sqi", {"tau_memory_s": -math.inf}, "tau_memory_s"),
+        ("mok2011", {"coeffs": (4.0, 0.0, 0.0, 0.0)}, "coeffs"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            qoe.model_params(model_id, params)
+
+
 def test_liu2012_values():
     assert qoe.qoe_liu2012(rec([50] * 3, bitrates=[2000.0] * 3)) == pytest.approx(2.0)
     # 30 s content, 10 s stall, mean 2 Mb/s -> 2 - 4*0.25 = 1.0

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -324,6 +325,32 @@ def test_record_json_round_trip_property(record):
     again = simulator.record_from_json(text)
     assert again == record
     assert simulator.record_to_json(again) == text
+
+
+def test_log_values_are_checked_not_coerced():
+    m = media.synthetic_manifest(segments=3)
+    tr = nettrace.parse_trace("0,700", "pairs", duration_s=1000.0)
+    doc = json.loads(simulator.log_to_json(run_session(m, tr, FixedPolicy(2), PlayerConfig())))
+    ints = simulator.log_from_json(json.dumps({**doc, "startup_delay_s": 1, "download_spans": [[0, 1], [1, 2], [2, 3]]}))
+    assert type(ints.startup_delay_s) is float and ints.download_spans[0] == (0.0, 1.0)
+    for edit, name in (
+        ({"choices": [1.9, True, 2]}, r"choices\[0\]"),  # was read back as (1, 1, 2)
+        ({"choices": [2, True, 2]}, r"choices\[1\]"),
+        ({"choices": [0, 2, 2]}, r"choices\[0\]"),
+        ({"download_spans": [[0, 1], [1, "2"], [2, 3]]}, r"download_spans\[1\] end_s"),
+        ({"download_spans": [[0, 1], [1, 2], [3, 2]]}, r"download_spans\[2\] ends before"),
+        ({"download_spans": [[0, 1], [1, 2], [2]]}, r"download_spans\[2\]"),
+        ({"stalls": [[4.0, -1.0]]}, r"stalls\[0\] duration_s"),
+        ({"startup_delay_s": math.inf}, "startup_delay_s"),
+        ({"total_wall_time_s": None}, "total_wall_time_s"),
+        ({"extra": 1}, "exactly the keys"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            simulator.log_from_json(json.dumps({**doc, **edit}))
+    missing = dict(doc)
+    del missing["stalls"]
+    with pytest.raises(ValueError, match="exactly the keys"):
+        simulator.log_from_json(json.dumps(missing))
 
 
 def test_record_values_are_checked_not_coerced():
