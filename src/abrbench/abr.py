@@ -21,7 +21,10 @@ score function (bitrate/switch/stall terms for MPC, quality, adaptation
 and stall penalties for RDOS); terms of the previous and the next rung
 are read from small per-position tables. No array holds more than one
 entry per prefix of h-1 positions, 13^4 for the default ladder and
-horizon. The table builder batches starting buffers through the same
+horizon. The fold allocates its arrays once per call: the step and
+score functions take the arrays they returned for the previous rung as
+``out`` and write the next rung's results there, in the same operation
+order. The table builder batches starting buffers through the same
 kernel. Every sequence accumulates its terms in position order, so a
 straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
@@ -201,38 +204,55 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     does not depend on the buffer (``acc`` starts with one root prefix).
 
     Positions 0..h-2 grow the prefixes by broadcasting. At each one the
-    kernel runs the buffer recursion and calls ``step(k, c, stall, acc)``
-    with ``c`` a slice of all choices, ``acc`` viewed as (rows, prefix,
-    previous choice, 1) and ``stall`` as (rows, prefix, previous choice,
-    choice); ``step`` returns the extended accumulators. The previous
-    choice axis lets a term of the previous and the next choice be read
-    from a table ``t[prev, c]`` (with one row at k = 0, where the axis
-    has length 1). The last position is folded one choice ``c`` (an int)
-    at a time, with the choice axis dropped: ``score(step(h - 1, c, stall,
-    acc))`` scores the n^(h-1) sequences that end in ``c``, and a running
-    maximum keeps each row's best per first choice. No array grows beyond
-    rows x n^(h-1) entries. Each sequence still adds its terms in position
-    order, so its score is that of a per-sequence loop, bit for bit, and
-    the lowest first choice that reaches a row's maximum is the first
-    choice of the lexicographically first best sequence.
+    kernel runs the buffer recursion and calls ``step(k, c, stall, acc,
+    out)`` with ``c`` a slice of all choices, ``acc`` viewed as (rows,
+    prefix, previous choice, 1) and ``stall`` as (rows, prefix, previous
+    choice, choice); ``step`` returns the extended accumulators. The
+    previous choice axis lets a term of the previous and the next choice
+    be read from a table ``t[prev, c]`` (with one row at k = 0, where the
+    axis has length 1). The last position is folded one choice ``c`` (an
+    int) at a time, with the choice axis dropped: ``score(step(h - 1, c,
+    stall, acc, out), scores)`` scores the n^(h-1) sequences that end in
+    ``c``, and a running maximum keeps each row's best per first choice.
+    No array grows beyond rows x n^(h-1) entries. Each sequence still adds
+    its terms in position order, so its score is that of a per-sequence
+    loop, bit for bit, and the lowest first choice that reaches a row's
+    maximum is the first choice of the lexicographically first best
+    sequence.
+
+    The fold allocates its arrays once per call. At the prefix positions
+    and the first folded choice ``out`` is a tuple of ``None`` and
+    ``scores`` is ``None``, so numpy allocates; after that they are what
+    ``step`` and ``score`` returned for the previous choice, and the
+    results of the next one may be written there with ufunc ``out=``.
+    Each result keeps the shape of its pure expression, so a step or
+    score that ignores them is as correct. The kernel owns ``stall`` and
+    writes it afresh for every choice, so a step may overwrite it; a step
+    must not write into ``acc`` or return one of its arrays, which would
+    come back as ``out``.
     """
     n, h = len(dt_by_pos[0]), len(dt_by_pos)
     if n**h > 6_000_000:
         raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
+    fresh = (None,) * len(acc)
     for k, dt in enumerate(dt_by_pos[:-1]):
         prev = n if k else 1
         b = buf.reshape(rows, -1, prev, 1)
-        acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc))
+        acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc), fresh)
         acc = tuple(a.reshape(len(a), -1) for a in acc)
         buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s).reshape(rows, -1)
     prev = n if h > 1 else 1
     b = buf.reshape(rows, -1, prev)
     acc = tuple(a.reshape(len(a), -1, prev) for a in acc)
     best = np.full((rows, n), -np.inf)
+    stall, out, scores = np.empty(b.shape), fresh, None
     for c, dt in enumerate(dt_by_pos[-1]):
-        scores = score(step(h - 1, c, np.maximum(dt - b, 0.0), acc))
+        np.subtract(dt, b, out=stall)
+        np.maximum(stall, 0.0, out=stall)
+        out = step(h - 1, c, stall, acc, out)
+        scores = score(out, scores)
         if h == 1:  # the last choice is the first
             best[:, c] = scores.reshape(rows)
         else:
@@ -255,13 +275,20 @@ def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectivePa
     moves = np.abs(rates[None, :] - rates[:, None])  # |rate step| by [previous, next] choice
     switch_by_pos = [np.zeros((1, len(rates)))] + [moves] * (len(dt_by_pos) - 1)  # none at the first position
 
-    def step(k, c, stall, acc):
-        stall_acc, rate_acc, sw_inner = acc
-        return stall_acc + stall, rate_acc + rates[c], sw_inner + switch_by_pos[k][:, c]
+    def step(k, c, stall, acc, out):
+        (stall_acc, rate_acc, sw_inner), (stall_out, rate_out, sw_out) = acc, out
+        return (
+            np.add(stall_acc, stall, out=stall_out),
+            np.add(rate_acc, rates[c], out=rate_out),
+            np.add(sw_inner, switch_by_pos[k][:, c], out=sw_out),
+        )
 
-    def score(acc):
+    def score(acc, out):  # (rate_acc - lambda_switch * sw_inner) - mu_rebuf * stall_acc
         stall_acc, rate_acc, sw_inner = acc
-        return (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
+        gain = params.lambda_switch * sw_inner  # one temporary: a second would make glibc trim its heap per rung
+        np.subtract(rate_acc, gain, out=gain)
+        out = np.multiply(params.mu_rebuf, stall_acc, out=out)
+        return np.subtract(gain, out, out=out)
 
     zero = np.zeros((1, 1))
     best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score)
@@ -356,7 +383,8 @@ def _bin_index(edges: np.ndarray, value: float) -> int:
 
 
 # buffer rows enumerated together; each (rows x 13^4) float array is ~1.8 MB and a
-# slab peaks at ~12 MiB, where a whole 100-row bin would peak at ~130 MiB
+# slab peaks at ~10 MiB, where a whole 100-row bin would peak at ~110 MiB (4-row
+# slabs peak at ~5.5 MiB but make the offline-sized 10x25 build ~5 % slower)
 _SLAB_ROWS = 8
 
 
@@ -397,7 +425,7 @@ def build_mpc_table(
     duration. Throughput bins are independent; ``jobs`` > 1 solves them
     in a pool of that many processes, with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
-    order. The default 100x100x13 binning takes ~20 s on one core; see
+    order. The default 100x100x13 binning takes ~12 s on one core; see
     ``mpc_table_cells`` for spot computation.
     """
     checks.count("jobs", jobs)
@@ -571,16 +599,22 @@ def rdos_select(state: AbrState, params: RdosParams) -> int:
         adaptation.append(kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0))
         stall_weight.append(np.broadcast_to((kp.c1 + kp.c2 * (100.0 - q_prev))[:, None], delta.shape))
 
-    def step(k, c, stall, acc):
-        q_acc, pen_acc, rate_acc = acc
+    def step(k, c, stall, acc, out):
+        (q_acc, pen_acc, rate_acc), (q_out, pen_out, rate_out) = acc, out
+        # pen_acc + c0 * log1p(stall) * weight + adaptation, with the stall term built in ``stall``;
         # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
-        pen_acc = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k][:, c]
-        pen_acc += adaptation[k][:, c]
-        return q_acc + q_by_pos[k][c], pen_acc, rate_acc + rates[c]
+        np.log1p(stall, out=stall)
+        np.multiply(kp.c0, stall, out=stall)
+        np.multiply(stall, stall_weight[k][:, c], out=stall)
+        pen_out = np.add(pen_acc, stall, out=pen_out)
+        pen_out += adaptation[k][:, c]
+        return np.add(q_acc, q_by_pos[k][c], out=q_out), pen_out, np.add(rate_acc, rates[c], out=rate_out)
 
-    def score(acc):
+    def score(acc, out):  # q_acc / h - pen_acc / h - gamma_rate * rate_acc
         q_acc, pen_acc, rate_acc = acc
-        return q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
+        out = np.divide(pen_acc, h, out=out)
+        np.subtract(q_acc / h, out, out=out)
+        return np.subtract(out, params.gamma_rate * rate_acc, out=out)
 
     zero = np.zeros((1, 1))
     best = _enumerate(
@@ -631,6 +665,9 @@ class BufferBasedPolicy:
 class MpcExactPolicy:
     params: MpcObjectiveParams = MpcObjectiveParams()
 
+    def __post_init__(self):
+        checks.attrs(self, checks.instance(MpcObjectiveParams), "params")
+
     def select(self, state: AbrState) -> int:
         return mpc_select_exact(state, self.params)
 
@@ -639,6 +676,9 @@ class MpcExactPolicy:
 class MpcTablePolicy:
     table: LookupTable
 
+    def __post_init__(self):
+        checks.attrs(self, checks.instance(LookupTable), "table")
+
     def select(self, state: AbrState) -> int:
         return mpc_select_table(state, self.table)
 
@@ -646,6 +686,9 @@ class MpcTablePolicy:
 @dataclass(frozen=True)
 class RdosPolicy:
     params: RdosParams = RdosParams()
+
+    def __post_init__(self):
+        checks.attrs(self, checks.instance(RdosParams), "params")
 
     def select(self, state: AbrState) -> int:
         return rdos_select(state, self.params)

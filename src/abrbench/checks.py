@@ -19,6 +19,12 @@ def is_number(value) -> bool:
     return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
+def finite(name: str, value) -> float:
+    if not (is_number(value) and -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def nonnegative(name: str, value) -> float:
     if not (is_number(value) and 0.0 <= value < math.inf):  # NaN fails both comparisons
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
@@ -67,6 +73,17 @@ def each(check):
             raise
 
     return check_each
+
+
+def instance(cls):
+    """A check that a value is a ``cls`` (a parameter set, a table), returned as it is."""
+
+    def check_instance(name: str, value):
+        if not isinstance(value, cls):
+            raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        return value
+
+    return check_instance
 
 
 def attrs(obj, check, *names: str) -> None:

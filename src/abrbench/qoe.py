@@ -64,13 +64,25 @@ class KsqiParams:
 
 @dataclass(frozen=True)
 class PenaltyTable:
-    """2-D penalty surface with bilinear interpolation, clamped at the edges."""
+    """2-D penalty surface with bilinear interpolation, clamped at the edges.
+
+    Values are checked, not coerced: finite numbers (a bool is no number),
+    each grid at least two non-decreasing points, one row of ``values``
+    per ``x_grid`` point and one entry per ``y_grid`` point. Lists are
+    stored as tuples.
+    """
 
     x_grid: tuple[float, ...]
     y_grid: tuple[float, ...]
     values: tuple[tuple[float, ...], ...]  # values[i][j] at (x_grid[i], y_grid[j])
 
     def __post_init__(self):
+        checks.attrs(self, checks.each(checks.finite), "x_grid", "y_grid")
+        checks.attrs(self, checks.each(checks.each(checks.finite)), "values")
+        for name in ("x_grid", "y_grid"):
+            grid = getattr(self, name)
+            if len(grid) < 2 or any(b < a for a, b in zip(grid, grid[1:])):
+                raise ValueError(f"{name} must hold at least two non-decreasing points, got {grid!r}")
         if len(self.values) != len(self.x_grid) or any(len(row) != len(self.y_grid) for row in self.values):
             raise ValueError("penalty table shape inconsistent with grids")
 
@@ -92,12 +104,12 @@ class PenaltyTable:
 
     @classmethod
     def from_json(cls, text: str) -> "PenaltyTable":
+        """A table document's values go to ``PenaltyTable`` as they are; it checks them."""
         doc = json.loads(text)
-        return cls(
-            x_grid=tuple(float(x) for x in doc["x_grid"]),
-            y_grid=tuple(float(y) for y in doc["y_grid"]),
-            values=tuple(tuple(float(c) for c in row) for row in doc["values"]),
-        )
+        keys = [f.name for f in fields(cls)]
+        if not (isinstance(doc, dict) and set(doc) == set(keys)):
+            raise ValueError(f"a penalty table must be an object with exactly the keys {keys}")
+        return cls(**doc)
 
 
 def _mbps(record: SessionRecord) -> list[float]:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -290,11 +291,11 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
         values = np.array([float(rng.randint(0, 3)) for _ in range(n**h)])
         seen = {}
 
-        def step(k, c, stall, acc):
+        def step(k, c, stall, acc, out):  # allocates: ``out`` is the kernel's offer to reuse arrays
             code, stall_acc = acc
             return code * n + np.arange(n)[c], stall_acc + stall
 
-        def score(acc):
+        def score(acc, out):
             code, stall_acc = acc
             code = code.reshape(-1).astype(int)
             assert code.tolist() == [j * n + code[0] % n for j in range(n ** (h - 1))]
@@ -315,6 +316,41 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
                 assert seen[(i, j)] == total
                 expect[seq[0]] = max(expect[seq[0]], values[j] - total)
             assert best[i].tolist() == expect
+
+
+def test_in_place_fold_matches_an_allocating_one(monkeypatch):
+    # MPC's and RDOS's step and score write the fold's results into the arrays
+    # of the previous rung; given no arrays (``None``) they allocate, and the
+    # best scores must be the same, bit for bit. Several buffer rows per call
+    # and h = 1 (where the prefix accumulators are the kernel's zero roots)
+    # would show an output that aliases an input.
+    enumerate_ = abr._enumerate
+    rng = random.Random(12)
+    calls = []
+
+    def both_ways(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score):
+        rows = np.concatenate([np.asarray(buffers, dtype=np.float64), [rng.uniform(0.0, 60.0) for _ in range(3)]])
+        in_place = enumerate_(rows, dt_by_pos, seg, max_buffer_s, acc, step, score)
+        allocating = enumerate_(
+            rows, dt_by_pos, seg, max_buffer_s, acc,
+            lambda k, c, stall, acc, out: step(k, c, stall, acc, (None,) * len(out)),
+            lambda acc, out: score(acc, None),
+        )
+        assert in_place.tobytes() == allocating.tobytes()
+        calls.append(len(dt_by_pos))
+        return in_place[: len(buffers)]
+
+    monkeypatch.setattr(abr, "_enumerate", both_ways)
+    for i in range(40):
+        n_reps = 13 if i % 8 == 0 else rng.randint(2, 6)
+        m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=20.0)
+        st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=rng.uniform(0.0, 30.0),
+                        last_rep=rng.randint(1, n_reps), history=[rng.uniform(200.0, 30000.0) for _ in range(3)])
+        h = 1 + i % 5
+        mpc_select_exact(st_, MpcObjectiveParams(lambda_switch=rng.uniform(0, 3), mu_rebuf=rng.uniform(0, 30), horizon=h,
+                                                 max_buffer_s=rng.uniform(4.0, 60.0), use_manifest_sizes=i % 2 == 0))
+        rdos_select(st_, RdosParams(gamma_rate=rng.uniform(0, 1), horizon=h, max_buffer_s=rng.uniform(4.0, 60.0)))
+    assert set(calls) == {1, 2, 3, 4, 5}
 
 
 def test_exact_decisions_never_hold_a_full_tree_array():
@@ -565,6 +601,18 @@ def test_table_parallel_build_matches_serial():
         build_mpc_table(params, binning, jobs=0)
 
 
+def test_table_artifact_digest_is_pinned(tmp_path):
+    # default ladder and objective (h = 5), serial and in a pool: the artifact
+    # bytes of a small build are the ones the kernel wrote before its fold
+    # reused its arrays
+    binning = TableBinning(tput_bins=10, buffer_bins=25)
+    for jobs in (1, 2):
+        path = tmp_path / f"table{jobs}.bin"
+        save_table(build_mpc_table(MpcObjectiveParams(), binning, jobs=jobs), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ba9f9d3c8e5f56944ea78031d746673512c2d31b1db5dad376b274b70589f98e"
+
+
 # --- RDOS --------------------------------------------------------------------
 
 def test_rdos_objective_hand_value():
@@ -782,6 +830,22 @@ def test_policy_classes_check_their_own_fields():
     policy = abr.BufferBasedPolicy(4)
     assert policy == make_policy({"id": "buffer_based", "reservoir_s": 4.0}) and type(policy.reservoir_s) is float
     assert abr.FixedPolicy() == abr.FixedPolicy(1) and abr.MpcExactPolicy() == abr.MpcExactPolicy(MpcObjectiveParams())
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: abr.MpcExactPolicy([3]), "params must be a MpcObjectiveParams"),
+        (lambda: abr.MpcExactPolicy(RdosParams()), "params must be a MpcObjectiveParams"),
+        (lambda: abr.RdosPolicy({"horizon": 2}), "params must be a RdosParams"),
+        (lambda: abr.RdosPolicy(MpcObjectiveParams()), "params must be a RdosParams"),
+        (lambda: abr.MpcTablePolicy("table.bin"), "table must be a LookupTable"),
+    ],
+)
+def test_policy_parameter_fields_are_checked_for_type(build, name):
+    # MpcExactPolicy([3]) was built and failed at its first decision with an AttributeError
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 @pytest.mark.parametrize("kind", abr.POLICY_IDS)

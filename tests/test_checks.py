@@ -45,6 +45,18 @@ def test_reals_come_back_as_floats(check):
         checks.positive("x", 0)
 
 
+def test_finite_numbers_and_instances():
+    for value in (-3, np.int64(2), -0.5, np.float64(1e300)):
+        assert type(checks.finite("x", value)) is float
+    for bad in (True, "1", None, math.nan, math.inf, -math.inf, [1.0]):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            checks.finite("x", bad)
+    table = checks.instance(dict)
+    assert table("t", {}) == {}
+    with pytest.raises(ValueError, match=r"t must be a dict, got \[\]"):
+        table("t", [])
+
+
 def test_between_bounds():
     assert checks.between("q", 0, 0.0, 100.0) == 0.0 and checks.between("q", 100, 0.0, 100.0) == 100.0
     for bad in (-0.1, 100.5, math.nan, True, "50"):

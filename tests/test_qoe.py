@@ -222,6 +222,33 @@ def test_penalty_table_json_round_trip():
     assert t(0.5, 50.0) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"x_grid": ["0", True], "values": [[math.nan, 1], [1, 2]]}, r"x_grid\[0\] must be a finite number, got '0'"),
+        ({"x_grid": [0, True]}, r"x_grid\[1\] must be a finite number, got True"),
+        ({"values": [[math.nan, 1], [1, 2]]}, r"values\[0\]\[0\] must be a finite number, got nan"),
+        ({"values": [[0, 1], [math.inf, 2]]}, r"values\[1\]\[0\] must be a finite number"),
+        ({"values": [[0, 1], "12"]}, r"values\[1\] must be a list"),
+        ({"y_grid": [100, 0]}, "y_grid must hold at least two non-decreasing points"),
+        ({"x_grid": [0], "values": [[0, 1]]}, "x_grid must hold at least two non-decreasing points"),
+        ({"values": [[0, 1]]}, "shape inconsistent"),
+        ({"extra": 1}, "exactly the keys"),
+    ],
+)
+def test_penalty_table_values_are_checked_not_coerced(edit, message):
+    # {"x_grid": ["0", true], "values": [[NaN, 1], ...]} read as x_grid (0.0, 1.0) with a NaN cell
+    doc = {"x_grid": [0.0, 1.0], "y_grid": [0.0, 100.0], "values": [[0.0, 1.0], [2.0, 3.0]], **edit}
+    with pytest.raises(ValueError, match=message):
+        PenaltyTable.from_json(json.dumps(doc))
+    if "extra" not in edit:  # the constructor runs the same checks
+        with pytest.raises(ValueError, match=message):
+            PenaltyTable(**doc)
+    # integers, negative penalties and repeated grid points are fine; lists are stored as tuples
+    table = PenaltyTable(x_grid=[0, 1], y_grid=(5, 5), values=[[0, -1], [2, 3]])
+    assert table == PenaltyTable(x_grid=(0.0, 1.0), y_grid=(5.0, 5.0), values=((0.0, -1.0), (2.0, 3.0)))
+
+
 # --- registry and shared properties -------------------------------------------
 
 def test_evaluate_dispatch_matches_direct_calls():
