@@ -346,10 +346,10 @@ def test_in_place_fold_matches_an_allocating_one(monkeypatch):
         m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=20.0)
         st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=rng.uniform(0.0, 30.0),
                         last_rep=rng.randint(1, n_reps), history=[rng.uniform(200.0, 30000.0) for _ in range(3)])
-        h = 1 + i % 5
-        mpc_select_exact(st_, MpcObjectiveParams(lambda_switch=rng.uniform(0, 3), mu_rebuf=rng.uniform(0, 30), horizon=h,
-                                                 max_buffer_s=rng.uniform(4.0, 60.0), use_manifest_sizes=i % 2 == 0))
-        rdos_select(st_, RdosParams(gamma_rate=rng.uniform(0, 1), horizon=h, max_buffer_s=rng.uniform(4.0, 60.0)))
+        h, cap = 1 + i % 5, rng.uniform(4.0, 60.0)
+        weights = {"lambda_switch": rng.uniform(0, 3), "mu_rebuf": rng.uniform(0, 30)}
+        mpc_select_exact(st_, MpcObjectiveParams(**weights, horizon=h, max_buffer_s=cap, use_manifest_sizes=i % 2 == 0))
+        rdos_select(st_, RdosParams(gamma_rate=rng.uniform(0, 1), horizon=h, max_buffer_s=cap))
     assert set(calls) == {1, 2, 3, 4, 5}
 
 
