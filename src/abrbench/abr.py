@@ -44,7 +44,6 @@ import contextlib
 import functools
 import json
 import math
-import multiprocessing
 import subprocess
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
@@ -364,10 +363,6 @@ class LookupTable:
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > r):
             raise ValueError("table entries must be valid 1-based rung indices")
 
-    @property
-    def cell_count(self) -> int:
-        return int(self.entries.size)
-
     def check_fits(self, manifest: Manifest) -> None:
         """A table decides only for the segment duration and ladder it was built for."""
         built = (self.segment_duration_s, list(self.ladder_kbps))
@@ -423,10 +418,12 @@ def build_mpc_table(
 
     Future chunk sizes are the nominal ladder bitrate times the segment
     duration. Throughput bins are independent; ``jobs`` > 1 solves them
-    in a pool of that many processes, with identical entries.
+    in a pool of that many processes, started the platform's default way
+    (fork on Linux before Python 3.14), with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
-    order. The default 100x100x13 binning takes ~12 s on one core; see
-    ``mpc_table_cells`` for spot computation.
+    order. On 2 cores the default 100x100x13 binning takes ~12.5 s on
+    one, ~7 s with ``jobs=2``; a 10x25 one 0.3 s, 0.2 s with ``jobs=2``.
+    See ``mpc_table_cells`` for spot computation.
     """
     checks.count("jobs", jobs)
     if ladder is None:
@@ -434,12 +431,9 @@ def build_mpc_table(
     ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
     solve = functools.partial(_table_bin, ladder_kbps, segment_duration_s, params, buffers=binning.buffer_centers())
     entries = np.empty((binning.tput_bins, binning.buffer_bins, len(ladder_kbps)), dtype=np.uint8)
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if jobs > 1:  # spawned, not forked: fork is unsafe in a process that has threads
-            spawn = multiprocessing.get_context("spawn")
-            mapper = stack.enter_context(concurrent.futures.ProcessPoolExecutor(jobs, mp_context=spawn)).map
-        for ti, rows in enumerate(mapper(solve, binning.tput_centers())):
+    centers = binning.tput_centers()
+    with concurrent.futures.ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for ti, rows in enumerate(pool.map(solve, centers) if pool else map(solve, centers)):
             entries[ti] = rows
             if progress is not None:
                 progress(ti + 1, binning.tput_bins)
@@ -463,13 +457,18 @@ def mpc_table_cells(
     """Compute selected table cells without building the full table.
 
     ``cells`` is an iterable of (tput_bin, buffer_bin, prev_rep_index)
-    with a 1-based rep index. Cells are independent, so a subset costs
-    proportionally less; used to audit a table against the exact
+    with 0-based bins and a 1-based rep index; a cell outside the table
+    raises a ``ValueError`` naming it. Cells are independent, so a subset
+    costs proportionally less; used to audit a table against the exact
     per-state decision.
     """
     if ladder is None:
         ladder = ladder_default()
     ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
+    bounds = (("tput_bin", 0, binning.tput_bins - 1), ("buffer_bin", 0, binning.buffer_bins - 1),
+              ("prev_rep", 1, len(ladder_kbps)))
+    cells = [tuple(checks.integer(f"cell {cell!r}: {what}", value, low, high)
+                   for (what, low, high), value in zip(bounds, cell, strict=True)) for cell in cells]
     tput_centers = binning.tput_centers()
     buffer_centers = binning.buffer_centers()
     by_tput: dict[int, set[int]] = {}

@@ -247,6 +247,7 @@ def cmd_mpc_table(config: dict, args) -> int:
             media.Representation(i + 1, 16, 9, checks.positive(f"ladder_kbps[{i}]", r))
             for i, r in enumerate(block["ladder_kbps"])
         )
+        media.check_ladder("ladder_kbps", ladder)  # the check a manifest's ladder passes
     cell_count = binning.tput_bins * binning.buffer_bins * len(ladder)
     print(f"cells: {cell_count} ({binning.tput_bins}x{binning.buffer_bins}x{len(ladder)})")
     table = abr.build_mpc_table(

@@ -48,6 +48,18 @@ class SegmentInfo:
             object.__setattr__(self, "quality", quality)
 
 
+def check_ladder(name: str, ladder) -> None:
+    """A ladder has a rung, indices 1, 2, ... in order and strictly increasing bitrates (manifests, tables)."""
+    if not ladder:
+        raise ValueError(f"{name} is empty")
+    for pos, rep in enumerate(ladder, start=1):
+        if rep.index != pos:
+            raise ValueError(f"{name} indices must be contiguous from 1, got {rep.index} at position {pos}")
+    rates = [rep.bitrate_kbps for rep in ladder]
+    if any(b >= a for a, b in zip(rates[1:], rates)):
+        raise ValueError(f"{name} bitrates must be strictly increasing, got {rates}")
+
+
 @dataclass(frozen=True)
 class Manifest:
     """Immutable description of one encoded title.
@@ -62,14 +74,7 @@ class Manifest:
 
     def __post_init__(self):
         checks.attrs(self, checks.positive, "segment_duration_s")
-        if not self.ladder:
-            raise ValueError("empty ladder")
-        for pos, rep in enumerate(self.ladder, start=1):
-            if rep.index != pos:
-                raise ValueError(f"ladder indices must be contiguous from 1, got {rep.index} at position {pos}")
-        rates = [rep.bitrate_kbps for rep in self.ladder]
-        if any(b >= a for a, b in zip(rates[1:], rates)):
-            raise ValueError("ladder bitrates must be strictly increasing")
+        check_ladder("ladder", self.ladder)
         if not self.segments:
             raise ValueError("manifest has no segments")
         for i, row in enumerate(self.segments):

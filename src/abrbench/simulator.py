@@ -220,14 +220,7 @@ def to_record(log: SessionLog, manifest: Manifest, config: PlayerConfig) -> Sess
 
 
 def log_to_json(log: SessionLog) -> str:
-    doc = {
-        "choices": list(log.choices),
-        "download_spans": [list(s) for s in log.download_spans],
-        "startup_delay_s": log.startup_delay_s,
-        "stalls": [list(s) for s in log.stalls],
-        "total_wall_time_s": log.total_wall_time_s,
-    }
-    return json.dumps(doc, indent=1)
+    return json.dumps(vars(log), indent=1)  # fields in declaration order, tuples as lists
 
 
 def _span(name: str, span) -> tuple[float, float]:
@@ -259,14 +252,7 @@ def log_from_json(text: str) -> SessionLog:
 
 
 def record_to_json(record: SessionRecord) -> str:
-    doc = {
-        "segment_duration_s": record.segment_duration_s,
-        "qualities": list(record.qualities),
-        "bitrates_kbps": list(record.bitrates_kbps),
-        "stalls": [list(s) for s in record.stalls],
-        "startup_delay_s": record.startup_delay_s,
-    }
-    return json.dumps(doc, indent=1)
+    return json.dumps(vars(record), indent=1)
 
 
 def record_from_json(text: str) -> SessionRecord:

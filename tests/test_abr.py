@@ -3,8 +3,12 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import pickle
 import random
+import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -611,6 +615,54 @@ def test_table_artifact_digest_is_pinned(tmp_path):
         save_table(build_mpc_table(MpcObjectiveParams(), binning, jobs=jobs), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "ba9f9d3c8e5f56944ea78031d746673512c2d31b1db5dad376b274b70589f98e"
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the default start method is not fork")
+def test_table_pool_runs_from_a_script_without_main_guard(tmp_path):
+    # a spawned worker re-ran the unguarded script as ``__mp_main__`` and the pool broke
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import numpy as np\n"
+        "from abrbench.abr import MpcObjectiveParams, TableBinning, build_mpc_table\n"
+        "binning = TableBinning(tput_bins=4, buffer_bins=5, tput_max_kbps=9000.0)\n"
+        "params = MpcObjectiveParams(horizon=2)\n"
+        "serial = build_mpc_table(params, binning)\n"
+        "pooled = build_mpc_table(params, binning, jobs=2)\n"
+        "print(np.array_equal(serial.entries, pooled.entries))\n"
+    )
+    src = str(Path(abr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize(
+    "cell, field",
+    [
+        ((0, 0, 0), "prev_rep"),  # answered for the top rung through index -1
+        ((0, 0, 14), "prev_rep"),
+        ((-1, 0, 1), "tput_bin"),  # answered for the last throughput bin
+        ((4, 0, 1), "tput_bin"),  # numpy IndexError
+        ((0, 5, 1), "buffer_bin"),
+        ((1.5, 0, 1), "tput_bin"),
+        ((0, True, 1), "buffer_bin"),
+        ((0, 0, 2.0), "prev_rep"),
+    ],
+)
+def test_table_cells_outside_the_table_are_rejected(cell, field):
+    binning = TableBinning(tput_bins=4, buffer_bins=5, tput_max_kbps=9000.0)
+    with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))}: {field} must be an integer in"):
+        mpc_table_cells(MpcObjectiveParams(horizon=2), binning, [(0, 0, 1), cell])
+
+
+def test_table_cells_accept_numpy_indices_and_an_iterator():
+    binning = TableBinning(tput_bins=4, buffer_bins=5, tput_max_kbps=9000.0)
+    params = MpcObjectiveParams(horizon=2)
+    cells = [(0, 0, 1), (3, 4, 13), (np.int64(2), np.int32(1), np.int64(7))]
+    got = mpc_table_cells(params, binning, iter(cells))  # an iterator used to give an empty dict
+    table = build_mpc_table(params, binning)
+    assert got == {(int(t), int(b), int(p)): int(table.entries[t, b, p - 1]) for t, b, p in cells}
 
 
 # --- RDOS --------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The parameter-value checks, and that no other module defines its own."""
+"""The parameter-value checks, that no other module defines its own, and one way to start workers."""
 
 import ast
 import math
@@ -30,6 +30,25 @@ def test_only_checks_module_defines_value_checks():
     assert len(others) == len(MODULES) - 1 > 0
     found = {path.name: list(_own_checks(path)) for path in others}
     assert found == {path.name: [] for path in others}
+
+
+def _worker_start_choices(path):
+    """Places in ``path`` that import ``multiprocessing`` or pick a worker start method."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "multiprocessing")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "multiprocessing":
+            yield node.module
+        elif isinstance(node, ast.keyword) and node.arg == "mp_context":
+            yield "mp_context="
+        elif "get_context" in (getattr(node, "attr", None), getattr(node, "id", None)):  # attribute or name
+            yield "get_context"
+
+
+def test_workers_start_one_way():
+    # --jobs pools are concurrent.futures.ProcessPoolExecutor(jobs) with the platform's start method
+    found = {path.name: list(_worker_start_choices(path)) for path in MODULES}
+    assert found == {path.name: [] for path in MODULES}
 
 
 @pytest.mark.parametrize("check", [checks.nonnegative, checks.positive])
@@ -73,6 +92,10 @@ def test_counts_and_flags():
     for bad in (0, -1, 2.0, 2.5, True, "3", None):
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             checks.count("n", bad)
+    assert checks.integer("i", 0, 0, 3) == 0 and type(checks.integer("i", np.int64(3), 0, 3)) is int
+    for bad in (-1, 4, 1.0, 1.5, True, "1", None):
+        with pytest.raises(ValueError, match=r"i must be an integer in \[0, 3\]"):
+            checks.integer("i", bad, 0, 3)
     assert checks.flag("f", True) is True and checks.flag("f", False) is False
     for bad in (1, 0, "true", None):
         with pytest.raises(ValueError, match="f must be true or false"):

@@ -724,6 +724,9 @@ def test_simulate_accepts_integers_where_numbers_are_expected(tmp_path):
         ("ladder_kbps", [300, -900]),
         ("segment_duration_s", 0),
         ("max_bufer_s", 9),  # was ignored
+        ("ladder_kbps", [500, 300]),  # wrote an artifact that no manifest's ladder fits
+        ("ladder_kbps", [300, 300]),
+        ("ladder_kbps", []),  # failed in numpy: "zero-size array to reduction operation maximum"
     ],
 )
 def test_mpc_table_rejects_mistyped_values(tmp_path, capsys, key, value):
