@@ -47,14 +47,10 @@ from .abr import (
     RdosPolicy,
     TableBinning,
     arithmetic_mean_predict,
-    buffer_based_select,
     build_mpc_table,
     harmonic_mean_predict,
     make_policy,
     mpc_select_exact,
-    mpc_select_table,
-    rate_based_select,
-    rdos_select,
 )
 from .qoe import KsqiParams, QoeScore, evaluate
 from .stats import (

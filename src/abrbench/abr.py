@@ -1,4 +1,5 @@
-"""ABR decision policies behind a single ``select(state)`` interface.
+"""ABR decision policies, each one class in ``POLICIES``: its fields are its
+config options and its ``select(state)`` holds its decision.
 
 Four families are provided:
 
@@ -33,8 +34,8 @@ lexicographic scan (so the decisions are identical too).
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
 Parameter sets and policies check their own fields, not coercing them,
-through the ``checks`` vocabulary (reals are stored as floats); a
-policy's config options are its class's fields (``POLICIES``).
+through the ``checks`` vocabulary (reals are stored as floats).
+``ExternalPolicy`` starts its child process at its first decision.
 """
 
 from __future__ import annotations
@@ -106,46 +107,6 @@ def harmonic_mean_predict(history, window: int = 5) -> float:
     for x in tail:
         acc += 1.0 / x
     return len(tail) / acc
-
-
-def rate_based_select(state: AbrState, window: int = 5, strict: bool = True) -> int:
-    """Largest rung with bitrate below the arithmetic-mean prediction.
-
-    ``strict`` uses "strictly below"; clamps to rung 1 when even the
-    lowest bitrate is not below the prediction.
-    """
-    pred = arithmetic_mean_predict(state.throughput_history_kbps, window)
-    best = 1
-    for rep in state.manifest.ladder:
-        if (rep.bitrate_kbps < pred) if strict else (rep.bitrate_kbps <= pred):
-            best = rep.index
-    return best
-
-
-def buffer_based_select(buffer_s: float, reservoir_s: float = 5.0, cushion_s: float = 10.0, ladder=None) -> int:
-    """Piecewise-linear buffer-to-bitrate map.
-
-    At or under the reservoir the lowest rung is chosen; at or beyond
-    reservoir+cushion the highest; in between the target bitrate
-    interpolates linearly between the ladder extremes and the largest
-    rung not exceeding it wins.
-    """
-    if buffer_s < 0:
-        raise ValueError("buffer_s must be >= 0")
-    if ladder is None:
-        raise ValueError("ladder required")
-    if buffer_s <= reservoir_s:
-        return 1
-    if buffer_s >= reservoir_s + cushion_s:
-        return ladder[-1].index
-    r_min = ladder[0].bitrate_kbps
-    r_max = ladder[-1].bitrate_kbps
-    target = r_min + (buffer_s - reservoir_s) / cushion_s * (r_max - r_min)
-    best = 1
-    for rep in ladder:
-        if rep.bitrate_kbps <= target:
-            best = rep.index
-    return best
 
 
 @dataclass(frozen=True)
@@ -482,18 +443,6 @@ def mpc_table_cells(
     return {(ti, bi, prev): int(rows[(ti, bi)][prev - 1]) for ti, bi, prev in cells}
 
 
-def mpc_select_table(state: AbrState, table: LookupTable) -> int:
-    """Online FastMPC: look the decision up instead of optimizing.
-
-    Throughput prediction and buffer clamp into the edge bins when they
-    fall outside the binned ranges.
-    """
-    tput = harmonic_mean_predict(state.throughput_history_kbps, table.params.prediction_window)
-    ti = _bin_index(table.tput_edges, tput)
-    bi = _bin_index(table.buffer_edges, state.buffer_s)
-    return int(table.entries[ti, bi, state.last_rep - 1])
-
-
 def save_table(table: LookupTable, path) -> None:
     """Write the table artifact: one JSON header line + raw row-major entries."""
     header = {
@@ -571,57 +520,6 @@ class RdosParams:
             raise ValueError("ksqi stall_table and switch_table are not used by rdos; give parametric terms only")
 
 
-def rdos_select(state: AbrState, params: RdosParams) -> int:
-    """Exhaustive perceptual-objective decision, ties toward the lower rung.
-
-    The objective is the mean KSQI-style quality over the horizon minus
-    the mean penalty, minus ``gamma_rate`` per Mb/s of chosen bitrate.
-    Stalls are predicted with the same buffer recursion as MPC; each
-    stall is charged against the quality on screen when it hits, and
-    every quality switch (including the one from the previously played
-    chunk) pays the asymmetric adaptation penalty.
-    """
-    manifest = state.manifest
-    ladder = manifest.ladder
-    kp = params.ksqi
-    h = min(params.horizon, state.remaining_chunks)
-    tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
-    first = state.chunk_index - 1
-    dt_by_pos = _horizon_download_times(state, h, params, tput)
-    q_by_pos = [np.array([manifest.quality(first + k, r.index) for r in ladder]) for k in range(h)]
-    q_start = np.array([manifest.quality(max(first - 1, 0), state.last_rep)])
-    rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
-    # terms of the [previous, next] choice per position; position 0 follows the played chunk
-    stall_weight, adaptation = [], []
-    for q, q_prev in zip(q_by_pos, [q_start] + q_by_pos[:-1]):
-        delta = q[None, :] - q_prev[:, None]
-        adaptation.append(kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0))
-        stall_weight.append(np.broadcast_to((kp.c1 + kp.c2 * (100.0 - q_prev))[:, None], delta.shape))
-
-    def step(k, c, stall, acc, out):
-        (q_acc, pen_acc, rate_acc), (q_out, pen_out, rate_out) = acc, out
-        # pen_acc + c0 * log1p(stall) * weight + adaptation, with the stall term built in ``stall``;
-        # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
-        np.log1p(stall, out=stall)
-        np.multiply(kp.c0, stall, out=stall)
-        np.multiply(stall, stall_weight[k][:, c], out=stall)
-        pen_out = np.add(pen_acc, stall, out=pen_out)
-        pen_out += adaptation[k][:, c]
-        return np.add(q_acc, q_by_pos[k][c], out=q_out), pen_out, np.add(rate_acc, rates[c], out=rate_out)
-
-    def score(acc, out):  # q_acc / h - pen_acc / h - gamma_rate * rate_acc
-        q_acc, pen_acc, rate_acc = acc
-        out = np.divide(pen_acc, h, out=out)
-        np.subtract(q_acc / h, out, out=out)
-        return np.subtract(out, params.gamma_rate * rate_acc, out=out)
-
-    zero = np.zeros((1, 1))
-    best = _enumerate(
-        [state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s, (zero, zero, zero), step, score
-    )
-    return int(np.argmax(best[0])) + 1
-
-
 @dataclass(frozen=True)
 class FixedPolicy:
     """Always the same rung; useful as a control and for hand-checked runs."""
@@ -637,6 +535,12 @@ class FixedPolicy:
 
 @dataclass(frozen=True)
 class RateBasedPolicy:
+    """Largest rung with bitrate below the arithmetic-mean prediction.
+
+    ``strict`` uses "strictly below"; clamps to rung 1 when even the
+    lowest bitrate is not below the prediction.
+    """
+
     window: int = 5
     strict: bool = True
 
@@ -645,11 +549,24 @@ class RateBasedPolicy:
         checks.attrs(self, checks.flag, "strict")
 
     def select(self, state: AbrState) -> int:
-        return rate_based_select(state, self.window, self.strict)
+        pred = arithmetic_mean_predict(state.throughput_history_kbps, self.window)
+        best = 1
+        for rep in state.manifest.ladder:
+            if (rep.bitrate_kbps < pred) if self.strict else (rep.bitrate_kbps <= pred):
+                best = rep.index
+        return best
 
 
 @dataclass(frozen=True)
 class BufferBasedPolicy:
+    """Piecewise-linear buffer-to-bitrate map.
+
+    At or under the reservoir the lowest rung is chosen; at or beyond
+    reservoir+cushion the highest; in between the target bitrate
+    interpolates linearly between the ladder extremes and the largest
+    rung not exceeding it wins.
+    """
+
     reservoir_s: float = 5.0
     cushion_s: float = 10.0
 
@@ -657,7 +574,19 @@ class BufferBasedPolicy:
         checks.attrs(self, checks.nonnegative, "reservoir_s", "cushion_s")
 
     def select(self, state: AbrState) -> int:
-        return buffer_based_select(state.buffer_s, self.reservoir_s, self.cushion_s, state.manifest.ladder)
+        buffer_s, ladder = state.buffer_s, state.manifest.ladder
+        if buffer_s <= self.reservoir_s:
+            return 1
+        if buffer_s >= self.reservoir_s + self.cushion_s:
+            return ladder[-1].index
+        r_min = ladder[0].bitrate_kbps
+        r_max = ladder[-1].bitrate_kbps
+        target = r_min + (buffer_s - self.reservoir_s) / self.cushion_s * (r_max - r_min)
+        best = 1
+        for rep in ladder:
+            if rep.bitrate_kbps <= target:
+                best = rep.index
+        return best
 
 
 @dataclass(frozen=True)
@@ -673,53 +602,107 @@ class MpcExactPolicy:
 
 @dataclass(frozen=True)
 class MpcTablePolicy:
+    """Online FastMPC: look the decision up instead of optimizing.
+
+    Throughput prediction and buffer clamp into the edge bins when they
+    fall outside the binned ranges.
+    """
+
     table: LookupTable
 
     def __post_init__(self):
         checks.attrs(self, checks.instance(LookupTable), "table")
 
     def select(self, state: AbrState) -> int:
-        return mpc_select_table(state, self.table)
+        tput = harmonic_mean_predict(state.throughput_history_kbps, self.table.params.prediction_window)
+        ti = _bin_index(self.table.tput_edges, tput)
+        bi = _bin_index(self.table.buffer_edges, state.buffer_s)
+        return int(self.table.entries[ti, bi, state.last_rep - 1])
 
 
 @dataclass(frozen=True)
 class RdosPolicy:
+    """Exhaustive perceptual-objective decision, ties toward the lower rung.
+
+    The objective is the mean KSQI-style quality over the horizon minus
+    the mean penalty, minus ``gamma_rate`` per Mb/s of chosen bitrate.
+    Stalls are predicted with the same buffer recursion as MPC; each
+    stall is charged against the quality on screen when it hits, and
+    every quality switch (including the one from the previously played
+    chunk) pays the asymmetric adaptation penalty.
+    """
+
     params: RdosParams = RdosParams()
 
     def __post_init__(self):
         checks.attrs(self, checks.instance(RdosParams), "params")
 
     def select(self, state: AbrState) -> int:
-        return rdos_select(state, self.params)
+        params = self.params
+        manifest = state.manifest
+        ladder = manifest.ladder
+        kp = params.ksqi
+        h = min(params.horizon, state.remaining_chunks)
+        tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
+        first = state.chunk_index - 1
+        dt_by_pos = _horizon_download_times(state, h, params, tput)
+        q_by_pos = [np.array([manifest.quality(first + k, r.index) for r in ladder]) for k in range(h)]
+        q_start = np.array([manifest.quality(max(first - 1, 0), state.last_rep)])
+        rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
+        # terms of the [previous, next] choice per position; position 0 follows the played chunk
+        stall_weight, adaptation = [], []
+        for q, q_prev in zip(q_by_pos, [q_start] + q_by_pos[:-1]):
+            delta = q[None, :] - q_prev[:, None]
+            adaptation.append(kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0))
+            stall_weight.append(np.broadcast_to((kp.c1 + kp.c2 * (100.0 - q_prev))[:, None], delta.shape))
+
+        def step(k, c, stall, acc, out):
+            (q_acc, pen_acc, rate_acc), (q_out, pen_out, rate_out) = acc, out
+            # pen_acc + c0 * log1p(stall) * weight + adaptation, with the stall term built in ``stall``;
+            # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
+            np.log1p(stall, out=stall)
+            np.multiply(kp.c0, stall, out=stall)
+            np.multiply(stall, stall_weight[k][:, c], out=stall)
+            pen_out = np.add(pen_acc, stall, out=pen_out)
+            pen_out += adaptation[k][:, c]
+            return np.add(q_acc, q_by_pos[k][c], out=q_out), pen_out, np.add(rate_acc, rates[c], out=rate_out)
+
+        def score(acc, out):  # q_acc / h - pen_acc / h - gamma_rate * rate_acc
+            q_acc, pen_acc, rate_acc = acc
+            out = np.divide(pen_acc, h, out=out)
+            np.subtract(q_acc / h, out, out=out)
+            return np.subtract(out, params.gamma_rate * rate_acc, out=out)
+
+        zero = np.zeros((1, 1))
+        best = _enumerate(
+            [state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s, (zero, zero, zero), step, score
+        )
+        return int(np.argmax(best[0])) + 1
 
 
 @dataclass(eq=False)
-class ExternalPolicyOptions:
-    """An external policy's options, checked; ``ExternalPolicy`` adds the child process."""
-
-    command: list[str]
-    lookahead: int = 5
-
-    def __post_init__(self):
-        if not (isinstance(self.command, list) and self.command and all(isinstance(a, str) for a in self.command)):
-            raise ValueError(f"command must be a non-empty list of strings, got {self.command!r}")
-        checks.attrs(self, checks.count, "lookahead")
-
-
-class ExternalPolicy(ExternalPolicyOptions):
+class ExternalPolicy:
     """Adapter for out-of-process policies (e.g. learned models).
 
     Speaks a line protocol on the child's stdin/stdout: one JSON object
     per decision in, one integer rung index out. The payload mirrors
     AbrState plus the manifest attributes of the next few chunks; see
-    docs/file_formats.md. The options are checked before the child starts.
+    docs/file_formats.md. Building the policy checks its options and
+    starts nothing: the child starts at the first ``select``.
     """
 
+    command: list[str]
+    lookahead: int = 5
+
     def __post_init__(self):
-        super().__post_init__()
-        self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
+        checks.attrs(self, checks.command, "command")
+        checks.attrs(self, checks.count, "lookahead")
+        self._proc = None  # not a field, so never a config option
 
     def select(self, state: AbrState) -> int:
+        if self._proc is None:
+            self._proc = subprocess.Popen(self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                                          bufsize=1)
         manifest = state.manifest
         first = state.chunk_index - 1
         h = min(self.lookahead, state.remaining_chunks)
@@ -745,7 +728,9 @@ class ExternalPolicy(ExternalPolicyOptions):
         return int(line.strip())
 
     def close(self):
-        """Close both pipes and reap the child, which may already have exited."""
+        """Close both pipes and reap the child, which may already have exited; no-op if none started."""
+        if self._proc is None:
+            return
         with contextlib.suppress(BrokenPipeError):  # unflushed input to a dead child
             self._proc.stdin.close()
         self._proc.stdout.close()
@@ -768,18 +753,17 @@ POLICIES = {
     "rdos": RdosPolicy,
     "external": ExternalPolicy,
 }
-POLICY_IDS = tuple(POLICIES)
 
 
 def policy_builder(spec: dict):
     """Check a policy config block; return ``functools.partial(cls, **options)``, a picklable policy builder.
 
     JSON objects and an ``mpc_table`` path become the values the class takes (the table is read
-    here, once); the class is built once to check them, an ``external`` one without its child.
+    here, once); the class is built once to check them (an ``external`` one starts no child).
     """
     kind = spec.get("id")
-    if kind not in POLICY_IDS:
-        raise ValueError(f"unknown policy id {kind!r}; expected one of {POLICY_IDS}")
+    if not (isinstance(kind, str) and kind in POLICIES):
+        raise ValueError(f"unknown policy id {kind!r}; expected one of {tuple(POLICIES)}")
     cls = POLICIES[kind]
     keys = ["id", "name", *(f.name for f in fields(cls)), *(["ksqi"] if kind == "rdos" else [])]
     checks.known_keys(f"policy {kind}", spec, keys)
@@ -793,7 +777,7 @@ def policy_builder(spec: dict):
         if not isinstance(options["table"], str):
             raise ValueError(f"table must be the path of a table artifact, got {options['table']!r}")
         options["table"] = load_table(options["table"])  # shared by every cell
-    _options_object(ExternalPolicyOptions if cls is ExternalPolicy else cls, f"policy {kind}", options)
+    _options_object(cls, f"policy {kind}", options)
     return functools.partial(cls, **options)
 
 

@@ -66,6 +66,13 @@ def flag(name: str, value) -> bool:
     return value
 
 
+def command(name: str, value) -> list:
+    """A command line: a non-empty list of strings, the program and its arguments (never one string)."""
+    if not (isinstance(value, list) and value and all(isinstance(arg, str) for arg in value)):
+        raise ValueError(f"{name} must be a non-empty list of strings, got {value!r}")
+    return value
+
+
 def each(check):
     """A check of a list (or tuple) whose items all pass ``check``; it returns them as a tuple."""
 

@@ -27,16 +27,12 @@ from abrbench.abr import (
     RdosParams,
     TableBinning,
     arithmetic_mean_predict,
-    buffer_based_select,
     build_mpc_table,
     harmonic_mean_predict,
     load_table,
     make_policy,
     mpc_select_exact,
-    mpc_select_table,
     mpc_table_cells,
-    rate_based_select,
-    rdos_select,
     save_table,
 )
 from abrbench.media import Manifest, Representation, SegmentInfo
@@ -101,13 +97,12 @@ def test_predictors_reject_bad_input():
 
 def test_prediction_window_must_be_a_count():
     # history[-0:] is the whole history and history[--1:] drops the oldest sample
-    m = media.synthetic_manifest(segments=4)
     for bad in (0, -1, 2.5, math.nan):
         for predict in (arithmetic_mean_predict, harmonic_mean_predict):
             with pytest.raises(ValueError, match="window must be an integer >= 1"):
                 predict([1000.0, 2000.0, 3000.0], window=bad)
         with pytest.raises(ValueError, match="window must be an integer >= 1"):
-            rate_based_select(state_for(m, history=[3000.0]), window=bad)
+            abr.RateBasedPolicy(window=bad)
     assert harmonic_mean_predict([1000.0, 2000.0], window=np.int64(1)) == 2000.0
 
 
@@ -121,25 +116,25 @@ def test_harmonic_never_exceeds_arithmetic(history):
 def test_rate_based_hand_rule():
     m = media.synthetic_manifest(segments=4)
     # 3000 kb/s prediction: rung 8 (3000) is not strictly below, rung 7 (2350) is
-    assert rate_based_select(state_for(m, history=[3000.0])) == 7
+    assert abr.RateBasedPolicy().select(state_for(m, history=[3000.0])) == 7
 
 
 def test_rate_based_clamps():
     m = media.synthetic_manifest(segments=4)
-    assert rate_based_select(state_for(m, history=[100.0])) == 1
-    assert rate_based_select(state_for(m, history=[1e9])) == 13
+    assert abr.RateBasedPolicy().select(state_for(m, history=[100.0])) == 1
+    assert abr.RateBasedPolicy().select(state_for(m, history=[1e9])) == 13
 
 
 def test_rate_based_non_strict_flag():
     m = media.synthetic_manifest(segments=4)
-    assert rate_based_select(state_for(m, history=[3000.0]), strict=False) == 8
+    assert abr.RateBasedPolicy(strict=False).select(state_for(m, history=[3000.0])) == 8
 
 
 @given(st.floats(min_value=10.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6))
 def test_rate_based_monotone_in_prediction(lo, extra):
     m = media.synthetic_manifest(segments=2)
-    a = rate_based_select(state_for(m, history=[lo]))
-    b = rate_based_select(state_for(m, history=[lo + extra]))
+    a = abr.RateBasedPolicy().select(state_for(m, history=[lo]))
+    b = abr.RateBasedPolicy().select(state_for(m, history=[lo + extra]))
     assert b >= a
 
 
@@ -150,38 +145,43 @@ def test_rate_based_scale_invariance():
         Representation(r.index, r.width, r.height, r.bitrate_kbps * k) for r in base.ladder
     )
     scaled = Manifest(4.0, scaled_ladder, base.segments)
+    select = abr.RateBasedPolicy().select
     for pred in (150.0, 700.0, 2350.0, 3000.0, 9000.0):
-        assert rate_based_select(state_for(base, history=[pred])) == rate_based_select(
-            state_for(scaled, history=[pred * k])
-        )
+        assert select(state_for(base, history=[pred])) == select(state_for(scaled, history=[pred * k]))
 
 
 # --- buffer-based ------------------------------------------------------------
 
+def buffer_based(buffer_s, ladder):
+    """The default buffer-based policy's rung at ``buffer_s`` on a manifest with ``ladder``."""
+    manifest = Manifest(4.0, ladder, (tuple(SegmentInfo(r.bitrate_kbps * 4000.0, 50.0) for r in ladder),) * 2)
+    return abr.BufferBasedPolicy().select(state_for(manifest, buffer_s=buffer_s))
+
+
 def test_buffer_based_boundaries():
     ladder = media.ladder_default()
-    assert buffer_based_select(5.0, ladder=ladder) == 1
-    assert buffer_based_select(15.0, ladder=ladder) == 13
-    assert buffer_based_select(0.0, ladder=ladder) == 1
+    assert buffer_based(5.0, ladder) == 1
+    assert buffer_based(15.0, ladder) == 13
+    assert buffer_based(0.0, ladder) == 1
 
 
 def test_buffer_based_interpolation():
     # buffer 10 -> target 235 + 0.5*16565 = 8517.5 -> rung 11 (8100)
-    assert buffer_based_select(10.0, ladder=media.ladder_default()) == 11
+    assert buffer_based(10.0, media.ladder_default()) == 11
 
 
 @given(st.floats(min_value=0.0, max_value=60.0), st.floats(min_value=0.0, max_value=60.0))
 def test_buffer_based_monotone(a, b):
     ladder = media.ladder_default()
     lo, hi = sorted([a, b])
-    assert buffer_based_select(lo, ladder=ladder) <= buffer_based_select(hi, ladder=ladder)
+    assert buffer_based(lo, ladder) <= buffer_based(hi, ladder)
 
 
 def test_buffer_based_scale_invariance():
     ladder = media.ladder_default()
     scaled = tuple(Representation(r.index, r.width, r.height, r.bitrate_kbps * 11.0) for r in ladder)
     for buf in (0.0, 5.0, 7.5, 10.0, 12.0, 15.0, 40.0):
-        assert buffer_based_select(buf, ladder=ladder) == buffer_based_select(buf, ladder=scaled)
+        assert buffer_based(buf, ladder) == buffer_based(buf, scaled)
 
 
 # --- MPC ---------------------------------------------------------------------
@@ -353,7 +353,7 @@ def test_in_place_fold_matches_an_allocating_one(monkeypatch):
         h, cap = 1 + i % 5, rng.uniform(4.0, 60.0)
         weights = {"lambda_switch": rng.uniform(0, 3), "mu_rebuf": rng.uniform(0, 30)}
         mpc_select_exact(st_, MpcObjectiveParams(**weights, horizon=h, max_buffer_s=cap, use_manifest_sizes=i % 2 == 0))
-        rdos_select(st_, RdosParams(gamma_rate=rng.uniform(0, 1), horizon=h, max_buffer_s=cap))
+        abr.RdosPolicy(RdosParams(gamma_rate=rng.uniform(0, 1), horizon=h, max_buffer_s=cap)).select(st_)
     assert set(calls) == {1, 2, 3, 4, 5}
 
 
@@ -362,7 +362,7 @@ def test_exact_decisions_never_hold_a_full_tree_array():
     # page faults used to cost as much as the arithmetic
     m = media.synthetic_manifest(segments=10)
     st_ = state_for(m, chunk_index=3, buffer_s=9.5, last_rep=6, history=[2500.0, 4000.0])
-    for decide in (lambda: mpc_select_exact(st_, MpcObjectiveParams()), lambda: rdos_select(st_, RdosParams())):
+    for decide in (lambda: mpc_select_exact(st_, MpcObjectiveParams()), lambda: abr.RdosPolicy().select(st_)):
         decide()
         tracemalloc.start()
         try:
@@ -410,7 +410,7 @@ def test_enumeration_kernel_matches_oracles(state, horizon, lambda_switch, mu_re
         )
         assert mpc_select_exact(state, params) == mpc_enumerate(state, params, tput)[0]
     rdos = RdosParams(gamma_rate=gamma_rate, horizon=horizon)
-    assert rdos_select(state, rdos) == rdos_enumerate(state, rdos, tput)[0]
+    assert abr.RdosPolicy(rdos).select(state) == rdos_enumerate(state, rdos, tput)[0]
 
 
 def test_table_extreme_cells():
@@ -500,9 +500,9 @@ def test_table_lookup_clamps(tmp_path):
     table = build_mpc_table(params, binning)
     m = media.synthetic_manifest(segments=300)
     over = state_for(m, buffer_s=59.9, last_rep=13, history=[1e7])
-    assert mpc_select_table(over, table) == int(table.entries[-1, -1, 12])
+    assert abr.MpcTablePolicy(table).select(over) == int(table.entries[-1, -1, 12])
     under = state_for(m, buffer_s=0.0, last_rep=1, history=[1.0])
-    assert mpc_select_table(under, table) == int(table.entries[0, 0, 0])
+    assert abr.MpcTablePolicy(table).select(under) == int(table.entries[0, 0, 0])
 
 
 def test_table_save_load_bit_exact(tmp_path):
@@ -694,7 +694,7 @@ def test_rdos_degenerate_objective_prefers_lowest():
     m = Manifest(4.0, ladder, rows)
     st_ = state_for(m, buffer_s=55.0, last_rep=2, history=[1e6])
     params = RdosParams(gamma_rate=0.0, horizon=3)
-    assert rdos_select(st_, params) == 1
+    assert abr.RdosPolicy(params).select(st_) == 1
 
 
 def test_rdos_two_rep_exhaustive():
@@ -715,7 +715,7 @@ def test_rdos_two_rep_exhaustive():
             st_ = state_for(m, chunk_index=chunk, buffer_s=buf, last_rep=1, history=[1500.0])
             tput = harmonic_mean_predict(st_.throughput_history_kbps, 5)
             expect, _ = rdos_enumerate(st_, params, tput)
-            assert rdos_select(st_, params) == expect
+            assert abr.RdosPolicy(params).select(st_) == expect
 
 
 def test_rdos_matches_enumeration_toy_ladder():
@@ -732,14 +732,14 @@ def test_rdos_matches_enumeration_toy_ladder():
         )
         tput = harmonic_mean_predict(st_.throughput_history_kbps, 5)
         expect, _ = rdos_enumerate(st_, params, tput)
-        assert rdos_select(st_, params) == expect
+        assert abr.RdosPolicy(params).select(st_) == expect
 
 
 def test_rdos_gamma_pulls_bitrate_down():
     m = media.synthetic_manifest(segments=12)
     st_ = state_for(m, buffer_s=50.0, last_rep=13, history=[1e6])
-    greedy = rdos_select(st_, RdosParams(gamma_rate=0.0))
-    frugal = rdos_select(st_, RdosParams(gamma_rate=50.0))
+    greedy = abr.RdosPolicy(RdosParams(gamma_rate=0.0)).select(st_)
+    frugal = abr.RdosPolicy(RdosParams(gamma_rate=50.0)).select(st_)
     assert frugal <= greedy
 
 
@@ -786,6 +786,8 @@ def test_external_policy_round_trip(tmp_path):
     assert pol._proc.stdin.closed and pol._proc.stdout.closed
     # a child that has already exited still gets both pipes closed
     gone = ExternalPolicy([sys.executable, "-c", "pass"])
+    with pytest.raises((RuntimeError, BrokenPipeError)):  # it exits before or after reading the request
+        gone.select(st_)
     gone._proc.wait(timeout=10)
     gone.close()
     assert gone._proc.stdin.closed and gone._proc.stdout.closed
@@ -864,7 +866,7 @@ def test_policy_builders_pickle(tmp_path):
         build = pickle.loads(pickle.dumps(abr.policy_builder(spec)))
         if spec["id"] == "mpc_table":  # the builder carries the table it read
             assert np.array_equal(build().table.entries, load_table(table).entries)
-        elif spec["id"] != "external":  # building it starts a child
+        else:  # an external policy starts no child until its first decision
             assert vars(build()) == vars(make_policy(spec))
 
 
@@ -900,7 +902,7 @@ def test_policy_parameter_fields_are_checked_for_type(build, name):
         build()
 
 
-@pytest.mark.parametrize("kind", abr.POLICY_IDS)
+@pytest.mark.parametrize("kind", abr.POLICIES)
 def test_policy_options_are_their_class_fields(kind):
     with pytest.raises(ValueError, match="unknown key 'bogus'") as err:
         abr.policy_builder({"id": kind, "bogus": 1})
@@ -914,15 +916,33 @@ def test_external_policy_options_are_checked_before_any_child_starts(monkeypatch
     monkeypatch.setattr(abr.subprocess, "Popen", lambda *a, **k: started.append(a))
     with pytest.raises(ValueError, match="lookahead"):
         ExternalPolicy(["policy"], lookahead=0)
-    with pytest.raises(ValueError, match="command"):
-        ExternalPolicy([])
+    for bad in ([], "python policy.py", ["python", 3]):
+        with pytest.raises(ValueError, match="command must be a non-empty list of strings"):
+            ExternalPolicy(bad)
     build = abr.policy_builder({"id": "external", "command": ["policy"], "lookahead": 2})
+    policy = build()
+    assert policy.lookahead == 2 and started == []
+    assert "_proc" not in {f.name for f in dataclasses.fields(policy)}  # never a config option
+    policy.close()  # before any decision: nothing to close
     assert started == []
-    assert build().lookahead == 2 and started == [(["policy"],)]
+
+
+def test_external_policy_starts_its_child_at_the_first_decision(tmp_path):
+    script = tmp_path / "rung2.py"
+    script.write_text("import sys\nfor line in sys.stdin:\n    print(2, flush=True)\n")
+    policy = ExternalPolicy([sys.executable, str(script)])
+    assert policy._proc is None
+    state = state_for(media.synthetic_manifest(segments=5))
+    assert policy.select(state) == 2
+    child = policy._proc
+    assert child is not None and child.poll() is None
+    assert policy.select(state) == 2 and policy._proc is child  # one child for every decision
+    policy.close()
+    assert child.returncode == 0
 
 
 def test_rdos_params_reject_ksqi_penalty_tables():
-    # rdos_select uses only the parametric KSQI terms, so a table was accepted and then ignored
+    # RdosPolicy uses only the parametric KSQI terms, so a table was accepted and then ignored
     table = PenaltyTable(x_grid=(0.0, 1.0), y_grid=(0.0, 1.0), values=((0.0, 1.0), (1.0, 2.0)))
     for name in ("stall_table", "switch_table"):
         assert getattr(KsqiParams(**{name: table}), name) is table
