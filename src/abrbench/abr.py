@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import checks
-from .media import Manifest, ladder_default
+from .media import Manifest, check_ladder, ladder_default
 from .qoe import KsqiParams
 
 
@@ -344,6 +344,14 @@ def _bin_index(edges: np.ndarray, value: float) -> int:
 _SLAB_ROWS = 8
 
 
+def _table_ladder(ladder) -> tuple[float, ...]:
+    """A table's rung bitrates (kb/s): the default ladder's if ``ladder`` is None, checked as a manifest's ladder."""
+    if ladder is None:
+        ladder = ladder_default()
+    check_ladder("ladder", ladder)
+    return tuple(r.bitrate_kbps for r in ladder)
+
+
 def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float, buffers) -> np.ndarray:
     """Best first rung for every (buffer, prev_rep) cell at one throughput.
 
@@ -387,9 +395,7 @@ def build_mpc_table(
     See ``mpc_table_cells`` for spot computation.
     """
     checks.count("jobs", jobs)
-    if ladder is None:
-        ladder = ladder_default()
-    ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
+    ladder_kbps = _table_ladder(ladder)
     solve = functools.partial(_table_bin, ladder_kbps, segment_duration_s, params, buffers=binning.buffer_centers())
     entries = np.empty((binning.tput_bins, binning.buffer_bins, len(ladder_kbps)), dtype=np.uint8)
     centers = binning.tput_centers()
@@ -418,18 +424,22 @@ def mpc_table_cells(
     """Compute selected table cells without building the full table.
 
     ``cells`` is an iterable of (tput_bin, buffer_bin, prev_rep_index)
-    with 0-based bins and a 1-based rep index; a cell outside the table
-    raises a ``ValueError`` naming it. Cells are independent, so a subset
-    costs proportionally less; used to audit a table against the exact
-    per-state decision.
+    with 0-based bins and a 1-based rep index; a cell that is not such a
+    triple, or lies outside the table, raises a ``ValueError`` naming it.
+    Cells are independent, so a subset costs proportionally less; used to
+    audit a table against the exact per-state decision.
     """
-    if ladder is None:
-        ladder = ladder_default()
-    ladder_kbps = tuple(r.bitrate_kbps for r in ladder)
+    ladder_kbps = _table_ladder(ladder)
     bounds = (("tput_bin", 0, binning.tput_bins - 1), ("buffer_bin", 0, binning.buffer_bins - 1),
               ("prev_rep", 1, len(ladder_kbps)))
-    cells = [tuple(checks.integer(f"cell {cell!r}: {what}", value, low, high)
-                   for (what, low, high), value in zip(bounds, cell, strict=True)) for cell in cells]
+
+    def check_cell(cell) -> tuple[int, int, int]:
+        if not (hasattr(cell, "__len__") and len(cell) == 3):
+            raise ValueError(f"cell {cell!r} must be a (tput_bin, buffer_bin, prev_rep) triple")
+        return tuple(checks.integer(f"cell {cell!r}: {what}", value, low, high)
+                     for (what, low, high), value in zip(bounds, cell))
+
+    cells = [check_cell(cell) for cell in cells]
     tput_centers = binning.tput_centers()
     buffer_centers = binning.buffer_centers()
     by_tput: dict[int, set[int]] = {}

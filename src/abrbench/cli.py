@@ -94,6 +94,20 @@ def _block(config: dict, key: str) -> dict:
     return block
 
 
+def _directory(config: dict, key: str, default: str) -> Path:
+    """The directory named by config key ``key`` (``out_dir``, ``records_dir``), checked to be a path string."""
+    value = config.get(key, default)
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{key} must be a non-empty path string, got {value!r}")
+    return Path(value)
+
+
+def _out_dir(config: dict, args) -> Path:
+    """Where a command writes: ``--out``, else the config's ``out_dir`` (checked either way), else ``out``."""
+    out_dir = _directory(config, "out_dir", "out")
+    return Path(args.out) if args.out else out_dir
+
+
 def _pick(block: dict, keys) -> dict:
     """The entries of ``block`` under ``keys``; the classes they are passed to check them."""
     return {k: block[k] for k in keys if k in block}
@@ -164,7 +178,7 @@ def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, build, player: si
 
 
 def cmd_simulate(config: dict, args) -> int:
-    out_dir = Path(args.out or config.get("out_dir", "out"))
+    out_dir = _out_dir(config, args)
     player = _player_config(_block(config, "player"))
     manifest_paths = config.get("manifests", [])
     manifests = [_load_manifest(i, p) for i, p in enumerate(manifest_paths)]
@@ -231,6 +245,7 @@ def cmd_simulate(config: dict, args) -> int:
 
 
 def cmd_mpc_table(config: dict, args) -> int:
+    out_path = _out_dir(config, args) / "mpc_table.bin"
     block = _block(config, "mpc_table")
     # keys left out take the classes' defaults; max_buffer_s caps both the buffer axis and the objective
     binning_keys = ("tput_bins", "buffer_bins", "tput_max_kbps", "max_buffer_s")
@@ -257,7 +272,6 @@ def cmd_mpc_table(config: dict, args) -> int:
         segment_duration_s=segment_duration_s,
         jobs=args.jobs,
     )
-    out_path = Path(args.out or config.get("out_dir", "out")) / "mpc_table.bin"
     with _replacing(out_path) as tmp:
         abr.save_table(table, tmp)
     print(f"mpc-table: wrote {out_path}")
@@ -265,20 +279,21 @@ def cmd_mpc_table(config: dict, args) -> int:
 
 
 def cmd_qoe(config: dict, args) -> int:
-    out_dir = Path(args.out or config.get("out_dir", "out"))
-    records_dir = Path(config.get("records_dir", out_dir / "records"))
+    out_dir = _out_dir(config, args)
+    records_dir = _directory(config, "records_dir", str(out_dir / "records"))
     if not records_dir.exists():
         raise FileNotFoundError(f"records directory not found: {records_dir}")
     models = []  # (entry, checked params, or None for an external model), all checked before any record is scored
     for i, spec in enumerate(config.get("qoe_models", [{"id": mid} for mid in sorted(qoe.MODELS)])):
         if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
             raise ValueError(f"qoe_models[{i}] must be an object with a string 'id', got {spec!r}")
-        if spec.get("command"):
-            models.append((spec, None))
-            continue
-        params = {k: v for k, v in spec.items() if k not in ("id", "command", "name")}
         try:
-            models.append((spec, qoe.model_params(spec["id"], params)))
+            if "command" in spec:  # an external model: its id and its command line only
+                checks.known_keys("an external model", spec, ("id", "command"))
+                checks.command("command", spec["command"])
+                models.append((spec, None))
+            else:
+                models.append((spec, qoe.model_params(spec["id"], {k: v for k, v in spec.items() if k != "id"})))
         except ValueError as exc:
             raise ValueError(f"qoe_models[{i}] ({spec['id']}): {exc}") from exc
     records = []  # (video id, record): every record is read and checked before any is scored
@@ -310,7 +325,7 @@ def cmd_qoe(config: dict, args) -> int:
 
 
 def cmd_subjective(config: dict, args) -> int:
-    out_dir = Path(args.out or config.get("out_dir", "out"))
+    out_dir = _out_dir(config, args)
     block = _block(config, "subjective")
     inputs = ("ratings_csv", "video_meta_csv", "keystrokes_csv", "stall_events_csv", "anchors_csv")
     checks.known_keys("subjective", block, inputs + ("keystroke_tol_s", "auxiliary_threshold", "min_set"))
@@ -382,7 +397,7 @@ def _load_scores_csv(text: str, source: str) -> tuple[dict[str, dict[str, float]
 
 
 def cmd_stats(config: dict, args) -> int:
-    out_dir = Path(args.out or config.get("out_dir", "out"))
+    out_dir = _out_dir(config, args)
     block = _block(config, "stats")
     checks.known_keys("stats", block, ("scores_csv", "mos_csv", "test", "alpha"))
     for key in ("scores_csv", "mos_csv"):
@@ -422,7 +437,7 @@ def cmd_stats(config: dict, args) -> int:
 
 
 def cmd_traces(config: dict, args) -> int:
-    out_dir = Path(args.out or config.get("out_dir", "out"))
+    out_dir = _out_dir(config, args)
     block = _block(config, "traces_ingest")
     checks.known_keys("traces_ingest", block, ("inputs", "window_s", "stride_s", "min_avg_kbps"))
     if "inputs" not in block:

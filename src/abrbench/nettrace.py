@@ -113,35 +113,44 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
     For the fixed-granularity formats the k-th line becomes the sample
     (k*step, value) and the duration is n*step. For ``pairs`` the
     duration defaults to the last start time plus the trailing gap
-    (1.0 s for a single sample); pass ``duration_s`` to override.
+    (1.0 s for a single sample); pass ``duration_s`` to override. A bad
+    value names its line of ``text``, counting blank and ``#`` lines.
     """
     if format not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]  # n: the line number in ``text``
     if not lines:
         raise ValueError("empty trace input")
 
+    def read_float(what: str, field: str, n: int) -> float:
+        try:
+            return float(field)
+        except ValueError:
+            raise ValueError(f"{what} {field.strip()!r} on line {n} is not a number") from None
+
+    def bandwidth(field: str, n: int) -> float:
+        bw = read_float("bandwidth", field, n)
+        if not 0 <= bw < math.inf:
+            raise ValueError(f"bandwidth {bw!r} on line {n} is not finite and >= 0")
+        return bw
+
     if format in ("granular_5s", "granular_1s"):
         step = 5.0 if format == "granular_5s" else 1.0
-        samples = []
-        for k, ln in enumerate(lines):
-            bw = float(ln)
-            if not 0 <= bw < math.inf:
-                raise ValueError(f"bandwidth {bw!r} on line {k + 1} is not finite and >= 0")
-            samples.append((k * step, bw))
-        return Trace(samples=tuple(samples), duration_s=duration_s if duration_s is not None else len(lines) * step)
+        samples = tuple((k * step, bandwidth(ln, n)) for k, (n, ln) in enumerate(lines))
+        return Trace(samples=samples, duration_s=duration_s if duration_s is not None else len(lines) * step)
 
     samples = []
-    for k, ln in enumerate(lines):
-        body = ln.strip().strip("()")
-        parts = [p for p in body.replace(";", ",").split(",") if p.strip()]
+    for n, ln in lines:
+        parts = [p for p in ln.strip("()").replace(";", ",").split(",") if p.strip()]
         if len(parts) != 2:
-            raise ValueError(f"malformed pair on line {k + 1}: {ln!r}")
-        t, bw = float(parts[0]), float(parts[1])
-        if not 0 <= bw < math.inf:
-            raise ValueError(f"bandwidth {bw!r} on line {k + 1} is not finite and >= 0")
-        samples.append((t, bw))
+            raise ValueError(f"malformed pair on line {n}: {ln!r}")
+        t = read_float("time", parts[0], n)
+        if not -math.inf < t < math.inf:
+            raise ValueError(f"time {t!r} on line {n} is not finite")
+        if samples and not t > samples[-1][0]:
+            raise ValueError(f"time {t!r} on line {n} is not after the previous sample's {samples[-1][0]!r}")
+        samples.append((t, bandwidth(parts[1], n)))
     if duration_s is None:
         if len(samples) >= 2:
             duration_s = samples[-1][0] + (samples[-1][0] - samples[-2][0])

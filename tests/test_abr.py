@@ -656,6 +656,39 @@ def test_table_cells_outside_the_table_are_rejected(cell, field):
         mpc_table_cells(MpcObjectiveParams(horizon=2), binning, [(0, 0, 1), cell])
 
 
+@pytest.mark.parametrize("cell", [(0, 0), (0, 0, 1, 1), (), 7], ids=["pair", "quadruple", "empty", "int"])
+def test_table_cells_that_are_not_triples_are_named(cell):
+    # a pair failed in zip() without naming the cell, an int with a TypeError
+    binning = TableBinning(tput_bins=4, buffer_bins=5, tput_max_kbps=9000.0)
+    triple = r"must be a \(tput_bin, buffer_bin, prev_rep\) triple"
+    with pytest.raises(ValueError, match=rf"cell {re.escape(repr(cell))} {triple}"):
+        mpc_table_cells(MpcObjectiveParams(horizon=2), binning, [(0, 0, 1), cell])
+
+
+_TABLE_BUILDS = {
+    "build_mpc_table": lambda ladder: build_mpc_table(
+        MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), ladder=ladder),
+    "mpc_table_cells": lambda ladder: mpc_table_cells(
+        MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), [(0, 0, 1)], ladder),
+}
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        # numpy's "zero-size array to reduction operation maximum"; the other two built a table
+        ((), "ladder is empty"),
+        ((Representation(1, 16, 9, 500.0), Representation(2, 16, 9, 300.0)), "bitrates must be strictly increasing"),
+        ((Representation(2, 16, 9, 300.0),), "ladder indices must be contiguous from 1"),
+    ],
+    ids=["empty", "decreasing", "misnumbered"],
+)
+@pytest.mark.parametrize("build", _TABLE_BUILDS.values(), ids=_TABLE_BUILDS.keys())
+def test_table_ladders_are_checked_as_a_manifest_ladder_is(build, ladder, message):
+    with pytest.raises(ValueError, match=message):
+        build(ladder)
+
+
 def test_table_cells_accept_numpy_indices_and_an_iterator():
     binning = TableBinning(tput_bins=4, buffer_bins=5, tput_max_kbps=9000.0)
     params = MpcObjectiveParams(horizon=2)

@@ -116,3 +116,11 @@ def test_each_checks_every_item_and_names_the_first_bad_one():
     for bad in ("12", 1.0, None, {1.0: 2.0}):
         with pytest.raises(ValueError, match="xs must be a list"):
             check("xs", bad)
+
+
+def test_commands_are_non_empty_lists_of_strings():
+    # a string command was split into characters by the qoe command and ran its first letter
+    assert checks.command("command", ["python", "x.py"]) == ["python", "x.py"]
+    for bad in ("python x.py", [], ("python",), ["python", 3], None):
+        with pytest.raises(ValueError, match="command must be a non-empty list of strings"):
+            checks.command("command", bad)

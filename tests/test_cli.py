@@ -317,6 +317,9 @@ def test_qoe_external_command_does_not_leak_into_later_runs(tmp_path):
         {"id": "xue2014", "r_min_kbps": 0},  # ZeroDivisionError
         {"id": "sqi", "tau_memory_s": -1},  # gave a score
         {"id": "mok2011", "levels": {}},  # its coefficients and levels are constants
+        {"id": "m", "command": [sys.executable, "-c", "print(1)"], "bogus": 1},  # scored, bogus ignored
+        {"id": "m", "command": "python x.py"},  # ran "p" once per record
+        {"id": "yin2015", "name": "foo"},  # scored, name never read
     ],
 )
 def test_qoe_models_are_checked_before_any_record_is_scored(tmp_path, capsys, bad):
@@ -332,6 +335,24 @@ def test_qoe_models_are_checked_before_any_record_is_scored(tmp_path, capsys, ba
     assert run(["qoe", "--config", cfg]) == 2
     assert "qoe_models[1]" in capsys.readouterr().err
     assert not (out / "qoe_scores.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mpc-table", "qoe", "subjective", "stats", "traces"])
+def test_out_dir_must_be_a_path_string(tmp_path, capsys, command):
+    # each command ended in an uncaught TypeError from Path(5); mpc-table only after building its table
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"out_dir": 5, "mpc_table": {"tput_bins": 1, "buffer_bins": 1, "horizon": 1}}))
+    assert run([command, "--config", cfg]) == 2
+    assert "out_dir must be a non-empty path string, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [5, ["records"], ""])
+def test_qoe_records_dir_must_be_a_path_string(tmp_path, capsys, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"records_dir": value, "out_dir": str(tmp_path / "out")}))
+    assert run(["qoe", "--config", cfg]) == 2
+    assert f"records_dir must be a non-empty path string, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def make_subjective_fixture(tmp_path):

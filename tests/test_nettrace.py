@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -46,6 +47,26 @@ def test_parse_unordered_or_empty_rejected():
         nettrace.parse_trace("0,100\n0,200", "pairs")
     with pytest.raises(ValueError):
         nettrace.parse_trace("", "granular_1s")
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        ("abc", "granular_1s", "bandwidth 'abc' on line 1 is not a number"),  # no line number
+        ("100\n200\nabc", "granular_5s", "bandwidth 'abc' on line 3 is not a number"),
+        ("0,100\n1,abc", "pairs", "bandwidth 'abc' on line 2 is not a number"),
+        ("0,100\n0.5,100\n0.2,100", "pairs", "time 0.2 on line 3 is not after the previous sample's 0.5"),
+        ("0,100\nnan,100", "pairs", "time nan on line 2 is not finite"),  # reported as a nan duration
+        ("0,100\ninf,100", "pairs", "time inf on line 2 is not finite"),
+        ("x,100", "pairs", "time 'x' on line 1 is not a number"),
+        ("# time_s,kbps\n\n0,100\n1,-5", "pairs", "bandwidth -5.0 on line 4"),  # comments and blanks count
+    ],
+    ids=["granular_word", "granular_word_line3", "pairs_word_bandwidth", "pairs_time_goes_back", "pairs_nan_time",
+         "pairs_inf_time", "pairs_word_time", "pairs_line_after_comment"],
+)
+def test_parse_names_the_fault_and_its_line(text, fmt, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        nettrace.parse_trace(text, fmt)
 
 
 def test_serialize_round_trip():
