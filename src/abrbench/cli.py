@@ -94,6 +94,14 @@ def _block(config: dict, key: str) -> dict:
     return block
 
 
+def _list(config: dict, key: str, what: str) -> list:
+    """Config list ``key`` (``manifests``, ``policies``, ...), checked to be a JSON list; a missing key is empty."""
+    value = config.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of {what}, got {value!r}")
+    return value
+
+
 def _directory(config: dict, key: str, default: str) -> Path:
     """The directory named by config key ``key`` (``out_dir``, ``records_dir``), checked to be a path string."""
     value = config.get(key, default)
@@ -136,12 +144,10 @@ def _load_manifest(i: int, path) -> media.Manifest:
         raise ValueError(f"manifests[{i}] ({path}): {exc}") from exc
 
 
-def _load_traces(entries, key: str) -> list[tuple[str, str, nettrace.Trace]]:
+def _load_traces(block: dict, key: str) -> list[tuple[str, str, nettrace.Trace]]:
     """(distinct stem, path, trace) per entry of config list ``key``: a path, or a ``path`` and a ``format``."""
-    if not isinstance(entries, list):
-        raise ValueError(f"{key} must be a list of trace entries, got {entries!r}")
     loaded = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_list(block, key, "trace entries")):
         entry = {"path": entry} if isinstance(entry, str) else entry
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)):
             raise ValueError(f"{key}[{i}] must be a path or an object with a string 'path', got {entry!r}")
@@ -180,12 +186,12 @@ def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, build, player: si
 def cmd_simulate(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     player = _player_config(_block(config, "player"))
-    manifest_paths = config.get("manifests", [])
+    manifest_paths = _list(config, "manifests", "manifest paths")
     manifests = [_load_manifest(i, p) for i, p in enumerate(manifest_paths)]
     manifests = list(zip(_dedupe([Path(p).stem for p in manifest_paths]), manifests))
-    traces = _load_traces(config.get("traces", []), "traces")
+    traces = _load_traces(config, "traces")
     builders, names = [], []  # every policy entry checked once, before any cell runs
-    for i, spec in enumerate(config.get("policies", [])):
+    for i, spec in enumerate(_list(config, "policies", "policy entries")):
         if not (isinstance(spec, dict) and "id" in spec):
             raise ValueError(f"policies[{i}] must be an object with an 'id', got {spec!r}")
         try:
@@ -199,9 +205,10 @@ def cmd_simulate(config: dict, args) -> int:
             except ValueError as exc:
                 where = f"policies[{i}] ({spec['id']}) cannot play manifests[{j}] ({manifest_paths[j]})"
                 raise ValueError(f"{where}: {exc}") from exc
-        name = spec.get("name") or f"{spec['id']}{i}"
-        if not (isinstance(name, str) and Path(name).name == name):  # a name is part of file names
-            raise ValueError(f"policies[{i}] ({spec['id']}): name must be a string without '/', got {name!r}")
+        name = spec.get("name", f"{spec['id']}{i}")
+        if not (isinstance(name, str) and name and Path(name).name == name):  # a name is part of file names
+            raise ValueError(f"policies[{i}] ({spec['id']}): name must be a non-empty string without '/', "
+                             f"got {name!r}")
         names.append(name)
     if not manifests or not traces or not builders:
         raise ValueError("simulate needs manifests, traces and policies in the config")
@@ -284,7 +291,10 @@ def cmd_qoe(config: dict, args) -> int:
     if not records_dir.exists():
         raise FileNotFoundError(f"records directory not found: {records_dir}")
     models = []  # (entry, checked params, or None for an external model), all checked before any record is scored
-    for i, spec in enumerate(config.get("qoe_models", [{"id": mid} for mid in sorted(qoe.MODELS)])):
+    specs = _list(config, "qoe_models", "model entries") if "qoe_models" in config else [
+        {"id": model_id} for model_id in sorted(qoe.MODELS)
+    ]
+    for i, spec in enumerate(specs):
         if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
             raise ValueError(f"qoe_models[{i}] must be an object with a string 'id', got {spec!r}")
         try:
@@ -331,6 +341,9 @@ def cmd_subjective(config: dict, args) -> int:
     checks.known_keys("subjective", block, inputs + ("keystroke_tol_s", "auxiliary_threshold", "min_set"))
     if "ratings_csv" not in block:
         raise ValueError("subjective block needs ratings_csv")
+    for given, missing in (("keystrokes_csv", "stall_events_csv"), ("stall_events_csv", "keystrokes_csv")):
+        if given in block and missing not in block:
+            raise ValueError(f"subjective block has {given} but not {missing}; the keystroke screen needs both")
     tol_s = checks.nonnegative("keystroke_tol_s", block.get("keystroke_tol_s", 2.0))
     threshold = checks.nonnegative("auxiliary_threshold", block.get("auxiliary_threshold", 0.10))
     min_set = checks.count("min_set", block.get("min_set", 30))
@@ -341,7 +354,7 @@ def cmd_subjective(config: dict, args) -> int:
     matrix = load(subjective.load_ratings_csv, "ratings_csv", "ratings")
     if "video_meta_csv" in block:
         matrix.video_meta = load(subjective.load_video_meta_csv, "video_meta_csv", "video meta")
-    if "keystrokes_csv" in block and "stall_events_csv" in block:
+    if "keystrokes_csv" in block:
         events = load(subjective.load_keystrokes_csv, "keystrokes_csv", "keystrokes")
         onsets = load(subjective.load_stall_events_csv, "stall_events_csv", "stall events")
         videos_of = {
@@ -447,7 +460,7 @@ def cmd_traces(config: dict, args) -> int:
     min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))
     index = []
     kept_count = 0
-    for name, path, trace in _load_traces(block["inputs"], "inputs"):
+    for name, path, trace in _load_traces(block, "inputs"):
         windows = nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)
         for w_idx, window in enumerate(windows):
             mean = window.mean_kbps()

@@ -282,50 +282,33 @@ def _memory_constant(name: str, value) -> float:
 _VALUE_CHECKS = {"r_min_kbps": checks.positive, "tau_memory_s": _memory_constant}
 
 
-def model_params(model_id: str, params: dict) -> dict | KsqiParams:
-    """Check ``params`` for the built-in model ``model_id``; return them as ``evaluate`` takes them.
+def _coefficients(model_id: str) -> dict:
+    """A built-in model's coefficients and their defaults: ksqi's are ``KsqiParams`` fields, the others' keywords."""
+    if model_id == "ksqi":
+        return {f.name: f.default for f in fields(KsqiParams)}
+    return {name: p.default for name, p in list(inspect.signature(MODELS[model_id]).parameters.items())[1:]}
 
-    An unknown model, a name the model function does not take, or a value out of its range
+
+def model_params(model_id: str, params: dict) -> dict:
+    """Check ``params`` for the built-in model ``model_id``; return the keyword arguments ``evaluate`` takes.
+
+    An unknown model, a name the model does not take, or a value out of its range
     (``_VALUE_CHECKS``) is a ValueError; ``evaluate`` checks nothing, so check once here. ksqi's
-    parameters come back as the ``KsqiParams`` they build, which checks their values.
+    coefficients come back as the one ``KsqiParams`` they build, which checks their values.
     """
     if model_id not in MODELS:
         raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
+    checks.known_keys(f"model {model_id}", params, list(_coefficients(model_id)))
     if model_id == "ksqi":
-        checks.known_keys(f"model {model_id}", params, [f.name for f in fields(KsqiParams)])
-        return KsqiParams(**params)
-    checks.known_keys(f"model {model_id}", params, list(inspect.signature(MODELS[model_id]).parameters)[1:])
+        return {"params": KsqiParams(**params)}
     return {name: _VALUE_CHECKS.get(name, checks.nonnegative)(name, value) for name, value in params.items()}
 
 
-def evaluate(model_id: str, record: SessionRecord, params: dict | KsqiParams | None = None) -> QoeScore:
-    """Score ``record`` under the built-in model ``model_id``."""
+def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -> QoeScore:
+    """Score ``record`` under the built-in model ``model_id``, with keyword arguments from ``model_params``."""
     if model_id not in MODELS:
         raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
-    fn = MODELS[model_id]
-    if model_id == "ksqi":
-        if params is None:
-            value = fn(record)
-        elif isinstance(params, KsqiParams):
-            value = fn(record, params)
-        else:
-            value = fn(record, KsqiParams(**params))
-    else:
-        value = fn(record, **(params or {}))
-    return QoeScore(value=float(value), model_id=model_id)
-
-
-# Parameter names exposed to the calibration entry point, per model.
-CALIBRATABLE = {
-    "yin2015": ("lam", "mu", "mu_s"),
-    "bentaleb2016": ("lam", "mu", "mu_s"),
-    "ftw": ("a", "b_len", "b_cnt", "c"),
-    "liu2012": ("c1", "c2"),
-    "xue2014": ("rho",),
-    "spiteri2016": ("gamma",),
-    "sqi": ("u0", "u1"),
-    "ksqi": ("c0", "c1", "c2", "beta_neg", "beta_pos"),
-}
+    return QoeScore(value=float(MODELS[model_id](record, **(params or {}))), model_id=model_id)
 
 
 def calibrate(
@@ -340,14 +323,16 @@ def calibrate(
     Minimizes the squared residual of an affine rescaling of the model
     score against MOS over the training split (80/20 by default, seeded
     shuffle), searching the model's coefficient space with bound-
-    constrained least squares from the documented defaults. Returns the
-    fitted coefficients.
+    constrained least squares from the documented defaults. The searched
+    coefficients are those with a numeric default that are not in
+    ``_VALUE_CHECKS``. Returns the fitted coefficients.
     """
     from scipy.optimize import least_squares
 
-    if model_id not in CALIBRATABLE:
+    defaults = _coefficients(model_id) if model_id in MODELS else {}
+    names = [n for n, v in defaults.items() if checks.is_number(v) and n not in _VALUE_CHECKS]
+    if not names:
         raise ValueError(f"model {model_id!r} has no calibratable parameters")
-    names = CALIBRATABLE[model_id]
     records = list(records)
     mos = np.asarray(mos, dtype=float)
     if len(records) != len(mos):
@@ -356,13 +341,7 @@ def calibrate(
     order = rng.permutation(len(records))
     n_train = max(2, int(round(train_fraction * len(records))))
     train_idx = order[:n_train]
-
-    if model_id == "ksqi":
-        defaults = KsqiParams()
-        x0 = np.array([getattr(defaults, n) for n in names])
-    else:
-        fn = MODELS[model_id]
-        x0 = np.array([fn.__defaults__[i] for i, n in enumerate(names)])
+    x0 = np.array([defaults[n] for n in names])
 
     def project(x):
         # keep the searched point inside the model's parameter invariants
@@ -372,11 +351,7 @@ def calibrate(
         return [max(v, 0.0) for v in x]
 
     def scores(x):
-        x = project(x)
-        if model_id == "ksqi":
-            p = KsqiParams(**dict(zip(names, x)))
-            return np.array([qoe_ksqi(records[i], p) for i in train_idx])
-        kwargs = dict(zip(names, x))
+        kwargs = model_params(model_id, dict(zip(names, project(x))))
         return np.array([MODELS[model_id](records[i], **kwargs) for i in train_idx])
 
     target = mos[train_idx]

@@ -60,16 +60,10 @@ def plcc(x, y) -> float:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties replaced by their average rank."""
     order = np.argsort(x, kind="stable")
+    first = np.flatnonzero(_run_starts(x[order]))  # sorted position where each run of ties begins
+    last = np.append(first[1:], len(x)) - 1
     ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

@@ -266,23 +266,24 @@ def _mean_over(subject_ratings: dict[str, float], videos, min_set: int, label: s
     return sum(vals) / len(vals)
 
 
-def sensitivity_rebuffering(subject_ratings: dict[str, float], q_no, q_stall, min_set: int = 30) -> float:
-    """Mean rating on stall-free videos minus mean on stalled videos."""
-    return _mean_over(subject_ratings, q_no, min_set, "q_r_bar") - _mean_over(
-        subject_ratings, q_stall, min_set, "q_r"
+def sensitivity(subject_ratings: dict[str, float], partitions: dict[str, list[str]], high: str, low: str,
+                min_set: int = 30) -> float:
+    """Mean rating over partition ``high`` minus mean over ``low``; a set under ``min_set`` rated videos raises.
+
+    The study's sensitivities are (high, low) = (q_r_bar, q_r) to rebuffering, (q_q, q_q_bar) to
+    quality and (q_a, q_a_bar) to adaptation.
+    """
+    return _mean_over(subject_ratings, partitions.get(high, []), min_set, high) - _mean_over(
+        subject_ratings, partitions.get(low, []), min_set, low
     )
 
 
-def sensitivity_quality(subject_ratings: dict[str, float], q_high, q_low, min_set: int = 30) -> float:
-    """Mean rating on high-quality videos minus mean on low-quality videos."""
-    return _mean_over(subject_ratings, q_high, min_set, "q_q") - _mean_over(subject_ratings, q_low, min_set, "q_q_bar")
-
-
-def sensitivity_adaptation(subject_ratings: dict[str, float], q_adapt, q_stable, min_set: int = 30) -> float:
-    """Mean rating on quality-varying videos minus mean on steady videos."""
-    return _mean_over(subject_ratings, q_adapt, min_set, "q_a") - _mean_over(
-        subject_ratings, q_stable, min_set, "q_a_bar"
-    )
+def _sensitivity_or_none(subject_ratings: dict[str, float], partitions, high: str, low: str, min_set: int):
+    """``sensitivity``, or None where a set is too small."""
+    try:
+        return sensitivity(subject_ratings, partitions, high, low, min_set)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -314,17 +315,12 @@ def build_sensitivity_report(
             name: sum(1 for v in partitions.get(name, []) if v in ratings)
             for name in ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
         }
-        def attempt(fn, a, b):
-            try:
-                return fn(ratings, partitions.get(a, []), partitions.get(b, []), min_set)
-            except ValueError:
-                return None
         rows.append(
             SensitivityRow(
                 subject=subject,
-                s_r=attempt(sensitivity_rebuffering, "q_r_bar", "q_r"),
-                s_q=attempt(sensitivity_quality, "q_q", "q_q_bar"),
-                s_a=attempt(sensitivity_adaptation, "q_a", "q_a_bar"),
+                s_r=_sensitivity_or_none(ratings, partitions, "q_r_bar", "q_r", min_set),
+                s_q=_sensitivity_or_none(ratings, partitions, "q_q", "q_q_bar", min_set),
+                s_a=_sensitivity_or_none(ratings, partitions, "q_a", "q_a_bar", min_set),
                 set_sizes=sizes,
             )
         )
@@ -342,13 +338,7 @@ def primacy_recency_effect(
     per_subject = {}
     for i, subject in enumerate(matrix.subjects):
         ratings = {v: matrix.raw[i, j] for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])}
-        try:
-            effect = _mean_over(ratings, partitions.get("primacy", []), min_set, "primacy") - _mean_over(
-                ratings, partitions.get("recency", []), min_set, "recency"
-            )
-        except ValueError:
-            effect = None
-        per_subject[subject] = effect
+        per_subject[subject] = _sensitivity_or_none(ratings, partitions, "primacy", "recency", min_set)
     return {"per_subject": per_subject, "metric": "mean(primacy) - mean(recency)", "paper_underspecified": True}
 
 

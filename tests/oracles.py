@@ -230,19 +230,7 @@ def wilcoxon_exact_enumeration(diff):
     """Two-sided exact signed-rank p by brute force over all sign patterns."""
     diff = [d for d in diff if d != 0.0]
     n = len(diff)
-    absd = [abs(d) for d in diff]
-    # average ranks by sorting positions
-    order = sorted(range(n), key=lambda i: absd[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and absd[order[j + 1]] == absd[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    ranks = average_ranks_reference([abs(d) for d in diff])
     w_obs = sum(r for d, r in zip(diff, ranks) if d > 0)
     count_le = 0
     count_ge = 0
@@ -256,24 +244,25 @@ def wilcoxon_exact_enumeration(diff):
     return min(1.0, 2.0 * min(count_le / total, count_ge / total))
 
 
+def average_ranks_reference(v):
+    """Ranks 1..n by stable sorted position, each run of equal values given its average rank."""
+    order = sorted(range(len(v)), key=lambda i: v[i])
+    out = [0.0] * len(v)
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            out[order[k]] = avg
+        i = j + 1
+    return out
+
+
 def spearman_reference(x, y):
     """Rank both vectors by sorted positions (ties averaged), then Pearson."""
-
-    def ranks(v):
-        order = sorted(range(len(v)), key=lambda i: v[i])
-        out = [0.0] * len(v)
-        i = 0
-        while i < len(v):
-            j = i
-            while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                out[order[k]] = avg
-            i = j + 1
-        return out
-
-    rx, ry = ranks(list(x)), ranks(list(y))
+    rx, ry = average_ranks_reference(list(x)), average_ranks_reference(list(y))
     mx = sum(rx) / len(rx)
     my = sum(ry) / len(ry)
     num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))

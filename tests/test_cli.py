@@ -678,6 +678,10 @@ MISTYPED_POLICY_OPTIONS = [
     ({"id": "rdos", "ksqi": {"switch_table": {"x_grid": [0], "y_grid": [0], "values": [[1]]}}}, "switch_table"),
     ({"id": "fixed", "name": "../../x"}, "name"),  # wrote logs/x.log.json for cell m__t__../../x
     ({"id": "fixed", "name": ["x"]}, "name"),  # a TypeError traceback
+    ({"id": "fixed", "name": 0}, "name"),  # these four became fixed1 with exit 0
+    ({"id": "fixed", "name": False}, "name"),
+    ({"id": "fixed", "name": ""}, "name"),
+    ({"id": "fixed", "name": None}, "name"),
 ]
 
 
@@ -904,6 +908,48 @@ def test_trace_lists_are_checked(tmp_path, capsys, command, key):
     cfg.write_text(json.dumps({**block, "out_dir": str(tmp_path / "out")}))
     assert run([command, "--config", cfg]) == 2
     assert f"{key} must be a list of trace entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("manifests", 5),  # a TypeError traceback, exit 1
+        ("manifests", "m.json"),  # read as the paths "m", ".", "j", ...
+        ("policies", "fixed"),  # "policies[0] ... got 'f'"
+        ("policies", {"id": "fixed"}),
+        ("qoe_models", 5),  # a TypeError traceback, exit 1
+        ("qoe_models", "ksqi"),  # "qoe_models[0] ... got 'k'"
+    ],
+)
+def test_config_lists_are_checked_as_lists(tmp_path, capsys, key, value):
+    manifests, traces = write_inputs(tmp_path)
+    out = tmp_path / "out"
+    config = {"manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}], "out_dir": str(out)}
+    command = "simulate"
+    if key == "qoe_models":
+        (out / "records").mkdir(parents=True)
+        config, command = {"out_dir": str(out)}, "qoe"
+    config[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg]) == 2
+    assert f"{key} must be a list" in capsys.readouterr().err
+    assert [p.name for p in out.rglob("*.*")] == []
+
+
+@pytest.mark.parametrize(
+    "given, missing", [("keystrokes_csv", "stall_events_csv"), ("stall_events_csv", "keystrokes_csv")]
+)
+def test_subjective_keystroke_screen_needs_both_inputs(tmp_path, capsys, given, missing):
+    # either file alone skipped the screen: every subject passed it with accuracy 1.0, exit 0
+    ratings, anchors = make_subjective_fixture(tmp_path)
+    (tmp_path / f"{given}.csv").write_text(SUBJECTIVE_EXTRAS[given])
+    block = {"ratings_csv": str(ratings), "anchors_csv": str(anchors), given: str(tmp_path / f"{given}.csv")}
+    cfg = tmp_path / "subj.json"
+    cfg.write_text(json.dumps({"subjective": block, "out_dir": str(tmp_path / "out")}))
+    assert run(["subjective", "--config", cfg]) == 2
+    assert f"subjective block has {given} but not {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_manifest_errors_name_the_file(tmp_path, capsys):

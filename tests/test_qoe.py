@@ -257,6 +257,30 @@ def test_evaluate_dispatch_matches_direct_calls():
         assert evaluate(model_id, r).value == pytest.approx(fn(r))
 
 
+NON_DEFAULT_COEFFICIENTS = {  # every coefficient of every model moved off its default
+    "yin2015": {"lam": 2.0, "mu": 1.5, "mu_s": 0.5},
+    "bentaleb2016": {"lam": 0.25, "mu": 10.0, "mu_s": 1.0},
+    "ftw": {"a": 3.0, "b_len": 0.2, "b_cnt": 0.1, "c": 1.0},
+    "mok2011": {},
+    "liu2012": {"c1": 2.0, "c2": 0.5},
+    "xue2014": {"rho": 2.0, "r_min_kbps": 300.0},
+    "spiteri2016": {"gamma": 3.0, "r_min_kbps": 300.0},
+    "sqi": {"u0": 0.5, "u1": 0.02, "tau_memory_s": 30.0},
+    "ksqi": {"c0": 0.8, "c1": 4.0, "c2": 0.1, "beta_neg": 0.6, "beta_pos": 0.2},
+}
+
+
+def test_evaluate_takes_model_params_for_every_model():
+    r = rec([60, 70, 80], bitrates=[1000.0, 2000.0, 1500.0], stalls=[(4.0, 1.0)])
+    assert NON_DEFAULT_COEFFICIENTS.keys() == qoe.MODELS.keys()
+    assert qoe.model_params("ksqi", {}) == {"params": KsqiParams()}
+    for model_id, params in NON_DEFAULT_COEFFICIENTS.items():
+        fn = qoe.MODELS[model_id]
+        direct = fn(r, KsqiParams(**params)) if model_id == "ksqi" else fn(r, **params)
+        assert evaluate(model_id, r, qoe.model_params(model_id, params)).value == direct, model_id
+        assert (direct != fn(r)) == bool(params), model_id  # the coefficients reached the model
+
+
 def test_evaluate_unknown_model():
     with pytest.raises(ValueError):
         evaluate("nope", rec([50]))
@@ -354,3 +378,28 @@ def test_calibration_ksqi_branch_respects_invariant():
     fitted = qoe.calibrate("ksqi", records, mos, seed=2)
     assert fitted["beta_neg"] >= fitted["beta_pos"] >= 0.0
     assert all(v >= 0.0 for v in fitted.values())
+
+
+def test_calibrate_searches_each_models_numeric_coefficients():
+    # r_min_kbps, tau_memory_s and ksqi's penalty tables are never searched
+    searched = {
+        "yin2015": ["lam", "mu", "mu_s"],
+        "bentaleb2016": ["lam", "mu", "mu_s"],
+        "ftw": ["a", "b_len", "b_cnt", "c"],
+        "liu2012": ["c1", "c2"],
+        "xue2014": ["rho"],
+        "spiteri2016": ["gamma"],
+        "sqi": ["u0", "u1"],
+        "ksqi": ["c0", "c1", "c2", "beta_neg", "beta_pos"],
+    }
+    rng = random.Random(5)
+    records = [rec([rng.uniform(30.0, 95.0) for _ in range(4)], stalls=[(4.0, rng.uniform(0.5, 3.0))])
+               for _ in range(12)]
+    mos = [rng.uniform(1.0, 5.0) for _ in records]
+    for model_id, names in searched.items():
+        fitted = qoe.calibrate(model_id, records, mos, seed=0)
+        assert list(fitted) == names, model_id
+        assert all(type(v) is float and v >= 0.0 for v in fitted.values()), model_id
+    for model_id in ("mok2011", "nope"):
+        with pytest.raises(ValueError, match="no calibratable parameters"):
+            qoe.calibrate(model_id, records, mos)

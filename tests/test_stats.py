@@ -23,6 +23,7 @@ from abrbench.stats import (
 )
 
 from oracles import (
+    average_ranks_reference,
     f_cdf_quadrature,
     kendall_reference,
     spearman_reference,
@@ -122,6 +123,13 @@ def test_krcc_equals_pair_count_oracle_exactly(pair):
             krcc(x, y)
         return
     assert krcc(x, y) == expected
+
+
+@given(st.sampled_from(range(1, 601)).flatmap(_tau_column))
+@settings(max_examples=100, deadline=None)
+def test_average_ranks_equal_oracle_exactly(x):
+    # tie-heavy and tie-free columns, -0.0 tied with 0.0: the same float ranks, bit for bit
+    assert stats._average_ranks(np.array(x)).tolist() == average_ranks_reference(x)
 
 
 @given(

@@ -14,9 +14,7 @@ from abrbench.subjective import (
     realign,
     reject_auxiliary,
     reject_bt500,
-    sensitivity_adaptation,
-    sensitivity_quality,
-    sensitivity_rebuffering,
+    sensitivity,
     z_normalize,
 )
 
@@ -247,36 +245,39 @@ def test_partition_primacy_recency():
 def test_sensitivity_values_and_shift_invariance():
     q_no = [f"a{i}" for i in range(30)]
     q_yes = [f"b{i}" for i in range(30)]
+    parts = {"q_r_bar": q_no, "q_r": q_yes}
     ratings = {v: 80.0 for v in q_no} | {v: 50.0 for v in q_yes}
-    assert sensitivity_rebuffering(ratings, q_no, q_yes) == pytest.approx(30.0)
+    assert sensitivity(ratings, parts, "q_r_bar", "q_r") == pytest.approx(30.0)
     shifted = {v: r + 7.5 for v, r in ratings.items()}
-    assert sensitivity_rebuffering(shifted, q_no, q_yes) == pytest.approx(30.0)
+    assert sensitivity(shifted, parts, "q_r_bar", "q_r") == pytest.approx(30.0)
     same = {v: 66.0 for v in q_no + q_yes}
-    assert sensitivity_rebuffering(same, q_no, q_yes) == 0.0
+    assert sensitivity(same, parts, "q_r_bar", "q_r") == 0.0
 
 
 def test_sensitivity_undersized_set_rejected():
     ratings = {f"a{i}": 80.0 for i in range(10)} | {f"b{i}": 50.0 for i in range(30)}
-    with pytest.raises(ValueError):
-        sensitivity_quality(ratings, [f"a{i}" for i in range(10)], [f"b{i}" for i in range(30)])
+    parts = {"q_q": [f"a{i}" for i in range(10)], "q_q_bar": [f"b{i}" for i in range(30)]}
+    with pytest.raises(ValueError, match="set q_q has 10 rated videos; need at least 30"):
+        sensitivity(ratings, parts, "q_q", "q_q_bar")
 
 
 def test_sensitivity_positive_slope_scaling_preserves_order():
     rng = random.Random(3)
     q_a = [f"a{i}" for i in range(30)]
     q_b = [f"b{i}" for i in range(30)]
+    parts = {"q_a": q_a, "q_a_bar": q_b}
     slopes = [0.5, 1.0, 2.0, 3.0]
     base = []
     for k in range(4):
         ratings = {v: 70.0 + rng.uniform(-2, 2) for v in q_a} | {v: 40.0 + rng.uniform(-2, 2) for v in q_b}
         base.append((ratings, 1.0 + k))
-    raw_values = [sensitivity_adaptation(r, q_a, q_b) * s for r, s in base]
+    raw_values = [sensitivity(r, parts, "q_a", "q_a_bar") * s for r, s in base]
     scaled_values = [
-        sensitivity_adaptation({v: x * s for v, x in r.items()}, q_a, q_b) for r, s in base
+        sensitivity({v: x * s for v, x in r.items()}, parts, "q_a", "q_a_bar") for r, s in base
     ]
     assert np.argsort(raw_values).tolist() == np.argsort(scaled_values).tolist()
     for (r, s), v in zip(base, scaled_values):
-        assert v == pytest.approx(sensitivity_adaptation(r, q_a, q_b) * s)
+        assert v == pytest.approx(sensitivity(r, parts, "q_a", "q_a_bar") * s)
 
 
 def test_sensitivity_report_handles_missing_sets():
