@@ -31,6 +31,19 @@ straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
 lexicographic scan (so the decisions are identical too).
 
+Per-decision MPC and RDOS searches also pass a ``PrefixBound``; the
+table builder passes none and enumerates every sequence. After prefix
+depths 2..h-2 the kernel drops each prefix whose score so far plus a
+bound on its best completion is below the best constant-rung sequence's
+score less a margin. The bound is the best stall-free completion, or
+that less the stall the remaining positions must incur, priced at a
+rate per second the objective's stall penalty never undercuts
+(``mu_rebuf`` for MPC, the chord of the concave log1p penalty for RDOS);
+the margin, 1e-9 of the scale of the compared sums, is a thousand times
+their rounding error. No sequence that scores at least as well as that
+incumbent is dropped, so decisions, and the best score of every first
+rung that reaches the incumbent, stay bit-identical.
+
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
 Parameter sets and policies check their own fields, not coercing them,
@@ -152,7 +165,87 @@ def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> lis
     return [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
 
 
-def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
+@dataclass(frozen=True)
+class PrefixBound:
+    """What ``_enumerate`` cannot read from a decision's step and score functions to prune its prefixes.
+
+    ``stall_price``: at every horizon position >= 1 the score falls by at
+    least this much per second of stall. ``first``: per first choice, the
+    term the caller adds to a row's best before taking its argmax.
+    """
+
+    stall_price: float
+    first: np.ndarray
+
+
+def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
+    """Score, per (row, choice), of the sequence that keeps that choice at every position.
+
+    Each sequence goes through ``step`` and ``score`` with the operations
+    ``_enumerate`` applies to it, so its score is the kernel's, bit for
+    bit. Position k > 0 is stepped from every previous choice, and each
+    sequence keeps the entry where the previous choice is its own.
+    """
+    n = len(dt_by_pos[0])
+    b = np.asarray(buffers, dtype=np.float64).reshape(-1, 1, 1, 1)
+    for k, dt in enumerate(dt_by_pos):
+        prev = n if k else 1
+        stall = np.maximum(dt - b, 0.0)
+        acc = step(k, slice(None), stall, tuple(a.reshape(len(a), 1, prev, 1) for a in acc), (None,) * len(acc))
+        b = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
+        own = (slice(None), 0, np.arange(n) if k else 0, np.arange(n))
+        acc, b = tuple(a[own] for a in acc), b[own].reshape(-1, 1, n, 1)
+    return np.broadcast_to(score(acc, None), (len(b), n))
+
+
+class _Pruner:
+    """The prefix test ``_enumerate`` runs for a ``PrefixBound`` (see there)."""
+
+    def __init__(self, bound: PrefixBound, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score):
+        n, h = len(dt_by_pos[0]), len(dt_by_pos)
+        self.price, self.first, self.seg, self.h = bound.stall_price, bound.first, seg, h
+        zero = tuple(np.zeros((1, 1, n, 1)) for _ in acc)
+        # a choice's stall-free terms at positions 2.. by [previous, next] choice: its score from zero sums
+        gains = {k: np.broadcast_to(score(step(k, slice(None), np.zeros((1, 1, n, n)), zero, (None,) * len(acc)), None),
+                                    (1, 1, n, n))[0, 0] for k in range(2, h)}
+        # one backward Viterbi pass: the best stall-free completion from position k after choice p, alone
+        # (free) and less stall_price per second of download time (priced)
+        self.free, self.priced = {h: np.zeros(n)}, {h: np.zeros(n)}
+        for k in range(h - 1, 1, -1):
+            self.free[k] = (gains[k] + self.free[k + 1]).max(axis=1)
+            self.priced[k] = (gains[k] - self.price * dt_by_pos[k] + self.priced[k + 1]).max(axis=1)
+        constant = _constant_scores(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
+        self.incumbent = (constant + bound.first).max(axis=1)
+        scale = (1.0 + np.abs(self.incumbent) + sum(np.abs(g).max() for g in gains.values()) + np.abs(bound.first).max()
+                 + self.price * (sum(dt.max() for dt in dt_by_pos) + max_buffer_s + h * seg))
+        self.floor = self.incumbent - 1e-9 * scale
+
+    def upper(self, d: int, value, first, buf) -> np.ndarray:
+        """Bound on the best total through each depth-``d`` prefix, (parent, last choice) ordered.
+
+        ``value`` is a prefix's score so far, ``first`` its first choice
+        and ``buf`` its buffer (rows x prefixes). The remaining h - d
+        positions stall at least their download time minus ``buf`` minus
+        h - d - 1 segments, which the priced completion charges.
+        """
+        n = len(self.first)
+        rest = self.price * (buf.reshape(len(buf), -1, n) + (self.h - d - 1) * self.seg)
+        completion = np.minimum(self.free[d], self.priced[d] + rest)
+        total = value.reshape(len(value), -1, n) + self.first[first].reshape(-1, n) + completion
+        return total.reshape(len(total), -1)
+
+    def keep(self, d: int, value, buf, counts):
+        """The depth-``d`` prefixes that may reach a row's incumbent, as a (parent, last choice) mask.
+
+        Also returns how many survive per first choice.
+        """
+        n = len(counts)
+        first = np.repeat(np.arange(n), counts)
+        kept = (self.upper(d, value, first, buf) >= self.floor[:, None]).any(axis=0)
+        return kept.reshape(-1, n), np.bincount(first[kept], minlength=n)
+
+
+def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, bound=None) -> np.ndarray:
     """Best score over every choice sequence, per (starting buffer, first choice).
 
     The single enumeration kernel behind MPC, RDOS and the lookup table.
@@ -172,9 +265,9 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     be read from a table ``t[prev, c]`` (with one row at k = 0, where the
     axis has length 1). The last position is folded one choice ``c`` (an
     int) at a time, with the choice axis dropped: ``score(step(h - 1, c,
-    stall, acc, out), scores)`` scores the n^(h-1) sequences that end in
-    ``c``, and a running maximum keeps each row's best per first choice.
-    No array grows beyond rows x n^(h-1) entries. Each sequence still adds
+    stall, acc, out), scores)`` scores the sequences that end in ``c``,
+    and a running maximum keeps each row's best per first choice. No
+    array grows beyond rows x n^(h-1) entries. Each sequence still adds
     its terms in position order, so its score is that of a per-sequence
     loop, bit for bit, and the lowest first choice that reaches a row's
     maximum is the first choice of the lexicographically first best
@@ -190,6 +283,32 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     writes it afresh for every choice, so a step may overwrite it; a step
     must not write into ``acc`` or return one of its arrays, which would
     come back as ``out``.
+
+    A ``PrefixBound`` prunes one decision's search; the table builder
+    passes none. The score must then be linear in the accumulators: a
+    sequence's total is its prefix's score, plus per later position its
+    stall-free terms (the score of one step from zero sums and stalls),
+    less its stall penalty, at least ``stall_price`` per second. From
+    buffer b after depth d, the remaining h - d positions stall at least
+    their summed download time less b + (h - d - 1) x seg, so the best
+    completion scores at most min(A, A_mu + stall_price x (b + (h - d -
+    1) x seg)); one backward Viterbi pass over (position, previous
+    choice) gives A, the best stall-free sum, and A_mu, the best such sum
+    less ``stall_price`` x download time. A row's incumbent is its best
+    constant-choice sequence, scored by the kernel's own operations, so
+    the row's optimum is at least the incumbent, bit for bit. After
+    depths 2..h-2 a prefix is dropped when, in every row, its score plus
+    ``first`` plus that bound is below the incumbent less the margin
+    1e-9 x (1 + |incumbent| + the summed largest stall-free terms + the
+    largest ``first`` + ``stall_price`` x (the summed largest download
+    times + ``max_buffer_s`` + h x seg)). Each compared quantity sums
+    fewer than 10h rounded terms, each within that scale, so its
+    rounding error is under 1e-12 of it; equality never prunes. Hence no
+    sequence scoring at least a row's incumbent is dropped: an entry
+    whose best plus ``first`` reaches the incumbent is exact, every other
+    one reads -inf, and the argmax is the unpruned one. The position
+    after a pruned depth extends only prefixes with a surviving child,
+    then drops the children of the pruned ones.
     """
     n, h = len(dt_by_pos[0]), len(dt_by_pos)
     if n**h > 6_000_000:
@@ -197,16 +316,34 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
     fresh = (None,) * len(acc)
+    pruner = None
+    if bound is not None and h > 3:  # only depths 2..h-2 are pruned
+        pruner = _Pruner(bound, buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score)
+    counts = np.ones(n, dtype=np.intp)  # prefixes per first choice
+    keep = None  # the last pruned depth's surviving prefixes, on its (parent, last choice) grid
     for k, dt in enumerate(dt_by_pos[:-1]):
         prev = n if k else 1
+        if keep is not None:  # extend only the prefixes with a surviving child, ...
+            live = np.flatnonzero(keep.any(axis=1))
+            buf, *acc = (x.reshape(len(x), -1, n).take(live, axis=1).reshape(len(x), -1) for x in (buf, *acc))
         b = buf.reshape(rows, -1, prev, 1)
         acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc), fresh)
+        buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
+        if keep is not None:  # ... then drop the children of the pruned ones
+            kept = np.flatnonzero(keep[live])
+            buf, *acc = (x.reshape(len(x), -1, n).take(kept, axis=1) for x in (buf, *acc))
+            keep = None
         acc = tuple(a.reshape(len(a), -1) for a in acc)
-        buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s).reshape(rows, -1)
+        buf = buf.reshape(rows, -1)
+        counts = counts * n if k else counts
+        if pruner and 2 <= k + 1 <= h - 2:
+            keep, counts = pruner.keep(k + 1, score(acc, None), buf, counts)
     prev = n if h > 1 else 1
     b = buf.reshape(rows, -1, prev)
     acc = tuple(a.reshape(len(a), -1, prev) for a in acc)
     best = np.full((rows, n), -np.inf)
+    reached = counts > 0
+    starts = (np.cumsum(counts) - counts)[reached]  # each first choice's block of sequences
     stall, out, scores = np.empty(b.shape), fresh, None
     for c, dt in enumerate(dt_by_pos[-1]):
         np.subtract(dt, b, out=stall)
@@ -216,24 +353,25 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         if h == 1:  # the last choice is the first
             best[:, c] = scores.reshape(rows)
         else:
-            np.maximum(best, scores.reshape(rows, n, -1).max(axis=2), out=best)
+            block_best = np.maximum.reduceat(scores.reshape(rows, -1), starts, axis=1)
+            best[:, reached] = np.maximum(best[:, reached], block_best)
+    if pruner:
+        best[best + bound.first < pruner.incumbent[:, None]] = -np.inf
     return best
 
 
-def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams) -> np.ndarray:
-    """Best first rung (1-based) for every starting buffer and previous rung.
+def _mpc_objective(rates, h: int, params: MpcObjectiveParams):
+    """The bitrate objective over ``h`` positions: the [previous, next] rung |rate step| table, step and score.
 
-    Entry [i, p] of the (len(buffers), n_reps) result is the decision
-    from buffer ``buffers[i]`` after rung ``p + 1``. The objective is the
-    sum of chosen bitrates (Mb/s), minus ``lambda_switch`` times the
-    magnitude of every bitrate switch, minus ``mu_rebuf`` times the
-    predicted stall seconds. The switch from the previous rung is
-    constant within a first-rung block, so it is subtracted after the
-    per-block max; IEEE rounding is monotone, so the decisions are the
-    ones a full per-sequence score would give.
+    The objective is the sum of chosen bitrates (Mb/s), minus
+    ``lambda_switch`` times the magnitude of every bitrate switch, minus
+    ``mu_rebuf`` times the predicted stall seconds. The switch from the
+    previous rung is constant within a first-rung block, so callers
+    subtract it after the per-block max; IEEE rounding is monotone, so
+    the decisions are the ones a full per-sequence score would give.
     """
     moves = np.abs(rates[None, :] - rates[:, None])  # |rate step| by [previous, next] choice
-    switch_by_pos = [np.zeros((1, len(rates)))] + [moves] * (len(dt_by_pos) - 1)  # none at the first position
+    switch_by_pos = [np.zeros((1, len(rates)))] + [moves] * (h - 1)  # none at the first position
 
     def step(k, c, stall, acc, out):
         (stall_acc, rate_acc, sw_inner), (stall_out, rate_out, sw_out) = acc, out
@@ -250,6 +388,16 @@ def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectivePa
         out = np.multiply(params.mu_rebuf, stall_acc, out=out)
         return np.subtract(gain, out, out=out)
 
+    return moves, step, score
+
+
+def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams) -> np.ndarray:
+    """Best first rung (1-based) for every starting buffer and previous rung.
+
+    Entry [i, p] of the (len(buffers), n_reps) result is the decision
+    from buffer ``buffers[i]`` after rung ``p + 1``.
+    """
+    moves, step, score = _mpc_objective(rates, len(dt_by_pos), params)
     zero = np.zeros((1, 1))
     best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score)
     return np.argmax(best[:, None, :] - params.lambda_switch * moves, axis=2) + 1
@@ -262,7 +410,9 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     under the harmonic-mean throughput prediction (or an externally
     supplied one, e.g. a clairvoyant value) and returns the first
     element of the best sequence, ties broken toward the lower rung.
-    Download times are size/predicted_tput + rtt.
+    Download times are size/predicted_tput + rtt. Prefixes that cannot
+    beat the best constant-rung sequence are pruned (``PrefixBound``),
+    which leaves the decision as it is.
     """
     h = min(params.horizon, state.remaining_chunks)
     tput = (
@@ -272,8 +422,12 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     )
     rates = np.array([r.bitrate_kbps / 1000.0 for r in state.manifest.ladder])
     dt_by_pos = _horizon_download_times(state, h, params, tput)
-    best = _mpc_decisions(rates, dt_by_pos, [state.buffer_s], state.manifest.segment_duration_s, params)
-    return int(best[0, state.last_rep - 1])
+    moves, step, score = _mpc_objective(rates, h, params)
+    switch = params.lambda_switch * moves[state.last_rep - 1]
+    zero = np.zeros((1, 1))
+    best = _enumerate([state.buffer_s], dt_by_pos, state.manifest.segment_duration_s, params.max_buffer_s,
+                      (zero, zero, zero), step, score, bound=PrefixBound(params.mu_rebuf, -switch))
+    return int(np.argmax(best[0] - switch)) + 1
 
 
 @dataclass(frozen=True)
@@ -683,10 +837,15 @@ class RdosPolicy:
             np.subtract(q_acc / h, out, out=out)
             return np.subtract(out, params.gamma_rate * rate_acc, out=out)
 
+        # the stall term c0 * log1p(s) * w / h of a position >= 1 is at least the chord price * s: its weight is
+        # at least c1 + c2 * (100 - the best horizon quality), and s is at most the position's download time,
+        # so at most x, and on [0, x] the concave log1p lies above its chord
+        x = max((float(dt.max()) for dt in dt_by_pos[1:]), default=0.0)
+        weight = kp.c1 + kp.c2 * (100.0 - max(float(q.max()) for q in q_by_pos))
+        price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
         zero = np.zeros((1, 1))
-        best = _enumerate(
-            [state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s, (zero, zero, zero), step, score
-        )
+        best = _enumerate([state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
+                          (zero, zero, zero), step, score, bound=PrefixBound(price, np.zeros(len(ladder))))
         return int(np.argmax(best[0])) + 1
 
 

@@ -424,6 +424,8 @@ def cmd_stats(config: dict, args) -> int:
     mos_rows = subjective.csv_rows(_read_text(block["mos_csv"], "mos"), ("item_id", "mos"), "mos")
     mos_by_item = {r["item_id"]: subjective.csv_number(mos_rows, r, "mos", block["mos_csv"]) for r in mos_rows}
     items = [i for i in items if i in mos_by_item]
+    if not items:
+        raise ValueError(f"no scored item in {block['scores_csv']} has a MOS in {block['mos_csv']}")
     mos = np.array([mos_by_item[i] for i in items])
 
     correlations = []
@@ -433,9 +435,12 @@ def cmd_stats(config: dict, args) -> int:
         if missing:
             raise ValueError(f"{block['scores_csv']}: method {method} has no score for item {missing[0]}")
         scores = np.array([by_method[method][i] for i in items])
-        fit = stats.fit_logistic(scores, mos)  # one fit per method, for PLCC and the F-test alike
+        try:
+            fit = stats.fit_logistic(scores, mos)  # one fit per method, for PLCC and the F-test alike
+            correlations.append((method, stats.plcc(fit.mapped, mos), stats.srcc(scores, mos), stats.krcc(scores, mos)))
+        except ValueError as exc:  # e.g. constant scores
+            raise ValueError(f"{block['scores_csv']}: method {method}: {exc}") from exc
         samples[method] = fit.mapped - mos if test == "f_test" else scores
-        correlations.append((method, stats.plcc(fit.mapped, mos), stats.srcc(scores, mos), stats.krcc(scores, mos)))
     _write_csv(out_dir / "correlations.csv", ("method", "plcc", "srcc", "krcc"), correlations)
 
     matrix = stats.build_significance_matrix(samples, test=test, alpha=alpha)

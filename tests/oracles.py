@@ -226,6 +226,23 @@ def rdos_enumerate(state, params, predicted_tput):
     return best_choice + 1, best
 
 
+def best_completions(objective, state, predicted_tput, params):
+    """Best ``objective`` over the completions of every proper prefix, keyed by the prefix (1-based choices).
+
+    ``objective`` is :func:`mpc_objective` or :func:`rdos_objective`; one
+    scan scores every sequence of the (end-truncated) horizon.
+    """
+    n = len(state.manifest.ladder)
+    h = min(params.horizon, state.remaining_chunks)
+    best = {}
+    for seq in itertools.product(range(1, n + 1), repeat=h):
+        value = objective(seq, state, predicted_tput, params)
+        for d in range(1, h):
+            if value > best.get(seq[:d], -math.inf):
+                best[seq[:d]] = value
+    return best
+
+
 def wilcoxon_exact_enumeration(diff):
     """Two-sided exact signed-rank p by brute force over all sign patterns."""
     diff = [d for d in diff if d != 0.0]

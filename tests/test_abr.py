@@ -38,7 +38,7 @@ from abrbench.abr import (
 from abrbench.media import Manifest, Representation, SegmentInfo
 from abrbench.qoe import KsqiParams, PenaltyTable
 
-from oracles import buffer_walk, mpc_enumerate, mpc_objective, rdos_enumerate, rdos_objective
+from oracles import best_completions, buffer_walk, mpc_enumerate, mpc_objective, rdos_enumerate, rdos_objective
 
 
 def toy_manifest(n_reps=3, segments=10, seed=0, quality_jitter=0.0):
@@ -332,13 +332,13 @@ def test_in_place_fold_matches_an_allocating_one(monkeypatch):
     rng = random.Random(12)
     calls = []
 
-    def both_ways(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score):
+    def both_ways(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=None):
         rows = np.concatenate([np.asarray(buffers, dtype=np.float64), [rng.uniform(0.0, 60.0) for _ in range(3)]])
-        in_place = enumerate_(rows, dt_by_pos, seg, max_buffer_s, acc, step, score)
+        in_place = enumerate_(rows, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=bound)
         allocating = enumerate_(
             rows, dt_by_pos, seg, max_buffer_s, acc,
             lambda k, c, stall, acc, out: step(k, c, stall, acc, (None,) * len(out)),
-            lambda acc, out: score(acc, None),
+            lambda acc, out: score(acc, None), bound=bound,
         )
         assert in_place.tobytes() == allocating.tobytes()
         calls.append(len(dt_by_pos))
@@ -371,6 +371,136 @@ def test_exact_decisions_never_hold_a_full_tree_array():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 13**5
+
+
+def decision_call(monkeypatch, decide):
+    """The arguments of the one ``_enumerate`` call behind ``decide()``."""
+    enumerate_ = abr._enumerate
+    calls = []
+    monkeypatch.setattr(abr, "_enumerate", lambda *args, **kw: calls.append((args, kw)) or enumerate_(*args, **kw))
+    decide()
+    monkeypatch.setattr(abr, "_enumerate", enumerate_)
+    (call,) = calls
+    return call
+
+
+def prefix_scores(args, d):
+    """Score so far and buffer (rows x prefixes) of every depth-``d`` prefix, in lexicographic order."""
+    buffers, dt_by_pos, seg, cap, acc, step, score = args
+    n = len(dt_by_pos[0])
+    buf = np.asarray(buffers, dtype=np.float64)[:, None]
+    for k in range(d):
+        prev = n if k else 1
+        b = buf.reshape(len(buf), -1, prev, 1)
+        views = tuple(a.reshape(len(a), -1, prev, 1) for a in acc)
+        acc = tuple(a.reshape(len(a), -1) for a in step(k, slice(None), np.maximum(dt_by_pos[k] - b, 0.0), views,
+                                                          (None,) * len(acc)))
+        buf = np.minimum(b - np.minimum(b, dt_by_pos[k]) + seg, cap).reshape(len(buf), -1)
+    return score(acc, None), buf
+
+
+def random_weights(rng):
+    """MPC and RDOS parameters of horizon 5 with random weights, each zero a quarter of the time."""
+    def weight(high):
+        return 0.0 if rng.random() < 0.25 else rng.uniform(0.0, high)
+    beta_pos = weight(0.5)
+    ksqi = KsqiParams(c0=weight(3.0), c1=weight(10.0), c2=weight(0.2), beta_neg=beta_pos + weight(1.0),
+                      beta_pos=beta_pos)
+    return {"lambda_switch": weight(3.0), "mu_rebuf": weight(30.0)}, {"ksqi": ksqi, "gamma_rate": weight(1.0)}
+
+
+def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
+    # every prefix's bound is at least its best completion's exact score, less
+    # the margin the kernel prunes with, at every depth from 2 to h - 1
+    rng = random.Random(16)
+    checked = 0
+    for i in range(24):
+        n_reps = rng.randint(2, 6)
+        h = rng.randint(2, max(2, min(6, int(math.log(1300) / math.log(n_reps)))))
+        m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=40.0)
+        st_ = state_for(m, chunk_index=rng.randint(1, 9 - h), buffer_s=rng.choice([0.0, rng.uniform(0.0, 30.0)]),
+                        last_rep=rng.randint(1, n_reps), history=[math.exp(rng.uniform(4.6, 9.9)) for _ in range(3)])
+        tput = harmonic_mean_predict(st_.throughput_history_kbps, 5)  # 100 kb/s to 20 Mb/s: stalls are common
+        mpc, rdos = random_weights(rng)
+        cap = rng.uniform(8.0, 60.0)
+        for sizes in (False, True):
+            common = {"horizon": h, "max_buffer_s": cap, "use_manifest_sizes": sizes}
+            for params, objective, decide in (
+                (MpcObjectiveParams(**mpc, **common), mpc_objective, mpc_select_exact),
+                (RdosParams(**rdos, **common), rdos_objective, lambda s, p: abr.RdosPolicy(p).select(s)),
+            ):
+                args, kwargs = decision_call(monkeypatch, lambda: decide(st_, params))
+                pruner = abr._Pruner(kwargs["bound"], np.asarray(args[0]), *args[1:])
+                margin = pruner.incumbent[0] - pruner.floor[0]
+                best = best_completions(objective, st_, tput, params)
+                for d in range(2, h):
+                    value, buf = prefix_scores(args, d)
+                    upper = pruner.upper(d, value, np.repeat(np.arange(n_reps), n_reps ** (d - 1)), buf)[0]
+                    prefixes = itertools.product(range(1, n_reps + 1), repeat=d)
+                    assert all(u >= best[p] - margin for u, p in zip(upper, prefixes))
+                    checked += len(upper)
+    assert checked > 1000
+
+
+def test_pruned_enumeration_matches_the_full_one(monkeypatch):
+    # each decision runs pruned and unpruned: the decisions are equal, every
+    # first rung the pruned run scores is bit-identical, and every one it
+    # reads -inf could not have been the decision
+    enumerate_ = abr._enumerate
+    calls = []
+
+    def both(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=None):
+        pruned = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=bound)
+        full = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
+        total, full_total = pruned + bound.first, full + bound.first
+        assert np.argmax(total[0]) == np.argmax(full_total[0])
+        scored = np.isfinite(pruned)
+        assert pruned[scored].tobytes() == full[scored].tobytes()
+        assert (full_total[~scored] < total.max()).all()
+        calls.append(len(dt_by_pos))
+        return pruned
+
+    monkeypatch.setattr(abr, "_enumerate", both)
+    rng = random.Random(5)
+    flat = Manifest(4.0, media.ladder_default(),
+                    (tuple(SegmentInfo(r.bitrate_kbps * 4000.0, 70.0) for r in media.ladder_default()),) * 8)
+    for i in range(36):
+        mpc, rdos = random_weights(rng)
+        if i % 6 == 0:  # near ties: no penalty weights, and on every other state equal qualities
+            mpc, rdos = {"lambda_switch": 0.0, "mu_rebuf": 0.0}, {"gamma_rate": 0.0}
+            m = flat if i % 12 == 0 else media.synthetic_manifest(segments=8)
+        elif i % 3 == 0:
+            m = media.synthetic_manifest(segments=8)
+        else:
+            m = toy_manifest(n_reps=rng.randint(2, 6), segments=8, seed=i, quality_jitter=40.0)
+        n_reps, cap = len(m.ladder), rng.uniform(8.0, 60.0)
+        buffer_s = [0.0, cap, rng.uniform(0.0, cap)][i % 3]
+        st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=buffer_s, last_rep=rng.randint(1, n_reps),
+                        history=[rng.uniform(200.0, 20000.0) for _ in range(3)])
+        common = {"horizon": 5 if n_reps == 13 else rng.randint(4, 6), "max_buffer_s": cap,
+                  "use_manifest_sizes": i % 2 == 0}
+        mpc_select_exact(st_, MpcObjectiveParams(**mpc, **common))
+        abr.RdosPolicy(RdosParams(**rdos, **common)).select(st_)
+    assert set(calls) == {4, 5, 6} and calls.count(5) > 24
+
+
+def test_pruning_engages_on_a_default_ladder_decision(monkeypatch):
+    # a looser bound would keep more prefixes and lose the pruned kernel's gain
+    m = media.synthetic_manifest(segments=10)
+    st_ = state_for(m, chunk_index=3, buffer_s=4.0, last_rep=6, history=[3000.0])
+    keep_ = abr._Pruner.keep
+    kept = []
+
+    def spy(self, d, value, buf, counts):
+        mask, survivors = keep_(self, d, value, buf, counts)
+        if d == 2:
+            kept.append(mask.mean())
+        return mask, survivors
+
+    monkeypatch.setattr(abr._Pruner, "keep", spy)
+    mpc_select_exact(st_, MpcObjectiveParams())
+    abr.RdosPolicy().select(st_)
+    assert len(kept) == 2 and max(kept) < 0.6
 
 
 @st.composite

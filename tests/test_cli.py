@@ -594,6 +594,23 @@ def test_stats_method_missing_an_item_exits_2(tmp_path, capsys):
     assert "method bad has no score for item i7" in capsys.readouterr().err
 
 
+def test_stats_constant_scores_name_the_method(tmp_path, capsys):
+    cfg = write_stats_inputs(tmp_path)
+    scores = tmp_path / "scores.csv"
+    lines = scores.read_text().splitlines()
+    scores.write_text("\n".join(line.rsplit(",", 1)[0] + ",5.0" if ",bad," in line else line for line in lines) + "\n")
+    assert run(["stats", "--config", cfg]) == 2
+    assert f"{scores}: method bad: degenerate objective scores" in capsys.readouterr().err
+
+
+def test_stats_scores_without_a_mos_name_both_files(tmp_path, capsys):
+    cfg = write_stats_inputs(tmp_path)
+    mos = tmp_path / "mos.csv"
+    mos.write_text(mos.read_text().replace("\ni", "\nother"))
+    assert run(["stats", "--config", cfg]) == 2
+    assert f"no scored item in {tmp_path / 'scores.csv'} has a MOS in {mos}" in capsys.readouterr().err
+
+
 SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than three rows
     "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
     + "".join(f"v{j},80.0,5.0,0.0,78.0,82.0\n" for j in range(10)),
