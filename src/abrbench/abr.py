@@ -31,18 +31,18 @@ straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
 lexicographic scan (so the decisions are identical too).
 
-Per-decision MPC and RDOS searches also pass a ``PrefixBound``; the
+Per-decision MPC and RDOS searches also pass a ``_PrefixBound``; the
 table builder passes none and enumerates every sequence. After prefix
-depths 2..h-2 the kernel drops each prefix whose score so far plus a
-bound on its best completion is below the best constant-rung sequence's
-score less a margin. The bound is the best stall-free completion, or
-that less the stall the remaining positions must incur, priced at a
-rate per second the objective's stall penalty never undercuts
-(``mu_rebuf`` for MPC, the chord of the concave log1p penalty for RDOS);
-the margin, 1e-9 of the scale of the compared sums, is a thousand times
-their rounding error. No sequence that scores at least as well as that
-incumbent is dropped, so decisions, and the best score of every first
-rung that reaches the incumbent, stay bit-identical.
+depths 2..h-2 the kernel drops each prefix whose score so far plus
+min(A, A_mu + price x (b + (h - d - 1) x seg)) is below the best
+constant-rung sequence's score less a margin: A is the best stall-free
+completion, A_mu that less the stall its downloads must cause from
+buffer b, at a per-second price the stall penalty never undercuts
+(``mu_rebuf`` for MPC, the chord of RDOS's concave log1p term), and the
+margin, 1e-9 of the compared sums' scale, is a thousand times their
+rounding error (``_enumerate`` has the details). No sequence that
+scores at least that incumbent is dropped, so decisions stay
+bit-identical.
 
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
@@ -166,7 +166,7 @@ def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> lis
 
 
 @dataclass(frozen=True)
-class PrefixBound:
+class _PrefixBound:
     """What ``_enumerate`` cannot read from a decision's step and score functions to prune its prefixes.
 
     ``stall_price``: at every horizon position >= 1 the score falls by at
@@ -199,9 +199,9 @@ def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: t
 
 
 class _Pruner:
-    """The prefix test ``_enumerate`` runs for a ``PrefixBound`` (see there)."""
+    """The prefix test ``_enumerate`` runs for a ``_PrefixBound`` (see there)."""
 
-    def __init__(self, bound: PrefixBound, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score):
+    def __init__(self, bound: _PrefixBound, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score):
         n, h = len(dt_by_pos[0]), len(dt_by_pos)
         self.price, self.first, self.seg, self.h = bound.stall_price, bound.first, seg, h
         zero = tuple(np.zeros((1, 1, n, 1)) for _ in acc)
@@ -284,7 +284,7 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     must not write into ``acc`` or return one of its arrays, which would
     come back as ``out``.
 
-    A ``PrefixBound`` prunes one decision's search; the table builder
+    A ``_PrefixBound`` prunes one decision's search; the table builder
     passes none. The score must then be linear in the accumulators: a
     sequence's total is its prefix's score, plus per later position its
     stall-free terms (the score of one step from zero sums and stalls),
@@ -411,7 +411,7 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     supplied one, e.g. a clairvoyant value) and returns the first
     element of the best sequence, ties broken toward the lower rung.
     Download times are size/predicted_tput + rtt. Prefixes that cannot
-    beat the best constant-rung sequence are pruned (``PrefixBound``),
+    beat the best constant-rung sequence are pruned (``_PrefixBound``),
     which leaves the decision as it is.
     """
     h = min(params.horizon, state.remaining_chunks)
@@ -426,7 +426,7 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     switch = params.lambda_switch * moves[state.last_rep - 1]
     zero = np.zeros((1, 1))
     best = _enumerate([state.buffer_s], dt_by_pos, state.manifest.segment_duration_s, params.max_buffer_s,
-                      (zero, zero, zero), step, score, bound=PrefixBound(params.mu_rebuf, -switch))
+                      (zero, zero, zero), step, score, bound=_PrefixBound(params.mu_rebuf, -switch))
     return int(np.argmax(best[0] - switch)) + 1
 
 
@@ -845,7 +845,7 @@ class RdosPolicy:
         price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
         zero = np.zeros((1, 1))
         best = _enumerate([state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
-                          (zero, zero, zero), step, score, bound=PrefixBound(price, np.zeros(len(ladder))))
+                          (zero, zero, zero), step, score, bound=_PrefixBound(price, np.zeros(len(ladder))))
         return int(np.argmax(best[0])) + 1
 
 

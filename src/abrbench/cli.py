@@ -427,6 +427,8 @@ def cmd_stats(config: dict, args) -> int:
     if not items:
         raise ValueError(f"no scored item in {block['scores_csv']} has a MOS in {block['mos_csv']}")
     mos = np.array([mos_by_item[i] for i in items])
+    if mos.min() == mos.max():  # every method's fit would fail on it
+        raise ValueError(f"{block['mos_csv']}: all {len(items)} scored items have the MOS {mos[0]}")
 
     correlations = []
     samples = {}  # what the significance test compares, per method

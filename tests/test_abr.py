@@ -400,7 +400,7 @@ def prefix_scores(args, d):
 
 
 def random_weights(rng):
-    """MPC and RDOS parameters of horizon 5 with random weights, each zero a quarter of the time."""
+    """Random MPC and RDOS objective weights, each zero a quarter of the time."""
     def weight(high):
         return 0.0 if rng.random() < 0.25 else rng.uniform(0.0, high)
     beta_pos = weight(0.5)
@@ -416,7 +416,7 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
     checked = 0
     for i in range(24):
         n_reps = rng.randint(2, 6)
-        h = rng.randint(2, max(2, min(6, int(math.log(1300) / math.log(n_reps)))))
+        h = rng.randint(2, {2: 6, 3: 6, 4: 5, 5: 4, 6: 4}[n_reps])  # at most 1296 sequences
         m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=40.0)
         st_ = state_for(m, chunk_index=rng.randint(1, 9 - h), buffer_s=rng.choice([0.0, rng.uniform(0.0, 30.0)]),
                         last_rep=rng.randint(1, n_reps), history=[math.exp(rng.uniform(4.6, 9.9)) for _ in range(3)])

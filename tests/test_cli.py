@@ -603,6 +603,14 @@ def test_stats_constant_scores_name_the_method(tmp_path, capsys):
     assert f"{scores}: method bad: degenerate objective scores" in capsys.readouterr().err
 
 
+def test_stats_constant_mos_names_the_mos_file(tmp_path, capsys):
+    cfg = write_stats_inputs(tmp_path)
+    mos = tmp_path / "mos.csv"
+    mos.write_text("\n".join(["item_id,mos"] + [f"i{k},50.0" for k in range(40)]) + "\n")
+    assert run(["stats", "--config", cfg]) == 2
+    assert f"{mos}: all 40 scored items have the MOS 50.0" in capsys.readouterr().err
+
+
 def test_stats_scores_without_a_mos_name_both_files(tmp_path, capsys):
     cfg = write_stats_inputs(tmp_path)
     mos = tmp_path / "mos.csv"
