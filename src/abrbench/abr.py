@@ -336,7 +336,7 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         acc = tuple(a.reshape(len(a), -1) for a in acc)
         buf = buf.reshape(rows, -1)
         counts = counts * n if k else counts
-        if pruner and 2 <= k + 1 <= h - 2:
+        if pruner is not None and 2 <= k + 1 <= h - 2:
             keep, counts = pruner.keep(k + 1, score(acc, None), buf, counts)
     prev = n if h > 1 else 1
     b = buf.reshape(rows, -1, prev)
@@ -355,8 +355,8 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         else:
             block_best = np.maximum.reduceat(scores.reshape(rows, -1), starts, axis=1)
             best[:, reached] = np.maximum(best[:, reached], block_best)
-    if pruner:
-        best[best + bound.first < pruner.incumbent[:, None]] = -np.inf
+    if pruner is not None:
+        best[best + pruner.first < pruner.incumbent[:, None]] = -np.inf
     return best
 
 
