@@ -10,7 +10,6 @@ from .media import (
     Manifest,
     Representation,
     SegmentInfo,
-    average_bitrate,
     ladder_default,
     parse_manifest,
     serialize_manifest,
@@ -21,7 +20,6 @@ from .nettrace import (
     Trace,
     TraceExhaustedError,
     download_time,
-    filter_traces,
     parse_trace,
     window_traces,
 )
@@ -58,7 +56,6 @@ from .stats import (
     f_test_variance,
     fit_logistic,
     krcc,
-    one_way_anova,
     plcc,
     srcc,
     wilcoxon_signed_rank,

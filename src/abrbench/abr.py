@@ -460,7 +460,12 @@ class TableBinning:
 
 @dataclass
 class LookupTable:
-    """Precomputed MPC policy: best first rung per state cell."""
+    """Precomputed MPC policy: best first rung per state cell.
+
+    Its axes are checked, not coerced: bin edges finite and strictly
+    increasing, a segment duration > 0, and ladder bitrates > 0 in
+    strictly increasing order (stored as floats).
+    """
 
     tput_edges: np.ndarray
     buffer_edges: np.ndarray
@@ -470,6 +475,14 @@ class LookupTable:
     params: MpcObjectiveParams
 
     def __post_init__(self):
+        for name in ("tput_edges", "buffer_edges"):
+            edges = checks.each(checks.finite)(name, list(getattr(self, name)))
+            if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
+                raise ValueError(f"{name} must be at least two strictly increasing numbers, got {list(edges)}")
+        checks.attrs(self, checks.positive, "segment_duration_s")
+        checks.attrs(self, checks.each(checks.positive), "ladder_kbps")
+        if any(b <= a for a, b in zip(self.ladder_kbps, self.ladder_kbps[1:])):
+            raise ValueError(f"ladder_kbps must be strictly increasing, got {list(self.ladder_kbps)}")
         t, b, r = self.entries.shape
         if t != len(self.tput_edges) - 1 or b != len(self.buffer_edges) - 1:
             raise ValueError("entries shape inconsistent with bin edges")
@@ -546,7 +559,6 @@ def build_mpc_table(
     ``progress(done, total)`` is called once per throughput bin, in
     order. On 2 cores the default 100x100x13 binning takes ~12.5 s on
     one, ~7 s with ``jobs=2``; a 10x25 one 0.3 s, 0.2 s with ``jobs=2``.
-    See ``mpc_table_cells`` for spot computation.
     """
     checks.count("jobs", jobs)
     ladder_kbps = _table_ladder(ladder)
@@ -566,45 +578,6 @@ def build_mpc_table(
         segment_duration_s=segment_duration_s,
         params=params,
     )
-
-
-def mpc_table_cells(
-    params: MpcObjectiveParams,
-    binning: TableBinning,
-    cells,
-    ladder=None,
-    segment_duration_s: float = 4.0,
-) -> dict[tuple[int, int, int], int]:
-    """Compute selected table cells without building the full table.
-
-    ``cells`` is an iterable of (tput_bin, buffer_bin, prev_rep_index)
-    with 0-based bins and a 1-based rep index; a cell that is not such a
-    triple, or lies outside the table, raises a ``ValueError`` naming it.
-    Cells are independent, so a subset costs proportionally less; used to
-    audit a table against the exact per-state decision.
-    """
-    ladder_kbps = _table_ladder(ladder)
-    bounds = (("tput_bin", 0, binning.tput_bins - 1), ("buffer_bin", 0, binning.buffer_bins - 1),
-              ("prev_rep", 1, len(ladder_kbps)))
-
-    def check_cell(cell) -> tuple[int, int, int]:
-        if not (hasattr(cell, "__len__") and len(cell) == 3):
-            raise ValueError(f"cell {cell!r} must be a (tput_bin, buffer_bin, prev_rep) triple")
-        return tuple(checks.integer(f"cell {cell!r}: {what}", value, low, high)
-                     for (what, low, high), value in zip(bounds, cell))
-
-    cells = [check_cell(cell) for cell in cells]
-    tput_centers = binning.tput_centers()
-    buffer_centers = binning.buffer_centers()
-    by_tput: dict[int, set[int]] = {}
-    for ti, bi, _ in cells:
-        by_tput.setdefault(ti, set()).add(bi)
-    rows: dict[tuple[int, int], np.ndarray] = {}
-    for ti, bis in by_tput.items():
-        bis_sorted = sorted(bis)
-        block = _table_bin(ladder_kbps, segment_duration_s, params, tput_centers[ti], buffer_centers[bis_sorted])
-        rows.update(((ti, bi), row) for bi, row in zip(bis_sorted, block))
-    return {(ti, bi, prev): int(rows[(ti, bi)][prev - 1]) for ti, bi, prev in cells}
 
 
 def save_table(table: LookupTable, path) -> None:
@@ -665,8 +638,7 @@ class RdosParams:
     per Mb/s of chosen bitrate, encouraging bitrate saving. Chunk sizes
     and qualities come from the manifest attributes by default since
     the manifest embeds both per chunk. Fields are checked as in
-    ``MpcObjectiveParams``; ``ksqi`` may carry no penalty table, since
-    the objective uses only its parametric terms.
+    ``MpcObjectiveParams``.
     """
 
     ksqi: KsqiParams = field(default_factory=KsqiParams)
@@ -680,8 +652,6 @@ class RdosParams:
     def __post_init__(self):
         checks.attrs(self, checks.nonnegative, "gamma_rate")
         _check_horizon_params(self)
-        if self.ksqi.stall_table is not None or self.ksqi.switch_table is not None:
-            raise ValueError("ksqi stall_table and switch_table are not used by rdos; give parametric terms only")
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,6 @@ def count(name: str, value) -> int:
     return value
 
 
-def integer(name: str, value, low: int, high: int) -> int:
-    """An integer in [low, high], such as an index."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high):
-        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    return int(value)
-
-
 def flag(name: str, value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")

@@ -471,6 +471,8 @@ def cmd_traces(config: dict, args) -> int:
         windows = nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)
         for w_idx, window in enumerate(windows):
             mean = window.mean_kbps()
+            # strictly above the floor: where even the lowest rung stalls, bitrate selection is trivial;
+            # the index records the flag of every window, kept or not
             kept = mean > min_avg
             trace_id = f"{name}_w{w_idx:03d}"
             index.append((trace_id, path, w_idx * stride_s, mean, int(kept)))
@@ -491,18 +493,26 @@ COMMANDS = {
     "traces": cmd_traces,
 }
 
+# option -> (its value when not given, the commands that read it); any other command refuses it
+SCOPED_OPTIONS = {"jobs": (1, ("simulate", "mpc-table")), "format": ("csv", ("qoe", "stats"))}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="abrbench", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel grid cells or table throughput bins")
+    parser.add_argument("--jobs", type=int, help="parallel grid cells or table throughput bins (simulate, mpc-table)")
     parser.add_argument("--out", default=None, help="override the config output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--format", choices=("csv", "json"), help="table format, csv by default (qoe, stats)")
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        if args.jobs is not None and args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        for option, (default, readers) in SCOPED_OPTIONS.items():
+            if getattr(args, option) is None:
+                setattr(args, option, default)
+            elif args.command not in readers:
+                raise ValueError(f"--{option} is read only by {' and '.join(readers)}, not by {args.command}")
         config = _load_config(args.config)
         return COMMANDS[args.command](config, args)
     except (FileNotFoundError, ValueError) as exc:

@@ -97,10 +97,6 @@ class Manifest:
     def quality(self, segment: int, rep_index: int) -> float:
         return self.info(segment, rep_index).quality
 
-    def nominal_size_bits(self, rep_index: int) -> float:
-        """Nominal transfer size: ladder bitrate x segment duration."""
-        return self.ladder[rep_index - 1].bitrate_kbps * 1000.0 * self.segment_duration_s
-
 
 # Reference 13-step encoding ladder used throughout the toolkit
 # (Netflix-style steps plus two UHD extensions).
@@ -175,23 +171,6 @@ def serialize_manifest(manifest: Manifest) -> str:
         ],
     }
     return json.dumps(doc, indent=1)
-
-
-def average_bitrate(manifest: Manifest, choices: list[int]) -> float:
-    """Mean actual bitrate (kb/s) over the chosen segments.
-
-    ``choices[i]`` is the 1-based representation index downloaded for
-    segment ``i``. The actual per-segment bitrate is size_bits divided
-    by the segment duration, not the ladder's nominal value.
-    """
-    if not choices:
-        raise ValueError("choices must be non-empty")
-    if len(choices) > manifest.segment_count:
-        raise ValueError(f"{len(choices)} choices for {manifest.segment_count} segments")
-    total = 0.0
-    for seg, rep in enumerate(choices):
-        total += manifest.size_bits(seg, rep)
-    return total / len(choices) / manifest.segment_duration_s / 1000.0
 
 
 def default_quality_curve(bitrate_kbps: float) -> float:

@@ -98,10 +98,6 @@ class Trace:
         """Index of the sample in effect at local time ``t``."""
         return max(bisect_right(self.timeline[0], t, 0, len(self.samples)) - 1, 0)
 
-    def bandwidth_at(self, t: float) -> float:
-        """Bandwidth (kb/s) in effect at local time ``t`` in [0, duration)."""
-        return self.samples[self._index_at(t)][1]
-
     def mean_kbps(self) -> float:
         """Time-weighted mean bandwidth over the full duration."""
         return self.timeline[2] / 1000.0 / self.duration_s
@@ -188,15 +184,6 @@ def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) 
         out.append(Trace(samples=tuple(samples), duration_s=window_s))
         t0 += stride_s
     return out
-
-
-def filter_traces(traces: list[Trace], min_avg_kbps: float = 200.0) -> list[Trace]:
-    """Keep traces whose time-weighted mean bandwidth is strictly above the floor.
-
-    Discarding slow traces avoids sessions where even the lowest rung
-    of the ladder stalls and bitrate selection is trivial.
-    """
-    return [t for t in traces if t.mean_kbps() > min_avg_kbps]
 
 
 def download_time(trace: Trace, channel: ChannelConfig, start_time_s: float, size_bits: float) -> float:

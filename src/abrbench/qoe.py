@@ -13,12 +13,9 @@ per-segment values carried by the record.
 from __future__ import annotations
 
 import inspect
-import json
 import math
 import subprocess
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import checks
 from .simulator import SessionRecord, record_to_json
@@ -40,9 +37,7 @@ class KsqiParams:
 
     Negative adaptations must cost at least as much as positive ones
     (beta_neg >= beta_pos); every coefficient is finite and
-    nonnegative. Optional penalty tables (bilinearly interpolated
-    ``PenaltyTable`` objects) replace the parametric forms when supplied,
-    so trained surfaces can drop in.
+    nonnegative.
     """
 
     c0: float = 1.0
@@ -50,66 +45,11 @@ class KsqiParams:
     c2: float = 0.06
     beta_neg: float = 0.5
     beta_pos: float = 0.1
-    stall_table: "PenaltyTable | None" = None
-    switch_table: "PenaltyTable | None" = None
 
     def __post_init__(self):
         checks.attrs(self, checks.nonnegative, "c0", "c1", "c2", "beta_neg", "beta_pos")
         if not self.beta_neg >= self.beta_pos:
             raise ValueError("adaptation weights must satisfy beta_neg >= beta_pos >= 0")
-        for name in ("stall_table", "switch_table"):
-            if not isinstance(getattr(self, name), (PenaltyTable, type(None))):
-                raise ValueError(f"{name} must be a PenaltyTable or None, got {getattr(self, name)!r}")
-
-
-@dataclass(frozen=True)
-class PenaltyTable:
-    """2-D penalty surface with bilinear interpolation, clamped at the edges.
-
-    Values are checked, not coerced: finite numbers (a bool is no number),
-    each grid at least two non-decreasing points, one row of ``values``
-    per ``x_grid`` point and one entry per ``y_grid`` point. Lists are
-    stored as tuples.
-    """
-
-    x_grid: tuple[float, ...]
-    y_grid: tuple[float, ...]
-    values: tuple[tuple[float, ...], ...]  # values[i][j] at (x_grid[i], y_grid[j])
-
-    def __post_init__(self):
-        checks.attrs(self, checks.each(checks.finite), "x_grid", "y_grid")
-        checks.attrs(self, checks.each(checks.each(checks.finite)), "values")
-        for name in ("x_grid", "y_grid"):
-            grid = getattr(self, name)
-            if len(grid) < 2 or any(b < a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{name} must hold at least two non-decreasing points, got {grid!r}")
-        if len(self.values) != len(self.x_grid) or any(len(row) != len(self.y_grid) for row in self.values):
-            raise ValueError("penalty table shape inconsistent with grids")
-
-    def __call__(self, x: float, y: float) -> float:
-        xs, ys = self.x_grid, self.y_grid
-        v = self.values
-        x = min(max(x, xs[0]), xs[-1])
-        y = min(max(y, ys[0]), ys[-1])
-        i = max(0, min(len(xs) - 2, int(np.searchsorted(xs, x, side="right")) - 1))
-        j = max(0, min(len(ys) - 2, int(np.searchsorted(ys, y, side="right")) - 1))
-        tx = 0.0 if xs[i + 1] == xs[i] else (x - xs[i]) / (xs[i + 1] - xs[i])
-        ty = 0.0 if ys[j + 1] == ys[j] else (y - ys[j]) / (ys[j + 1] - ys[j])
-        return (
-            v[i][j] * (1 - tx) * (1 - ty)
-            + v[i + 1][j] * tx * (1 - ty)
-            + v[i][j + 1] * (1 - tx) * ty
-            + v[i + 1][j + 1] * tx * ty
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PenaltyTable":
-        """A table document's values go to ``PenaltyTable`` as they are; it checks them."""
-        doc = json.loads(text)
-        keys = [f.name for f in fields(cls)]
-        if not (isinstance(doc, dict) and set(doc) == set(keys)):
-            raise ValueError(f"a penalty table must be an object with exactly the keys {keys}")
-        return cls(**doc)
 
 
 def _mbps(record: SessionRecord) -> list[float]:
@@ -238,16 +178,10 @@ def qoe_ksqi(record: SessionRecord, params: KsqiParams = KsqiParams()) -> float:
     penalty = 0.0
     for pos, dur in record.stalls:
         q = _quality_before(record, pos)
-        if params.stall_table is not None:
-            penalty += params.stall_table(dur, q)
-        else:
-            penalty += params.c0 * math.log1p(dur) * (params.c1 + params.c2 * (100.0 - q))
+        penalty += params.c0 * math.log1p(dur) * (params.c1 + params.c2 * (100.0 - q))
     for a, b in zip(record.qualities, record.qualities[1:]):
-        if params.switch_table is not None:
-            penalty += params.switch_table(a, b)
-        else:
-            delta = b - a
-            penalty += params.beta_neg * max(-delta, 0.0) + params.beta_pos * max(delta, 0.0)
+        delta = b - a
+        penalty += params.beta_neg * max(-delta, 0.0) + params.beta_pos * max(delta, 0.0)
     return base - penalty / n
 
 
@@ -267,10 +201,14 @@ MODELS = {
 def evaluate_external(model_id: str, record: SessionRecord, command) -> QoeScore:
     """Score ``record`` under a model that lives outside this package, as ``model_id``.
 
-    ``command`` reads one SessionRecord JSON document on stdin and prints a single scalar.
+    ``command`` reads one SessionRecord JSON document on stdin and prints a single scalar; its last
+    line is the score, and a command that prints none raises a ``ValueError`` naming the model.
     """
     proc = subprocess.run(list(command), input=record_to_json(record), capture_output=True, text=True, check=True)
-    return QoeScore(value=float(proc.stdout.strip().splitlines()[-1]), model_id=model_id)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise ValueError(f"external QoE model {model_id} printed no score")
+    return QoeScore(value=float(lines[-1]), model_id=model_id)
 
 
 def _memory_constant(name: str, value) -> float:
@@ -278,7 +216,7 @@ def _memory_constant(name: str, value) -> float:
     return math.inf if value == math.inf else checks.positive(name, value)
 
 
-# every coefficient is finite and >= 0, the bounds ``calibrate`` searches in, except these two
+# every coefficient is finite and >= 0, except these two
 _VALUE_CHECKS = {"r_min_kbps": checks.positive, "tau_memory_s": _memory_constant}
 
 
@@ -310,58 +248,3 @@ def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -
         raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
     return QoeScore(value=float(MODELS[model_id](record, **(params or {}))), model_id=model_id)
 
-
-def calibrate(
-    model_id: str,
-    records,
-    mos,
-    train_fraction: float = 0.8,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Least-squares fit of a model's coefficients to MOS targets.
-
-    Minimizes the squared residual of an affine rescaling of the model
-    score against MOS over the training split (80/20 by default, seeded
-    shuffle), searching the model's coefficient space with bound-
-    constrained least squares from the documented defaults. The searched
-    coefficients are those with a numeric default that are not in
-    ``_VALUE_CHECKS``. Returns the fitted coefficients.
-    """
-    from scipy.optimize import least_squares
-
-    defaults = _coefficients(model_id) if model_id in MODELS else {}
-    names = [n for n, v in defaults.items() if checks.is_number(v) and n not in _VALUE_CHECKS]
-    if not names:
-        raise ValueError(f"model {model_id!r} has no calibratable parameters")
-    records = list(records)
-    mos = np.asarray(mos, dtype=float)
-    if len(records) != len(mos):
-        raise ValueError("records and mos must align")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
-    n_train = max(2, int(round(train_fraction * len(records))))
-    train_idx = order[:n_train]
-    x0 = np.array([defaults[n] for n in names])
-
-    def project(x):
-        # keep the searched point inside the model's parameter invariants
-        if model_id == "ksqi":
-            beta_pos = max(min(x[3], x[4]), 0.0)
-            return [max(x[0], 0.0), max(x[1], 0.0), max(x[2], 0.0), max(x[3], beta_pos, 0.0), beta_pos]
-        return [max(v, 0.0) for v in x]
-
-    def scores(x):
-        kwargs = model_params(model_id, dict(zip(names, project(x))))
-        return np.array([MODELS[model_id](records[i], **kwargs) for i in train_idx])
-
-    target = mos[train_idx]
-
-    def residuals(x):
-        s = scores(x)
-        # affine head absorbs scale/offset so coefficients fit shape, not units
-        a_mat = np.vstack([s, np.ones_like(s)]).T
-        coef, *_ = np.linalg.lstsq(a_mat, target, rcond=None)
-        return a_mat @ coef - target
-
-    result = least_squares(residuals, x0, bounds=(0.0, np.inf), max_nfev=200)
-    return dict(zip(names, (float(v) for v in project(result.x))))

@@ -223,34 +223,6 @@ def log_to_json(log: SessionLog) -> str:
     return json.dumps(vars(log), indent=1)  # fields in declaration order, tuples as lists
 
 
-def _span(name: str, span) -> tuple[float, float]:
-    if not (isinstance(span, (list, tuple)) and len(span) == 2):
-        raise ValueError(f"{name} must be a [start_s, end_s] pair, got {span!r}")
-    start, end = checks.nonnegative(f"{name} start_s", span[0]), checks.nonnegative(f"{name} end_s", span[1])
-    if end < start:
-        raise ValueError(f"{name} ends before it starts: {span!r}")
-    return start, end
-
-
-# the checks a log document's values pass, by key; ``run_session`` builds logs unchecked
-_LOG_CHECKS = {
-    "choices": checks.each(checks.count),
-    "download_spans": checks.each(_span),
-    "startup_delay_s": checks.nonnegative,
-    "stalls": checks.each(_stall),
-    "total_wall_time_s": checks.nonnegative,
-}
-
-
-def log_from_json(text: str) -> SessionLog:
-    """A log document's values are checked, not coerced; an error names the key and item."""
-    doc = json.loads(text)
-    keys = [f.name for f in fields(SessionLog)]
-    if not (isinstance(doc, dict) and set(doc) == set(keys)):
-        raise ValueError(f"a session log must be an object with exactly the keys {keys}")
-    return SessionLog(**{key: _LOG_CHECKS[key](key, doc[key]) for key in keys})
-
-
 def record_to_json(record: SessionRecord) -> str:
     return json.dumps(vars(record), indent=1)
 

@@ -1,6 +1,6 @@
 """Evaluation statistics: correlation criteria, the VQEG logistic
-mapping, Wilcoxon signed-rank and variance-ratio tests, one-way ANOVA,
-and pairwise significance matrices.
+mapping, Wilcoxon signed-rank and variance-ratio tests, and pairwise
+significance matrices.
 
 Kendall's tau-b counts its pairs in O(n log n) by Knight's method (a
 sort by (x, y), run lengths for ties, merge-sort inversions for
@@ -285,24 +285,6 @@ def f_test_variance(residuals_a, residuals_b, alpha: float = 0.05) -> tuple[str,
     if p >= alpha:
         return INDISTINGUISHABLE, p
     return (ROW_BETTER if var_a < var_b else ROW_WORSE), p
-
-
-def one_way_anova(groups) -> tuple[float, float]:
-    """Classical one-way ANOVA: between/within mean-square ratio and p-value."""
-    groups = [_finite_vector(g) for g in groups]
-    if len(groups) < 2 or any(len(g) < 2 for g in groups):
-        raise ValueError("need at least 2 groups of at least 2 samples")
-    n_total = sum(len(g) for g in groups)
-    grand = sum(float(g.sum()) for g in groups) / n_total
-    ss_between = sum(len(g) * (float(g.mean()) - grand) ** 2 for g in groups)
-    ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in groups)
-    d1 = len(groups) - 1
-    d2 = n_total - len(groups)
-    if ss_within == 0.0:
-        raise ValueError("degenerate groups: zero within-group variance")
-    f = (ss_between / d1) / (ss_within / d2)
-    p = 1.0 - f_cdf(f, d1, d2)
-    return f, p
 
 
 TESTS = ("wilcoxon", "f_test")  # the pairwise tests of ``build_significance_matrix``

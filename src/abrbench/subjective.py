@@ -222,7 +222,6 @@ def realign(
 # thresholds of the named video partitions (values from the study design)
 QUALITY_CENTER, QUALITY_HALFWIDTH, QUALITY_FLOOR = 80.0, 10.0, 60.0
 VARIATION_STD, STALL_LONG_S = 10.0, 1.0
-EDGE_QUALITY, EDGE_CENTER = 70.0, 85.0
 
 
 def partition_sessions(video_meta: dict[str, VideoMeta]) -> dict[str, list[str]]:
@@ -230,14 +229,12 @@ def partition_sessions(video_meta: dict[str, VideoMeta]) -> dict[str, list[str]]
 
     Rebuffering sets fix quality near the center and split on stalls;
     quality sets exclude stalls/variation and split on the floor;
-    adaptation sets exclude stalls and split on quality spread;
-    primacy/recency sets flag a degraded first or last segment.
+    adaptation sets exclude stalls and split on quality spread.
     """
     out: dict[str, list[str]] = {
         "q_r_bar": [], "q_r": [],
         "q_q": [], "q_q_bar": [],
         "q_a": [], "q_a_bar": [],
-        "primacy": [], "recency": [],
     }
     for video, meta in video_meta.items():
         near_center = abs(meta.mean_quality - QUALITY_CENTER) <= QUALITY_HALFWIDTH
@@ -251,11 +248,6 @@ def partition_sessions(video_meta: dict[str, VideoMeta]) -> dict[str, list[str]]
             (out["q_q"] if meta.mean_quality > QUALITY_FLOOR else out["q_q_bar"]).append(video)
         if meta.total_stall_s == 0.0 and near_center:
             (out["q_a"] if meta.quality_std > VARIATION_STD else out["q_a_bar"]).append(video)
-        if meta.total_stall_s == 0.0 and steady and abs(meta.mean_quality - EDGE_CENTER) <= QUALITY_HALFWIDTH:
-            if meta.first_quality < EDGE_QUALITY:
-                out["primacy"].append(video)
-            if meta.last_quality < EDGE_QUALITY:
-                out["recency"].append(video)
     return out
 
 
@@ -325,21 +317,6 @@ def build_sensitivity_report(
             )
         )
     return SensitivityReport(rows=tuple(rows))
-
-
-def primacy_recency_effect(
-    matrix: RatingsMatrix, partitions: dict[str, list[str]], min_set: int = 30
-) -> dict:
-    """Difference-of-means between degraded-first and degraded-last videos.
-
-    The study reports the effect without defining an equation, so the
-    result is flagged as underspecified in the output metadata.
-    """
-    per_subject = {}
-    for i, subject in enumerate(matrix.subjects):
-        ratings = {v: matrix.raw[i, j] for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])}
-        per_subject[subject] = _sensitivity_or_none(ratings, partitions, "primacy", "recency", min_set)
-    return {"per_subject": per_subject, "metric": "mean(primacy) - mean(recency)", "paper_underspecified": True}
 
 
 def personal_mean_cdf(matrix: RatingsMatrix) -> dict[str, tuple[np.ndarray, np.ndarray]]:

@@ -32,12 +32,12 @@ from abrbench.abr import (
     load_table,
     make_policy,
     mpc_select_exact,
-    mpc_table_cells,
     save_table,
 )
 from abrbench.media import Manifest, Representation, SegmentInfo
-from abrbench.qoe import KsqiParams, PenaltyTable
+from abrbench.qoe import KsqiParams
 
+from conftest import mpc_table_cells
 from oracles import best_completions, buffer_walk, mpc_enumerate, mpc_objective, rdos_enumerate, rdos_objective
 
 
@@ -723,6 +723,31 @@ def test_load_table_errors_name_the_path(tmp_path, edit, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tput_edges", lambda doc: doc["tput_edges"][::-1]),  # MpcTablePolicy then read the wrong bins
+        ("buffer_edges", lambda doc: [0.0, math.nan, doc["buffer_edges"][-1]]),
+        ("tput_edges", lambda doc: [0.0, 5.0, 5.0]),
+        ("segment_duration_s", lambda doc: "4"),
+        ("segment_duration_s", lambda doc: -4.0),
+        ("ladder_kbps", lambda doc: [str(r) for r in doc["ladder_kbps"]]),
+        ("ladder_kbps", lambda doc: doc["ladder_kbps"][::-1]),
+    ],
+    ids=["reversed_tput_edges", "nan_buffer_edge", "repeated_tput_edge", "string_segment_duration",
+         "negative_segment_duration", "string_ladder", "decreasing_ladder"],
+)
+def test_load_table_checks_the_axes(tmp_path, field, value):
+    # each of these headers was loaded as it was
+    path = tmp_path / "table.bin"
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2)), path)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    path.write_bytes(json.dumps({**doc, field: value(doc)}).encode() + b"\n" + blob)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {field}")):
+        load_table(path)
+
+
 def test_table_parallel_build_matches_serial():
     binning = TableBinning(tput_bins=5, buffer_bins=6, tput_max_kbps=9000.0)
     params = MpcObjectiveParams(horizon=2)
@@ -1102,17 +1127,6 @@ def test_external_policy_starts_its_child_at_the_first_decision(tmp_path):
     assert policy.select(state) == 2 and policy._proc is child  # one child for every decision
     policy.close()
     assert child.returncode == 0
-
-
-def test_rdos_params_reject_ksqi_penalty_tables():
-    # RdosPolicy uses only the parametric KSQI terms, so a table was accepted and then ignored
-    table = PenaltyTable(x_grid=(0.0, 1.0), y_grid=(0.0, 1.0), values=((0.0, 1.0), (1.0, 2.0)))
-    for name in ("stall_table", "switch_table"):
-        assert getattr(KsqiParams(**{name: table}), name) is table
-        with pytest.raises(ValueError, match=name):
-            RdosParams(ksqi=KsqiParams(**{name: table}))
-        with pytest.raises(ValueError, match=name):
-            KsqiParams(**{name: {"x_grid": [0.0], "y_grid": [0.0], "values": [[1.0]]}})
 
 
 def test_params_invariants():

@@ -24,14 +24,13 @@ from abrbench.abr import (
     RdosPolicy,
     TableBinning,
     mpc_select_exact,
-    mpc_table_cells,
 )
 from abrbench.media import Manifest, Representation, SegmentInfo
 from abrbench.nettrace import ChannelConfig, Trace, download_time
 from abrbench.simulator import PlayerConfig, buffer_step, run_session, to_record
 from abrbench.abr import AbrState, FixedPolicy
 
-from conftest import ScriptedPolicy, random_trace
+from conftest import ScriptedPolicy, mpc_table_cells, random_trace
 from oracles import (
     download_time_ms_numpy,
     f_cdf_quadrature,

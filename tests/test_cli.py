@@ -128,6 +128,27 @@ def test_simulate_parallel_matches_serial(tmp_path, capsys):
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+UNREAD_OPTIONS = [
+    ("subjective", ["--format", "json"]),  # exited 0 and wrote CSV
+    ("traces", ["--jobs", "2"]),  # exited 0 and ran serially
+    ("simulate", ["--format", "csv"]),
+    ("mpc-table", ["--format", "json"]),
+    ("qoe", ["--jobs", "1"]),
+    ("stats", ["--jobs", "2"]),
+    ("subjective", ["--jobs", "1"]),
+    ("traces", ["--format", "csv"]),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[f"{c}{o[0]}" for c, o in UNREAD_OPTIONS])
+def test_options_are_refused_by_the_commands_that_do_not_read_them(tmp_path, capsys, command, option):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+    assert run([command, "--config", cfg, *option]) == 2
+    assert f"abrbench {command}: {option[0]} is read only by " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -530,6 +551,19 @@ def test_traces_command_windows_and_filters(tmp_path):
     assert len(kept) == 1
     window = nettrace.parse_trace(kept[0].read_text(), "pairs", duration_s=55.0)
     assert window.mean_kbps() > 200.0
+
+
+def test_traces_keeps_only_windows_strictly_above_the_floor(tmp_path):
+    # window means 100, 200 (the floor itself) and 250 (half at 0 kb/s, half at 500): only the last is kept
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0,100\n55,200\n110,0\n137.5,500\n165,500\n")
+    cfg = tmp_path / "traces.json"
+    cfg.write_text(json.dumps({"traces_ingest": {"inputs": [str(raw)], "min_avg_kbps": 200.0},
+                               "out_dir": str(tmp_path / "out")}))
+    assert run(["traces", "--config", cfg]) == 0
+    index = read_csv(tmp_path / "out" / "trace_index.csv")
+    assert [(r["mean_kbps"], r["kept"]) for r in index] == [("100.0", "0"), ("200.0", "0"), ("250.0", "1")]
+    assert [p.name for p in (tmp_path / "out" / "traces").iterdir()] == ["raw_w002.csv"]
 
 
 @pytest.mark.parametrize(

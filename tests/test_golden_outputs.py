@@ -14,7 +14,7 @@ results may differ in the last bit there, and the digests are then
 re-recorded on purpose, in the change that moves the toolchain.
 
 A change that alters an output on purpose re-records the manifest with
-``python tests/test_golden_outputs.py`` and says why it did.
+``PYTHONPATH=src python tests/test_golden_outputs.py`` and says why it did.
 """
 
 import hashlib
@@ -28,13 +28,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-TESTS = Path(__file__).resolve().parent
-sys.path[:0] = [str(TESTS), str(TESTS.parent / "src")]  # for the recording run; pytest has both already
+from abrbench import cli
+from test_cli import SUBJECTIVE_EXTRAS, make_subjective_fixture, write_inputs, write_stats_inputs
 
-from abrbench import cli  # noqa: E402
-from test_cli import SUBJECTIVE_EXTRAS, make_subjective_fixture, write_inputs, write_stats_inputs  # noqa: E402
-
-MANIFEST = TESTS / "golden_digests.json"
+MANIFEST = Path(__file__).resolve().parent / "golden_digests.json"
 
 # a constant-rung policy child: one JSON line in, one rung out
 EXTERNAL_CHILD = "import sys\nfor line in sys.stdin:\n    print(3, flush=True)\n"

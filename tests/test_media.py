@@ -2,7 +2,6 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from abrbench import media
 
@@ -74,64 +73,6 @@ def test_ragged_matrix_rejected():
     }
     with pytest.raises(ValueError):
         media.parse_manifest(json.dumps(doc))
-
-
-def test_average_bitrate_constant_case():
-    m = media.synthetic_manifest(segments=4)
-    assert media.average_bitrate(m, [1, 1, 1, 1]) == pytest.approx(235.0)
-
-
-def test_average_bitrate_hand_arithmetic():
-    ladder = (media.Representation(1, 320, 180, 235.0),)
-    segs = (
-        (media.SegmentInfo(1_000_000.0, 50.0),),
-        (media.SegmentInfo(3_000_000.0, 60.0),),
-    )
-    m = media.Manifest(segment_duration_s=4.0, ladder=ladder, segments=segs)
-    # (250 + 750) / 2 kb/s
-    assert media.average_bitrate(m, [1, 1]) == pytest.approx(500.0)
-
-
-def test_average_bitrate_single_segment():
-    m = media.synthetic_manifest(segments=3)
-    assert media.average_bitrate(m, [5]) == pytest.approx(m.size_bits(0, 5) / 4.0 / 1000.0)
-
-
-def test_average_bitrate_errors():
-    m = media.synthetic_manifest(segments=2)
-    with pytest.raises(ValueError):
-        media.average_bitrate(m, [])
-    with pytest.raises(IndexError):
-        media.average_bitrate(m, [99])
-
-
-@given(st.lists(st.floats(min_value=1e3, max_value=1e8), min_size=2, max_size=10), st.randoms())
-def test_average_bitrate_permutation_invariant(sizes, rng):
-    ladder = (media.Representation(1, 320, 180, 235.0),)
-    segs = tuple((media.SegmentInfo(s, 50.0),) for s in sizes)
-    m = media.Manifest(4.0, ladder, segs)
-    base = media.average_bitrate(m, [1] * len(sizes))
-    shuffled = list(sizes)
-    rng.shuffle(shuffled)
-    m2 = media.Manifest(4.0, ladder, tuple((media.SegmentInfo(s, 50.0),) for s in shuffled))
-    assert media.average_bitrate(m2, [1] * len(sizes)) == pytest.approx(base)
-
-
-@given(st.floats(min_value=0.1, max_value=50.0))
-def test_average_bitrate_scales_linearly(k):
-    sizes = [1_000_000.0, 2_500_000.0, 400_000.0]
-    ladder = (media.Representation(1, 320, 180, 235.0),)
-    m1 = media.Manifest(4.0, ladder, tuple((media.SegmentInfo(s, 50.0),) for s in sizes))
-    m2 = media.Manifest(4.0, ladder, tuple((media.SegmentInfo(s * k, 50.0),) for s in sizes))
-    a1 = media.average_bitrate(m1, [1, 1, 1])
-    a2 = media.average_bitrate(m2, [1, 1, 1])
-    assert a2 == pytest.approx(a1 * k, rel=1e-12)
-
-
-def test_nominal_size():
-    m = media.synthetic_manifest(segments=2)
-    assert m.nominal_size_bits(1) == pytest.approx(235.0 * 1000 * 4.0)
-    assert m.nominal_size_bits(13) == pytest.approx(16800.0 * 1000 * 4.0)
 
 
 def test_non_finite_segment_size_rejected():

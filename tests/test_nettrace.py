@@ -122,19 +122,6 @@ def test_window_preserves_time_weighted_mean():
         assert w.mean_kbps() == pytest.approx(total / half, rel=1e-12)
 
 
-def test_filter_threshold_cases():
-    low = nettrace.parse_trace("0,100", "pairs", duration_s=55.0)
-    high = nettrace.parse_trace("0,201", "pairs", duration_s=55.0)
-    mixed = Trace(samples=((0.0, 0.0), (27.5, 500.0)), duration_s=55.0)  # mean 250
-    kept = nettrace.filter_traces([low, high, mixed], min_avg_kbps=200.0)
-    assert kept == [high, mixed]
-
-
-def test_filter_strictness_at_boundary():
-    at = nettrace.parse_trace("0,200", "pairs", duration_s=55.0)
-    assert nettrace.filter_traces([at], min_avg_kbps=200.0) == []
-
-
 def test_download_constant_closed_form(flat_trace):
     ch = ChannelConfig()
     assert nettrace.download_time(flat_trace, ch, 0.0, 500_000.0) == pytest.approx(0.58)
@@ -254,13 +241,6 @@ def test_download_ending_on_a_loop_boundary():
     # bits flow only in [0, 1): 2 Mbit are in at t=3, before the zero span
     trail = Trace(samples=((0.0, 1000.0), (1.0, 0.0)), duration_s=2.0)
     assert nettrace.download_time(trail, ch, 0.0, 2_000_000.0) == 3.0
-
-
-def test_bandwidth_at_reads_the_interval_in_effect():
-    t = Trace(samples=((0.0, 100.0), (2.0, 0.0), (3.5, 900.0)), duration_s=5.0)
-    assert [t.bandwidth_at(x) for x in (0.0, 1.999, 2.0, 3.4, 3.5, 4.99, 5.0)] == [
-        100.0, 100.0, 0.0, 0.0, 900.0, 900.0, 900.0
-    ]
 
 
 def test_cached_timeline_survives_pickle():

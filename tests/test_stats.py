@@ -16,7 +16,6 @@ from abrbench.stats import (
     f_test_variance,
     fit_logistic,
     krcc,
-    one_way_anova,
     plcc,
     srcc,
     wilcoxon_signed_rank,
@@ -310,40 +309,6 @@ def test_f_test_zero_variance_denominator():
         f_test_variance([1.0, 2.0], [3.0, 3.0])
 
 
-def test_anova_identical_groups():
-    g = [1.0, 2.0, 3.0]
-    f, p = one_way_anova([g, g, g])
-    assert f == pytest.approx(0.0, abs=1e-12)
-    assert p == pytest.approx(1.0)
-
-
-def test_anova_extreme_separation():
-    rng = np.random.default_rng(1)
-    a = rng.normal(0.0, 1.0, size=20)
-    b = rng.normal(10.0, 1.0, size=20)
-    _, p = one_way_anova([a, b])
-    assert p < 1e-6
-
-
-def test_anova_hand_formula():
-    groups = [[1.0, 2.0], [2.0, 4.0], [5.0, 7.0]]
-    n = 6
-    grand = sum(sum(g) for g in groups) / n
-    ssb = sum(len(g) * (np.mean(g) - grand) ** 2 for g in groups)
-    ssw = sum(sum((v - np.mean(g)) ** 2 for v in g) for g in groups)
-    expected_f = (ssb / 2) / (ssw / 3)
-    f, p = one_way_anova(groups)
-    assert f == pytest.approx(expected_f, abs=1e-12)
-    assert 0.0 < p < 1.0
-
-
-def test_anova_degenerate_rejected():
-    with pytest.raises(ValueError):
-        one_way_anova([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        one_way_anova([[1.0], [2.0, 3.0]])
-
-
 # --- significance matrices ---------------------------------------------------------
 
 def test_matrix_dominance_and_diagonal():
@@ -422,11 +387,10 @@ def test_matrix_invariants_enforced():
         fit_logistic,
         wilcoxon_signed_rank,
         f_test_variance,
-        lambda a, b: one_way_anova([a, b]),
         lambda a, b: build_significance_matrix({"a": a, "b": b}, test="wilcoxon"),
         lambda a, b: build_significance_matrix({"a": a, "b": b}, test="f_test"),
     ],
-    ids=["plcc", "srcc", "krcc", "fit_logistic", "wilcoxon", "f_test", "anova", "matrix_wilcoxon", "matrix_f_test"],
+    ids=["plcc", "srcc", "krcc", "fit_logistic", "wilcoxon", "f_test", "matrix_wilcoxon", "matrix_f_test"],
 )
 def test_entry_points_reject_non_finite_samples(entry, bad):
     a = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]

@@ -231,17 +231,6 @@ def test_partition_rule_traces():
     assert partition_sessions({}) == {k: [] for k in parts}
 
 
-def test_partition_primacy_recency():
-    meta = {
-        "first_bad": VideoMeta(85.0, 8.0, 0.0, 60.0, 92.0),
-        "last_bad": VideoMeta(85.0, 8.0, 0.0, 92.0, 60.0),
-        "both_fine": VideoMeta(85.0, 2.0, 0.0, 85.0, 85.0),
-    }
-    parts = partition_sessions(meta)
-    assert parts["primacy"] == ["first_bad"]
-    assert parts["recency"] == ["last_bad"]
-
-
 def test_sensitivity_values_and_shift_invariance():
     q_no = [f"a{i}" for i in range(30)]
     q_yes = [f"b{i}" for i in range(30)]
@@ -368,23 +357,3 @@ def test_load_ratings_rejects_non_finite_scores_naming_source_and_line(bad):
     text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns0,v1,A,D1,tv," + bad + "\n"
     with pytest.raises(ValueError, match=f"panel.csv line 3: score must be a finite number, got '{bad}'"):
         subjective.load_ratings_csv(text, "panel.csv")
-
-
-def test_primacy_recency_effect_flagged_and_computed():
-    rng = np.random.default_rng(6)
-    raw = rng.uniform(30, 90, size=(3, 70))
-    m = simple_matrix(raw)
-    meta = {}
-    for j in range(70):
-        if j < 35:
-            meta[f"v{j}"] = VideoMeta(85.0, 5.0, 0.0, 60.0, 90.0)  # degraded first segment
-        else:
-            meta[f"v{j}"] = VideoMeta(85.0, 5.0, 0.0, 90.0, 60.0)  # degraded last segment
-    parts = partition_sessions(meta)
-    out = subjective.primacy_recency_effect(m, parts, min_set=30)
-    assert out["paper_underspecified"] is True
-    for s in m.subjects:
-        effect = out["per_subject"][s]
-        primacy_mean = np.mean([raw[m.subjects.index(s), j] for j in range(35)])
-        recency_mean = np.mean([raw[m.subjects.index(s), j] for j in range(35, 70)])
-        assert effect == pytest.approx(primacy_mean - recency_mean)
