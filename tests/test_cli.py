@@ -553,19 +553,6 @@ def test_traces_command_windows_and_filters(tmp_path):
     assert window.mean_kbps() > 200.0
 
 
-def test_traces_keeps_only_windows_strictly_above_the_floor(tmp_path):
-    # window means 100, 200 (the floor itself) and 250 (half at 0 kb/s, half at 500): only the last is kept
-    raw = tmp_path / "raw.csv"
-    raw.write_text("0,100\n55,200\n110,0\n137.5,500\n165,500\n")
-    cfg = tmp_path / "traces.json"
-    cfg.write_text(json.dumps({"traces_ingest": {"inputs": [str(raw)], "min_avg_kbps": 200.0},
-                               "out_dir": str(tmp_path / "out")}))
-    assert run(["traces", "--config", cfg]) == 0
-    index = read_csv(tmp_path / "out" / "trace_index.csv")
-    assert [(r["mean_kbps"], r["kept"]) for r in index] == [("100.0", "0"), ("200.0", "0"), ("250.0", "1")]
-    assert [p.name for p in (tmp_path / "out" / "traces").iterdir()] == ["raw_w002.csv"]
-
-
 @pytest.mark.parametrize(
     "key, value", [("window_s", 0), ("stride_s", -55.0), ("min_avg_kbps", math.nan), ("window_len_s", 30.0)]
 )

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import pickle
 import random
@@ -6,7 +8,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from abrbench import nettrace
+from abrbench import cli, nettrace
 from abrbench.nettrace import ChannelConfig, Trace, TraceExhaustedError
 
 from conftest import random_trace
@@ -120,6 +122,34 @@ def test_window_preserves_time_weighted_mean():
             if hi > lo:
                 total += bw * (hi - lo)
         assert w.mean_kbps() == pytest.approx(total / half, rel=1e-12)
+
+
+def ingest_floor(tmp_path, pairs_text, min_avg_kbps):
+    """Run the traces command on one pairs trace cut into 55 s windows; return (mean, kept) rows and kept files."""
+    raw = tmp_path / "raw.csv"
+    raw.write_text(pairs_text)
+    cfg = tmp_path / "traces.json"
+    cfg.write_text(json.dumps({"traces_ingest": {"inputs": [str(raw)], "min_avg_kbps": min_avg_kbps},
+                               "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["traces", "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "trace_index.csv", newline="") as fh:
+        rows = [(float(r["mean_kbps"]), r["kept"]) for r in csv.DictReader(fh)]
+    kept_dir = tmp_path / "out" / "traces"
+    return rows, sorted(p.name for p in kept_dir.iterdir()) if kept_dir.exists() else []
+
+
+def test_filter_threshold_cases(tmp_path):
+    # window means 100, 201 and 250 (half at 0 kb/s, half at 500): the two above the floor are kept
+    rows, kept = ingest_floor(tmp_path, "0,100\n55,201\n110,0\n137.5,500\n165,500\n", 200.0)
+    assert rows == [(100.0, "0"), (201.0, "1"), (250.0, "1")]
+    assert kept == ["raw_w001.csv", "raw_w002.csv"]
+
+
+def test_filter_strictness_at_boundary(tmp_path):
+    # windows whose mean is the floor itself are dropped, and still indexed
+    rows, kept = ingest_floor(tmp_path, "0,200\n55,200\n", 200.0)
+    assert rows == [(200.0, "0"), (200.0, "0")]
+    assert kept == []
 
 
 def test_download_constant_closed_form(flat_trace):
