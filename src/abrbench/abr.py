@@ -609,6 +609,9 @@ def load_table(path) -> LookupTable:
                    if k not in header]
         if missing:
             raise ValueError(f"table header lacks {missing}")
+        for name in ("tput_edges", "buffer_edges", "ladder_kbps"):  # the entry shape is read from their lengths
+            if not isinstance(header[name], list):
+                raise ValueError(f"{name} must be a list, got {header[name]!r}")
         tput_edges = np.array(header["tput_edges"])
         buffer_edges = np.array(header["buffer_edges"])
         ladder_kbps = tuple(header["ladder_kbps"])

@@ -170,7 +170,7 @@ def serialize_manifest(manifest: Manifest) -> str:
             for row in manifest.segments
         ],
     }
-    return json.dumps(doc, indent=1)
+    return checks.to_json(doc)
 
 
 def default_quality_curve(bitrate_kbps: float) -> float:

@@ -161,19 +161,34 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines) + "\n"
 
 
+MAX_WINDOWS = 1_000_000  # the ``traces`` command writes a file per kept window
+
+
 def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) -> list[Trace]:
     """Cut sliding windows of ``window_s`` seconds out of ``trace``.
 
-    Each output window is re-origined to time 0 and preserves the
-    time-weighted mean bandwidth of the span it covers.
+    Window ``i`` starts at exactly ``i * stride_s``; a stride that would
+    cut more than ``MAX_WINDOWS`` raises before any is cut. Each output
+    window is re-origined to time 0 and preserves the time-weighted mean
+    bandwidth of the span it covers.
     """
     stride_s = checks.positive("stride_s", stride_s)
     window_s = checks.positive("window_s", window_s)
     if window_s > trace.duration_s:
         raise ValueError(f"window {window_s}s longer than trace ({trace.duration_s}s)")
+    end = trace.duration_s + 1e-12  # the last window may end at the trace end, give or take rounding
+
+    def fits(w: int) -> bool:  # window w ends inside the trace
+        return w * stride_s + window_s <= end
+
+    count = int(min((end - window_s) / stride_s, MAX_WINDOWS)) + 1  # fits(count - 1) but for rounding
+    count += fits(count) - (not fits(count - 1))
+    if count > MAX_WINDOWS:
+        raise ValueError(f"stride_s {stride_s} cuts more than {MAX_WINDOWS} windows of {window_s}s "
+                         f"from a {trace.duration_s}s trace")
     out = []
-    t0 = 0.0
-    while t0 + window_s <= trace.duration_s + 1e-12:
+    for w in range(count):
+        t0 = w * stride_s
         i = trace._index_at(t0)
         samples = [(0.0, trace.samples[i][1])]
         for s, bw in trace.samples[i + 1:]:
@@ -182,7 +197,6 @@ def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) 
             if s > t0:
                 samples.append((s - t0, bw))
         out.append(Trace(samples=tuple(samples), duration_s=window_s))
-        t0 += stride_s
     return out
 
 

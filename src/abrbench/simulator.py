@@ -220,11 +220,11 @@ def to_record(log: SessionLog, manifest: Manifest, config: PlayerConfig) -> Sess
 
 
 def log_to_json(log: SessionLog) -> str:
-    return json.dumps(vars(log), indent=1)  # fields in declaration order, tuples as lists
+    return checks.to_json(vars(log))  # fields in declaration order, tuples as lists
 
 
 def record_to_json(record: SessionRecord) -> str:
-    return json.dumps(vars(record), indent=1)
+    return checks.to_json(vars(record))
 
 
 def record_from_json(text: str) -> SessionRecord:

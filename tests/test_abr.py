@@ -707,7 +707,8 @@ def test_table_save_load_round_trip_property(table):
          + b"\n" + blob, "lacks ['ladder_kbps']"),
         (lambda header, blob: header + b"\n" + blob[:-1], "35 entry bytes for a 2x2x9 table"),
         (lambda header, blob: header + b"\n" + blob + b"\x01", "37 entry bytes"),
-        (lambda header, blob: json.dumps({**json.loads(header), "ladder_kbps": 5}).encode() + b"\n" + blob, "not iterable"),
+        (lambda header, blob: json.dumps({**json.loads(header), "ladder_kbps": 5}).encode() + b"\n" + blob,
+         "ladder_kbps must be a list, got 5"),
     ],
     ids=["list_header", "not_json", "missing_field", "short_blob", "long_blob", "mistyped_field"],
 )
@@ -733,9 +734,11 @@ def test_load_table_errors_name_the_path(tmp_path, edit, message):
         ("segment_duration_s", lambda doc: -4.0),
         ("ladder_kbps", lambda doc: [str(r) for r in doc["ladder_kbps"]]),
         ("ladder_kbps", lambda doc: doc["ladder_kbps"][::-1]),
+        ("tput_edges", lambda doc: 5),  # these two raised without naming the field
+        ("buffer_edges", lambda doc: "x"),
     ],
     ids=["reversed_tput_edges", "nan_buffer_edge", "repeated_tput_edge", "string_segment_duration",
-         "negative_segment_duration", "string_ladder", "decreasing_ladder"],
+         "negative_segment_duration", "string_ladder", "decreasing_ladder", "number_tput_edges", "string_buffer_edges"],
 )
 def test_load_table_checks_the_axes(tmp_path, field, value):
     # each of these headers was loaded as it was

@@ -106,6 +106,51 @@ def test_window_bad_args():
         nettrace.window_traces(t, window_s=5.0, stride_s=0.0)
 
 
+def test_window_starts_at_its_index_times_the_stride():
+    # ten added strides of 0.1 reach 0.9999999999999999, which cut window 10 before the step at 1.0
+    t = nettrace.parse_trace("0,100\n1,900", "pairs", duration_s=2.0)
+    windows = nettrace.window_traces(t, window_s=0.5, stride_s=0.1)
+    assert len(windows) == 16
+    assert windows[10].samples == ((0.0, 900.0),)
+    assert windows[9].samples == ((0.0, 100.0), (0.09999999999999998, 900.0))  # 1.0 - 9 * 0.1
+
+
+def refuse_to_cut(monkeypatch):
+    """Fail at the first window cut, so a stride that is not refused up front cannot run on."""
+
+    def cut(self, t):
+        raise AssertionError("a window was cut")
+
+    monkeypatch.setattr(Trace, "_index_at", cut)
+
+
+@pytest.mark.parametrize("stride_s", [1e-9, 1e-300, 5e-324, 9.9e-05])
+def test_window_count_is_refused_before_any_window_is_cut(monkeypatch, stride_s):
+    refuse_to_cut(monkeypatch)
+    t = Trace(samples=((0.0, 100.0),), duration_s=105.0)  # 1,010,102 windows at the largest stride
+    with pytest.raises(ValueError, match=r"stride_s .* cuts more than 1000000 windows"):
+        nettrace.window_traces(t, window_s=5.0, stride_s=stride_s)
+
+
+def test_window_count_at_the_limit(monkeypatch):
+    monkeypatch.setattr(nettrace, "MAX_WINDOWS", 10)
+    assert len(nettrace.window_traces(Trace(samples=((0.0, 100.0),), duration_s=10.0), 1.0, 1.0)) == 10
+    with pytest.raises(ValueError, match="stride_s 1.0 cuts more than 10 windows"):
+        nettrace.window_traces(Trace(samples=((0.0, 100.0),), duration_s=11.0), 1.0, 1.0)
+
+
+def test_traces_command_refuses_a_stride_that_cuts_too_many_windows(tmp_path, capsys, monkeypatch):
+    refuse_to_cut(monkeypatch)
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0,100\n100,200\n")
+    cfg = tmp_path / "traces.json"
+    cfg.write_text(json.dumps({"traces_ingest": {"inputs": [str(raw)], "window_s": 5.0, "stride_s": 1e-9},
+                               "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["traces", "--config", str(cfg)]) == 2
+    assert "stride_s 1e-09 cuts more than 1000000 windows" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "traces").exists()
+
+
 def test_window_preserves_time_weighted_mean():
     rng = random.Random(7)
     for _ in range(20):
