@@ -9,7 +9,6 @@ of policies and QoE models.
 from .media import (
     Manifest,
     Representation,
-    SegmentInfo,
     ladder_default,
     parse_manifest,
     serialize_manifest,

@@ -59,6 +59,7 @@ import functools
 import json
 import math
 import subprocess
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
@@ -156,12 +157,11 @@ def _check_horizon_params(params) -> None:
 def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> list[np.ndarray]:
     """Per-position, per-rep download times (s) over the lookahead at ``tput`` kb/s."""
     manifest = state.manifest
-    ladder = manifest.ladder
     if params.use_manifest_sizes:
         first = state.chunk_index - 1
-        sizes = [[manifest.size_bits(first + k, r.index) for r in ladder] for k in range(h)]
+        sizes = manifest.sizes[first : first + h]
     else:
-        sizes = [[r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in ladder]] * h
+        sizes = [[r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in manifest.ladder]] * h
     return [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
 
 
@@ -491,6 +491,11 @@ class LookupTable:
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > r):
             raise ValueError("table entries must be valid 1-based rung indices")
 
+    @functools.cached_property
+    def lookup(self) -> tuple[tuple[float, ...], tuple[float, ...], list]:
+        """``(tput_edges, buffer_edges, entries)`` as Python floats and nested lists of ints, derived once."""
+        return tuple(self.tput_edges.tolist()), tuple(self.buffer_edges.tolist()), self.entries.tolist()
+
     def check_fits(self, manifest: Manifest) -> None:
         """A table decides only for the segment duration and ladder it was built for."""
         built = (self.segment_duration_s, list(self.ladder_kbps))
@@ -499,9 +504,9 @@ class LookupTable:
             raise ValueError("the table is for {} s segments, ladder {} kb/s, not {} s, {}".format(*built, *given))
 
 
-def _bin_index(edges: np.ndarray, value: float) -> int:
+def _bin_index(edges: tuple[float, ...], value: float) -> int:
     """Bin of ``value``, clamping out-of-range values to the edge bins."""
-    i = int(np.searchsorted(edges, value, side="right")) - 1
+    i = bisect_right(edges, value) - 1
     return min(max(i, 0), len(edges) - 2)
 
 
@@ -751,10 +756,9 @@ class MpcTablePolicy:
         checks.attrs(self, checks.instance(LookupTable), "table")
 
     def select(self, state: AbrState) -> int:
+        tput_edges, buffer_edges, entries = self.table.lookup
         tput = harmonic_mean_predict(state.throughput_history_kbps, self.table.params.prediction_window)
-        ti = _bin_index(self.table.tput_edges, tput)
-        bi = _bin_index(self.table.buffer_edges, state.buffer_s)
-        return int(self.table.entries[ti, bi, state.last_rep - 1])
+        return entries[_bin_index(tput_edges, tput)][_bin_index(buffer_edges, state.buffer_s)][state.last_rep - 1]
 
 
 @dataclass(frozen=True)
@@ -783,8 +787,8 @@ class RdosPolicy:
         tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
         first = state.chunk_index - 1
         dt_by_pos = _horizon_download_times(state, h, params, tput)
-        q_by_pos = [np.array([manifest.quality(first + k, r.index) for r in ladder]) for k in range(h)]
-        q_start = np.array([manifest.quality(max(first - 1, 0), state.last_rep)])
+        q_by_pos = [np.array(row) for row in manifest.qualities[first : first + h]]
+        q_start = np.array([manifest.qualities[max(first - 1, 0)][state.last_rep - 1]])
         rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
         # terms of the [previous, next] choice per position; position 0 follows the played chunk
         stall_weight, adaptation = [], []
@@ -855,12 +859,8 @@ class ExternalPolicy:
             "throughput_history_kbps": list(_recent(state.throughput_history_kbps, len(state.throughput_history_kbps))),
             "segment_duration_s": manifest.segment_duration_s,
             "ladder_kbps": [r.bitrate_kbps for r in manifest.ladder],
-            "future_sizes_bits": [
-                [manifest.size_bits(first + k, r.index) for r in manifest.ladder] for k in range(h)
-            ],
-            "future_qualities": [
-                [manifest.quality(first + k, r.index) for r in manifest.ladder] for k in range(h)
-            ],
+            "future_sizes_bits": manifest.sizes[first : first + h],
+            "future_qualities": manifest.qualities[first : first + h],
         }
         self._proc.stdin.write(json.dumps(payload) + "\n")
         self._proc.stdin.flush()

@@ -12,8 +12,12 @@ single unit against kb/s bandwidth values.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import checks
 
@@ -32,22 +36,6 @@ class Representation:
         checks.attrs(self, checks.positive, "bitrate_kbps")
 
 
-@dataclass(frozen=True)
-class SegmentInfo:
-    """Per-(segment, representation) attributes embedded in the manifest."""
-
-    size_bits: float
-    quality: float  # perceptual score in [0, 100], device-adapted
-
-    def __post_init__(self):
-        size_bits = checks.positive("segment size_bits", self.size_bits)
-        quality = checks.between("quality", self.quality, 0.0, 100.0)
-        # stored back only when a check turned an int into a float: one manifest holds 10^4-10^5 cells
-        if size_bits is not self.size_bits or quality is not self.quality:
-            object.__setattr__(self, "size_bits", size_bits)
-            object.__setattr__(self, "quality", quality)
-
-
 def check_ladder(name: str, ladder) -> None:
     """A ladder has a rung, indices 1, 2, ... in order and strictly increasing bitrates (manifests, tables)."""
     if not ladder:
@@ -60,42 +48,105 @@ def check_ladder(name: str, ladder) -> None:
         raise ValueError(f"{name} bitrates must be strictly increasing, got {rates}")
 
 
+def _size(name: str, value) -> float:
+    return checks.positive(f"{name} size_bits", value)
+
+
+def _quality(name: str, value) -> float:
+    return checks.between(f"{name} quality", value, 0.0, 100.0)
+
+
+def _float_rows(rows, width: int, check, in_range) -> tuple[tuple[float, ...], ...]:
+    """``rows`` as float tuples; raises ValueError when a value fails ``check`` or ``in_range``.
+
+    When every value is a float, one NaN-safe ``in_range`` over the
+    whole matrix tests them. Otherwise each row holding another type
+    goes through ``check`` value by value, which turns an int into a
+    float and refuses a bool, a string or None, and then the range test
+    runs. Which cell a range failure names is left to the caller.
+    """
+    if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+        out = tuple(map(tuple, rows))
+    else:
+        out = tuple(
+            tuple(row) if all(type(x) is float for x in row)
+            else tuple(check(f"segments[{i}][{r}]", x) for r, x in enumerate(row))
+            for i, row in enumerate(rows)
+        )
+    if not in_range(np.fromiter(itertools.chain.from_iterable(out), float, len(out) * width)).all():
+        raise ValueError("a value is out of range")
+    return out
+
+
 @dataclass(frozen=True)
 class Manifest:
     """Immutable description of one encoded title.
 
-    ``segments[i][r-1]`` holds the :class:`SegmentInfo` of segment ``i``
-    (0-based position) at representation ``r`` (1-based ladder index).
+    ``sizes[i][r-1]`` (bits) and ``qualities[i][r-1]`` (in [0, 100]) are
+    the attributes of segment ``i`` (0-based position) at representation
+    ``r`` (1-based ladder index): two rectangular matrices of floats, one
+    row per segment and one column per rung, stored as tuples of tuples.
+
+    Every construction checks both in bulk: rows are lists or tuples as
+    wide as the ladder, sizes finite and > 0, qualities numbers in
+    [0, 100] (a bool is no number); an int is stored as its float. A bad
+    value raises ValueError naming its cell as ``segments[i][r]``, both
+    0-based, and the field.
     """
 
     segment_duration_s: float
     ladder: tuple[Representation, ...]
-    segments: tuple[tuple[SegmentInfo, ...], ...]
+    sizes: tuple[tuple[float, ...], ...]
+    qualities: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
         checks.attrs(self, checks.positive, "segment_duration_s")
         check_ladder("ladder", self.ladder)
-        if not self.segments:
+        width = len(self.ladder)
+        for name in ("sizes", "qualities"):
+            rows = getattr(self, name)
+            if not isinstance(rows, (list, tuple)):
+                raise ValueError(f"manifest {name} must be a list of rows, got {rows!r}")
+            for i, row in enumerate(rows):
+                if not (isinstance(row, (list, tuple)) and len(row) == width):
+                    got = f"{len(row)} entries" if isinstance(row, (list, tuple)) else repr(row)
+                    raise ValueError(f"ragged segment matrix: {name} row {i} has {got}, ladder has {width}")
+        if not self.sizes:
             raise ValueError("manifest has no segments")
-        for i, row in enumerate(self.segments):
-            if len(row) != len(self.ladder):
-                raise ValueError(f"ragged segment matrix: row {i} has {len(row)} entries, ladder has {len(self.ladder)}")
+        if len(self.sizes) != len(self.qualities):
+            raise ValueError(f"{len(self.sizes)} rows of sizes but {len(self.qualities)} of qualities")
+        try:
+            sizes = _float_rows(self.sizes, width, _size, lambda a: (a > 0.0) & (a < math.inf))
+            qualities = _float_rows(self.qualities, width, _quality, lambda a: (a >= 0.0) & (a <= 100.0))
+        except ValueError:
+            for i, (size_row, quality_row) in enumerate(zip(self.sizes, self.qualities)):
+                for r, (size, quality) in enumerate(zip(size_row, quality_row)):
+                    _size(f"segments[{i}][{r}]", size)  # the first bad cell raises again, named
+                    _quality(f"segments[{i}][{r}]", quality)
+            raise
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "qualities", qualities)
 
     @property
     def segment_count(self) -> int:
-        return len(self.segments)
+        return len(self.sizes)
 
-    def info(self, segment: int, rep_index: int) -> SegmentInfo:
-        """Attributes of 0-based ``segment`` at 1-based ``rep_index``."""
+    def _cell(self, segment: int, rep_index: int) -> tuple[int, int]:
+        if not 0 <= segment < len(self.sizes):
+            raise IndexError(f"segment position {segment} out of range 0..{len(self.sizes) - 1}")
         if not 1 <= rep_index <= len(self.ladder):
             raise IndexError(f"representation index {rep_index} out of range 1..{len(self.ladder)}")
-        return self.segments[segment][rep_index - 1]
+        return segment, rep_index - 1
 
     def size_bits(self, segment: int, rep_index: int) -> float:
-        return self.info(segment, rep_index).size_bits
+        """Size (bits) of 0-based ``segment`` at 1-based ``rep_index``."""
+        i, r = self._cell(segment, rep_index)
+        return self.sizes[i][r]
 
     def quality(self, segment: int, rep_index: int) -> float:
-        return self.info(segment, rep_index).quality
+        """Quality of 0-based ``segment`` at 1-based ``rep_index``."""
+        i, r = self._cell(segment, rep_index)
+        return self.qualities[i][r]
 
 
 # Reference 13-step encoding ladder used throughout the toolkit
@@ -128,8 +179,9 @@ def parse_manifest(text: str) -> Manifest:
     Values are checked, not coerced: ``index``, ``width`` and ``height``
     are integers >= 1, sizes, bitrates and the segment duration finite
     numbers > 0, qualities numbers in [0, 100] (a bool is no number).
-    Raises ValueError, naming the field, on these and on schema
-    violations, non-increasing ladder bitrates or a ragged segment matrix.
+    Raises ValueError, naming the field (a cell as ``segments[i][r]``),
+    on these and on schema violations, non-increasing ladder bitrates or
+    a ragged segment matrix.
     """
     try:
         doc = json.loads(text)
@@ -145,12 +197,12 @@ def parse_manifest(text: str) -> Manifest:
             Representation(entry["index"], entry["width"], entry["height"], entry["bitrate_kbps"])
             for entry in doc["ladder"]
         )
-        segments = tuple(
-            tuple(SegmentInfo(cell["size_bits"], cell["quality"]) for cell in row) for row in doc["segments"]
-        )
+        rows = doc["segments"]
+        sizes = [[cell["size_bits"] for cell in row] for row in rows]
+        qualities = [[cell["quality"] for cell in row] for row in rows]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed manifest entry: {exc}") from exc
-    return Manifest(segment_duration_s=doc["segment_duration_s"], ladder=ladder, segments=segments)
+    return Manifest(doc["segment_duration_s"], ladder, sizes, qualities)
 
 
 def serialize_manifest(manifest: Manifest) -> str:
@@ -166,8 +218,8 @@ def serialize_manifest(manifest: Manifest) -> str:
             for r in manifest.ladder
         ],
         "segments": [
-            [{"size_bits": cell.size_bits, "quality": cell.quality} for cell in row]
-            for row in manifest.segments
+            [{"size_bits": size, "quality": quality} for size, quality in zip(size_row, quality_row)]
+            for size_row, quality_row in zip(manifest.sizes, manifest.qualities)
         ],
     }
     return checks.to_json(doc)
@@ -197,13 +249,13 @@ def synthetic_manifest(
     if ladder is None:
         ladder = ladder_default()
     rng = random.Random(seed)
-    rows = []
+    sizes, qualities = [], []
     for _ in range(segments):
-        row = []
+        size_row, quality_row = [], []
         for rep in ladder:
             factor = 1.0 + size_jitter * (2.0 * rng.random() - 1.0) if size_jitter else 1.0
-            size = rep.bitrate_kbps * 1000.0 * segment_duration_s * factor
-            q = min(100.0, max(0.0, quality_fn(rep.bitrate_kbps)))
-            row.append(SegmentInfo(size_bits=size, quality=q))
-        rows.append(tuple(row))
-    return Manifest(segment_duration_s=segment_duration_s, ladder=tuple(ladder), segments=tuple(rows))
+            size_row.append(rep.bitrate_kbps * 1000.0 * segment_duration_s * factor)
+            quality_row.append(min(100.0, max(0.0, quality_fn(rep.bitrate_kbps))))
+        sizes.append(size_row)
+        qualities.append(quality_row)
+    return Manifest(segment_duration_s, tuple(ladder), sizes, qualities)

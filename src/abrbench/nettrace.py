@@ -23,7 +23,8 @@ docs/file_formats.md):
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,13 +165,14 @@ def serialize_trace(trace: Trace) -> str:
 MAX_WINDOWS = 1_000_000  # the ``traces`` command writes a file per kept window
 
 
-def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) -> list[Trace]:
-    """Cut sliding windows of ``window_s`` seconds out of ``trace``.
+def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) -> Iterator[Trace]:
+    """Cut sliding windows of ``window_s`` seconds out of ``trace``, one at a time.
 
-    Window ``i`` starts at exactly ``i * stride_s``; a stride that would
-    cut more than ``MAX_WINDOWS`` raises before any is cut. Each output
-    window is re-origined to time 0 and preserves the time-weighted mean
-    bandwidth of the span it covers.
+    Window ``i`` starts at exactly ``i * stride_s``. The arguments and
+    the window count are checked when called: a stride that would cut
+    more than ``MAX_WINDOWS`` raises before any is cut. Each window is
+    yielded as it is cut, re-origined to time 0, and preserves the
+    time-weighted mean bandwidth of the span it covers.
     """
     stride_s = checks.positive("stride_s", stride_s)
     window_s = checks.positive("window_s", window_s)
@@ -186,18 +188,19 @@ def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) 
     if count > MAX_WINDOWS:
         raise ValueError(f"stride_s {stride_s} cuts more than {MAX_WINDOWS} windows of {window_s}s "
                          f"from a {trace.duration_s}s trace")
-    out = []
+    return _cut_windows(trace, window_s, stride_s, count)
+
+
+def _cut_windows(trace: Trace, window_s: float, stride_s: float, count: int) -> Iterator[Trace]:
+    """Windows ``0..count-1``, each from the samples inside it only."""
+    starts = trace.timeline[0]
     for w in range(count):
         t0 = w * stride_s
         i = trace._index_at(t0)
+        stop = bisect_left(starts, t0 + window_s, i + 1, len(trace.samples))  # the first sample at or past the end
         samples = [(0.0, trace.samples[i][1])]
-        for s, bw in trace.samples[i + 1:]:
-            if s >= t0 + window_s:
-                break
-            if s > t0:
-                samples.append((s - t0, bw))
-        out.append(Trace(samples=tuple(samples), duration_s=window_s))
-    return out
+        samples += [(s - t0, bw) for s, bw in trace.samples[i + 1 : stop] if s > t0]
+        yield Trace(samples=tuple(samples), duration_s=window_s)
 
 
 def download_time(trace: Trace, channel: ChannelConfig, start_time_s: float, size_bits: float) -> float:

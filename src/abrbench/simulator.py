@@ -145,6 +145,7 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
     choices: list[int] = []
     spans: list[tuple[float, float]] = []
     stalls: list[tuple[float, float]] = []
+    sizes = manifest.sizes
     samples = array("d", bytes(8 * n))
     history = memoryview(samples).toreadonly()
     wall = buffer = 0.0
@@ -164,7 +165,7 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
             if not (float(choice).is_integer() and 1 <= choice <= len(manifest.ladder)):
                 raise ValueError(f"policy returned invalid representation index {choice!r}")
             rep = int(choice)
-        size = manifest.size_bits(k - 1, rep)
+        size = sizes[k - 1][rep - 1]
         dt = download_time(trace, config.channel, wall, size)
         buffer, stall, idle = buffer_step(buffer, dt, seg, config.max_buffer_s)
         if k == 1:
@@ -196,14 +197,12 @@ def to_record(log: SessionLog, manifest: Manifest, config: PlayerConfig) -> Sess
         raise ValueError("log has more chunks than the manifest")
     seg = manifest.segment_duration_s
     skip = 1 if config.drop_first_chunk else 0
-    qualities = []
-    bitrates = []
-    for pos, rep in enumerate(log.choices):
-        if pos < skip:
-            continue
-        info = manifest.info(pos, rep)
-        qualities.append(info.quality)
-        bitrates.append(info.size_bits / seg / 1000.0)
+    played = log.choices[skip:]
+    bad = [rep for rep in played if not 1 <= rep <= len(manifest.ladder)]
+    if bad:
+        raise IndexError(f"representation index {bad[0]} out of range 1..{len(manifest.ladder)}")
+    qualities = [row[rep - 1] for row, rep in zip(manifest.qualities[skip:], played)]
+    bitrates = [row[rep - 1] / seg / 1000.0 for row, rep in zip(manifest.sizes[skip:], played)]
     if skip:
         stalls = tuple((max(p - seg, 0.0), d) for p, d in log.stalls)
         startup = 0.0

@@ -422,3 +422,32 @@ def offline_optimal_dp(manifest, bandwidth_kbps, config, params, buffer_grid_ste
         value = np.max(base[:, None, :] - switch[None, :, :], axis=2)
     b1 = seg  # buffer after the pinned first chunk
     return float(value[snap_idx(np.array([b1]))[0], config.initial_rep - 1])
+
+
+def first_bad_manifest_cell(segments):
+    """``(i, r, field)`` of the first bad value in a manifest document's ``segments``, or None.
+
+    Cells are scanned row by row, ``size_bits`` before ``quality`` in
+    each. A size must be a finite real > 0, a quality a real in
+    [0, 100]; a bool, a string, None or a list is no real.
+    """
+    in_range = {"size_bits": lambda x: 0 < x < math.inf, "quality": lambda x: 0 <= x <= 100}
+    for i, row in enumerate(segments):
+        for r, cell in enumerate(row):
+            for field, ok in in_range.items():
+                value = cell[field]
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not ok(value):
+                    return i, r, field
+    return None
+
+
+def table_bin_reference(edges, value):
+    """The bin of ``value`` by ``np.searchsorted``, out-of-range values clamped to the edge bins."""
+    i = int(np.searchsorted(np.asarray(edges), value, side="right")) - 1
+    return min(max(i, 0), len(edges) - 2)
+
+
+def table_lookup_reference(table, tput_kbps, buffer_s, last_rep):
+    """A lookup table's rung for a predicted throughput and a buffer, binned by ``table_bin_reference``."""
+    ti, bi = table_bin_reference(table.tput_edges, tput_kbps), table_bin_reference(table.buffer_edges, buffer_s)
+    return int(table.entries[ti, bi, last_rep - 1])

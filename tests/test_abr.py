@@ -34,11 +34,20 @@ from abrbench.abr import (
     mpc_select_exact,
     save_table,
 )
-from abrbench.media import Manifest, Representation, SegmentInfo
+from abrbench.media import Manifest, Representation
 from abrbench.qoe import KsqiParams
 
 from conftest import mpc_table_cells
-from oracles import best_completions, buffer_walk, mpc_enumerate, mpc_objective, rdos_enumerate, rdos_objective
+from oracles import (
+    best_completions,
+    buffer_walk,
+    mpc_enumerate,
+    mpc_objective,
+    rdos_enumerate,
+    rdos_objective,
+    table_bin_reference,
+    table_lookup_reference,
+)
 
 
 def toy_manifest(n_reps=3, segments=10, seed=0, quality_jitter=0.0):
@@ -47,15 +56,16 @@ def toy_manifest(n_reps=3, segments=10, seed=0, quality_jitter=0.0):
         Representation(index=i + 1, width=320 * (i + 1), height=180 * (i + 1), bitrate_kbps=300.0 * 2**i)
         for i in range(n_reps)
     )
-    rows = []
+    sizes, qualities = [], []
     for _ in range(segments):
-        row = []
+        size_row, quality_row = [], []
         for rep in ladder:
-            size = rep.bitrate_kbps * 1000.0 * 4.0 * (1.0 + 0.2 * (rng.random() - 0.5))
+            size_row.append(rep.bitrate_kbps * 1000.0 * 4.0 * (1.0 + 0.2 * (rng.random() - 0.5)))
             q = media.default_quality_curve(rep.bitrate_kbps) + quality_jitter * (rng.random() - 0.5)
-            row.append(SegmentInfo(size_bits=size, quality=min(100.0, max(0.0, q))))
-        rows.append(tuple(row))
-    return Manifest(segment_duration_s=4.0, ladder=ladder, segments=tuple(rows))
+            quality_row.append(min(100.0, max(0.0, q)))
+        sizes.append(size_row)
+        qualities.append(quality_row)
+    return Manifest(segment_duration_s=4.0, ladder=ladder, sizes=sizes, qualities=qualities)
 
 
 def state_for(manifest, chunk_index=2, buffer_s=12.0, last_rep=1, history=(1000.0,)):
@@ -144,7 +154,7 @@ def test_rate_based_scale_invariance():
     scaled_ladder = tuple(
         Representation(r.index, r.width, r.height, r.bitrate_kbps * k) for r in base.ladder
     )
-    scaled = Manifest(4.0, scaled_ladder, base.segments)
+    scaled = Manifest(4.0, scaled_ladder, base.sizes, base.qualities)
     select = abr.RateBasedPolicy().select
     for pred in (150.0, 700.0, 2350.0, 3000.0, 9000.0):
         assert select(state_for(base, history=[pred])) == select(state_for(scaled, history=[pred * k]))
@@ -154,7 +164,7 @@ def test_rate_based_scale_invariance():
 
 def buffer_based(buffer_s, ladder):
     """The default buffer-based policy's rung at ``buffer_s`` on a manifest with ``ladder``."""
-    manifest = Manifest(4.0, ladder, (tuple(SegmentInfo(r.bitrate_kbps * 4000.0, 50.0) for r in ladder),) * 2)
+    manifest = Manifest(4.0, ladder, [[r.bitrate_kbps * 4000.0 for r in ladder]] * 2, [[50.0] * len(ladder)] * 2)
     return abr.BufferBasedPolicy().select(state_for(manifest, buffer_s=buffer_s))
 
 
@@ -463,7 +473,7 @@ def test_pruned_enumeration_matches_the_full_one(monkeypatch):
     monkeypatch.setattr(abr, "_enumerate", both)
     rng = random.Random(5)
     flat = Manifest(4.0, media.ladder_default(),
-                    (tuple(SegmentInfo(r.bitrate_kbps * 4000.0, 70.0) for r in media.ladder_default()),) * 8)
+                    [[r.bitrate_kbps * 4000.0 for r in media.ladder_default()]] * 8, [[70.0] * 13] * 8)
     for i in range(36):
         mpc, rdos = random_weights(rng)
         if i % 6 == 0:  # near ties: no penalty weights, and on every other state equal qualities
@@ -511,12 +521,9 @@ def random_ladder_states(draw):
     segments = draw(st.integers(min_value=1, max_value=10))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     ladder = tuple(Representation(i + 1, 320 * (i + 1), 180 * (i + 1), r) for i, r in enumerate(rates))
-    rows = tuple(
-        tuple(SegmentInfo(size_bits=r * 4000.0 * rng.uniform(0.8, 1.2), quality=rng.uniform(0.0, 100.0)) for r in rates)
-        for _ in range(segments)
-    )
+    cells = [[(r * 4000.0 * rng.uniform(0.8, 1.2), rng.uniform(0.0, 100.0)) for r in rates] for _ in range(segments)]
     return state_for(
-        Manifest(4.0, ladder, rows),
+        Manifest(4.0, ladder, [[size for size, _ in row] for row in cells], [[q for _, q in row] for row in cells]),
         chunk_index=draw(st.integers(min_value=1, max_value=segments)),
         buffer_s=draw(st.floats(0.0, 60.0)),
         last_rep=draw(st.integers(min_value=1, max_value=n_reps)),
@@ -617,8 +624,8 @@ def test_table_cells_match_per_state_enumeration(
     assert buffers[0] < threshold <= buffers[-1]
     cells = [(0, bi, prev) for bi in range(buffer_bins) for prev in range(1, len(ladder) + 1)]
     got = mpc_table_cells(params, binning, cells, ladder, seg)
-    nominal = tuple(SegmentInfo(r.bitrate_kbps * 1000.0 * seg, 50.0) for r in ladder)
-    manifest = Manifest(seg, ladder, (nominal,) * horizon)
+    nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
+    manifest = Manifest(seg, ladder, [nominal] * horizon, [[50.0] * len(ladder)] * horizon)
     for ti, bi, prev in cells:
         state = state_for(manifest, chunk_index=1, buffer_s=float(buffers[bi]), last_rep=prev, history=[tput])
         assert got[(ti, bi, prev)] == mpc_enumerate(state, params, float(binning.tput_centers()[ti]))[0]
@@ -633,6 +640,49 @@ def test_table_lookup_clamps(tmp_path):
     assert abr.MpcTablePolicy(table).select(over) == int(table.entries[-1, -1, 12])
     under = state_for(m, buffer_s=0.0, last_rep=1, history=[1.0])
     assert abr.MpcTablePolicy(table).select(under) == int(table.entries[0, 0, 0])
+
+
+def probe_points(edges):
+    """Every edge, the floats either side of each, the bin midpoints, 0 and values beyond both ends."""
+    edges = [float(e) for e in edges]
+    points = [0.0, edges[0] - 1.0, edges[0] / 2.0, edges[-1] + 1.0, edges[-1] * 2.0]
+    for e in edges:
+        points += [e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)]
+    return points + [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("shape", ["saved_20x20x13", "2x2"])
+def test_table_lookup_matches_searchsorted(tmp_path, shape):
+    rng = np.random.default_rng(19)
+    if shape == "2x2":
+        ladder = media.ladder_default()[:2]
+        tput_edges, buffer_edges = np.array([500.0, 1500.0, 4000.0]), np.array([2.0, 10.0, 30.0])
+    else:
+        ladder = media.ladder_default()
+        binning = TableBinning(tput_bins=20, buffer_bins=20, tput_max_kbps=20000.0)
+        tput_edges, buffer_edges = binning.tput_edges(), binning.buffer_edges()
+    n = len(ladder)
+    entries = rng.integers(1, n + 1, size=(len(tput_edges) - 1, len(buffer_edges) - 1, n), dtype=np.uint8)
+    table = LookupTable(tput_edges, buffer_edges, entries, tuple(r.bitrate_kbps for r in ladder), 4.0,
+                        MpcObjectiveParams(prediction_window=1))
+    if shape != "2x2":
+        save_table(table, tmp_path / "table.bin")
+        table = load_table(tmp_path / "table.bin")
+    tput_points, buffer_points = probe_points(table.tput_edges), probe_points(table.buffer_edges)
+    lookup_tput, lookup_buffer, _ = table.lookup
+    for edges, cached, points in ((table.tput_edges, lookup_tput, tput_points),
+                                  (table.buffer_edges, lookup_buffer, buffer_points)):
+        for x in points:
+            assert abr._bin_index(cached, x) == table_bin_reference(edges, x)
+    m = Manifest(4.0, ladder, [[r.bitrate_kbps * 4000.0 for r in ladder]] * 2, [[50.0] * n] * 2)
+    policy = abr.MpcTablePolicy(table)
+    for k, (tput, buffer_s) in enumerate(itertools.product(tput_points, buffer_points)):
+        if tput <= 0.0 or buffer_s < 0.0:
+            continue  # no throughput sample or buffer level takes these
+        state = state_for(m, buffer_s=buffer_s, last_rep=k % n + 1, history=[tput])
+        predicted = harmonic_mean_predict([tput], 1)
+        got = policy.select(state)
+        assert type(got) is int and got == table_lookup_reference(table, predicted, buffer_s, k % n + 1)
 
 
 def test_table_save_load_bit_exact(tmp_path):
@@ -860,8 +910,7 @@ def test_table_cells_accept_numpy_indices_and_an_iterator():
 
 def test_rdos_objective_hand_value():
     ladder = (Representation(1, 320, 180, 500.0), Representation(2, 640, 360, 2000.0))
-    rows = tuple((SegmentInfo(500.0 * 4000.0, 40.0), SegmentInfo(2000.0 * 4000.0, 80.0)) for _ in range(6))
-    m = Manifest(4.0, ladder, rows)
+    m = Manifest(4.0, ladder, [[500.0 * 4000.0, 2000.0 * 4000.0]] * 6, [[40.0, 80.0]] * 6)
     kp = KsqiParams()
     params = RdosParams(gamma_rate=0.1, horizon=3)
     # ample buffer: up 40, flat, down 40; no stall
@@ -879,10 +928,7 @@ def test_rdos_degenerate_objective_prefers_lowest():
     # equal qualities everywhere and no bitrate term: every sequence
     # with enough headroom ties, so the tie-break lands on rung 1
     ladder = tuple(Representation(i + 1, 320, 180, 300.0 * (i + 1)) for i in range(3))
-    rows = tuple(
-        tuple(SegmentInfo(size_bits=r.bitrate_kbps * 4000.0, quality=70.0) for r in ladder) for _ in range(8)
-    )
-    m = Manifest(4.0, ladder, rows)
+    m = Manifest(4.0, ladder, [[r.bitrate_kbps * 4000.0 for r in ladder]] * 8, [[70.0] * len(ladder)] * 8)
     st_ = state_for(m, buffer_s=55.0, last_rep=2, history=[1e6])
     params = RdosParams(gamma_rate=0.0, horizon=3)
     assert abr.RdosPolicy(params).select(st_) == 1
@@ -891,15 +937,8 @@ def test_rdos_degenerate_objective_prefers_lowest():
 def test_rdos_two_rep_exhaustive():
     ladder = (Representation(1, 320, 180, 500.0), Representation(2, 640, 360, 2000.0))
     rng = random.Random(8)
-    rows = []
-    for _ in range(6):
-        rows.append(
-            (
-                SegmentInfo(500.0 * 4000.0, 40.0 + rng.uniform(-5, 5)),
-                SegmentInfo(2000.0 * 4000.0, 80.0 + rng.uniform(-5, 5)),
-            )
-        )
-    m = Manifest(4.0, ladder, tuple(rows))
+    qualities = [[40.0 + rng.uniform(-5, 5), 80.0 + rng.uniform(-5, 5)] for _ in range(6)]
+    m = Manifest(4.0, ladder, [[500.0 * 4000.0, 2000.0 * 4000.0]] * 6, qualities)
     params = RdosParams(horizon=2)
     for chunk in (2, 3, 4):
         for buf in (1.0, 6.0, 20.0):

@@ -25,7 +25,7 @@ from abrbench.abr import (
     TableBinning,
     mpc_select_exact,
 )
-from abrbench.media import Manifest, Representation, SegmentInfo
+from abrbench.media import Manifest, Representation
 from abrbench.nettrace import ChannelConfig, Trace, download_time
 from abrbench.simulator import PlayerConfig, buffer_step, run_session, to_record
 from abrbench.abr import AbrState, FixedPolicy
@@ -137,11 +137,9 @@ def test_fastmpc_table_fidelity_200_cells():
 def _dp_toy_manifest(segments, seed):
     base = [300.0, 700.0, 1600.0, 3600.0]
     ladder = tuple(Representation(i + 1, 320 * (i + 1), 180 * (i + 1), base[i]) for i in range(4))
-    rows = tuple(
-        tuple(SegmentInfo(r.bitrate_kbps * 4000.0, media.default_quality_curve(r.bitrate_kbps)) for r in ladder)
-        for _ in range(segments)
-    )
-    return Manifest(4.0, ladder, rows)
+    sizes = [r.bitrate_kbps * 4000.0 for r in ladder]
+    qualities = [media.default_quality_curve(r.bitrate_kbps) for r in ladder]
+    return Manifest(4.0, ladder, [sizes] * segments, [qualities] * segments)
 
 
 def _session_objective(log, manifest, params):

@@ -1,9 +1,14 @@
+import hashlib
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abrbench import media
+
+from oracles import first_bad_manifest_cell
 
 
 def test_default_ladder_matches_reference_table():
@@ -76,9 +81,48 @@ def test_ragged_matrix_rejected():
 
 
 def test_non_finite_segment_size_rejected():
+    ladder = media.ladder_default()[:1]
     for size in (math.inf, math.nan, 0.0):
-        with pytest.raises(ValueError, match="segment size"):
-            media.SegmentInfo(size_bits=size, quality=50.0)
+        with pytest.raises(ValueError, match=r"segments\[0\]\[0\] size_bits"):
+            media.Manifest(4.0, ladder, [[size]], [[50.0]])
+
+
+def test_accessors_refuse_positions_outside_the_manifest():
+    m = media.synthetic_manifest(segments=3)
+    assert (m.size_bits(2, 13), m.quality(0, 1)) == (m.sizes[2][12], m.qualities[0][0])
+    for accessor in (m.size_bits, m.quality):
+        for segment in (-1, -3, 3, 10):
+            with pytest.raises(IndexError, match=rf"segment position {segment} out of range 0\.\.2$"):
+                accessor(segment, 1)
+        for rep in (0, 14):
+            with pytest.raises(IndexError, match=rf"representation index {rep} out of range 1\.\.13$"):
+                accessor(0, rep)
+
+
+@pytest.mark.parametrize(
+    "sizes, qualities, message",
+    [
+        ([[1.0, 2.0], [1.0]], [[1.0, 2.0], [1.0, 2.0]], r"ragged segment matrix: sizes row 1 has 1 entries"),
+        ([[1.0, 2.0]], [(1.0, 2.0, 3.0)], r"ragged segment matrix: qualities row 0 has 3 entries"),
+        ([[1.0, 2.0]], ["ab"], r"ragged segment matrix: qualities row 0 has 'ab'"),
+        ([], [], r"manifest has no segments"),
+        ([[1.0, 2.0]], [[1.0, 2.0]] * 2, r"1 rows of sizes but 2 of qualities"),
+        ([[1.0, 2.0]], None, r"manifest qualities must be a list of rows"),
+    ],
+)
+def test_manifest_matrices_must_be_rectangular(sizes, qualities, message):
+    ladder = media.ladder_default()[:2]
+    with pytest.raises(ValueError, match=message):
+        media.Manifest(4.0, ladder, sizes, qualities)
+
+
+def test_manifest_stores_float_tuples():
+    ladder = media.ladder_default()[:2]
+    m = media.Manifest(4.0, ladder, [[1, 2.5], (3.0, 4.0)], [[0, 100], [50.0, 60]])
+    assert m.sizes == ((1.0, 2.5), (3.0, 4.0)) and m.qualities == ((0.0, 100.0), (50.0, 60.0))
+    assert all(type(x) is float for rows in (m.sizes, m.qualities) for row in rows for x in row)
+    assert all(type(rows) is tuple and all(type(row) is tuple for row in rows) for rows in (m.sizes, m.qualities))
+    assert m == media.Manifest(4.0, ladder, m.sizes, m.qualities)
 
 
 def _minimal_doc():
@@ -119,3 +163,73 @@ def test_integer_manifest_values_read_as_floats():
     m = media.parse_manifest(json.dumps(doc))
     assert m == media.parse_manifest(json.dumps(_minimal_doc()))
     assert media.serialize_manifest(m) == media.serialize_manifest(media.parse_manifest(json.dumps(_minimal_doc())))
+
+
+# values a manifest must refuse, per field; each is injected into one cell of a valid document
+BAD_VALUES = {
+    "size_bits": [True, False, math.nan, math.inf, -math.inf, 0, 0.0, -1.0, -5, "900", None, [1.0]],
+    "quality": [True, math.nan, math.inf, -math.inf, -0.5, -1, 100.5, 101, "50", None, [50.0]],
+}
+
+
+@st.composite
+def manifest_documents(draw):
+    """A valid manifest document with ints among its floats, and perhaps one bad value injected."""
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    size = st.one_of(st.floats(1e-3, 1e9), st.integers(1, 10**9))
+    quality = st.one_of(st.floats(0.0, 100.0), st.integers(0, 100))
+    cells = draw(st.lists(st.lists(st.tuples(size, quality), min_size=width, max_size=width), min_size=n, max_size=n))
+    doc = {
+        "segment_duration_s": 4.0,
+        "ladder": [{"index": r, "width": 320, "height": 180, "bitrate_kbps": 100.0 * r} for r in range(1, width + 1)],
+        "segments": [[{"size_bits": s, "quality": q} for s, q in row] for row in cells],
+    }
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(sorted(BAD_VALUES)))
+        cell = doc["segments"][draw(st.integers(0, n - 1))][draw(st.integers(0, width - 1))]
+        cell[field] = draw(st.sampled_from(BAD_VALUES[field]))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest_documents())
+def test_bulk_manifest_check_matches_a_per_cell_scan(doc):
+    bad = first_bad_manifest_cell(doc["segments"])
+    text = json.dumps(doc)
+    if bad is not None:
+        i, r, field = bad
+        with pytest.raises(ValueError, match=rf"^segments\[{i}\]\[{r}\] {field} must be") as parsed:
+            media.parse_manifest(text)
+        assert parsed.value.args[0].endswith(f"got {doc['segments'][i][r][field]!r}")
+        ladder = tuple(media.Representation(**entry) for entry in doc["ladder"])
+        matrices = ([[cell[key] for cell in row] for row in doc["segments"]] for key in ("size_bits", "quality"))
+        with pytest.raises(ValueError) as built:
+            media.Manifest(4.0, ladder, *matrices)
+        assert built.value.args == parsed.value.args
+        return
+    m = media.parse_manifest(text)
+    for i, row in enumerate(doc["segments"]):
+        for r, cell in enumerate(row):
+            for got, want in ((m.sizes[i][r], cell["size_bits"]), (m.qualities[i][r], cell["quality"])):
+                assert type(got) is float and got == float(want)
+    assert media.parse_manifest(media.serialize_manifest(m)) == m
+
+
+def test_bulk_manifest_check_names_the_first_of_several_bad_cells():
+    ladder = media.ladder_default()[:2]
+    sizes = [[1.0, 2.0], [3.0, math.nan], [0.0, 1.0]]
+    qualities = [[1.0, 2.0], [101.0, 2.0], [1.0, -1.0]]
+    message = "segments[1][0] quality must be a number in [0.0, 100.0], got 101.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        media.Manifest(4.0, ladder, sizes, qualities)
+    qualities[1][0] = 1
+    with pytest.raises(ValueError, match=re.escape("segments[1][1] size_bits must be finite and > 0, got nan")):
+        media.Manifest(4.0, ladder, sizes, qualities)
+
+
+def test_synthetic_manifest_bytes_are_pinned():
+    text = media.serialize_manifest(media.synthetic_manifest(segments=14, size_jitter=0.12, seed=7))
+    # recorded before the manifest became two matrices
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7a5be8193a3facbe4bb7d2edc21b94e57aa4c6691e9451bd43439001c67f0711")

@@ -79,7 +79,7 @@ def test_serialize_round_trip():
 
 def test_window_count_arithmetic():
     t = nettrace.parse_trace("\n".join(["1000"] * 22), "granular_5s")  # 110 s
-    windows = nettrace.window_traces(t, window_s=55.0, stride_s=55.0)
+    windows = list(nettrace.window_traces(t, window_s=55.0, stride_s=55.0))
     assert len(windows) == 2
     assert all(w.duration_s == 55.0 for w in windows)
 
@@ -93,7 +93,7 @@ def test_window_identity():
 
 def test_window_reorigins_time():
     t = nettrace.parse_trace("0,100\n10,900\n30,400", "pairs", duration_s=60.0)
-    windows = nettrace.window_traces(t, window_s=20.0, stride_s=20.0)
+    windows = list(nettrace.window_traces(t, window_s=20.0, stride_s=20.0))
     assert windows[1].samples[0] == (0.0, 900.0)
     assert windows[1].samples[1] == (10.0, 400.0)
 
@@ -109,7 +109,7 @@ def test_window_bad_args():
 def test_window_starts_at_its_index_times_the_stride():
     # ten added strides of 0.1 reach 0.9999999999999999, which cut window 10 before the step at 1.0
     t = nettrace.parse_trace("0,100\n1,900", "pairs", duration_s=2.0)
-    windows = nettrace.window_traces(t, window_s=0.5, stride_s=0.1)
+    windows = list(nettrace.window_traces(t, window_s=0.5, stride_s=0.1))
     assert len(windows) == 16
     assert windows[10].samples == ((0.0, 900.0),)
     assert windows[9].samples == ((0.0, 100.0), (0.09999999999999998, 900.0))  # 1.0 - 9 * 0.1
@@ -134,7 +134,7 @@ def test_window_count_is_refused_before_any_window_is_cut(monkeypatch, stride_s)
 
 def test_window_count_at_the_limit(monkeypatch):
     monkeypatch.setattr(nettrace, "MAX_WINDOWS", 10)
-    assert len(nettrace.window_traces(Trace(samples=((0.0, 100.0),), duration_s=10.0), 1.0, 1.0)) == 10
+    assert len(list(nettrace.window_traces(Trace(samples=((0.0, 100.0),), duration_s=10.0), 1.0, 1.0))) == 10
     with pytest.raises(ValueError, match="stride_s 1.0 cuts more than 10 windows"):
         nettrace.window_traces(Trace(samples=((0.0, 100.0),), duration_s=11.0), 1.0, 1.0)
 
@@ -151,13 +151,43 @@ def test_traces_command_refuses_a_stride_that_cuts_too_many_windows(tmp_path, ca
     assert not (tmp_path / "out" / "traces").exists()
 
 
+def test_windows_are_cut_one_at_a_time(monkeypatch):
+    t = Trace(samples=((0.0, 100.0), (3.0, 200.0)), duration_s=10.0)
+    windows = nettrace.window_traces(t, window_s=2.0, stride_s=1.0)
+    assert next(windows) == Trace(samples=((0.0, 100.0),), duration_s=2.0)
+    refuse_to_cut(monkeypatch)  # the second window is cut only when asked for
+    with pytest.raises(AssertionError, match="a window was cut"):
+        next(windows)
+
+
+def test_windows_match_a_scan_of_the_whole_tail():
+    rng = random.Random(19)
+    for case in range(200):
+        if case % 2:
+            t = random_trace(rng)
+            window_s = rng.uniform(0.05, 1.0) * t.duration_s
+            stride_s = rng.choice([window_s, rng.uniform(0.01, 2.0) * window_s])
+        else:  # windows that start and end on sample boundaries
+            values = "".join(f"{rng.randint(0, 900)}\n" for _ in range(rng.randint(1, 30)))
+            t = nettrace.parse_trace(values, "granular_1s")
+            window_s, stride_s = float(rng.randint(1, int(t.duration_s))), float(rng.randint(1, 5))
+        expected = []
+        for w in range(len(list(nettrace.window_traces(t, window_s, stride_s)))):
+            t0 = w * stride_s
+            i = max(k for k, (s, _) in enumerate(t.samples) if s <= t0)
+            samples = [(0.0, t.samples[i][1])]
+            samples += [(s - t0, bw) for s, bw in t.samples[i + 1:] if t0 < s < t0 + window_s]
+            expected.append(Trace(samples=tuple(samples), duration_s=window_s))
+        assert list(nettrace.window_traces(t, window_s, stride_s)) == expected
+
+
 def test_window_preserves_time_weighted_mean():
     rng = random.Random(7)
     for _ in range(20):
         t = random_trace(rng, n_segments=6)
         if t.duration_s < 10.0:
             continue
-        w = nettrace.window_traces(t, window_s=t.duration_s / 2, stride_s=t.duration_s / 2)[0]
+        w = next(nettrace.window_traces(t, window_s=t.duration_s / 2, stride_s=t.duration_s / 2))
         # reference mean over [0, half] straight from the original samples
         half = t.duration_s / 2
         total = 0.0

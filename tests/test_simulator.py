@@ -176,6 +176,15 @@ def test_to_record_stall_offset_arithmetic():
     assert rec.stalls == ((2.0, 2.5),)
 
 
+@pytest.mark.parametrize("bad", [0, -1, 14])
+def test_to_record_refuses_a_choice_outside_the_ladder(bad):
+    # a rung read straight from a manifest row: 0 and -1 would read the top rungs
+    log = SessionLog(choices=(1, bad, 1), download_spans=((0.0, 1.0),) * 3, startup_delay_s=1.0, stalls=(),
+                     total_wall_time_s=13.0)
+    with pytest.raises(IndexError, match=rf"representation index {bad} out of range 1\.\.13"):
+        to_record(log, media.synthetic_manifest(segments=3), PlayerConfig())
+
+
 def test_buffer_capacity_respected():
     # tiny cap forces idle: buffer may never exceed it
     m = media.synthetic_manifest(segments=12)
