@@ -17,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import checks
 
 
@@ -56,26 +54,22 @@ def _quality(name: str, value) -> float:
     return checks.between(f"{name} quality", value, 0.0, 100.0)
 
 
-def _float_rows(rows, width: int, check, in_range) -> tuple[tuple[float, ...], ...]:
-    """``rows`` as float tuples; raises ValueError when a value fails ``check`` or ``in_range``.
+def _checked_cells(sizes, qualities) -> tuple[tuple[tuple[float, ...], ...], tuple[tuple[float, ...], ...]]:
+    """Both matrices as float tuples, checked one cell at a time: row by row, size before quality.
 
-    When every value is a float, one NaN-safe ``in_range`` over the
-    whole matrix tests them. Otherwise each row holding another type
-    goes through ``check`` value by value, which turns an int into a
-    float and refuses a bool, a string or None, and then the range test
-    runs. Which cell a range failure names is left to the caller.
+    An int becomes its float; the first bad value raises ValueError
+    naming its cell as ``segments[i][r]``.
     """
-    if set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
-        out = tuple(map(tuple, rows))
-    else:
-        out = tuple(
-            tuple(row) if all(type(x) is float for x in row)
-            else tuple(check(f"segments[{i}][{r}]", x) for r, x in enumerate(row))
-            for i, row in enumerate(rows)
-        )
-    if not in_range(np.fromiter(itertools.chain.from_iterable(out), float, len(out) * width)).all():
-        raise ValueError("a value is out of range")
-    return out
+    size_rows, quality_rows = [], []
+    for i, (size_row, quality_row) in enumerate(zip(sizes, qualities)):
+        cells = [
+            (_size(f"segments[{i}][{r}]", size), _quality(f"segments[{i}][{r}]", quality))
+            for r, (size, quality) in enumerate(zip(size_row, quality_row))
+        ]
+        size_row, quality_row = zip(*cells)
+        size_rows.append(size_row)
+        quality_rows.append(quality_row)
+    return tuple(size_rows), tuple(quality_rows)
 
 
 @dataclass(frozen=True)
@@ -87,11 +81,15 @@ class Manifest:
     ``r`` (1-based ladder index): two rectangular matrices of floats, one
     row per segment and one column per rung, stored as tuples of tuples.
 
-    Every construction checks both in bulk: rows are lists or tuples as
-    wide as the ladder, sizes finite and > 0, qualities numbers in
-    [0, 100] (a bool is no number); an int is stored as its float. A bad
-    value raises ValueError naming its cell as ``segments[i][r]``, both
-    0-based, and the field.
+    Every construction checks both: rows are lists or tuples as wide as
+    the ladder, sizes finite and > 0, qualities numbers in [0, 100] (a
+    bool is no number); an int is stored as its float. A matrix of
+    floats is checked in one pass of comparisons, anything else one cell
+    at a time. A bad value raises ValueError naming its cell as
+    ``segments[i][r]``, both 0-based, and the field.
+
+    ``size_bits`` and ``quality`` are the bounds-checked public way to
+    read one cell; the session loop and the policies index the matrices.
     """
 
     segment_duration_s: float
@@ -115,15 +113,14 @@ class Manifest:
             raise ValueError("manifest has no segments")
         if len(self.sizes) != len(self.qualities):
             raise ValueError(f"{len(self.sizes)} rows of sizes but {len(self.qualities)} of qualities")
-        try:
-            sizes = _float_rows(self.sizes, width, _size, lambda a: (a > 0.0) & (a < math.inf))
-            qualities = _float_rows(self.qualities, width, _quality, lambda a: (a >= 0.0) & (a <= 100.0))
-        except ValueError:
-            for i, (size_row, quality_row) in enumerate(zip(self.sizes, self.qualities)):
-                for r, (size, quality) in enumerate(zip(size_row, quality_row)):
-                    _size(f"segments[{i}][{r}]", size)  # the first bad cell raises again, named
-                    _quality(f"segments[{i}][{r}]", quality)
-            raise
+        # all floats in range: a chained comparison is False for NaN
+        cells = itertools.chain.from_iterable
+        if all(type(x) is float and 0.0 < x < math.inf for x in cells(self.sizes)) and all(
+            type(x) is float and 0.0 <= x <= 100.0 for x in cells(self.qualities)
+        ):
+            sizes, qualities = tuple(map(tuple, self.sizes)), tuple(map(tuple, self.qualities))
+        else:
+            sizes, qualities = _checked_cells(self.sizes, self.qualities)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "qualities", qualities)
 

@@ -226,6 +226,9 @@ def test_bulk_manifest_check_names_the_first_of_several_bad_cells():
     qualities[1][0] = 1
     with pytest.raises(ValueError, match=re.escape("segments[1][1] size_bits must be finite and > 0, got nan")):
         media.Manifest(4.0, ladder, sizes, qualities)
+    qualities[1][1] = "high"  # a cell bad in both fields names its size first
+    with pytest.raises(ValueError, match=re.escape("segments[1][1] size_bits must be finite and > 0, got nan")):
+        media.Manifest(4.0, ladder, sizes, qualities)
 
 
 def test_synthetic_manifest_bytes_are_pinned():
