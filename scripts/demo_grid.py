@@ -80,7 +80,7 @@ def main():
         _, trace_stem, policy_name = cell.split("__")
         trace_name = trace_stem.removeprefix("trace_")
         record = simulator.record_from_json(path.read_text())
-        by_policy[policy_name][trace_name] = qoe.evaluate("ksqi", record).value
+        by_policy[policy_name][trace_name] = qoe.evaluate("ksqi", record)
 
     traces_sorted = sorted(TRACES)
     print("\nKSQI-style score per (policy, trace):")

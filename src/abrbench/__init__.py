@@ -49,7 +49,7 @@ from .abr import (
     make_policy,
     mpc_select_exact,
 )
-from .qoe import KsqiParams, QoeScore, evaluate
+from .qoe import KsqiParams, evaluate
 from .stats import (
     build_significance_matrix,
     f_test_variance,

@@ -188,6 +188,11 @@ def cmd_simulate(config: dict, args) -> int:
     player = _player_config(_block(config, "player"))
     manifest_paths = _list(config, "manifests", "manifest paths")
     manifests = [_load_manifest(i, p) for i, p in enumerate(manifest_paths)]
+    for j, manifest in enumerate(manifests):  # run_session's checks of the player, before any cell runs
+        try:
+            player.check_fits(manifest)
+        except ValueError as exc:
+            raise ValueError(f"manifests[{j}] ({manifest_paths[j]}): player.{exc}") from exc
     manifests = list(zip(_dedupe([Path(p).stem for p in manifest_paths]), manifests))
     traces = _load_traces(config, "traces")
     builders, names = [], []  # every policy entry checked once, before any cell runs
@@ -321,7 +326,7 @@ def cmd_qoe(config: dict, args) -> int:
                     score = qoe.evaluate_external(spec["id"], record, spec["command"])
                 else:
                     score = qoe.evaluate(spec["id"], record, params)
-                rows.append((video_id, spec["id"], score.value))
+                rows.append((video_id, spec["id"], score))
             except Exception as exc:
                 failed += 1
                 print(f"qoe: {video_id}/{spec['id']} failed: {exc}", file=sys.stderr)
@@ -352,8 +357,9 @@ def cmd_subjective(config: dict, args) -> int:
         return reader(_read_text(block[key], what), block[key])  # errors name the file and line
 
     matrix = load(subjective.load_ratings_csv, "ratings_csv", "ratings")
+    video_meta = {}
     if "video_meta_csv" in block:
-        matrix.video_meta = load(subjective.load_video_meta_csv, "video_meta_csv", "video meta")
+        video_meta = load(subjective.load_video_meta_csv, "video_meta_csv", "video meta")
     if "keystrokes_csv" in block:
         events = load(subjective.load_keystrokes_csv, "keystrokes_csv", "keystrokes")
         onsets = load(subjective.load_stall_events_csv, "stall_events_csv", "stall events")
@@ -361,12 +367,12 @@ def cmd_subjective(config: dict, args) -> int:
             s: [v for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])]
             for i, s in enumerate(matrix.subjects)
         }
-        matrix.keystroke_accuracy = subjective.keystroke_accuracy(events, onsets, videos_of, tol_s=tol_s)
+        accuracy = subjective.keystroke_accuracy(events, onsets, videos_of, tol_s=tol_s)
     else:
-        matrix.keystroke_accuracy = {s: 1.0 for s in matrix.subjects}
+        accuracy = {s: 1.0 for s in matrix.subjects}
     anchors = load(subjective.load_anchors_csv, "anchors_csv", "anchors") if "anchors_csv" in block else None
 
-    keep = subjective.reject_auxiliary(matrix, threshold=threshold)
+    keep = subjective.reject_auxiliary(matrix, accuracy, threshold=threshold)
     matrix = subjective.subset_matrix(matrix, keep)
     z = subjective.z_normalize(matrix)
     keep2 = subjective.reject_bt500(z)
@@ -381,13 +387,13 @@ def cmd_subjective(config: dict, args) -> int:
                    [(d, a, b) for d, (a, b) in sorted(mappings.items())])
         outputs.append("mos.csv")
 
-    if matrix.video_meta:
-        partitions = subjective.partition_sessions(matrix.video_meta)
+    if video_meta:
+        partitions = subjective.partition_sessions(video_meta)
         report = subjective.build_sensitivity_report(matrix, partitions, min_set=min_set)
         sets = ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
         header = ("subject_id", "s_r", "s_q", "s_a", "n_r_bar", "n_r", "n_q", "n_q_bar", "n_a", "n_a_bar")
         _write_csv(out_dir / "sensitivity.csv", header,
-                   [(r.subject, r.s_r, r.s_q, r.s_a, *(r.set_sizes[k] for k in sets)) for r in report.rows])
+                   [(r.subject, r.s_r, r.s_q, r.s_a, *(r.set_sizes[k] for k in sets)) for r in report])
         outputs.append("sensitivity.csv")
 
     cdf = subjective.personal_mean_cdf(matrix)
@@ -443,9 +449,9 @@ def cmd_stats(config: dict, args) -> int:
         except ValueError as exc:  # e.g. constant scores
             raise ValueError(f"{block['scores_csv']}: method {method}: {exc}") from exc
         samples[method] = fit.mapped - mos if test == "f_test" else scores
-    _write_csv(out_dir / "correlations.csv", ("method", "plcc", "srcc", "krcc"), correlations)
+    matrix = stats.build_significance_matrix(samples, test=test, alpha=alpha)  # it may refuse a pair: no file yet
 
-    matrix = stats.build_significance_matrix(samples, test=test, alpha=alpha)
+    _write_csv(out_dir / "correlations.csv", ("method", "plcc", "srcc", "krcc"), correlations)
     if args.format == "json":
         payload = {"labels": list(matrix.labels), "cells": [list(r) for r in matrix.cells]}
         _atomic_write(out_dir / "significance.json", checks.to_json(payload))
@@ -465,10 +471,15 @@ def cmd_traces(config: dict, args) -> int:
     window_s = checks.positive("window_s", block.get("window_s", 55.0))
     stride_s = checks.positive("stride_s", block.get("stride_s", window_s))
     min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))
+    inputs = []  # (name, path, windows): every input's windowing is checked before any window is written
+    for i, (name, path, trace) in enumerate(_load_traces(block, "inputs")):
+        try:
+            inputs.append((name, path, nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)))
+        except ValueError as exc:
+            raise ValueError(f"inputs[{i}] ({path}): {exc}") from exc
     index = []
     kept_count = 0
-    for name, path, trace in _load_traces(block, "inputs"):
-        windows = nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)
+    for name, path, windows in inputs:
         for w_idx, window in enumerate(windows):
             mean = window.mean_kbps()
             # strictly above the floor: where even the lowest rung stalls, bitrate selection is trivial;

@@ -87,9 +87,6 @@ class Manifest:
     floats is checked in one pass of comparisons, anything else one cell
     at a time. A bad value raises ValueError naming its cell as
     ``segments[i][r]``, both 0-based, and the field.
-
-    ``size_bits`` and ``quality`` are the bounds-checked public way to
-    read one cell; the session loop and the policies index the matrices.
     """
 
     segment_duration_s: float
@@ -127,23 +124,6 @@ class Manifest:
     @property
     def segment_count(self) -> int:
         return len(self.sizes)
-
-    def _cell(self, segment: int, rep_index: int) -> tuple[int, int]:
-        if not 0 <= segment < len(self.sizes):
-            raise IndexError(f"segment position {segment} out of range 0..{len(self.sizes) - 1}")
-        if not 1 <= rep_index <= len(self.ladder):
-            raise IndexError(f"representation index {rep_index} out of range 1..{len(self.ladder)}")
-        return segment, rep_index - 1
-
-    def size_bits(self, segment: int, rep_index: int) -> float:
-        """Size (bits) of 0-based ``segment`` at 1-based ``rep_index``."""
-        i, r = self._cell(segment, rep_index)
-        return self.sizes[i][r]
-
-    def quality(self, segment: int, rep_index: int) -> float:
-        """Quality of 0-based ``segment`` at 1-based ``rep_index``."""
-        i, r = self._cell(segment, rep_index)
-        return self.qualities[i][r]
 
 
 # Reference 13-step encoding ladder used throughout the toolkit

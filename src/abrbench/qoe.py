@@ -22,16 +22,6 @@ from .simulator import SessionRecord, record_to_json
 
 
 @dataclass(frozen=True)
-class QoeScore:
-    value: float
-    model_id: str
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite QoE score from {self.model_id}")
-
-
-@dataclass(frozen=True)
 class KsqiParams:
     """Coefficients of the KSQI-style model.
 
@@ -198,7 +188,15 @@ MODELS = {
 }
 
 
-def evaluate_external(model_id: str, record: SessionRecord, command) -> QoeScore:
+def _finite_score(model_id: str, value) -> float:
+    """A model's score as a float; NaN or an infinity is a ValueError naming the model."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite QoE score from {model_id}")
+    return value
+
+
+def evaluate_external(model_id: str, record: SessionRecord, command) -> float:
     """Score ``record`` under a model that lives outside this package, as ``model_id``.
 
     ``command`` reads one SessionRecord JSON document on stdin and prints a single scalar; its last
@@ -208,7 +206,7 @@ def evaluate_external(model_id: str, record: SessionRecord, command) -> QoeScore
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise ValueError(f"external QoE model {model_id} printed no score")
-    return QoeScore(value=float(lines[-1]), model_id=model_id)
+    return _finite_score(model_id, lines[-1])
 
 
 def _memory_constant(name: str, value) -> float:
@@ -242,9 +240,9 @@ def model_params(model_id: str, params: dict) -> dict:
     return {name: _VALUE_CHECKS.get(name, checks.nonnegative)(name, value) for name, value in params.items()}
 
 
-def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -> QoeScore:
+def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -> float:
     """Score ``record`` under the built-in model ``model_id``, with keyword arguments from ``model_params``."""
     if model_id not in MODELS:
         raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
-    return QoeScore(value=float(MODELS[model_id](record, **(params or {}))), model_id=model_id)
+    return _finite_score(model_id, MODELS[model_id](record, **(params or {})))
 

@@ -30,6 +30,14 @@ class PlayerConfig:
         checks.attrs(self, checks.count, "initial_rep")  # a 1-based ladder index
         checks.attrs(self, checks.flag, "drop_first_chunk")
 
+    def check_fits(self, manifest: Manifest) -> None:
+        """The buffer holds two segments of ``manifest`` and ``initial_rep`` is a rung of its ladder."""
+        seg, rungs = manifest.segment_duration_s, len(manifest.ladder)
+        if self.max_buffer_s < 2 * seg:
+            raise ValueError(f"max_buffer_s must be at least two segments ({2 * seg} s), got {self.max_buffer_s}")
+        if self.initial_rep > rungs:  # >= 1 by construction
+            raise ValueError(f"initial_rep must be a rung of the ladder (1..{rungs}), got {self.initial_rep}")
+
 
 @dataclass(frozen=True)
 class SessionLog:
@@ -135,12 +143,9 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
     """
     from .abr import AbrState  # local import: abr imports qoe, which imports simulator
 
+    config.check_fits(manifest)
     n = manifest.segment_count
     seg = manifest.segment_duration_s
-    if config.max_buffer_s < 2 * seg:
-        raise ValueError("max_buffer_s must be at least two segment durations")
-    if not 1 <= config.initial_rep <= len(manifest.ladder):
-        raise ValueError(f"initial_rep {config.initial_rep} not in ladder")
 
     choices: list[int] = []
     spans: list[tuple[float, float]] = []

@@ -335,6 +335,7 @@ def build_significance_matrix(
     compares the variances of per-item residuals, which the caller
     computes: each method's scores mapped through its own fitted
     logistic, minus MOS (``fit_logistic(scores, mos).mapped - mos``).
+    A pair the test refuses raises ValueError naming both methods.
     """
     labels = tuple(method_samples.keys())
     lengths = {len(v) for v in method_samples.values()}
@@ -352,7 +353,10 @@ def build_significance_matrix(
     flipped = {ROW_BETTER: ROW_WORSE, ROW_WORSE: ROW_BETTER, INDISTINGUISHABLE: INDISTINGUISHABLE}
     for i in range(n):
         for j in range(i + 1, n):
-            decision, p = pair_fn(data[labels[i]], data[labels[j]], alpha)
+            try:
+                decision, p = pair_fn(data[labels[i]], data[labels[j]], alpha)
+            except ValueError as exc:
+                raise ValueError(f"methods {labels[i]} and {labels[j]}: {exc}") from exc
             cells[i][j] = decision
             cells[j][i] = flipped[decision]
             ps[i][j] = ps[j][i] = p

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,9 @@ class VideoMeta:
     mean_quality: float
     quality_std: float
     total_stall_s: float
-    first_quality: float
-    last_quality: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatingsMatrix:
     """Subjects x videos opinion scores with study metadata.
 
@@ -45,8 +43,6 @@ class RatingsMatrix:
     session_of: dict[str, str]
     day_of: dict[str, str]
     device_of: dict[str, str]
-    keystroke_accuracy: dict[str, float] = field(default_factory=dict)
-    video_meta: dict[str, VideoMeta] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.raw.shape != (len(self.subjects), len(self.videos)):
@@ -54,9 +50,6 @@ class RatingsMatrix:
         present = self.raw[~np.isnan(self.raw)]
         if present.size and (present.min() < 0.0 or present.max() > 100.0):
             raise ValueError("ratings must lie in [0, 100]")
-        for s, acc in self.keystroke_accuracy.items():
-            if not (0.0 <= acc <= 1.0):
-                raise ValueError(f"keystroke accuracy of {s} outside [0, 1]")
 
     def sessions(self) -> list[str]:
         seen = []
@@ -124,18 +117,21 @@ def keystroke_accuracy(
     return out
 
 
-def reject_auxiliary(matrix: RatingsMatrix, threshold: float = 0.10) -> np.ndarray:
+def reject_auxiliary(matrix: RatingsMatrix, accuracy: dict[str, float], threshold: float = 0.10) -> np.ndarray:
     """Keep-mask over subjects passing the auxiliary-task screen.
 
-    A subject failing more than ``threshold`` of the keystroke task is
-    removed; the boundary (exactly 1-threshold accuracy) is kept.
+    ``accuracy`` maps each subject of ``matrix`` to its keystroke
+    accuracy in [0, 1]; a missing subject or an accuracy outside that
+    range raises before anyone is screened. A subject failing more than
+    ``threshold`` of the keystroke task is removed; the boundary
+    (exactly 1-threshold accuracy) is kept.
     """
-    keep = np.ones(len(matrix.subjects), dtype=bool)
-    for i, subject in enumerate(matrix.subjects):
-        if subject not in matrix.keystroke_accuracy:
+    for subject in matrix.subjects:
+        if subject not in accuracy:
             raise ValueError(f"no keystroke accuracy recorded for subject {subject}")
-        keep[i] = matrix.keystroke_accuracy[subject] >= 1.0 - threshold
-    return keep
+        if not 0.0 <= accuracy[subject] <= 1.0:
+            raise ValueError(f"keystroke accuracy of {subject} outside [0, 1]")
+    return np.array([accuracy[s] >= 1.0 - threshold for s in matrix.subjects], dtype=bool)
 
 
 # BT.500 screening: a rating beyond mean +- k*std of its video is flagged, with k = 2 for a
@@ -287,14 +283,9 @@ class SensitivityRow:
     set_sizes: dict[str, int]
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    rows: tuple[SensitivityRow, ...]
-
-
 def build_sensitivity_report(
     matrix: RatingsMatrix, partitions: dict[str, list[str]], min_set: int = 30
-) -> SensitivityReport:
+) -> tuple[SensitivityRow, ...]:
     """Per-subject sensitivities over the named partitions, from the raw ratings.
 
     Sensitivities whose sets are smaller than ``min_set`` for a subject
@@ -316,7 +307,7 @@ def build_sensitivity_report(
                 set_sizes=sizes,
             )
         )
-    return SensitivityReport(rows=tuple(rows))
+    return tuple(rows)
 
 
 def personal_mean_cdf(matrix: RatingsMatrix) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -343,15 +334,9 @@ def personal_mean_cdf(matrix: RatingsMatrix) -> dict[str, tuple[np.ndarray, np.n
 def subset_matrix(matrix: RatingsMatrix, keep: np.ndarray) -> RatingsMatrix:
     """Restrict the panel to the kept subjects."""
     subjects = [s for s, k in zip(matrix.subjects, keep) if k]
-    return RatingsMatrix(
-        subjects=subjects,
-        videos=list(matrix.videos),
-        raw=matrix.raw[np.asarray(keep, dtype=bool), :].copy(),
-        session_of=dict(matrix.session_of),
-        day_of=dict(matrix.day_of),
+    return replace(
+        matrix, subjects=subjects, raw=matrix.raw[np.asarray(keep, dtype=bool), :],
         device_of={s: matrix.device_of[s] for s in subjects},
-        keystroke_accuracy={s: a for s, a in matrix.keystroke_accuracy.items() if s in subjects},
-        video_meta=dict(matrix.video_meta),
     )
 
 
@@ -419,8 +404,8 @@ def load_keystrokes_csv(text: str, source: str = "keystrokes CSV") -> dict[tuple
 
 
 def load_video_meta_csv(text: str, source: str = "video meta CSV") -> dict[str, VideoMeta]:
-    """Columns: video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality."""
-    columns = ("video_id", "mean_quality", "quality_std", "total_stall_s", "first_quality", "last_quality")
+    """Columns: video_id,mean_quality,quality_std,total_stall_s; other columns are ignored."""
+    columns = ("video_id", "mean_quality", "quality_std", "total_stall_s")
     rows = csv_rows(text, columns, "video meta")
     return {row["video_id"]: VideoMeta(*(csv_number(rows, row, c, source) for c in columns[1:])) for row in rows}
 

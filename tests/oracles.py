@@ -77,7 +77,7 @@ def _horizon_sizes(state, h, params):
     manifest = state.manifest
     if params.use_manifest_sizes:
         first = state.chunk_index - 1
-        return [[manifest.size_bits(first + k, r.index) for r in manifest.ladder] for k in range(h)]
+        return [[manifest.sizes[first + k][r.index - 1] for r in manifest.ladder] for k in range(h)]
     nominal = [r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in manifest.ladder]
     return [nominal] * h
 
@@ -125,12 +125,12 @@ def rdos_objective(choices, state, predicted_tput, params):
     h = len(choices)
     first = state.chunk_index - 1
     stalls = _stalls(choices, state, predicted_tput, params)
-    q_prev = manifest.quality(max(first - 1, 0), state.last_rep)
+    q_prev = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
     q_acc = 0.0
     pen = 0.0
     rate_acc = 0.0
     for k, c in enumerate(choices):
-        q = manifest.quality(first + k, c)
+        q = manifest.qualities[first + k][c - 1]
         if stalls[k] > 0:
             pen += kp.c0 * np.log1p(stalls[k]) * (kp.c1 + kp.c2 * (100.0 - q_prev))
         delta = q - q_prev
@@ -154,7 +154,7 @@ def mpc_enumerate(state, params, predicted_tput):
     rates = [r.bitrate_kbps / 1000.0 for r in ladder]
     if params.use_manifest_sizes:
         first = state.chunk_index - 1
-        sizes = [[state.manifest.size_bits(first + k, r.index) for r in ladder] for k in range(h)]
+        sizes = [[state.manifest.sizes[first + k][r.index - 1] for r in ladder] for k in range(h)]
     else:
         nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
         sizes = [nominal] * h
@@ -194,11 +194,11 @@ def rdos_enumerate(state, params, predicted_tput):
     first = state.chunk_index - 1
     rates = [r.bitrate_kbps / 1000.0 for r in ladder]
     if params.use_manifest_sizes:
-        sizes = [[manifest.size_bits(first + k, r.index) for r in ladder] for k in range(h)]
+        sizes = [[manifest.sizes[first + k][r.index - 1] for r in ladder] for k in range(h)]
     else:
         nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
         sizes = [nominal] * h
-    q_start = manifest.quality(max(first - 1, 0), state.last_rep)
+    q_start = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
     best = None
     best_choice = None
     for seq in itertools.product(range(n), repeat=h):
@@ -208,7 +208,7 @@ def rdos_enumerate(state, params, predicted_tput):
         b = state.buffer_s
         q_prev = q_start
         for k, c in enumerate(seq):
-            q = manifest.quality(first + k, c + 1)
+            q = manifest.qualities[first + k][c]
             dt = sizes[k][c] / (predicted_tput * 1000.0) + params.rtt_s
             stall = max(dt - b, 0.0)
             b = min(b - min(b, dt) + seg, params.max_buffer_s)
@@ -400,7 +400,7 @@ def offline_optimal_dp(manifest, bandwidth_kbps, config, params, buffer_grid_ste
     rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
     dts = np.array(
         [
-            [manifest.size_bits(k, r.index) / (bandwidth_kbps * 1000.0) + config.channel.rtt_s for r in ladder]
+            [manifest.sizes[k][r.index - 1] / (bandwidth_kbps * 1000.0) + config.channel.rtt_s for r in ladder]
             for k in range(n)
         ]
     )

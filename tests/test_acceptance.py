@@ -218,7 +218,7 @@ def test_rdos_directional_check():
         for name, policy in policies.items():
             log = run_session(manifest, trace, policy, cfg)
             record = to_record(log, manifest, cfg)
-            scores[name].append(qoe.evaluate("ksqi", record).value)
+            scores[name].append(qoe.evaluate("ksqi", record))
     elapsed = time.monotonic() - start
     mean_rdos = float(np.mean(scores["rdos"]))
     mean_rb = float(np.mean(scores["rb"]))
@@ -288,16 +288,16 @@ def _build_round_trip_panel():
     for v in videos:
         kind = v[:-2].rstrip("0123456789")
         if kind == "clean":
-            meta[v] = subjective.VideoMeta(80.0 + rng.uniform(-5, 5), 4.0, 0.0, 80.0, 80.0)
+            meta[v] = subjective.VideoMeta(80.0 + rng.uniform(-5, 5), 4.0, 0.0)
             base_score[v] = 70.0 + rng.uniform(-5, 5)
         elif kind == "stall":
-            meta[v] = subjective.VideoMeta(80.0 + rng.uniform(-5, 5), 4.0, rng.uniform(2.0, 5.0), 80.0, 80.0)
+            meta[v] = subjective.VideoMeta(80.0 + rng.uniform(-5, 5), 4.0, rng.uniform(2.0, 5.0))
             base_score[v] = 70.0 + rng.uniform(-5, 5)
         elif kind == "vary":
-            meta[v] = subjective.VideoMeta(80.0 + rng.uniform(-5, 5), 15.0, 0.0, 65.0, 92.0)
+            meta[v] = subjective.VideoMeta(80.0 + rng.uniform(-5, 5), 15.0, 0.0)
             base_score[v] = 68.0 + rng.uniform(-5, 5)
         else:  # low quality
-            meta[v] = subjective.VideoMeta(45.0 + rng.uniform(-5, 5), 4.0, 0.0, 45.0, 45.0)
+            meta[v] = subjective.VideoMeta(45.0 + rng.uniform(-5, 5), 4.0, 0.0)
             base_score[v] = 58.0 + rng.uniform(-5, 5)
 
     n_honest = 25
@@ -333,8 +333,6 @@ def _build_round_trip_panel():
         session_of=session_of,
         day_of=day_of,
         device_of={s: ("phone" if i % 3 == 0 else "hdtv") for i, s in enumerate(subjects)},
-        keystroke_accuracy=accuracy,
-        video_meta=meta,
     )
     planted = {
         "bad_subjects": set(subjects[-3:]),
@@ -342,14 +340,14 @@ def _build_round_trip_panel():
         "beta_q": beta_q,
         "beta_a": beta_a,
     }
-    return matrix, planted
+    return matrix, accuracy, meta, planted
 
 
 def test_subjective_round_trip():
     start = time.monotonic()
-    matrix, planted = _build_round_trip_panel()
+    matrix, accuracy, meta, planted = _build_round_trip_panel()
 
-    keep = subjective.reject_auxiliary(matrix, threshold=0.10)
+    keep = subjective.reject_auxiliary(matrix, accuracy, threshold=0.10)
     removed = {s for s, k in zip(matrix.subjects, keep) if not k}
     assert removed == planted["bad_subjects"]
     matrix = subjective.subset_matrix(matrix, keep)
@@ -383,8 +381,8 @@ def test_subjective_round_trip():
         j = matrix.videos.index(v)
         assert value == pytest.approx(a * float(mean_z[j]) + b, abs=1e-9)
 
-    partitions = subjective.partition_sessions(matrix.video_meta)
-    report_rows = subjective.build_sensitivity_report(matrix, partitions, min_set=30).rows
+    partitions = subjective.partition_sessions(meta)
+    report_rows = subjective.build_sensitivity_report(matrix, partitions, min_set=30)
     est_r = {row.subject: row.s_r for row in report_rows}
     est_q = {row.subject: row.s_q for row in report_rows}
     est_a = {row.subject: row.s_a for row in report_rows}
@@ -462,7 +460,7 @@ def test_optional_dataset_integration():
     ids = sorted(records)
     mos = [mos_by_id[v] for v in ids]
     srcc_of = {
-        model: stats.srcc([qoe.evaluate(model, records[v]).value for v in ids], mos)
+        model: stats.srcc([qoe.evaluate(model, records[v]) for v in ids], mos)
         for model in ("ksqi", "sqi", "yin2015", "liu2012")
     }
     ok = srcc_of["ksqi"] >= srcc_of["sqi"] >= max(srcc_of["yin2015"], srcc_of["liu2012"])

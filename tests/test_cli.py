@@ -264,7 +264,7 @@ def test_qoe_scores_match_library(tmp_path):
     record = simulator.record_from_json(record_path.read_text())
     for row in rows:
         video_id, model_id, score = row.split(",")
-        assert float(score) == pytest.approx(qoe.evaluate(model_id, record).value)
+        assert float(score) == pytest.approx(qoe.evaluate(model_id, record))
 
 
 def test_qoe_external_stub_constant_column(tmp_path):
@@ -410,8 +410,7 @@ def test_subjective_pipeline_matches_library(tmp_path):
     got = {r["video_id"]: float(r["mos"]) for r in mos_rows}
 
     matrix = subjective.load_ratings_csv(ratings.read_text())
-    matrix.keystroke_accuracy = {s: 1.0 for s in matrix.subjects}
-    keep = subjective.reject_auxiliary(matrix)
+    keep = subjective.reject_auxiliary(matrix, {s: 1.0 for s in matrix.subjects})
     matrix = subjective.subset_matrix(matrix, keep)
     z = subjective.z_normalize(matrix)
     keep2 = subjective.reject_bt500(z)
@@ -429,8 +428,8 @@ def test_sensitivity_csv_cells_are_plain_floats(tmp_path):
     # two in q_q_bar and q_a, so with min_set 3 s_r is a number and s_q, s_a are missing
     meta = [(80, 2, 0)] * 3 + [(80, 2, 5)] * 3 + [(40, 2, 0)] * 2 + [(80, 20, 0)] * 2
     meta_csv = tmp_path / "meta.csv"
-    meta_csv.write_text("video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
-                        + "".join(f"v{j},{m},{s},{st},{m},{m}\n" for j, (m, s, st) in enumerate(meta)))
+    meta_csv.write_text("video_id,mean_quality,quality_std,total_stall_s\n"
+                        + "".join(f"v{j},{m},{s},{st}\n" for j, (m, s, st) in enumerate(meta)))
     out = tmp_path / "out"
     cfg = tmp_path / "subj.json"
     cfg.write_text(json.dumps({
@@ -478,6 +477,24 @@ def write_stats_inputs(tmp_path):
     return cfg
 
 
+def test_stats_writes_nothing_when_the_significance_test_fails(tmp_path, capsys):
+    # correlations.csv used to be written before the Wilcoxon test refused the pair
+    mos = [10.0, 25.0, 30.0, 45.0, 60.0, 70.0, 85.0]
+    good = [12.0, 22.0, 33.0, 41.0, 63.0, 72.0, 80.0]
+    near = good[:4] + [58.0, 75.0, 88.0]  # differs from good on 3 items: too few for the test
+    (tmp_path / "scores.csv").write_text("item_id,method,score\n" + "".join(
+        f"i{k},good,{g}\ni{k},near,{n}\n" for k, (g, n) in enumerate(zip(good, near))))
+    (tmp_path / "mos.csv").write_text("item_id,mos\n" + "".join(f"i{k},{m}\n" for k, m in enumerate(mos)))
+    cfg = tmp_path / "stats.json"
+    cfg.write_text(json.dumps({
+        "stats": {"scores_csv": str(tmp_path / "scores.csv"), "mos_csv": str(tmp_path / "mos.csv"), "test": "wilcoxon"},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["stats", "--config", cfg]) == 2
+    assert "methods good and near: only 3 nonzero differences; need at least 6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_stats_command_two_methods(tmp_path):
     cfg = write_stats_inputs(tmp_path)
     out = tmp_path / "out"
@@ -497,7 +514,7 @@ def test_stats_command_two_methods(tmp_path):
     "command, key, header, missing",
     [
         ("subjective", "ratings_csv", "subject_id,video_id,session_id,day,device", "score"),
-        ("subjective", "video_meta_csv", "video_id,mean_quality,quality_std,total_stall_s,first_quality", "last_quality"),
+        ("subjective", "video_meta_csv", "video_id,mean_quality,quality_std", "total_stall_s"),
         ("subjective", "keystrokes_csv", "subject_id,video_id,time_s", "event_time_s"),
         ("subjective", "stall_events_csv", "video_id,onset_s", "position_s"),
         ("subjective", "anchors_csv", "day,video,mos", "video_id"),
@@ -564,6 +581,19 @@ def test_traces_options_are_checked(tmp_path, capsys, key, value):
     cfg.write_text(json.dumps({"traces_ingest": block, "out_dir": str(tmp_path / "out")}))
     assert run(["traces", "--config", cfg]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_traces_windows_every_input_before_writing_any(tmp_path, capsys):
+    # long.csv's three windows used to be written before short.csv failed, and the error named no input
+    long, short = tmp_path / "long.csv", tmp_path / "short.csv"
+    long.write_text("1000\n" * 40)  # 200 s at 5 s granularity
+    short.write_text("1000\n" * 4)  # 20 s
+    block = {"inputs": [{"path": str(p), "format": "granular_5s"} for p in (long, short)], "window_s": 55}
+    cfg = tmp_path / "traces.json"
+    cfg.write_text(json.dumps({"traces_ingest": block, "out_dir": str(tmp_path / "out")}))
+    assert run(["traces", "--config", cfg]) == 2
+    assert f"inputs[1] ({short}): window 55.0s longer than trace (20.0s)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -641,8 +671,8 @@ def test_stats_scores_without_a_mos_name_both_files(tmp_path, capsys):
 
 
 SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than three rows
-    "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
-    + "".join(f"v{j},80.0,5.0,0.0,78.0,82.0\n" for j in range(10)),
+    "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s\n"
+    + "".join(f"v{j},80.0,5.0,0.0\n" for j in range(10)),
     "keystrokes_csv": "subject_id,video_id,event_time_s\n"
     + "".join(f"s{i},v{j},3.0\n" for i in range(5) for j in range(5, 10)),
     "stall_events_csv": "video_id,position_s\n" + "".join(f"v{j},3.0\n" for j in range(5, 10)),
@@ -657,7 +687,7 @@ SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than thr
         ("stats", "scores_csv", "score"),
         ("stats", "mos_csv", "mos"),
         ("subjective", "anchors_csv", "mos"),  # a nan anchor turned every MOS of its day into nan
-        ("subjective", "video_meta_csv", "last_quality"),
+        ("subjective", "video_meta_csv", "total_stall_s"),
         ("subjective", "keystrokes_csv", "event_time_s"),
         ("subjective", "stall_events_csv", "position_s"),
     ],
@@ -698,6 +728,28 @@ def test_simulate_rejects_a_player_block_that_is_not_an_object(tmp_path, capsys,
     }))
     assert run(["simulate", "--config", cfg]) == 2
     assert "player must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, j, message", [
+    ("initial_rep", 5, 1, "must be a rung of the ladder (1..3), got 5"),
+    ("max_buffer_s", 5, 0, "must be at least two segments (8.0 s), got 5.0"),
+])
+def test_simulate_checks_the_player_against_every_manifest_before_any_cell(tmp_path, capsys, key, value, j, message):
+    # both used to fail every cell that reached run_session, in summary.csv, with exit 1
+    manifests, traces = write_inputs(tmp_path, n_manifests=2)
+    Path(manifests[1]).write_text(media.serialize_manifest(
+        media.synthetic_manifest(segments=6, ladder=media.ladder_default()[:3])))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "manifests": manifests,
+        "traces": traces,
+        "policies": [{"id": "rate_based"}],
+        "player": {key: value},
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert run(["simulate", "--config", cfg]) == 2
+    assert f"abrbench simulate: manifests[{j}] ({manifests[j]}): player.{key} {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out").exists()
 
 
@@ -1063,7 +1115,7 @@ def test_csv_fields_with_commas_and_quotes_read_back(tmp_path):
     assert run(["qoe", "--config", cfg]) == 0
     assert run(["traces", "--config", cfg]) == 0
     [score] = read_csv(out / "qoe_scores.csv")
-    assert score == {"video_id": odd, "model_id": "yin2015", "score": repr(qoe.evaluate("yin2015", record).value)}
+    assert score == {"video_id": odd, "model_id": "yin2015", "score": repr(qoe.evaluate("yin2015", record))}
     [window] = read_csv(out / "trace_index.csv")
     assert (window["trace_id"], window["source"], window["kept"]) == (f"{odd}_w000", str(raw), "1")
 

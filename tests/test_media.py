@@ -33,7 +33,7 @@ def test_parse_minimal_manifest():
     m = media.parse_manifest(json.dumps(doc))
     assert m.segment_count == 2
     assert len(m.ladder) == 1
-    assert m.size_bits(0, 1) == 940000.0
+    assert m.sizes[0][0] == 940000.0
 
 
 def test_round_trip_is_identity():
@@ -85,18 +85,6 @@ def test_non_finite_segment_size_rejected():
     for size in (math.inf, math.nan, 0.0):
         with pytest.raises(ValueError, match=r"segments\[0\]\[0\] size_bits"):
             media.Manifest(4.0, ladder, [[size]], [[50.0]])
-
-
-def test_accessors_refuse_positions_outside_the_manifest():
-    m = media.synthetic_manifest(segments=3)
-    assert (m.size_bits(2, 13), m.quality(0, 1)) == (m.sizes[2][12], m.qualities[0][0])
-    for accessor in (m.size_bits, m.quality):
-        for segment in (-1, -3, 3, 10):
-            with pytest.raises(IndexError, match=rf"segment position {segment} out of range 0\.\.2$"):
-                accessor(segment, 1)
-        for rep in (0, 14):
-            with pytest.raises(IndexError, match=rf"representation index {rep} out of range 1\.\.13$"):
-                accessor(0, rep)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Every public name in the package is reached from the package or a script.
 
-A public module-level function or class of ``src/abrbench/*.py``, or a
-public method of one such class, must be referenced (as a name or an
-attribute) somewhere in ``src/abrbench/*.py`` or ``scripts/*.py``
-outside its own definition. Re-exports in ``__init__.py`` do not count:
-they are imports, not uses. A name that only tests reach is code that
+A public module-level function or class of ``src/abrbench/*.py`` must
+be referenced (as a name or an attribute) somewhere in
+``src/abrbench/*.py`` or ``scripts/*.py`` outside its own definition; a
+public method of one such class must be referenced there as an
+attribute (``x.method``), since a bare name of the same spelling is some
+other local. Re-exports in ``__init__.py`` do not count: they are
+imports, not uses. A name that only tests reach is code that
 no command or script runs; it goes, or a command starts using it.
 """
 
@@ -20,27 +22,29 @@ UNREACHED_ON_PURPOSE = {"abr.make_policy"}
 
 
 def _definitions(module: str, tree: ast.Module):
-    """(qualified name, definition node) of each public top-level function or class and public method."""
+    """(qualified name, definition node, the use kinds that reach it) of each public top-level
+    function or class and public method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node, (ast.Name, ast.Attribute)
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item, ast.Attribute
 
 
 def unreached_names() -> list[str]:
     trees = {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    uses = [  # (identifier, file, line) of every name or attribute read or written outside __init__.py
-        (node.id if isinstance(node, ast.Name) else node.attr, path, node.lineno)
+    uses = [  # (identifier, kind, file, line) of every name or attribute read or written outside __init__.py
+        (node.id if isinstance(node, ast.Name) else node.attr, type(node), path, node.lineno)
         for path, tree in trees.items() if path.name != "__init__.py"
         for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
     ]
     unreached = []
     for path, tree in trees.items():
-        for qualified, node in _definitions(path.stem, tree):
+        for qualified, node, kinds in _definitions(path.stem, tree):
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (where == path and line in inside) for name, where, line in uses):
+            if not any(name == node.name and issubclass(kind, kinds) and not (where == path and line in inside)
+                       for name, kind, where, line in uses):
                 unreached.append(qualified)
     return unreached
 

@@ -202,7 +202,7 @@ def test_ksqi_stall_penalty_scales_with_quality_before():
 def test_evaluate_dispatch_matches_direct_calls():
     r = rec([60, 70, 80], bitrates=[1000.0, 2000.0, 1500.0], stalls=[(4.0, 1.0)])
     for model_id, fn in qoe.MODELS.items():
-        assert evaluate(model_id, r).value == pytest.approx(fn(r))
+        assert evaluate(model_id, r) == pytest.approx(fn(r))
 
 
 NON_DEFAULT_COEFFICIENTS = {  # every coefficient of every model moved off its default
@@ -225,7 +225,7 @@ def test_evaluate_takes_model_params_for_every_model():
     for model_id, params in NON_DEFAULT_COEFFICIENTS.items():
         fn = qoe.MODELS[model_id]
         direct = fn(r, KsqiParams(**params)) if model_id == "ksqi" else fn(r, **params)
-        assert evaluate(model_id, r, qoe.model_params(model_id, params)).value == direct, model_id
+        assert evaluate(model_id, r, qoe.model_params(model_id, params)) == direct, model_id
         assert (direct != fn(r)) == bool(params), model_id  # the coefficients reached the model
 
 
@@ -263,9 +263,9 @@ def test_monotone_degradation_fuzz():
         dropped = rec(dropped_q, bitrates, stalls)
 
         for model_id in qoe.MODELS:
-            s0 = evaluate(model_id, base).value
-            assert evaluate(model_id, stalled).value <= s0 + 1e-9, model_id
-            assert evaluate(model_id, dropped).value <= s0 + 1e-9, model_id
+            s0 = evaluate(model_id, base)
+            assert evaluate(model_id, stalled) <= s0 + 1e-9, model_id
+            assert evaluate(model_id, dropped) <= s0 + 1e-9, model_id
 
 
 def test_segment_duration_only_enters_time_ratio_models():
@@ -274,8 +274,8 @@ def test_segment_duration_only_enters_time_ratio_models():
     base = rec([60, 70, 80], bitrates=[1000.0, 2000.0, 1500.0], stalls=[(4.0, 1.5)], seg=4.0)
     slow = rec([60, 70, 80], bitrates=[1000.0, 2000.0, 1500.0], stalls=[(4.0, 1.5)], seg=8.0)
     for model_id in qoe.MODELS:
-        a = evaluate(model_id, base).value
-        b = evaluate(model_id, slow).value
+        a = evaluate(model_id, base)
+        b = evaluate(model_id, slow)
         if model_id == "liu2012":
             assert a != pytest.approx(b)  # rebuffer ratio sees content time
         elif model_id == "mok2011":
@@ -288,7 +288,7 @@ def test_external_model_stub(tmp_path):
     script = tmp_path / "const_model.py"
     script.write_text("import sys, json\ndoc = json.load(sys.stdin)\nprint(41.5)\n")
     score = qoe.evaluate_external("stub_model", rec([50, 60]), [sys.executable, str(script)])
-    assert score == qoe.QoeScore(value=41.5, model_id="stub_model")
+    assert type(score) is float and score == 41.5
     # nothing is registered: the id stays unknown to evaluate
     with pytest.raises(ValueError, match="unknown QoE model"):
         evaluate("stub_model", rec([50, 60]))
@@ -301,3 +301,14 @@ def test_external_model_that_prints_no_score_is_named(tmp_path, output):
     script.write_text(f"import sys\nsys.stdin.read()\nsys.stdout.write({output!r})\n")
     with pytest.raises(ValueError, match="external QoE model silent printed no score"):
         qoe.evaluate_external("silent", rec([50, 60]), [sys.executable, str(script)])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_score_is_refused_on_both_paths(tmp_path, monkeypatch, value):
+    script = tmp_path / "bad_model.py"
+    script.write_text(f"import sys\nsys.stdin.read()\nprint({value!r})\n")
+    with pytest.raises(ValueError, match="^non-finite QoE score from bad_external$"):
+        qoe.evaluate_external("bad_external", rec([50, 60]), [sys.executable, str(script)])
+    monkeypatch.setitem(qoe.MODELS, "bad_builtin", lambda record: float(value))
+    with pytest.raises(ValueError, match="^non-finite QoE score from bad_builtin$"):
+        evaluate("bad_builtin", rec([50, 60]))

@@ -79,7 +79,7 @@ def test_unconstrained_channel_never_stalls():
     tr = nettrace.parse_trace("0,100000", "pairs", duration_s=1000.0)
     log = run_session(m, tr, RateBasedPolicy(), PlayerConfig())
     assert log.stalls == ()
-    assert log.startup_delay_s == pytest.approx(0.08 + m.size_bits(0, 1) / 1e8, abs=1e-6)
+    assert log.startup_delay_s == pytest.approx(0.08 + m.sizes[0][0] / 1e8, abs=1e-6)
 
 
 def test_top_rung_on_starved_channel_matches_recursion():
@@ -91,7 +91,7 @@ def test_top_rung_on_starved_channel_matches_recursion():
     buf = 4.0
     expected = []
     for k in range(2, 5):
-        dt = 0.08 + m.size_bits(k - 1, 13) / (300.0 * 1000.0)
+        dt = 0.08 + m.sizes[k - 1][12] / (300.0 * 1000.0)
         new_buf, stall, _ = buffer_step(buf, dt, 4.0, 60.0)
         expected.append(stall)
         buf = new_buf
@@ -147,8 +147,8 @@ def test_to_record_drops_first_chunk():
     rec = to_record(log, m, cfg)
     assert rec.segment_count == 7
     assert rec.startup_delay_s == 0.0
-    assert rec.qualities == tuple(m.quality(i, 3) for i in range(1, 8))
-    assert rec.bitrates_kbps == tuple(m.size_bits(i, 3) / 4.0 / 1000.0 for i in range(1, 8))
+    assert rec.qualities == tuple(m.qualities[i][2] for i in range(1, 8))
+    assert rec.bitrates_kbps == tuple(m.sizes[i][2] / 4.0 / 1000.0 for i in range(1, 8))
 
 
 def test_to_record_identity_when_not_dropping():
@@ -232,7 +232,7 @@ def test_policy_states_keep_their_history_view():
             history[0] = 1.0
     # the last state saw one sample per earlier download, in order
     spans = log.download_spans[:-1]
-    sizes = [m.size_bits(k, rep) for k, rep in enumerate(log.choices[:-1])]
+    sizes = [m.sizes[k][rep - 1] for k, rep in enumerate(log.choices[:-1])]
     assert kept[-1][1] == pytest.approx([size / (b - a) / 1000.0 for size, (a, b) in zip(sizes, spans)])
 
 
@@ -263,6 +263,18 @@ def test_player_config_rejects_bad_values(kwargs):
             ChannelConfig(**kwargs["channel"])
         else:
             PlayerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"initial_rep": 14}, r"^initial_rep must be a rung of the ladder \(1\.\.13\), got 14$"),
+    ({"max_buffer_s": 7.9}, r"^max_buffer_s must be at least two segments \(8\.0 s\), got 7\.9$"),
+])
+def test_run_session_checks_the_player_against_the_manifest(kwargs, message):
+    m = media.synthetic_manifest(segments=3)
+    tr = nettrace.parse_trace("0,700", "pairs", duration_s=1000.0)
+    with pytest.raises(ValueError, match=message):
+        run_session(m, tr, FixedPolicy(2), PlayerConfig(**kwargs))
+    PlayerConfig(initial_rep=13, max_buffer_s=8.0).check_fits(m)  # the boundaries fit
 
 
 def test_numpy_initial_rep_gives_a_plain_log():

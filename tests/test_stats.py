@@ -420,3 +420,11 @@ def test_entry_points_reject_alpha_outside_the_open_unit_interval(entry, alpha):
     entry(a, b, alpha=0.05)
     with pytest.raises(ValueError, match="alpha"):
         entry(a, b, alpha=alpha)
+
+
+def test_significance_matrix_names_the_pair_a_test_refuses():
+    # the bare "only 3 nonzero differences" did not say which two of the methods
+    a = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0]
+    samples = {"a": a, "b": a[:4] + [20.0, 21.0, 22.0], "c": [x + 5.0 for x in a]}
+    with pytest.raises(ValueError, match=r"^methods a and b: only 3 nonzero differences; need at least 6$"):
+        build_significance_matrix(samples, test="wilcoxon")

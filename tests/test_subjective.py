@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from abrbench.subjective import (
 )
 
 
-def simple_matrix(raw, sessions=None, days=None, devices=None, accuracy=None):
+def simple_matrix(raw, sessions=None, days=None, devices=None):
     n_subj, n_videos = raw.shape
     subjects = [f"s{i}" for i in range(n_subj)]
     videos = [f"v{j}" for j in range(n_videos)]
@@ -33,7 +34,6 @@ def simple_matrix(raw, sessions=None, days=None, devices=None, accuracy=None):
         session_of=session_of,
         day_of=day_of,
         device_of=device_of,
-        keystroke_accuracy=accuracy or {s: 1.0 for s in subjects},
     )
 
 
@@ -101,9 +101,28 @@ def test_keystroke_accuracy_no_stalls_is_perfect():
 
 def test_reject_auxiliary_boundaries():
     raw = np.tile(np.array([[40.0, 60.0]]), (3, 1))
-    m = simple_matrix(raw, accuracy={"s0": 1.0, "s1": 0.85, "s2": 0.90})
-    keep = reject_auxiliary(m, threshold=0.10)
+    m = simple_matrix(raw)
+    keep = reject_auxiliary(m, {"s0": 1.0, "s1": 0.85, "s2": 0.90}, threshold=0.10)
     assert keep.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("bad", [1.5, -3.0])
+def test_reject_auxiliary_refuses_an_accuracy_outside_the_unit_range(bad):
+    # checked before anyone is screened: 1.5 would pass the screen, -3.0 fail it
+    m = simple_matrix(np.tile(np.array([[40.0, 60.0]]), (3, 1)))
+    with pytest.raises(ValueError, match=r"^keystroke accuracy of s1 outside \[0, 1\]$"):
+        reject_auxiliary(m, {"s0": 1.0, "s1": bad, "s2": 0.9})
+    with pytest.raises(ValueError, match="^no keystroke accuracy recorded for subject s2$"):
+        reject_auxiliary(m, {"s0": 1.0, "s1": 1.0})
+
+
+def test_ratings_matrix_is_frozen():
+    m = simple_matrix(np.array([[40.0, 60.0]]))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.subjects = ["x"]
+    assert [f.name for f in dataclasses.fields(RatingsMatrix)] == [
+        "subjects", "videos", "raw", "session_of", "day_of", "device_of"
+    ]
 
 
 def test_reject_bt500_homogeneous_panel_keeps_everyone():
@@ -214,12 +233,12 @@ def test_realign_underdetermined():
 
 def test_partition_rule_traces():
     meta = {
-        "clean": VideoMeta(82.0, 4.0, 0.0, 82.0, 82.0),
-        "stalled": VideoMeta(78.0, 6.0, 2.5, 78.0, 78.0),
-        "too_good": VideoMeta(95.0, 3.0, 0.0, 95.0, 95.0),
-        "short_stall": VideoMeta(80.0, 5.0, 0.5, 80.0, 80.0),
-        "varying": VideoMeta(80.0, 15.0, 0.0, 60.0, 95.0),
-        "low": VideoMeta(40.0, 5.0, 0.0, 40.0, 40.0),
+        "clean": VideoMeta(82.0, 4.0, 0.0),
+        "stalled": VideoMeta(78.0, 6.0, 2.5),
+        "too_good": VideoMeta(95.0, 3.0, 0.0),
+        "short_stall": VideoMeta(80.0, 5.0, 0.5),
+        "varying": VideoMeta(80.0, 15.0, 0.0),
+        "low": VideoMeta(40.0, 5.0, 0.0),
     }
     parts = partition_sessions(meta)
     assert "clean" in parts["q_r_bar"]
@@ -272,12 +291,11 @@ def test_sensitivity_positive_slope_scaling_preserves_order():
 def test_sensitivity_report_handles_missing_sets():
     raw = np.random.default_rng(0).uniform(20, 90, size=(3, 8))
     m = simple_matrix(raw)
-    m.video_meta = {f"v{j}": VideoMeta(80.0, 4.0, 0.0, 80.0, 80.0) for j in range(8)}
-    parts = partition_sessions(m.video_meta)
+    parts = partition_sessions({f"v{j}": VideoMeta(80.0, 4.0, 0.0) for j in range(8)})
     report = build_sensitivity_report(m, parts, min_set=30)
-    assert all(row.s_r is None for row in report.rows)  # sets far too small
+    assert all(row.s_r is None for row in report)  # sets far too small
     report2 = build_sensitivity_report(m, parts, min_set=1)
-    assert all(row.s_a is None for row in report2.rows)  # no varying videos at all
+    assert all(row.s_a is None for row in report2)  # no varying videos at all
 
 
 def test_personal_mean_cdf_single_subject():
@@ -323,10 +341,11 @@ def test_csv_round_trips():
     ks = subjective.load_keystrokes_csv("subject_id,video_id,event_time_s\ns0,v0,4.2\ns0,v0,9.9\n")
     assert ks[("s0", "v0")] == [4.2, 9.9]
 
-    meta = subjective.load_video_meta_csv(
-        "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\nv0,80,5,0,78,82\n"
-    )
-    assert meta["v0"].mean_quality == 80.0
+    meta = subjective.load_video_meta_csv("video_id,mean_quality,quality_std,total_stall_s\nv0,80,5,0\n")
+    assert meta == {"v0": VideoMeta(80.0, 5.0, 0.0)}
+    # extra columns, such as the first_quality/last_quality of older files, are ignored
+    older = "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\nv0,80,5,0,78,82\n"
+    assert subjective.load_video_meta_csv(older) == meta
 
     onsets = subjective.load_stall_events_csv("video_id,position_s,duration_s\nv0,8.0,2.0\n")
     assert onsets["v0"] == [8.0]
