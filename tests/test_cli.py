@@ -671,8 +671,8 @@ def test_stats_scores_without_a_mos_name_both_files(tmp_path, capsys):
 
 
 SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than three rows
-    "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s\n"
-    + "".join(f"v{j},80.0,5.0,0.0\n" for j in range(10)),
+    "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
+    + "".join(f"v{j},80.0,5.0,0.0,80.0,80.0\n" for j in range(10)),
     "keystrokes_csv": "subject_id,video_id,event_time_s\n"
     + "".join(f"s{i},v{j},3.0\n" for i in range(5) for j in range(5, 10)),
     "stall_events_csv": "video_id,position_s\n" + "".join(f"v{j},3.0\n" for j in range(5, 10)),
@@ -688,6 +688,7 @@ SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than thr
         ("stats", "mos_csv", "mos"),
         ("subjective", "anchors_csv", "mos"),  # a nan anchor turned every MOS of its day into nan
         ("subjective", "video_meta_csv", "total_stall_s"),
+        ("subjective", "video_meta_csv", "last_quality"),  # a column older files carry; not read, so not checked
         ("subjective", "keystrokes_csv", "event_time_s"),
         ("subjective", "stall_events_csv", "position_s"),
     ],
@@ -707,8 +708,14 @@ def test_number_parse_errors_name_file_and_line(tmp_path, capsys, command, key, 
         cfg = write_stats_inputs(tmp_path)
         path = tmp_path / ("scores.csv" if key == "scores_csv" else "mos.csv")
     lines = path.read_text().splitlines()
-    lines[3] = lines[3].rsplit(",", 1)[0] + "," + bad
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = bad
+    lines[3] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+    if column == "last_quality":
+        assert run([command, "--config", cfg]) == 0
+        assert column not in capsys.readouterr().err
+        return
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"{path} line 4: {column} must be a finite number, got {bad!r}" in err
