@@ -672,7 +672,7 @@ def test_stats_scores_without_a_mos_name_both_files(tmp_path, capsys):
 
 SUBJECTIVE_EXTRAS = {  # the optional subjective inputs, each with more than three rows
     "video_meta_csv": "video_id,mean_quality,quality_std,total_stall_s,first_quality,last_quality\n"
-    + "".join(f"v{j},80.0,5.0,0.0,80.0,80.0\n" for j in range(10)),
+    + "".join(f"v{j},80.0,5.0,0.0,78.0,82.0\n" for j in range(10)),
     "keystrokes_csv": "subject_id,video_id,event_time_s\n"
     + "".join(f"s{i},v{j},3.0\n" for i in range(5) for j in range(5, 10)),
     "stall_events_csv": "video_id,position_s\n" + "".join(f"v{j},3.0\n" for j in range(5, 10)),
@@ -735,6 +735,7 @@ def test_simulate_rejects_a_player_block_that_is_not_an_object(tmp_path, capsys,
     }))
     assert run(["simulate", "--config", cfg]) == 2
     assert "player must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value, j, message", [
@@ -756,7 +757,6 @@ def test_simulate_checks_the_player_against_every_manifest_before_any_cell(tmp_p
     }))
     assert run(["simulate", "--config", cfg]) == 2
     assert f"abrbench simulate: manifests[{j}] ({manifests[j]}): player.{key} {message}\n" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out").exists()
 
 
