@@ -31,18 +31,23 @@ straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
 lexicographic scan (so the decisions are identical too).
 
-Per-decision MPC and RDOS searches also pass a ``_PrefixBound``; the
-table builder passes none and enumerates every sequence. After prefix
-depths 2..h-2 the kernel drops each prefix whose score so far plus
-min(A, A_mu + price x (b + (h - d - 1) x seg)) is below the best
-constant-rung sequence's score less a margin: A is the best stall-free
-completion, A_mu that less the stall its downloads must cause from
-buffer b, at a per-second price the stall penalty never undercuts
-(``mu_rebuf`` for MPC, the chord of RDOS's concave log1p term), and the
-margin, 1e-9 of the compared sums' scale, is a thousand times their
-rounding error (``_enumerate`` has the details). No sequence that
-scores at least that incumbent is dropped, so decisions stay
-bit-identical.
+Every search passes a ``_PrefixBound``: a single MPC or RDOS decision
+for its one previous rung, the table builder for every previous rung at
+once. After prefix depths 2..h-2 the kernel drops each prefix whose
+score so far plus min over x of (A_x + x (b + (h - d - 1) seg)) is
+below its first rung's floor in every starting buffer. Here x runs over
+a ladder of prices from 0 to the stall price, a per-second price the
+stall penalty never undercuts (``mu_rebuf`` for MPC, the chord of
+RDOS's concave log1p term); A_x is the best stall-free completion less
+x per second of its download time, and b + (h - d - 1) seg is the
+download time that buffer b and the segments still to play cover
+without a stall. The incumbent after a previous rung is the best
+constant-rung sequence's score with its switch term from that rung; the
+floor is the smallest, over previous rungs, of the incumbent less the
+first rung's switch term from it, less a margin, 1e-9 of the compared
+sums' scale, a thousand times their rounding error (``_enumerate`` has
+the details). No sequence that can win after some previous rung is
+dropped, so decisions and table entries stay bit-identical.
 
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
@@ -167,11 +172,13 @@ def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> lis
 
 @dataclass(frozen=True)
 class _PrefixBound:
-    """What ``_enumerate`` cannot read from a decision's step and score functions to prune its prefixes.
+    """What ``_enumerate`` cannot read from a search's step and score functions to prune its prefixes.
 
     ``stall_price``: at every horizon position >= 1 the score falls by at
-    least this much per second of stall. ``first``: per first choice, the
-    term the caller adds to a row's best before taking its argmax.
+    least this much per second of stall. ``first``: a (previous choice x
+    first choice) matrix; per previous choice, the caller adds its row to
+    a buffer row's best before taking the argmax over first choices. A
+    single decision passes one row, the table builder one per rung.
     """
 
     stall_price: float
@@ -198,6 +205,12 @@ def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: t
     return np.broadcast_to(score(acc, None), (len(b), n))
 
 
+# the stall prices the prefix bound tries, as fractions of a search's ``stall_price``: 1, 1/2, ..., 1/256 and 0.
+# Below the full price the bound is tighter where a search can afford some stalls but not all. Each price costs
+# a pass over every prefix; on the 10x25 table lower prices drop no more prefixes, and steps of 2^-1/2 ~6 % more
+_PRICE_STEPS = np.append(0.5 ** np.arange(9), 0.0)
+
+
 class _Pruner:
     """The prefix test ``_enumerate`` runs for a ``_PrefixBound`` (see there)."""
 
@@ -208,41 +221,48 @@ class _Pruner:
         # a choice's stall-free terms at positions 2.. by [previous, next] choice: its score from zero sums
         gains = {k: np.broadcast_to(score(step(k, slice(None), np.zeros((1, 1, n, n)), zero, (None,) * len(acc)), None),
                                     (1, 1, n, n))[0, 0] for k in range(2, h)}
-        # one backward Viterbi pass: the best stall-free completion from position k after choice p, alone
-        # (free) and less stall_price per second of download time (priced)
-        self.free, self.priced = {h: np.zeros(n)}, {h: np.zeros(n)}
+        # per price x <= stall_price, one backward Viterbi pass: the best stall-free completion from position k
+        # after choice p, less x per second of its download time
+        self.prices = self.price * _PRICE_STEPS
+        self.completion = {h: np.zeros((len(self.prices), n))}
         for k in range(h - 1, 1, -1):
-            self.free[k] = (gains[k] + self.free[k + 1]).max(axis=1)
-            self.priced[k] = (gains[k] - self.price * dt_by_pos[k] + self.priced[k + 1]).max(axis=1)
+            self.completion[k] = (gains[k] - self.prices[:, None, None] * dt_by_pos[k]
+                                  + self.completion[k + 1][:, None, :]).max(axis=2)
         constant = _constant_scores(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
-        self.incumbent = (constant + bound.first).max(axis=1)
-        scale = (1.0 + np.abs(self.incumbent) + sum(np.abs(g).max() for g in gains.values()) + np.abs(bound.first).max()
-                 + self.price * (sum(dt.max() for dt in dt_by_pos) + max_buffer_s + h * seg))
-        self.floor = self.incumbent - 1e-9 * scale
+        self.incumbent = (constant[:, None, :] + self.first).max(axis=2)  # per (row, previous choice)
+        scale = (1.0 + np.abs(self.incumbent).max(axis=1) + sum(np.abs(g).max() for g in gains.values())
+                 + np.abs(self.first).max() + self.price * (sum(dt.max() for dt in dt_by_pos) + max_buffer_s + h * seg))
+        self.margin = 1e-9 * scale
+        # a sequence with first choice c can win after previous choice p only if its score reaches
+        # incumbent[p] - first[p, c]; the smallest of these over p, less the margin, is its row's floor
+        self.floor = (self.incumbent[:, :, None] - self.first).min(axis=1) - self.margin[:, None]
 
-    def upper(self, d: int, value, first, buf) -> np.ndarray:
-        """Bound on the best total through each depth-``d`` prefix, (parent, last choice) ordered.
+    def upper(self, d: int, value, buf) -> np.ndarray:
+        """Bound on the best score through each depth-``d`` prefix, (parent, last choice) ordered.
 
-        ``value`` is a prefix's score so far, ``first`` its first choice
-        and ``buf`` its buffer (rows x prefixes). The remaining h - d
-        positions stall at least their download time minus ``buf`` minus
-        h - d - 1 segments, which the priced completion charges.
+        ``value`` is a prefix's score so far and ``buf`` its buffer (rows x
+        prefixes). The remaining h - d positions stall at least their
+        download time minus ``buf`` minus h - d - 1 segments, so each
+        price's completion plus that price times this budget bounds them.
         """
-        n = len(self.first)
-        rest = self.price * (buf.reshape(len(buf), -1, n) + (self.h - d - 1) * self.seg)
-        completion = np.minimum(self.free[d], self.priced[d] + rest)
-        total = value.reshape(len(value), -1, n) + self.first[first].reshape(-1, n) + completion
+        n = self.completion[d].shape[1]
+        budget = buf.reshape(1, len(buf), -1, n) + (self.h - d - 1) * self.seg
+        bound = (self.completion[d][:, None, None, :] + self.prices[:, None, None, None] * budget).min(axis=0)
+        total = value.reshape(len(value), -1, n) + bound
         return total.reshape(len(total), -1)
 
     def keep(self, d: int, value, buf, counts):
-        """The depth-``d`` prefixes that may reach a row's incumbent, as a (parent, last choice) mask.
+        """The depth-``d`` prefixes that may reach a row's floor, as a (parent, last choice) mask.
 
         Also returns how many survive per first choice.
         """
         n = len(counts)
         first = np.repeat(np.arange(n), counts)
-        kept = (self.upper(d, value, first, buf) >= self.floor[:, None]).any(axis=0)
+        kept = (self.upper(d, value, buf) >= self.floor[:, first]).any(axis=0)
         return kept.reshape(-1, n), np.bincount(first[kept], minlength=n)
+
+
+_MAX_SEQUENCES = 6_000_000  # per search: 13^6 passes, 13^7 does not
 
 
 def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, bound=None) -> np.ndarray:
@@ -284,34 +304,40 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     must not write into ``acc`` or return one of its arrays, which would
     come back as ``out``.
 
-    A ``_PrefixBound`` prunes one decision's search; the table builder
-    passes none. The score must then be linear in the accumulators: a
-    sequence's total is its prefix's score, plus per later position its
-    stall-free terms (the score of one step from zero sums and stalls),
-    less its stall penalty, at least ``stall_price`` per second. From
-    buffer b after depth d, the remaining h - d positions stall at least
-    their summed download time less b + (h - d - 1) x seg, so the best
-    completion scores at most min(A, A_mu + stall_price x (b + (h - d -
-    1) x seg)); one backward Viterbi pass over (position, previous
-    choice) gives A, the best stall-free sum, and A_mu, the best such sum
-    less ``stall_price`` x download time. A row's incumbent is its best
-    constant-choice sequence, scored by the kernel's own operations, so
-    the row's optimum is at least the incumbent, bit for bit. After
-    depths 2..h-2 a prefix is dropped when, in every row, its score plus
-    ``first`` plus that bound is below the incumbent less the margin
-    1e-9 x (1 + |incumbent| + the summed largest stall-free terms + the
-    largest ``first`` + ``stall_price`` x (the summed largest download
-    times + ``max_buffer_s`` + h x seg)). Each compared quantity sums
+    A ``_PrefixBound`` prunes the search; its ``first`` has one row per
+    previous choice the caller decides for. The score must be linear in
+    the accumulators: a sequence's total is its prefix's score, plus per
+    later position its stall-free terms (the score of one step from zero
+    sums and stalls), less its stall penalty, at least ``stall_price``
+    per second. From buffer b after depth d, the remaining h - d
+    positions stall at least their summed download time less b + (h - d
+    - 1) x seg, so for every price x in [0, ``stall_price``] the best
+    completion scores at most A_x + x (b + (h - d - 1) x seg), where A_x
+    is the best stall-free sum less x per second of download time; one
+    backward Viterbi pass over (position, previous choice) per price of
+    ``_PRICE_STEPS`` gives A_x, and the bound is the smallest of these. A
+    row's incumbent after previous choice p is the best, over choices c,
+    of its constant-c sequence's score plus ``first[p, c]``, scored by
+    the kernel's own operations, so the row's optimum after p is at least
+    that incumbent, bit for bit. A sequence with first choice c can reach
+    it only if its score reaches incumbent[p] - ``first[p, c]``; the
+    smallest of these over p, less the margin 1e-9 x (1 + the largest
+    |incumbent| + the summed largest stall-free terms + the largest
+    |``first``| + ``stall_price`` x (the summed largest download times +
+    ``max_buffer_s`` + h x seg)), is the row's floor for c. After depths
+    2..h-2 a prefix is dropped when, in every row, its score plus that
+    bound is below its first choice's floor. Each compared quantity sums
     fewer than 10h rounded terms, each within that scale, so its
     rounding error is under 1e-12 of it; equality never prunes. Hence no
-    sequence scoring at least a row's incumbent is dropped: an entry
-    whose best plus ``first`` reaches the incumbent is exact, every other
-    one reads -inf, and the argmax is the unpruned one. The position
-    after a pruned depth extends only prefixes with a surviving child,
-    then drops the children of the pruned ones.
+    sequence that reaches a row's incumbent after any previous choice is
+    dropped: an entry whose best plus ``first[p]`` reaches the incumbent
+    for some p is exact, every entry below it for every p reads -inf,
+    and the argmax after each previous choice is the unpruned one. The
+    position after a pruned depth extends only prefixes with a surviving
+    child, then drops the children of the pruned ones.
     """
     n, h = len(dt_by_pos[0]), len(dt_by_pos)
-    if n**h > 6_000_000:
+    if n**h > _MAX_SEQUENCES:
         raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
@@ -355,8 +381,8 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         else:
             block_best = np.maximum.reduceat(scores.reshape(rows, -1), starts, axis=1)
             best[:, reached] = np.maximum(best[:, reached], block_best)
-    if pruner is not None:
-        best[best + pruner.first < pruner.incumbent[:, None]] = -np.inf
+    if pruner is not None:  # an entry below the incumbent after every previous choice may have lost its best
+        best[(best[:, None, :] + pruner.first < pruner.incumbent[:, :, None]).all(axis=1)] = -np.inf
     return best
 
 
@@ -391,16 +417,21 @@ def _mpc_objective(rates, h: int, params: MpcObjectiveParams):
     return moves, step, score
 
 
-def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams) -> np.ndarray:
+def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams,
+                   previous=slice(None)) -> np.ndarray:
     """Best first rung (1-based) for every starting buffer and previous rung.
 
-    Entry [i, p] of the (len(buffers), n_reps) result is the decision
-    from buffer ``buffers[i]`` after rung ``p + 1``.
+    Entry [i, j] of the result is the decision from buffer ``buffers[i]``
+    after rung ``previous[j] + 1`` (``previous`` 0-based, every rung by
+    default). Prefixes that cannot win after any of those rungs are
+    pruned (``_PrefixBound``), which leaves every decision as it is.
     """
     moves, step, score = _mpc_objective(rates, len(dt_by_pos), params)
+    first = -params.lambda_switch * moves[previous]
     zero = np.zeros((1, 1))
-    best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score)
-    return np.argmax(best[:, None, :] - params.lambda_switch * moves, axis=2) + 1
+    best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score,
+                      bound=_PrefixBound(params.mu_rebuf, first))
+    return np.argmax(best[:, None, :] + first, axis=2) + 1
 
 
 def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput: float | None = None) -> int:
@@ -410,9 +441,7 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     under the harmonic-mean throughput prediction (or an externally
     supplied one, e.g. a clairvoyant value) and returns the first
     element of the best sequence, ties broken toward the lower rung.
-    Download times are size/predicted_tput + rtt. Prefixes that cannot
-    beat the best constant-rung sequence are pruned (``_PrefixBound``),
-    which leaves the decision as it is.
+    Download times are size/predicted_tput + rtt.
     """
     h = min(params.horizon, state.remaining_chunks)
     tput = (
@@ -422,12 +451,9 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     )
     rates = np.array([r.bitrate_kbps / 1000.0 for r in state.manifest.ladder])
     dt_by_pos = _horizon_download_times(state, h, params, tput)
-    moves, step, score = _mpc_objective(rates, h, params)
-    switch = params.lambda_switch * moves[state.last_rep - 1]
-    zero = np.zeros((1, 1))
-    best = _enumerate([state.buffer_s], dt_by_pos, state.manifest.segment_duration_s, params.max_buffer_s,
-                      (zero, zero, zero), step, score, bound=_PrefixBound(params.mu_rebuf, -switch))
-    return int(np.argmax(best[0] - switch)) + 1
+    decision = _mpc_decisions(rates, dt_by_pos, [state.buffer_s], state.manifest.segment_duration_s, params,
+                              [state.last_rep - 1])
+    return int(decision[0, 0])
 
 
 @dataclass(frozen=True)
@@ -510,10 +536,30 @@ def _bin_index(edges: tuple[float, ...], value: float) -> int:
     return min(max(i, 0), len(edges) - 2)
 
 
-# buffer rows enumerated together; each (rows x 13^4) float array is ~1.8 MB and a
-# slab peaks at ~10 MiB, where a whole 100-row bin would peak at ~110 MiB (4-row
-# slabs peak at ~5.5 MiB but make the offline-sized 10x25 build ~5 % slower)
-_SLAB_ROWS = 8
+# buffer rows enumerated together; a slab keeps every prefix that one of its rows
+# needs, so fewer rows prune more, and more rows share more set-up: on 2 cores the
+# offline-sized 10x25 table builds in ~81 ms with 4-row slabs, ~85 ms with 2 and
+# ~95 ms with 8; a (rows x 13^4) float array is at most ~0.9 MB
+_SLAB_ROWS = 4
+
+
+# the most entries a table may have, 77 times the default 100x100x13 one; checked before any is allocated
+_MAX_TABLE_CELLS = 10_000_000
+
+
+def check_table_size(binning: TableBinning, n_reps: int, horizon: int) -> None:
+    """Refuse a table of more than ``_MAX_TABLE_CELLS`` entries, or a horizon too long to search.
+
+    A horizon over 64 positions is refused before n^h is formed; with two
+    or more rungs it would enumerate over ``_MAX_SEQUENCES`` anyway.
+    """
+    cells = binning.tput_bins * binning.buffer_bins * n_reps
+    if cells > _MAX_TABLE_CELLS:
+        raise ValueError(f"tput_bins x buffer_bins x ladder rungs is {binning.tput_bins}x{binning.buffer_bins}x{n_reps}"
+                         f" = {cells} table cells; at most {_MAX_TABLE_CELLS} are built")
+    if horizon > 64 or n_reps**horizon > _MAX_SEQUENCES:
+        raise ValueError(f"horizon {horizon} is too long for {n_reps} ladder rungs: a table search would enumerate"
+                         f" {n_reps}^{horizon} sequences; at most {_MAX_SEQUENCES} sequences and 64 positions")
 
 
 def _table_ladder(ladder) -> tuple[float, ...]:
@@ -562,11 +608,13 @@ def build_mpc_table(
     in a pool of that many processes, started the platform's default way
     (fork on Linux before Python 3.14), with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
-    order. On 2 cores the default 100x100x13 binning takes ~12.5 s on
-    one, ~7 s with ``jobs=2``; a 10x25 one 0.3 s, 0.2 s with ``jobs=2``.
+    order. On 2 cores the default 100x100x13 binning takes ~3 s on one,
+    ~2 s with ``jobs=2``; a 10x25 one ~0.1 s either way.
+    ``check_table_size`` runs before anything is allocated.
     """
     checks.count("jobs", jobs)
     ladder_kbps = _table_ladder(ladder)
+    check_table_size(binning, len(ladder_kbps), params.horizon)
     solve = functools.partial(_table_bin, ladder_kbps, segment_duration_s, params, buffers=binning.buffer_centers())
     entries = np.empty((binning.tput_bins, binning.buffer_bins, len(ladder_kbps)), dtype=np.uint8)
     centers = binning.tput_centers()
@@ -822,7 +870,7 @@ class RdosPolicy:
         price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
         zero = np.zeros((1, 1))
         best = _enumerate([state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
-                          (zero, zero, zero), step, score, bound=_PrefixBound(price, np.zeros(len(ladder))))
+                          (zero, zero, zero), step, score, bound=_PrefixBound(price, np.zeros((1, len(ladder)))))
         return int(np.argmax(best[0])) + 1
 
 
@@ -916,9 +964,7 @@ def policy_builder(spec: dict):
         rdos = functools.partial(RdosParams, ksqi=_options_object(KsqiParams, "ksqi", options.pop("ksqi", {})))
         options["params"] = _options_object(rdos, "params", options.get("params", {}))
     elif kind == "mpc_table" and "table" in options:
-        if not isinstance(options["table"], str):
-            raise ValueError(f"table must be the path of a table artifact, got {options['table']!r}")
-        options["table"] = load_table(options["table"])  # shared by every cell
+        options["table"] = load_table(checks.path("table", options["table"]))  # shared by every cell
     _options_object(cls, f"policy {kind}", options)
     return functools.partial(cls, **options)
 

@@ -64,6 +64,13 @@ def flag(name: str, value) -> bool:
     return value
 
 
+def path(name: str, value) -> str:
+    """A file or directory path: a non-empty string (``""`` would name the working directory)."""
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"{name} must be a non-empty path string, got {value!r}")
+    return value
+
+
 def command(name: str, value) -> list:
     """A command line: a non-empty list of strings, the program and its arguments (never one string)."""
     if not (isinstance(value, list) and value and all(isinstance(arg, str) for arg in value)):

@@ -43,7 +43,7 @@ from . import abr, checks, media, nettrace, qoe, simulator, stats, subjective
 
 def _read_text(path: str, what: str) -> str:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():  # a directory too: reading it would raise IsADirectoryError
         raise FileNotFoundError(f"{what} file not found: {p}")
     return p.read_text()
 
@@ -104,10 +104,7 @@ def _list(config: dict, key: str, what: str) -> list:
 
 def _directory(config: dict, key: str, default: str) -> Path:
     """The directory named by config key ``key`` (``out_dir``, ``records_dir``), checked to be a path string."""
-    value = config.get(key, default)
-    if not (isinstance(value, str) and value):
-        raise ValueError(f"{key} must be a non-empty path string, got {value!r}")
-    return Path(value)
+    return Path(checks.path(key, config.get(key, default)))
 
 
 def _out_dir(config: dict, args) -> Path:
@@ -136,8 +133,7 @@ def _dedupe(names: list[str]) -> list[str]:
 
 
 def _load_manifest(i: int, path) -> media.Manifest:
-    if not isinstance(path, str):
-        raise ValueError(f"manifests[{i}] must be a path, got {path!r}")
+    checks.path(f"manifests[{i}]", path)
     try:
         return media.parse_manifest(_read_text(path, "manifest"))
     except ValueError as exc:
@@ -149,10 +145,10 @@ def _load_traces(block: dict, key: str) -> list[tuple[str, str, nettrace.Trace]]
     loaded = []
     for i, entry in enumerate(_list(block, key, "trace entries")):
         entry = {"path": entry} if isinstance(entry, str) else entry
-        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)):
-            raise ValueError(f"{key}[{i}] must be a path or an object with a string 'path', got {entry!r}")
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be a path or an object with a 'path', got {entry!r}")
         checks.known_keys(f"{key}[{i}]", entry, ("path", "format"))
-        text = _read_text(entry["path"], "trace")
+        text = _read_text(checks.path(f"{key}[{i}] path", entry.get("path")), "trace")
         try:
             loaded.append((entry["path"], nettrace.parse_trace(text, entry.get("format", "pairs"))))
         except ValueError as exc:
@@ -275,6 +271,7 @@ def cmd_mpc_table(config: dict, args) -> int:
             for i, r in enumerate(block["ladder_kbps"])
         )
         media.check_ladder("ladder_kbps", ladder)  # the check a manifest's ladder passes
+    abr.check_table_size(binning, len(ladder), params.horizon)
     cell_count = binning.tput_bins * binning.buffer_bins * len(ladder)
     print(f"cells: {cell_count} ({binning.tput_bins}x{binning.buffer_bins}x{len(ladder)})")
     table = abr.build_mpc_table(
@@ -346,6 +343,9 @@ def cmd_subjective(config: dict, args) -> int:
     checks.known_keys("subjective", block, inputs + ("keystroke_tol_s", "auxiliary_threshold", "min_set"))
     if "ratings_csv" not in block:
         raise ValueError("subjective block needs ratings_csv")
+    for key in inputs:
+        if key in block:
+            checks.path(key, block[key])
     for given, missing in (("keystrokes_csv", "stall_events_csv"), ("stall_events_csv", "keystrokes_csv")):
         if given in block and missing not in block:
             raise ValueError(f"subjective block has {given} but not {missing}; the keystroke screen needs both")
@@ -422,6 +422,7 @@ def cmd_stats(config: dict, args) -> int:
     for key in ("scores_csv", "mos_csv"):
         if key not in block:
             raise ValueError(f"stats block needs {key}")
+        checks.path(key, block[key])
     test = block.get("test", "f_test")
     if test not in stats.TESTS:
         raise ValueError(f"test must be one of {stats.TESTS}, got {test!r}")

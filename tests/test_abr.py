@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -419,11 +420,42 @@ def random_weights(rng):
     return {"lambda_switch": weight(3.0), "mu_rebuf": weight(30.0)}, {"ksqi": ksqi, "gamma_rate": weight(1.0)}
 
 
+def assert_prefix_floors(pruner, args, best, h) -> tuple[int, int]:
+    """Check every depth 2..h-1 prefix of the search ``args`` against ``pruner``.
+
+    ``best[r]`` maps each prefix (1-based rungs) to its best completion's
+    exact score from row ``r``'s buffer, after the previous rung of the
+    first row of ``pruner.first``. The prefix's bound is at least that
+    score, less its first-rung term, less the margin the kernel prunes
+    with; and a prefix below its first rung's floor in a row cannot reach
+    that row's incumbent after any previous rung. Returns how many (row,
+    prefix) pairs were checked and how many of them were below the floor.
+    """
+    n = pruner.first.shape[1]
+    checked = below = 0
+    for d in range(2, h):
+        value, buf = prefix_scores(args, d)
+        upper = pruner.upper(d, value, buf)
+        for j, prefix in enumerate(itertools.product(range(1, n + 1), repeat=d)):
+            c = prefix[0] - 1
+            for r, row_best in enumerate(best):
+                completion = row_best[prefix] - pruner.first[0, c]
+                assert upper[r, j] >= completion - pruner.margin[r]
+                if upper[r, j] < pruner.floor[r, c]:
+                    assert (completion + pruner.first[:, c] < pruner.incumbent[r]).all()
+                    below += 1
+                checked += 1
+    return checked, below
+
+
 def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
     # every prefix's bound is at least its best completion's exact score, less
-    # the margin the kernel prunes with, at every depth from 2 to h - 1
+    # the margin the kernel prunes with, and a prefix below its first rung's
+    # floor cannot win after any previous rung, at every depth from 2 to h - 1:
+    # for single MPC and RDOS decisions, and for the table search over every
+    # previous rung from several buffers
     rng = random.Random(16)
-    checked = 0
+    counts = collections.Counter()
     for i in range(24):
         n_reps = rng.randint(2, 6)
         h = rng.randint(2, {2: 6, 3: 6, 4: 5, 5: 4, 6: 4}[n_reps])  # at most 1296 sequences
@@ -441,15 +473,23 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
             ):
                 args, kwargs = decision_call(monkeypatch, lambda: decide(st_, params))
                 pruner = abr._Pruner(kwargs["bound"], np.asarray(args[0]), *args[1:])
-                margin = pruner.incumbent[0] - pruner.floor[0]
                 best = best_completions(objective, st_, tput, params)
-                for d in range(2, h):
-                    value, buf = prefix_scores(args, d)
-                    upper = pruner.upper(d, value, np.repeat(np.arange(n_reps), n_reps ** (d - 1)), buf)[0]
-                    prefixes = itertools.product(range(1, n_reps + 1), repeat=d)
-                    assert all(u >= best[p] - margin for u, p in zip(upper, prefixes))
-                    checked += len(upper)
-    assert checked > 1000
+                checked, below = assert_prefix_floors(pruner, args, [best], h)
+                counts.update({"decision": checked, "decision below": below})
+        # the table builder's search at the predicted throughput, from an empty, a middle and a full buffer
+        params = MpcObjectiveParams(**mpc, horizon=h, max_buffer_s=cap)
+        ladder_kbps = tuple(r.bitrate_kbps for r in m.ladder)
+        args, kwargs = decision_call(monkeypatch, lambda: abr._table_bin(ladder_kbps, 4.0, params, tput,
+                                                                         [0.0, cap / 4.0, cap]))
+        rows = np.asarray(args[0])
+        pruner = abr._Pruner(kwargs["bound"], rows, *args[1:])
+        assert pruner.first.shape == (n_reps, n_reps)
+        best = [best_completions(mpc_objective, dataclasses.replace(st_, buffer_s=float(b), last_rep=1), tput, params)
+                for b in rows]
+        checked, below = assert_prefix_floors(pruner, args, best, h)
+        counts.update({"table": checked, "table below": below})
+    assert counts["decision"] > 5000 and counts["table"] > 5000
+    assert counts["decision below"] > 1000 and counts["table below"] > 1000
 
 
 def test_pruned_enumeration_matches_the_full_one(monkeypatch):
@@ -511,6 +551,26 @@ def test_pruning_engages_on_a_default_ladder_decision(monkeypatch):
     mpc_select_exact(st_, MpcObjectiveParams())
     abr.RdosPolicy().select(st_)
     assert len(kept) == 2 and max(kept) < 0.6
+
+
+def test_pruning_engages_on_a_default_table_bin(monkeypatch):
+    # the table search keeps only the prefixes that may win after some previous
+    # rung: ~8 % of the depth-3 ones at 6.1 Mb/s, where a floor at the smallest
+    # incumbent over previous rungs, less no switch term, would keep ~20 %
+    keep_ = abr._Pruner.keep
+    kept = []
+
+    def spy(self, d, value, buf, counts):
+        mask, survivors = keep_(self, d, value, buf, counts)
+        if d == 3:
+            kept.append(survivors.sum() / 13**3)
+        return mask, survivors
+
+    monkeypatch.setattr(abr._Pruner, "keep", spy)
+    binning = TableBinning()
+    abr._table_bin(abr._table_ladder(None), 4.0, MpcObjectiveParams(), binning.tput_centers()[30],
+                   binning.buffer_centers())
+    assert len(kept) > 5 and np.mean(kept) < 0.13
 
 
 @st.composite
@@ -629,6 +689,43 @@ def test_table_cells_match_per_state_enumeration(
     for ti, bi, prev in cells:
         state = state_for(manifest, chunk_index=1, buffer_s=float(buffers[bi]), last_rep=prev, history=[tput])
         assert got[(ti, bi, prev)] == mpc_enumerate(state, params, float(binning.tput_centers()[ti]))[0]
+
+
+@given(
+    st.lists(st.floats(100.0, 20000.0), min_size=2, max_size=6, unique=True),
+    st.integers(min_value=4, max_value=6),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),  # zero weights make near ties
+    st.one_of(st.just(0.0), st.floats(0.0, 30.0)),
+    st.floats(0.0, 0.5),
+    st.floats(0.1, 4.0),
+    st.floats(1.0, 80.0),
+    st.floats(1.5, 3.5),
+    st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruned_table_search_matches_the_full_one(
+    rates, horizon, lambda_switch, mu_rebuf, rtt_s, tput_scale, cap, span, rows
+):
+    # the table builder's search, pruned for every previous rung at once, against
+    # the unpruned one: the decision after each previous rung is the same and
+    # every entry the pruned search scores is bit-identical; its buffer rows
+    # straddle the stall-free threshold, as a table bin's do
+    seg = 4.0
+    rates = sorted(rates)
+    params = MpcObjectiveParams(lambda_switch, mu_rebuf, horizon, rtt_s, max_buffer_s=cap)
+    dt = np.array([r * 1000.0 * seg for r in rates]) / (rates[-1] * tput_scale * 1000.0) + rtt_s
+    threshold = max(dt.max(), horizon * dt.max() - (horizon - 1) * seg)
+    buffers = (np.arange(rows) + 0.5) * span * threshold / rows
+    assert buffers[0] < threshold <= buffers[-1]
+    moves, step, score = abr._mpc_objective(np.array(rates) / 1000.0, horizon, params)
+    first = -lambda_switch * moves
+    zero = np.zeros((1, 1))
+    search = (buffers, [dt] * horizon, seg, cap, (zero, zero, zero), step, score)
+    pruned = abr._enumerate(*search, bound=abr._PrefixBound(mu_rebuf, first))
+    full = abr._enumerate(*search)
+    assert (np.argmax(pruned[:, None, :] + first, axis=2) == np.argmax(full[:, None, :] + first, axis=2)).all()
+    scored = np.isfinite(pruned)
+    assert pruned[scored].tobytes() == full[scored].tobytes()
 
 
 def test_table_lookup_clamps(tmp_path):
@@ -813,16 +910,42 @@ def test_table_parallel_build_matches_serial():
         build_mpc_table(params, binning, jobs=0)
 
 
+def test_table_size_limits_are_checked_before_any_build():
+    # the limits, not a size one past them, are accepted; nothing is built to check them
+    abr.check_table_size(TableBinning(tput_bins=1000, buffer_bins=10_000), 1, 64)  # 10^7 cells, 1^64 sequences
+    abr.check_table_size(TableBinning(), 13, 6)  # 13^6 = 4,826,809 sequences
+    for binning, n_reps, horizon, key in (
+        (TableBinning(tput_bins=1000, buffer_bins=10_001), 1, 1, "tput_bins x buffer_bins x ladder rungs"),
+        (TableBinning(), 13, 7, "horizon 7"),
+        (TableBinning(), 1, 65, "horizon 65"),
+        (TableBinning(), 2, 10**12, "horizon 1000000000000"),  # refused before 2^h is formed
+    ):
+        with pytest.raises(ValueError, match=re.escape(key)):
+            abr.check_table_size(binning, n_reps, horizon)
+    with pytest.raises(ValueError, match="horizon 7"):
+        build_mpc_table(MpcObjectiveParams(horizon=7), TableBinning(tput_bins=1, buffer_bins=1))
+
+
 def test_table_artifact_digest_is_pinned(tmp_path):
     # default ladder and objective (h = 5), serial and in a pool: the artifact
     # bytes of a small build are the ones the kernel wrote before its fold
-    # reused its arrays
+    # reused its arrays and before the table search was pruned
     binning = TableBinning(tput_bins=10, buffer_bins=25)
     for jobs in (1, 2):
         path = tmp_path / f"table{jobs}.bin"
         save_table(build_mpc_table(MpcObjectiveParams(), binning, jobs=jobs), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "ba9f9d3c8e5f56944ea78031d746673512c2d31b1db5dad376b274b70589f98e"
+
+
+@pytest.mark.slow
+def test_default_table_artifact_digest_is_pinned(tmp_path):
+    # the default 100x100x13 artifact, built in a pool of two, is the one the
+    # unpruned table search wrote
+    path = tmp_path / "table.bin"
+    save_table(build_mpc_table(MpcObjectiveParams(), jobs=2), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "d4e048668331bff5ed433abf97503be7419450208d39cdde4a7ce195be4af6ff"
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the default start method is not fork")

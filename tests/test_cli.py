@@ -891,6 +891,26 @@ def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"tput_bins": 100_000_000}, "tput_bins"),  # asked numpy for 121 GiB: an _ArrayMemoryError traceback
+        ({"buffer_bins": 10**12}, "buffer_bins"),
+        ({"ladder_kbps": list(range(300, 1301))}, "ladder rungs"),  # 100 x 100 x 1001 cells
+        ({"horizon": 7}, "horizon"),  # 13^7 sequences: refused only by the search, after the cells line
+        ({"horizon": 10**12}, "horizon"),
+        ({"tput_bins": 1, "buffer_bins": 1, "horizon": 65, "ladder_kbps": [300]}, "horizon"),
+    ],
+)
+def test_mpc_table_refuses_a_table_too_large_before_building(tmp_path, capsys, block, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mpc_table": block, "out_dir": str(tmp_path / "out")}))
+    assert run(["mpc-table", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("abrbench mpc-table: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command, key, value",
     [
         ("stats", "alpha", "0.05"),
@@ -920,6 +940,50 @@ def test_analysis_options_are_checked_before_any_output(tmp_path, capsys, comman
     cfg.write_text(json.dumps(config))
     assert run([command, "--config", cfg]) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [5, "", None, ["a.csv"], {"path": "a.csv"}, "directory"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("stats", "scores_csv"), ("stats", "mos_csv"), ("subjective", "ratings_csv"), ("subjective", "anchors_csv"),
+     ("subjective", "video_meta_csv"), ("subjective", "keystrokes_csv"), ("subjective", "stall_events_csv")],
+)
+def test_path_values_are_checked(tmp_path, capsys, command, key, value):
+    # a number was a TypeError traceback from Path(5); "" named the working directory, and a directory
+    # raised IsADirectoryError, both tracebacks
+    if command == "stats":
+        config = json.loads(write_stats_inputs(tmp_path).read_text())
+    else:
+        ratings, anchors = make_subjective_fixture(tmp_path)
+        block = {"ratings_csv": str(ratings), "anchors_csv": str(anchors)}
+        for name, text in SUBJECTIVE_EXTRAS.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            block[name] = str(tmp_path / f"{name}.csv")
+        config = {"subjective": block, "out_dir": str(tmp_path / "out")}
+    config[command][key] = str(tmp_path) if value == "directory" else value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"abrbench {command}: ")
+    assert (str(tmp_path) if value == "directory" else key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["manifest", "table"])
+@pytest.mark.parametrize("value", [5, ""])
+def test_simulate_path_values_are_checked(tmp_path, capsys, where, value):
+    manifests, traces = write_inputs(tmp_path)
+    policy = {"id": "mpc_table", "table": value} if where == "table" else {"id": "rate_based"}
+    config = {"manifests": [value] if where == "manifest" else manifests, "traces": traces, "policies": [policy],
+              "out_dir": str(tmp_path / "out")}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"must be a non-empty path string, got {value!r}" in err
+    assert ("manifests[0]" if where == "manifest" else "table") in err
     assert not (tmp_path / "out").exists()
 
 
