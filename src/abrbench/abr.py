@@ -22,32 +22,30 @@ score function (bitrate/switch/stall terms for MPC, quality, adaptation
 and stall penalties for RDOS); terms of the previous and the next rung
 are read from small per-position tables. No array holds more than one
 entry per prefix of h-1 positions, 13^4 for the default ladder and
-horizon. The fold allocates its arrays once per call: the step and
-score functions take the arrays they returned for the previous rung as
-``out`` and write the next rung's results there, in the same operation
-order. The table builder batches starting buffers through the same
+horizon. The table builder batches starting buffers through the same
 kernel. Every sequence accumulates its terms in position order, so a
 straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
 lexicographic scan (so the decisions are identical too).
 
-Every search passes a ``_PrefixBound``: a single MPC or RDOS decision
-for its one previous rung, the table builder for every previous rung at
-once. After prefix depths 2..h-2 the kernel drops each prefix whose
-score so far plus min over x of (A_x + x (b + (h - d - 1) seg)) is
-below its first rung's floor in every starting buffer. Here x runs over
-a ladder of prices from 0 to the stall price, a per-second price the
-stall penalty never undercuts (``mu_rebuf`` for MPC, the chord of
-RDOS's concave log1p term); A_x is the best stall-free completion less
-x per second of its download time, and b + (h - d - 1) seg is the
-download time that buffer b and the segments still to play cover
-without a stall. The incumbent after a previous rung is the best
-constant-rung sequence's score with its switch term from that rung; the
-floor is the smallest, over previous rungs, of the incumbent less the
-first rung's switch term from it, less a margin, 1e-9 of the compared
-sums' scale, a thousand times their rounding error (``_enumerate`` has
-the details). No sequence that can win after some previous rung is
-dropped, so decisions and table entries stay bit-identical.
+Every search passes a stall price and a first-rung term matrix: a
+single MPC or RDOS decision for its one previous rung, the table
+builder for every previous rung at once. After prefix depths 2..h-2 the
+kernel drops each prefix whose score so far plus min over x of (A_x +
+x (b + (h - d - 1) seg)) is below its first rung's floor in every
+starting buffer. Here x runs over a ladder of prices from 0 to the
+stall price, a per-second price the stall penalty never undercuts
+(``mu_rebuf`` for MPC, the chord of RDOS's concave log1p term); A_x is
+the best stall-free completion less x per second of its download time,
+and b + (h - d - 1) seg is the download time that buffer b and the
+segments still to play cover without a stall. The incumbent after a
+previous rung is the best constant-rung sequence's score with its
+switch term from that rung; the floor is the smallest, over previous
+rungs, of the incumbent less the first rung's switch term from it, less
+a margin, 1e-9 of the compared sums' scale, a thousand times their
+rounding error (``_enumerate`` has the details). No sequence that can
+win after some previous rung is dropped, so decisions and table entries
+stay bit-identical.
 
 Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
@@ -170,21 +168,6 @@ def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> lis
     return [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
 
 
-@dataclass(frozen=True)
-class _PrefixBound:
-    """What ``_enumerate`` cannot read from a search's step and score functions to prune its prefixes.
-
-    ``stall_price``: at every horizon position >= 1 the score falls by at
-    least this much per second of stall. ``first``: a (previous choice x
-    first choice) matrix; per previous choice, the caller adds its row to
-    a buffer row's best before taking the argmax over first choices. A
-    single decision passes one row, the table builder one per rung.
-    """
-
-    stall_price: float
-    first: np.ndarray
-
-
 def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
     """Score, per (row, choice), of the sequence that keeps that choice at every position.
 
@@ -198,11 +181,11 @@ def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: t
     for k, dt in enumerate(dt_by_pos):
         prev = n if k else 1
         stall = np.maximum(dt - b, 0.0)
-        acc = step(k, slice(None), stall, tuple(a.reshape(len(a), 1, prev, 1) for a in acc), (None,) * len(acc))
+        acc = step(k, slice(None), stall, tuple(a.reshape(len(a), 1, prev, 1) for a in acc))
         b = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
         own = (slice(None), 0, np.arange(n) if k else 0, np.arange(n))
         acc, b = tuple(a[own] for a in acc), b[own].reshape(-1, 1, n, 1)
-    return np.broadcast_to(score(acc, None), (len(b), n))
+    return np.broadcast_to(score(acc), (len(b), n))
 
 
 # the stall prices the prefix bound tries, as fractions of a search's ``stall_price``: 1, 1/2, ..., 1/256 and 0.
@@ -212,15 +195,15 @@ _PRICE_STEPS = np.append(0.5 ** np.arange(9), 0.0)
 
 
 class _Pruner:
-    """The prefix test ``_enumerate`` runs for a ``_PrefixBound`` (see there)."""
+    """The prefix test ``_enumerate`` runs for a ``stall_price`` and a ``first`` matrix (see there)."""
 
-    def __init__(self, bound: _PrefixBound, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score):
+    def __init__(self, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score, *, stall_price, first):
         n, h = len(dt_by_pos[0]), len(dt_by_pos)
-        self.price, self.first, self.seg, self.h = bound.stall_price, bound.first, seg, h
+        self.price, self.first, self.seg, self.h = stall_price, first, seg, h
         zero = tuple(np.zeros((1, 1, n, 1)) for _ in acc)
         # a choice's stall-free terms at positions 2.. by [previous, next] choice: its score from zero sums
-        gains = {k: np.broadcast_to(score(step(k, slice(None), np.zeros((1, 1, n, n)), zero, (None,) * len(acc)), None),
-                                    (1, 1, n, n))[0, 0] for k in range(2, h)}
+        gains = {k: np.broadcast_to(score(step(k, slice(None), np.zeros((1, 1, n, n)), zero)), (1, 1, n, n))[0, 0]
+                 for k in range(2, h)}
         # per price x <= stall_price, one backward Viterbi pass: the best stall-free completion from position k
         # after choice p, less x per second of its download time
         self.prices = self.price * _PRICE_STEPS
@@ -265,7 +248,8 @@ class _Pruner:
 _MAX_SEQUENCES = 6_000_000  # per search: 13^6 passes, 13^7 does not
 
 
-def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, bound=None) -> np.ndarray:
+def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, *, stall_price=None,
+               first=None) -> np.ndarray:
     """Best score over every choice sequence, per (starting buffer, first choice).
 
     The single enumeration kernel behind MPC, RDOS and the lookup table.
@@ -277,39 +261,34 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     does not depend on the buffer (``acc`` starts with one root prefix).
 
     Positions 0..h-2 grow the prefixes by broadcasting. At each one the
-    kernel runs the buffer recursion and calls ``step(k, c, stall, acc,
-    out)`` with ``c`` a slice of all choices, ``acc`` viewed as (rows,
-    prefix, previous choice, 1) and ``stall`` as (rows, prefix, previous
-    choice, choice); ``step`` returns the extended accumulators. The
-    previous choice axis lets a term of the previous and the next choice
-    be read from a table ``t[prev, c]`` (with one row at k = 0, where the
-    axis has length 1). The last position is folded one choice ``c`` (an
-    int) at a time, with the choice axis dropped: ``score(step(h - 1, c,
-    stall, acc, out), scores)`` scores the sequences that end in ``c``,
-    and a running maximum keeps each row's best per first choice. No
+    kernel runs the buffer recursion and calls ``step(k, c, stall, acc)``
+    with ``c`` a slice of all choices, ``acc`` viewed as (rows, prefix,
+    previous choice, 1) and ``stall`` as (rows, prefix, previous choice,
+    choice); ``step`` returns the extended accumulators. The previous
+    choice axis lets a term of the previous and the next choice be read
+    from a table ``t[prev, c]`` (with one row at k = 0, where the axis
+    has length 1). The last position is folded one choice ``c`` (an int)
+    at a time, with the choice axis dropped: ``score(step(h - 1, c,
+    stall, acc))`` scores the sequences that end in ``c``, and a running
+    maximum keeps each row's best per first choice. ``step`` and
+    ``score`` are pure: they write into none of their arguments. No
     array grows beyond rows x n^(h-1) entries. Each sequence still adds
     its terms in position order, so its score is that of a per-sequence
     loop, bit for bit, and the lowest first choice that reaches a row's
     maximum is the first choice of the lexicographically first best
     sequence.
 
-    The fold allocates its arrays once per call. At the prefix positions
-    and the first folded choice ``out`` is a tuple of ``None`` and
-    ``scores`` is ``None``, so numpy allocates; after that they are what
-    ``step`` and ``score`` returned for the previous choice, and the
-    results of the next one may be written there with ufunc ``out=``.
-    Each result keeps the shape of its pure expression, so a step or
-    score that ignores them is as correct. The kernel owns ``stall`` and
-    writes it afresh for every choice, so a step may overwrite it; a step
-    must not write into ``acc`` or return one of its arrays, which would
-    come back as ``out``.
-
-    A ``_PrefixBound`` prunes the search; its ``first`` has one row per
-    previous choice the caller decides for. The score must be linear in
-    the accumulators: a sequence's total is its prefix's score, plus per
-    later position its stall-free terms (the score of one step from zero
-    sums and stalls), less its stall penalty, at least ``stall_price``
-    per second. From buffer b after depth d, the remaining h - d
+    ``stall_price`` and ``first`` prune the search; a caller passes both
+    or neither. ``stall_price``: at every horizon position >= 1 the score
+    falls by at least this much per second of stall. ``first``: a
+    (previous choice x first choice) matrix; per previous choice, the
+    caller adds its row to a buffer row's best before taking the argmax
+    over first choices. A single decision passes one row, the table
+    builder one per rung. The score must be linear in the accumulators:
+    a sequence's total is its prefix's score, plus per later position
+    its stall-free terms (the score of one step from zero sums and
+    stalls), less its stall penalty, at least ``stall_price`` per
+    second. From buffer b after depth d, the remaining h - d
     positions stall at least their summed download time less b + (h - d
     - 1) x seg, so for every price x in [0, ``stall_price``] the best
     completion scores at most A_x + x (b + (h - d - 1) x seg), where A_x
@@ -341,10 +320,10 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
-    fresh = (None,) * len(acc)
     pruner = None
-    if bound is not None and h > 3:  # only depths 2..h-2 are pruned
-        pruner = _Pruner(bound, buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score)
+    if first is not None and h > 3:  # only depths 2..h-2 are pruned
+        pruner = _Pruner(buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=stall_price,
+                         first=first)
     counts = np.ones(n, dtype=np.intp)  # prefixes per first choice
     keep = None  # the last pruned depth's surviving prefixes, on its (parent, last choice) grid
     for k, dt in enumerate(dt_by_pos[:-1]):
@@ -353,7 +332,7 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
             live = np.flatnonzero(keep.any(axis=1))
             buf, *acc = (x.reshape(len(x), -1, n).take(live, axis=1).reshape(len(x), -1) for x in (buf, *acc))
         b = buf.reshape(rows, -1, prev, 1)
-        acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc), fresh)
+        acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc))
         buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
         if keep is not None:  # ... then drop the children of the pruned ones
             kept = np.flatnonzero(keep[live])
@@ -363,19 +342,15 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         buf = buf.reshape(rows, -1)
         counts = counts * n if k else counts
         if pruner is not None and 2 <= k + 1 <= h - 2:
-            keep, counts = pruner.keep(k + 1, score(acc, None), buf, counts)
+            keep, counts = pruner.keep(k + 1, score(acc), buf, counts)
     prev = n if h > 1 else 1
     b = buf.reshape(rows, -1, prev)
     acc = tuple(a.reshape(len(a), -1, prev) for a in acc)
     best = np.full((rows, n), -np.inf)
     reached = counts > 0
     starts = (np.cumsum(counts) - counts)[reached]  # each first choice's block of sequences
-    stall, out, scores = np.empty(b.shape), fresh, None
     for c, dt in enumerate(dt_by_pos[-1]):
-        np.subtract(dt, b, out=stall)
-        np.maximum(stall, 0.0, out=stall)
-        out = step(h - 1, c, stall, acc, out)
-        scores = score(out, scores)
+        scores = score(step(h - 1, c, np.maximum(dt - b, 0.0), acc))
         if h == 1:  # the last choice is the first
             best[:, c] = scores.reshape(rows)
         else:
@@ -399,20 +374,13 @@ def _mpc_objective(rates, h: int, params: MpcObjectiveParams):
     moves = np.abs(rates[None, :] - rates[:, None])  # |rate step| by [previous, next] choice
     switch_by_pos = [np.zeros((1, len(rates)))] + [moves] * (h - 1)  # none at the first position
 
-    def step(k, c, stall, acc, out):
-        (stall_acc, rate_acc, sw_inner), (stall_out, rate_out, sw_out) = acc, out
-        return (
-            np.add(stall_acc, stall, out=stall_out),
-            np.add(rate_acc, rates[c], out=rate_out),
-            np.add(sw_inner, switch_by_pos[k][:, c], out=sw_out),
-        )
-
-    def score(acc, out):  # (rate_acc - lambda_switch * sw_inner) - mu_rebuf * stall_acc
+    def step(k, c, stall, acc):
         stall_acc, rate_acc, sw_inner = acc
-        gain = params.lambda_switch * sw_inner  # one temporary: a second would make glibc trim its heap per rung
-        np.subtract(rate_acc, gain, out=gain)
-        out = np.multiply(params.mu_rebuf, stall_acc, out=out)
-        return np.subtract(gain, out, out=out)
+        return stall_acc + stall, rate_acc + rates[c], sw_inner + switch_by_pos[k][:, c]
+
+    def score(acc):
+        stall_acc, rate_acc, sw_inner = acc
+        return (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
 
     return moves, step, score
 
@@ -424,13 +392,13 @@ def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectivePa
     Entry [i, j] of the result is the decision from buffer ``buffers[i]``
     after rung ``previous[j] + 1`` (``previous`` 0-based, every rung by
     default). Prefixes that cannot win after any of those rungs are
-    pruned (``_PrefixBound``), which leaves every decision as it is.
+    pruned (``_enumerate``), which leaves every decision as it is.
     """
     moves, step, score = _mpc_objective(rates, len(dt_by_pos), params)
     first = -params.lambda_switch * moves[previous]
     zero = np.zeros((1, 1))
     best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score,
-                      bound=_PrefixBound(params.mu_rebuf, first))
+                      stall_price=params.mu_rebuf, first=first)
     return np.argmax(best[:, None, :] + first, axis=2) + 1
 
 
@@ -609,7 +577,9 @@ def build_mpc_table(
     (fork on Linux before Python 3.14), with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
     order. On 2 cores the default 100x100x13 binning takes ~3 s on one,
-    ~2 s with ``jobs=2``; a 10x25 one ~0.1 s either way.
+    ~2 s with ``jobs=2``; a 10x25 one ~0.13 s on one and ~0.09 s with
+    ``jobs=2``, though on a busy host starting the pool can cost more
+    than it saves.
     ``check_table_size`` runs before anything is allocated.
     """
     checks.count("jobs", jobs)
@@ -845,22 +815,15 @@ class RdosPolicy:
             adaptation.append(kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0))
             stall_weight.append(np.broadcast_to((kp.c1 + kp.c2 * (100.0 - q_prev))[:, None], delta.shape))
 
-        def step(k, c, stall, acc, out):
-            (q_acc, pen_acc, rate_acc), (q_out, pen_out, rate_out) = acc, out
-            # pen_acc + c0 * log1p(stall) * weight + adaptation, with the stall term built in ``stall``;
-            # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
-            np.log1p(stall, out=stall)
-            np.multiply(kp.c0, stall, out=stall)
-            np.multiply(stall, stall_weight[k][:, c], out=stall)
-            pen_out = np.add(pen_acc, stall, out=pen_out)
-            pen_out += adaptation[k][:, c]
-            return np.add(q_acc, q_by_pos[k][c], out=q_out), pen_out, np.add(rate_acc, rates[c], out=rate_out)
-
-        def score(acc, out):  # q_acc / h - pen_acc / h - gamma_rate * rate_acc
+        def step(k, c, stall, acc):
             q_acc, pen_acc, rate_acc = acc
-            out = np.divide(pen_acc, h, out=out)
-            np.subtract(q_acc / h, out, out=out)
-            return np.subtract(out, params.gamma_rate * rate_acc, out=out)
+            # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
+            pen = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k][:, c] + adaptation[k][:, c]
+            return q_acc + q_by_pos[k][c], pen, rate_acc + rates[c]
+
+        def score(acc):
+            q_acc, pen_acc, rate_acc = acc
+            return q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
 
         # the stall term c0 * log1p(s) * w / h of a position >= 1 is at least the chord price * s: its weight is
         # at least c1 + c2 * (100 - the best horizon quality), and s is at most the position's download time,
@@ -870,7 +833,7 @@ class RdosPolicy:
         price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
         zero = np.zeros((1, 1))
         best = _enumerate([state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
-                          (zero, zero, zero), step, score, bound=_PrefixBound(price, np.zeros((1, len(ladder)))))
+                          (zero, zero, zero), step, score, stall_price=price, first=np.zeros((1, len(ladder))))
         return int(np.argmax(best[0])) + 1
 
 

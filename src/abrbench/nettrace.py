@@ -145,6 +145,8 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
         t = read_float("time", parts[0], n)
         if not -math.inf < t < math.inf:
             raise ValueError(f"time {t!r} on line {n} is not finite")
+        if not samples and t != 0.0:
+            raise ValueError(f"time {t!r} on line {n} is not 0: the first sample must start at time 0")
         if samples and not t > samples[-1][0]:
             raise ValueError(f"time {t!r} on line {n} is not after the previous sample's {samples[-1][0]!r}")
         samples.append((t, bandwidth(parts[1], n)))

@@ -369,7 +369,9 @@ def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
 
     Subjects and videos keep their first-seen order, and a later row for
     the same (subject, video) replaces the earlier score. A score that is
-    not a finite number is an error naming ``source`` and the line.
+    not a finite number, or a row that puts a video in another session, a
+    session on another day or a subject on another device than an earlier
+    row did, is an error naming ``source`` and the line.
     """
     subject_index: dict[str, int] = {}
     video_index: dict[str, int] = {}
@@ -381,10 +383,14 @@ def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
     for row in rows:
         s, v = row["subject_id"], row["video_id"]
         cell = (subject_index.setdefault(s, len(subject_index)), video_index.setdefault(v, len(video_index)))
-        session_of[v] = row["session_id"]
-        day_of[row["session_id"]] = row["day"]
-        device_of[s] = row["device"]
         cells[cell] = csv_number(rows, row, "score", source)
+        bindings = ((session_of, "video", v, "session_id"), (day_of, "session", row["session_id"], "day"),
+                    (device_of, "subject", s, "device"))
+        for of, what, key, column in bindings:
+            earlier = of.setdefault(key, row[column])
+            if earlier != row[column]:
+                raise ValueError(f"{source} line {rows.line_num}: {what} {key!r} has {column} {row[column]!r},"
+                                 f" but an earlier row gives {earlier!r}")
     raw = np.full((len(subject_index), len(video_index)), np.nan)
     for (i, j), score in cells.items():
         raw[i, j] = score

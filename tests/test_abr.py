@@ -306,11 +306,11 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
         values = np.array([float(rng.randint(0, 3)) for _ in range(n**h)])
         seen = {}
 
-        def step(k, c, stall, acc, out):  # allocates: ``out`` is the kernel's offer to reuse arrays
+        def step(k, c, stall, acc):
             code, stall_acc = acc
             return code * n + np.arange(n)[c], stall_acc + stall
 
-        def score(acc, out):
+        def score(acc):
             code, stall_acc = acc
             code = code.reshape(-1).astype(int)
             assert code.tolist() == [j * n + code[0] % n for j in range(n ** (h - 1))]
@@ -331,41 +331,6 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
                 assert seen[(i, j)] == total
                 expect[seq[0]] = max(expect[seq[0]], values[j] - total)
             assert best[i].tolist() == expect
-
-
-def test_in_place_fold_matches_an_allocating_one(monkeypatch):
-    # MPC's and RDOS's step and score write the fold's results into the arrays
-    # of the previous rung; given no arrays (``None``) they allocate, and the
-    # best scores must be the same, bit for bit. Several buffer rows per call
-    # and h = 1 (where the prefix accumulators are the kernel's zero roots)
-    # would show an output that aliases an input.
-    enumerate_ = abr._enumerate
-    rng = random.Random(12)
-    calls = []
-
-    def both_ways(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=None):
-        rows = np.concatenate([np.asarray(buffers, dtype=np.float64), [rng.uniform(0.0, 60.0) for _ in range(3)]])
-        in_place = enumerate_(rows, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=bound)
-        allocating = enumerate_(
-            rows, dt_by_pos, seg, max_buffer_s, acc,
-            lambda k, c, stall, acc, out: step(k, c, stall, acc, (None,) * len(out)),
-            lambda acc, out: score(acc, None), bound=bound,
-        )
-        assert in_place.tobytes() == allocating.tobytes()
-        calls.append(len(dt_by_pos))
-        return in_place[: len(buffers)]
-
-    monkeypatch.setattr(abr, "_enumerate", both_ways)
-    for i in range(40):
-        n_reps = 13 if i % 8 == 0 else rng.randint(2, 6)
-        m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=20.0)
-        st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=rng.uniform(0.0, 30.0),
-                        last_rep=rng.randint(1, n_reps), history=[rng.uniform(200.0, 30000.0) for _ in range(3)])
-        h, cap = 1 + i % 5, rng.uniform(4.0, 60.0)
-        weights = {"lambda_switch": rng.uniform(0, 3), "mu_rebuf": rng.uniform(0, 30)}
-        mpc_select_exact(st_, MpcObjectiveParams(**weights, horizon=h, max_buffer_s=cap, use_manifest_sizes=i % 2 == 0))
-        abr.RdosPolicy(RdosParams(gamma_rate=rng.uniform(0, 1), horizon=h, max_buffer_s=cap)).select(st_)
-    assert set(calls) == {1, 2, 3, 4, 5}
 
 
 def test_exact_decisions_never_hold_a_full_tree_array():
@@ -395,6 +360,45 @@ def decision_call(monkeypatch, decide):
     return call
 
 
+def read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def test_objectives_never_write_into_their_arguments(monkeypatch):
+    # MPC's and RDOS's step and score are pure: handed read-only views of their
+    # stalls and accumulators they raise nothing and score every search as
+    # before, bit for bit; several buffer rows and h = 1..5 (at h = 1 the
+    # accumulators are the kernel's zero roots)
+    rng = random.Random(12)
+    horizons = set()
+    for i in range(20):
+        n_reps = 13 if i % 5 == 0 else rng.randint(2, 6)
+        m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=20.0)
+        st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=rng.uniform(0.0, 30.0),
+                        last_rep=rng.randint(1, n_reps), history=[rng.uniform(200.0, 30000.0) for _ in range(3)])
+        common = {"horizon": 1 + i % 5, "max_buffer_s": rng.uniform(4.0, 60.0), "use_manifest_sizes": i % 2 == 0}
+        mpc, rdos = random_weights(rng)
+        for decide in (lambda: mpc_select_exact(st_, MpcObjectiveParams(**mpc, **common)),
+                       lambda: abr.RdosPolicy(RdosParams(**rdos, **common)).select(st_)):
+            (buffers, dt_by_pos, seg, cap, acc, step, score), kwargs = decision_call(monkeypatch, decide)
+            rows = np.concatenate([buffers, [rng.uniform(0.0, cap) for _ in range(3)]])
+
+            def pure_step(k, c, stall, acc, step=step):
+                return step(k, c, read_only(stall), tuple(map(read_only, acc)))
+
+            def pure_score(acc, score=score):
+                return score(tuple(map(read_only, acc)))
+
+            got = abr._enumerate(rows, dt_by_pos, seg, cap, tuple(map(read_only, acc)), pure_step, pure_score,
+                                 **kwargs)
+            expect = abr._enumerate(rows, dt_by_pos, seg, cap, acc, step, score, **kwargs)
+            assert got.tobytes() == expect.tobytes()
+            horizons.add(len(dt_by_pos))
+    assert horizons == {1, 2, 3, 4, 5}
+
+
 def prefix_scores(args, d):
     """Score so far and buffer (rows x prefixes) of every depth-``d`` prefix, in lexicographic order."""
     buffers, dt_by_pos, seg, cap, acc, step, score = args
@@ -404,10 +408,9 @@ def prefix_scores(args, d):
         prev = n if k else 1
         b = buf.reshape(len(buf), -1, prev, 1)
         views = tuple(a.reshape(len(a), -1, prev, 1) for a in acc)
-        acc = tuple(a.reshape(len(a), -1) for a in step(k, slice(None), np.maximum(dt_by_pos[k] - b, 0.0), views,
-                                                          (None,) * len(acc)))
+        acc = tuple(a.reshape(len(a), -1) for a in step(k, slice(None), np.maximum(dt_by_pos[k] - b, 0.0), views))
         buf = np.minimum(b - np.minimum(b, dt_by_pos[k]) + seg, cap).reshape(len(buf), -1)
-    return score(acc, None), buf
+    return score(acc), buf
 
 
 def random_weights(rng):
@@ -472,7 +475,7 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
                 (RdosParams(**rdos, **common), rdos_objective, lambda s, p: abr.RdosPolicy(p).select(s)),
             ):
                 args, kwargs = decision_call(monkeypatch, lambda: decide(st_, params))
-                pruner = abr._Pruner(kwargs["bound"], np.asarray(args[0]), *args[1:])
+                pruner = abr._Pruner(np.asarray(args[0]), *args[1:], **kwargs)
                 best = best_completions(objective, st_, tput, params)
                 checked, below = assert_prefix_floors(pruner, args, [best], h)
                 counts.update({"decision": checked, "decision below": below})
@@ -482,7 +485,7 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
         args, kwargs = decision_call(monkeypatch, lambda: abr._table_bin(ladder_kbps, 4.0, params, tput,
                                                                          [0.0, cap / 4.0, cap]))
         rows = np.asarray(args[0])
-        pruner = abr._Pruner(kwargs["bound"], rows, *args[1:])
+        pruner = abr._Pruner(rows, *args[1:], **kwargs)
         assert pruner.first.shape == (n_reps, n_reps)
         best = [best_completions(mpc_objective, dataclasses.replace(st_, buffer_s=float(b), last_rep=1), tput, params)
                 for b in rows]
@@ -499,10 +502,11 @@ def test_pruned_enumeration_matches_the_full_one(monkeypatch):
     enumerate_ = abr._enumerate
     calls = []
 
-    def both(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=None):
-        pruned = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, bound=bound)
+    def both(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=None, first=None):
+        pruned = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=stall_price,
+                            first=first)
         full = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
-        total, full_total = pruned + bound.first, full + bound.first
+        total, full_total = pruned + first, full + first
         assert np.argmax(total[0]) == np.argmax(full_total[0])
         scored = np.isfinite(pruned)
         assert pruned[scored].tobytes() == full[scored].tobytes()
@@ -721,7 +725,7 @@ def test_pruned_table_search_matches_the_full_one(
     first = -lambda_switch * moves
     zero = np.zeros((1, 1))
     search = (buffers, [dt] * horizon, seg, cap, (zero, zero, zero), step, score)
-    pruned = abr._enumerate(*search, bound=abr._PrefixBound(mu_rebuf, first))
+    pruned = abr._enumerate(*search, stall_price=mu_rebuf, first=first)
     full = abr._enumerate(*search)
     assert (np.argmax(pruned[:, None, :] + first, axis=2) == np.argmax(full[:, None, :] + first, axis=2)).all()
     scored = np.isfinite(pruned)

@@ -62,9 +62,10 @@ def test_parse_unordered_or_empty_rejected():
         ("0,100\ninf,100", "pairs", "time inf on line 2 is not finite"),
         ("x,100", "pairs", "time 'x' on line 1 is not a number"),
         ("# time_s,kbps\n\n0,100\n1,-5", "pairs", "bandwidth -5.0 on line 4"),  # comments and blanks count
+        ("# time_s,kbps\n2.5,100\n3,100", "pairs", "time 2.5 on line 2 is not 0: the first sample must start"),
     ],
     ids=["granular_word", "granular_word_line3", "pairs_word_bandwidth", "pairs_time_goes_back", "pairs_nan_time",
-         "pairs_inf_time", "pairs_word_time", "pairs_line_after_comment"],
+         "pairs_inf_time", "pairs_word_time", "pairs_line_after_comment", "pairs_first_time_not_zero"],
 )
 def test_parse_names_the_fault_and_its_line(text, fmt, message):
     with pytest.raises(ValueError, match=re.escape(message)):

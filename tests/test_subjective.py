@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -375,4 +376,20 @@ def test_load_ratings_keeps_first_seen_order_and_the_last_duplicate():
 def test_load_ratings_rejects_non_finite_scores_naming_source_and_line(bad):
     text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns0,v1,A,D1,tv," + bad + "\n"
     with pytest.raises(ValueError, match=f"panel.csv line 3: score must be a finite number, got '{bad}'"):
+        subjective.load_ratings_csv(text, "panel.csv")
+
+
+@pytest.mark.parametrize(
+    "later, message",
+    [
+        ("s1,v0,B,D1,tv,60", "video 'v0' has session_id 'B', but an earlier row gives 'A'"),
+        ("s1,v1,A,D2,tv,60", "session 'A' has day 'D2', but an earlier row gives 'D1'"),
+        ("s0,v1,A,D1,phone,60", "subject 's0' has device 'phone', but an earlier row gives 'tv'"),
+    ],
+    ids=["video_in_two_sessions", "session_on_two_days", "subject_on_two_devices"],
+)
+def test_load_ratings_refuses_a_row_that_contradicts_earlier_metadata(later, message):
+    # a video has one session, a session one day and a subject one device: a later row never overrides them
+    text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns1,v1,A,D1,tv,70\n" + later + "\n"
+    with pytest.raises(ValueError, match=re.escape(f"panel.csv line 4: {message}")):
         subjective.load_ratings_csv(text, "panel.csv")
