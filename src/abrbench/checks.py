@@ -5,16 +5,11 @@ naming both when the value is not valid, and returns it. Reals come
 back as ``float``, so an integer where a real is expected behaves, and
 is written into artifacts, as the float would. A bool is never a
 number, although Python counts it as an int.
-
-Every layer imports this module, so it also holds ``to_json``, the one
-writer of the package's JSON artifacts.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import math
 import numbers
 
@@ -116,61 +111,3 @@ def known_keys(where: str, block: dict, allowed) -> None:
     unknown = [key for key in block if key not in allowed]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}; expected one of {sorted(allowed)}")
-
-
-_encode = json.JSONEncoder().encode  # the C encoder, as json.dumps writes a leaf or a key
-_CONTAINERS = (dict, list, tuple)
-
-
-def to_json(doc) -> str:
-    """What ``json.dumps`` writes for ``doc`` with ``indent=1``, byte for byte.
-
-    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder.
-    Here the C encoder writes a list or dict of leaves (numbers, strings,
-    bools and None) in one call, its item separator a line break and the
-    indent of that level, and a list of rows of leaves (pairs, or flat
-    dicts) the same way. No leaf's text holds a line break, so each one
-    in that text is an item boundary. Other containers are laid out item
-    by item.
-    """
-    return _layout(doc, "\n")
-
-
-@functools.cache
-def _level_encoder(newline: str):
-    """The C encoder that lays out one level of leaves below ``newline``."""
-    return json.JSONEncoder(separators=("," + newline + " ", ": ")).encode
-
-
-def _layout(value, newline: str) -> str:
-    if not isinstance(value, _CONTAINERS):
-        return _encode(value)
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    inner = newline + " "
-    items = value.values() if isinstance(value, dict) else value
-    if not any(map(isinstance, items, itertools.repeat(_CONTAINERS))):
-        text = _level_encoder(newline)(value)
-        return text[0] + inner + text[1:-1] + newline + text[-1]
-    if isinstance(value, dict):
-        pairs = (_key(key) + ": " + _layout(item, inner) for key, item in value.items())
-        return "{" + inner + ("," + inner).join(pairs) + newline + "}"
-    kind = dict if isinstance(value[0], dict) else (list, tuple)
-    if all(map(isinstance, value, itertools.repeat(kind))) and all(value):  # rows: non-empty, of one kind
-        leaves = itertools.chain.from_iterable(map(dict.values, value) if kind is dict else value)
-        if not any(map(isinstance, leaves, itertools.repeat(_CONTAINERS))):
-            # no leaf's text ends in "]" or "}", so closer, separator and opener are found between rows only
-            deeper = inner + " "
-            opener, closer = "{}" if kind is dict else "[]"
-            rows = _level_encoder(inner)(value)[2:-2].replace(
-                closer + "," + deeper + opener, inner + closer + "," + inner + opener + deeper)
-            return "[" + inner + opener + deeper + rows + inner + closer + newline + "]"
-    return "[" + inner + ("," + inner).join(_layout(item, inner) for item in value) + newline + "]"
-
-
-def _key(key) -> str:
-    if not isinstance(key, str):  # json.dumps writes an int, float, bool or None key as its value's text
-        if not (isinstance(key, (int, float)) or key is None):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _encode(key)
-    return _encode(key)

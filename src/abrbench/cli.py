@@ -329,7 +329,7 @@ def cmd_qoe(config: dict, args) -> int:
                 print(f"qoe: {video_id}/{spec['id']} failed: {exc}", file=sys.stderr)
     if args.format == "json":
         payload = [{"video_id": v, "model_id": m, "score": s} for v, m, s in rows]
-        _atomic_write(out_dir / "qoe_scores.json", checks.to_json(payload))
+        _atomic_write(out_dir / "qoe_scores.json", json.dumps(payload))
     else:
         _write_csv(out_dir / "qoe_scores.csv", ("video_id", "model_id", "score"), rows)
     print(f"qoe: scored {len(rows)} (record, model) pairs -> {out_dir}")
@@ -455,7 +455,7 @@ def cmd_stats(config: dict, args) -> int:
     _write_csv(out_dir / "correlations.csv", ("method", "plcc", "srcc", "krcc"), correlations)
     if args.format == "json":
         payload = {"labels": list(matrix.labels), "cells": [list(r) for r in matrix.cells]}
-        _atomic_write(out_dir / "significance.json", checks.to_json(payload))
+        _atomic_write(out_dir / "significance.json", json.dumps(payload))
     else:
         _write_csv(out_dir / "significance.csv", ("", *matrix.labels), matrix.glyph_rows())
     _atomic_write(out_dir / "significance.md", matrix.to_markdown())

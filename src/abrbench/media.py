@@ -199,7 +199,7 @@ def serialize_manifest(manifest: Manifest) -> str:
             for size_row, quality_row in zip(manifest.sizes, manifest.qualities)
         ],
     }
-    return checks.to_json(doc)
+    return json.dumps(doc)
 
 
 def default_quality_curve(bitrate_kbps: float) -> float:

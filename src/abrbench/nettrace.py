@@ -17,7 +17,8 @@ docs/file_formats.md):
   (FCC-style broadband measurements);
 * ``granular_1s`` - one value per line, 1 s apart (HSDPA/Belgium-style
   mobile measurements);
-* ``pairs`` - generic CSV lines ``time_s,bandwidth_kbps``.
+* ``pairs`` - generic CSV lines ``time_s,bandwidth_kbps``, and an
+  optional last line holding the end time.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
     """Parse trace ``text`` in one of the supported formats.
 
     For the fixed-granularity formats the k-th line becomes the sample
-    (k*step, value) and the duration is n*step. For ``pairs`` the
-    duration defaults to the last start time plus the trailing gap
-    (1.0 s for a single sample); pass ``duration_s`` to override. A bad
-    value names its line of ``text``, counting blank and ``#`` lines.
+    (k*step, value) and the duration is n*step. For ``pairs`` a final
+    line holding one number is the trace's end time, its duration;
+    without one the duration is the last start time plus the trailing
+    gap (1.0 s for a single sample). Pass ``duration_s`` to override
+    either. A bad value names its line of ``text``, counting blank and
+    ``#`` lines.
     """
     if format not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {format!r}; expected one of {TRACE_FORMATS}")
@@ -138,8 +141,16 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
         return Trace(samples=samples, duration_s=duration_s if duration_s is not None else len(lines) * step)
 
     samples = []
+    end = None
     for n, ln in lines:
-        parts = [p for p in ln.strip("()").replace(";", ",").split(",") if p.strip()]
+        fields = ln.strip("()").replace(";", ",").split(",")
+        if len(fields) == 1 and samples and n == lines[-1][0]:  # the end line
+            end = read_float("end time", fields[0], n)
+            if not (0 < end < math.inf and end >= samples[-1][0]):  # Trace's rule for its duration
+                raise ValueError(f"end time {end!r} on line {n} is not finite, > 0 and at or after "
+                                 f"the last start {samples[-1][0]!r}")
+            break
+        parts = [p for p in fields if p.strip()]
         if len(parts) != 2:
             raise ValueError(f"malformed pair on line {n}: {ln!r}")
         t = read_float("time", parts[0], n)
@@ -151,7 +162,9 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
             raise ValueError(f"time {t!r} on line {n} is not after the previous sample's {samples[-1][0]!r}")
         samples.append((t, bandwidth(parts[1], n)))
     if duration_s is None:
-        if len(samples) >= 2:
+        if end is not None:
+            duration_s = end
+        elif len(samples) >= 2:
             duration_s = samples[-1][0] + (samples[-1][0] - samples[-2][0])
         else:
             duration_s = samples[-1][0] + 1.0
@@ -159,8 +172,8 @@ def parse_trace(text: str, format: str, duration_s: float | None = None) -> Trac
 
 
 def serialize_trace(trace: Trace) -> str:
-    """Write a trace as ``pairs`` CSV lines (round-trips with parse_trace)."""
-    lines = [f"{t!r},{bw!r}" for t, bw in trace.samples]
+    """Write a trace as ``pairs`` CSV lines and an end line (round-trips with parse_trace)."""
+    lines = [f"{t!r},{bw!r}" for t, bw in trace.samples] + [repr(trace.duration_s)]
     return "\n".join(lines) + "\n"
 
 
@@ -229,6 +242,8 @@ def download_time(trace: Trace, channel: ChannelConfig, start_time_s: float, siz
     edges, rates, loop_bits = trace.timeline
     duration = trace.duration_s
     t = start_time_s + channel.rtt_s
+    if t == math.inf:  # two finite values whose sum overflows; ``inf % duration`` would walk forever on NaN
+        raise ValueError(f"start_time_s + rtt_s must be finite, got {start_time_s!r} + {channel.rtt_s!r}")
     if not channel.loop_trace and t >= duration:
         raise TraceExhaustedError(f"request at {start_time_s}s lands beyond trace end ({duration}s)")
     if channel.loop_trace and loop_bits <= 0.0:

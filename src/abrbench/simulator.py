@@ -224,11 +224,11 @@ def to_record(log: SessionLog, manifest: Manifest, config: PlayerConfig) -> Sess
 
 
 def log_to_json(log: SessionLog) -> str:
-    return checks.to_json(vars(log))  # fields in declaration order, tuples as lists
+    return json.dumps(vars(log))  # fields in declaration order, tuples as lists
 
 
 def record_to_json(record: SessionRecord) -> str:
-    return checks.to_json(vars(record))
+    return json.dumps(vars(record))
 
 
 def record_from_json(text: str) -> SessionRecord:

@@ -896,7 +896,7 @@ def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
         ({"tput_bins": 100_000_000}, "tput_bins"),  # asked numpy for 121 GiB: an _ArrayMemoryError traceback
         ({"buffer_bins": 10**12}, "buffer_bins"),
         ({"ladder_kbps": list(range(300, 1301))}, "ladder rungs"),  # 100 x 100 x 1001 cells
-        ({"horizon": 7}, "horizon"),  # 13^7 sequences: refused only by the search, after the cells line
+        ({"horizon": 7}, "horizon"),  # 13^7 sequences: refused by check_table_size with the other sizes
         ({"horizon": 10**12}, "horizon"),
         ({"tput_bins": 1, "buffer_bins": 1, "horizon": 65, "ladder_kbps": [300]}, "horizon"),
     ],
@@ -1257,6 +1257,21 @@ def test_simulate_fails_a_cell_whose_record_would_be_empty(tmp_path):
     assert run(["simulate", "--config", cfg]) == 1
     [row] = read_csv(tmp_path / "out" / "summary.csv")
     assert row["status"] == "error" and "at least one segment" in row["error"]
+
+
+def test_simulate_fails_a_cell_whose_request_time_overflows(tmp_path):
+    # the second request lands at 1e308 + 1e308 s: the session used to spin for ever, so it runs in a child
+    manifests, traces = write_inputs(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}],
+                               "player": {"rtt_s": 1e308}, "out_dir": str(tmp_path / "out")}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import sys; from abrbench import cli; sys.exit(cli.main(['simulate', '--config', {str(cfg)!r}]))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    [row] = read_csv(tmp_path / "out" / "summary.csv")
+    assert row["status"] == "error" and "start_time_s + rtt_s must be finite" in row["error"]
 
 
 def write_table_config(tmp_path, table, n_traces=1):

@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -63,9 +67,17 @@ def test_parse_unordered_or_empty_rejected():
         ("x,100", "pairs", "time 'x' on line 1 is not a number"),
         ("# time_s,kbps\n\n0,100\n1,-5", "pairs", "bandwidth -5.0 on line 4"),  # comments and blanks count
         ("# time_s,kbps\n2.5,100\n3,100", "pairs", "time 2.5 on line 2 is not 0: the first sample must start"),
+        ("0,100\n30,200\n20", "pairs", "end time 20.0 on line 3 is not finite, > 0 and at or after the last start"),
+        ("0,100\ninf", "pairs", "end time inf on line 2 is not finite"),
+        ("0,100\nnan", "pairs", "end time nan on line 2 is not finite"),
+        ("0,100\n0", "pairs", "end time 0.0 on line 2 is not finite, > 0"),
+        ("0,100\nx", "pairs", "end time 'x' on line 2 is not a number"),
+        ("0,100\n5\n10,200", "pairs", "malformed pair on line 2: '5'"),  # only the last line can be the end
+        ("5", "pairs", "malformed pair on line 1: '5'"),  # an end line needs a sample before it
     ],
     ids=["granular_word", "granular_word_line3", "pairs_word_bandwidth", "pairs_time_goes_back", "pairs_nan_time",
-         "pairs_inf_time", "pairs_word_time", "pairs_line_after_comment", "pairs_first_time_not_zero"],
+         "pairs_inf_time", "pairs_word_time", "pairs_line_after_comment", "pairs_first_time_not_zero",
+         "end_before_last_start", "end_inf", "end_nan", "end_zero", "end_word", "end_not_last", "end_only"],
 )
 def test_parse_names_the_fault_and_its_line(text, fmt, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -74,8 +86,28 @@ def test_parse_names_the_fault_and_its_line(text, fmt, message):
 
 def test_serialize_round_trip():
     t = nettrace.parse_trace("0,100\n7.5,2000\n30,0", "pairs", duration_s=55.0)
-    again = nettrace.parse_trace(nettrace.serialize_trace(t), "pairs", duration_s=55.0)
-    assert again == t
+    text = nettrace.serialize_trace(t)
+    assert text.endswith("\n30.0,0.0\n55.0\n")  # the end line carries the duration
+    assert nettrace.parse_trace(text, "pairs") == t
+    assert nettrace.parse_trace(text, "pairs", duration_s=40.0).duration_s == 40.0  # an explicit duration wins
+    assert nettrace.parse_trace("0,100\n7.5,2000\n30,0", "pairs").duration_s == 52.5  # no end line: trailing gap
+
+
+def test_every_window_reads_back_as_it_was_cut(tmp_path):
+    # a 2.5 s stride over 5 s samples: window 1 ends halfway through a sample, so a duration taken from
+    # the trailing gap (42.5 s, not 40 s) read it back with another mean
+    values = [1000.0, 1800.0, 600.0, 2400.0, 1400.0, 900.0, 3000.0, 1200.0, 2000.0, 500.0]
+    raw = tmp_path / "raw.txt"
+    raw.write_text("".join(f"{v!r}\n" for v in values))
+    cfg = tmp_path / "traces.json"
+    cfg.write_text(json.dumps({"traces_ingest": {"inputs": [{"path": str(raw), "format": "granular_5s"}],
+                                                 "window_s": 40.0, "stride_s": 2.5, "min_avg_kbps": 0.0},
+                               "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["traces", "--config", str(cfg)]) == 0
+    cut = list(nettrace.window_traces(nettrace.parse_trace(raw.read_text(), "granular_5s"), 40.0, 2.5))
+    written = sorted((tmp_path / "out" / "traces").glob("*.csv"))
+    assert len(written) == len(cut) == 5
+    assert [nettrace.parse_trace(p.read_text(), "pairs") for p in written] == cut
 
 
 def test_window_count_arithmetic():
@@ -283,6 +315,18 @@ def test_download_rejects_bad_args(flat_trace):
     for start, size in ((0.0, math.nan), (0.0, math.inf), (math.nan, 10.0), (math.inf, 10.0)):
         with pytest.raises(ValueError, match="size_bits|start_time_s"):
             nettrace.download_time(flat_trace, ChannelConfig(), start, size)
+
+
+def test_download_refuses_a_request_time_that_overflows():
+    # 1e308 + 1e308 is inf and inf % duration is NaN: the walk looped on it for ever, so the call runs in a
+    # child process that the timeout ends
+    code = ("from abrbench.nettrace import ChannelConfig, Trace, download_time\n"
+            "download_time(Trace(((0.0, 3000.0),), 55.0), ChannelConfig(rtt_s=1e308), 1e308, 1e6)\n")
+    src = str(Path(nettrace.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "ValueError: start_time_s + rtt_s must be finite, got 1e+308 + 1e+308" in proc.stderr
 
 
 @given(st.integers(0, 10_000_000), st.integers(0, 10_000_000))
