@@ -16,13 +16,15 @@ Four families are provided:
 One kernel, ``_enumerate``, scores every rung sequence over the
 horizon for all three enumerating uses and returns the best score per
 (starting buffer, first rung). It grows the prefix tree by broadcasting
-up to the last position, folds the last position in one rung at a time,
+up to the last position, folds the last position in blocks of rungs,
 runs the buffer recursion, and leaves the objective to a per-step and a
 score function (bitrate/switch/stall terms for MPC, quality, adaptation
 and stall penalties for RDOS); terms of the previous and the next rung
-are read from small per-position tables. No array holds more than one
-entry per prefix of h-1 positions, 13^4 for the default ladder and
-horizon. The table builder batches starting buffers through the same
+are read from small [position, previous, next] tables through index
+arrays, the same way at every position. No growing array holds more
+than one entry per prefix of h-1 positions, 13^4 for the default ladder
+and horizon, and no fold block more than ``_FOLD_ENTRIES`` unless one
+rung does. The table builder batches starting buffers through the same
 kernel. Every sequence accumulates its terms in position order, so a
 straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
@@ -30,7 +32,7 @@ lexicographic scan (so the decisions are identical too).
 
 Every search passes a stall price and a first-rung term matrix: a
 single MPC or RDOS decision for its one previous rung, the table
-builder for every previous rung at once. After prefix depths 2..h-2 the
+builder for every previous rung at once. After prefix depths 2..h-1 the
 kernel drops each prefix whose score so far plus min over x of (A_x +
 x (b + (h - d - 1) seg)) is below its first rung's floor in every
 starting buffer. Here x runs over a ladder of prices from 0 to the
@@ -157,15 +159,15 @@ def _check_horizon_params(params) -> None:
     checks.attrs(params, checks.flag, "use_manifest_sizes")
 
 
-def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> list[np.ndarray]:
-    """Per-position, per-rep download times (s) over the lookahead at ``tput`` kb/s."""
+def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> np.ndarray:
+    """Download times (s) over the lookahead at ``tput`` kb/s, by [position, rung]."""
     manifest = state.manifest
     if params.use_manifest_sizes:
         first = state.chunk_index - 1
         sizes = manifest.sizes[first : first + h]
     else:
         sizes = [[r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in manifest.ladder]] * h
-    return [np.array(row) / (tput * 1000.0) + params.rtt_s for row in sizes]
+    return np.array(sizes) / (tput * 1000.0) + params.rtt_s
 
 
 def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
@@ -173,19 +175,17 @@ def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: t
 
     Each sequence goes through ``step`` and ``score`` with the operations
     ``_enumerate`` applies to it, so its score is the kernel's, bit for
-    bit. Position k > 0 is stepped from every previous choice, and each
-    sequence keeps the entry where the previous choice is its own.
+    bit. Position 0 steps choice c from the root (previous index 0),
+    every later one from c itself.
     """
-    n = len(dt_by_pos[0])
-    b = np.asarray(buffers, dtype=np.float64).reshape(-1, 1, 1, 1)
+    c = np.arange(dt_by_pos.shape[1])
+    p = np.zeros_like(c)
+    b = buffers[:, None]
     for k, dt in enumerate(dt_by_pos):
-        prev = n if k else 1
-        stall = np.maximum(dt - b, 0.0)
-        acc = step(k, slice(None), stall, tuple(a.reshape(len(a), 1, prev, 1) for a in acc))
+        acc = step(k, p, c, np.maximum(dt - b, 0.0), acc)
         b = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
-        own = (slice(None), 0, np.arange(n) if k else 0, np.arange(n))
-        acc, b = tuple(a[own] for a in acc), b[own].reshape(-1, 1, n, 1)
-    return np.broadcast_to(score(acc), (len(b), n))
+        p = c
+    return np.broadcast_to(score(acc), (len(b), len(c)))
 
 
 # the stall prices the prefix bound tries, as fractions of a search's ``stall_price``: 1, 1/2, ..., 1/256 and 0.
@@ -198,23 +198,24 @@ class _Pruner:
     """The prefix test ``_enumerate`` runs for a ``stall_price`` and a ``first`` matrix (see there)."""
 
     def __init__(self, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score, *, stall_price, first):
-        n, h = len(dt_by_pos[0]), len(dt_by_pos)
+        h, n = dt_by_pos.shape
         self.price, self.first, self.seg, self.h = stall_price, first, seg, h
-        zero = tuple(np.zeros((1, 1, n, 1)) for _ in acc)
-        # a choice's stall-free terms at positions 2.. by [previous, next] choice: its score from zero sums
-        gains = {k: np.broadcast_to(score(step(k, slice(None), np.zeros((1, 1, n, n)), zero)), (1, 1, n, n))[0, 0]
-                 for k in range(2, h)}
+        c, zero = np.arange(n), np.zeros((1, 1, 1))
+        # a choice's stall-free terms by [position - 2, previous, next] choice for positions 2..: its score from zero
+        # sums, in one step over all of them
+        gains = score(step(np.arange(2, h)[:, None, None], c[:, None], c, zero, (zero,) * len(acc)))
+        gains = np.broadcast_to(gains, (h - 2, n, n))
         # per price x <= stall_price, one backward Viterbi pass: the best stall-free completion from position k
         # after choice p, less x per second of its download time
         self.prices = self.price * _PRICE_STEPS
+        paid = gains - self.prices[:, None, None, None] * dt_by_pos[2:, None, :]
         self.completion = {h: np.zeros((len(self.prices), n))}
         for k in range(h - 1, 1, -1):
-            self.completion[k] = (gains[k] - self.prices[:, None, None] * dt_by_pos[k]
-                                  + self.completion[k + 1][:, None, :]).max(axis=2)
+            self.completion[k] = (paid[:, k - 2] + self.completion[k + 1][:, None, :]).max(axis=2)
         constant = _constant_scores(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
         self.incumbent = (constant[:, None, :] + self.first).max(axis=2)  # per (row, previous choice)
-        scale = (1.0 + np.abs(self.incumbent).max(axis=1) + sum(np.abs(g).max() for g in gains.values())
-                 + np.abs(self.first).max() + self.price * (sum(dt.max() for dt in dt_by_pos) + max_buffer_s + h * seg))
+        scale = (1.0 + np.abs(self.incumbent).max(axis=1) + np.abs(gains).max(axis=(1, 2)).sum()
+                 + np.abs(self.first).max() + self.price * (dt_by_pos.max(axis=1).sum() + max_buffer_s + h * seg))
         self.margin = 1e-9 * scale
         # a sequence with first choice c can win after previous choice p only if its score reaches
         # incumbent[p] - first[p, c]; the smallest of these over p, less the margin, is its row's floor
@@ -235,17 +236,19 @@ class _Pruner:
         return total.reshape(len(total), -1)
 
     def keep(self, d: int, value, buf, counts):
-        """The depth-``d`` prefixes that may reach a row's floor, as a (parent, last choice) mask.
-
-        Also returns how many survive per first choice.
-        """
+        """The depth-``d`` prefixes that may reach a row's floor, as a mask, and how many survive per first choice."""
         n = len(counts)
         first = np.repeat(np.arange(n), counts)
         kept = (self.upper(d, value, buf) >= self.floor[:, first]).any(axis=0)
-        return kept.reshape(-1, n), np.bincount(first[kept], minlength=n)
+        return kept, np.bincount(first[kept], minlength=n)
 
 
 _MAX_SEQUENCES = 6_000_000  # per search: 13^6 passes, 13^7 does not
+
+# the most entries of one block of the last position's fold, per array (64 KB of floats): a block folds as many last
+# choices as fit, and at least one. Every h=5 MPC decision of the grid benchmark folds in one block, and all but 6
+# of its 117 RDOS decisions; the 10x25 table builds in the same time with caps from 2,048 to none
+_FOLD_ENTRIES = 8192
 
 
 def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, *, stall_price=None,
@@ -253,30 +256,39 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     """Best score over every choice sequence, per (starting buffer, first choice).
 
     The single enumeration kernel behind MPC, RDOS and the lookup table.
-    ``dt_by_pos[k][c]`` is the download time of choice ``c`` at horizon
-    position ``k``; ``buffers`` holds independent starting buffers (rows).
-    Arrays hold one entry per sequence prefix on their last axis, in
-    lexicographic order (the first position varies slowest); their
-    leading axis has one entry per row, or one for all rows when the term
+    ``dt_by_pos[k, c]`` is the download time of choice ``c`` at horizon
+    position ``k`` (an (h, n) array-like); ``buffers`` holds independent
+    starting buffers (rows). Arrays hold one entry per sequence prefix,
+    in lexicographic order (the first position varies slowest); their
+    row axis has one entry per row, or one for all rows when the term
     does not depend on the buffer (``acc`` starts with one root prefix).
 
-    Positions 0..h-2 grow the prefixes by broadcasting. At each one the
-    kernel runs the buffer recursion and calls ``step(k, c, stall, acc)``
-    with ``c`` a slice of all choices, ``acc`` viewed as (rows, prefix,
-    previous choice, 1) and ``stall`` as (rows, prefix, previous choice,
-    choice); ``step`` returns the extended accumulators. The previous
-    choice axis lets a term of the previous and the next choice be read
-    from a table ``t[prev, c]`` (with one row at k = 0, where the axis
-    has length 1). The last position is folded one choice ``c`` (an int)
-    at a time, with the choice axis dropped: ``score(step(h - 1, c,
-    stall, acc))`` scores the sequences that end in ``c``, and a running
-    maximum keeps each row's best per first choice. ``step`` and
-    ``score`` are pure: they write into none of their arguments. No
-    array grows beyond rows x n^(h-1) entries. Each sequence still adds
-    its terms in position order, so its score is that of a per-sequence
-    loop, bit for bit, and the lowest first choice that reaches a row's
-    maximum is the first choice of the lexicographically first best
-    sequence.
+    Every position, the last one included, calls ``step(k, p, c, stall,
+    acc)``, which returns the extended accumulators. ``p`` holds each
+    prefix's last choice (0 for the root) and ``c`` the next choices,
+    both integer index arrays that broadcast against ``stall``, so a
+    term of both is read from a table as ``t[k, p, c]``, one of the
+    previous choice as ``t[k, p]`` and one of the next as ``v[k, c]``.
+    Positions 0..h-2 grow the prefixes by broadcasting: ``acc`` is
+    viewed as (rows, prefix, 1), ``stall`` is (rows, prefix, choice),
+    ``p`` (prefix, 1) and ``c`` (choice,). The last position is folded a
+    block of choices at a time, with the block on a leading axis:
+    ``acc`` is (rows, prefix), ``stall`` (block, rows, prefix), ``p``
+    (prefix,) and ``c`` (block, 1, 1); ``score(step(h - 1, p, c, stall,
+    acc))`` scores the sequences that end in the block's choices, and a
+    running maximum keeps each row's best per first choice. A block
+    holds as many choices as keep its arrays within ``_FOLD_ENTRIES``
+    entries, and at least one. So a fold block exceeds that cap only
+    when one choice does, and no other array holds more than rows x
+    n^(h-1) entries, or one per stall price and prefix while bounding
+    prefixes. The prefix bound's set-up calls ``step`` the same way for
+    the constant-choice sequences, and with ``k`` an index array too for
+    the stall-free terms of positions 2..h-1. ``step`` and ``score`` are
+    pure: they write into none of their arguments. Each sequence still
+    adds its terms in position order, so its score is that of a
+    per-sequence loop, bit for bit, and the lowest first choice that
+    reaches a row's maximum is the first choice of the lexicographically
+    first best sequence.
 
     ``stall_price`` and ``first`` prune the search; a caller passes both
     or neither. ``stall_price``: at every horizon position >= 1 the score
@@ -304,7 +316,7 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     |incumbent| + the summed largest stall-free terms + the largest
     |``first``| + ``stall_price`` x (the summed largest download times +
     ``max_buffer_s`` + h x seg)), is the row's floor for c. After depths
-    2..h-2 a prefix is dropped when, in every row, its score plus that
+    2..h-1 a prefix is dropped when, in every row, its score plus that
     bound is below its first choice's floor. Each compared quantity sums
     fewer than 10h rounded terms, each within that scale, so its
     rounding error is under 1e-12 of it; equality never prunes. Hence no
@@ -312,49 +324,45 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     dropped: an entry whose best plus ``first[p]`` reaches the incumbent
     for some p is exact, every entry below it for every p reads -inf,
     and the argmax after each previous choice is the unpruned one. The
-    position after a pruned depth extends only prefixes with a surviving
-    child, then drops the children of the pruned ones.
+    position after a pruned depth, the fold included, extends only the
+    surviving prefixes.
     """
-    n, h = len(dt_by_pos[0]), len(dt_by_pos)
+    dt_by_pos = np.asarray(dt_by_pos, dtype=np.float64)
+    h, n = dt_by_pos.shape
     if n**h > _MAX_SEQUENCES:
         raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
     pruner = None
-    if first is not None and h > 3:  # only depths 2..h-2 are pruned
+    if first is not None and h > 3:  # depths 2..h-1 are pruned
         pruner = _Pruner(buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=stall_price,
                          first=first)
+    rungs = np.arange(n)
+    last = rungs[:1]  # each prefix's last choice; the root's is 0
     counts = np.ones(n, dtype=np.intp)  # prefixes per first choice
-    keep = None  # the last pruned depth's surviving prefixes, on its (parent, last choice) grid
     for k, dt in enumerate(dt_by_pos[:-1]):
-        prev = n if k else 1
-        if keep is not None:  # extend only the prefixes with a surviving child, ...
-            live = np.flatnonzero(keep.any(axis=1))
-            buf, *acc = (x.reshape(len(x), -1, n).take(live, axis=1).reshape(len(x), -1) for x in (buf, *acc))
-        b = buf.reshape(rows, -1, prev, 1)
-        acc = step(k, slice(None), np.maximum(dt - b, 0.0), tuple(a.reshape(len(a), -1, prev, 1) for a in acc))
-        buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
-        if keep is not None:  # ... then drop the children of the pruned ones
-            kept = np.flatnonzero(keep[live])
-            buf, *acc = (x.reshape(len(x), -1, n).take(kept, axis=1) for x in (buf, *acc))
-            keep = None
+        b = buf[:, :, None]
+        acc = step(k, last[:, None], rungs, np.maximum(dt - b, 0.0), tuple(a[:, :, None] for a in acc))
         acc = tuple(a.reshape(len(a), -1) for a in acc)
-        buf = buf.reshape(rows, -1)
+        buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s).reshape(rows, -1)
         counts = counts * n if k else counts
-        if pruner is not None and 2 <= k + 1 <= h - 2:
-            keep, counts = pruner.keep(k + 1, score(acc), buf, counts)
-    prev = n if h > 1 else 1
-    b = buf.reshape(rows, -1, prev)
-    acc = tuple(a.reshape(len(a), -1, prev) for a in acc)
+        children = np.arange(buf.shape[1])  # (parent, last choice) ordered
+        if pruner is not None and k:
+            kept, counts = pruner.keep(k + 1, score(acc), buf, counts)
+            children = np.flatnonzero(kept)
+            buf, *acc = (x.take(children, axis=1) for x in (buf, *acc))
+        last = children % n
     best = np.full((rows, n), -np.inf)
     reached = counts > 0
     starts = (np.cumsum(counts) - counts)[reached]  # each first choice's block of sequences
-    for c, dt in enumerate(dt_by_pos[-1]):
-        scores = score(step(h - 1, c, np.maximum(dt - b, 0.0), acc))
+    width = max(1, _FOLD_ENTRIES // buf.size)
+    for lo in range(0, n, width):
+        c = rungs[lo : lo + width, None, None]
+        scores = score(step(h - 1, last, c, np.maximum(dt_by_pos[-1][c] - buf, 0.0), acc))
         if h == 1:  # the last choice is the first
-            best[:, c] = scores.reshape(rows)
+            best[:, lo : lo + width] = scores[:, :, 0].T
         else:
-            block_best = np.maximum.reduceat(scores.reshape(rows, -1), starts, axis=1)
+            block_best = np.maximum.reduceat(scores, starts, axis=2).max(axis=0)
             best[:, reached] = np.maximum(best[:, reached], block_best)
     if pruner is not None:  # an entry below the incumbent after every previous choice may have lost its best
         best[(best[:, None, :] + pruner.first < pruner.incumbent[:, :, None]).all(axis=1)] = -np.inf
@@ -372,11 +380,12 @@ def _mpc_objective(rates, h: int, params: MpcObjectiveParams):
     the decisions are the ones a full per-sequence score would give.
     """
     moves = np.abs(rates[None, :] - rates[:, None])  # |rate step| by [previous, next] choice
-    switch_by_pos = [np.zeros((1, len(rates)))] + [moves] * (h - 1)  # none at the first position
+    switch = np.zeros((h, *moves.shape))  # by [position, previous, next]: none at the first position
+    switch[1:] = moves
 
-    def step(k, c, stall, acc):
+    def step(k, p, c, stall, acc):
         stall_acc, rate_acc, sw_inner = acc
-        return stall_acc + stall, rate_acc + rates[c], sw_inner + switch_by_pos[k][:, c]
+        return stall_acc + stall, rate_acc + rates[c], sw_inner + switch[k, p, c]
 
     def score(acc):
         stall_acc, rate_acc, sw_inner = acc
@@ -409,11 +418,12 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     under the harmonic-mean throughput prediction (or an externally
     supplied one, e.g. a clairvoyant value) and returns the first
     element of the best sequence, ties broken toward the lower rung.
-    Download times are size/predicted_tput + rtt.
+    Download times are size/predicted_tput + rtt; a supplied
+    ``predicted_tput`` must be finite and > 0 (kb/s).
     """
     h = min(params.horizon, state.remaining_chunks)
     tput = (
-        predicted_tput
+        checks.positive("predicted_tput", predicted_tput)
         if predicted_tput is not None
         else harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
     )
@@ -557,7 +567,8 @@ def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float,
     needy = buffers < threshold
     rows = np.concatenate([buffers[needy], buffers[~needy][:1]])
     slabs = [rows[lo : lo + _SLAB_ROWS] for lo in range(0, len(rows), _SLAB_ROWS)]
-    solved = np.concatenate([_mpc_decisions(rates, [dt] * h, slab, seg, params) for slab in slabs]).astype(np.uint8)
+    dt_by_pos = np.broadcast_to(dt, (h, len(dt)))
+    solved = np.concatenate([_mpc_decisions(rates, dt_by_pos, slab, seg, params) for slab in slabs]).astype(np.uint8)
     return solved[np.where(needy, np.cumsum(needy) - 1, len(rows) - 1)]
 
 
@@ -576,8 +587,8 @@ def build_mpc_table(
     in a pool of that many processes, started the platform's default way
     (fork on Linux before Python 3.14), with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
-    order. On 2 cores the default 100x100x13 binning takes ~3 s on one,
-    ~2 s with ``jobs=2``; a 10x25 one ~0.13 s on one and ~0.09 s with
+    order. On 2 cores the default 100x100x13 binning takes ~2 s on one,
+    ~1.2-1.5 s with ``jobs=2``; a 10x25 one ~0.11 s on one and ~0.08 s with
     ``jobs=2``, though on a busy host starting the pool can cost more
     than it saves.
     ``check_table_size`` runs before anything is allocated.
@@ -805,21 +816,21 @@ class RdosPolicy:
         tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
         first = state.chunk_index - 1
         dt_by_pos = _horizon_download_times(state, h, params, tput)
-        q_by_pos = [np.array(row) for row in manifest.qualities[first : first + h]]
-        q_start = np.array([manifest.qualities[max(first - 1, 0)][state.last_rep - 1]])
+        q = np.array(manifest.qualities[first : first + h])  # by [position, rung]
+        # the quality on screen before each position, by [position, previous rung]: position 0 follows the played
+        # chunk, its previous index 0
+        played = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
+        q_prev = np.array([(played,) * len(ladder), *manifest.qualities[first : first + h - 1]])
         rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
-        # terms of the [previous, next] choice per position; position 0 follows the played chunk
-        stall_weight, adaptation = [], []
-        for q, q_prev in zip(q_by_pos, [q_start] + q_by_pos[:-1]):
-            delta = q[None, :] - q_prev[:, None]
-            adaptation.append(kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0))
-            stall_weight.append(np.broadcast_to((kp.c1 + kp.c2 * (100.0 - q_prev))[:, None], delta.shape))
+        delta = q[:, None, :] - q_prev[:, :, None]  # by [position, previous, next]
+        adaptation = kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0)
+        stall_weight = kp.c1 + kp.c2 * (100.0 - q_prev)  # by [position, previous]
 
-        def step(k, c, stall, acc):
+        def step(k, p, c, stall, acc):
             q_acc, pen_acc, rate_acc = acc
             # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
-            pen = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k][:, c] + adaptation[k][:, c]
-            return q_acc + q_by_pos[k][c], pen, rate_acc + rates[c]
+            pen = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k, p] + adaptation[k, p, c]
+            return q_acc + q[k, c], pen, rate_acc + rates[c]
 
         def score(acc):
             q_acc, pen_acc, rate_acc = acc
@@ -828,8 +839,8 @@ class RdosPolicy:
         # the stall term c0 * log1p(s) * w / h of a position >= 1 is at least the chord price * s: its weight is
         # at least c1 + c2 * (100 - the best horizon quality), and s is at most the position's download time,
         # so at most x, and on [0, x] the concave log1p lies above its chord
-        x = max((float(dt.max()) for dt in dt_by_pos[1:]), default=0.0)
-        weight = kp.c1 + kp.c2 * (100.0 - max(float(q.max()) for q in q_by_pos))
+        x = float(dt_by_pos[1:].max()) if h > 1 else 0.0
+        weight = kp.c1 + kp.c2 * (100.0 - float(q.max()))
         price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
         zero = np.zeros((1, 1))
         best = _enumerate([state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,

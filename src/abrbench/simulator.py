@@ -10,6 +10,7 @@ continues (idle time).
 from __future__ import annotations
 
 import json
+import math
 from array import array
 from dataclasses import dataclass, field, fields
 
@@ -123,8 +124,16 @@ def buffer_step(
     Returns (new_buffer_s, stall_s, idle_s). The buffer drains while the
     chunk downloads, stalls once empty, gains one segment on completion,
     and any excess over capacity becomes idle time (the player pauses
-    downloading while playback continues).
+    downloading while playback continues). The buffer and download time
+    must be finite and >= 0, the segment duration and cap finite and > 0.
     """
+    inf = math.inf  # one chained comparison per argument: this runs once per chunk
+    if not (0.0 <= buffer_s < inf and 0.0 <= download_time_s < inf and 0.0 < segment_duration_s < inf
+            and 0.0 < max_buffer_s < inf):
+        checks.nonnegative("buffer_s", buffer_s)
+        checks.nonnegative("download_time_s", download_time_s)
+        checks.positive("segment_duration_s", segment_duration_s)
+        checks.positive("max_buffer_s", max_buffer_s)
     stall = max(download_time_s - buffer_s, 0.0)
     drained = min(buffer_s, download_time_s)
     tentative = buffer_s - drained + segment_duration_s

@@ -225,6 +225,14 @@ def test_mpc_objective_monotone_in_throughput(tput, drop):
     assert lo <= hi + 1e-12
 
 
+@pytest.mark.parametrize("tput", [math.nan, -5.0, 0.0, math.inf, -math.inf])
+def test_mpc_select_refuses_a_bad_predicted_throughput(tput):
+    # NaN and -5.0 used to decide rung 1, and 0.0 divided by zero
+    st_ = state_for(toy_manifest(), history=[1000.0])
+    with pytest.raises(ValueError, match="^predicted_tput must be finite and > 0"):
+        mpc_select_exact(st_, MpcObjectiveParams(), predicted_tput=tput)
+
+
 def test_mpc_select_horizon_one_is_direct_argmax():
     m = media.synthetic_manifest(segments=10)
     st_ = state_for(m, buffer_s=55.0, last_rep=5, history=[3000.0])
@@ -291,11 +299,12 @@ def test_mpc_select_matches_enumeration_full_ladder():
 
 
 def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
-    # the score function sees every sequence once, in lexicographic
-    # order, with the stall total of the oracle's buffer walk, bit for
-    # bit; each (row, first choice) result is the maximum over that
-    # block of the oracle's scan. A small buffer cap makes both stalls
-    # and capping frequent; coarse scores make ties common.
+    # the score function sees every sequence once, each fold block in
+    # lexicographic order with its last choices on the leading axis, with
+    # the stall total of the oracle's buffer walk, bit for bit; each (row,
+    # first choice) result is the maximum over that block of the oracle's
+    # scan. A small buffer cap makes both stalls and capping frequent;
+    # coarse scores make ties common.
     rng = random.Random(21)
     for _ in range(30):
         n, h = rng.randint(2, 4), rng.randint(1, 4)
@@ -306,17 +315,23 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
         values = np.array([float(rng.randint(0, 3)) for _ in range(n**h)])
         seen = {}
 
-        def step(k, c, stall, acc):
+        def step(k, p, c, stall, acc):
             code, stall_acc = acc
-            return code * n + np.arange(n)[c], stall_acc + stall
+            assert (code % n == p).all() if k else (p == 0).all()  # p is each prefix's last choice
+            return code * n + c, stall_acc + stall
 
         def score(acc):
             code, stall_acc = acc
-            code = code.reshape(-1).astype(int)
-            assert code.tolist() == [j * n + code[0] % n for j in range(n ** (h - 1))]
-            for i in range(len(buffers)):
-                seen.update(((i, j), x) for j, x in zip(code, stall_acc[i].reshape(-1)))
-            return values[code] - stall_acc.reshape(len(buffers), -1)
+            code = code.astype(int)
+            stall_acc = np.broadcast_to(stall_acc, (len(code), len(buffers), code.shape[-1]))
+            for block_code, block_stall in zip(code, stall_acc):
+                block_code = block_code.reshape(-1)
+                assert block_code.tolist() == [j * n + block_code[0] % n for j in range(n ** (h - 1))]
+                for i in range(len(buffers)):
+                    for j, x in zip(block_code, block_stall[i]):
+                        assert (i, j) not in seen
+                        seen[(i, j)] = x
+            return values[code] - stall_acc
 
         zero = np.zeros((1, 1))
         best = abr._enumerate(buffers, dt_by_pos, seg, cap, (zero, zero), step, score)
@@ -368,9 +383,9 @@ def read_only(a):
 
 def test_objectives_never_write_into_their_arguments(monkeypatch):
     # MPC's and RDOS's step and score are pure: handed read-only views of their
-    # stalls and accumulators they raise nothing and score every search as
-    # before, bit for bit; several buffer rows and h = 1..5 (at h = 1 the
-    # accumulators are the kernel's zero roots)
+    # indices, stalls and accumulators they raise nothing and score every
+    # search as before, bit for bit; several buffer rows and h = 1..5 (at h = 1
+    # the accumulators are the kernel's zero roots)
     rng = random.Random(12)
     horizons = set()
     for i in range(20):
@@ -385,8 +400,9 @@ def test_objectives_never_write_into_their_arguments(monkeypatch):
             (buffers, dt_by_pos, seg, cap, acc, step, score), kwargs = decision_call(monkeypatch, decide)
             rows = np.concatenate([buffers, [rng.uniform(0.0, cap) for _ in range(3)]])
 
-            def pure_step(k, c, stall, acc, step=step):
-                return step(k, c, read_only(stall), tuple(map(read_only, acc)))
+            def pure_step(k, p, c, stall, acc, step=step):
+                k, p, c, stall = (read_only(x) if isinstance(x, np.ndarray) else x for x in (k, p, c, stall))
+                return step(k, p, c, stall, tuple(map(read_only, acc)))
 
             def pure_score(acc, score=score):
                 return score(tuple(map(read_only, acc)))
@@ -402,14 +418,15 @@ def test_objectives_never_write_into_their_arguments(monkeypatch):
 def prefix_scores(args, d):
     """Score so far and buffer (rows x prefixes) of every depth-``d`` prefix, in lexicographic order."""
     buffers, dt_by_pos, seg, cap, acc, step, score = args
-    n = len(dt_by_pos[0])
+    rungs = np.arange(len(dt_by_pos[0]))
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
+    last = rungs[:1]
     for k in range(d):
-        prev = n if k else 1
-        b = buf.reshape(len(buf), -1, prev, 1)
-        views = tuple(a.reshape(len(a), -1, prev, 1) for a in acc)
-        acc = tuple(a.reshape(len(a), -1) for a in step(k, slice(None), np.maximum(dt_by_pos[k] - b, 0.0), views))
+        b = buf[:, :, None]
+        stepped = step(k, last[:, None], rungs, np.maximum(dt_by_pos[k] - b, 0.0), tuple(a[:, :, None] for a in acc))
+        acc = tuple(a.reshape(len(a), -1) for a in stepped)
         buf = np.minimum(b - np.minimum(b, dt_by_pos[k]) + seg, cap).reshape(len(buf), -1)
+        last = np.tile(rungs, len(last))
     return score(acc), buf
 
 
@@ -536,6 +553,87 @@ def test_pruned_enumeration_matches_the_full_one(monkeypatch):
         mpc_select_exact(st_, MpcObjectiveParams(**mpc, **common))
         abr.RdosPolicy(RdosParams(**rdos, **common)).select(st_)
     assert set(calls) == {4, 5, 6} and calls.count(5) > 24
+
+
+def fold_steps(step, h, blocks):
+    """``step``, recording the (block width, stall entries) of every call that folds position ``h - 1``."""
+    def spy(k, p, c, stall, acc):
+        if np.ndim(c) == 3:  # a fold block: its last choices on a leading axis
+            assert k == h - 1
+            blocks.append((len(c), stall.size))
+        return step(k, p, c, stall, acc)
+    return spy
+
+
+def test_block_fold_matches_oracles_and_the_unpruned_search(monkeypatch):
+    # blocks of one last choice, and blocks that leave a ragged last one, score
+    # MPC and RDOS decisions at h = 1..5 and table slabs as the default blocks
+    # and the unpruned search do, bit for bit, and find the oracles' decisions
+    # and best scores; no block holds more than the cap unless it is one choice
+    enumerate_, default_cap = abr._enumerate, abr._FOLD_ENTRIES
+    blocks, results = [], []
+
+    def small_blocks(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, **kwargs):
+        search = (buffers, dt_by_pos, seg, max_buffer_s, acc)
+        recorded = []
+        got = enumerate_(*search, fold_steps(step, len(dt_by_pos), recorded), score, **kwargs)
+        blocks.extend((len(dt_by_pos[0]), width, entries, abr._FOLD_ENTRIES) for width, entries in recorded)
+        with monkeypatch.context() as patch:
+            patch.setattr(abr, "_FOLD_ENTRIES", default_cap)
+            assert got.tobytes() == enumerate_(*search, step, score, **kwargs).tobytes()
+        full = enumerate_(*search, step, score)
+        scored = np.isfinite(got)
+        assert got[scored].tobytes() == full[scored].tobytes()
+        first = kwargs["first"]
+        assert (np.argmax(got[:, None, :] + first, axis=2) == np.argmax(full[:, None, :] + first, axis=2)).all()
+        results.append((got, first))
+        return got
+
+    monkeypatch.setattr(abr, "_enumerate", small_blocks)
+    rng = random.Random(24)
+    horizons = collections.Counter()
+    for fold_entries in (1, 12, 40, 150):
+        monkeypatch.setattr(abr, "_FOLD_ENTRIES", fold_entries)
+        for i in range(10):
+            n_reps = rng.randint(2, 5)
+            m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=40.0)
+            st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=rng.choice([0.0, rng.uniform(0.0, 30.0)]),
+                            last_rep=rng.randint(1, n_reps), history=[math.exp(rng.uniform(4.6, 9.9)) for _ in range(3)])
+            tput = harmonic_mean_predict(st_.throughput_history_kbps, 5)
+            mpc, rdos = random_weights(rng)
+            common = {"horizon": 1 + i % 5, "max_buffer_s": rng.uniform(8.0, 60.0), "use_manifest_sizes": i % 2 == 0}
+            params = MpcObjectiveParams(**mpc, **common)
+            expect, expect_score = mpc_enumerate(st_, params, tput)
+            assert mpc_select_exact(st_, params) == expect
+            got, first = results[-1]
+            assert (got + first).max() == expect_score
+            params = RdosParams(**rdos, **common)
+            expect, expect_score = rdos_enumerate(st_, params, tput)
+            assert abr.RdosPolicy(params).select(st_) == expect
+            assert results[-1][0].max() == expect_score
+            horizons[common["horizon"]] += 1
+        # a table slab: four buffer rows, pruned for every previous rung at once
+        ladder_kbps = tuple(r.bitrate_kbps for r in m.ladder)
+        params = MpcObjectiveParams(**mpc, horizon=5)
+        abr._table_bin(ladder_kbps, 4.0, params, tput, [0.0, 3.0, 7.5, 12.0])
+    assert set(horizons) == {1, 2, 3, 4, 5}
+    assert all(entries <= cap or width == 1 for _, width, entries, cap in blocks)
+    assert any(width == 1 < n for n, width, _, _ in blocks)  # one last choice per block
+    assert any(n % width for n, width, _, _ in blocks if width > 1)  # a ragged last block
+
+
+def test_default_decisions_fold_their_last_position_in_one_step(monkeypatch):
+    # a default-ladder h = 5 decision scores all 13 last rungs in one step
+    # call, so a return to folding one rung at a time fails here
+    m = media.synthetic_manifest(segments=10)
+    st_ = state_for(m, chunk_index=3, buffer_s=4.0, last_rep=6, history=[3000.0])
+    enumerate_ = abr._enumerate
+    for decide in (lambda: mpc_select_exact(st_, MpcObjectiveParams()), lambda: abr.RdosPolicy().select(st_)):
+        blocks = []
+        monkeypatch.setattr(abr, "_enumerate", lambda buffers, dt_by_pos, seg, cap, acc, step, score, **kw: enumerate_(
+            buffers, dt_by_pos, seg, cap, acc, fold_steps(step, len(dt_by_pos), blocks), score, **kw))
+        decide()
+        assert [width for width, _ in blocks] == [13]
 
 
 def test_pruning_engages_on_a_default_ladder_decision(monkeypatch):

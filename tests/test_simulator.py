@@ -54,6 +54,27 @@ def test_buffer_step_stays_in_bounds(buf, dt, seg, cap):
     assert stall >= 0.0 and idle >= 0.0
 
 
+@pytest.mark.parametrize("args, name", [
+    ((math.nan, 3.0, 4.0, 60.0), "buffer_s"),
+    ((-1.0, 3.0, 4.0, 60.0), "buffer_s"),
+    ((math.inf, 3.0, 4.0, 60.0), "buffer_s"),
+    ((5.0, math.nan, 4.0, 60.0), "download_time_s"),
+    ((5.0, -1.0, 4.0, 60.0), "download_time_s"),
+    ((5.0, math.inf, 4.0, 60.0), "download_time_s"),
+    ((5.0, 3.0, 0.0, 60.0), "segment_duration_s"),
+    ((5.0, 3.0, -4.0, 60.0), "segment_duration_s"),
+    ((5.0, 3.0, math.nan, 60.0), "segment_duration_s"),
+    ((5.0, 3.0, 4.0, 0.0), "max_buffer_s"),
+    ((5.0, 3.0, 4.0, math.nan), "max_buffer_s"),
+    ((5.0, 3.0, 4.0, math.inf), "max_buffer_s"),
+])
+def test_buffer_step_refuses_bad_input(args, name):
+    # a NaN download time used to return a NaN stall, a negative one a buffer
+    # grown by more than a segment
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        buffer_step(*args)
+
+
 def test_hand_stepped_session():
     # 3 chunks at rung 1 (940,000 bits each) over constant 1000 kb/s:
     # every download takes 0.08 + 0.94 = 1.02 s, no stalls, buffer ends
