@@ -73,12 +73,29 @@ def command(name: str, value) -> list:
     return value
 
 
-def each(check):
-    """A check of a list (or tuple) whose items all pass ``check``; it returns them as a tuple."""
+def floats_within(values, low: float, high: float, exclusive: bool = False) -> bool:
+    """Whether every item of ``values`` is a float in [low, high], or (low, high) when ``exclusive``.
+
+    One pass of chained comparisons (False for NaN). An int is no float here: False means "check
+    item by item", True that ``between`` or ``positive`` would return every item unchanged.
+    """
+    if exclusive:
+        return all(type(x) is float and low < x < high for x in values)
+    return all(type(x) is float and low <= x <= high for x in values)
+
+
+def each(check, within: tuple[float, float, bool] | None = None):
+    """A check of a list (or tuple) whose items all pass ``check``; it returns them as a tuple.
+
+    ``within`` is the (low, high, exclusive) range of the floats ``check`` accepts: a list of them
+    passes in one ``floats_within`` pass, and anything else goes through ``check`` item by item.
+    """
 
     def check_each(name: str, values) -> tuple:
         if not isinstance(values, (list, tuple)):
             raise ValueError(f"{name} must be a list, got {values!r}")
+        if within is not None and floats_within(values, *within):
+            return tuple(values)
         try:
             return tuple(map(check, itertools.repeat(name), values))
         except ValueError:

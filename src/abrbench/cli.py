@@ -290,7 +290,7 @@ def cmd_mpc_table(config: dict, args) -> int:
 def cmd_qoe(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     records_dir = _directory(config, "records_dir", str(out_dir / "records"))
-    if not records_dir.exists():
+    if not records_dir.is_dir():  # a regular file too: globbing it finds nothing to score
         raise FileNotFoundError(f"records directory not found: {records_dir}")
     models = []  # (entry, checked params, or None for an external model), all checked before any record is scored
     specs = _list(config, "qoe_models", "model entries") if "qoe_models" in config else [
@@ -308,8 +308,11 @@ def cmd_qoe(config: dict, args) -> int:
                 models.append((spec, qoe.model_params(spec["id"], {k: v for k, v in spec.items() if k != "id"})))
         except ValueError as exc:
             raise ValueError(f"qoe_models[{i}] ({spec['id']}): {exc}") from exc
+    paths = sorted(records_dir.glob("*.record.json"), key=str)  # one directory: the order of Path's own sort
+    if not paths:
+        raise ValueError(f"no *.record.json file in {records_dir}: nothing to score")
     records = []  # (video id, record): every record is read and checked before any is scored
-    for path in sorted(records_dir.glob("*.record.json")):
+    for path in paths:
         try:
             records.append((path.name[: -len(".record.json")], simulator.record_from_json(path.read_text())))
         except ValueError as exc:
@@ -408,10 +411,9 @@ def _load_scores_csv(text: str, source: str) -> tuple[dict[str, dict[str, float]
     """Scores per method per item, and the items in first-seen order."""
     by_method: dict[str, dict[str, float]] = {}
     items: dict[str, None] = {}  # an ordered set
-    rows = subjective.csv_rows(text, ("item_id", "method", "score"), "scores")
-    for row in rows:
-        by_method.setdefault(row["method"], {})[row["item_id"]] = subjective.csv_number(rows, row, "score", source)
-        items[row["item_id"]] = None
+    for line, (item, method, score) in subjective.csv_rows(text, ("item_id", "method", "score"), "scores"):
+        by_method.setdefault(method, {})[item] = subjective.csv_number(score, "score", source, line)
+        items[item] = None
     return by_method, list(items)
 
 
@@ -429,7 +431,7 @@ def cmd_stats(config: dict, args) -> int:
     alpha = checks.between("alpha", block.get("alpha", 0.05), 0.0, 1.0, exclusive=True)
     by_method, items = _load_scores_csv(_read_text(block["scores_csv"], "scores"), block["scores_csv"])
     mos_rows = subjective.csv_rows(_read_text(block["mos_csv"], "mos"), ("item_id", "mos"), "mos")
-    mos_by_item = {r["item_id"]: subjective.csv_number(mos_rows, r, "mos", block["mos_csv"]) for r in mos_rows}
+    mos_by_item = {item: subjective.csv_number(mos, "mos", block["mos_csv"], line) for line, (item, mos) in mos_rows}
     items = [i for i in items if i in mos_by_item]
     if not items:
         raise ValueError(f"no scored item in {block['scores_csv']} has a MOS in {block['mos_csv']}")

@@ -110,10 +110,9 @@ class Manifest:
             raise ValueError("manifest has no segments")
         if len(self.sizes) != len(self.qualities):
             raise ValueError(f"{len(self.sizes)} rows of sizes but {len(self.qualities)} of qualities")
-        # all floats in range: a chained comparison is False for NaN
         cells = itertools.chain.from_iterable
-        if all(type(x) is float and 0.0 < x < math.inf for x in cells(self.sizes)) and all(
-            type(x) is float and 0.0 <= x <= 100.0 for x in cells(self.qualities)
+        if checks.floats_within(cells(self.sizes), 0.0, math.inf, exclusive=True) and checks.floats_within(
+            cells(self.qualities), 0.0, 100.0
         ):
             sizes, qualities = tuple(map(tuple, self.sizes)), tuple(map(tuple, self.qualities))
         else:

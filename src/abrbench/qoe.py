@@ -16,6 +16,9 @@ import inspect
 import math
 import subprocess
 from dataclasses import dataclass, fields
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, lt, mul, sub, truediv
 
 from . import checks
 from .simulator import SessionRecord, record_to_json
@@ -42,8 +45,18 @@ class KsqiParams:
             raise ValueError("adaptation weights must satisfy beta_neg >= beta_pos >= 0")
 
 
+# map and reduce add the same terms in the same order as the loops in tests/oracles.py, bit for bit
 def _mbps(record: SessionRecord) -> list[float]:
-    return [b / 1000.0 for b in record.bitrates_kbps]
+    return list(map(truediv, record.bitrates_kbps, repeat(1000.0)))
+
+
+def _switching(values) -> float:
+    """Sum of |b - a| over consecutive pairs."""
+    return sum(map(abs, map(sub, values[1:], values)))
+
+
+def _log_utility(record: SessionRecord, r_min_kbps: float) -> float:
+    return sum(map(math.log, map(truediv, record.bitrates_kbps, repeat(r_min_kbps))))
 
 
 def _quality_before(record: SessionRecord, position_s: float) -> float:
@@ -59,15 +72,13 @@ def _quality_before(record: SessionRecord, position_s: float) -> float:
 def qoe_yin2015(record: SessionRecord, lam: float = 1.0, mu: float = 4.3, mu_s: float = 0.0) -> float:
     """Linear bitrate objective: sum of bitrates minus switch, stall and startup terms."""
     rates = _mbps(record)
-    switching = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
-    return sum(rates) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
+    return sum(rates) - lam * _switching(rates) - mu * record.total_stall_s - mu_s * record.startup_delay_s
 
 
 def qoe_bentaleb2016(record: SessionRecord, lam: float = 0.5, mu: float = 50.0, mu_s: float = 0.0) -> float:
     """Same linear form as yin2015 with per-segment quality in place of bitrate."""
     q = record.qualities
-    switching = sum(abs(b - a) for a, b in zip(q, q[1:]))
-    return sum(q) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
+    return sum(q) - lam * _switching(q) - mu * record.total_stall_s - mu_s * record.startup_delay_s
 
 
 def qoe_ftw(record: SessionRecord, a: float = 3.5, b_len: float = 0.15, b_cnt: float = 0.19, c: float = 1.5) -> float:
@@ -124,14 +135,12 @@ def qoe_xue2014(record: SessionRecord, rho: float = 1.0, r_min_kbps: float = 235
     ``r_min_kbps`` is the ladder floor (the record itself does not carry
     the ladder); defaults to the reference ladder's lowest rung.
     """
-    utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
-    return utility - rho * record.total_stall_s
+    return _log_utility(record, r_min_kbps) - rho * record.total_stall_s
 
 
 def qoe_spiteri2016(record: SessionRecord, gamma: float = 2.0, r_min_kbps: float = 235.0) -> float:
     """BOLA-style utility: log-bitrate sum minus gamma times stall seconds."""
-    utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
-    return utility - gamma * record.total_stall_s
+    return _log_utility(record, r_min_kbps) - gamma * record.total_stall_s
 
 
 def qoe_sqi(
@@ -163,16 +172,16 @@ def qoe_ksqi(record: SessionRecord, params: KsqiParams = KsqiParams()) -> float:
     was when it hit; downward quality switches cost beta_neg per unit,
     upward beta_pos.
     """
-    n = record.segment_count
-    base = sum(record.qualities) / n
-    penalty = 0.0
-    for pos, dur in record.stalls:
-        q = _quality_before(record, pos)
-        penalty += params.c0 * math.log1p(dur) * (params.c1 + params.c2 * (100.0 - q))
-    for a, b in zip(record.qualities, record.qualities[1:]):
-        delta = b - a
-        penalty += params.beta_neg * max(-delta, 0.0) + params.beta_pos * max(delta, 0.0)
-    return base - penalty / n
+    q = record.qualities
+    n = len(q)
+    c0, c1, c2 = params.c0, params.c1, params.c2
+    stall_terms = [c0 * math.log1p(dur) * (c1 + c2 * (100.0 - _quality_before(record, pos))) for pos, dur in record.stalls]
+    # a switch d costs beta_neg * max(-d, 0) + beta_pos * max(d, 0): (-beta_neg) * d when d < 0, else
+    # beta_pos * d (the two differ only in the sign of a zero, which adding to a penalty >= +0 drops)
+    deltas = list(map(sub, q[1:], q))
+    slopes = map((params.beta_pos, -params.beta_neg).__getitem__, map(lt, deltas, repeat(0.0)))
+    penalty = reduce(add, chain(stall_terms, map(mul, slopes, deltas)), 0.0)  # left to right, as += would
+    return sum(q) / n - penalty / n
 
 
 MODELS = {

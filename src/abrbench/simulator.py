@@ -13,6 +13,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 
 from . import checks
 from .media import Manifest
@@ -80,6 +81,12 @@ def _stall(name: str, stall) -> tuple[float, float]:
     return checks.nonnegative(f"{name} position_s", stall[0]), checks.positive(f"{name} duration_s", stall[1])
 
 
+# a record's lists: all-float ones pass in one pass of comparisons, the rest item by item
+_QUALITIES = checks.each(_quality, (0.0, 100.0, False))
+_BITRATES = checks.each(checks.positive, (0.0, math.inf, True))
+_STALLS = checks.each(_stall)
+
+
 @dataclass(frozen=True)
 class SessionRecord:
     """QoE-facing summary of a session: what the viewer experienced.
@@ -98,9 +105,9 @@ class SessionRecord:
 
     def __post_init__(self):
         checks.attrs(self, checks.positive, "segment_duration_s")
-        checks.attrs(self, checks.each(_quality), "qualities")
-        checks.attrs(self, checks.each(checks.positive), "bitrates_kbps")
-        checks.attrs(self, checks.each(_stall), "stalls")
+        checks.attrs(self, _QUALITIES, "qualities")
+        checks.attrs(self, _BITRATES, "bitrates_kbps")
+        checks.attrs(self, _STALLS, "stalls")
         checks.attrs(self, checks.nonnegative, "startup_delay_s")
         if not self.qualities:
             raise ValueError("a session record needs at least one segment")
@@ -113,7 +120,7 @@ class SessionRecord:
 
     @property
     def total_stall_s(self) -> float:
-        return sum(d for _, d in self.stalls)
+        return sum(map(itemgetter(1), self.stalls))
 
 
 def buffer_step(
@@ -240,10 +247,12 @@ def record_to_json(record: SessionRecord) -> str:
     return json.dumps(vars(record))
 
 
+_RECORD_KEYS = [f.name for f in fields(SessionRecord)]
+
+
 def record_from_json(text: str) -> SessionRecord:
     """A record document's values go to ``SessionRecord`` as they are; it checks them."""
     doc = json.loads(text)
-    keys = [f.name for f in fields(SessionRecord)]
-    if not (isinstance(doc, dict) and set(doc) == set(keys)):
-        raise ValueError(f"a session record must be an object with exactly the keys {keys}")
+    if not (isinstance(doc, dict) and doc.keys() == set(_RECORD_KEYS)):
+        raise ValueError(f"a session record must be an object with exactly the keys {_RECORD_KEYS}")
     return SessionRecord(**doc)

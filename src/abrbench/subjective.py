@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,12 +53,7 @@ class RatingsMatrix:
             raise ValueError("ratings must lie in [0, 100]")
 
     def sessions(self) -> list[str]:
-        seen = []
-        for v in self.videos:
-            s = self.session_of[v]
-            if s not in seen:
-                seen.append(s)
-        return seen
+        return list(dict.fromkeys(self.session_of[v] for v in self.videos))  # first-seen order
 
     def session_columns(self, session: str) -> list[int]:
         return [j for j, v in enumerate(self.videos) if self.session_of[v] == session]
@@ -72,21 +68,21 @@ def z_normalize(matrix: RatingsMatrix) -> np.ndarray:
     """
     z = np.full_like(matrix.raw, np.nan)
     for session in matrix.sessions():
-        cols = matrix.session_columns(session)
+        cols = np.array(matrix.session_columns(session), dtype=np.intp)
+        block = matrix.raw[:, cols]
+        rated = ~np.isnan(block)
         for i, subject in enumerate(matrix.subjects):
-            vals = matrix.raw[i, cols]
-            mask = ~np.isnan(vals)
+            mask = rated[i]
             if not mask.any():
                 continue
             if mask.sum() < 2:
                 raise ValueError(f"subject {subject} has a single rating in session {session}")
-            mean = vals[mask].mean()
-            std = vals[mask].std(ddof=1)
+            vals = block[i, mask]
+            mean = vals.mean()
+            std = vals.std(ddof=1)
             if std == 0.0:
                 raise ValueError(f"zero-spread group: subject {subject}, session {session}")
-            for k, j in enumerate(cols):
-                if mask[k]:
-                    z[i, j] = (matrix.raw[i, j] - mean) / std
+            z[i, cols[mask]] = (vals - mean) / std
     return z
 
 
@@ -247,33 +243,6 @@ def partition_sessions(video_meta: dict[str, VideoMeta]) -> dict[str, list[str]]
     return out
 
 
-def _mean_over(subject_ratings: dict[str, float], videos, min_set: int, label: str) -> float:
-    vals = [subject_ratings[v] for v in videos if v in subject_ratings and not math.isnan(subject_ratings[v])]
-    if len(vals) < min_set:
-        raise ValueError(f"set {label} has {len(vals)} rated videos; need at least {min_set}")
-    return sum(vals) / len(vals)
-
-
-def sensitivity(subject_ratings: dict[str, float], partitions: dict[str, list[str]], high: str, low: str,
-                min_set: int = 30) -> float:
-    """Mean rating over partition ``high`` minus mean over ``low``; a set under ``min_set`` rated videos raises.
-
-    The study's sensitivities are (high, low) = (q_r_bar, q_r) to rebuffering, (q_q, q_q_bar) to
-    quality and (q_a, q_a_bar) to adaptation.
-    """
-    return _mean_over(subject_ratings, partitions.get(high, []), min_set, high) - _mean_over(
-        subject_ratings, partitions.get(low, []), min_set, low
-    )
-
-
-def _sensitivity_or_none(subject_ratings: dict[str, float], partitions, high: str, low: str, min_set: int):
-    """``sensitivity``, or None where a set is too small."""
-    try:
-        return sensitivity(subject_ratings, partitions, high, low, min_set)
-    except ValueError:
-        return None
-
-
 @dataclass(frozen=True)
 class SensitivityRow:
     subject: str
@@ -288,25 +257,26 @@ def build_sensitivity_report(
 ) -> tuple[SensitivityRow, ...]:
     """Per-subject sensitivities over the named partitions, from the raw ratings.
 
-    Sensitivities whose sets are smaller than ``min_set`` for a subject
-    are reported as None.
+    A sensitivity is the mean rating over one partition minus the mean
+    over its contrast: (q_r_bar, q_r) to rebuffering, (q_q, q_q_bar) to
+    quality and (q_a, q_a_bar) to adaptation, each mean over the
+    subject's rated videos in partition order. Sensitivities whose sets
+    are smaller than ``min_set`` for a subject are reported as None.
     """
+    column = {v: j for j, v in enumerate(matrix.videos)}
+    blocks = {  # each partition's columns of every subject, in partition order
+        name: matrix.raw[:, np.array([column[v] for v in partitions.get(name, []) if v in column], dtype=np.intp)]
+        for name in ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
+    }
     rows = []
     for i, subject in enumerate(matrix.subjects):
-        ratings = {v: matrix.raw[i, j] for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])}
-        sizes = {
-            name: sum(1 for v in partitions.get(name, []) if v in ratings)
-            for name in ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
-        }
-        rows.append(
-            SensitivityRow(
-                subject=subject,
-                s_r=_sensitivity_or_none(ratings, partitions, "q_r_bar", "q_r", min_set),
-                s_q=_sensitivity_or_none(ratings, partitions, "q_q", "q_q_bar", min_set),
-                s_a=_sensitivity_or_none(ratings, partitions, "q_a", "q_a_bar", min_set),
-                set_sizes=sizes,
-            )
+        rated = {name: block[i][~np.isnan(block[i])].tolist() for name, block in blocks.items()}
+        mean = {name: sum(vals) / len(vals) if len(vals) >= min_set else None for name, vals in rated.items()}
+        s_r, s_q, s_a = (
+            None if mean[high] is None or mean[low] is None else mean[high] - mean[low]
+            for high, low in (("q_r_bar", "q_r"), ("q_q", "q_q_bar"), ("q_a", "q_a_bar"))
         )
+        rows.append(SensitivityRow(subject, s_r, s_q, s_a, {name: len(vals) for name, vals in rated.items()}))
     return tuple(rows)
 
 
@@ -343,24 +313,34 @@ def subset_matrix(matrix: RatingsMatrix, keep: np.ndarray) -> RatingsMatrix:
 # ---------------------------------------------------------------------------
 # CSV interfaces (column layouts in docs/file_formats.md)
 
-def csv_rows(text: str, columns: tuple[str, ...], kind: str) -> csv.DictReader:
-    """Rows of a CSV text as dicts, after checking its header carries ``columns``."""
-    reader = csv.DictReader(io.StringIO(text))
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+def csv_rows(text: str, columns: tuple[str, ...], kind: str):
+    """(line number, values of ``columns``) per row of a CSV text, after checking its header carries ``columns``.
+
+    Fields are read by their position in the header, as ``csv.DictReader`` would read them by
+    name: a column named twice is read at its last position, a short row gives None for the fields
+    it lacks, and a blank line is skipped. ``columns`` names at least two columns.
+    """
+    reader = csv.reader(io.StringIO(text))
+    position = {name: i for i, name in enumerate(next(reader, []))}
+    missing = [c for c in columns if c not in position]
     if missing:
         raise ValueError(f"{kind} CSV lacks columns {missing}; it must carry {list(columns)}")
-    return reader
+    pick = operator.itemgetter(*(position[c] for c in columns))
+    width = 1 + max(position[c] for c in columns)
+    return (
+        (reader.line_num, pick(row if len(row) >= width else row + [None] * (width - len(row))))
+        for row in reader if row
+    )
 
 
-def csv_number(rows: csv.DictReader, row: dict, column: str, source: str) -> float:
-    """``row[column]`` as a finite float; the error names ``source`` and the row's line."""
-    text = row[column]
+def csv_number(text, column: str, source: str, line: int) -> float:
+    """A CSV field as a finite float; the error names ``source`` and the line."""
     try:
         value = float(text)
     except (TypeError, ValueError):  # TypeError: a short row leaves the field None
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"{source} line {rows.line_num}: {column} must be a finite number, got {text!r}")
+        raise ValueError(f"{source} line {line}: {column} must be a finite number, got {text!r}")
     return value
 
 
@@ -369,9 +349,9 @@ def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
 
     Subjects and videos keep their first-seen order, and a later row for
     the same (subject, video) replaces the earlier score. A score that is
-    not a finite number, or a row that puts a video in another session, a
-    session on another day or a subject on another device than an earlier
-    row did, is an error naming ``source`` and the line.
+    not a finite number in [0, 100], or a row that puts a video in another
+    session, a session on another day or a subject on another device than
+    an earlier row did, is an error naming ``source`` and the line.
     """
     subject_index: dict[str, int] = {}
     video_index: dict[str, int] = {}
@@ -379,21 +359,25 @@ def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
     day_of: dict[str, str] = {}
     device_of: dict[str, str] = {}
     cells: dict[tuple[int, int], float] = {}
-    rows = csv_rows(text, ("subject_id", "video_id", "session_id", "day", "device", "score"), "ratings")
-    for row in rows:
-        s, v = row["subject_id"], row["video_id"]
+    columns = ("subject_id", "video_id", "session_id", "day", "device", "score")
+    for line, (s, v, session, day, device, field) in csv_rows(text, columns, "ratings"):
         cell = (subject_index.setdefault(s, len(subject_index)), video_index.setdefault(v, len(video_index)))
-        cells[cell] = csv_number(rows, row, "score", source)
-        bindings = ((session_of, "video", v, "session_id"), (day_of, "session", row["session_id"], "day"),
-                    (device_of, "subject", s, "device"))
-        for of, what, key, column in bindings:
-            earlier = of.setdefault(key, row[column])
-            if earlier != row[column]:
-                raise ValueError(f"{source} line {rows.line_num}: {what} {key!r} has {column} {row[column]!r},"
-                                 f" but an earlier row gives {earlier!r}")
+        score = csv_number(field, "score", source, line)
+        if not 0.0 <= score <= 100.0:
+            raise ValueError(f"{source} line {line}: score must be a number in [0, 100], got {field!r}")
+        cells[cell] = score
+        if session_of.setdefault(v, session) != session or day_of.setdefault(session, day) != day or (
+            device_of.setdefault(s, device) != device
+        ):
+            for of, what, key, column, value in ((session_of, "video", v, "session_id", session),
+                                                 (day_of, "session", session, "day", day),
+                                                 (device_of, "subject", s, "device", device)):
+                if of[key] != value:  # the first binding that an earlier row contradicts
+                    raise ValueError(f"{source} line {line}: {what} {key!r} has {column} {value!r},"
+                                     f" but an earlier row gives {of[key]!r}")
     raw = np.full((len(subject_index), len(video_index)), np.nan)
-    for (i, j), score in cells.items():
-        raw[i, j] = score
+    if cells:
+        raw[tuple(zip(*cells))] = list(cells.values())
     return RatingsMatrix(
         subjects=list(subject_index), videos=list(video_index), raw=raw,
         session_of=session_of, day_of=day_of, device_of=device_of,
@@ -403,33 +387,31 @@ def load_ratings_csv(text: str, source: str = "ratings CSV") -> RatingsMatrix:
 def load_keystrokes_csv(text: str, source: str = "keystrokes CSV") -> dict[tuple[str, str], list[float]]:
     """Columns: subject_id,video_id,event_time_s."""
     out: dict[tuple[str, str], list[float]] = {}
-    rows = csv_rows(text, ("subject_id", "video_id", "event_time_s"), "keystrokes")
-    for row in rows:
-        out.setdefault((row["subject_id"], row["video_id"]), []).append(csv_number(rows, row, "event_time_s", source))
+    for line, (s, v, t) in csv_rows(text, ("subject_id", "video_id", "event_time_s"), "keystrokes"):
+        out.setdefault((s, v), []).append(csv_number(t, "event_time_s", source, line))
     return out
 
 
 def load_video_meta_csv(text: str, source: str = "video meta CSV") -> dict[str, VideoMeta]:
     """Columns: video_id,mean_quality,quality_std,total_stall_s; other columns are ignored."""
     columns = ("video_id", "mean_quality", "quality_std", "total_stall_s")
-    rows = csv_rows(text, columns, "video meta")
-    return {row["video_id"]: VideoMeta(*(csv_number(rows, row, c, source) for c in columns[1:])) for row in rows}
+    return {
+        values[0]: VideoMeta(*(csv_number(x, c, source, line) for x, c in zip(values[1:], columns[1:])))
+        for line, values in csv_rows(text, columns, "video meta")
+    }
 
 
 def load_stall_events_csv(text: str, source: str = "stall events CSV") -> dict[str, list[float]]:
     """Columns: video_id,position_s[,duration_s]; positions are stall onsets."""
     out: dict[str, list[float]] = {}
-    rows = csv_rows(text, ("video_id", "position_s"), "stall events")
-    for row in rows:
-        out.setdefault(row["video_id"], []).append(csv_number(rows, row, "position_s", source))
+    for line, (v, position) in csv_rows(text, ("video_id", "position_s"), "stall events"):
+        out.setdefault(v, []).append(csv_number(position, "position_s", source, line))
     return out
 
 
 def load_anchors_csv(text: str, source: str = "anchors CSV") -> dict[str, list[tuple[str, float]]]:
     """Columns: day,video_id,mos."""
     out: dict[str, list[tuple[str, float]]] = {}
-    rows = csv_rows(text, ("day", "video_id", "mos"), "anchors")
-    for row in rows:
-        out.setdefault(row["day"], []).append((row["video_id"], csv_number(rows, row, "mos", source)))
+    for line, (day, v, mos) in csv_rows(text, ("day", "video_id", "mos"), "anchors"):
+        out.setdefault(day, []).append((v, csv_number(mos, "mos", source, line)))
     return out
-

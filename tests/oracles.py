@@ -7,6 +7,8 @@ separate from the code paths it audits.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -451,3 +453,286 @@ def table_lookup_reference(table, tput_kbps, buffer_s, last_rep):
     """A lookup table's rung for a predicted throughput and a buffer, binned by ``table_bin_reference``."""
     ti, bi = table_bin_reference(table.tput_edges, tput_kbps), table_bin_reference(table.buffer_edges, buffer_s)
     return int(table.entries[ti, bi, last_rep - 1])
+
+
+# ---------------------------------------------------------------------------
+# The analysis layer's reference loops: the QoE models, z-scores, sensitivities and the ratings
+# reader as plain per-item Python, the way abrbench computed them before its map/reduce and
+# index-array forms; the library must equal them bit for bit.
+
+def _mbps(record):
+    return [b / 1000.0 for b in record.bitrates_kbps]
+
+
+def _quality_before(record, position_s: float) -> float:
+    """Quality on screen when a stall at ``position_s`` begins.
+
+    A stall at a segment boundary charges the segment just finished; a
+    stall before anything played charges the first segment.
+    """
+    idx = max(0, math.ceil(position_s / record.segment_duration_s) - 1)
+    return record.qualities[min(idx, record.segment_count - 1)]
+
+
+def qoe_yin2015(record, lam: float = 1.0, mu: float = 4.3, mu_s: float = 0.0) -> float:
+    """Linear bitrate objective: sum of bitrates minus switch, stall and startup terms."""
+    rates = _mbps(record)
+    switching = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
+    return sum(rates) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
+
+
+def qoe_bentaleb2016(record, lam: float = 0.5, mu: float = 50.0, mu_s: float = 0.0) -> float:
+    """Same linear form as yin2015 with per-segment quality in place of bitrate."""
+    q = record.qualities
+    switching = sum(abs(b - a) for a, b in zip(q, q[1:]))
+    return sum(q) - lam * switching - mu * record.total_stall_s - mu_s * record.startup_delay_s
+
+
+def qoe_ftw(record, a: float = 3.5, b_len: float = 0.15, b_cnt: float = 0.19, c: float = 1.5) -> float:
+    """Exponential stall model on a 1-5 scale; no stalls scores a + c."""
+    n = len(record.stalls)
+    if n == 0:
+        return a + c
+    mean_stall = record.total_stall_s / n
+    return a * math.exp(-(b_len * mean_stall + b_cnt) * n) + c
+
+
+MOK2011_COEFFS = (4.23, 0.0672, 0.742, 0.106)
+# Ternary level thresholds (level 0 below the first bound, 2 above the second).
+MOK2011_LEVELS = {
+    "startup_s": (1.0, 5.0),
+    "stall_freq_per_min": (0.1, 1.0),
+    "mean_stall_s": (1.0, 5.0),
+}
+
+
+def _ternary_level(value: float, bounds: tuple[float, float]) -> int:
+    lo, hi = bounds
+    if value <= lo:
+        return 0
+    if value <= hi:
+        return 1
+    return 2
+
+
+def qoe_mok2011(record) -> float:
+    """Level-based regression on startup delay, stall frequency, stall duration (constants above)."""
+    base, w_init, w_freq, w_dur = MOK2011_COEFFS
+    content_min = record.segment_count * record.segment_duration_s / 60.0
+    freq = len(record.stalls) / content_min if content_min > 0 else 0.0
+    mean_stall = record.total_stall_s / len(record.stalls) if record.stalls else 0.0
+    l_init = _ternary_level(record.startup_delay_s, MOK2011_LEVELS["startup_s"])
+    l_freq = _ternary_level(freq, MOK2011_LEVELS["stall_freq_per_min"])
+    l_dur = _ternary_level(mean_stall, MOK2011_LEVELS["mean_stall_s"])
+    return base - w_init * l_init - w_freq * l_freq - w_dur * l_dur
+
+
+def qoe_liu2012(record, c1: float = 4.0, c2: float = 1.0) -> float:
+    """Mean bitrate reward against the rebuffering-time ratio."""
+    rates = _mbps(record)
+    content = record.segment_count * record.segment_duration_s
+    stall = record.total_stall_s
+    ratio = stall / (stall + content)
+    return c2 * (sum(rates) / len(rates)) - c1 * ratio
+
+
+def qoe_xue2014(record, rho: float = 1.0, r_min_kbps: float = 235.0) -> float:
+    """Log-bitrate chunk utility minus stall seconds.
+
+    ``r_min_kbps`` is the ladder floor (the record itself does not carry
+    the ladder); defaults to the reference ladder's lowest rung.
+    """
+    utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
+    return utility - rho * record.total_stall_s
+
+
+def qoe_spiteri2016(record, gamma: float = 2.0, r_min_kbps: float = 235.0) -> float:
+    """BOLA-style utility: log-bitrate sum minus gamma times stall seconds."""
+    utility = sum(math.log(b / r_min_kbps) for b in record.bitrates_kbps)
+    return utility - gamma * record.total_stall_s
+
+
+def qoe_sqi(
+    record,
+    u0: float = 1.0,
+    u1: float = 0.0,
+    tau_memory_s: float = math.inf,
+) -> float:
+    """Presentation quality plus experience-weighted, memory-decayed stall terms.
+
+    Each stall contributes -(u0 + u1*q_at_stall) * duration *
+    exp(-position/tau); the default infinite memory constant disables
+    the decay.
+    """
+    n = record.segment_count
+    base = sum(record.qualities) / n
+    penalty = 0.0
+    for pos, dur in record.stalls:
+        q = _quality_before(record, pos)
+        decay = math.exp(-pos / tau_memory_s) if math.isfinite(tau_memory_s) else 1.0
+        penalty += (u0 + u1 * q) * dur * decay
+    return base - penalty / n
+
+
+def qoe_ksqi(record, params) -> float:
+    """Quality mean minus normalized stall and asymmetric-switch penalties.
+
+    Stall cost grows with log-duration and with how good the picture
+    was when it hit; downward quality switches cost beta_neg per unit,
+    upward beta_pos.
+    """
+    n = record.segment_count
+    base = sum(record.qualities) / n
+    penalty = 0.0
+    for pos, dur in record.stalls:
+        q = _quality_before(record, pos)
+        penalty += params.c0 * math.log1p(dur) * (params.c1 + params.c2 * (100.0 - q))
+    for a, b in zip(record.qualities, record.qualities[1:]):
+        delta = b - a
+        penalty += params.beta_neg * max(-delta, 0.0) + params.beta_pos * max(delta, 0.0)
+    return base - penalty / n
+
+
+QOE_MODELS = {
+    "yin2015": qoe_yin2015,
+    "bentaleb2016": qoe_bentaleb2016,
+    "ftw": qoe_ftw,
+    "mok2011": qoe_mok2011,
+    "liu2012": qoe_liu2012,
+    "xue2014": qoe_xue2014,
+    "spiteri2016": qoe_spiteri2016,
+    "sqi": qoe_sqi,
+    "ksqi": qoe_ksqi,
+}
+
+
+def z_normalize(matrix) -> np.ndarray:
+    """Standardize ratings per subject per session (sample std, n-1).
+
+    Each (subject, session) group maps to mean 0 and std 1; missing
+    entries stay NaN. A group with fewer than two ratings or zero
+    spread is an error.
+    """
+    z = np.full_like(matrix.raw, np.nan)
+    for session in matrix.sessions():
+        cols = matrix.session_columns(session)
+        for i, subject in enumerate(matrix.subjects):
+            vals = matrix.raw[i, cols]
+            mask = ~np.isnan(vals)
+            if not mask.any():
+                continue
+            if mask.sum() < 2:
+                raise ValueError(f"subject {subject} has a single rating in session {session}")
+            mean = vals[mask].mean()
+            std = vals[mask].std(ddof=1)
+            if std == 0.0:
+                raise ValueError(f"zero-spread group: subject {subject}, session {session}")
+            for k, j in enumerate(cols):
+                if mask[k]:
+                    z[i, j] = (matrix.raw[i, j] - mean) / std
+    return z
+
+
+def _mean_over(subject_ratings: dict[str, float], videos, min_set: int, label: str) -> float:
+    vals = [subject_ratings[v] for v in videos if v in subject_ratings and not math.isnan(subject_ratings[v])]
+    if len(vals) < min_set:
+        raise ValueError(f"set {label} has {len(vals)} rated videos; need at least {min_set}")
+    return sum(vals) / len(vals)
+
+
+def sensitivity(subject_ratings: dict[str, float], partitions: dict[str, list[str]], high: str, low: str,
+                min_set: int = 30) -> float:
+    """Mean rating over partition ``high`` minus mean over ``low``; a set under ``min_set`` rated videos raises.
+
+    The study's sensitivities are (high, low) = (q_r_bar, q_r) to rebuffering, (q_q, q_q_bar) to
+    quality and (q_a, q_a_bar) to adaptation.
+    """
+    return _mean_over(subject_ratings, partitions.get(high, []), min_set, high) - _mean_over(
+        subject_ratings, partitions.get(low, []), min_set, low
+    )
+
+
+def _sensitivity_or_none(subject_ratings: dict[str, float], partitions, high: str, low: str, min_set: int):
+    """``sensitivity``, or None where a set is too small."""
+    try:
+        return sensitivity(subject_ratings, partitions, high, low, min_set)
+    except ValueError:
+        return None
+
+
+def build_sensitivity_report(matrix, partitions: dict[str, list[str]], min_set: int = 30) -> tuple:
+    """Per-subject sensitivities over the named partitions, from the raw ratings.
+
+    Sensitivities whose sets are smaller than ``min_set`` for a subject
+    are reported as None.
+    """
+    rows = []
+    for i, subject in enumerate(matrix.subjects):
+        ratings = {v: matrix.raw[i, j] for j, v in enumerate(matrix.videos) if not np.isnan(matrix.raw[i, j])}
+        sizes = {
+            name: sum(1 for v in partitions.get(name, []) if v in ratings)
+            for name in ("q_r_bar", "q_r", "q_q", "q_q_bar", "q_a", "q_a_bar")
+        }
+        rows.append((
+            subject,
+            _sensitivity_or_none(ratings, partitions, "q_r_bar", "q_r", min_set),
+            _sensitivity_or_none(ratings, partitions, "q_q", "q_q_bar", min_set),
+            _sensitivity_or_none(ratings, partitions, "q_a", "q_a_bar", min_set),
+            sizes,
+        ))
+    return tuple(rows)
+
+
+def csv_rows(text: str, columns: tuple[str, ...], kind: str) -> csv.DictReader:
+    """Rows of a CSV text as dicts through ``csv.DictReader``, after checking its header carries ``columns``."""
+    reader = csv.DictReader(io.StringIO(text))
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{kind} CSV lacks columns {missing}; it must carry {list(columns)}")
+    return reader
+
+
+def csv_number(rows: csv.DictReader, row: dict, column: str, source: str) -> float:
+    """``row[column]`` as a finite float; the error names ``source`` and the row's line."""
+    text = row[column]
+    try:
+        value = float(text)
+    except (TypeError, ValueError):  # TypeError: a short row leaves the field None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{source} line {rows.line_num}: {column} must be a finite number, got {text!r}")
+    return value
+
+
+def load_ratings_csv(text: str, source: str = "ratings CSV") -> tuple:
+    """A ratings CSV read row by row as dicts: (subjects, videos, raw, session_of, day_of, device_of).
+
+    Subjects and videos keep their first-seen order, and a later row for
+    the same (subject, video) replaces the earlier score. A score that is
+    not a finite number, or a row that puts a video in another session, a
+    session on another day or a subject on another device than an earlier
+    row did, is an error naming ``source`` and the line. It does not check
+    a score's range.
+    """
+    subject_index: dict[str, int] = {}
+    video_index: dict[str, int] = {}
+    session_of: dict[str, str] = {}
+    day_of: dict[str, str] = {}
+    device_of: dict[str, str] = {}
+    cells: dict[tuple[int, int], float] = {}
+    rows = csv_rows(text, ("subject_id", "video_id", "session_id", "day", "device", "score"), "ratings")
+    for row in rows:
+        s, v = row["subject_id"], row["video_id"]
+        cell = (subject_index.setdefault(s, len(subject_index)), video_index.setdefault(v, len(video_index)))
+        cells[cell] = csv_number(rows, row, "score", source)
+        bindings = ((session_of, "video", v, "session_id"), (day_of, "session", row["session_id"], "day"),
+                    (device_of, "subject", s, "device"))
+        for of, what, key, column in bindings:
+            earlier = of.setdefault(key, row[column])
+            if earlier != row[column]:
+                raise ValueError(f"{source} line {rows.line_num}: {what} {key!r} has {column} {row[column]!r},"
+                                 f" but an earlier row gives {earlier!r}")
+    raw = np.full((len(subject_index), len(video_index)), np.nan)
+    for (i, j), score in cells.items():
+        raw[i, j] = score
+    return list(subject_index), list(video_index), raw, session_of, day_of, device_of

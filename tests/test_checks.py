@@ -120,3 +120,67 @@ def test_commands_are_non_empty_lists_of_strings():
     for bad in ("python x.py", [], ("python",), ["python", 3], None):
         with pytest.raises(ValueError, match="command must be a non-empty list of strings"):
             checks.command("command", bad)
+
+
+def _outcome(check, *args):
+    """What a check gives: ("ok", the result) or ("error", its ValueError text)."""
+    try:
+        return "ok", check(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+NEXT_ABOVE_100 = math.nextafter(100.0, 200.0)
+# (quality, bitrate) cases, each a whole list; the float ones in range go down the one-pass path
+ONE_PASS_CASES = [
+    [50.0, math.nan], [math.inf], [-math.inf], [60.0, math.inf], [True], [50.0, False], [50, 60], [50.0, 60],
+    [-0.0], [0.0], [100.0], [NEXT_ABOVE_100], [99.5, 100.0], ["50"], [50.0, None], [None], [], [np.float64(7.5)],
+]
+
+
+@pytest.mark.parametrize("values", ONE_PASS_CASES, ids=repr)
+def test_one_pass_record_checks_match_the_per_item_checks(values):
+    from abrbench import simulator
+
+    for one_pass, per_item, name in (
+        (simulator._QUALITIES, checks.each(simulator._quality), "qualities"),
+        (simulator._BITRATES, checks.each(checks.positive), "bitrates_kbps"),
+    ):
+        fast, slow = _outcome(one_pass, name, values), _outcome(per_item, name, values)
+        assert fast == slow
+        if fast[0] == "ok":
+            assert all(type(x) is float for x in fast[1])
+            assert [math.copysign(1.0, x) for x in fast[1]] == [math.copysign(1.0, x) for x in slow[1]]  # -0.0 stays
+    if values:  # a record needs a segment; it stores what the checks return, or raises their message
+        good_rates, good_qualities = [1000.0] * len(values), [50.0] * len(values)
+        for field, checked in (("qualities", checks.each(simulator._quality)),
+                               ("bitrates_kbps", checks.each(checks.positive))):
+            args = {"qualities": good_qualities, "bitrates_kbps": good_rates, field: values}
+            made = _outcome(lambda: getattr(simulator.SessionRecord(4.0, stalls=(), startup_delay_s=0.0, **args), field))
+            assert made == _outcome(checked, field, values)
+
+
+@pytest.mark.parametrize("values", [v for v in ONE_PASS_CASES if v], ids=repr)
+def test_one_pass_manifest_check_matches_the_per_cell_checks(values):
+    # one column of sizes and one of qualities: the case as sizes (with good qualities), then as qualities
+    from abrbench import media
+
+    def matrices(sizes, qualities):
+        manifest = media.Manifest(4.0, (media.Representation(1, 320, 180, 235.0),), sizes, qualities)
+        return manifest.sizes, manifest.qualities
+
+    column = [[v] for v in values]
+    for sizes, qualities in ((column, [[50.0]] * len(values)), ([[1e6]] * len(values), column)):
+        made = _outcome(matrices, sizes, qualities)
+        assert made == _outcome(media._checked_cells, sizes, qualities)
+        if made[0] == "ok":
+            assert all(type(x) is float for row in made[1][0] + made[1][1] for x in row)
+
+
+def test_floats_within_says_true_only_for_floats_in_range():
+    assert checks.floats_within([0.0, -0.0, 100.0], 0.0, 100.0) and checks.floats_within([], 0.0, 1.0)
+    assert not checks.floats_within([0.0], 0.0, 100.0, exclusive=True)
+    assert checks.floats_within([5e-324, 1e308], 0.0, math.inf, exclusive=True)
+    for bad in ([math.nan], [NEXT_ABOVE_100], [1], [True], [np.float64(1.0)], ["1"], [None]):
+        assert not checks.floats_within(bad, 0.0, 100.0)
+    assert not checks.floats_within([math.inf], 0.0, math.inf, exclusive=True)

@@ -376,6 +376,38 @@ def test_qoe_records_dir_must_be_a_path_string(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["regular_file", "no_records"])
+def test_qoe_refuses_a_records_dir_with_nothing_to_score(tmp_path, capsys, kind):
+    # both exited 0 with a header-only qoe_scores.csv
+    records = tmp_path / "records"
+    if kind == "regular_file":
+        records.write_text("not a directory\n")
+    else:
+        records.mkdir()
+        (records / "r0.json").write_text("{}")  # not a *.record.json file
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"records_dir": str(records), "out_dir": str(tmp_path / "out")}))
+    assert run(["qoe", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    expected = "records directory not found" if kind == "regular_file" else "no *.record.json file in"
+    assert err.startswith("abrbench qoe: ") and f"{expected}" in err and str(records) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_subjective_names_the_file_and_line_of_an_out_of_range_rating(tmp_path, capsys):
+    # RatingsMatrix refused it as "ratings must lie in [0, 100]", naming neither
+    ratings, anchors = make_subjective_fixture(tmp_path)
+    lines = ratings.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",150"
+    ratings.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "subj.json"
+    cfg.write_text(json.dumps({"subjective": {"ratings_csv": str(ratings), "anchors_csv": str(anchors)},
+                               "out_dir": str(tmp_path / "out")}))
+    assert run(["subjective", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"abrbench subjective: {ratings} line 4: score must be a number in [0, 100], got '150'\n"
+    assert not (tmp_path / "out").exists()
+
+
 def make_subjective_fixture(tmp_path):
     rng = np.random.default_rng(0)
     base = np.linspace(20, 80, 10)

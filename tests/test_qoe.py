@@ -312,3 +312,46 @@ def test_a_non_finite_score_is_refused_on_both_paths(tmp_path, monkeypatch, valu
     monkeypatch.setitem(qoe.MODELS, "bad_builtin", lambda record: float(value))
     with pytest.raises(ValueError, match="^non-finite QoE score from bad_builtin$"):
         evaluate("bad_builtin", rec([50, 60]))
+
+
+# --- the models against the reference loops in tests/oracles.py ---------------
+
+def oracle_records(seed, count=60):
+    """Seeded records with stalls at position 0 and on segment boundaries, repeated qualities and ints."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n, seg = rng.randint(1, 90), rng.choice((1.0, 2.0, 4.0, 6.0))
+        levels = [0.0, -0.0, 100.0, 37.5, 62.25, 80.0, 80, 45] + [rng.uniform(0.0, 100.0) for _ in range(4)]
+        qualities = []
+        for _ in range(n):  # runs of one level, so many switches are 0
+            qualities.append(qualities[-1] if qualities and rng.random() < 0.4 else rng.choice(levels))
+        bitrates = [rng.choice((235, 1050.0, 4300.0, rng.uniform(100.0, 20000.0))) for _ in range(n)]
+        positions = sorted({0.0, *(seg * rng.randint(0, n) for _ in range(3)), rng.uniform(0.0, n * seg)})
+        stalls = [(p, rng.choice((0.25, 1, rng.uniform(0.01, 9.0)))) for p in positions if rng.random() < 0.7]
+        yield SessionRecord(seg, qualities, bitrates, stalls, rng.choice((0.0, 1, rng.uniform(0.0, 6.0))))
+        if k % 5 == 0:
+            yield SessionRecord(seg, qualities, bitrates, (), 0.0)  # no stall at all
+
+
+ORACLE_PARAMS = [  # (model, library keywords, oracle keywords): defaults, the non-default set, and edge cases
+    *((m, {}, {"params": KsqiParams()} if m == "ksqi" else {}) for m in qoe.MODELS),
+    *((m, qoe.model_params(m, p), {"params": KsqiParams(**p)} if m == "ksqi" else p)
+      for m, p in NON_DEFAULT_COEFFICIENTS.items()),
+    ("ksqi", {"params": KsqiParams(0.0, 0.0, 0.0, 0.0, 0.0)}, {"params": KsqiParams(0.0, 0.0, 0.0, 0.0, 0.0)}),
+    ("ksqi", {"params": KsqiParams(beta_neg=0.3, beta_pos=0.3)}, {"params": KsqiParams(beta_neg=0.3, beta_pos=0.3)}),
+    ("ksqi", {"params": KsqiParams(beta_neg=0.7, beta_pos=0.0)}, {"params": KsqiParams(beta_neg=0.7, beta_pos=0.0)}),
+    ("sqi", {"tau_memory_s": 5.0, "u1": 0.5}, {"tau_memory_s": 5.0, "u1": 0.5}),
+]
+
+
+def test_models_equal_the_reference_loops_bit_for_bit():
+    import oracles
+
+    records = list(oracle_records(seed=2024))
+    assert any(r.stalls and r.stalls[0][0] == 0.0 for r in records)
+    assert any(p % r.segment_duration_s == 0.0 < p for r in records for p, _ in r.stalls)
+    for model_id, params, oracle_params in ORACLE_PARAMS:
+        for r in records:
+            got, want = qoe.MODELS[model_id](r, **params), oracles.QOE_MODELS[model_id](r, **oracle_params)
+            assert repr(got) == repr(want), (model_id, params, r)
+            assert evaluate(model_id, r, params) == want

@@ -16,7 +16,6 @@ from abrbench.subjective import (
     realign,
     reject_auxiliary,
     reject_bt500,
-    sensitivity,
     z_normalize,
 )
 
@@ -251,42 +250,49 @@ def test_partition_rule_traces():
     assert partition_sessions({}) == {k: [] for k in parts}
 
 
+def sensitivity_row(ratings: dict[str, float], partitions, min_set=30):
+    """The sensitivity report's row for one subject who rated ``ratings`` (video -> score)."""
+    m = simple_matrix(np.array([list(ratings.values())]))
+    m = dataclasses.replace(m, videos=list(ratings), session_of=dict.fromkeys(ratings, "S1"))
+    (row,) = build_sensitivity_report(m, partitions, min_set=min_set)
+    return row
+
+
 def test_sensitivity_values_and_shift_invariance():
     q_no = [f"a{i}" for i in range(30)]
     q_yes = [f"b{i}" for i in range(30)]
     parts = {"q_r_bar": q_no, "q_r": q_yes}
     ratings = {v: 80.0 for v in q_no} | {v: 50.0 for v in q_yes}
-    assert sensitivity(ratings, parts, "q_r_bar", "q_r") == pytest.approx(30.0)
+    assert sensitivity_row(ratings, parts).s_r == pytest.approx(30.0)
     shifted = {v: r + 7.5 for v, r in ratings.items()}
-    assert sensitivity(shifted, parts, "q_r_bar", "q_r") == pytest.approx(30.0)
+    assert sensitivity_row(shifted, parts).s_r == pytest.approx(30.0)
     same = {v: 66.0 for v in q_no + q_yes}
-    assert sensitivity(same, parts, "q_r_bar", "q_r") == 0.0
+    assert sensitivity_row(same, parts).s_r == 0.0
 
 
 def test_sensitivity_undersized_set_rejected():
     ratings = {f"a{i}": 80.0 for i in range(10)} | {f"b{i}": 50.0 for i in range(30)}
     parts = {"q_q": [f"a{i}" for i in range(10)], "q_q_bar": [f"b{i}" for i in range(30)]}
-    with pytest.raises(ValueError, match="set q_q has 10 rated videos; need at least 30"):
-        sensitivity(ratings, parts, "q_q", "q_q_bar")
+    row = sensitivity_row(ratings, parts)
+    assert row.s_q is None and row.set_sizes["q_q"] == 10 and row.set_sizes["q_q_bar"] == 30
+    assert sensitivity_row(ratings, parts, min_set=10).s_q == pytest.approx(30.0)
 
 
 def test_sensitivity_positive_slope_scaling_preserves_order():
+    # ratings near 17.5 and 10, so that scaling by up to 4 stays on the 0-100 scale
     rng = random.Random(3)
     q_a = [f"a{i}" for i in range(30)]
     q_b = [f"b{i}" for i in range(30)]
     parts = {"q_a": q_a, "q_a_bar": q_b}
-    slopes = [0.5, 1.0, 2.0, 3.0]
     base = []
     for k in range(4):
-        ratings = {v: 70.0 + rng.uniform(-2, 2) for v in q_a} | {v: 40.0 + rng.uniform(-2, 2) for v in q_b}
+        ratings = {v: 17.5 + rng.uniform(-0.5, 0.5) for v in q_a} | {v: 10.0 + rng.uniform(-0.5, 0.5) for v in q_b}
         base.append((ratings, 1.0 + k))
-    raw_values = [sensitivity(r, parts, "q_a", "q_a_bar") * s for r, s in base]
-    scaled_values = [
-        sensitivity({v: x * s for v, x in r.items()}, parts, "q_a", "q_a_bar") for r, s in base
-    ]
+    raw_values = [sensitivity_row(r, parts).s_a * s for r, s in base]
+    scaled_values = [sensitivity_row({v: x * s for v, x in r.items()}, parts).s_a for r, s in base]
     assert np.argsort(raw_values).tolist() == np.argsort(scaled_values).tolist()
     for (r, s), v in zip(base, scaled_values):
-        assert v == pytest.approx(sensitivity(r, parts, "q_a", "q_a_bar") * s)
+        assert v == pytest.approx(sensitivity_row(r, parts).s_a * s)
 
 
 def test_sensitivity_report_handles_missing_sets():
@@ -393,3 +399,70 @@ def test_load_ratings_refuses_a_row_that_contradicts_earlier_metadata(later, mes
     text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns1,v1,A,D1,tv,70\n" + later + "\n"
     with pytest.raises(ValueError, match=re.escape(f"panel.csv line 4: {message}")):
         subjective.load_ratings_csv(text, "panel.csv")
+
+
+@pytest.mark.parametrize("bad", ["150", "-1", "100.5", "-0.001", "1e3"])
+def test_load_ratings_refuses_an_out_of_range_score_naming_source_and_line(bad):
+    # RatingsMatrix refused it later, without naming the file or the line
+    text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns0,v1,A,D1,tv," + bad + "\n"
+    with pytest.raises(ValueError, match=re.escape(f"panel.csv line 3: score must be a number in [0, 100], got '{bad}'")):
+        subjective.load_ratings_csv(text, "panel.csv")
+    edges = subjective.load_ratings_csv("subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,0\n"
+                                        "s0,v1,A,D1,tv,100\ns0,v2,A,D1,tv,-0\n")
+    assert edges.raw.tolist() == [[0.0, 100.0, -0.0]]
+
+
+def test_csv_rows_read_fields_as_dict_reader_does():
+    # columns in any order, a column named twice (the last one counts), short rows (None), blank lines
+    # (skipped) and a quoted field over two lines (the line number is the row's last line)
+    text = 'score,x,subject_id,score\n1,a,s0,2\n\n3,b\n4,"c\nd",s2,5,extra\n6\n'
+    got = list(subjective.csv_rows(text, ("subject_id", "score"), "test"))
+    assert got == [(2, ("s0", "2")), (4, (None, None)), (6, ("s2", "5")), (7, (None, None))]
+    with pytest.raises(ValueError, match=re.escape("test CSV lacks columns ['mos']; it must carry ['score', 'mos']")):
+        subjective.csv_rows(text, ("score", "mos"), "test")
+    with pytest.raises(ValueError, match="lacks columns"):
+        subjective.csv_rows("", ("a", "b"), "test")
+
+
+def ratings_text(seed):
+    """A seeded ratings panel with gaps, repeated (subject, video) rows, int and edge scores."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(14):
+        for j in range(40):
+            if rng.random() < 0.8:
+                score = rng.choice((0, 100, 55, rng.uniform(0.0, 100.0), round(rng.uniform(0.0, 100.0), 1)))
+                rows.append(f"u{i},v{j},s{j // 8},d{j // 16},dev{i % 3},{score}")
+    rows += [rows[k].rsplit(",", 1)[0] + f",{rng.uniform(0.0, 100.0)}" for k in rng.sample(range(len(rows)), 40)]
+    rng.shuffle(rows)
+    return "subject_id,video_id,session_id,day,device,score\n" + "\n".join(rows) + "\n"
+
+
+def test_analysis_equals_the_reference_loops_bit_for_bit():
+    import oracles
+
+    for seed in (3, 4, 5):
+        text = ratings_text(seed)
+        m = subjective.load_ratings_csv(text, "panel.csv")
+        subjects, videos, raw, session_of, day_of, device_of = oracles.load_ratings_csv(text, "panel.csv")
+        assert (m.subjects, m.videos, m.raw.tobytes()) == (subjects, videos, raw.tobytes())
+        for got, want in ((m.session_of, session_of), (m.day_of, day_of), (m.device_of, device_of)):
+            assert list(got.items()) == list(want.items())
+        assert z_normalize(m).tobytes() == oracles.z_normalize(m).tobytes()
+
+        rng = random.Random(seed)
+        meta = {f"v{j}": VideoMeta(rng.choice((75.0, 80.0, 50.0)), rng.choice((2.0, 15.0)), rng.choice((0.0, 3.0)))
+                for j in range(-3, 40)}  # v-3..v-1 are in no matrix
+        partitions = partition_sessions(meta)
+        partitions["q_q"] += ["v5", "v5", "nowhere"]  # a repeated video counts twice, an unknown one not at all
+        for min_set in (1, 4, 8, 30):
+            report = build_sensitivity_report(m, partitions, min_set=min_set)
+            want = oracles.build_sensitivity_report(m, partitions, min_set=min_set)
+            assert [(r.subject, repr(r.s_r), repr(r.s_q), repr(r.s_a), r.set_sizes) for r in report] == [
+                (s, repr(None if x is None else float(x)), repr(None if y is None else float(y)),
+                 repr(None if z is None else float(z)), sizes) for s, x, y, z, sizes in want
+            ]
+            if min_set == 1:  # every sensitivity is computed somewhere, and the 30-video floor leaves none
+                assert all(any(getattr(r, k) is not None for r in report) for k in ("s_r", "s_q", "s_a"))
+            if min_set == 30:
+                assert all(r.s_r is r.s_q is r.s_a is None for r in report)
