@@ -175,7 +175,9 @@ def qoe_ksqi(record: SessionRecord, params: KsqiParams = KsqiParams()) -> float:
     q = record.qualities
     n = len(q)
     c0, c1, c2 = params.c0, params.c1, params.c2
-    stall_terms = [c0 * math.log1p(dur) * (c1 + c2 * (100.0 - _quality_before(record, pos))) for pos, dur in record.stalls]
+    stall_terms = [
+        c0 * math.log1p(dur) * (c1 + c2 * (100.0 - _quality_before(record, pos))) for pos, dur in record.stalls
+    ]
     # a switch d costs beta_neg * max(-d, 0) + beta_pos * max(d, 0): (-beta_neg) * d when d < 0, else
     # beta_pos * d (the two differ only in the sign of a zero, which adding to a penalty >= +0 drops)
     deltas = list(map(sub, q[1:], q))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abrbench import checks
+from abrbench import checks, media, simulator
 
 MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "abrbench").glob("*.py"))
 
@@ -131,7 +131,7 @@ def _outcome(check, *args):
 
 
 NEXT_ABOVE_100 = math.nextafter(100.0, 200.0)
-# (quality, bitrate) cases, each a whole list; the float ones in range go down the one-pass path
+# each case is checked as a whole list of qualities and as one of bitrates; plain floats in range pass in one pass
 ONE_PASS_CASES = [
     [50.0, math.nan], [math.inf], [-math.inf], [60.0, math.inf], [True], [50.0, False], [50, 60], [50.0, 60],
     [-0.0], [0.0], [100.0], [NEXT_ABOVE_100], [99.5, 100.0], ["50"], [50.0, None], [None], [], [np.float64(7.5)],
@@ -140,8 +140,6 @@ ONE_PASS_CASES = [
 
 @pytest.mark.parametrize("values", ONE_PASS_CASES, ids=repr)
 def test_one_pass_record_checks_match_the_per_item_checks(values):
-    from abrbench import simulator
-
     for one_pass, per_item, name in (
         (simulator._QUALITIES, checks.each(simulator._quality), "qualities"),
         (simulator._BITRATES, checks.each(checks.positive), "bitrates_kbps"),
@@ -156,15 +154,14 @@ def test_one_pass_record_checks_match_the_per_item_checks(values):
         for field, checked in (("qualities", checks.each(simulator._quality)),
                                ("bitrates_kbps", checks.each(checks.positive))):
             args = {"qualities": good_qualities, "bitrates_kbps": good_rates, field: values}
-            made = _outcome(lambda: getattr(simulator.SessionRecord(4.0, stalls=(), startup_delay_s=0.0, **args), field))
+            record = _outcome(lambda: simulator.SessionRecord(4.0, stalls=(), startup_delay_s=0.0, **args))
+            made = (record[0], getattr(record[1], field)) if record[0] == "ok" else record
             assert made == _outcome(checked, field, values)
 
 
 @pytest.mark.parametrize("values", [v for v in ONE_PASS_CASES if v], ids=repr)
 def test_one_pass_manifest_check_matches_the_per_cell_checks(values):
     # one column of sizes and one of qualities: the case as sizes (with good qualities), then as qualities
-    from abrbench import media
-
     def matrices(sizes, qualities):
         manifest = media.Manifest(4.0, (media.Representation(1, 320, 180, 235.0),), sizes, qualities)
         return manifest.sizes, manifest.qualities

@@ -404,7 +404,8 @@ def test_subjective_names_the_file_and_line_of_an_out_of_range_rating(tmp_path, 
     cfg.write_text(json.dumps({"subjective": {"ratings_csv": str(ratings), "anchors_csv": str(anchors)},
                                "out_dir": str(tmp_path / "out")}))
     assert run(["subjective", "--config", cfg]) == 2
-    assert capsys.readouterr().err == f"abrbench subjective: {ratings} line 4: score must be a number in [0, 100], got '150'\n"
+    err = capsys.readouterr().err
+    assert err == f"abrbench subjective: {ratings} line 4: score must be a number in [0, 100], got '150'\n"
     assert not (tmp_path / "out").exists()
 
 

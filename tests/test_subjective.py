@@ -405,7 +405,8 @@ def test_load_ratings_refuses_a_row_that_contradicts_earlier_metadata(later, mes
 def test_load_ratings_refuses_an_out_of_range_score_naming_source_and_line(bad):
     # RatingsMatrix refused it later, without naming the file or the line
     text = "subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,55\ns0,v1,A,D1,tv," + bad + "\n"
-    with pytest.raises(ValueError, match=re.escape(f"panel.csv line 3: score must be a number in [0, 100], got '{bad}'")):
+    message = f"panel.csv line 3: score must be a number in [0, 100], got '{bad}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
         subjective.load_ratings_csv(text, "panel.csv")
     edges = subjective.load_ratings_csv("subject_id,video_id,session_id,day,device,score\ns0,v0,A,D1,tv,0\n"
                                         "s0,v1,A,D1,tv,100\ns0,v2,A,D1,tv,-0\n")
