@@ -30,14 +30,15 @@ straight re-implementation of either formula produces bit-identical
 objective values, and ties go to the lowest first rung, as in a
 lexicographic scan (so the decisions are identical too).
 
-Every search passes a stall price and a first-rung term matrix: a
-single MPC or RDOS decision for its one previous rung, the table
-builder for every previous rung at once. After prefix depths 2..h-1 the
-kernel drops each prefix whose score so far plus min over x of (A_x +
-x (b + (h - d - 1) seg)) is below its first rung's floor in every
-starting buffer. Here x runs over a ladder of prices from 0 to the
-stall price, a per-second price the stall penalty never undercuts
-(``mu_rebuf`` for MPC, the chord of RDOS's concave log1p term); A_x is
+Every search goes through ``_decisions`` with an objective ``(step,
+score, prices, first)`` from ``_mpc_objective`` or ``_rdos_objective``,
+``first`` a first-rung term matrix: for its one previous rung in a
+single MPC or RDOS decision, for every previous rung at once in the
+table builder. After prefix depths 2..h-1 the kernel drops each prefix
+whose score so far plus min over x of (A_x + x (b + (h - d - 1) seg))
+is below its first rung's floor in every starting buffer. Here x runs
+over the objective's prices, none above one the stall penalty never
+undercuts (``mu_rebuf`` down to 0 for MPC, RDOS's log1p chord); A_x is
 the best stall-free completion less x per second of its download time,
 and b + (h - d - 1) seg is the download time that buffer b and the
 segments still to play cover without a stall. The incumbent after a
@@ -159,9 +160,11 @@ def _check_horizon_params(params) -> None:
     checks.attrs(params, checks.flag, "use_manifest_sizes")
 
 
-def _horizon_download_times(state: AbrState, h: int, params, tput: float) -> np.ndarray:
-    """Download times (s) over the lookahead at ``tput`` kb/s, by [position, rung]."""
-    manifest = state.manifest
+def _horizon_download_times(state: AbrState, params, tput: float | None = None) -> np.ndarray:
+    """Download times (s) by [position, rung] over the end-truncated horizon at ``tput`` kb/s, or the prediction."""
+    if tput is None:
+        tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
+    manifest, h = state.manifest, min(params.horizon, state.remaining_chunks)
     if params.use_manifest_sizes:
         first = state.chunk_index - 1
         sizes = manifest.sizes[first : first + h]
@@ -188,26 +191,19 @@ def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: t
     return np.broadcast_to(score(acc), (len(b), len(c)))
 
 
-# the stall prices the prefix bound tries, as fractions of a search's ``stall_price``: 1, 1/2, ..., 1/256 and 0.
-# Below the full price the bound is tighter where a search can afford some stalls but not all. Each price costs
-# a pass over every prefix; on the 10x25 table lower prices drop no more prefixes, and steps of 2^-1/2 ~6 % more
-_PRICE_STEPS = np.append(0.5 ** np.arange(9), 0.0)
-
-
 class _Pruner:
-    """The prefix test ``_enumerate`` runs for a ``stall_price`` and a ``first`` matrix (see there)."""
+    """The prefix test ``_enumerate`` runs for its ``prices`` and ``first`` matrix (see there)."""
 
-    def __init__(self, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score, *, stall_price, first):
+    def __init__(self, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score, *, prices, first):
         h, n = dt_by_pos.shape
-        self.price, self.first, self.seg, self.h = stall_price, first, seg, h
+        self.prices, self.first, self.seg, self.h = prices, first, seg, h
         c, zero = np.arange(n), np.zeros((1, 1, 1))
         # a choice's stall-free terms by [position - 2, previous, next] choice for positions 2..: its score from zero
         # sums, in one step over all of them
         gains = score(step(np.arange(2, h)[:, None, None], c[:, None], c, zero, (zero,) * len(acc)))
         gains = np.broadcast_to(gains, (h - 2, n, n))
-        # per price x <= stall_price, one backward Viterbi pass: the best stall-free completion from position k
-        # after choice p, less x per second of its download time
-        self.prices = self.price * _PRICE_STEPS
+        # per price x, one backward Viterbi pass: the best stall-free completion from position k after choice p,
+        # less x per second of its download time
         paid = gains - self.prices[:, None, None, None] * dt_by_pos[2:, None, :]
         self.completion = {h: np.zeros((len(self.prices), n))}
         for k in range(h - 1, 1, -1):
@@ -215,7 +211,7 @@ class _Pruner:
         constant = _constant_scores(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
         self.incumbent = (constant[:, None, :] + self.first).max(axis=2)  # per (row, previous choice)
         scale = (1.0 + np.abs(self.incumbent).max(axis=1) + np.abs(gains).max(axis=(1, 2)).sum()
-                 + np.abs(self.first).max() + self.price * (dt_by_pos.max(axis=1).sum() + max_buffer_s + h * seg))
+                 + np.abs(self.first).max() + prices.max() * (dt_by_pos.max(axis=1).sum() + max_buffer_s + h * seg))
         self.margin = 1e-9 * scale
         # a sequence with first choice c can win after previous choice p only if its score reaches
         # incumbent[p] - first[p, c]; the smallest of these over p, less the margin, is its row's floor
@@ -251,7 +247,7 @@ _MAX_SEQUENCES = 6_000_000  # per search: 13^6 passes, 13^7 does not
 _FOLD_ENTRIES = 8192
 
 
-def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, *, stall_price=None,
+def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score, *, prices=None,
                first=None) -> np.ndarray:
     """Best score over every choice sequence, per (starting buffer, first choice).
 
@@ -290,42 +286,40 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     reaches a row's maximum is the first choice of the lexicographically
     first best sequence.
 
-    ``stall_price`` and ``first`` prune the search; a caller passes both
-    or neither. ``stall_price``: at every horizon position >= 1 the score
-    falls by at least this much per second of stall. ``first``: a
-    (previous choice x first choice) matrix; per previous choice, the
-    caller adds its row to a buffer row's best before taking the argmax
-    over first choices. A single decision passes one row, the table
-    builder one per rung. The score must be linear in the accumulators:
-    a sequence's total is its prefix's score, plus per later position
-    its stall-free terms (the score of one step from zero sums and
-    stalls), less its stall penalty, at least ``stall_price`` per
-    second. From buffer b after depth d, the remaining h - d
-    positions stall at least their summed download time less b + (h - d
-    - 1) x seg, so for every price x in [0, ``stall_price``] the best
-    completion scores at most A_x + x (b + (h - d - 1) x seg), where A_x
-    is the best stall-free sum less x per second of download time; one
-    backward Viterbi pass over (position, previous choice) per price of
-    ``_PRICE_STEPS`` gives A_x, and the bound is the smallest of these. A
-    row's incumbent after previous choice p is the best, over choices c,
-    of its constant-c sequence's score plus ``first[p, c]``, scored by
-    the kernel's own operations, so the row's optimum after p is at least
-    that incumbent, bit for bit. A sequence with first choice c can reach
-    it only if its score reaches incumbent[p] - ``first[p, c]``; the
-    smallest of these over p, less the margin 1e-9 x (1 + the largest
-    |incumbent| + the summed largest stall-free terms + the largest
-    |``first``| + ``stall_price`` x (the summed largest download times +
-    ``max_buffer_s`` + h x seg)), is the row's floor for c. After depths
-    2..h-1 a prefix is dropped when, in every row, its score plus that
-    bound is below its first choice's floor. Each compared quantity sums
-    fewer than 10h rounded terms, each within that scale, so its
-    rounding error is under 1e-12 of it; equality never prunes. Hence no
-    sequence that reaches a row's incumbent after any previous choice is
-    dropped: an entry whose best plus ``first[p]`` reaches the incumbent
-    for some p is exact, every entry below it for every p reads -inf,
-    and the argmax after each previous choice is the unpruned one. The
-    position after a pruned depth, the fold included, extends only the
-    surviving prefixes.
+    ``prices`` and ``first`` prune the search; a caller passes both or
+    neither. ``prices``: an array of stall prices >= 0; after the first
+    position the score falls by at least the largest per second of stall.
+    ``first``: a (previous choice x first choice) matrix; per previous
+    choice, the caller adds its row to a buffer row's best before taking the
+    argmax over first choices. A single decision passes one row, the table
+    builder one per rung. The score must be linear in the accumulators: a
+    sequence's total is its prefix's score, plus per later position its
+    stall-free terms (the score of one step from zero sums and stalls), less
+    its stall penalty, at least the largest price per second. From buffer b
+    after depth d, the remaining h - d positions stall at least their summed
+    download time less b + (h-d-1) x seg, so for every price x in [0, the
+    largest price] the best completion scores at most A_x + x (b + (h-d-1) x
+    seg), where A_x is the best stall-free sum less x per second of download
+    time; one backward Viterbi pass over (position, previous choice) per
+    price of ``prices`` gives A_x, and the bound is the smallest of these. A
+    row's incumbent after previous choice p is the best, over choices c, of
+    its constant-c sequence's score plus ``first[p, c]``, scored by the
+    kernel's own operations, so the row's optimum after p is at least that
+    incumbent, bit for bit. A sequence with first choice c can reach it only
+    if its score reaches incumbent[p] - ``first[p, c]``; the smallest of
+    these over p, less the margin 1e-9 x (1 + the largest |incumbent| + the
+    summed largest stall-free terms + the largest |``first``| + the largest
+    price times (the summed largest download times + ``max_buffer_s`` + h
+    x seg)), is the row's floor for c. After depths 2..h-1 a prefix is dropped
+    when, in every row, its score plus that bound is below its first
+    choice's floor. Each compared quantity sums fewer than 10h rounded
+    terms, each within that scale, so its rounding error is under 1e-12 of
+    it; equality never prunes. Hence no sequence that reaches a row's
+    incumbent after any previous choice is dropped: an entry whose best plus
+    ``first[p]`` reaches the incumbent for some p is exact, every entry
+    below it for every p reads -inf, and the argmax after each previous
+    choice is the unpruned one. The position after a pruned depth, the fold
+    included, extends only the surviving prefixes.
     """
     dt_by_pos = np.asarray(dt_by_pos, dtype=np.float64)
     h, n = dt_by_pos.shape
@@ -335,8 +329,7 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     rows = len(buf)
     pruner = None
     if first is not None and h > 3:  # depths 2..h-1 are pruned
-        pruner = _Pruner(buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=stall_price,
-                         first=first)
+        pruner = _Pruner(buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score, prices=prices, first=first)
     rungs = np.arange(n)
     last = rungs[:1]  # each prefix's last choice; the root's is 0
     counts = np.ones(n, dtype=np.intp)  # prefixes per first choice
@@ -369,15 +362,22 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     return best
 
 
-def _mpc_objective(rates, h: int, params: MpcObjectiveParams):
-    """The bitrate objective over ``h`` positions: the [previous, next] rung |rate step| table, step and score.
+# the stall prices MPC's prefix bound tries, as fractions of ``mu_rebuf``: 1, 1/2, ..., 1/256 and 0. Below the full
+# price the bound is tighter where a search can afford some stalls but not all. Each price costs a pass over every
+# prefix; on the 10x25 table lower prices drop no more prefixes, and steps of 2^-1/2 ~6 % more
+_PRICE_STEPS = np.append(0.5 ** np.arange(9), 0.0)
+
+
+def _mpc_objective(rates, h: int, params: MpcObjectiveParams, previous=slice(None)):
+    """The bitrate objective over ``h`` positions after the 0-based rungs ``previous`` (every rung by default).
 
     The objective is the sum of chosen bitrates (Mb/s), minus
     ``lambda_switch`` times the magnitude of every bitrate switch, minus
     ``mu_rebuf`` times the predicted stall seconds. The switch from the
-    previous rung is constant within a first-rung block, so callers
-    subtract it after the per-block max; IEEE rounding is monotone, so
-    the decisions are the ones a full per-sequence score would give.
+    previous rung is constant within a first-rung block, so it is the
+    ``first`` term, added after the per-block max; IEEE rounding is
+    monotone, so the decisions are the ones a full per-sequence score
+    would give. Its prices are ``mu_rebuf`` x ``_PRICE_STEPS``.
     """
     moves = np.abs(rates[None, :] - rates[:, None])  # |rate step| by [previous, next] choice
     switch = np.zeros((h, *moves.shape))  # by [position, previous, next]: none at the first position
@@ -391,23 +391,55 @@ def _mpc_objective(rates, h: int, params: MpcObjectiveParams):
         stall_acc, rate_acc, sw_inner = acc
         return (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
 
-    return moves, step, score
+    return step, score, params.mu_rebuf * _PRICE_STEPS, -params.lambda_switch * moves[previous]
 
 
-def _mpc_decisions(rates, dt_by_pos, buffers, seg: float, params: MpcObjectiveParams,
-                   previous=slice(None)) -> np.ndarray:
-    """Best first rung (1-based) for every starting buffer and previous rung.
+def _rdos_objective(state: AbrState, dt_by_pos, params: RdosParams):
+    """RDOS's objective (see ``RdosPolicy``) over ``dt_by_pos``'s horizon: the switch from the played chunk is a
+    position-0 term, so ``first`` is one row of zeros, and its one price is the chord of the stall term's log1p."""
+    manifest, kp = state.manifest, params.ksqi
+    h, n = dt_by_pos.shape
+    first = state.chunk_index - 1
+    q = np.array(manifest.qualities[first : first + h])  # by [position, rung]
+    # the quality on screen before each position, by [position, previous rung]: position 0 follows the played
+    # chunk, its previous index 0
+    played = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
+    q_prev = np.array([(played,) * n, *manifest.qualities[first : first + h - 1]])
+    rates = np.array([r.bitrate_kbps / 1000.0 for r in manifest.ladder])
+    delta = q[:, None, :] - q_prev[:, :, None]  # by [position, previous, next]
+    adaptation = kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0)
+    stall_weight = kp.c1 + kp.c2 * (100.0 - q_prev)  # by [position, previous]
+
+    def step(k, p, c, stall, acc):
+        q_acc, pen_acc, rate_acc = acc
+        # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
+        pen = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k, p] + adaptation[k, p, c]
+        return q_acc + q[k, c], pen, rate_acc + rates[c]
+
+    def score(acc):
+        q_acc, pen_acc, rate_acc = acc
+        return q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
+
+    # the stall term c0 * log1p(s) * w / h of a position >= 1 is at least the chord price * s: its weight is
+    # at least c1 + c2 * (100 - the best horizon quality), and s is at most the position's download time,
+    # so at most x, and on [0, x] the concave log1p lies above its chord
+    x = float(dt_by_pos[1:].max()) if h > 1 else 0.0
+    weight = kp.c1 + kp.c2 * (100.0 - float(q.max()))
+    price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
+    return step, score, np.array([price]), np.zeros((1, n))
+
+
+def _decisions(buffers, dt_by_pos, seg: float, max_buffer_s: float, objective) -> np.ndarray:
+    """Best first rung (1-based) for every starting buffer and previous rung of an exact ``objective``.
 
     Entry [i, j] of the result is the decision from buffer ``buffers[i]``
-    after rung ``previous[j] + 1`` (``previous`` 0-based, every rung by
-    default). Prefixes that cannot win after any of those rungs are
-    pruned (``_enumerate``), which leaves every decision as it is.
+    after the previous rung of row j of ``first``; both objectives keep
+    three sums from zero. Prefixes that cannot win after any of those
+    rungs are pruned (``_enumerate``), which leaves every decision as it is.
     """
-    moves, step, score = _mpc_objective(rates, len(dt_by_pos), params)
-    first = -params.lambda_switch * moves[previous]
-    zero = np.zeros((1, 1))
-    best = _enumerate(buffers, dt_by_pos, seg, params.max_buffer_s, (zero, zero, zero), step, score,
-                      stall_price=params.mu_rebuf, first=first)
+    step, score, prices, first = objective
+    best = _enumerate(buffers, dt_by_pos, seg, max_buffer_s, (np.zeros((1, 1)),) * 3, step, score, prices=prices,
+                      first=first)
     return np.argmax(best[:, None, :] + first, axis=2) + 1
 
 
@@ -421,16 +453,13 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     Download times are size/predicted_tput + rtt; a supplied
     ``predicted_tput`` must be finite and > 0 (kb/s).
     """
-    h = min(params.horizon, state.remaining_chunks)
-    tput = (
-        checks.positive("predicted_tput", predicted_tput)
-        if predicted_tput is not None
-        else harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
-    )
+    if predicted_tput is not None:
+        predicted_tput = checks.positive("predicted_tput", predicted_tput)
     rates = np.array([r.bitrate_kbps / 1000.0 for r in state.manifest.ladder])
-    dt_by_pos = _horizon_download_times(state, h, params, tput)
-    decision = _mpc_decisions(rates, dt_by_pos, [state.buffer_s], state.manifest.segment_duration_s, params,
-                              [state.last_rep - 1])
+    dt_by_pos = _horizon_download_times(state, params, predicted_tput)
+    objective = _mpc_objective(rates, len(dt_by_pos), params, [state.last_rep - 1])
+    decision = _decisions([state.buffer_s], dt_by_pos, state.manifest.segment_duration_s, params.max_buffer_s,
+                          objective)
     return int(decision[0, 0])
 
 
@@ -568,8 +597,9 @@ def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float,
     rows = np.concatenate([buffers[needy], buffers[~needy][:1]])
     slabs = [rows[lo : lo + _SLAB_ROWS] for lo in range(0, len(rows), _SLAB_ROWS)]
     dt_by_pos = np.broadcast_to(dt, (h, len(dt)))
-    solved = np.concatenate([_mpc_decisions(rates, dt_by_pos, slab, seg, params) for slab in slabs]).astype(np.uint8)
-    return solved[np.where(needy, np.cumsum(needy) - 1, len(rows) - 1)]
+    objective = _mpc_objective(rates, h, params)
+    solved = np.concatenate([_decisions(slab, dt_by_pos, seg, params.max_buffer_s, objective) for slab in slabs])
+    return solved[np.where(needy, np.cumsum(needy) - 1, len(rows) - 1)].astype(np.uint8)
 
 
 def build_mpc_table(
@@ -588,9 +618,9 @@ def build_mpc_table(
     (fork on Linux before Python 3.14), with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
     order. On 2 cores the default 100x100x13 binning takes ~2 s on one,
-    ~1.2-1.5 s with ``jobs=2``; a 10x25 one ~0.11 s on one and ~0.08 s with
-    ``jobs=2``, though on a busy host starting the pool can cost more
-    than it saves.
+    ~1.2-1.5 s with ``jobs=2``; starting the pool costs more than a small
+    table saves: 20x20 at horizon 3 takes ~9 ms on one, ~36 ms with two,
+    and 10x25 at horizon 5 ~0.1 s and ~0.08 s (~0.16 s on a busy host).
     ``check_table_size`` runs before anything is allocated.
     """
     checks.count("jobs", jobs)
@@ -809,43 +839,10 @@ class RdosPolicy:
 
     def select(self, state: AbrState) -> int:
         params = self.params
-        manifest = state.manifest
-        ladder = manifest.ladder
-        kp = params.ksqi
-        h = min(params.horizon, state.remaining_chunks)
-        tput = harmonic_mean_predict(state.throughput_history_kbps, params.prediction_window)
-        first = state.chunk_index - 1
-        dt_by_pos = _horizon_download_times(state, h, params, tput)
-        q = np.array(manifest.qualities[first : first + h])  # by [position, rung]
-        # the quality on screen before each position, by [position, previous rung]: position 0 follows the played
-        # chunk, its previous index 0
-        played = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
-        q_prev = np.array([(played,) * len(ladder), *manifest.qualities[first : first + h - 1]])
-        rates = np.array([r.bitrate_kbps / 1000.0 for r in ladder])
-        delta = q[:, None, :] - q_prev[:, :, None]  # by [position, previous, next]
-        adaptation = kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0)
-        stall_weight = kp.c1 + kp.c2 * (100.0 - q_prev)  # by [position, previous]
-
-        def step(k, p, c, stall, acc):
-            q_acc, pen_acc, rate_acc = acc
-            # log1p(0) = 0, so a stall-free sequence adds +-0.0 and its penalty is unchanged
-            pen = pen_acc + kp.c0 * np.log1p(stall) * stall_weight[k, p] + adaptation[k, p, c]
-            return q_acc + q[k, c], pen, rate_acc + rates[c]
-
-        def score(acc):
-            q_acc, pen_acc, rate_acc = acc
-            return q_acc / h - pen_acc / h - params.gamma_rate * rate_acc
-
-        # the stall term c0 * log1p(s) * w / h of a position >= 1 is at least the chord price * s: its weight is
-        # at least c1 + c2 * (100 - the best horizon quality), and s is at most the position's download time,
-        # so at most x, and on [0, x] the concave log1p lies above its chord
-        x = float(dt_by_pos[1:].max()) if h > 1 else 0.0
-        weight = kp.c1 + kp.c2 * (100.0 - float(q.max()))
-        price = kp.c0 * weight * math.log1p(x) / (x * h) if x > 0.0 else 0.0
-        zero = np.zeros((1, 1))
-        best = _enumerate([state.buffer_s], dt_by_pos, manifest.segment_duration_s, params.max_buffer_s,
-                          (zero, zero, zero), step, score, stall_price=price, first=np.zeros((1, len(ladder))))
-        return int(np.argmax(best[0])) + 1
+        dt_by_pos = _horizon_download_times(state, params)
+        decision = _decisions([state.buffer_s], dt_by_pos, state.manifest.segment_duration_s, params.max_buffer_s,
+                              _rdos_objective(state, dt_by_pos, params))
+        return int(decision[0, 0])
 
 
 @dataclass(eq=False)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import checks
+
 
 @dataclass(frozen=True)
 class VideoMeta:
@@ -263,6 +265,7 @@ def build_sensitivity_report(
     subject's rated videos in partition order. Sensitivities whose sets
     are smaller than ``min_set`` for a subject are reported as None.
     """
+    checks.count("min_set", min_set)
     column = {v: j for j, v in enumerate(matrix.videos)}
     blocks = {  # each partition's columns of every subject, in partition order
         name: matrix.raw[:, np.array([column[v] for v in partitions.get(name, []) if v in column], dtype=np.intp)]

@@ -519,9 +519,8 @@ def test_pruned_enumeration_matches_the_full_one(monkeypatch):
     enumerate_ = abr._enumerate
     calls = []
 
-    def both(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=None, first=None):
-        pruned = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, stall_price=stall_price,
-                            first=first)
+    def both(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, prices=None, first=None):
+        pruned = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, prices=prices, first=first)
         full = enumerate_(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
         total, full_total = pruned + first, full + first
         assert np.argmax(total[0]) == np.argmax(full_total[0])
@@ -819,11 +818,10 @@ def test_pruned_table_search_matches_the_full_one(
     threshold = max(dt.max(), horizon * dt.max() - (horizon - 1) * seg)
     buffers = (np.arange(rows) + 0.5) * span * threshold / rows
     assert buffers[0] < threshold <= buffers[-1]
-    moves, step, score = abr._mpc_objective(np.array(rates) / 1000.0, horizon, params)
-    first = -lambda_switch * moves
+    step, score, prices, first = abr._mpc_objective(np.array(rates) / 1000.0, horizon, params)
     zero = np.zeros((1, 1))
     search = (buffers, [dt] * horizon, seg, cap, (zero, zero, zero), step, score)
-    pruned = abr._enumerate(*search, stall_price=mu_rebuf, first=first)
+    pruned = abr._enumerate(*search, prices=prices, first=first)
     full = abr._enumerate(*search)
     assert (np.argmax(pruned[:, None, :] + first, axis=2) == np.argmax(full[:, None, :] + first, axis=2)).all()
     scored = np.isfinite(pruned)

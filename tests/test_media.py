@@ -1,7 +1,9 @@
+import copy
 import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -225,3 +227,69 @@ def test_synthetic_manifest_bytes_are_pinned():
     # the earlier indent=1 bytes (7a5be819...) parse to, so only whitespace moved
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "572b0990ec8bd65080a0e037480b88f1062e00851c42b6e554b55378e4790d94")
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "manifest_schema.json").read_text())
+
+
+def schema_nodes(schema, path=()):
+    """(path into a document, schema node) of ``schema`` and every node under it; an array stands for its first item."""
+    yield path, schema
+    for key, node in schema.get("properties", {}).items():
+        yield from schema_nodes(node, (*path, key))
+    if "items" in schema:
+        yield from schema_nodes(schema["items"], (*path, 0))
+
+
+def item(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def schema_violations(doc):
+    """(where, rule, a copy of ``doc`` that breaks it) for each required key, minItems, numeric bound and integer
+    type of the manifest schema."""
+    def broken(path, value=None):
+        bad = copy.deepcopy(doc)
+        if value is None:
+            del item(bad, path[:-1])[path[-1]]
+        else:
+            item(bad, path[:-1])[path[-1]] = value
+        return bad
+
+    for path, node in schema_nodes(SCHEMA):
+        where = ".".join(map(str, path)) or "manifest"
+        integer = node.get("type") == "integer"
+        for key in node.get("required", ()):
+            yield f"{where}.{key}", "required", broken((*path, key))
+        if "minItems" in node:
+            yield where, "minItems", broken(path, item(doc, path)[: node["minItems"] - 1])
+        if "minimum" in node:
+            low = node["minimum"]
+            yield where, "minimum", broken(path, low - 1 if integer else math.nextafter(low, -math.inf))
+        if "exclusiveMinimum" in node:
+            low = node["exclusiveMinimum"]
+            yield where, "exclusiveMinimum", broken(path, low if integer else float(low))
+        if "maximum" in node:
+            high = node["maximum"]
+            yield where, "maximum", broken(path, high + 1 if integer else math.nextafter(high, math.inf))
+        if integer:
+            yield where, "integer", broken(path, float(item(doc, path)))
+
+
+SCHEMA_DOC = json.loads(media.serialize_manifest(media.synthetic_manifest()))
+SCHEMA_CASES = list(schema_violations(SCHEMA_DOC))
+
+
+def test_the_schema_cases_cover_every_rule_kind():
+    # a schema walk that lost a rule kind would test nothing for it
+    assert {rule for _, rule, _ in SCHEMA_CASES} == {"required", "minItems", "minimum", "exclusiveMinimum", "maximum",
+                                                     "integer"}
+    media.parse_manifest(json.dumps(SCHEMA_DOC))  # the unbroken document parses
+
+
+@pytest.mark.parametrize("doc", [pytest.param(doc, id=f"{where}-{rule}") for where, rule, doc in SCHEMA_CASES])
+def test_parse_manifest_refuses_what_the_schema_refuses(doc):
+    with pytest.raises(ValueError):
+        media.parse_manifest(json.dumps(doc))

@@ -305,6 +305,15 @@ def test_sensitivity_report_handles_missing_sets():
     assert all(row.s_a is None for row in report2)  # no varying videos at all
 
 
+@pytest.mark.parametrize("min_set", [0, -1, True, 1.0])
+def test_sensitivity_report_refuses_a_min_set_below_one(min_set):
+    # with min_set 0, a partition the subject has not rated would pass the size
+    # test and divide by zero
+    m = simple_matrix(np.array([[np.nan, 55.0]]))
+    with pytest.raises(ValueError, match=r"min_set must be an integer >= 1"):
+        build_sensitivity_report(m, {"q_r_bar": ["v0"]}, min_set=min_set)
+
+
 def test_personal_mean_cdf_single_subject():
     m = simple_matrix(np.array([[40.0, 60.0]]))
     (means, cdf) = personal_mean_cdf(m)["hdtv"]
