@@ -72,7 +72,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import checks
-from .media import Manifest, check_ladder, ladder_default
+from .media import Manifest, check_rungs, ladder_default
 from .qoe import KsqiParams
 
 
@@ -241,6 +241,14 @@ class _Pruner:
 
 _MAX_SEQUENCES = 6_000_000  # per search: 13^6 passes, 13^7 does not
 
+
+def _check_search(n_reps: int, horizon: int) -> None:
+    """Refuse a search over more than 64 positions or ``_MAX_SEQUENCES`` sequences (n^h is formed for h <= 64)."""
+    if horizon > 64 or n_reps**horizon > _MAX_SEQUENCES:
+        raise ValueError(f"horizon {horizon} is too long for {n_reps} ladder rungs: a search would enumerate"
+                         f" {n_reps}^{horizon} sequences; at most {_MAX_SEQUENCES} sequences and 64 positions")
+
+
 # the most entries of one block of the last position's fold, per array (64 KB of floats): a block folds as many last
 # choices as fit, and at least one. Every h=5 MPC decision of the grid benchmark folds in one block, and all but 6
 # of its 117 RDOS decisions; the 10x25 table builds in the same time with caps from 2,048 to none
@@ -323,8 +331,7 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     """
     dt_by_pos = np.asarray(dt_by_pos, dtype=np.float64)
     h, n = dt_by_pos.shape
-    if n**h > _MAX_SEQUENCES:
-        raise ValueError(f"{n} reps x horizon {h} enumerates {n**h} sequences; too many")
+    _check_search(n, h)
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
     pruner = None
@@ -496,8 +503,8 @@ class LookupTable:
     """Precomputed MPC policy: best first rung per state cell.
 
     Its axes are checked, not coerced: bin edges finite and strictly
-    increasing, a segment duration > 0, and ladder bitrates > 0 in
-    strictly increasing order (stored as floats).
+    increasing, a segment duration > 0, and rung bitrates that pass
+    ``check_rungs`` (stored as floats).
     """
 
     tput_edges: np.ndarray
@@ -513,9 +520,7 @@ class LookupTable:
             if len(edges) < 2 or any(b <= a for a, b in zip(edges, edges[1:])):
                 raise ValueError(f"{name} must be at least two strictly increasing numbers, got {list(edges)}")
         checks.attrs(self, checks.positive, "segment_duration_s")
-        checks.attrs(self, checks.each(checks.positive), "ladder_kbps")
-        if any(b <= a for a, b in zip(self.ladder_kbps, self.ladder_kbps[1:])):
-            raise ValueError(f"ladder_kbps must be strictly increasing, got {list(self.ladder_kbps)}")
+        checks.attrs(self, check_rungs, "ladder_kbps")
         t, b, r = self.entries.shape
         if t != len(self.tput_edges) - 1 or b != len(self.buffer_edges) - 1:
             raise ValueError("entries shape inconsistent with bin edges")
@@ -554,27 +559,18 @@ _SLAB_ROWS = 4
 _MAX_TABLE_CELLS = 10_000_000
 
 
-def check_table_size(binning: TableBinning, n_reps: int, horizon: int) -> None:
-    """Refuse a table of more than ``_MAX_TABLE_CELLS`` entries, or a horizon too long to search.
-
-    A horizon over 64 positions is refused before n^h is formed; with two
-    or more rungs it would enumerate over ``_MAX_SEQUENCES`` anyway.
-    """
-    cells = binning.tput_bins * binning.buffer_bins * n_reps
+def check_table(binning: TableBinning, ladder_kbps, horizon: int) -> tuple[float, ...]:
+    """A table's rung bitrates (kb/s), ``ladder_kbps`` or the reference ladder's, checked by ``check_rungs``, with at
+    most ``_MAX_TABLE_CELLS`` entries over ``binning`` and a ``horizon`` that ``_check_search`` allows."""
+    if ladder_kbps is None:
+        ladder_kbps = [r.bitrate_kbps for r in ladder_default()]
+    rungs = check_rungs("ladder_kbps", ladder_kbps)
+    cells = binning.tput_bins * binning.buffer_bins * len(rungs)
     if cells > _MAX_TABLE_CELLS:
-        raise ValueError(f"tput_bins x buffer_bins x ladder rungs is {binning.tput_bins}x{binning.buffer_bins}x{n_reps}"
-                         f" = {cells} table cells; at most {_MAX_TABLE_CELLS} are built")
-    if horizon > 64 or n_reps**horizon > _MAX_SEQUENCES:
-        raise ValueError(f"horizon {horizon} is too long for {n_reps} ladder rungs: a table search would enumerate"
-                         f" {n_reps}^{horizon} sequences; at most {_MAX_SEQUENCES} sequences and 64 positions")
-
-
-def _table_ladder(ladder) -> tuple[float, ...]:
-    """A table's rung bitrates (kb/s): the default ladder's if ``ladder`` is None, checked as a manifest's ladder."""
-    if ladder is None:
-        ladder = ladder_default()
-    check_ladder("ladder", ladder)
-    return tuple(r.bitrate_kbps for r in ladder)
+        raise ValueError(f"tput_bins x buffer_bins x ladder rungs is {binning.tput_bins}x{binning.buffer_bins}x"
+                         f"{len(rungs)} = {cells} table cells; at most {_MAX_TABLE_CELLS} are built")
+    _check_search(len(rungs), horizon)
+    return rungs
 
 
 def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float, buffers) -> np.ndarray:
@@ -605,27 +601,31 @@ def _table_bin(ladder_kbps, seg: float, params: MpcObjectiveParams, tput: float,
 def build_mpc_table(
     params: MpcObjectiveParams,
     binning: TableBinning = TableBinning(),
-    ladder=None,
+    ladder_kbps=None,
     segment_duration_s: float = 4.0,
     progress=None,
     jobs: int = 1,
 ) -> LookupTable:
     """Solve the MPC decision offline for every (tput, buffer, prev) cell.
 
-    Future chunk sizes are the nominal ladder bitrate times the segment
-    duration. Throughput bins are independent; ``jobs`` > 1 solves them
-    in a pool of that many processes, started the platform's default way
-    (fork on Linux before Python 3.14), with identical entries.
+    ``ladder_kbps`` lists the rung bitrates (kb/s), the reference
+    ladder's when None. Future chunk sizes are the nominal rung bitrate
+    times the segment duration: a table has no manifest, so
+    ``params.use_manifest_sizes`` must be false. Throughput bins are
+    independent; ``jobs`` > 1 solves them in a pool of that many
+    processes, started the platform's default way (fork on Linux before
+    Python 3.14), with identical entries.
     ``progress(done, total)`` is called once per throughput bin, in
     order. On 2 cores the default 100x100x13 binning takes ~2 s on one,
     ~1.2-1.5 s with ``jobs=2``; starting the pool costs more than a small
     table saves: 20x20 at horizon 3 takes ~9 ms on one, ~36 ms with two,
     and 10x25 at horizon 5 ~0.1 s and ~0.08 s (~0.16 s on a busy host).
-    ``check_table_size`` runs before anything is allocated.
+    ``check_table`` runs before anything is allocated.
     """
     checks.count("jobs", jobs)
-    ladder_kbps = _table_ladder(ladder)
-    check_table_size(binning, len(ladder_kbps), params.horizon)
+    if params.use_manifest_sizes:
+        raise ValueError("use_manifest_sizes must be false for a table, which has no manifest: it plans nominal sizes")
+    ladder_kbps = check_table(binning, ladder_kbps, params.horizon)
     solve = functools.partial(_table_bin, ladder_kbps, segment_duration_s, params, buffers=binning.buffer_centers())
     entries = np.empty((binning.tput_bins, binning.buffer_bins, len(ladder_kbps)), dtype=np.uint8)
     centers = binning.tput_centers()
@@ -676,20 +676,17 @@ def load_table(path) -> LookupTable:
         for name in ("tput_edges", "buffer_edges", "ladder_kbps"):  # the entry shape is read from their lengths
             if not isinstance(header[name], list):
                 raise ValueError(f"{name} must be a list, got {header[name]!r}")
-        tput_edges = np.array(header["tput_edges"])
-        buffer_edges = np.array(header["buffer_edges"])
-        ladder_kbps = tuple(header["ladder_kbps"])
-        shape = (len(tput_edges) - 1, len(buffer_edges) - 1, len(ladder_kbps))
+        shape = (len(header["tput_edges"]) - 1, len(header["buffer_edges"]) - 1, len(header["ladder_kbps"]))
         if len(blob) != math.prod(shape):
             raise ValueError(f"{len(blob)} entry bytes for a {shape[0]}x{shape[1]}x{shape[2]} table")
         p = header["params"]
         if not (isinstance(p, dict) and set(p) == {f.name for f in fields(MpcObjectiveParams)}):
             raise ValueError(f"table params must be exactly the MpcObjectiveParams fields, got {p!r}")
         return LookupTable(
-            tput_edges=tput_edges,
-            buffer_edges=buffer_edges,
+            tput_edges=np.array(header["tput_edges"]),
+            buffer_edges=np.array(header["buffer_edges"]),
             entries=np.frombuffer(blob, dtype=np.uint8).reshape(shape).copy(),
-            ladder_kbps=ladder_kbps,
+            ladder_kbps=header["ladder_kbps"],
             segment_duration_s=header["segment_duration_s"],
             params=MpcObjectiveParams(**p),
         )
@@ -717,6 +714,7 @@ class RdosParams:
     prediction_window: int = 5
 
     def __post_init__(self):
+        checks.attrs(self, checks.instance(KsqiParams), "ksqi")  # a config's ksqi block is built into one
         checks.attrs(self, checks.nonnegative, "gamma_rate")
         _check_horizon_params(self)
 
@@ -729,6 +727,10 @@ class FixedPolicy:
 
     def __post_init__(self):
         checks.attrs(self, checks.count, "rep_index")
+
+    def check_fits(self, manifest: Manifest) -> None:
+        if self.rep_index > len(manifest.ladder):  # >= 1 by construction
+            raise ValueError(f"rep_index must be a ladder rung (1..{len(manifest.ladder)}), got {self.rep_index}")
 
     def select(self, state: AbrState) -> int:
         return self.rep_index
@@ -797,6 +799,10 @@ class MpcExactPolicy:
     def __post_init__(self):
         checks.attrs(self, checks.instance(MpcObjectiveParams), "params")
 
+    def check_fits(self, manifest: Manifest) -> None:
+        """``_check_search`` allows the longest search over ``manifest``, whose chunks 2..n are decided."""
+        _check_search(len(manifest.ladder), min(self.params.horizon, manifest.segment_count - 1))
+
     def select(self, state: AbrState) -> int:
         return mpc_select_exact(state, self.params)
 
@@ -813,6 +819,9 @@ class MpcTablePolicy:
 
     def __post_init__(self):
         checks.attrs(self, checks.instance(LookupTable), "table")
+
+    def check_fits(self, manifest: Manifest) -> None:
+        self.table.check_fits(manifest)
 
     def select(self, state: AbrState) -> int:
         tput_edges, buffer_edges, entries = self.table.lookup
@@ -836,6 +845,8 @@ class RdosPolicy:
 
     def __post_init__(self):
         checks.attrs(self, checks.instance(RdosParams), "params")
+
+    check_fits = MpcExactPolicy.check_fits
 
     def select(self, state: AbrState) -> int:
         params = self.params

@@ -199,10 +199,10 @@ def cmd_simulate(config: dict, args) -> int:
             builders.append(abr.policy_builder(spec))  # each cell builds its own policy
         except (OSError, ValueError) as exc:  # OSError: an mpc_table entry's table file
             raise ValueError(f"policies[{i}] ({spec['id']}): {exc}") from exc
-        table = builders[-1].keywords.get("table")  # an mpc_table entry's table, read once
-        for j, (_, manifest) in enumerate(manifests if table is not None else ()):
+        policy = builders[-1]()  # an external entry starts no child here
+        for j, (_, manifest) in enumerate(manifests if hasattr(policy, "check_fits") else ()):
             try:
-                table.check_fits(manifest)
+                policy.check_fits(manifest)  # a fixed rung, an exact horizon or a table that this manifest takes
             except ValueError as exc:
                 where = f"policies[{i}] ({spec['id']}) cannot play manifests[{j}] ({manifest_paths[j]})"
                 raise ValueError(f"{where}: {exc}") from exc
@@ -262,25 +262,13 @@ def cmd_mpc_table(config: dict, args) -> int:
     binning = abr.TableBinning(**_pick(block, binning_keys))
     params = abr.MpcObjectiveParams(**_pick(block, objective_keys))
     segment_duration_s = checks.positive("segment_duration_s", block.get("segment_duration_s", 4.0))
-    ladder = media.ladder_default()
-    if "ladder_kbps" in block:
-        if not isinstance(block["ladder_kbps"], list):
-            raise ValueError(f"ladder_kbps must be a list of numbers, got {block['ladder_kbps']!r}")
-        ladder = tuple(
-            media.Representation(i + 1, 16, 9, checks.positive(f"ladder_kbps[{i}]", r))
-            for i, r in enumerate(block["ladder_kbps"])
-        )
-        media.check_ladder("ladder_kbps", ladder)  # the check a manifest's ladder passes
-    abr.check_table_size(binning, len(ladder), params.horizon)
-    cell_count = binning.tput_bins * binning.buffer_bins * len(ladder)
-    print(f"cells: {cell_count} ({binning.tput_bins}x{binning.buffer_bins}x{len(ladder)})")
-    table = abr.build_mpc_table(
-        params,
-        binning,
-        ladder=ladder,
-        segment_duration_s=segment_duration_s,
-        jobs=args.jobs,
-    )
+    rungs = block.get("ladder_kbps", [r.bitrate_kbps for r in media.ladder_default()])  # null is refused
+    ladder_kbps = abr.check_table(binning, rungs, params.horizon)
+    cell_count = binning.tput_bins * binning.buffer_bins * len(ladder_kbps)
+    print(f"cells: {cell_count} ({binning.tput_bins}x{binning.buffer_bins}x{len(ladder_kbps)})")
+    # through the module and with ``progress`` unset: perfbench's traced run wraps it to time every bin
+    table = abr.build_mpc_table(params, binning, ladder_kbps=ladder_kbps, segment_duration_s=segment_duration_s,
+                                jobs=args.jobs)
     with _replacing(out_path) as tmp:
         abr.save_table(table, tmp)
     print(f"mpc-table: wrote {out_path}")

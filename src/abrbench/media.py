@@ -34,16 +34,14 @@ class Representation:
         checks.attrs(self, checks.positive, "bitrate_kbps")
 
 
-def check_ladder(name: str, ladder) -> None:
-    """A ladder has a rung, indices 1, 2, ... in order and strictly increasing bitrates (manifests, tables)."""
-    if not ladder:
-        raise ValueError(f"{name} is empty")
-    for pos, rep in enumerate(ladder, start=1):
-        if rep.index != pos:
-            raise ValueError(f"{name} indices must be contiguous from 1, got {rep.index} at position {pos}")
-    rates = [rep.bitrate_kbps for rep in ladder]
-    if any(b >= a for a, b in zip(rates[1:], rates)):
-        raise ValueError(f"{name} bitrates must be strictly increasing, got {rates}")
+def check_rungs(name: str, rates) -> tuple[float, ...]:
+    """Rung bitrates (kb/s): one or more finite numbers > 0 in strictly increasing order, returned as floats."""
+    rates = checks.each(checks.positive, (0.0, math.inf, True))(name, rates)
+    if not rates:
+        raise ValueError(f"{name} must hold one or more rungs; the ladder is empty")
+    if any(b <= a for a, b in zip(rates, rates[1:])):
+        raise ValueError(f"{name} bitrates must be strictly increasing, got {list(rates)}")
+    return rates
 
 
 def _size(name: str, value) -> float:
@@ -96,7 +94,10 @@ class Manifest:
 
     def __post_init__(self):
         checks.attrs(self, checks.positive, "segment_duration_s")
-        check_ladder("ladder", self.ladder)
+        for pos, rep in enumerate(self.ladder, start=1):
+            if rep.index != pos:
+                raise ValueError(f"ladder indices must be contiguous from 1, got {rep.index} at position {pos}")
+        check_rungs("ladder", [rep.bitrate_kbps for rep in self.ladder])
         width = len(self.ladder)
         for name in ("sizes", "qualities"):
             rows = getattr(self, name)

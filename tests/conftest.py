@@ -46,7 +46,7 @@ def mpc_table_cells(
     params: abr.MpcObjectiveParams,
     binning: abr.TableBinning,
     cells,
-    ladder=None,
+    ladder_kbps=None,
     segment_duration_s: float = 4.0,
 ) -> dict[tuple[int, int, int], int]:
     """Compute selected table cells without building the full table.
@@ -58,7 +58,7 @@ def mpc_table_cells(
     audits a table against the exact per-state decision through the table
     builder's own per-bin solver.
     """
-    ladder_kbps = abr._table_ladder(ladder)
+    ladder_kbps = abr.check_table(binning, ladder_kbps, params.horizon)
     bounds = (("tput_bin", 0, binning.tput_bins - 1), ("buffer_bin", 0, binning.buffer_bins - 1),
               ("prev_rep", 1, len(ladder_kbps)))
 

@@ -669,7 +669,7 @@ def test_pruning_engages_on_a_default_table_bin(monkeypatch):
 
     monkeypatch.setattr(abr._Pruner, "keep", spy)
     binning = TableBinning()
-    abr._table_bin(abr._table_ladder(None), 4.0, MpcObjectiveParams(), binning.tput_centers()[30],
+    abr._table_bin(abr.check_table(binning, None, 5), 4.0, MpcObjectiveParams(), binning.tput_centers()[30],
                    binning.buffer_centers())
     assert len(kept) > 5 and np.mean(kept) < 0.13
 
@@ -784,7 +784,7 @@ def test_table_cells_match_per_state_enumeration(
     buffers = binning.buffer_centers()
     assert buffers[0] < threshold <= buffers[-1]
     cells = [(0, bi, prev) for bi in range(buffer_bins) for prev in range(1, len(ladder) + 1)]
-    got = mpc_table_cells(params, binning, cells, ladder, seg)
+    got = mpc_table_cells(params, binning, cells, [r.bitrate_kbps for r in ladder], seg)
     nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
     manifest = Manifest(seg, ladder, [nominal] * horizon, [[50.0] * len(ladder)] * horizon)
     for ti, bi, prev in cells:
@@ -961,9 +961,9 @@ def test_table_save_load_round_trip_property(table):
 )
 def test_load_table_errors_name_the_path(tmp_path, edit, message):
     path = tmp_path / "table.bin"
-    ladder = media.ladder_default()[:9]
-    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), ladder=ladder),
-               path)
+    ladder_kbps = [r.bitrate_kbps for r in media.ladder_default()[:9]]
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2),
+                               ladder_kbps=ladder_kbps), path)
     header, blob = path.read_bytes().split(b"\n", 1)
     path.write_bytes(edit(header, blob))
     with pytest.raises(ValueError, match=str(path)) as info:
@@ -1012,8 +1012,8 @@ def test_table_parallel_build_matches_serial():
 
 def test_table_size_limits_are_checked_before_any_build():
     # the limits, not a size one past them, are accepted; nothing is built to check them
-    abr.check_table_size(TableBinning(tput_bins=1000, buffer_bins=10_000), 1, 64)  # 10^7 cells, 1^64 sequences
-    abr.check_table_size(TableBinning(), 13, 6)  # 13^6 = 4,826,809 sequences
+    abr.check_table(TableBinning(tput_bins=1000, buffer_bins=10_000), [300], 64)  # 10^7 cells, 1^64 sequences
+    abr.check_table(TableBinning(), None, 6)  # 13^6 = 4,826,809 sequences
     for binning, n_reps, horizon, key in (
         (TableBinning(tput_bins=1000, buffer_bins=10_001), 1, 1, "tput_bins x buffer_bins x ladder rungs"),
         (TableBinning(), 13, 7, "horizon 7"),
@@ -1021,9 +1021,44 @@ def test_table_size_limits_are_checked_before_any_build():
         (TableBinning(), 2, 10**12, "horizon 1000000000000"),  # refused before 2^h is formed
     ):
         with pytest.raises(ValueError, match=re.escape(key)):
-            abr.check_table_size(binning, n_reps, horizon)
+            abr.check_table(binning, list(range(1, n_reps + 1)), horizon)
     with pytest.raises(ValueError, match="horizon 7"):
         build_mpc_table(MpcObjectiveParams(horizon=7), TableBinning(tput_bins=1, buffer_bins=1))
+
+
+def test_a_table_is_not_built_with_manifest_sizes():
+    # a table has no manifest: it built the entries of use_manifest_sizes=False and wrote "true" into its header
+    with pytest.raises(ValueError, match="use_manifest_sizes must be false"):
+        build_mpc_table(MpcObjectiveParams(horizon=3, use_manifest_sizes=True), TableBinning(tput_bins=3, buffer_bins=4))
+
+
+def test_load_table_refuses_an_empty_ladder(tmp_path):
+    # it loaded as a (1, 1, 0) table
+    path = tmp_path / "table.bin"
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=1, buffer_bins=1)), path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    path.write_bytes(json.dumps({**header, "ladder_kbps": []}).encode() + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ladder_kbps must hold one or more rungs")):
+        load_table(path)
+
+
+def test_policies_check_their_rung_and_search_against_a_manifest():
+    manifest = media.synthetic_manifest(segments=8)  # 13 rungs, 7 decisions
+    abr.FixedPolicy(13).check_fits(manifest)
+    with pytest.raises(ValueError, match=re.escape("rep_index must be a ladder rung (1..13), got 14")):
+        abr.FixedPolicy(14).check_fits(manifest)
+    for policy in (abr.MpcExactPolicy(MpcObjectiveParams(horizon=7)), abr.RdosPolicy(abr.RdosParams(horizon=7))):
+        policy.check_fits(media.synthetic_manifest(segments=7))  # its searches cover at most 6 chunks
+        with pytest.raises(ValueError, match="horizon 7 is too long for 13 ladder rungs"):
+            policy.check_fits(manifest)
+    # a one-rung ladder enumerates one sequence, but no search is over 64 positions, as no table's is
+    one_rung = media.synthetic_manifest(segments=70, ladder=media.ladder_default()[:1])
+    params = MpcObjectiveParams(horizon=65)
+    with pytest.raises(ValueError, match="horizon 65 is too long for 1 ladder rungs"):
+        abr.MpcExactPolicy(params).check_fits(one_rung)
+    with pytest.raises(ValueError, match="horizon 65"):
+        mpc_select_exact(AbrState(1, 0.0, 1, [1000.0], one_rung), params)
+    abr.MpcExactPolicy(params).check_fits(media.synthetic_manifest(segments=65, ladder=media.ladder_default()[:1]))
 
 
 def test_table_artifact_digest_is_pinned(tmp_path):
@@ -1098,7 +1133,7 @@ def test_table_cells_that_are_not_triples_are_named(cell):
 
 _TABLE_BUILDS = {
     "build_mpc_table": lambda ladder: build_mpc_table(
-        MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), ladder=ladder),
+        MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), ladder_kbps=ladder),
     "mpc_table_cells": lambda ladder: mpc_table_cells(
         MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2), [(0, 0, 1)], ladder),
 }
@@ -1107,12 +1142,11 @@ _TABLE_BUILDS = {
 @pytest.mark.parametrize(
     "ladder, message",
     [
-        # numpy's "zero-size array to reduction operation maximum"; the other two built a table
+        # numpy's "zero-size array to reduction operation maximum"; the decreasing one built a table
         ((), "ladder is empty"),
-        ((Representation(1, 16, 9, 500.0), Representation(2, 16, 9, 300.0)), "bitrates must be strictly increasing"),
-        ((Representation(2, 16, 9, 300.0),), "ladder indices must be contiguous from 1"),
+        ((500.0, 300.0), "bitrates must be strictly increasing"),
     ],
-    ids=["empty", "decreasing", "misnumbered"],
+    ids=["empty", "decreasing"],
 )
 @pytest.mark.parametrize("build", _TABLE_BUILDS.values(), ids=_TABLE_BUILDS.keys())
 def test_table_ladders_are_checked_as_a_manifest_ladder_is(build, ladder, message):

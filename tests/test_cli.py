@@ -929,7 +929,7 @@ def test_mpc_table_block_must_be_an_object(tmp_path, capsys):
         ({"tput_bins": 100_000_000}, "tput_bins"),  # asked numpy for 121 GiB: an _ArrayMemoryError traceback
         ({"buffer_bins": 10**12}, "buffer_bins"),
         ({"ladder_kbps": list(range(300, 1301))}, "ladder rungs"),  # 100 x 100 x 1001 cells
-        ({"horizon": 7}, "horizon"),  # 13^7 sequences: refused by check_table_size with the other sizes
+        ({"horizon": 7}, "horizon"),  # 13^7 sequences: refused by check_table with the other sizes
         ({"horizon": 10**12}, "horizon"),
         ({"tput_bins": 1, "buffer_bins": 1, "horizon": 65, "ladder_kbps": [300]}, "horizon"),
     ],
@@ -1354,12 +1354,34 @@ def test_simulate_rejects_an_mpc_table_built_for_other_manifests(tmp_path, capsy
     # a 1 s table drove the 4 s manifest with exit 0
     table = tmp_path / "t.bin"
     built = abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(2, 2),
-                                ladder=media.ladder_default()[:rungs], segment_duration_s=segment_duration_s)
+                                ladder_kbps=[r.bitrate_kbps for r in media.ladder_default()[:rungs]],
+                                segment_duration_s=segment_duration_s)
     abr.save_table(built, table)
     cfg = write_table_config(tmp_path, table)
     assert run(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "policies[1] (mpc_table) cannot play manifests[0]" in err and "manifest0.json" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"id": "fixed", "rep_index": 20}, "rep_index must be a ladder rung (1..13), got 20"),
+        ({"id": "mpc_exact", "params": {"horizon": 7}}, "horizon 7 is too long for 13 ladder rungs"),
+        ({"id": "rdos", "params": {"horizon": 20}}, "horizon 9 is too long for 13 ladder rungs"),
+    ],
+    ids=["fixed", "mpc_exact", "rdos"],
+)
+def test_simulate_checks_policies_against_every_manifest_before_any_cell(tmp_path, capsys, entry, message):
+    # each failed every cell with exit 1 and wrote the outputs
+    manifests, traces = write_inputs(tmp_path, segments=10)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifests": manifests, "traces": traces, "out_dir": str(tmp_path / "out"),
+                               "policies": [{"id": "rate_based"}, entry]}))
+    assert run(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"policies[1] ({entry['id']}) cannot play manifests[0]" in err and message in err
     assert not (tmp_path / "out").exists()
 
 
