@@ -54,7 +54,9 @@ Predictors and ``ExternalPolicy`` check the throughput samples they read
 through ``_recent`` (finite and > 0); building an ``AbrState`` checks none.
 Parameter sets and policies check their own fields, not coercing them,
 through the ``checks`` vocabulary (reals are stored as floats).
-``ExternalPolicy`` starts its child process at its first decision.
+``make_policy`` builds a config entry's checked policy, and policies
+read rung bitrates from ``Manifest.ladder_kbps``. ``ExternalPolicy``
+starts its child process at its first decision.
 """
 
 from __future__ import annotations
@@ -64,8 +66,9 @@ import contextlib
 import functools
 import json
 import math
+import os
 import subprocess
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
@@ -169,7 +172,7 @@ def _horizon_download_times(state: AbrState, params, tput: float | None = None) 
         first = state.chunk_index - 1
         sizes = manifest.sizes[first : first + h]
     else:
-        sizes = [[r.bitrate_kbps * 1000.0 * manifest.segment_duration_s for r in manifest.ladder]] * h
+        sizes = [[r * 1000.0 * manifest.segment_duration_s for r in manifest.ladder_kbps]] * h
     return np.array(sizes) / (tput * 1000.0) + params.rtt_s
 
 
@@ -412,7 +415,7 @@ def _rdos_objective(state: AbrState, dt_by_pos, params: RdosParams):
     # chunk, its previous index 0
     played = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
     q_prev = np.array([(played,) * n, *manifest.qualities[first : first + h - 1]])
-    rates = np.array([r.bitrate_kbps / 1000.0 for r in manifest.ladder])
+    rates = np.array(manifest.ladder_kbps) / 1000.0
     delta = q[:, None, :] - q_prev[:, :, None]  # by [position, previous, next]
     adaptation = kp.beta_neg * np.maximum(-delta, 0.0) + kp.beta_pos * np.maximum(delta, 0.0)
     stall_weight = kp.c1 + kp.c2 * (100.0 - q_prev)  # by [position, previous]
@@ -462,7 +465,7 @@ def mpc_select_exact(state: AbrState, params: MpcObjectiveParams, predicted_tput
     """
     if predicted_tput is not None:
         predicted_tput = checks.positive("predicted_tput", predicted_tput)
-    rates = np.array([r.bitrate_kbps / 1000.0 for r in state.manifest.ladder])
+    rates = np.array(state.manifest.ladder_kbps) / 1000.0
     dt_by_pos = _horizon_download_times(state, params, predicted_tput)
     objective = _mpc_objective(rates, len(dt_by_pos), params, [state.last_rep - 1])
     decision = _decisions([state.buffer_s], dt_by_pos, state.manifest.segment_duration_s, params.max_buffer_s,
@@ -537,7 +540,7 @@ class LookupTable:
     def check_fits(self, manifest: Manifest) -> None:
         """A table decides only for the segment duration and ladder it was built for."""
         built = (self.segment_duration_s, list(self.ladder_kbps))
-        given = (manifest.segment_duration_s, [r.bitrate_kbps for r in manifest.ladder])
+        given = (manifest.segment_duration_s, list(manifest.ladder_kbps))
         if given != built:
             raise ValueError("the table is for {} s segments, ladder {} kb/s, not {} s, {}".format(*built, *given))
 
@@ -753,11 +756,7 @@ class RateBasedPolicy:
 
     def select(self, state: AbrState) -> int:
         pred = arithmetic_mean_predict(state.throughput_history_kbps, self.window)
-        best = 1
-        for rep in state.manifest.ladder:
-            if (rep.bitrate_kbps < pred) if self.strict else (rep.bitrate_kbps <= pred):
-                best = rep.index
-        return best
+        return max((bisect_left if self.strict else bisect_right)(state.manifest.ladder_kbps, pred), 1)
 
 
 @dataclass(frozen=True)
@@ -777,19 +776,13 @@ class BufferBasedPolicy:
         checks.attrs(self, checks.nonnegative, "reservoir_s", "cushion_s")
 
     def select(self, state: AbrState) -> int:
-        buffer_s, ladder = state.buffer_s, state.manifest.ladder
+        buffer_s, rates = state.buffer_s, state.manifest.ladder_kbps
         if buffer_s <= self.reservoir_s:
             return 1
         if buffer_s >= self.reservoir_s + self.cushion_s:
-            return ladder[-1].index
-        r_min = ladder[0].bitrate_kbps
-        r_max = ladder[-1].bitrate_kbps
-        target = r_min + (buffer_s - self.reservoir_s) / self.cushion_s * (r_max - r_min)
-        best = 1
-        for rep in ladder:
-            if rep.bitrate_kbps <= target:
-                best = rep.index
-        return best
+            return len(rates)
+        target = rates[0] + (buffer_s - self.reservoir_s) / self.cushion_s * (rates[-1] - rates[0])
+        return max(bisect_right(rates, target), 1)
 
 
 @dataclass(frozen=True)
@@ -888,7 +881,7 @@ class ExternalPolicy:
             "last_rep": state.last_rep,
             "throughput_history_kbps": list(_recent(state.throughput_history_kbps, len(state.throughput_history_kbps))),
             "segment_duration_s": manifest.segment_duration_s,
-            "ladder_kbps": [r.bitrate_kbps for r in manifest.ladder],
+            "ladder_kbps": manifest.ladder_kbps,
             "future_sizes_bits": manifest.sizes[first : first + h],
             "future_qualities": manifest.qualities[first : first + h],
         }
@@ -927,11 +920,11 @@ POLICIES = {
 }
 
 
-def policy_builder(spec: dict):
-    """Check a policy config block; return ``functools.partial(cls, **options)``, a picklable policy builder.
+def make_policy(spec: dict):
+    """The checked policy of a config entry: its ``id``, an optional ``name`` and the class's fields.
 
-    JSON objects and an ``mpc_table`` path become the values the class takes (the table is read
-    here, once); the class is built once to check them (an ``external`` one starts no child).
+    JSON objects become the parameter sets the class takes; an ``mpc_table`` entry's ``table`` file is read here,
+    once. An ``external`` policy starts no child. A grid cell decides with a fresh ``dataclasses.replace(policy)``.
     """
     kind = spec.get("id")
     if not (isinstance(kind, str) and kind in POLICIES):
@@ -946,9 +939,11 @@ def policy_builder(spec: dict):
         rdos = functools.partial(RdosParams, ksqi=_options_object(KsqiParams, "ksqi", options.pop("ksqi", {})))
         options["params"] = _options_object(rdos, "params", options.get("params", {}))
     elif kind == "mpc_table" and "table" in options:
-        options["table"] = load_table(checks.path("table", options["table"]))  # shared by every cell
-    _options_object(cls, f"policy {kind}", options)
-    return functools.partial(cls, **options)
+        table = checks.path("table", options["table"])
+        if not os.path.isfile(table):  # a directory too: reading it would raise IsADirectoryError
+            raise FileNotFoundError(f"table file not found: {table}")
+        options["table"] = load_table(table)
+    return _options_object(cls, f"policy {kind}", options)
 
 
 def _options_object(cls, key: str, block):
@@ -959,8 +954,3 @@ def _options_object(cls, key: str, block):
         return cls(**block)
     except TypeError as exc:  # an unknown keyword
         raise ValueError(f"{key}: {exc}") from exc
-
-
-def make_policy(spec: dict):
-    """Build a policy from a declarative config block (CLI plumbing); see ``policy_builder``."""
-    return policy_builder(spec)()

@@ -30,6 +30,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -165,10 +166,10 @@ def _player_config(block: dict) -> simulator.PlayerConfig:
     return simulator.PlayerConfig(channel=channel, **_pick(block, player_keys))
 
 
-def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, build, player: simulator.PlayerConfig):
-    """One grid cell: ``(log, record)``, or the cell's error text; ``build`` is a policy builder."""
+def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, checked, player: simulator.PlayerConfig):
+    """One grid cell: ``(log, record)``, or the cell's error text; it decides with a fresh copy of ``checked``."""
     try:
-        policy = build()
+        policy = dataclasses.replace(checked)  # no policy state crosses cells
         try:
             log = simulator.run_session(manifest, trace, policy, player)
         finally:
@@ -191,15 +192,15 @@ def cmd_simulate(config: dict, args) -> int:
             raise ValueError(f"manifests[{j}] ({manifest_paths[j]}): player.{exc}") from exc
     manifests = list(zip(_dedupe([Path(p).stem for p in manifest_paths]), manifests))
     traces = _load_traces(config, "traces")
-    builders, names = [], []  # every policy entry checked once, before any cell runs
+    policies, names = [], []  # every policy entry checked once, before any cell runs
     for i, spec in enumerate(_list(config, "policies", "policy entries")):
         if not (isinstance(spec, dict) and "id" in spec):
             raise ValueError(f"policies[{i}] must be an object with an 'id', got {spec!r}")
         try:
-            builders.append(abr.policy_builder(spec))  # each cell builds its own policy
+            policy = abr.make_policy(spec)  # an external entry starts no child here
         except (OSError, ValueError) as exc:  # OSError: an mpc_table entry's table file
             raise ValueError(f"policies[{i}] ({spec['id']}): {exc}") from exc
-        policy = builders[-1]()  # an external entry starts no child here
+        policies.append(policy)
         for j, (_, manifest) in enumerate(manifests if hasattr(policy, "check_fits") else ()):
             try:
                 policy.check_fits(manifest)  # a fixed rung, an exact horizon or a table that this manifest takes
@@ -211,15 +212,15 @@ def cmd_simulate(config: dict, args) -> int:
             raise ValueError(f"policies[{i}] ({spec['id']}): name must be a non-empty string without '/', "
                              f"got {name!r}")
         names.append(name)
-    if not manifests or not traces or not builders:
+    if not manifests or not traces or not policies:
         raise ValueError("simulate needs manifests, traces and policies in the config")
 
-    cells = [(m, manifest, t, trace, p, build) for m, manifest in manifests
-             for t, _, trace in traces for p, build in zip(_dedupe(names), builders)]
+    cells = [(m, manifest, t, trace, p, policy) for m, manifest in manifests
+             for t, _, trace in traces for p, policy in zip(_dedupe(names), policies)]
     cell_ids = [f"{m}__{t}__{p}" for m, _, t, _, p, _ in cells]
     if len(set(cell_ids)) < len(cells):  # names holding "__" can join into another cell's id
         raise ValueError(f"two grid cells share the id {next(c for c in cell_ids if cell_ids.count(c) > 1)!r}")
-    work = [(manifest, trace, build, player) for _, manifest, _, trace, _, build in cells]
+    work = [(manifest, trace, policy, player) for _, manifest, _, trace, _, policy in cells]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_cell, *w) for w in work]
@@ -284,6 +285,8 @@ def cmd_qoe(config: dict, args) -> int:
     specs = _list(config, "qoe_models", "model entries") if "qoe_models" in config else [
         {"id": model_id} for model_id in sorted(qoe.MODELS)
     ]
+    if not specs:
+        raise ValueError("qoe_models must hold one or more model entries, got []: nothing to score")
     for i, spec in enumerate(specs):
         if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
             raise ValueError(f"qoe_models[{i}] must be an object with a string 'id', got {spec!r}")
@@ -457,8 +460,8 @@ def cmd_traces(config: dict, args) -> int:
     out_dir = _out_dir(config, args)
     block = _block(config, "traces_ingest")
     checks.known_keys("traces_ingest", block, ("inputs", "window_s", "stride_s", "min_avg_kbps"))
-    if "inputs" not in block:
-        raise ValueError("traces_ingest block needs inputs")
+    if block.get("inputs", []) == []:  # a missing or empty list leaves nothing to window
+        raise ValueError("traces_ingest block needs one or more inputs")
     window_s = checks.positive("window_s", block.get("window_s", 55.0))
     stride_s = checks.positive("stride_s", block.get("stride_s", window_s))
     min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))

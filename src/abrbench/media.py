@@ -84,7 +84,9 @@ class Manifest:
     bool is no number); an int is stored as its float. A matrix of
     floats is checked in one pass of comparisons, anything else one cell
     at a time. A bad value raises ValueError naming its cell as
-    ``segments[i][r]``, both 0-based, and the field.
+    ``segments[i][r]``, both 0-based, and the field. ``ladder_kbps``,
+    derived at construction and not a field, holds the rung bitrates
+    (kb/s) as the float tuple ``check_rungs`` returns.
     """
 
     segment_duration_s: float
@@ -97,7 +99,7 @@ class Manifest:
         for pos, rep in enumerate(self.ladder, start=1):
             if rep.index != pos:
                 raise ValueError(f"ladder indices must be contiguous from 1, got {rep.index} at position {pos}")
-        check_rungs("ladder", [rep.bitrate_kbps for rep in self.ladder])
+        object.__setattr__(self, "ladder_kbps", check_rungs("ladder", [rep.bitrate_kbps for rep in self.ladder]))
         width = len(self.ladder)
         for name in ("sizes", "qualities"):
             rows = getattr(self, name)

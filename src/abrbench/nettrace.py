@@ -192,7 +192,7 @@ def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) 
     stride_s = checks.positive("stride_s", stride_s)
     window_s = checks.positive("window_s", window_s)
     if window_s > trace.duration_s:
-        raise ValueError(f"window {window_s}s longer than trace ({trace.duration_s}s)")
+        raise ValueError(f"window_s {window_s} is longer than the trace ({trace.duration_s}s)")
     end = trace.duration_s + 1e-12  # the last window may end at the trace end, give or take rounding
 
     def fits(w: int) -> bool:  # window w ends inside the trace

@@ -244,7 +244,7 @@ def model_params(model_id: str, params: dict) -> dict:
     coefficients come back as the one ``KsqiParams`` they build, which checks their values.
     """
     if model_id not in MODELS:
-        raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
+        raise ValueError(f"unknown QoE model id {model_id!r}; known: {sorted(MODELS)}")
     checks.known_keys(f"model {model_id}", params, list(_coefficients(model_id)))
     if model_id == "ksqi":
         return {"params": KsqiParams(**params)}
@@ -254,6 +254,6 @@ def model_params(model_id: str, params: dict) -> dict:
 def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -> float:
     """Score ``record`` under the built-in model ``model_id``, with keyword arguments from ``model_params``."""
     if model_id not in MODELS:
-        raise ValueError(f"unknown QoE model {model_id!r}; known: {sorted(MODELS)}")
+        raise ValueError(f"unknown QoE model id {model_id!r}; known: {sorted(MODELS)}")
     return _finite_score(model_id, MODELS[model_id](record, **(params or {})))
 

@@ -443,6 +443,32 @@ def first_bad_manifest_cell(segments):
     return None
 
 
+def rate_based_reference(ladder, pred, strict):
+    """The rate-based rung as a ladder loop: the largest rung whose bitrate is below ``pred`` (``strict``) or at
+    most ``pred``, else rung 1."""
+    best = 1
+    for rep in ladder:
+        if (rep.bitrate_kbps < pred) if strict else (rep.bitrate_kbps <= pred):
+            best = rep.index
+    return best
+
+
+def buffer_based_reference(ladder, buffer_s, reservoir_s, cushion_s):
+    """The buffer-based rung as a ladder loop: rung 1 up to the reservoir, the top rung from reservoir + cushion
+    on, and between them the largest rung not above the bitrate interpolated between the ladder's extremes."""
+    if buffer_s <= reservoir_s:
+        return 1
+    if buffer_s >= reservoir_s + cushion_s:
+        return ladder[-1].index
+    r_min, r_max = ladder[0].bitrate_kbps, ladder[-1].bitrate_kbps
+    target = r_min + (buffer_s - reservoir_s) / cushion_s * (r_max - r_min)
+    best = 1
+    for rep in ladder:
+        if rep.bitrate_kbps <= target:
+            best = rep.index
+    return best
+
+
 def table_bin_reference(edges, value):
     """The bin of ``value`` by ``np.searchsorted``, out-of-range values clamped to the edge bins."""
     i = int(np.searchsorted(np.asarray(edges), value, side="right")) - 1

@@ -41,9 +41,11 @@ from abrbench.qoe import KsqiParams
 from conftest import mpc_table_cells
 from oracles import (
     best_completions,
+    buffer_based_reference,
     buffer_walk,
     mpc_enumerate,
     mpc_objective,
+    rate_based_reference,
     rdos_enumerate,
     rdos_objective,
     table_bin_reference,
@@ -193,6 +195,51 @@ def test_buffer_based_scale_invariance():
     scaled = tuple(Representation(r.index, r.width, r.height, r.bitrate_kbps * 11.0) for r in ladder)
     for buf in (0.0, 5.0, 7.5, 10.0, 12.0, 15.0, 40.0):
         assert buffer_based(buf, ladder) == buffer_based(buf, scaled)
+
+
+# --- rate- and buffer-based picks against the ladder loops ----------------------
+
+@st.composite
+def small_manifests(draw):
+    """A two-segment manifest over a drawn ladder of 1-13 strictly increasing rungs."""
+    rates = sorted(draw(st.lists(st.floats(min_value=1.0, max_value=1e5), min_size=1, max_size=13, unique=True)))
+    ladder = tuple(Representation(i + 1, 16, 9, r) for i, r in enumerate(rates))
+    return Manifest(4.0, ladder, [[r * 4000.0 for r in rates]] * 2, [[50.0] * len(rates)] * 2)
+
+
+def _near(value):
+    """``value`` and its two float neighbours, where a comparison with it flips."""
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+@given(small_manifests(), st.booleans(), st.data())
+def test_rate_based_pick_equals_the_ladder_loop(manifest, strict, data):
+    rates = manifest.ladder_kbps
+    pred = data.draw(st.one_of(
+        st.sampled_from([x for r in rates for x in _near(r)]),  # at a rung bitrate, < and <= differ
+        st.floats(min_value=1e-3, max_value=rates[0], exclude_max=True),  # below the lowest rung
+        st.floats(min_value=rates[-1], max_value=1e12, exclude_min=True),  # above the highest
+        st.floats(min_value=rates[0], max_value=rates[-1]),
+    ))
+    got = abr.RateBasedPolicy(window=1, strict=strict).select(state_for(manifest, history=[pred]))
+    assert got == rate_based_reference(manifest.ladder, pred, strict)
+
+
+@given(small_manifests(), st.data())
+def test_buffer_based_pick_equals_the_ladder_loop(manifest, data):
+    rates = manifest.ladder_kbps
+    reservoir_s = data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0)))
+    cushion_s = data.draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0),
+                                    st.floats(min_value=5e-324, max_value=1e-300)))  # 1/cushion overflows
+    edges = [*_near(reservoir_s), *_near(reservoir_s + cushion_s)]  # the reservoir and cushion edges
+    # buffers whose interpolated target lands on a rung bitrate, up to rounding
+    at_rungs = [reservoir_s + (r - rates[0]) / (rates[-1] - rates[0]) * cushion_s for r in rates[1:-1]]
+    buffer_s = data.draw(st.one_of(
+        st.sampled_from([b for b in edges + at_rungs if b >= 0.0]),
+        st.floats(min_value=0.0, max_value=70.0),
+    ))
+    got = abr.BufferBasedPolicy(reservoir_s, cushion_s).select(state_for(manifest, buffer_s=buffer_s))
+    assert got == buffer_based_reference(manifest.ladder, buffer_s, reservoir_s, cushion_s)
 
 
 # --- MPC ---------------------------------------------------------------------
@@ -1342,19 +1389,19 @@ def test_make_policy_registry():
 
 
 
-def test_policy_builders_pickle(tmp_path):
-    # simulate --jobs sends each cell's policy builder, checked once, to a worker process
+def test_checked_policies_pickle_and_copy(tmp_path):
+    # simulate --jobs sends each cell's policy, checked once, to a worker process, which decides with a copy of it
     table = tmp_path / "t.bin"
     save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2)), table)
     specs = [{"id": "fixed", "rep_index": 5}, {"id": "rate_based"}, {"id": "buffer_based"}, {"id": "rdos"},
              {"id": "mpc_exact", "params": {"horizon": 3}}, {"id": "mpc_table", "table": str(table)},
              {"id": "external", "command": ["policy"]}]
     for spec in specs:
-        build = pickle.loads(pickle.dumps(abr.policy_builder(spec)))
-        if spec["id"] == "mpc_table":  # the builder carries the table it read
-            assert np.array_equal(build().table.entries, load_table(table).entries)
+        policy = dataclasses.replace(pickle.loads(pickle.dumps(make_policy(spec))))
+        if spec["id"] == "mpc_table":  # the policy carries the table it read
+            assert np.array_equal(policy.table.entries, load_table(table).entries)
         else:  # an external policy starts no child until its first decision
-            assert vars(build()) == vars(make_policy(spec))
+            assert vars(policy) == vars(make_policy(spec))
 
 
 def test_policy_classes_check_their_own_fields():
@@ -1392,7 +1439,7 @@ def test_policy_parameter_fields_are_checked_for_type(build, name):
 @pytest.mark.parametrize("kind", abr.POLICIES)
 def test_policy_options_are_their_class_fields(kind):
     with pytest.raises(ValueError, match="unknown key 'bogus'") as err:
-        abr.policy_builder({"id": kind, "bogus": 1})
+        make_policy({"id": kind, "bogus": 1})
     keys = {"id", "name", *(f.name for f in dataclasses.fields(abr.POLICIES[kind]))}
     keys |= {"ksqi"} if kind == "rdos" else set()  # the block of rdos's params
     assert f"expected one of {sorted(keys)}" in str(err.value)
@@ -1406,8 +1453,7 @@ def test_external_policy_options_are_checked_before_any_child_starts(monkeypatch
     for bad in ([], "python policy.py", ["python", 3]):
         with pytest.raises(ValueError, match="command must be a non-empty list of strings"):
             ExternalPolicy(bad)
-    build = abr.policy_builder({"id": "external", "command": ["policy"], "lookahead": 2})
-    policy = build()
+    policy = make_policy({"id": "external", "command": ["policy"], "lookahead": 2})
     assert policy.lookahead == 2 and started == []
     assert "_proc" not in {f.name for f in dataclasses.fields(policy)}  # never a config option
     policy.close()  # before any decision: nothing to close

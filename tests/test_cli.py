@@ -394,6 +394,32 @@ def test_qoe_refuses_a_records_dir_with_nothing_to_score(tmp_path, capsys, kind)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, block, key",
+    [("qoe", None, "qoe_models"), ("traces", {"inputs": []}, "inputs"), ("traces", {"window_s": 40}, "inputs")],
+    ids=["qoe_models", "inputs", "no_inputs"],
+)
+def test_an_empty_input_list_is_refused_before_any_output(tmp_path, capsys, command, block, key):
+    # an empty qoe_models wrote a header-only qoe_scores.csv, an empty inputs an empty trace_index.csv: both exit 0
+    config = {"out_dir": str(tmp_path / "out")}
+    if command == "qoe":
+        manifests, traces = write_inputs(tmp_path)
+        config["records_dir"] = str(tmp_path / "sim" / "records")
+        sim = {"manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}],
+               "out_dir": str(tmp_path / "sim")}
+        (tmp_path / "sim.json").write_text(json.dumps(sim))
+        assert run(["simulate", "--config", tmp_path / "sim.json"]) == 0
+        config["qoe_models"] = []
+    else:
+        config["traces_ingest"] = block
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"abrbench {command}: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_subjective_names_the_file_and_line_of_an_out_of_range_rating(tmp_path, capsys):
     # RatingsMatrix refused it as "ratings must lie in [0, 100]", naming neither
     ratings, anchors = make_subjective_fixture(tmp_path)
@@ -626,7 +652,7 @@ def test_traces_windows_every_input_before_writing_any(tmp_path, capsys):
     cfg = tmp_path / "traces.json"
     cfg.write_text(json.dumps({"traces_ingest": block, "out_dir": str(tmp_path / "out")}))
     assert run(["traces", "--config", cfg]) == 2
-    assert f"inputs[1] ({short}): window 55.0s longer than trace (20.0s)" in capsys.readouterr().err
+    assert f"inputs[1] ({short}): window_s 55.0 is longer than the trace (20.0s)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1326,6 +1352,54 @@ def test_simulate_reads_an_mpc_table_once_before_any_cell(tmp_path, monkeypatch)
     monkeypatch.setattr(abr, "load_table", lambda path: reads.append(path) or load(path))
     assert run(["simulate", "--config", cfg]) == 0
     assert reads == [str(table)]
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_simulate_names_the_table_key_of_a_table_that_is_not_a_file(tmp_path, capsys, kind):
+    # these read "[Errno 2] No such file or directory" and "[Errno 21] Is a directory", naming no key
+    table = tmp_path / "t.bin"
+    if kind == "directory":
+        table.mkdir()
+    cfg = write_table_config(tmp_path, table)
+    assert run(["simulate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"abrbench simulate: policies[1] (mpc_table): table file not found: {table}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_builds_each_policy_entry_once_before_its_first_cell(tmp_path, monkeypatch):
+    # each entry was built twice before any cell ran: once to check it, once more for check_fits
+    table = tmp_path / "t.bin"
+    abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(4, 4)), table)
+    cfg = write_table_config(tmp_path, table, n_traces=2)
+    built = {"rate_based": 0, "mpc_table": 0}
+
+    def counted(kind, check):
+        def post_init(self):
+            built[kind] += 1
+            check(self)
+        return post_init
+
+    for kind in built:
+        monkeypatch.setattr(abr.POLICIES[kind], "__post_init__", counted(kind, abr.POLICIES[kind].__post_init__))
+    before_cells, run_cell = [], cli._run_cell
+    monkeypatch.setattr(cli, "_run_cell", lambda *a: before_cells.append(dict(built)) or run_cell(*a))
+    assert run(["simulate", "--config", cfg]) == 0
+    assert before_cells[0] == {"rate_based": 1, "mpc_table": 1}
+    assert built == {"rate_based": 3, "mpc_table": 3}  # and one fresh copy per cell
+
+
+def test_simulate_gives_each_cell_of_an_external_entry_its_own_child(tmp_path, monkeypatch):
+    script = tmp_path / "rung2.py"
+    script.write_text("import sys\nfor line in sys.stdin:\n    print(2, flush=True)\n")
+    manifests, traces = write_inputs(tmp_path, n_traces=2)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifests": manifests, "traces": traces, "out_dir": str(tmp_path / "out"),
+                               "policies": [{"id": "external", "command": [sys.executable, str(script)]}]}))
+    children, popen = [], abr.subprocess.Popen
+    monkeypatch.setattr(abr.subprocess, "Popen", lambda *a, **k: children.append(popen(*a, **k)) or children[-1])
+    assert run(["simulate", "--config", cfg]) == 0
+    assert len(children) == 2 and children[0] is not children[1]
+    assert [child.returncode for child in children] == [0, 0]  # each closed and reaped by its own cell
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -113,6 +115,16 @@ def test_manifest_stores_float_tuples():
     assert all(type(x) is float for rows in (m.sizes, m.qualities) for row in rows for x in row)
     assert all(type(rows) is tuple and all(type(row) is tuple for row in rows) for rows in (m.sizes, m.qualities))
     assert m == media.Manifest(4.0, ladder, m.sizes, m.qualities)
+
+
+def test_manifest_keeps_its_checked_rung_bitrates_outside_its_fields():
+    m = media.parse_manifest(json.dumps({**_minimal_doc(), "ladder": [
+        {"index": 1, "width": 320, "height": 180, "bitrate_kbps": 235}]}))
+    assert m.ladder_kbps == media.check_rungs("ladder", [r.bitrate_kbps for r in m.ladder]) == (235.0,)
+    assert type(m.ladder_kbps[0]) is float
+    assert [f.name for f in dataclasses.fields(media.Manifest)] == ["segment_duration_s", "ladder", "sizes", "qualities"]
+    copied = dataclasses.replace(pickle.loads(pickle.dumps(m)))  # how a --jobs worker and a copy see it
+    assert copied == m and copied.ladder_kbps == m.ladder_kbps
 
 
 def _minimal_doc():

@@ -16,10 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "abrbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
-# the benchmark's traced run wraps abr.make_policy by name (the row is in perfbench/worker.py::_patch_table),
-# so only a change to the benchmark itself can drop that row and then the name
-UNREACHED_ON_PURPOSE = {"abr.make_policy"}
-
 
 def _definitions(module: str, tree: ast.Module):
     """(qualified name, definition node, the use kinds that reach it) of each public top-level
@@ -50,9 +46,4 @@ def unreached_names() -> list[str]:
 
 
 def test_every_public_name_is_reached_by_the_package_or_a_script():
-    assert sorted(set(unreached_names()) - UNREACHED_ON_PURPOSE) == []
-
-
-def test_the_names_kept_on_purpose_are_still_unreached():
-    # once a kept name gains a caller or goes, it leaves UNREACHED_ON_PURPOSE too
-    assert UNREACHED_ON_PURPOSE <= set(unreached_names())
+    assert unreached_names() == []
