@@ -35,20 +35,16 @@ from .abr import (
     BufferBasedPolicy,
     ExternalPolicy,
     FixedPolicy,
-    LookupTable,
     MpcExactPolicy,
-    MpcObjectiveParams,
     MpcTablePolicy,
     RateBasedPolicy,
-    RdosParams,
     RdosPolicy,
-    TableBinning,
     arithmetic_mean_predict,
-    build_mpc_table,
     harmonic_mean_predict,
     make_policy,
     mpc_select_exact,
 )
+from .search import LookupTable, MpcObjectiveParams, RdosParams, TableBinning, build_mpc_table
 from .qoe import KsqiParams, evaluate
 from .stats import (
     build_significance_matrix,

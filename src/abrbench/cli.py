@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import abr, checks, media, nettrace, qoe, simulator, stats, subjective
+from . import abr, checks, media, nettrace, qoe, search, simulator, stats, subjective
 
 
 def _read_text(path: str, what: str) -> str:
@@ -260,14 +260,13 @@ def cmd_mpc_table(config: dict, args) -> int:
     binning_keys = ("tput_bins", "buffer_bins", "tput_max_kbps", "max_buffer_s")
     objective_keys = ("lambda_switch", "mu_rebuf", "horizon", "rtt_s", "max_buffer_s")
     checks.known_keys("mpc_table", block, binning_keys + objective_keys + ("segment_duration_s", "ladder_kbps"))
-    binning = abr.TableBinning(**_pick(block, binning_keys))
-    params = abr.MpcObjectiveParams(**_pick(block, objective_keys))
+    binning = search.TableBinning(**_pick(block, binning_keys))
+    params = search.MpcObjectiveParams(**_pick(block, objective_keys))
     segment_duration_s = checks.positive("segment_duration_s", block.get("segment_duration_s", 4.0))
-    rungs = block.get("ladder_kbps", [r.bitrate_kbps for r in media.ladder_default()])  # null is refused
-    ladder_kbps = abr.check_table(binning, rungs, params.horizon)
+    ladder_kbps = search.check_table(binning, block.get("ladder_kbps", search.DEFAULT_LADDER_KBPS), params.horizon)
     cell_count = binning.tput_bins * binning.buffer_bins * len(ladder_kbps)
     print(f"cells: {cell_count} ({binning.tput_bins}x{binning.buffer_bins}x{len(ladder_kbps)})")
-    # through the module and with ``progress`` unset: perfbench's traced run wraps it to time every bin
+    # through ``abr`` and with ``progress`` unset: perfbench's traced run wraps it there to time every bin
     table = abr.build_mpc_table(params, binning, ladder_kbps=ladder_kbps, segment_duration_s=segment_duration_s,
                                 jobs=args.jobs)
     with _replacing(out_path) as tmp:

@@ -229,11 +229,18 @@ def _memory_constant(name: str, value) -> float:
 _VALUE_CHECKS = {"r_min_kbps": checks.positive, "tau_memory_s": _memory_constant}
 
 
+def _model(model_id: str):
+    """The built-in model ``model_id``; an unknown id is a ValueError listing the known ones."""
+    if model_id not in MODELS:
+        raise ValueError(f"unknown QoE model id {model_id!r}; known: {sorted(MODELS)}")
+    return MODELS[model_id]
+
+
 def _coefficients(model_id: str) -> dict:
     """A built-in model's coefficients and their defaults: ksqi's are ``KsqiParams`` fields, the others' keywords."""
     if model_id == "ksqi":
         return {f.name: f.default for f in fields(KsqiParams)}
-    return {name: p.default for name, p in list(inspect.signature(MODELS[model_id]).parameters.items())[1:]}
+    return {name: p.default for name, p in list(inspect.signature(_model(model_id)).parameters.items())[1:]}
 
 
 def model_params(model_id: str, params: dict) -> dict:
@@ -243,8 +250,6 @@ def model_params(model_id: str, params: dict) -> dict:
     (``_VALUE_CHECKS``) is a ValueError; ``evaluate`` checks nothing, so check once here. ksqi's
     coefficients come back as the one ``KsqiParams`` they build, which checks their values.
     """
-    if model_id not in MODELS:
-        raise ValueError(f"unknown QoE model id {model_id!r}; known: {sorted(MODELS)}")
     checks.known_keys(f"model {model_id}", params, list(_coefficients(model_id)))
     if model_id == "ksqi":
         return {"params": KsqiParams(**params)}
@@ -253,7 +258,5 @@ def model_params(model_id: str, params: dict) -> dict:
 
 def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -> float:
     """Score ``record`` under the built-in model ``model_id``, with keyword arguments from ``model_params``."""
-    if model_id not in MODELS:
-        raise ValueError(f"unknown QoE model id {model_id!r}; known: {sorted(MODELS)}")
-    return _finite_score(model_id, MODELS[model_id](record, **(params or {})))
+    return _finite_score(model_id, _model(model_id)(record, **(params or {})))
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from abrbench import abr, media, nettrace
+from abrbench import media, nettrace, search
 
 
 class ScriptedPolicy:
@@ -43,10 +43,10 @@ def random_trace(rng: random.Random, n_segments=None, ms_aligned=True):
 
 
 def mpc_table_cells(
-    params: abr.MpcObjectiveParams,
-    binning: abr.TableBinning,
+    params: search.MpcObjectiveParams,
+    binning: search.TableBinning,
     cells,
-    ladder_kbps=None,
+    ladder_kbps=search.DEFAULT_LADDER_KBPS,
     segment_duration_s: float = 4.0,
 ) -> dict[tuple[int, int, int], int]:
     """Compute selected table cells without building the full table.
@@ -58,7 +58,7 @@ def mpc_table_cells(
     audits a table against the exact per-state decision through the table
     builder's own per-bin solver.
     """
-    ladder_kbps = abr.check_table(binning, ladder_kbps, params.horizon)
+    ladder_kbps = search.check_table(binning, ladder_kbps, params.horizon)
     bounds = (("tput_bin", 0, binning.tput_bins - 1), ("buffer_bin", 0, binning.buffer_bins - 1),
               ("prev_rep", 1, len(ladder_kbps)))
 
@@ -79,6 +79,6 @@ def mpc_table_cells(
     rows: dict[tuple[int, int], np.ndarray] = {}
     for ti, bis in by_tput.items():
         bis_sorted = sorted(bis)
-        block = abr._table_bin(ladder_kbps, segment_duration_s, params, tput_centers[ti], buffer_centers[bis_sorted])
+        block = search._table_bin(ladder_kbps, segment_duration_s, params, tput_centers[ti], buffer_centers[bis_sorted])
         rows.update(((ti, bi), row) for bi, row in zip(bis_sorted, block))
     return {(ti, bi, prev): int(rows[(ti, bi)][prev - 1]) for ti, bi, prev in cells}

@@ -19,24 +19,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abrbench import abr, media
+from abrbench import abr, media, search
 from abrbench.abr import (
     AbrState,
     ExternalPolicy,
+    arithmetic_mean_predict,
+    harmonic_mean_predict,
+    make_policy,
+    mpc_select_exact,
+)
+from abrbench.media import Manifest, Representation
+from abrbench.qoe import KsqiParams
+from abrbench.search import (
     LookupTable,
     MpcObjectiveParams,
     RdosParams,
     TableBinning,
-    arithmetic_mean_predict,
     build_mpc_table,
-    harmonic_mean_predict,
     load_table,
-    make_policy,
-    mpc_select_exact,
     save_table,
 )
-from abrbench.media import Manifest, Representation
-from abrbench.qoe import KsqiParams
 
 from conftest import mpc_table_cells
 from oracles import (
@@ -381,7 +383,7 @@ def test_enumeration_kernel_order_and_stalls_match_buffer_walk():
             return values[code] - stall_acc
 
         zero = np.zeros((1, 1))
-        best = abr._enumerate(buffers, dt_by_pos, seg, cap, (zero, zero), step, score)
+        best = search._enumerate(buffers, dt_by_pos, seg, cap, (zero, zero), step, score)
         assert len(seen) == len(buffers) * n**h
         for i, b0 in enumerate(buffers):
             expect = [-math.inf] * n
@@ -413,11 +415,11 @@ def test_exact_decisions_never_hold_a_full_tree_array():
 
 def decision_call(monkeypatch, decide):
     """The arguments of the one ``_enumerate`` call behind ``decide()``."""
-    enumerate_ = abr._enumerate
+    enumerate_ = search._enumerate
     calls = []
-    monkeypatch.setattr(abr, "_enumerate", lambda *args, **kw: calls.append((args, kw)) or enumerate_(*args, **kw))
+    monkeypatch.setattr(search, "_enumerate", lambda *args, **kw: calls.append((args, kw)) or enumerate_(*args, **kw))
     decide()
-    monkeypatch.setattr(abr, "_enumerate", enumerate_)
+    monkeypatch.setattr(search, "_enumerate", enumerate_)
     (call,) = calls
     return call
 
@@ -454,9 +456,9 @@ def test_objectives_never_write_into_their_arguments(monkeypatch):
             def pure_score(acc, score=score):
                 return score(tuple(map(read_only, acc)))
 
-            got = abr._enumerate(rows, dt_by_pos, seg, cap, tuple(map(read_only, acc)), pure_step, pure_score,
+            got = search._enumerate(rows, dt_by_pos, seg, cap, tuple(map(read_only, acc)), pure_step, pure_score,
                                  **kwargs)
-            expect = abr._enumerate(rows, dt_by_pos, seg, cap, acc, step, score, **kwargs)
+            expect = search._enumerate(rows, dt_by_pos, seg, cap, acc, step, score, **kwargs)
             assert got.tobytes() == expect.tobytes()
             horizons.add(len(dt_by_pos))
     assert horizons == {1, 2, 3, 4, 5}
@@ -539,17 +541,17 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
                 (RdosParams(**rdos, **common), rdos_objective, lambda s, p: abr.RdosPolicy(p).select(s)),
             ):
                 args, kwargs = decision_call(monkeypatch, lambda: decide(st_, params))
-                pruner = abr._Pruner(np.asarray(args[0]), *args[1:], **kwargs)
+                pruner = search._Pruner(np.asarray(args[0]), *args[1:], **kwargs)
                 best = best_completions(objective, st_, tput, params)
                 checked, below = assert_prefix_floors(pruner, args, [best], h)
                 counts.update({"decision": checked, "decision below": below})
         # the table builder's search at the predicted throughput, from an empty, a middle and a full buffer
         params = MpcObjectiveParams(**mpc, horizon=h, max_buffer_s=cap)
         ladder_kbps = tuple(r.bitrate_kbps for r in m.ladder)
-        args, kwargs = decision_call(monkeypatch, lambda: abr._table_bin(ladder_kbps, 4.0, params, tput,
+        args, kwargs = decision_call(monkeypatch, lambda: search._table_bin(ladder_kbps, 4.0, params, tput,
                                                                          [0.0, cap / 4.0, cap]))
         rows = np.asarray(args[0])
-        pruner = abr._Pruner(rows, *args[1:], **kwargs)
+        pruner = search._Pruner(rows, *args[1:], **kwargs)
         assert pruner.first.shape == (n_reps, n_reps)
         best = [best_completions(mpc_objective, dataclasses.replace(st_, buffer_s=float(b), last_rep=1), tput, params)
                 for b in rows]
@@ -563,7 +565,7 @@ def test_pruned_enumeration_matches_the_full_one(monkeypatch):
     # each decision runs pruned and unpruned: the decisions are equal, every
     # first rung the pruned run scores is bit-identical, and every one it
     # reads -inf could not have been the decision
-    enumerate_ = abr._enumerate
+    enumerate_ = search._enumerate
     calls = []
 
     def both(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, prices=None, first=None):
@@ -577,7 +579,7 @@ def test_pruned_enumeration_matches_the_full_one(monkeypatch):
         calls.append(len(dt_by_pos))
         return pruned
 
-    monkeypatch.setattr(abr, "_enumerate", both)
+    monkeypatch.setattr(search, "_enumerate", both)
     rng = random.Random(5)
     flat = Manifest(4.0, media.ladder_default(),
                     [[r.bitrate_kbps * 4000.0 for r in media.ladder_default()]] * 8, [[70.0] * 13] * 8)
@@ -616,18 +618,18 @@ def test_block_fold_matches_oracles_and_the_unpruned_search(monkeypatch):
     # MPC and RDOS decisions at h = 1..5 and table slabs as the default blocks
     # and the unpruned search do, bit for bit, and find the oracles' decisions
     # and best scores; no block holds more than the cap unless it is one choice
-    enumerate_, default_cap = abr._enumerate, abr._FOLD_ENTRIES
+    enumerate_, default_cap = search._enumerate, search._FOLD_ENTRIES
     blocks, results = [], []
 
     def small_blocks(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score, **kwargs):
-        search = (buffers, dt_by_pos, seg, max_buffer_s, acc)
+        kernel_args = (buffers, dt_by_pos, seg, max_buffer_s, acc)
         recorded = []
-        got = enumerate_(*search, fold_steps(step, len(dt_by_pos), recorded), score, **kwargs)
-        blocks.extend((len(dt_by_pos[0]), width, entries, abr._FOLD_ENTRIES) for width, entries in recorded)
+        got = enumerate_(*kernel_args, fold_steps(step, len(dt_by_pos), recorded), score, **kwargs)
+        blocks.extend((len(dt_by_pos[0]), width, entries, search._FOLD_ENTRIES) for width, entries in recorded)
         with monkeypatch.context() as patch:
-            patch.setattr(abr, "_FOLD_ENTRIES", default_cap)
-            assert got.tobytes() == enumerate_(*search, step, score, **kwargs).tobytes()
-        full = enumerate_(*search, step, score)
+            patch.setattr(search, "_FOLD_ENTRIES", default_cap)
+            assert got.tobytes() == enumerate_(*kernel_args, step, score, **kwargs).tobytes()
+        full = enumerate_(*kernel_args, step, score)
         scored = np.isfinite(got)
         assert got[scored].tobytes() == full[scored].tobytes()
         first = kwargs["first"]
@@ -635,11 +637,11 @@ def test_block_fold_matches_oracles_and_the_unpruned_search(monkeypatch):
         results.append((got, first))
         return got
 
-    monkeypatch.setattr(abr, "_enumerate", small_blocks)
+    monkeypatch.setattr(search, "_enumerate", small_blocks)
     rng = random.Random(24)
     horizons = collections.Counter()
     for fold_entries in (1, 12, 40, 150):
-        monkeypatch.setattr(abr, "_FOLD_ENTRIES", fold_entries)
+        monkeypatch.setattr(search, "_FOLD_ENTRIES", fold_entries)
         for i in range(10):
             n_reps = rng.randint(2, 5)
             m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=40.0)
@@ -661,7 +663,7 @@ def test_block_fold_matches_oracles_and_the_unpruned_search(monkeypatch):
         # a table slab: four buffer rows, pruned for every previous rung at once
         ladder_kbps = tuple(r.bitrate_kbps for r in m.ladder)
         params = MpcObjectiveParams(**mpc, horizon=5)
-        abr._table_bin(ladder_kbps, 4.0, params, tput, [0.0, 3.0, 7.5, 12.0])
+        search._table_bin(ladder_kbps, 4.0, params, tput, [0.0, 3.0, 7.5, 12.0])
     assert set(horizons) == {1, 2, 3, 4, 5}
     assert all(entries <= cap or width == 1 for _, width, entries, cap in blocks)
     assert any(width == 1 < n for n, width, _, _ in blocks)  # one last choice per block
@@ -673,11 +675,11 @@ def test_default_decisions_fold_their_last_position_in_one_step(monkeypatch):
     # call, so a return to folding one rung at a time fails here
     m = media.synthetic_manifest(segments=10)
     st_ = state_for(m, chunk_index=3, buffer_s=4.0, last_rep=6, history=[3000.0])
-    enumerate_ = abr._enumerate
+    enumerate_ = search._enumerate
     for decide in (lambda: mpc_select_exact(st_, MpcObjectiveParams()), lambda: abr.RdosPolicy().select(st_)):
         blocks = []
-        monkeypatch.setattr(abr, "_enumerate", lambda buffers, dt_by_pos, seg, cap, acc, step, score, **kw: enumerate_(
-            buffers, dt_by_pos, seg, cap, acc, fold_steps(step, len(dt_by_pos), blocks), score, **kw))
+        monkeypatch.setattr(search, "_enumerate", lambda buffers, dt_by_pos, seg, cap, acc, step, score, **kw: (
+            enumerate_(buffers, dt_by_pos, seg, cap, acc, fold_steps(step, len(dt_by_pos), blocks), score, **kw)))
         decide()
         assert [width for width, _ in blocks] == [13]
 
@@ -686,7 +688,7 @@ def test_pruning_engages_on_a_default_ladder_decision(monkeypatch):
     # a looser bound would keep more prefixes and lose the pruned kernel's gain
     m = media.synthetic_manifest(segments=10)
     st_ = state_for(m, chunk_index=3, buffer_s=4.0, last_rep=6, history=[3000.0])
-    keep_ = abr._Pruner.keep
+    keep_ = search._Pruner.keep
     kept = []
 
     def spy(self, d, value, buf, counts):
@@ -695,7 +697,7 @@ def test_pruning_engages_on_a_default_ladder_decision(monkeypatch):
             kept.append(mask.mean())
         return mask, survivors
 
-    monkeypatch.setattr(abr._Pruner, "keep", spy)
+    monkeypatch.setattr(search._Pruner, "keep", spy)
     mpc_select_exact(st_, MpcObjectiveParams())
     abr.RdosPolicy().select(st_)
     assert len(kept) == 2 and max(kept) < 0.6
@@ -705,7 +707,7 @@ def test_pruning_engages_on_a_default_table_bin(monkeypatch):
     # the table search keeps only the prefixes that may win after some previous
     # rung: ~8 % of the depth-3 ones at 6.1 Mb/s, where a floor at the smallest
     # incumbent over previous rungs, less no switch term, would keep ~20 %
-    keep_ = abr._Pruner.keep
+    keep_ = search._Pruner.keep
     kept = []
 
     def spy(self, d, value, buf, counts):
@@ -714,10 +716,10 @@ def test_pruning_engages_on_a_default_table_bin(monkeypatch):
             kept.append(survivors.sum() / 13**3)
         return mask, survivors
 
-    monkeypatch.setattr(abr._Pruner, "keep", spy)
+    monkeypatch.setattr(search._Pruner, "keep", spy)
     binning = TableBinning()
-    abr._table_bin(abr.check_table(binning, None, 5), 4.0, MpcObjectiveParams(), binning.tput_centers()[30],
-                   binning.buffer_centers())
+    ladder_kbps = search.check_table(binning, search.DEFAULT_LADDER_KBPS, 5)
+    search._table_bin(ladder_kbps, 4.0, MpcObjectiveParams(), binning.tput_centers()[30], binning.buffer_centers())
     assert len(kept) > 5 and np.mean(kept) < 0.13
 
 
@@ -865,11 +867,11 @@ def test_pruned_table_search_matches_the_full_one(
     threshold = max(dt.max(), horizon * dt.max() - (horizon - 1) * seg)
     buffers = (np.arange(rows) + 0.5) * span * threshold / rows
     assert buffers[0] < threshold <= buffers[-1]
-    step, score, prices, first = abr._mpc_objective(np.array(rates) / 1000.0, horizon, params)
+    step, score, prices, first = search._mpc_objective(rates, horizon, params)
     zero = np.zeros((1, 1))
-    search = (buffers, [dt] * horizon, seg, cap, (zero, zero, zero), step, score)
-    pruned = abr._enumerate(*search, prices=prices, first=first)
-    full = abr._enumerate(*search)
+    kernel_args = (buffers, [dt] * horizon, seg, cap, (zero, zero, zero), step, score)
+    pruned = search._enumerate(*kernel_args, prices=prices, first=first)
+    full = search._enumerate(*kernel_args)
     assert (np.argmax(pruned[:, None, :] + first, axis=2) == np.argmax(full[:, None, :] + first, axis=2)).all()
     scored = np.isfinite(pruned)
     assert pruned[scored].tobytes() == full[scored].tobytes()
@@ -917,7 +919,7 @@ def test_table_lookup_matches_searchsorted(tmp_path, shape):
     for edges, cached, points in ((table.tput_edges, lookup_tput, tput_points),
                                   (table.buffer_edges, lookup_buffer, buffer_points)):
         for x in points:
-            assert abr._bin_index(cached, x) == table_bin_reference(edges, x)
+            assert search._bin_index(cached, x) == table_bin_reference(edges, x)
     m = Manifest(4.0, ladder, [[r.bitrate_kbps * 4000.0 for r in ladder]] * 2, [[50.0] * n] * 2)
     policy = abr.MpcTablePolicy(table)
     for k, (tput, buffer_s) in enumerate(itertools.product(tput_points, buffer_points)):
@@ -1059,8 +1061,8 @@ def test_table_parallel_build_matches_serial():
 
 def test_table_size_limits_are_checked_before_any_build():
     # the limits, not a size one past them, are accepted; nothing is built to check them
-    abr.check_table(TableBinning(tput_bins=1000, buffer_bins=10_000), [300], 64)  # 10^7 cells, 1^64 sequences
-    abr.check_table(TableBinning(), None, 6)  # 13^6 = 4,826,809 sequences
+    search.check_table(TableBinning(tput_bins=1000, buffer_bins=10_000), [300], 64)  # 10^7 cells, 1^64 sequences
+    search.check_table(TableBinning(), search.DEFAULT_LADDER_KBPS, 6)  # 13^6 = 4,826,809 sequences
     for binning, n_reps, horizon, key in (
         (TableBinning(tput_bins=1000, buffer_bins=10_001), 1, 1, "tput_bins x buffer_bins x ladder rungs"),
         (TableBinning(), 13, 7, "horizon 7"),
@@ -1068,7 +1070,7 @@ def test_table_size_limits_are_checked_before_any_build():
         (TableBinning(), 2, 10**12, "horizon 1000000000000"),  # refused before 2^h is formed
     ):
         with pytest.raises(ValueError, match=re.escape(key)):
-            abr.check_table(binning, list(range(1, n_reps + 1)), horizon)
+            search.check_table(binning, list(range(1, n_reps + 1)), horizon)
     with pytest.raises(ValueError, match="horizon 7"):
         build_mpc_table(MpcObjectiveParams(horizon=7), TableBinning(tput_bins=1, buffer_bins=1))
 
@@ -1077,6 +1079,38 @@ def test_a_table_is_not_built_with_manifest_sizes():
     # a table has no manifest: it built the entries of use_manifest_sizes=False and wrote "true" into its header
     with pytest.raises(ValueError, match="use_manifest_sizes must be false"):
         build_mpc_table(MpcObjectiveParams(horizon=3, use_manifest_sizes=True), TableBinning(tput_bins=3, buffer_bins=4))
+
+
+def test_a_table_header_with_manifest_sizes_is_refused_naming_its_path(tmp_path):
+    # build_mpc_table refused use_manifest_sizes=True, but a saved header edited to say true loaded
+    path = tmp_path / "table.bin"
+    save_table(build_mpc_table(MpcObjectiveParams(horizon=1), TableBinning(tput_bins=2, buffer_bins=2)), path)
+    header, blob = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    path.write_bytes(json.dumps({**doc, "params": {**doc["params"], "use_manifest_sizes": True}}).encode() + b"\n"
+                     + blob)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: use_manifest_sizes must be false for a table")):
+        load_table(path)
+
+
+@pytest.mark.parametrize(
+    "segment_duration_s, sizes, message",
+    [
+        (math.nan, False, "segment_duration_s must be finite and > 0, got nan"),
+        (math.inf, False, "segment_duration_s must be finite and > 0, got inf"),
+        (0, False, "segment_duration_s must be finite and > 0, got 0"),
+        (-4.0, False, "segment_duration_s must be finite and > 0, got -4.0"),
+        (True, False, "segment_duration_s must be finite and > 0, got True"),
+        (4.0, True, "use_manifest_sizes must be false for a table"),
+    ],
+    ids=["nan", "inf", "zero", "negative", "true", "manifest_sizes"],
+)
+def test_build_mpc_table_checks_its_arguments_before_any_bin(monkeypatch, segment_duration_s, sizes, message):
+    # nan raised ZeroDivisionError in the fold; -4.0 and True built every bin before LookupTable refused them
+    monkeypatch.setattr(search, "_table_bin", lambda *args, **kwargs: pytest.fail("a bin was solved"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_mpc_table(MpcObjectiveParams(horizon=2, use_manifest_sizes=sizes),
+                        TableBinning(tput_bins=20, buffer_bins=20), segment_duration_s=segment_duration_s)
 
 
 def test_load_table_refuses_an_empty_ladder(tmp_path):
@@ -1136,7 +1170,7 @@ def test_table_pool_runs_from_a_script_without_main_guard(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(
         "import numpy as np\n"
-        "from abrbench.abr import MpcObjectiveParams, TableBinning, build_mpc_table\n"
+        "from abrbench import MpcObjectiveParams, TableBinning, build_mpc_table\n"
         "binning = TableBinning(tput_bins=4, buffer_bins=5, tput_max_kbps=9000.0)\n"
         "params = MpcObjectiveParams(horizon=2)\n"
         "serial = build_mpc_table(params, binning)\n"

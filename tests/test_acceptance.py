@@ -18,15 +18,13 @@ import pytest
 from abrbench import media, qoe, stats, subjective
 from abrbench.abr import (
     BufferBasedPolicy,
-    MpcObjectiveParams,
     RateBasedPolicy,
-    RdosParams,
     RdosPolicy,
-    TableBinning,
     mpc_select_exact,
 )
 from abrbench.media import Manifest, Representation
 from abrbench.nettrace import ChannelConfig, Trace, download_time
+from abrbench.search import MpcObjectiveParams, RdosParams, TableBinning
 from abrbench.simulator import PlayerConfig, buffer_step, run_session, to_record
 from abrbench.abr import AbrState, FixedPolicy
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abrbench import abr, cli, media, nettrace, qoe, simulator, stats, subjective
+from abrbench import abr, cli, media, nettrace, qoe, search, simulator, stats, subjective
 
 
 def write_inputs(tmp_path, n_manifests=1, n_traces=1, segments=6):
@@ -204,11 +204,11 @@ def test_mpc_table_build_and_reload(tmp_path):
     cfg.write_text(json.dumps(config))
     assert run(["mpc-table", "--config", cfg]) == 0
     path = tmp_path / "out" / "mpc_table.bin"
-    table = abr.load_table(path)
+    table = search.load_table(path)
     assert table.entries.shape == (6, 5, 13)
-    rebuilt = abr.build_mpc_table(
-        abr.MpcObjectiveParams(horizon=2),
-        abr.TableBinning(tput_bins=6, buffer_bins=5, tput_max_kbps=8000.0),
+    rebuilt = search.build_mpc_table(
+        search.MpcObjectiveParams(horizon=2),
+        search.TableBinning(tput_bins=6, buffer_bins=5, tput_max_kbps=8000.0),
     )
     assert np.array_equal(table.entries, rebuilt.entries)
     # rebuild through the CLI is byte-identical
@@ -224,7 +224,7 @@ def test_mpc_table_default_geometry_reported(tmp_path, capsys):
     # default binning announces the full 100x100x13 = 130,000 cells
     # before building; build itself is exercised on reduced binning
     config = {"mpc_table": {"tput_bins": 100, "buffer_bins": 100}, "out_dir": str(tmp_path)}
-    binning = abr.TableBinning()
+    binning = search.TableBinning()
     assert binning.tput_bins * binning.buffer_bins * 13 == 130_000
     assert len(binning.tput_edges()) == 101
     assert binning.tput_centers()[0] == pytest.approx(100.0)
@@ -872,9 +872,10 @@ def test_policy_classes_reject_what_simulate_rejects(spec, key):
     options = {k: v for k, v in spec.items() if k != "id"}
     with pytest.raises((TypeError, ValueError), match=key):  # TypeError: a keyword the class does not take
         if spec["id"] == "mpc_exact" and "params" in options:
-            options["params"] = abr._options_object(abr.MpcObjectiveParams, "params", options["params"])
+            options["params"] = abr._options_object(search.MpcObjectiveParams, "params", options["params"])
         elif spec["id"] == "rdos":
-            options["params"] = abr.RdosParams(qoe.KsqiParams(**options.pop("ksqi", {})), **options.get("params", {}))
+            ksqi = qoe.KsqiParams(**options.pop("ksqi", {}))
+            options["params"] = search.RdosParams(ksqi, **options.get("params", {}))
         abr.POLICIES[spec["id"]](**options)  # an external policy's options are checked before its child starts
 
 
@@ -916,6 +917,7 @@ def test_simulate_accepts_integers_where_numbers_are_expected(tmp_path):
         ("ladder_kbps", [500, 300]),  # wrote an artifact that no manifest's ladder fits
         ("ladder_kbps", [300, 300]),
         ("ladder_kbps", []),  # failed in numpy: "zero-size array to reduction operation maximum"
+        ("ladder_kbps", None),  # built the reference ladder's table
     ],
 )
 def test_mpc_table_rejects_mistyped_values(tmp_path, capsys, key, value):
@@ -1345,11 +1347,11 @@ def write_table_config(tmp_path, table, n_traces=1):
 
 def test_simulate_reads_an_mpc_table_once_before_any_cell(tmp_path, monkeypatch):
     table = tmp_path / "t.bin"
-    abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(4, 4)), table)
+    search.save_table(search.build_mpc_table(search.MpcObjectiveParams(horizon=1), search.TableBinning(4, 4)), table)
     cfg = write_table_config(tmp_path, table, n_traces=3)
     reads = []
-    load = abr.load_table
-    monkeypatch.setattr(abr, "load_table", lambda path: reads.append(path) or load(path))
+    load = search.load_table
+    monkeypatch.setattr(search, "load_table", lambda path: reads.append(path) or load(path))
     assert run(["simulate", "--config", cfg]) == 0
     assert reads == [str(table)]
 
@@ -1369,7 +1371,7 @@ def test_simulate_names_the_table_key_of_a_table_that_is_not_a_file(tmp_path, ca
 def test_simulate_builds_each_policy_entry_once_before_its_first_cell(tmp_path, monkeypatch):
     # each entry was built twice before any cell ran: once to check it, once more for check_fits
     table = tmp_path / "t.bin"
-    abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(4, 4)), table)
+    search.save_table(search.build_mpc_table(search.MpcObjectiveParams(horizon=1), search.TableBinning(4, 4)), table)
     cfg = write_table_config(tmp_path, table, n_traces=2)
     built = {"rate_based": 0, "mpc_table": 0}
 
@@ -1410,7 +1412,8 @@ def test_simulate_rejects_a_bad_mpc_table_before_any_cell(tmp_path, capsys, head
     # a missing table failed every cell with exit 1; a list header failed each with an AttributeError
     table = tmp_path / "t.bin"
     if header == "short":
-        abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(2, 2)), table)
+        built = search.build_mpc_table(search.MpcObjectiveParams(horizon=1), search.TableBinning(2, 2))
+        search.save_table(built, table)
         table.write_bytes(table.read_bytes()[:-1])
     elif header is not None:
         table.write_bytes(header)
@@ -1427,10 +1430,10 @@ def test_simulate_rejects_a_bad_mpc_table_before_any_cell(tmp_path, capsys, head
 def test_simulate_rejects_an_mpc_table_built_for_other_manifests(tmp_path, capsys, segment_duration_s, rungs):
     # a 1 s table drove the 4 s manifest with exit 0
     table = tmp_path / "t.bin"
-    built = abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(2, 2),
+    built = search.build_mpc_table(search.MpcObjectiveParams(horizon=1), search.TableBinning(2, 2),
                                 ladder_kbps=[r.bitrate_kbps for r in media.ladder_default()[:rungs]],
                                 segment_duration_s=segment_duration_s)
-    abr.save_table(built, table)
+    search.save_table(built, table)
     cfg = write_table_config(tmp_path, table)
     assert run(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err

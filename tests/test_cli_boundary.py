@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abrbench import abr, cli, media, nettrace, qoe
+from abrbench import abr, cli, media, nettrace, qoe, search
 
 from test_cli import write_stats_inputs
 
@@ -38,9 +38,9 @@ ENTRY_FIELDS = {
     "fixed": ["rep_index"],
     "rate_based": ["window", "strict"],
     "buffer_based": ["reservoir_s", "cushion_s"],
-    "mpc_exact": ["params", *(("params", f.name) for f in dataclasses.fields(abr.MpcObjectiveParams))],
+    "mpc_exact": ["params", *(("params", f.name) for f in dataclasses.fields(search.MpcObjectiveParams))],
     "mpc_table": ["table"],
-    "rdos": ["params", "ksqi", *(("params", f.name) for f in dataclasses.fields(abr.RdosParams)),
+    "rdos": ["params", "ksqi", *(("params", f.name) for f in dataclasses.fields(search.RdosParams)),
              *(("ksqi", f.name) for f in dataclasses.fields(qoe.KsqiParams))],
 }
 PLAYER_KEYS = ["rtt_s", "loop_trace", "max_buffer_s", "initial_rep", "drop_first_chunk"]
@@ -72,7 +72,8 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     (root / "manifest.json").write_text(media.serialize_manifest(media.synthetic_manifest(segments=10)))
     (root / "trace.csv").write_text(nettrace.serialize_trace(nettrace.Trace(((0.0, 3000.0),), 100.0)))
-    abr.save_table(abr.build_mpc_table(abr.MpcObjectiveParams(horizon=1), abr.TableBinning(2, 2)), root / "t.bin")
+    table = search.build_mpc_table(search.MpcObjectiveParams(horizon=1), search.TableBinning(2, 2))
+    search.save_table(table, root / "t.bin")
     sim = {"manifests": [str(root / "manifest.json")], "traces": [str(root / "trace.csv")],
            "policies": [{"id": "rate_based"}, {"id": "buffer_based"}, {"id": "fixed", "rep_index": 13}]}
     (root / "simulate.json").write_text(json.dumps(sim))
