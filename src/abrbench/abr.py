@@ -40,7 +40,8 @@ from .search import LookupTable, MpcObjectiveParams, RdosParams, build_mpc_table
 class AbrState:
     """Decision inputs before each chunk download; samples are checked where read (``_recent``).
 
-    ``throughput_history_kbps``: one sample (kb/s) per earlier chunk, any float sequence.
+    ``chunk_index`` (1..segment count) and ``last_rep`` (1..ladder rungs) are integers, not bools;
+    ``buffer_s`` is finite and >= 0. ``throughput_history_kbps``: one sample (kb/s) per earlier chunk, any float sequence.
     ``run_session`` passes a read-only ``memoryview`` of its sample buffer, not a copy, its length
     fixed at construction; ``len``, indexing, negative slices, iteration and truth act as on a tuple.
     """
@@ -52,10 +53,18 @@ class AbrState:
     manifest: Manifest
 
     def __post_init__(self):
-        if not 0.0 <= self.buffer_s < math.inf:
-            raise ValueError(f"buffer_s must be finite and >= 0, got {self.buffer_s!r}")
-        if not 1 <= self.last_rep <= len(self.manifest.ladder):
-            raise ValueError(f"last_rep {self.last_rep} not in ladder")
+        chunk, rep, manifest = self.chunk_index, self.last_rep, self.manifest
+        # one chained comparison on the fast path: ``run_session`` builds a state per chunk
+        if not (type(chunk) is int and type(rep) is int and 1 <= chunk <= len(manifest.sizes)
+                and 1 <= rep <= len(manifest.ladder) and 0.0 <= self.buffer_s < math.inf):
+            checks.count("chunk_index", chunk)  # an integer (numpy's too) and no bool
+            checks.count("last_rep", rep)
+            if chunk > manifest.segment_count:
+                raise ValueError(f"chunk_index {chunk} not in the manifest (1..{manifest.segment_count})")
+            if rep > len(manifest.ladder):
+                raise ValueError(f"last_rep {rep} not in ladder (1..{len(manifest.ladder)})")
+            if not 0.0 <= self.buffer_s < math.inf:
+                raise ValueError(f"buffer_s must be finite and >= 0, got {self.buffer_s!r}")
 
     @property
     def remaining_chunks(self) -> int:
@@ -220,15 +229,7 @@ class MpcTablePolicy:
 
 @dataclass(frozen=True)
 class RdosPolicy:
-    """Exhaustive perceptual-objective decision, ties toward the lower rung.
-
-    The objective is the mean KSQI-style quality over the horizon minus
-    the mean penalty, minus ``gamma_rate`` per Mb/s of chosen bitrate.
-    Stalls are predicted with the same buffer recursion as MPC; each
-    stall is charged against the quality on screen when it hits, and
-    every quality switch (including the one from the previously played
-    chunk) pays the asymmetric adaptation penalty.
-    """
+    """Exhaustive perceptual-objective decision, ties toward the lower rung; ``RdosParams`` states its objective."""
 
     params: RdosParams = RdosParams()
 

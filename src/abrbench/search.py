@@ -40,10 +40,15 @@ from .qoe import KsqiParams
 class MpcObjectiveParams:
     """Weights of the bitrate-centric MPC objective.
 
-    ``mu_rebuf`` defaults to the top ladder rate in Mb/s so a second of
-    stalling can never be bought by one chunk of extra bitrate. Weights
-    and ``rtt_s`` must be finite and >= 0, ``max_buffer_s`` finite and
-    > 0, ``horizon`` and ``prediction_window`` integers >= 1.
+    The objective is the ``yin2015`` QoE model (``qoe.qoe_yin2015``) of
+    the record whose first chunk is the one just played, followed by the
+    horizon with its predicted stalls, less the played chunk's Mb/s:
+    ``lambda_switch`` is the model's ``lam`` and ``mu_rebuf`` its ``mu``
+    (there is no startup term). ``mu_rebuf`` defaults to the top ladder
+    rate in Mb/s so a second of stalling can never be bought by one
+    chunk of extra bitrate. Weights and ``rtt_s`` must be finite and
+    >= 0, ``max_buffer_s`` finite and > 0, ``horizon`` and
+    ``prediction_window`` integers >= 1.
     """
 
     lambda_switch: float = 1.0
@@ -61,13 +66,21 @@ class MpcObjectiveParams:
 
 @dataclass(frozen=True)
 class RdosParams:
-    """Perceptual-objective policy parameters.
+    """Perceptual-objective (RDOS) policy parameters.
 
-    The objective is the KSQI-style horizon score minus ``gamma_rate``
-    per Mb/s of chosen bitrate, encouraging bitrate saving. Chunk sizes
-    and qualities come from the manifest attributes by default since
-    the manifest embeds both per chunk. Fields are checked as in
-    ``MpcObjectiveParams``.
+    The objective is the ``ksqi`` QoE model (``qoe.qoe_ksqi``, with
+    ``ksqi`` its ``KsqiParams``) of the record whose first chunk is the
+    one just played, followed by the h horizon chunks with their
+    predicted stalls, scored over the horizon: (the model's score x
+    (h + 1) - the played quality) / h, that is the mean horizon quality
+    less the mean penalty. Each stall is predicted by the buffer
+    recursion MPC uses and charged against the quality on screen when
+    it hits; every quality switch, the one from the played chunk
+    included, pays the asymmetric adaptation penalty. ``gamma_rate`` is
+    then charged per Mb/s of chosen bitrate, encouraging bitrate saving.
+    Chunk sizes and qualities come from the manifest attributes by
+    default since the manifest embeds both per chunk. Fields are checked
+    as in ``MpcObjectiveParams``.
     """
 
     ksqi: KsqiParams = field(default_factory=KsqiParams)
@@ -94,10 +107,16 @@ def _check_horizon_params(params) -> None:
 
 def _download_times(params, ladder_kbps, seg: float, h: int, tput: float, sizes=None) -> np.ndarray:
     """Download times (s) by [position, rung] over ``h`` positions at ``tput`` kb/s: size / (tput x 1000) + rtt_s,
-    with ``sizes`` (bits) by [position, rung], or when None the nominal ones, each rung bitrate times ``seg``."""
+    with ``sizes`` (bits) by [position, rung], or when None the nominal ones, each rung bitrate times ``seg``.
+
+    A ``tput`` that is not finite and > 0 (a harmonic mean of subnormal samples rounds to 0.0), or so small that a
+    download time overflows (a subnormal one), is refused before anything is divided."""
     if sizes is None:
         sizes = [[r * 1000.0 * seg for r in ladder_kbps]] * h
-    return np.array(sizes) / (tput * 1000.0) + params.rtt_s
+    sizes, rate = np.array(sizes), tput * 1000.0  # bits and bits per second
+    if not (0.0 < rate < math.inf and float(sizes.max()) / rate < math.inf):
+        raise ValueError(f"predicted throughput must be finite and > 0 with finite download times, got {tput!r} kb/s")
+    return sizes / rate + params.rtt_s
 
 
 def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
@@ -331,8 +350,9 @@ def _mpc_objective(ladder_kbps, h: int, params: MpcObjectiveParams, previous=sli
 
 def _rdos_objective(manifest, chunk_index: int, last_rep: int, dt_by_pos, params: RdosParams):
     """RDOS's objective over ``dt_by_pos``'s horizon from chunk ``chunk_index`` (1-based) of ``manifest``, after
-    rung ``last_rep`` was played (see ``abr.RdosPolicy``): the switch from the played chunk is a position-0 term, so
-    ``first`` is one row of zeros, and its one price is the chord of the stall term's log1p."""
+    rung ``last_rep`` was played: the ``ksqi`` model over the played chunk and the horizon, less the bitrate term (see
+    ``RdosParams``). The switch from the played chunk is a position-0 term, so ``first`` is one row of zeros, and
+    its one price is the chord of the stall term's log1p."""
     kp = params.ksqi
     h, n = dt_by_pos.shape
     first = chunk_index - 1

@@ -143,103 +143,38 @@ def rdos_objective(choices, state, predicted_tput, params):
     return q_acc / h - pen / h - params.gamma_rate * rate_acc
 
 
-def mpc_enumerate(state, params, predicted_tput):
-    """Exhaustive MPC: best first rung by scanning every sequence.
-
-    Mirrors the documented objective with straight Python loops;
-    lexicographic enumeration keeps ties on the lowest first element.
-    """
-    ladder = state.manifest.ladder
-    seg = state.manifest.segment_duration_s
-    n = len(ladder)
+def _scan(objective, state, predicted_tput, params):
+    """Every 1-based choice sequence of the (end-truncated) horizon with its ``objective``, in lexicographic order."""
+    n = len(state.manifest.ladder)
     h = min(params.horizon, state.remaining_chunks)
-    rates = [r.bitrate_kbps / 1000.0 for r in ladder]
-    if params.use_manifest_sizes:
-        first = state.chunk_index - 1
-        sizes = [[state.manifest.sizes[first + k][r.index - 1] for r in ladder] for k in range(h)]
-    else:
-        nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
-        sizes = [nominal] * h
-    best = None
-    best_choice = None
-    last_rate = rates[state.last_rep - 1]
-    for seq in itertools.product(range(n), repeat=h):
-        rate_acc = 0.0
-        sw_inner = 0.0
-        stall_acc = 0.0
-        b = state.buffer_s
-        prev = None
-        for k, c in enumerate(seq):
-            dt = sizes[k][c] / (predicted_tput * 1000.0) + params.rtt_s
-            stall_acc += max(dt - b, 0.0)
-            b = min(b - min(b, dt) + seg, params.max_buffer_s)
-            rate_acc += rates[c]
-            if k > 0:
-                sw_inner += abs(rates[c] - prev)
-            prev = rates[c]
-        score = (rate_acc - params.lambda_switch * sw_inner) - params.mu_rebuf * stall_acc
-        score = score - params.lambda_switch * abs(rates[seq[0]] - last_rate)
-        if best is None or score > best:
-            best = score
-            best_choice = seq[0]
-    return best_choice + 1, best
+    for seq in itertools.product(range(1, n + 1), repeat=h):
+        yield seq, objective(seq, state, predicted_tput, params)
+
+
+def _best_first(objective, state, predicted_tput, params):
+    """First choice and score of the best sequence; ``max`` keeps the first of equal scores, the lowest first choice."""
+    seq, value = max(_scan(objective, state, predicted_tput, params), key=lambda scored: scored[1])
+    return seq[0], value
+
+
+def mpc_enumerate(state, params, predicted_tput):
+    """Exhaustive MPC: best first rung and score of :func:`mpc_objective` over every sequence."""
+    return _best_first(mpc_objective, state, predicted_tput, params)
 
 
 def rdos_enumerate(state, params, predicted_tput):
-    """Exhaustive RDOS objective scan (same conventions as the library)."""
-    manifest = state.manifest
-    ladder = manifest.ladder
-    seg = manifest.segment_duration_s
-    kp = params.ksqi
-    n = len(ladder)
-    h = min(params.horizon, state.remaining_chunks)
-    first = state.chunk_index - 1
-    rates = [r.bitrate_kbps / 1000.0 for r in ladder]
-    if params.use_manifest_sizes:
-        sizes = [[manifest.sizes[first + k][r.index - 1] for r in ladder] for k in range(h)]
-    else:
-        nominal = [r.bitrate_kbps * 1000.0 * seg for r in ladder]
-        sizes = [nominal] * h
-    q_start = manifest.qualities[max(first - 1, 0)][state.last_rep - 1]
-    best = None
-    best_choice = None
-    for seq in itertools.product(range(n), repeat=h):
-        q_acc = 0.0
-        pen = 0.0
-        rate_acc = 0.0
-        b = state.buffer_s
-        q_prev = q_start
-        for k, c in enumerate(seq):
-            q = manifest.qualities[first + k][c]
-            dt = sizes[k][c] / (predicted_tput * 1000.0) + params.rtt_s
-            stall = max(dt - b, 0.0)
-            b = min(b - min(b, dt) + seg, params.max_buffer_s)
-            if stall > 0:
-                pen += kp.c0 * np.log1p(stall) * (kp.c1 + kp.c2 * (100.0 - q_prev))
-            delta = q - q_prev
-            pen += kp.beta_neg * max(-delta, 0.0) + kp.beta_pos * max(delta, 0.0)
-            q_acc += q
-            rate_acc += rates[c]
-            q_prev = q
-        score = q_acc / h - pen / h - params.gamma_rate * rate_acc
-        if best is None or score > best:
-            best = score
-            best_choice = seq[0]
-    return best_choice + 1, best
+    """Exhaustive RDOS: best first rung and score of :func:`rdos_objective` over every sequence."""
+    return _best_first(rdos_objective, state, predicted_tput, params)
 
 
 def best_completions(objective, state, predicted_tput, params):
     """Best ``objective`` over the completions of every proper prefix, keyed by the prefix (1-based choices).
 
-    ``objective`` is :func:`mpc_objective` or :func:`rdos_objective`; one
-    scan scores every sequence of the (end-truncated) horizon.
+    ``objective`` is :func:`mpc_objective` or :func:`rdos_objective`.
     """
-    n = len(state.manifest.ladder)
-    h = min(params.horizon, state.remaining_chunks)
     best = {}
-    for seq in itertools.product(range(1, n + 1), repeat=h):
-        value = objective(seq, state, predicted_tput, params)
-        for d in range(1, h):
+    for seq, value in _scan(objective, state, predicted_tput, params):
+        for d in range(1, len(seq)):
             if value > best.get(seq[:d], -math.inf):
                 best[seq[:d]] = value
     return best

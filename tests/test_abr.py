@@ -13,13 +13,14 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abrbench import abr, media, search
+from abrbench import abr, media, qoe, search
 from abrbench.abr import (
     AbrState,
     ExternalPolicy,
@@ -39,6 +40,7 @@ from abrbench.search import (
     load_table,
     save_table,
 )
+from abrbench.simulator import SessionRecord
 
 from conftest import mpc_table_cells
 from oracles import (
@@ -724,11 +726,12 @@ def test_pruning_engages_on_a_default_table_bin(monkeypatch):
 
 
 @st.composite
-def random_ladder_states(draw):
-    """A state on a random 2-5-rung ladder with jittered sizes and arbitrary qualities."""
+def random_ladder_states(draw, min_segments=1):
+    """A state on a random 2-5-rung ladder of ``min_segments``..10 segments, with jittered sizes and arbitrary
+    qualities."""
     n_reps = draw(st.integers(min_value=2, max_value=5))
     rates = sorted(draw(st.lists(st.floats(100.0, 20000.0), min_size=n_reps, max_size=n_reps, unique=True)))
-    segments = draw(st.integers(min_value=1, max_value=10))
+    segments = draw(st.integers(min_value=min_segments, max_value=10))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     ladder = tuple(Representation(i + 1, 320 * (i + 1), 180 * (i + 1), r) for i, r in enumerate(rates))
     cells = [[(r * 4000.0 * rng.uniform(0.8, 1.2), rng.uniform(0.0, 100.0)) for r in rates] for _ in range(segments)]
@@ -758,6 +761,49 @@ def test_enumeration_kernel_matches_oracles(state, horizon, lambda_switch, mu_re
         assert mpc_select_exact(state, params) == mpc_enumerate(state, params, tput)[0]
     rdos = RdosParams(gamma_rate=gamma_rate, horizon=horizon)
     assert abr.RdosPolicy(rdos).select(state) == rdos_enumerate(state, rdos, tput)[0]
+
+
+# the objectives and the models add the same terms in different orders, so they agree to rounding, not bit for bit
+MODEL_TOLERANCE = 1e-12
+
+
+@given(random_ladder_states(min_segments=6), st.sampled_from((5, 4, 3, 2, 1)), st.booleans(), st.floats(4.0, 60.0),
+       st.integers(min_value=0, max_value=2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_exact_objectives_are_the_qoe_models(state, horizon, manifest_sizes, cap, seed, data):
+    # MPC's objective is yin2015 (lam = lambda_switch, mu = mu_rebuf) and RDOS's is ksqi less gamma_rate per Mb/s,
+    # each over the record whose first chunk is the one just played, followed by the horizon, with each predicted
+    # stall at the start of its chunk: a drawn rung sequence folded through a real decision's own step and score
+    # scores what the model gives, within MODEL_TOLERANCE x max(1, |model score|)
+    mpc, rdos = random_weights(random.Random(seed))
+    common = {"horizon": horizon, "max_buffer_s": cap, "use_manifest_sizes": manifest_sizes}
+    m, first = state.manifest, state.chunk_index - 1
+    played_q, played_kbps = m.qualities[max(first - 1, 0)][state.last_rep - 1], m.ladder_kbps[state.last_rep - 1]
+    for params, decide in ((MpcObjectiveParams(**mpc, **common), mpc_select_exact),
+                           (RdosParams(**rdos, **common), lambda s, p: abr.RdosPolicy(p).select(s))):
+        with pytest.MonkeyPatch.context() as patch:
+            args, kwargs = decision_call(patch, lambda: decide(state, params))
+        buffers, dt_by_pos, seg = args[:3]
+        h, n = dt_by_pos.shape
+        seq = data.draw(st.lists(st.integers(min_value=1, max_value=n), min_size=h, max_size=h))
+        score = prefix_scores(args, h)[0][0, sum((c - 1) * n ** (h - 1 - k) for k, c in enumerate(seq))]
+        _, stalls = buffer_walk(buffers[0], [dt_by_pos[k][c - 1] for k, c in enumerate(seq)], seg, cap)
+        record = SessionRecord(
+            segment_duration_s=seg,
+            qualities=(played_q, *(m.qualities[first + k][c - 1] for k, c in enumerate(seq))),
+            bitrates_kbps=(played_kbps, *(m.ladder_kbps[c - 1] for c in seq)),
+            stalls=tuple(((k + 1) * seg, stall) for k, stall in enumerate(stalls) if stall > 0),
+            startup_delay_s=0.0,
+        )
+        if isinstance(params, RdosParams):
+            model = qoe.qoe_ksqi(record, params.ksqi)
+            expect = (model * (h + 1) - played_q) / h - params.gamma_rate * sum(m.ladder_kbps[c - 1] / 1000.0
+                                                                                  for c in seq)
+        else:
+            model = qoe.qoe_yin2015(record, params.lambda_switch, params.mu_rebuf)
+            score += kwargs["first"][0, seq[0] - 1]  # the switch from the played chunk
+            expect = model - played_kbps / 1000.0
+        assert abs(score - expect) <= MODEL_TOLERANCE * max(1.0, abs(model))
 
 
 def test_table_extreme_cells():
@@ -1408,6 +1454,37 @@ def test_state_rejects_bad_buffer_or_rung():
     for bad in (0, 14):
         with pytest.raises(ValueError, match="last_rep"):
             state_for(m, last_rep=bad)
+    assert state_for(m, chunk_index=np.int64(5), last_rep=np.int64(13)).remaining_chunks == 1  # numpy edges are valid
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("chunk_index", 0), ("chunk_index", -3), ("chunk_index", 11), ("chunk_index", 2.5), ("chunk_index", True),
+    ("last_rep", 6.0), ("last_rep", 2.5), ("last_rep", True),
+])
+def test_state_checks_its_chunk_and_rung(field, bad):
+    # a chunk_index of 0 or -3 let MPC decide, 11 or 2.5 failed inside the search; a last_rep of 6.0 or 2.5
+    # failed inside the policies, and True decided as rung 1
+    with pytest.raises(ValueError, match=f"^{field} "):
+        state_for(media.synthetic_manifest(segments=10), **{field: bad})
+
+
+@pytest.mark.parametrize("tput, decides", [(5e-324, False), (1e-320, False), (1e-300, True)])
+def test_a_throughput_that_overflows_the_plan_is_refused(tput, decides):
+    # 5e-324 and 1e-320 kb/s make the download times overflow, and two such samples make the harmonic mean
+    # 0.0: each used to warn and then raise ZeroDivisionError in the kernel; 1e-300 plans finite times
+    m = media.synthetic_manifest(segments=10)
+    given = state_for(m, chunk_index=3, buffer_s=9.5, last_rep=6)
+    history = state_for(m, chunk_index=3, buffer_s=9.5, last_rep=6, history=[tput, tput])
+    decisions = (lambda: mpc_select_exact(given, MpcObjectiveParams(), predicted_tput=tput),
+                 lambda: abr.MpcExactPolicy().select(history), lambda: abr.RdosPolicy().select(history))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for decide in decisions:
+            if decides:
+                assert decide() in range(1, 14)
+            else:
+                with pytest.raises(ValueError, match="^predicted throughput must be finite and > 0 with finite"):
+                    decide()
 
 
 def test_make_policy_registry():

@@ -4,7 +4,9 @@
 table; ``abr`` holds the state, the predictors and the policies, and
 imports ``search``. ``search`` importing ``abr`` or ``cli`` would make
 the two one module again, and a moved name defined a second time in
-``abr`` would be a second copy of the search.
+``abr`` would be a second copy of the search. ``tests/oracles.py``
+imports no ``abrbench`` module: an oracle that calls the library
+would check the library against itself.
 """
 
 import ast
@@ -60,6 +62,12 @@ def test_search_imports_neither_abr_nor_cli():
 def test_abr_defines_none_of_the_search_names():
     assert defined_names(_tree("abr")) & MOVED == set()
     assert MOVED <= defined_names(_tree("search"))
+
+
+def test_the_oracles_import_no_abrbench_module():
+    oracles = Path(__file__).with_name("oracles.py")
+    modules = {"abrbench"} | {path.stem for path in PACKAGE.glob("*.py")}
+    assert imported_modules(ast.parse(oracles.read_text(), str(oracles))) & modules == set()
 
 
 def test_the_guards_see_an_import_and_a_definition():
