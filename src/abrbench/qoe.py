@@ -63,9 +63,11 @@ def _quality_before(record: SessionRecord, position_s: float) -> float:
     """Quality on screen when a stall at ``position_s`` begins.
 
     A stall at a segment boundary charges the segment just finished; a
-    stall before anything played charges the first segment.
+    stall before anything played charges the first segment. A position
+    within 1e-9 segment of a boundary is that boundary: a multiple of a
+    segment duration such as 0.3 or 1.1 s may divide back to just above it.
     """
-    idx = max(0, math.ceil(position_s / record.segment_duration_s) - 1)
+    idx = max(0, math.ceil(position_s / record.segment_duration_s - 1e-9) - 1)
     return record.qualities[min(idx, record.segment_count - 1)]
 
 

@@ -119,28 +119,10 @@ def _download_times(params, ladder_kbps, seg: float, h: int, tput: float, sizes=
     return sizes / rate + params.rtt_s
 
 
-def _constant_scores(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, step, score) -> np.ndarray:
-    """Score, per (row, choice), of the sequence that keeps that choice at every position.
-
-    Each sequence goes through ``step`` and ``score`` with the operations
-    ``_enumerate`` applies to it, so its score is the kernel's, bit for
-    bit. Position 0 steps choice c from the root (previous index 0),
-    every later one from c itself.
-    """
-    c = np.arange(dt_by_pos.shape[1])
-    p = np.zeros_like(c)
-    b = buffers[:, None]
-    for k, dt in enumerate(dt_by_pos):
-        acc = step(k, p, c, np.maximum(dt - b, 0.0), acc)
-        b = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
-        p = c
-    return np.broadcast_to(score(acc), (len(b), len(c)))
-
-
 class _Pruner:
     """The prefix test ``_enumerate`` runs for its ``prices`` and ``first`` matrix (see there)."""
 
-    def __init__(self, buffers, dt_by_pos, seg: float, max_buffer_s: float, acc, step, score, *, prices, first):
+    def __init__(self, buf, acc, dt_by_pos, seg: float, max_buffer_s: float, step, score, *, prices, first):
         h, n = dt_by_pos.shape
         self.prices, self.first, self.seg, self.h = prices, first, seg, h
         c, zero = np.arange(n), np.zeros((1, 1, 1))
@@ -154,8 +136,12 @@ class _Pruner:
         self.completion = {h: np.zeros((len(self.prices), n))}
         for k in range(h - 1, 1, -1):
             self.completion[k] = (paid[:, k - 2] + self.completion[k + 1][:, None, :]).max(axis=2)
-        constant = _constant_scores(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score)
-        self.incumbent = (constant[:, None, :] + self.first).max(axis=2)  # per (row, previous choice)
+        # the sequences that keep choice c at every position, continued from their depth-2 prefixes (c, c): ``buf``
+        # and ``acc`` (rows x choice), through the kernel's operations, so each score is the kernel's, bit for bit
+        for k in range(2, h):
+            acc = step(k, c, c, np.maximum(dt_by_pos[k] - buf, 0.0), acc)
+            buf = np.minimum(buf - np.minimum(buf, dt_by_pos[k]) + seg, max_buffer_s)
+        self.incumbent = (score(acc)[:, None, :] + self.first).max(axis=2)  # per (row, previous choice)
         scale = (1.0 + np.abs(self.incumbent).max(axis=1) + np.abs(gains).max(axis=(1, 2)).sum()
                  + np.abs(self.first).max() + prices.max() * (dt_by_pos.max(axis=1).sum() + max_buffer_s + h * seg))
         self.margin = 1e-9 * scale
@@ -231,11 +217,13 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     entries, and at least one. So a fold block exceeds that cap only
     when one choice does, and no other array holds more than rows x
     n^(h-1) entries, or one per stall price and prefix while bounding
-    prefixes. The prefix bound's set-up calls ``step`` the same way for
-    the constant-choice sequences, and with ``k`` an index array too for
-    the stall-free terms of positions 2..h-1. ``step`` and ``score`` are
-    pure: they write into none of their arguments. Each sequence still
-    adds its terms in position order, so its score is that of a
+    prefixes. The prefix bound is set up after position 1 from the
+    growth's own (c, c) prefixes: it steps those constant-choice
+    sequences on through positions 2..h-1 as (rows, choice) arrays, and
+    calls ``step`` with ``k`` an index array too for the stall-free
+    terms of positions 2..h-1. ``step`` and ``score`` are pure: they
+    write into none of their arguments. Each sequence still adds its
+    terms in position order, so its score is that of a
     per-sequence loop, bit for bit, and the lowest first choice that
     reaches a row's maximum is the first choice of the lexicographically
     first best sequence.
@@ -281,8 +269,6 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
     buf = np.asarray(buffers, dtype=np.float64)[:, None]
     rows = len(buf)
     pruner = None
-    if first is not None and h > 3:  # depths 2..h-1 are pruned
-        pruner = _Pruner(buf[:, 0], dt_by_pos, seg, max_buffer_s, acc, step, score, prices=prices, first=first)
     rungs = np.arange(n)
     last = rungs[:1]  # each prefix's last choice; the root's is 0
     counts = np.ones(n, dtype=np.intp)  # prefixes per first choice
@@ -293,7 +279,10 @@ def _enumerate(buffers, dt_by_pos, seg: float, max_buffer_s: float, acc: tuple, 
         buf = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s).reshape(rows, -1)
         counts = counts * n if k else counts
         children = np.arange(buf.shape[1])  # (parent, last choice) ordered
-        if pruner is not None and k:
+        if k == 1 and first is not None and h > 3:  # depths 2..h-1 are pruned; (c, c) is column c x (n + 1)
+            pruner = _Pruner(buf[:, rungs * (n + 1)], tuple(a[:, rungs * (n + 1)] for a in acc), dt_by_pos, seg,
+                             max_buffer_s, step, score, prices=prices, first=first)
+        if pruner is not None:
             kept, counts = pruner.keep(k + 1, score(acc), buf, counts)
             children = np.flatnonzero(kept)
             buf, *acc = (x.take(children, axis=1) for x in (buf, *acc))

@@ -180,6 +180,24 @@ def best_completions(objective, state, predicted_tput, params):
     return best
 
 
+def constant_scores(buffers, dt_by_pos, seg, max_buffer_s, acc, step, score):
+    """Score, per (row, choice), of the sequence that keeps that choice at every position, walked from the root.
+
+    ``buffers``, ``dt_by_pos``, ``acc``, ``step`` and ``score`` are an
+    ``_enumerate`` call's. Position 0 steps choice c from the root
+    (previous index 0), every later one from c itself, with the
+    operations the kernel applies to that sequence.
+    """
+    c = np.arange(dt_by_pos.shape[1])
+    p = np.zeros_like(c)
+    b = np.asarray(buffers, dtype=np.float64)[:, None]
+    for k, dt in enumerate(dt_by_pos):
+        acc = step(k, p, c, np.maximum(dt - b, 0.0), acc)
+        b = np.minimum(b - np.minimum(b, dt) + seg, max_buffer_s)
+        p = c
+    return np.broadcast_to(score(acc), (len(b), len(c)))
+
+
 def wilcoxon_exact_enumeration(diff):
     """Two-sided exact signed-rank p by brute force over all sign patterns."""
     diff = [d for d in diff if d != 0.0]
@@ -429,9 +447,11 @@ def _quality_before(record, position_s: float) -> float:
     """Quality on screen when a stall at ``position_s`` begins.
 
     A stall at a segment boundary charges the segment just finished; a
-    stall before anything played charges the first segment.
+    stall before anything played charges the first segment. A position
+    within 1e-9 segment of a boundary is that boundary: a multiple of a
+    segment duration such as 0.3 or 1.1 s may divide back to just above it.
     """
-    idx = max(0, math.ceil(position_s / record.segment_duration_s) - 1)
+    idx = max(0, math.ceil(position_s / record.segment_duration_s - 1e-9) - 1)
     return record.qualities[min(idx, record.segment_count - 1)]
 
 

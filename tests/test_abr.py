@@ -47,6 +47,7 @@ from oracles import (
     best_completions,
     buffer_based_reference,
     buffer_walk,
+    constant_scores,
     mpc_enumerate,
     mpc_objective,
     rate_based_reference,
@@ -415,15 +416,33 @@ def test_exact_decisions_never_hold_a_full_tree_array():
         assert peak < 8 * 13**5
 
 
+def searches(monkeypatch, run):
+    """Each ``_enumerate`` call behind ``run()``: its arguments and the ``_Pruner`` it built (None if it built none)."""
+    enumerate_, built, calls = search._enumerate, [], []
+
+    class Recorded(search._Pruner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    def spy(*args, **kwargs):
+        built.clear()
+        result = enumerate_(*args, **kwargs)
+        assert len(built) <= 1
+        calls.append((args, kwargs, built[0] if built else None))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_Pruner", Recorded)
+        patch.setattr(search, "_enumerate", spy)
+        run()
+    return calls
+
+
 def decision_call(monkeypatch, decide):
     """The arguments of the one ``_enumerate`` call behind ``decide()``."""
-    enumerate_ = search._enumerate
-    calls = []
-    monkeypatch.setattr(search, "_enumerate", lambda *args, **kw: calls.append((args, kw)) or enumerate_(*args, **kw))
-    decide()
-    monkeypatch.setattr(search, "_enumerate", enumerate_)
-    (call,) = calls
-    return call
+    ((args, kwargs, _),) = searches(monkeypatch, decide)
+    return args, kwargs
 
 
 def read_only(a):
@@ -529,7 +548,7 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
     counts = collections.Counter()
     for i in range(24):
         n_reps = rng.randint(2, 6)
-        h = rng.randint(2, {2: 6, 3: 6, 4: 5, 5: 4, 6: 4}[n_reps])  # at most 1296 sequences
+        h = rng.randint(4, {2: 6, 3: 6, 4: 5, 5: 4, 6: 4}[n_reps])  # pruned (h >= 4), at most 1296 sequences
         m = toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=40.0)
         st_ = state_for(m, chunk_index=rng.randint(1, 9 - h), buffer_s=rng.choice([0.0, rng.uniform(0.0, 30.0)]),
                         last_rep=rng.randint(1, n_reps), history=[math.exp(rng.uniform(4.6, 9.9)) for _ in range(3)])
@@ -542,18 +561,16 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
                 (MpcObjectiveParams(**mpc, **common), mpc_objective, mpc_select_exact),
                 (RdosParams(**rdos, **common), rdos_objective, lambda s, p: abr.RdosPolicy(p).select(s)),
             ):
-                args, kwargs = decision_call(monkeypatch, lambda: decide(st_, params))
-                pruner = search._Pruner(np.asarray(args[0]), *args[1:], **kwargs)
+                ((args, _, pruner),) = searches(monkeypatch, lambda: decide(st_, params))
                 best = best_completions(objective, st_, tput, params)
                 checked, below = assert_prefix_floors(pruner, args, [best], h)
                 counts.update({"decision": checked, "decision below": below})
         # the table builder's search at the predicted throughput, from an empty, a middle and a full buffer
         params = MpcObjectiveParams(**mpc, horizon=h, max_buffer_s=cap)
         ladder_kbps = tuple(r.bitrate_kbps for r in m.ladder)
-        args, kwargs = decision_call(monkeypatch, lambda: search._table_bin(ladder_kbps, 4.0, params, tput,
-                                                                         [0.0, cap / 4.0, cap]))
+        ((args, _, pruner),) = searches(monkeypatch, lambda: search._table_bin(ladder_kbps, 4.0, params, tput,
+                                                                              [0.0, cap / 4.0, cap]))
         rows = np.asarray(args[0])
-        pruner = search._Pruner(rows, *args[1:], **kwargs)
         assert pruner.first.shape == (n_reps, n_reps)
         best = [best_completions(mpc_objective, dataclasses.replace(st_, buffer_s=float(b), last_rep=1), tput, params)
                 for b in rows]
@@ -561,6 +578,43 @@ def test_prefix_bound_never_undercuts_a_prefix_best_completion(monkeypatch):
         counts.update({"table": checked, "table below": below})
     assert counts["decision"] > 5000 and counts["table"] > 5000
     assert counts["decision below"] > 1000 and counts["table below"] > 1000
+
+
+def test_pruner_incumbents_are_the_root_walk_of_constant_sequences(monkeypatch):
+    # the pruner continues each constant sequence from the growth's depth-2
+    # prefix (c, c), and its incumbents equal those of the same sequences
+    # walked from the root, bit for bit: for MPC and RDOS decisions at h = 4
+    # and 5 with nominal and manifest sizes, and for four-row table slabs
+    def assert_root_walk(args, kwargs, pruner):
+        expect = (constant_scores(*args)[:, None, :] + kwargs["first"]).max(axis=2)
+        assert pruner.incumbent.tobytes() == expect.tobytes()
+
+    rng = random.Random(32)
+    counts = collections.Counter()
+    for i in range(24):
+        n_reps = 13 if i % 6 == 0 else rng.randint(2, 7)
+        m = (media.synthetic_manifest(segments=8) if n_reps == 13
+             else toy_manifest(n_reps=n_reps, segments=8, seed=i, quality_jitter=40.0))
+        st_ = state_for(m, chunk_index=rng.randint(1, 4), buffer_s=rng.choice([0.0, rng.uniform(0.0, 30.0)]),
+                        last_rep=rng.randint(1, n_reps), history=[math.exp(rng.uniform(4.6, 9.9)) for _ in range(3)])
+        mpc, rdos = random_weights(rng)
+        h, cap = 4 + i % 2, rng.uniform(8.0, 60.0)
+        for sizes in (False, True):
+            common = {"horizon": h, "max_buffer_s": cap, "use_manifest_sizes": sizes}
+            for params, decide in ((MpcObjectiveParams(**mpc, **common), mpc_select_exact),
+                                   (RdosParams(**rdos, **common), lambda s, p: abr.RdosPolicy(p).select(s))):
+                (call,) = searches(monkeypatch, lambda: decide(st_, params))
+                assert_root_walk(*call)
+                counts[type(params).__name__, h] += 1
+        params = MpcObjectiveParams(**mpc, horizon=h, max_buffer_s=cap)
+        tput = harmonic_mean_predict(st_.throughput_history_kbps, 5)
+        buffers = sorted(rng.uniform(0.0, cap) for _ in range(12))
+        for args, kwargs, pruner in searches(monkeypatch, lambda: search._table_bin(m.ladder_kbps, 4.0, params, tput,
+                                                                                  buffers)):
+            assert_root_walk(args, kwargs, pruner)
+            counts["slab", len(args[0])] += 1
+    assert min(counts[name, h] for name in ("MpcObjectiveParams", "RdosParams") for h in (4, 5)) == 24
+    assert counts["slab", 4] > 24
 
 
 def test_pruned_enumeration_matches_the_full_one(monkeypatch):
@@ -726,17 +780,19 @@ def test_pruning_engages_on_a_default_table_bin(monkeypatch):
 
 
 @st.composite
-def random_ladder_states(draw, min_segments=1):
-    """A state on a random 2-5-rung ladder of ``min_segments``..10 segments, with jittered sizes and arbitrary
-    qualities."""
+def random_ladder_states(draw, min_segments=1, segment_s=st.just(4.0)):
+    """A state on a random 2-5-rung ladder of ``min_segments``..10 segments of a ``segment_s`` duration, with
+    jittered sizes and arbitrary qualities."""
     n_reps = draw(st.integers(min_value=2, max_value=5))
     rates = sorted(draw(st.lists(st.floats(100.0, 20000.0), min_size=n_reps, max_size=n_reps, unique=True)))
     segments = draw(st.integers(min_value=min_segments, max_value=10))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    seg = draw(segment_s)
     ladder = tuple(Representation(i + 1, 320 * (i + 1), 180 * (i + 1), r) for i, r in enumerate(rates))
-    cells = [[(r * 4000.0 * rng.uniform(0.8, 1.2), rng.uniform(0.0, 100.0)) for r in rates] for _ in range(segments)]
+    cells = [[(r * 1000.0 * seg * rng.uniform(0.8, 1.2), rng.uniform(0.0, 100.0)) for r in rates]
+             for _ in range(segments)]
     return state_for(
-        Manifest(4.0, ladder, [[size for size, _ in row] for row in cells], [[q for _, q in row] for row in cells]),
+        Manifest(seg, ladder, [[size for size, _ in row] for row in cells], [[q for _, q in row] for row in cells]),
         chunk_index=draw(st.integers(min_value=1, max_value=segments)),
         buffer_s=draw(st.floats(0.0, 60.0)),
         last_rep=draw(st.integers(min_value=1, max_value=n_reps)),
@@ -767,14 +823,17 @@ def test_enumeration_kernel_matches_oracles(state, horizon, lambda_switch, mu_re
 MODEL_TOLERANCE = 1e-12
 
 
-@given(random_ladder_states(min_segments=6), st.sampled_from((5, 4, 3, 2, 1)), st.booleans(), st.floats(4.0, 60.0),
-       st.integers(min_value=0, max_value=2**32 - 1), st.data())
+@given(random_ladder_states(min_segments=6, segment_s=st.sampled_from((4.0, 1.1, 2.002))),
+       st.sampled_from((5, 4, 3, 2, 1)), st.booleans(), st.floats(4.0, 60.0), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_exact_objectives_are_the_qoe_models(state, horizon, manifest_sizes, cap, seed, data):
+def test_exact_objectives_are_the_qoe_models(state, horizon, manifest_sizes, cap, seed, played, data):
     # MPC's objective is yin2015 (lam = lambda_switch, mu = mu_rebuf) and RDOS's is ksqi less gamma_rate per Mb/s,
-    # each over the record whose first chunk is the one just played, followed by the horizon, with each predicted
-    # stall at the start of its chunk: a drawn rung sequence folded through a real decision's own step and score
-    # scores what the model gives, within MODEL_TOLERANCE x max(1, |model score|)
+    # each over the record that plays the last chunk ``played`` times, then the horizon, with each predicted stall
+    # at the start of its chunk, less what the played chunks add: a drawn rung sequence folded through a real
+    # decision's own step and score scores what the model gives, within MODEL_TOLERANCE x max(1, |model score|).
+    # Stall positions take to_record's arithmetic, (J + 1) x seg - seg before record chunk J, which at 1.1 and
+    # 2.002 s segments rounds just above a boundary for some J
     mpc, rdos = random_weights(random.Random(seed))
     common = {"horizon": horizon, "max_buffer_s": cap, "use_manifest_sizes": manifest_sizes}
     m, first = state.manifest, state.chunk_index - 1
@@ -790,19 +849,19 @@ def test_exact_objectives_are_the_qoe_models(state, horizon, manifest_sizes, cap
         _, stalls = buffer_walk(buffers[0], [dt_by_pos[k][c - 1] for k, c in enumerate(seq)], seg, cap)
         record = SessionRecord(
             segment_duration_s=seg,
-            qualities=(played_q, *(m.qualities[first + k][c - 1] for k, c in enumerate(seq))),
-            bitrates_kbps=(played_kbps, *(m.ladder_kbps[c - 1] for c in seq)),
-            stalls=tuple(((k + 1) * seg, stall) for k, stall in enumerate(stalls) if stall > 0),
+            qualities=(played_q,) * played + tuple(m.qualities[first + k][c - 1] for k, c in enumerate(seq)),
+            bitrates_kbps=(played_kbps,) * played + tuple(m.ladder_kbps[c - 1] for c in seq),
+            stalls=tuple(((played + k + 1) * seg - seg, stall) for k, stall in enumerate(stalls) if stall > 0),
             startup_delay_s=0.0,
         )
         if isinstance(params, RdosParams):
             model = qoe.qoe_ksqi(record, params.ksqi)
-            expect = (model * (h + 1) - played_q) / h - params.gamma_rate * sum(m.ladder_kbps[c - 1] / 1000.0
-                                                                                  for c in seq)
+            expect = ((model * (played + h) - played * played_q) / h
+                      - params.gamma_rate * sum(m.ladder_kbps[c - 1] / 1000.0 for c in seq))
         else:
             model = qoe.qoe_yin2015(record, params.lambda_switch, params.mu_rebuf)
             score += kwargs["first"][0, seq[0] - 1]  # the switch from the played chunk
-            expect = model - played_kbps / 1000.0
+            expect = model - played * played_kbps / 1000.0
         assert abs(score - expect) <= MODEL_TOLERANCE * max(1.0, abs(model))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "abrbench"
 
 MOVED = {
-    "_check_search", "_MAX_SEQUENCES", "_FOLD_ENTRIES", "_constant_scores", "_Pruner", "_enumerate",
+    "_check_search", "_MAX_SEQUENCES", "_FOLD_ENTRIES", "_Pruner", "_enumerate",
     "_PRICE_STEPS", "_mpc_objective", "_rdos_objective", "_decisions",
     "MpcObjectiveParams", "RdosParams", "_check_horizon_params",
     "TableBinning", "LookupTable", "_bin_index", "_SLAB_ROWS", "_MAX_TABLE_CELLS", "check_table", "_table_bin",

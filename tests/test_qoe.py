@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -5,8 +6,9 @@ import sys
 import pytest
 
 from abrbench import qoe
+from abrbench.media import Manifest, Representation
 from abrbench.qoe import KsqiParams, evaluate
-from abrbench.simulator import SessionRecord
+from abrbench.simulator import PlayerConfig, SessionLog, SessionRecord, to_record
 
 
 def rec(qualities, bitrates=None, stalls=(), startup=0.0, seg=4.0):
@@ -195,6 +197,26 @@ def test_ksqi_stall_penalty_scales_with_quality_before():
     pen_good = 90.0 - qoe.qoe_ksqi(good)
     pen_poor = 30.0 - qoe.qoe_ksqi(poor)
     assert pen_poor > pen_good > 0.0
+
+
+@pytest.mark.parametrize("seg", [0.3, 1.1])
+def test_a_stall_charges_the_chunk_just_played_at_any_segment_duration(seg):
+    # to_record writes the stall before each chunk at a multiple of seg
+    # computed in floating point, which at 0.3 and 1.1 s may divide back to
+    # just above its boundary; each stall still charges the chunk just
+    # played, as in the same record at 4 s, whose multiples are exact
+    n = 41
+    qualities = [[10.0 + 2.0 * k] for k in range(n)]  # a different quality for every chunk
+    manifest = Manifest(seg, (Representation(1, 320, 180, 1000.0),), [[1e6 * seg]] * n, qualities)
+    stalls = tuple(((k - 1) * seg, 0.5 + 0.01 * k) for k in range(2, n + 1))  # run_session's, before chunks 2..n
+    log = SessionLog(choices=(1,) * n, download_spans=((0.0, 1.0),) * n, startup_delay_s=0.5, stalls=stalls,
+                     total_wall_time_s=100.0)
+    record = to_record(log, manifest, PlayerConfig())
+    assert len(record.stalls) == record.segment_count == n - 1
+    whole = dataclasses.replace(record, segment_duration_s=4.0,
+                                stalls=tuple((4.0 * j, d) for j, (_, d) in enumerate(record.stalls)))
+    assert qoe.qoe_sqi(record, u1=0.5) == qoe.qoe_sqi(whole, u1=0.5)
+    assert qoe.qoe_ksqi(record) == qoe.qoe_ksqi(whole)
 
 
 # --- registry and shared properties -------------------------------------------
