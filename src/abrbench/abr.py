@@ -284,7 +284,10 @@ class ExternalPolicy:
         line = self._proc.stdout.readline()
         if not line:
             raise RuntimeError(f"external policy {self.command} closed its output")
-        return int(line.strip())
+        try:
+            return int(line)  # int() itself skips surrounding whitespace
+        except ValueError:
+            raise ValueError(f"external policy {self.command} printed {line.strip()!r}, not a rung index") from None
 
     def close(self):
         """Close both pipes and reap the child, which may already have exited; no-op if none started."""
@@ -344,7 +347,5 @@ def _options_object(cls, key: str, block):
     """``cls(**block)``; a block that is not an object, or an unknown key in it, is a ValueError."""
     if not isinstance(block, dict):
         raise ValueError(f"{key} must be an object, got {block!r}")
-    try:
+    with checks.naming(key, TypeError):  # an unknown keyword
         return cls(**block)
-    except TypeError as exc:  # an unknown keyword
-        raise ValueError(f"{key}: {exc}") from exc

@@ -4,11 +4,13 @@ Each check takes a value's name and the value, raises a ``ValueError``
 naming both when the value is not valid, and returns it. Reals come
 back as ``float``, so an integer where a real is expected behaves, and
 is written into artifacts, as the float would. A bool is never a
-number, although Python counts it as an int.
+number, although Python counts it as an int. ``naming`` puts a bad
+input's source (a config key, a file) in front of its error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
@@ -128,3 +130,12 @@ def known_keys(where: str, block: dict, allowed) -> None:
     unknown = [key for key in block if key not in allowed]
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}; expected one of {sorted(allowed)}")
+
+
+@contextlib.contextmanager
+def naming(where: str, errors=ValueError):
+    """A block whose ``errors`` exception is re-raised as ``ValueError(f"{where}: {exc}")``, chained to it."""
+    try:
+        yield
+    except errors as exc:
+        raise ValueError(f"{where}: {exc}") from exc

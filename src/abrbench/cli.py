@@ -78,10 +78,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _load_config(path: str) -> dict:
     text = _read_text(path, "config")
-    try:
+    with checks.naming(f"config {path} is not valid JSON", json.JSONDecodeError):
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must be a JSON object")
     return config
@@ -135,10 +133,8 @@ def _dedupe(names: list[str]) -> list[str]:
 
 def _load_manifest(i: int, path) -> media.Manifest:
     checks.path(f"manifests[{i}]", path)
-    try:
+    with checks.naming(f"manifests[{i}] ({path})"):
         return media.parse_manifest(_read_text(path, "manifest"))
-    except ValueError as exc:
-        raise ValueError(f"manifests[{i}] ({path}): {exc}") from exc
 
 
 def _load_traces(block: dict, key: str) -> list[tuple[str, str, nettrace.Trace]]:
@@ -150,10 +146,8 @@ def _load_traces(block: dict, key: str) -> list[tuple[str, str, nettrace.Trace]]
             raise ValueError(f"{key}[{i}] must be a path or an object with a 'path', got {entry!r}")
         checks.known_keys(f"{key}[{i}]", entry, ("path", "format"))
         text = _read_text(checks.path(f"{key}[{i}] path", entry.get("path")), "trace")
-        try:
+        with checks.naming(f"{key}[{i}] ({entry['path']})"):
             loaded.append((entry["path"], nettrace.parse_trace(text, entry.get("format", "pairs"))))
-        except ValueError as exc:
-            raise ValueError(f"{key}[{i}] ({entry['path']}): {exc}") from exc
     names = _dedupe([Path(path).stem for path, _ in loaded])
     return [(name, path, trace) for name, (path, trace) in zip(names, loaded)]
 
@@ -196,17 +190,12 @@ def cmd_simulate(config: dict, args) -> int:
     for i, spec in enumerate(_list(config, "policies", "policy entries")):
         if not (isinstance(spec, dict) and "id" in spec):
             raise ValueError(f"policies[{i}] must be an object with an 'id', got {spec!r}")
-        try:
+        with checks.naming(f"policies[{i}] ({spec['id']})", (OSError, ValueError)):  # OSError: a table file
             policy = abr.make_policy(spec)  # an external entry starts no child here
-        except (OSError, ValueError) as exc:  # OSError: an mpc_table entry's table file
-            raise ValueError(f"policies[{i}] ({spec['id']}): {exc}") from exc
         policies.append(policy)
         for j, (_, manifest) in enumerate(manifests if hasattr(policy, "check_fits") else ()):
-            try:
+            with checks.naming(f"policies[{i}] ({spec['id']}) cannot play manifests[{j}] ({manifest_paths[j]})"):
                 policy.check_fits(manifest)  # a fixed rung, an exact horizon or a table that this manifest takes
-            except ValueError as exc:
-                where = f"policies[{i}] ({spec['id']}) cannot play manifests[{j}] ({manifest_paths[j]})"
-                raise ValueError(f"{where}: {exc}") from exc
         name = spec.get("name", f"{spec['id']}{i}")
         if not (isinstance(name, str) and name and Path(name).name == name):  # a name is part of file names
             raise ValueError(f"policies[{i}] ({spec['id']}): name must be a non-empty string without '/', "
@@ -280,7 +269,7 @@ def cmd_qoe(config: dict, args) -> int:
     records_dir = _directory(config, "records_dir", str(out_dir / "records"))
     if not records_dir.is_dir():  # a regular file too: globbing it finds nothing to score
         raise FileNotFoundError(f"records directory not found: {records_dir}")
-    models = []  # (entry, checked params, or None for an external model), all checked before any record is scored
+    models = []  # (id, checked params): every entry is checked before any record is scored
     specs = _list(config, "qoe_models", "model entries") if "qoe_models" in config else [
         {"id": model_id} for model_id in sorted(qoe.MODELS)
     ]
@@ -289,37 +278,24 @@ def cmd_qoe(config: dict, args) -> int:
     for i, spec in enumerate(specs):
         if not (isinstance(spec, dict) and isinstance(spec.get("id"), str)):
             raise ValueError(f"qoe_models[{i}] must be an object with a string 'id', got {spec!r}")
-        try:
-            if "command" in spec:  # an external model: its id and its command line only
-                checks.known_keys("an external model", spec, ("id", "command"))
-                checks.command("command", spec["command"])
-                models.append((spec, None))
-            else:
-                models.append((spec, qoe.model_params(spec["id"], {k: v for k, v in spec.items() if k != "id"})))
-        except ValueError as exc:
-            raise ValueError(f"qoe_models[{i}] ({spec['id']}): {exc}") from exc
+        with checks.naming(f"qoe_models[{i}] ({spec['id']})"):
+            models.append((spec["id"], qoe.model_params(spec["id"], {k: v for k, v in spec.items() if k != "id"})))
     paths = sorted(records_dir.glob("*.record.json"), key=str)  # one directory: the order of Path's own sort
     if not paths:
         raise ValueError(f"no *.record.json file in {records_dir}: nothing to score")
     records = []  # (video id, record): every record is read and checked before any is scored
     for path in paths:
-        try:
+        with checks.naming(str(path)):
             records.append((path.name[: -len(".record.json")], simulator.record_from_json(path.read_text())))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
     rows = []
     failed = 0
     for video_id, record in records:
-        for spec, params in models:
+        for model_id, params in models:
             try:
-                if params is None:
-                    score = qoe.evaluate_external(spec["id"], record, spec["command"])
-                else:
-                    score = qoe.evaluate(spec["id"], record, params)
-                rows.append((video_id, spec["id"], score))
+                rows.append((video_id, model_id, qoe.evaluate(model_id, record, params)))
             except Exception as exc:
                 failed += 1
-                print(f"qoe: {video_id}/{spec['id']} failed: {exc}", file=sys.stderr)
+                print(f"qoe: {video_id}/{model_id} failed: {exc}", file=sys.stderr)
     if args.format == "json":
         payload = [{"video_id": v, "model_id": m, "score": s} for v, m, s in rows]
         _atomic_write(out_dir / "qoe_scores.json", json.dumps(payload))
@@ -436,11 +412,9 @@ def cmd_stats(config: dict, args) -> int:
         if missing:
             raise ValueError(f"{block['scores_csv']}: method {method} has no score for item {missing[0]}")
         scores = np.array([by_method[method][i] for i in items])
-        try:
+        with checks.naming(f"{block['scores_csv']}: method {method}"):  # e.g. constant scores
             fit = stats.fit_logistic(scores, mos)  # one fit per method, for PLCC and the F-test alike
             correlations.append((method, stats.plcc(fit.mapped, mos), stats.srcc(scores, mos), stats.krcc(scores, mos)))
-        except ValueError as exc:  # e.g. constant scores
-            raise ValueError(f"{block['scores_csv']}: method {method}: {exc}") from exc
         samples[method] = fit.mapped - mos if test == "f_test" else scores
     matrix = stats.build_significance_matrix(samples, test=test, alpha=alpha)  # it may refuse a pair: no file yet
 
@@ -466,10 +440,8 @@ def cmd_traces(config: dict, args) -> int:
     min_avg = checks.nonnegative("min_avg_kbps", block.get("min_avg_kbps", 200.0))
     inputs = []  # (name, path, windows): every input's windowing is checked before any window is written
     for i, (name, path, trace) in enumerate(_load_traces(block, "inputs")):
-        try:
+        with checks.naming(f"inputs[{i}] ({path})"):
             inputs.append((name, path, nettrace.window_traces(trace, window_s=window_s, stride_s=stride_s)))
-        except ValueError as exc:
-            raise ValueError(f"inputs[{i}] ({path}): {exc}") from exc
     index = []
     kept_count = 0
     for name, path, windows in inputs:

@@ -162,16 +162,14 @@ def parse_manifest(text: str) -> Manifest:
     on these and on schema violations, non-increasing ladder bitrates or
     a ragged segment matrix.
     """
-    try:
+    with checks.naming("manifest is not valid JSON", json.JSONDecodeError):
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"manifest is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("manifest document must be a JSON object")
     for key in ("segment_duration_s", "ladder", "segments"):
         if key not in doc:
             raise ValueError(f"manifest missing required field {key!r}")
-    try:
+    with checks.naming("malformed manifest entry", (TypeError, KeyError)):
         ladder = tuple(
             Representation(entry["index"], entry["width"], entry["height"], entry["bitrate_kbps"])
             for entry in doc["ladder"]
@@ -179,8 +177,6 @@ def parse_manifest(text: str) -> Manifest:
         rows = doc["segments"]
         sizes = [[cell["size_bits"] for cell in row] for row in rows]
         qualities = [[cell["quality"] for cell in row] for row in rows]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed manifest entry: {exc}") from exc
     return Manifest(doc["segment_duration_s"], ladder, sizes, qualities)
 
 

@@ -4,7 +4,8 @@ Nine knowledge-driven models are registered under ``evaluate``; each is
 a pure function of the record and its coefficient set. The default
 coefficients are recorded in docs/model_parameters.md. Learned models
 (feature-regression or standardized bitstream models) are supported
-only through an external command, ``evaluate_external``.
+only through an external command, which ``model_params`` and
+``evaluate`` take as they take a built-in model.
 
 Bitrates enter the linear models in Mb/s; quality scores are the 0-100
 per-segment values carried by the record.
@@ -246,12 +247,16 @@ def _coefficients(model_id: str) -> dict:
 
 
 def model_params(model_id: str, params: dict) -> dict:
-    """Check ``params`` for the built-in model ``model_id``; return the keyword arguments ``evaluate`` takes.
+    """Check ``params`` for model ``model_id``; return what ``evaluate`` takes for it.
 
-    An unknown model, a name the model does not take, or a value out of its range
-    (``_VALUE_CHECKS``) is a ValueError; ``evaluate`` checks nothing, so check once here. ksqi's
-    coefficients come back as the one ``KsqiParams`` they build, which checks their values.
+    Params with a ``command`` are an external model's and come back as ``{"command": [...]}``; others
+    are a built-in model's keyword arguments. An unknown model, a name the model does not take, or a
+    value out of its range (``_VALUE_CHECKS``) is a ValueError; ``evaluate`` checks nothing, so check
+    once here. ksqi's coefficients come back as the one ``KsqiParams`` they build, which checks them.
     """
+    if "command" in params:
+        checks.known_keys("an external model", params, ("id", "command"))  # the keys of its config entry
+        return {"command": checks.command("command", params["command"])}
     checks.known_keys(f"model {model_id}", params, list(_coefficients(model_id)))
     if model_id == "ksqi":
         return {"params": KsqiParams(**params)}
@@ -259,6 +264,8 @@ def model_params(model_id: str, params: dict) -> dict:
 
 
 def evaluate(model_id: str, record: SessionRecord, params: dict | None = None) -> float:
-    """Score ``record`` under the built-in model ``model_id``, with keyword arguments from ``model_params``."""
+    """Score ``record`` under model ``model_id`` with ``params`` from ``model_params`` (a ``command`` runs outside)."""
+    if params and "command" in params:
+        return evaluate_external(model_id, record, params["command"])
     return _finite_score(model_id, _model(model_id)(record, **(params or {})))
 

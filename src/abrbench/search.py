@@ -589,7 +589,7 @@ def load_table(path) -> LookupTable:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
-    try:
+    with checks.naming(str(path), (TypeError, ValueError)):  # TypeError: a header field of the wrong type
         header = json.loads(header_line.decode("utf-8"))
         if not isinstance(header, dict) or header.get("format") != "abrbench-mpc-table-v1":
             raise ValueError("not a lookup-table artifact")
@@ -614,5 +614,3 @@ def load_table(path) -> LookupTable:
             segment_duration_s=header["segment_duration_s"],
             params=MpcObjectiveParams(**p),
         )
-    except (TypeError, ValueError) as exc:  # TypeError: a header field of the wrong type
-        raise ValueError(f"{path}: {exc}") from exc

@@ -171,6 +171,7 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
     history = memoryview(samples).toreadonly()
     wall = buffer = 0.0
     rep = int(config.initial_rep)
+    rungs = len(manifest.ladder)
 
     for k in range(1, n + 1):
         if k > 1:
@@ -183,7 +184,9 @@ def run_session(manifest: Manifest, trace: Trace, policy, config: PlayerConfig) 
                     manifest=manifest,
                 )
             )
-            if not (float(choice).is_integer() and 1 <= choice <= len(manifest.ladder)):
+            # an int takes one chained comparison; 3.0 and np.int64(3) pass too, a bool or a string never
+            integral = type(choice) is int or (checks.is_number(choice) and float(choice).is_integer())
+            if not (integral and 1 <= choice <= rungs):
                 raise ValueError(f"policy returned invalid representation index {choice!r}")
             rep = int(choice)
         size = sizes[k - 1][rep - 1]

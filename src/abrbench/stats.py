@@ -353,10 +353,8 @@ def build_significance_matrix(
     flipped = {ROW_BETTER: ROW_WORSE, ROW_WORSE: ROW_BETTER, INDISTINGUISHABLE: INDISTINGUISHABLE}
     for i in range(n):
         for j in range(i + 1, n):
-            try:
+            with checks.naming(f"methods {labels[i]} and {labels[j]}"):
                 decision, p = pair_fn(data[labels[i]], data[labels[j]], alpha)
-            except ValueError as exc:
-                raise ValueError(f"methods {labels[i]} and {labels[j]}: {exc}") from exc
             cells[i][j] = decision
             cells[j][i] = flipped[decision]
             ps[i][j] = ps[j][i] = p

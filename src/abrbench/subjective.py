@@ -192,8 +192,14 @@ def realign(
     ``anchors[day]`` lists (video_id, anchor_mos) pairs; the fit
     minimizes the squared residual of MOS = a*z + b over the anchors'
     mean Z-scores, then applies to every video of that day's sessions.
+    Every day of the ratings needs anchors: a day without them would get
+    no MOS, so it is a ValueError naming the day and its video count.
     Returns (mos per video, (a, b) per day).
     """
+    days = [matrix.day_of[matrix.session_of[v]] for v in matrix.videos]
+    for day in dict.fromkeys(days):  # first-seen order
+        if day not in anchors:
+            raise ValueError(f"ratings day {day!r} has {days.count(day)} videos but no anchors")
     video_index = {v: j for j, v in enumerate(matrix.videos)}
     mean_z = np.array([np.nanmean(z[:, j]) if (~np.isnan(z[:, j])).any() else np.nan for j in range(len(matrix.videos))])
     mos: dict[str, float] = {}
@@ -207,9 +213,9 @@ def realign(
         a_mat = np.vstack([zs, np.ones_like(zs)]).T
         (a, b), *_ = np.linalg.lstsq(a_mat, ms, rcond=None)
         mappings[day] = (float(a), float(b))
-        for v in matrix.videos:
-            if matrix.day_of[matrix.session_of[v]] == day and not np.isnan(mean_z[video_index[v]]):
-                mos[v] = float(a * mean_z[video_index[v]] + b)
+        for j, v in enumerate(matrix.videos):
+            if days[j] == day and not np.isnan(mean_z[j]):
+                mos[v] = float(a * mean_z[j] + b)
     return mos, mappings
 
 

@@ -181,3 +181,30 @@ def test_floats_within_says_true_only_for_floats_in_range():
     for bad in ([math.nan], [NEXT_ABOVE_100], [1], [True], [np.float64(1.0)], ["1"], [None]):
         assert not checks.floats_within(bad, 0.0, 100.0)
     assert not checks.floats_within([math.inf], 0.0, math.inf, exclusive=True)
+
+
+def test_naming_prefixes_the_source_and_chains_the_cause():
+    with pytest.raises(ValueError) as info, checks.naming("manifests[0] (m.json)"):
+        raise ValueError("bad width")
+    assert str(info.value) == "manifests[0] (m.json): bad width" and type(info.value) is ValueError
+    assert str(info.value.__cause__) == "bad width"
+    with pytest.raises(ValueError, match=r"^policies\[0\] \(x\): gone$") as info, \
+            checks.naming("policies[0] (x)", (OSError, ValueError)):
+        raise FileNotFoundError("gone")
+    assert type(info.value.__cause__) is FileNotFoundError
+    with pytest.raises(TypeError, match="^not named$"), checks.naming("where"):  # other errors pass as they are
+        raise TypeError("not named")
+    with checks.naming("where"):
+        pass
+
+
+def _chained_raises(path) -> int:
+    """How many ``raise ... from <exception>`` statements ``path`` holds (``from None`` is no chain)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sum(isinstance(node, ast.Raise) and isinstance(node.cause, ast.Name) for node in ast.walk(tree))
+
+
+def test_a_named_error_is_chained_in_naming_alone():
+    # the one other chain joins its source with "player." instead of ": "
+    found = {path.name: _chained_raises(path) for path in MODULES}
+    assert {name: n for name, n in found.items() if n} == {"checks.py": 1, "cli.py": 1}

@@ -435,6 +435,18 @@ def test_subjective_names_the_file_and_line_of_an_out_of_range_rating(tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_subjective_refuses_a_ratings_day_without_anchors(tmp_path, capsys):
+    # session B moved to day D2, which anchors.csv does not name: its five videos got no MOS, silently
+    ratings, anchors = make_subjective_fixture(tmp_path)
+    ratings.write_text(ratings.read_text().replace(",B,D1,", ",B,D2,"))
+    cfg = tmp_path / "subj.json"
+    cfg.write_text(json.dumps({"subjective": {"ratings_csv": str(ratings), "anchors_csv": str(anchors)},
+                               "out_dir": str(tmp_path / "out")}))
+    assert run(["subjective", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "abrbench subjective: ratings day 'D2' has 5 videos but no anchors\n"
+    assert not (tmp_path / "out").exists()
+
+
 def make_subjective_fixture(tmp_path):
     rng = np.random.default_rng(0)
     base = np.linspace(20, 80, 10)
@@ -1402,6 +1414,65 @@ def test_simulate_gives_each_cell_of_an_external_entry_its_own_child(tmp_path, m
     assert run(["simulate", "--config", cfg]) == 0
     assert len(children) == 2 and children[0] is not children[1]
     assert [child.returncode for child in children] == [0, 0]  # each closed and reaped by its own cell
+
+
+def test_named_input_errors_read_byte_for_byte(tmp_path, capsys):
+    # each names its source in front of the error it re-raises, joined by ": "
+    def err_of(command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
+        assert run([command, "--config", cfg]) == 2
+        return capsys.readouterr().err
+
+    cfg = tmp_path / "cfg.json"
+    assert err_of("simulate", '{"manifests": ') == (
+        f"abrbench simulate: config {cfg} is not valid JSON: Expecting value: line 1 column 15 (char 14)\n")
+    assert err_of("simulate", "{manifests: []}") == (
+        f"abrbench simulate: config {cfg} is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
+    manifests, traces = write_inputs(tmp_path)
+    m, m2 = tmp_path / "m.json", tmp_path / "m2.json"
+    m.write_text('{"segment_duration_s": 4.0,')
+    doc = json.loads(Path(manifests[0]).read_text())
+    del doc["ladder"][0]["width"]
+    m2.write_text(json.dumps(doc))
+    assert err_of("simulate", {"manifests": [str(m)]}) == (
+        f"abrbench simulate: manifests[0] ({m}): manifest is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 28 (char 27)\n")
+    assert err_of("simulate", {"manifests": [str(m2)]}) == (
+        f"abrbench simulate: manifests[0] ({m2}): malformed manifest entry: 'width'\n")
+    assert err_of("simulate", {"manifests": manifests, "traces": traces,
+                               "policies": [{"id": "rdos", "params": {"horizon": 2, "bogus": 1}}]}) == (
+        "abrbench simulate: policies[0] (rdos): params: RdosParams.__init__() got an unexpected keyword argument "
+        "'bogus'\n")
+    records = tmp_path / "rec"
+    records.mkdir()
+    (records / "a.record.json").write_text("[1]")
+    assert err_of("qoe", {"records_dir": str(records), "out_dir": str(tmp_path / "out")}) == (
+        f"abrbench qoe: {records / 'a.record.json'}: a session record must be an object with exactly the keys "
+        "['segment_duration_s', 'qualities', 'bitrates_kbps', 'stalls', 'startup_delay_s']\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("printed", ["x", "2.5"])
+def test_an_external_policy_that_prints_no_rung_is_named(tmp_path, printed):
+    # int() failed the cell with "invalid literal for int() with base 10: 'x'", naming neither
+    script = tmp_path / "bad_output.py"
+    script.write_text(f"import sys\nfor line in sys.stdin:\n    print({printed!r}, flush=True)\n")
+    command = [sys.executable, str(script)]
+    message = f"external policy {command} printed {printed!r}, not a rung index"
+    manifests, traces = write_inputs(tmp_path)
+    manifest = media.parse_manifest(Path(manifests[0]).read_text())
+    trace = nettrace.parse_trace(Path(traces[0]["path"]).read_text(), "pairs")
+    with abr.ExternalPolicy(command) as policy, pytest.raises(ValueError) as info:
+        simulator.run_session(manifest, trace, policy, simulator.PlayerConfig())
+    assert str(info.value) == message
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifests": manifests, "traces": traces, "out_dir": str(tmp_path / "out"),
+                               "policies": [{"id": "external", "command": command}]}))
+    assert run(["simulate", "--config", cfg]) == 1
+    [row] = read_csv(tmp_path / "out" / "summary.csv")
+    assert (row["status"], row["error"]) == ("error", message)
 
 
 @pytest.mark.parametrize(

@@ -316,6 +316,22 @@ def test_external_model_stub(tmp_path):
         evaluate("stub_model", rec([50, 60]))
 
 
+def test_an_external_entry_takes_the_built_in_path(tmp_path):
+    # model_params checks an entry's command and evaluate runs it, as for a built-in model
+    script = tmp_path / "mean_quality.py"
+    script.write_text("import sys, json\nq = json.load(sys.stdin)['qualities']\nprint(sum(q) / len(q))\n")
+    command = [sys.executable, str(script)]
+    params = qoe.model_params("ext", {"command": command})
+    assert params == {"command": command}
+    for r in (rec([50, 60]), rec([20, 90, 40], stalls=((4.0, 1.5),))):
+        assert evaluate("ext", r, params) == qoe.evaluate_external("ext", r, command)
+    unknown = r"^unknown key 'lam' in an external model; expected one of \['command', 'id'\]$"
+    with pytest.raises(ValueError, match=unknown):
+        qoe.model_params("ext", {"command": command, "lam": 1.0})
+    with pytest.raises(ValueError, match="^command must be a non-empty list of strings, got 'python x.py'$"):
+        qoe.model_params("ksqi", {"command": "python x.py"})
+
+
 @pytest.mark.parametrize("output", ["", "\n  \n"], ids=["nothing", "blank_lines"])
 def test_external_model_that_prints_no_score_is_named(tmp_path, output):
     # an IndexError (list index out of range) named neither the model nor the cause

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -325,8 +326,10 @@ def test_invalid_policy_output_rejected():
         def select(self, state):
             return self.value
 
-    for bad in (99, 2.7):  # out of the ladder, or not integral (never truncated)
-        with pytest.raises(ValueError, match=str(bad)):
+    # out of the ladder, not integral (never truncated), or no number: True played rung 1, and "3"
+    # and None failed with a bare TypeError that did not name the policy
+    for bad in (99, 2.7, True, "3", None):
+        with pytest.raises(ValueError, match=f"^policy returned invalid representation index {re.escape(repr(bad))}$"):
             run_session(m, tr, Returns(bad), PlayerConfig())
     for integral in (3.0, np.int64(3)):
         assert run_session(m, tr, Returns(integral), PlayerConfig()).choices == (1, 3, 3)

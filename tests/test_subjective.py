@@ -231,6 +231,19 @@ def test_realign_underdetermined():
         realign(m, z, {"D1": [("v0", 50.0)]})
 
 
+def test_realign_refuses_a_ratings_day_without_anchors():
+    # D2's videos got no MOS, and mos.csv left them out without a word
+    raw = np.array([[10.0, 50.0, 90.0, 20.0, 40.0, 70.0], [15.0, 45.0, 85.0, 25.0, 35.0, 75.0]])
+    m = simple_matrix(raw, sessions=["A"] * 3 + ["B"] * 3, days={"A": "D1", "B": "D2"})
+    z = z_normalize(m)
+    anchors = {"D1": [("v0", 20.0), ("v2", 80.0)]}
+    with pytest.raises(ValueError, match="^ratings day 'D2' has 3 videos but no anchors$"):
+        realign(m, z, anchors)
+    anchors["D2"] = [("v3", 20.0), ("v5", 80.0)]
+    mos, mappings = realign(m, z, anchors)
+    assert sorted(mos) == [f"v{j}" for j in range(6)] and sorted(mappings) == ["D1", "D2"]
+
+
 def test_partition_rule_traces():
     meta = {
         "clean": VideoMeta(82.0, 4.0, 0.0),
