@@ -9,6 +9,7 @@ KSQI comparison with a Wilcoxon significance matrix.
 Usage: python scripts/demo_grid.py [workdir]
 """
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from abrbench import cli, media, nettrace, qoe, simulator, stats
+from abrbench import cli, media, nettrace, qoe, stats
 
 
 TRACES = {
@@ -72,15 +73,13 @@ def main():
     if rc:
         return rc
 
-    # per-policy KSQI comparison across the trace grid
-    records_dir = workdir / "out" / "records"
+    # per-policy KSQI comparison across the trace grid, from the scores qoe wrote (repr form: read back exactly)
     by_policy = {p["name"]: {} for p in POLICIES}
-    for path in sorted(records_dir.glob("*.record.json")):
-        cell = path.name[: -len(".record.json")]
-        _, trace_stem, policy_name = cell.split("__")
-        trace_name = trace_stem.removeprefix("trace_")
-        record = simulator.record_from_json(path.read_text())
-        by_policy[policy_name][trace_name] = qoe.evaluate("ksqi", record)
+    with open(workdir / "out" / "qoe_scores.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["model_id"] == "ksqi":
+                _, trace_stem, policy_name = row["video_id"].split("__")
+                by_policy[policy_name][trace_stem.removeprefix("trace_")] = float(row["score"])
 
     traces_sorted = sorted(TRACES)
     print("\nKSQI-style score per (policy, trace):")

@@ -51,15 +51,15 @@ def _read_text(path: str, what: str) -> str:
 
 @contextlib.contextmanager
 def _replacing(path: Path):
-    """A temporary path beside ``path``; it replaces ``path`` when the block ends, and is removed if the block fails."""
+    """A temporary path beside ``path``; it replaces ``path`` when the block ends, and is removed if either fails."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
         yield tmp
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 def _atomic_write(path: Path, data: str | bytes) -> None:
@@ -160,8 +160,10 @@ def _player_config(block: dict) -> simulator.PlayerConfig:
     return simulator.PlayerConfig(channel=channel, **_pick(block, player_keys))
 
 
-def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, checked, player: simulator.PlayerConfig):
-    """One grid cell: ``(log, record)``, or the cell's error text; it decides with a fresh copy of ``checked``."""
+def _run_cell(out_dir: Path, cell_id: str, manifest: media.Manifest, trace: nettrace.Trace, checked,
+              player: simulator.PlayerConfig):
+    """One grid cell: it plays the session, writes the cell's log and record, and returns the cell's six summary
+    numbers, or its error text; it decides with a fresh copy of ``checked``."""
     try:
         policy = dataclasses.replace(checked)  # no policy state crosses cells
         try:
@@ -169,8 +171,12 @@ def _run_cell(manifest: media.Manifest, trace: nettrace.Trace, checked, player: 
         finally:
             if hasattr(policy, "close"):
                 policy.close()
-        return log, simulator.to_record(log, manifest, player)
-    except Exception as exc:  # a cell fails in isolation
+        record = simulator.to_record(log, manifest, player)
+        _atomic_write(out_dir / "logs" / f"{cell_id}.log.json", simulator.log_to_json(log))
+        _atomic_write(out_dir / "records" / f"{cell_id}.record.json", simulator.record_to_json(record))
+        return (sum(record.bitrates_kbps) / len(record.bitrates_kbps), record.total_stall_s, len(record.stalls),
+                qoe._switching(qoe._mbps(record)), log.startup_delay_s, log.total_wall_time_s)
+    except Exception as exc:  # a cell fails in isolation, an unwritable file too
         return str(exc)
 
 
@@ -209,7 +215,8 @@ def cmd_simulate(config: dict, args) -> int:
     cell_ids = [f"{m}__{t}__{p}" for m, _, t, _, p, _ in cells]
     if len(set(cell_ids)) < len(cells):  # names holding "__" can join into another cell's id
         raise ValueError(f"two grid cells share the id {next(c for c in cell_ids if cell_ids.count(c) > 1)!r}")
-    work = [(manifest, trace, policy, player) for _, manifest, _, trace, _, policy in cells]
+    work = [(out_dir, cell_id, manifest, trace, policy, player)
+            for cell_id, (_, manifest, _, trace, _, policy) in zip(cell_ids, cells)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_cell, *w) for w in work]
@@ -218,23 +225,10 @@ def cmd_simulate(config: dict, args) -> int:
     else:
         outcomes = [_run_cell(*w) for w in work]
 
-    rows = []
-    failed = 0
-    for cell_id, (m, _, t, _, p, _), outcome in zip(cell_ids, cells, outcomes):
-        if not isinstance(outcome, str):
-            log, record = outcome
-            _atomic_write(out_dir / "logs" / f"{cell_id}.log.json", simulator.log_to_json(log))
-            _atomic_write(out_dir / "records" / f"{cell_id}.record.json", simulator.record_to_json(record))
-            rates = [b / 1000.0 for b in record.bitrates_kbps]
-            switch = sum(abs(b - a) for a, b in zip(rates, rates[1:]))
-            rows.append((
-                cell_id, m, t, p, "ok", sum(record.bitrates_kbps) / len(record.bitrates_kbps),
-                record.total_stall_s, len(record.stalls), switch, log.startup_delay_s, log.total_wall_time_s, None,
-            ))
-        else:
-            failed += 1
-            rows.append((cell_id, m, t, p, "error", None, None, None, None, None, None, outcome))
-
+    rows = [(cell_id, m, t, p, "error", *[None] * 6, outcome) if isinstance(outcome, str)
+            else (cell_id, m, t, p, "ok", *outcome, None)
+            for cell_id, (m, _, t, _, p, _), outcome in zip(cell_ids, cells, outcomes)]
+    failed = sum(isinstance(outcome, str) for outcome in outcomes)
     header = ("cell_id", "manifest", "trace", "policy", "status", "avg_bitrate_kbps", "total_stall_s",
               "stall_count", "switch_magnitude_mbps", "startup_delay_s", "total_wall_time_s", "error")
     _write_csv(out_dir / "summary.csv", header, rows)
@@ -491,7 +485,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{option} is read only by {' and '.join(readers)}, not by {args.command}")
         config = _load_config(args.config)
         return COMMANDS[args.command](config, args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a missing input, an unwritable output or a bad value
         print(f"abrbench {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -205,19 +205,22 @@ def default_quality_curve(bitrate_kbps: float) -> float:
     return 100.0 * bitrate_kbps / (bitrate_kbps + 900.0)
 
 
+SYNTHETIC_SEGMENT_DURATION_S = 4.0
+
+
 def synthetic_manifest(
     segments: int = 8,
-    segment_duration_s: float = 4.0,
     ladder: tuple[Representation, ...] | None = None,
     size_jitter: float = 0.0,
-    quality_fn=default_quality_curve,
     seed: int = 0,
 ) -> Manifest:
     """Build a synthetic manifest for experiments and tests.
 
-    Segment sizes default to the nominal ladder value; ``size_jitter``
-    adds deterministic multiplicative variation of +-jitter around it,
-    mimicking encoder rate-control spread.
+    Segments last ``SYNTHETIC_SEGMENT_DURATION_S`` and qualities follow
+    ``default_quality_curve``. Segment sizes default to the nominal
+    ladder value; ``size_jitter`` adds deterministic multiplicative
+    variation of +-jitter around it, mimicking encoder rate-control
+    spread.
     """
     import random
 
@@ -229,8 +232,8 @@ def synthetic_manifest(
         size_row, quality_row = [], []
         for rep in ladder:
             factor = 1.0 + size_jitter * (2.0 * rng.random() - 1.0) if size_jitter else 1.0
-            size_row.append(rep.bitrate_kbps * 1000.0 * segment_duration_s * factor)
-            quality_row.append(min(100.0, max(0.0, quality_fn(rep.bitrate_kbps))))
+            size_row.append(rep.bitrate_kbps * 1000.0 * SYNTHETIC_SEGMENT_DURATION_S * factor)
+            quality_row.append(min(100.0, max(0.0, default_quality_curve(rep.bitrate_kbps))))
         sizes.append(size_row)
         qualities.append(quality_row)
-    return Manifest(segment_duration_s, tuple(ladder), sizes, qualities)
+    return Manifest(SYNTHETIC_SEGMENT_DURATION_S, tuple(ladder), sizes, qualities)

@@ -180,7 +180,7 @@ def serialize_trace(trace: Trace) -> str:
 MAX_WINDOWS = 1_000_000  # the ``traces`` command writes a file per kept window
 
 
-def window_traces(trace: Trace, window_s: float = 55.0, stride_s: float = 55.0) -> Iterator[Trace]:
+def window_traces(trace: Trace, window_s: float, stride_s: float) -> Iterator[Trace]:
     """Cut sliding windows of ``window_s`` seconds out of ``trace``, one at a time.
 
     Window ``i`` starts at exactly ``i * stride_s``. The arguments and

@@ -148,9 +148,6 @@ class LogisticFit:
     beta: tuple[float, float, float, float, float]
     converged: bool
 
-    def __call__(self, s) -> np.ndarray:
-        return logistic_5(np.asarray(s, dtype=float), self.beta)
-
 
 LOGISTIC_MAX_NFEV = 2000  # the optimizer's evaluation budget per logistic fit
 
@@ -326,7 +323,7 @@ class SignificanceMatrix:
 
 def build_significance_matrix(
     method_samples: dict[str, list[float]],
-    test: str = "wilcoxon",
+    test: str,
     alpha: float = 0.05,
 ) -> SignificanceMatrix:
     """Pairwise test over methods sampled on the same items.

@@ -193,8 +193,10 @@ def realign(
     minimizes the squared residual of MOS = a*z + b over the anchors'
     mean Z-scores, then applies to every video of that day's sessions.
     Every day of the ratings needs anchors: a day without them would get
-    no MOS, so it is a ValueError naming the day and its video count.
-    Returns (mos per video, (a, b) per day).
+    no MOS, so it is a ValueError naming the day and its video count. An
+    anchor on a video that the ratings put on another day would fit this
+    day's mapping to that day's Z-scores, so it is a ValueError naming
+    both days and the video. Returns (mos per video, (a, b) per day).
     """
     days = [matrix.day_of[matrix.session_of[v]] for v in matrix.videos]
     for day in dict.fromkeys(days):  # first-seen order
@@ -205,6 +207,10 @@ def realign(
     mos: dict[str, float] = {}
     mappings: dict[str, tuple[float, float]] = {}
     for day, pairs in anchors.items():
+        for v, _ in pairs:
+            if v in video_index and days[video_index[v]] != day:
+                raise ValueError(f"day {day!r} has an anchor on video {v!r}, which the ratings put on day "
+                                 f"{days[video_index[v]]!r}")
         usable = [(video_index[v], m) for v, m in pairs if v in video_index and not np.isnan(mean_z[video_index[v]])]
         if len(usable) < 2:
             raise ValueError(f"day {day!r} has {len(usable)} usable anchors; need at least 2")

@@ -102,6 +102,45 @@ def test_simulate_cells_fail_in_isolation(tmp_path, jobs):
     assert statuses == ["error", "ok"]
 
 
+def test_simulate_fails_a_cell_whose_log_cannot_be_written(tmp_path):
+    # simulate wrote every cell's files after the whole grid ran, so cli.main raised IsADirectoryError here
+    manifests, traces = write_inputs(tmp_path, n_traces=2)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}],
+                               "out_dir": str(tmp_path / "out")}))
+    blocked = tmp_path / "out" / "logs" / "manifest0__trace0__rate_based0.log.json"
+    blocked.mkdir(parents=True)
+    summaries = []
+    for jobs in (1, 2):
+        assert run(["simulate", "--config", cfg, "--jobs", jobs]) == 1
+        summaries.append((tmp_path / "out" / "summary.csv").read_bytes())
+        bad, good = read_csv(tmp_path / "out" / "summary.csv")
+        assert (bad["status"], good["status"]) == ("error", "ok")
+        assert str(blocked) in bad["error"] and bad["avg_bitrate_kbps"] == ""
+        for kind in ("log", "record"):
+            assert (tmp_path / "out" / f"{kind}s" / f"{good['cell_id']}.{kind}.json").is_file()
+        assert blocked.is_dir() and not list((tmp_path / "out").rglob("*.tmp"))
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("command, config, blocked", [
+    ("simulate", None, "summary.csv"),
+    ("mpc-table", {"mpc_table": {"tput_bins": 2, "buffer_bins": 2, "horizon": 1}}, "mpc_table.bin"),
+])
+def test_an_unwritable_output_exits_2_and_leaves_no_temp_file(tmp_path, capsys, command, config, blocked):
+    # os.replace ran outside the cleanup, so each left <blocked>.tmp and ended in an IsADirectoryError traceback
+    if config is None:
+        manifests, traces = write_inputs(tmp_path)
+        config = {"manifests": manifests, "traces": traces, "policies": [{"id": "rate_based"}]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"abrbench {command}: ") and blocked in err
+    assert not list((tmp_path / "out").rglob("*.tmp"))
+
+
 def test_simulate_parallel_matches_serial(tmp_path, capsys):
     manifests, traces = write_inputs(tmp_path, n_traces=2)
     config = {
@@ -444,6 +483,21 @@ def test_subjective_refuses_a_ratings_day_without_anchors(tmp_path, capsys):
                                "out_dir": str(tmp_path / "out")}))
     assert run(["subjective", "--config", cfg]) == 2
     assert capsys.readouterr().err == "abrbench subjective: ratings day 'D2' has 5 videos but no anchors\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_subjective_refuses_an_anchor_from_another_day(tmp_path, capsys):
+    # session B moved to day D2, anchored on two D1 videos: D2's MOS came from D1's Z-scores
+    ratings, anchors = make_subjective_fixture(tmp_path)
+    ratings.write_text(ratings.read_text().replace(",B,D1,", ",B,D2,"))
+    anchors.write_text("day,video_id,mos\n" + "".join(f"D1,v{j},{20 + 6 * j}\n" for j in range(5))
+                       + "D2,v0,30\nD2,v1,40\n")
+    cfg = tmp_path / "subj.json"
+    cfg.write_text(json.dumps({"subjective": {"ratings_csv": str(ratings), "anchors_csv": str(anchors)},
+                               "out_dir": str(tmp_path / "out")}))
+    assert run(["subjective", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "abrbench subjective: day 'D2' has an anchor on video 'v0', which the ratings put on day 'D1'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1533,7 +1587,7 @@ def test_simulate_checks_policies_against_every_manifest_before_any_cell(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
-def test_mpc_table_keeps_the_previous_artifact_when_saving_fails(tmp_path, monkeypatch):
+def test_mpc_table_keeps_the_previous_artifact_when_saving_fails(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"mpc_table": {"tput_bins": 2, "buffer_bins": 2, "horizon": 1},
                                "out_dir": str(tmp_path / "out")}))
@@ -1546,7 +1600,8 @@ def test_mpc_table_keeps_the_previous_artifact_when_saving_fails(tmp_path, monke
         raise OSError("disk full")
 
     monkeypatch.setattr(abr, "save_table", save_half)
-    with pytest.raises(OSError, match="disk full"):
-        run(["mpc-table", "--config", cfg])
+    capsys.readouterr()
+    assert run(["mpc-table", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "abrbench mpc-table: disk full\n"
     assert path.read_bytes() == before
     assert list(path.parent.iterdir()) == [path]  # no temporary file left behind

@@ -244,6 +244,19 @@ def test_realign_refuses_a_ratings_day_without_anchors():
     assert sorted(mos) == [f"v{j}" for j in range(6)] and sorted(mappings) == ["D1", "D2"]
 
 
+def test_realign_refuses_an_anchor_from_another_day():
+    # D2's mapping was fitted to D1's Z-scores: anchored on v0 and v1, it came back with a slope of about -50
+    raw = np.array([[10.0, 50.0, 90.0, 20.0, 40.0, 70.0], [15.0, 45.0, 85.0, 25.0, 35.0, 75.0]])
+    m = simple_matrix(raw, sessions=["A"] * 3 + ["B"] * 3, days={"A": "D1", "B": "D2"})
+    z = z_normalize(m)
+    anchors = {"D1": [("v0", 20.0), ("v2", 80.0)], "D2": [("v0", 70.0), ("v1", 20.0)]}
+    with pytest.raises(ValueError, match="^day 'D2' has an anchor on video 'v0', which the ratings put on day 'D1'$"):
+        realign(m, z, anchors)
+    anchors["D2"] = [("v3", 20.0), ("v5", 80.0), ("unrated", 50.0)]  # an unrated video is still just not usable
+    mos, mappings = realign(m, z, anchors)
+    assert sorted(mappings) == ["D1", "D2"] and mappings["D2"][0] > 0
+
+
 def test_partition_rule_traces():
     meta = {
         "clean": VideoMeta(82.0, 4.0, 0.0),
